@@ -354,6 +354,17 @@ fn main() {
                     c.failovers,
                     c.stale_results
                 );
+                let w = pf.wire_counters(i);
+                eprintln!(
+                    "endpoint {i} ({name}): frames_sent={} socket_writes={} ({:.1} frames/write) \
+                     frames_recv={} socket_reads={} ({:.1} frames/read)",
+                    w.frames_sent,
+                    w.socket_writes,
+                    w.frames_sent as f64 / w.socket_writes.max(1) as f64,
+                    w.frames_recv,
+                    w.socket_reads,
+                    w.frames_recv as f64 / w.socket_reads.max(1) as f64
+                );
             }
         }
     }

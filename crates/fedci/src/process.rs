@@ -30,12 +30,13 @@ use crate::fabric::{
     assemble_input, Completion, Fabric, FabricTiming, FnRegistry, JobSpec, ProbeState,
 };
 use crate::proto::{
-    Frame, TelemetryEvent, PROTO_VERSION, TEL_CTR_CHAOS_DELAYS, TEL_CTR_CHAOS_SWALLOWED,
-    TEL_CTR_DISPATCHES, TEL_CTR_RESULTS_ERR, TEL_CTR_RESULTS_OK, TEL_CTR_RING_DROPPED,
-    TEL_MAX_EVENTS, TEL_STAGE_CHAOS_DELAY, TEL_STAGE_CHAOS_SWALLOW, TEL_STAGE_EXEC_BEGIN,
-    TEL_STAGE_EXEC_END, TEL_STAGE_RECV, TEL_STAGE_SENT,
+    encode_dispatch_into, encode_transfer_into, Frame, FrameReader, TelemetryEvent, IO_BUF,
+    PROTO_VERSION, TEL_CTR_CHAOS_DELAYS, TEL_CTR_CHAOS_SWALLOWED, TEL_CTR_DISPATCHES,
+    TEL_CTR_RESULTS_ERR, TEL_CTR_RESULTS_OK, TEL_CTR_RING_DROPPED, TEL_MAX_EVENTS,
+    TEL_STAGE_CHAOS_DELAY, TEL_STAGE_CHAOS_SWALLOW, TEL_STAGE_EXEC_BEGIN, TEL_STAGE_EXEC_END,
+    TEL_STAGE_RECV, TEL_STAGE_SENT,
 };
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use simkit::metrics::{CounterId, GaugeId, HistogramId, LogHistogram, MetricsRegistry};
@@ -63,6 +64,10 @@ pub const DAEMON_TEL_RING_CAPACITY: usize = 1 << 16;
 
 /// Client-side cap on buffered daemon telemetry events per endpoint.
 const CLIENT_TEL_EVENT_CAP: usize = 1 << 18;
+
+/// Most commands and inbound frames a supervisor handles between two
+/// checks of its heartbeat/liveness timers.
+const DRAIN_BUDGET: usize = 512;
 
 // ---------------------------------------------------------------------------
 // Daemon
@@ -126,8 +131,8 @@ struct DaemonShared {
     outbox: Mutex<VecDeque<Frame>>,
     outbox_cv: Condvar,
     /// Current client connection (write half); `None` while between
-    /// clients. The writer thread consults this before every frame.
-    conn: Mutex<Option<TcpStream>>,
+    /// clients. The writer thread takes a handle to it per batch.
+    conn: Mutex<Option<Arc<TcpStream>>>,
     busy: AtomicU32,
     queued: AtomicU32,
     completed: AtomicU64,
@@ -136,6 +141,19 @@ struct DaemonShared {
 }
 
 impl DaemonShared {
+    fn new() -> Self {
+        DaemonShared {
+            outbox: Mutex::new(VecDeque::new()),
+            outbox_cv: Condvar::new(),
+            conn: Mutex::new(None),
+            busy: AtomicU32::new(0),
+            queued: AtomicU32::new(0),
+            completed: AtomicU64::new(0),
+            jobs_seen: AtomicU64::new(0),
+            stop_writer: AtomicBool::new(false),
+        }
+    }
+
     fn push(&self, f: Frame) {
         self.outbox.lock().push_back(f);
         self.outbox_cv.notify_all();
@@ -303,16 +321,7 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
     let registry = FnRegistry::builtins();
     let blobs: Arc<Mutex<HashMap<u64, Arc<Vec<u8>>>>> = Arc::new(Mutex::new(HashMap::new()));
     let tel = Arc::new(DaemonTelemetry::new(cfg.generation, cfg.telemetry_ring));
-    let shared = Arc::new(DaemonShared {
-        outbox: Mutex::new(VecDeque::new()),
-        outbox_cv: Condvar::new(),
-        conn: Mutex::new(None),
-        busy: AtomicU32::new(0),
-        queued: AtomicU32::new(0),
-        completed: AtomicU64::new(0),
-        jobs_seen: AtomicU64::new(0),
-        stop_writer: AtomicBool::new(false),
-    });
+    let shared = Arc::new(DaemonShared::new());
 
     let (job_tx, job_rx) = unbounded::<JobSpec>();
     let mut workers = Vec::with_capacity(cfg.workers.max(1));
@@ -355,11 +364,11 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
             workers: cfg.workers as u32,
             generation: cfg.generation,
         };
-        let mut write_half = match stream.try_clone() {
-            Ok(s) => s,
+        let write_half = match stream.try_clone() {
+            Ok(s) => Arc::new(s),
             Err(_) => continue,
         };
-        if hello.write_to(&mut write_half).is_err() {
+        if hello.write_to(&mut &*write_half).is_err() {
             continue;
         }
         *shared.conn.lock() = Some(write_half);
@@ -392,14 +401,15 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
 /// Reads frames from one client connection until it breaks or DRAINs.
 /// Returns `true` if the daemon should shut down (DRAIN received).
 fn daemon_serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     shared: &DaemonShared,
     blobs: &Mutex<HashMap<u64, Arc<Vec<u8>>>>,
     job_tx: &Sender<JobSpec>,
     tel: &DaemonTelemetry,
 ) -> bool {
+    let mut reader = FrameReader::new(stream);
     loop {
-        let frame = match Frame::read_from(&mut stream) {
+        let frame = match reader.read_frame() {
             Ok(f) => f,
             Err(_) => return false, // connection gone; back to accept
         };
@@ -453,11 +463,7 @@ fn daemon_serve_connection(
                 });
             }
             Frame::Drain => {
-                // Final telemetry flush goes out ahead of DRAIN_ACK so a
-                // draining client ingests it before it stops listening.
-                for f in tel.flush_frames() {
-                    shared.push(f);
-                }
+                // The writer puts the final telemetry flush ahead of this.
                 shared.push(Frame::DrainAck {
                     remaining: shared.queued.load(Ordering::SeqCst)
                         + shared.busy.load(Ordering::SeqCst),
@@ -534,51 +540,99 @@ fn daemon_worker(
     }
 }
 
-/// The daemon's single writer: drains the outbox onto whatever connection
-/// is current. RESULTs that cannot be written survive for the next
-/// connection; acks do not (they are meaningless to a future client).
+/// The daemon's single writer: takes the whole outbox under one lock and
+/// puts it on the current connection with one write. RESULTs that cannot
+/// be written survive for the next connection; acks do not (they are
+/// meaningless to a future client).
 fn daemon_writer(shared: &DaemonShared, tel: &DaemonTelemetry) {
+    let mut batch: Vec<Frame> = Vec::new();
+    let mut wbuf: Vec<u8> = Vec::with_capacity(IO_BUF);
     loop {
-        let frame = {
+        let stream = {
             let mut q = shared.outbox.lock();
             loop {
                 if shared.stop_writer.load(Ordering::SeqCst) {
                     return;
                 }
-                if !q.is_empty() && shared.conn.lock().is_some() {
-                    break q.pop_front().expect("non-empty");
+                if !q.is_empty() {
+                    if let Some(s) = shared.conn.lock().clone() {
+                        batch.extend(q.drain(..));
+                        break s;
+                    }
                 }
                 shared.outbox_cv.wait_for(&mut q, Duration::from_millis(50));
             }
         };
-        let result_ids = match &frame {
-            Frame::Result {
-                task, attempt, ok, ..
-            } => Some((*task, *attempt, *ok)),
-            _ => None,
-        };
-        let stream = shared.conn.lock().as_ref().and_then(|s| s.try_clone().ok());
-        let wrote = match stream {
-            Some(mut s) => frame.write_to(&mut s).is_ok(),
-            None => false,
-        };
-        if wrote {
-            // The span's last daemon-side stamp: the RESULT actually hit
-            // the wire (replays after a reconnect re-stamp, which is the
-            // truth — the first copy never arrived).
-            if let Some((task, attempt, ok)) = result_ids {
-                tel.event(TEL_STAGE_SENT, task, attempt, u64::from(ok));
-            }
+        // The final telemetry flush goes ahead of DRAIN_ACK (a draining
+        // client stops listening at the ack) and must carry the SENT stamp
+        // of every RESULT before it — so those are written first.
+        let ack = batch
+            .iter()
+            .position(|f| matches!(f, Frame::DrainAck { .. }));
+        let mut tail = ack.map_or_else(Vec::new, |i| batch.split_off(i));
+        let mut wrote = write_batch(&stream, &mut batch, &mut wbuf, tel);
+        if wrote && !tail.is_empty() {
+            batch = tel.flush_frames();
+            batch.append(&mut tail);
+            wrote = write_batch(&stream, &mut batch, &mut wbuf, tel);
         }
         if !wrote {
             // Connection raced away mid-write. Results are precious —
-            // requeue them at the front so replay preserves order.
-            if matches!(frame, Frame::Result { .. }) {
-                shared.outbox.lock().push_front(frame);
+            // requeue the batch's at the front, in order; any that did
+            // arrive replay into the client's attempt guard.
+            {
+                let mut q = shared.outbox.lock();
+                for frame in batch.drain(..).chain(tail).rev() {
+                    if matches!(frame, Frame::Result { .. }) {
+                        q.push_front(frame);
+                    }
+                }
             }
-            *shared.conn.lock() = None;
+            let mut conn = shared.conn.lock();
+            if conn.as_ref().is_some_and(|c| Arc::ptr_eq(c, &stream)) {
+                *conn = None;
+            }
+            drop(conn);
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+}
+
+/// Puts `batch` on `stream` with one write. On success consumes it and
+/// gives every RESULT the span's last daemon-side stamp — it hit the wire
+/// (replays after a reconnect re-stamp, which is the truth: the first
+/// copy never arrived). On failure leaves `batch` intact.
+fn write_batch(
+    mut stream: &TcpStream,
+    batch: &mut Vec<Frame>,
+    wbuf: &mut Vec<u8>,
+    tel: &DaemonTelemetry,
+) -> bool {
+    for frame in batch.iter() {
+        frame.encode_into(wbuf);
+    }
+    let wrote = stream.write_all(wbuf).is_ok();
+    reset_wbuf(wbuf);
+    if wrote {
+        for frame in batch.drain(..) {
+            if let Frame::Result {
+                task, attempt, ok, ..
+            } = frame
+            {
+                tel.event(TEL_STAGE_SENT, task, attempt, u64::from(ok));
+            }
+        }
+    }
+    wrote
+}
+
+/// Empties a coalescing write buffer after its flush; one that a run of
+/// huge frames grew past 2 MiB gives the memory back.
+fn reset_wbuf(wbuf: &mut Vec<u8>) {
+    if wbuf.capacity() > 32 * IO_BUF {
+        *wbuf = Vec::with_capacity(IO_BUF);
+    } else {
+        wbuf.clear();
     }
 }
 
@@ -732,6 +786,10 @@ struct EpShared {
     frames_recv: AtomicU64,
     bytes_sent: AtomicU64,
     bytes_recv: AtomicU64,
+    /// Socket-level `write_all`/`read` calls: frames ÷ these is how many
+    /// frames each syscall carried.
+    socket_writes: AtomicU64,
+    socket_reads: AtomicU64,
     tel_frames: AtomicU64,
     tel_events: AtomicU64,
     /// Heartbeat round-trip times, seconds.
@@ -757,6 +815,8 @@ impl EpShared {
             frames_recv: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
             bytes_recv: AtomicU64::new(0),
+            socket_writes: AtomicU64::new(0),
+            socket_reads: AtomicU64::new(0),
             tel_frames: AtomicU64::new(0),
             tel_events: AtomicU64::new(0),
             rtt_hist: Mutex::new(LogHistogram::new()),
@@ -865,16 +925,20 @@ impl TelemetryStore {
 }
 
 /// Wraps the reader half of a supervisor connection to count inbound
-/// bytes at the socket, including frames that later fail to decode.
+/// reads and bytes at the socket, including frames that later fail to
+/// decode.
 struct CountingReader {
     inner: TcpStream,
-    bytes: Arc<EpShared>,
+    shared: Arc<EpShared>,
 }
 
 impl Read for CountingReader {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.inner.read(buf)?;
-        self.bytes.bytes_recv.fetch_add(n as u64, Ordering::Relaxed);
+        self.shared.socket_reads.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .bytes_recv
+            .fetch_add(n as u64, Ordering::Relaxed);
         Ok(n)
     }
 }
@@ -885,8 +949,9 @@ impl Read for CountingReader {
 enum Ev {
     Stage(u64, Arc<Vec<u8>>),
     Submit(JobSpec, Completion),
-    /// A frame from the reader of connection-epoch `.0`.
-    Frame(u64, Frame),
+    /// The frames one socket read brought in, from the reader of
+    /// connection-epoch `.0`.
+    Frames(u64, Vec<Frame>),
     /// The reader of connection-epoch `.0` hit EOF/error.
     ReaderClosed(u64),
     /// SIGKILL the child (chaos hook).
@@ -897,6 +962,8 @@ enum Ev {
 /// One live connection as the supervisor sees it.
 struct Conn {
     stream: TcpStream,
+    /// Encoded frames not yet written (see [`Supervisor::queue`]).
+    wbuf: Vec<u8>,
     epoch: u64,
     staged: HashSet<u64>,
     hb_last_sent: Instant,
@@ -904,7 +971,7 @@ struct Conn {
 }
 
 /// One in-flight attempt: its completion plus the instant its DISPATCH
-/// hit the wire (for the dispatch-roundtrip histogram).
+/// entered the write buffer (for the dispatch-roundtrip histogram).
 struct Pending {
     done: Completion,
     sent_at: Instant,
@@ -942,22 +1009,40 @@ impl Supervisor {
         self.clock0.elapsed().as_micros() as u64
     }
 
-    /// Writes one frame on the current connection, counting wire frames
-    /// and bytes. Returns `false` on failure or while disconnected
-    /// without touching connection state — callers decide whether a
-    /// failed write kills the connection.
-    fn write_frame(&self, frame: &Frame) -> bool {
-        let Some(c) = &self.conn else { return false };
-        let bytes = frame.encode();
-        if (&c.stream).write_all(&bytes).is_ok() {
-            self.shared.frames_sent.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .bytes_sent
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            true
-        } else {
-            false
+    /// Appends one frame (whatever `encode` appends) to the connection's
+    /// write buffer, which is written once it passes [`IO_BUF`] — a
+    /// larger frame trips that by itself — and otherwise before the
+    /// supervisor next blocks (see [`Supervisor::run`]). Returns `false`
+    /// while disconnected or if that write failed.
+    fn queue(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> bool {
+        let Some(c) = &mut self.conn else {
+            return false;
+        };
+        encode(&mut c.wbuf);
+        self.shared.frames_sent.fetch_add(1, Ordering::Relaxed);
+        c.wbuf.len() < IO_BUF || self.flush()
+    }
+
+    /// Writes everything buffered with one `write_all`. A failed write
+    /// loses the connection, which fails every outstanding attempt —
+    /// those whose DISPATCH was still in the buffer included.
+    fn flush(&mut self) -> bool {
+        let Some(c) = &mut self.conn else {
+            return false;
+        };
+        if c.wbuf.is_empty() {
+            return true;
         }
+        if (&c.stream).write_all(&c.wbuf).is_err() {
+            self.conn_lost("socket write failed");
+            return false;
+        }
+        self.shared.socket_writes.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .bytes_sent
+            .fetch_add(c.wbuf.len() as u64, Ordering::Relaxed);
+        reset_wbuf(&mut c.wbuf);
+        true
     }
 
     fn run(mut self) {
@@ -980,9 +1065,10 @@ impl Supervisor {
                 if let Some(c) = &mut self.conn {
                     c.hb_last_sent = now;
                 }
-                if !self.write_frame(&hb) {
-                    self.conn_lost("heartbeat write failed");
-                }
+                // Written at once, taking along whatever is buffered: the
+                // probe's stamp stays honest and the beat stays on schedule
+                // even when the loop below never goes idle.
+                let _ = self.queue(|out| hb.encode_into(out)) && self.flush();
             }
             if let Some(c) = &self.conn {
                 let silent = now.duration_since(c.last_ack);
@@ -992,14 +1078,39 @@ impl Supervisor {
                     self.shared.set_probe(ProbeState::Suspect);
                 }
             }
-            let wait = self
-                .next_deadline()
-                .saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(wait.max(Duration::from_millis(1))) {
-                Ok(Ev::Shutdown) => return self.shutdown(),
-                Ok(ev) => self.handle(ev),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return self.shutdown(),
+            // Block only when idle, and flush first: no frame ever waits
+            // in the buffer for a later frame or a timer.
+            let mut next = match self.rx.try_recv() {
+                Ok(ev) => Some(ev),
+                Err(TryRecvError::Disconnected) => return self.shutdown(),
+                Err(TryRecvError::Empty) => {
+                    self.flush();
+                    let wait = self
+                        .next_deadline()
+                        .saturating_duration_since(Instant::now());
+                    match self.rx.recv_timeout(wait.max(Duration::from_millis(1))) {
+                        Ok(ev) => Some(ev),
+                        Err(RecvTimeoutError::Timeout) => None,
+                        Err(RecvTimeoutError::Disconnected) => return self.shutdown(),
+                    }
+                }
+            };
+            // Handle what is already queued without flushing in between,
+            // so a burst shares socket writes; the budget returns to the
+            // timers above on schedule however long the backlog is.
+            let mut budget = DRAIN_BUDGET;
+            while let Some(ev) = next {
+                budget = budget.saturating_sub(match &ev {
+                    Ev::Shutdown => return self.shutdown(),
+                    Ev::Frames(_, frames) => frames.len(),
+                    _ => 1,
+                });
+                self.handle(ev);
+                next = if budget > 0 {
+                    self.rx.try_recv().ok()
+                } else {
+                    None
+                };
             }
         }
     }
@@ -1027,11 +1138,11 @@ impl Supervisor {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Stage(key, bytes) => {
-                self.blob_cache.insert(key, Arc::clone(&bytes));
+                self.blob_cache.insert(key, bytes);
                 self.stage_to_conn(key);
             }
             Ev::Submit(job, done) => self.submit(job, done),
-            Ev::Frame(epoch, frame) => self.on_frame(epoch, frame),
+            Ev::Frames(epoch, frames) => self.on_frames(epoch, frames),
             Ev::ReaderClosed(epoch) => {
                 if self.conn.as_ref().is_some_and(|c| c.epoch == epoch) {
                     self.conn_lost("connection closed");
@@ -1045,37 +1156,19 @@ impl Supervisor {
     /// Ships blob `key` to the current connection unless it already has
     /// it this epoch.
     fn stage_to_conn(&mut self, key: u64) {
-        let already = match &self.conn {
-            None => return,
-            Some(c) => c.staged.contains(&key),
-        };
-        if already {
-            return;
-        }
-        let Some(bytes) = self.blob_cache.get(&key) else {
+        let (Some(c), Some(bytes)) = (&mut self.conn, self.blob_cache.get(&key)) else {
             return;
         };
-        let frame = Frame::Transfer {
-            key,
-            payload: bytes.as_ref().clone(),
-        };
-        if self.write_frame(&frame) {
-            if let Some(c) = &mut self.conn {
-                c.staged.insert(key);
-            }
-        } else {
-            self.conn_lost("transfer write failed");
+        if c.staged.insert(key) {
+            let bytes = Arc::clone(bytes);
+            self.queue(|out| encode_transfer_into(out, key, &bytes));
         }
     }
 
     fn submit(&mut self, job: JobSpec, done: Completion) {
-        if self.conn.is_none() {
-            done(Err(format!("endpoint {} not connected", self.spec.name)));
-            return;
-        }
         // Re-stage any dep this connection epoch hasn't seen (a restarted
         // daemon lost its blob store; a reconnect cleared `staged`).
-        for d in job.deps.clone() {
+        for &d in &job.deps {
             if !self.blob_cache.contains_key(&d) {
                 done(Err(format!(
                     "dep blob {d} for task {} never staged",
@@ -1084,30 +1177,13 @@ impl Supervisor {
                 return;
             }
             self.stage_to_conn(d);
-            if self.conn.is_none() {
-                done(Err(format!("endpoint {} not connected", self.spec.name)));
-                return;
-            }
         }
-        let frame = Frame::Dispatch {
-            task: job.task,
-            attempt: job.attempt,
-            // Span context: the daemon generation this dispatch believes
-            // it is talking to (a respawned daemon will answer with its
-            // own, newer generation on the RESULT).
-            generation: self.shared.generation.load(Ordering::SeqCst),
-            function: job.function.to_string(),
-            deps: job.deps.clone(),
-            payload: job.payload.clone(),
-        };
-        if !self.write_frame(&frame) {
-            self.conn_lost("dispatch write failed");
-            done(Err(format!(
-                "endpoint {} dispatch write failed",
-                self.spec.name
-            )));
+        if self.conn.is_none() {
+            done(Err(format!("endpoint {} not connected", self.spec.name)));
             return;
         }
+        // Outstanding from the moment its DISPATCH is buffered: if the
+        // write that carries it fails, `conn_lost` fails it with the rest.
         self.outstanding.insert(
             (job.task, job.attempt),
             Pending {
@@ -1115,16 +1191,36 @@ impl Supervisor {
                 sent_at: Instant::now(),
             },
         );
+        // Span context: the daemon generation this dispatch believes it
+        // is talking to (a respawned daemon will answer with its own,
+        // newer generation on the RESULT).
+        let generation = self.shared.generation.load(Ordering::SeqCst);
+        self.queue(|out| {
+            encode_dispatch_into(
+                out,
+                job.task,
+                job.attempt,
+                generation,
+                &job.function,
+                &job.deps,
+                &job.payload,
+            );
+        });
     }
 
-    fn on_frame(&mut self, epoch: u64, frame: Frame) {
-        if self.conn.as_ref().is_none_or(|c| c.epoch != epoch) {
-            return; // a stale reader's leftovers
+    fn on_frames(&mut self, epoch: u64, frames: Vec<Frame>) {
+        let now = Instant::now();
+        for frame in frames {
+            match &mut self.conn {
+                // Any frame is proof of life.
+                Some(c) if c.epoch == epoch => c.last_ack = now,
+                _ => return, // a stale reader's leftovers
+            }
+            self.on_frame(frame);
         }
-        // Any frame is proof of life.
-        if let Some(c) = &mut self.conn {
-            c.last_ack = Instant::now();
-        }
+    }
+
+    fn on_frame(&mut self, frame: Frame) {
         match frame {
             Frame::Hello {
                 proto,
@@ -1246,22 +1342,21 @@ impl Supervisor {
                     std::thread::Builder::new()
                         .name(format!("{name}-reader-{epoch}"))
                         .spawn(move || {
-                            let mut reader = CountingReader {
+                            let mut reader = FrameReader::new(CountingReader {
                                 inner: read_half,
-                                bytes: Arc::clone(&shared),
-                            };
+                                shared: Arc::clone(&shared),
+                            });
                             loop {
-                                match Frame::read_from(&mut reader) {
-                                    Ok(f) => {
-                                        shared.frames_recv.fetch_add(1, Ordering::Relaxed);
-                                        if tx.send(Ev::Frame(epoch, f)).is_err() {
-                                            return;
-                                        }
-                                    }
-                                    Err(_) => {
-                                        let _ = tx.send(Ev::ReaderClosed(epoch));
-                                        return;
-                                    }
+                                let mut frames = Vec::new();
+                                let read = reader.read_batch(&mut frames);
+                                let n = frames.len() as u64;
+                                shared.frames_recv.fetch_add(n, Ordering::Relaxed);
+                                if n > 0 && tx.send(Ev::Frames(epoch, frames)).is_err() {
+                                    return;
+                                }
+                                if read.is_err() {
+                                    let _ = tx.send(Ev::ReaderClosed(epoch));
+                                    return;
                                 }
                             }
                         })
@@ -1273,6 +1368,7 @@ impl Supervisor {
                 let now = Instant::now();
                 self.conn = Some(Conn {
                     stream,
+                    wbuf: Vec::with_capacity(IO_BUF),
                     epoch,
                     staged: HashSet::new(),
                     // Backdate so the first heartbeat goes out on the
@@ -1288,7 +1384,7 @@ impl Supervisor {
                 // cover even the first task, and re-sent on every
                 // reconnect so a respawned daemon re-subscribes.
                 if self.telemetry {
-                    let _ = self.write_frame(&Frame::TelemetrySub { level: 2 });
+                    self.queue(|out| Frame::TelemetrySub { level: 2 }.encode_into(out));
                 }
                 // Probe flips to Alive when HELLO arrives.
             }
@@ -1379,17 +1475,22 @@ impl Supervisor {
 
     fn shutdown(mut self) {
         if let Some(epoch) = self.conn.as_ref().map(|c| c.epoch) {
-            if self.write_frame(&Frame::Drain) {
+            if self.queue(|out| Frame::Drain.encode_into(out)) && self.flush() {
                 // Give the daemon a moment to ack so it exits cleanly;
                 // results that race in still resolve normally.
                 let deadline = Instant::now() + Duration::from_millis(500);
                 'wait: while Instant::now() < deadline {
                     let left = deadline.saturating_duration_since(Instant::now());
                     match self.rx.recv_timeout(left.max(Duration::from_millis(1))) {
-                        Ok(Ev::Frame(e, Frame::DrainAck { .. })) if e == epoch => break 'wait,
-                        Ok(Ev::Frame(e, f)) => self.on_frame(e, f),
-                        Ok(_) | Err(RecvTimeoutError::Timeout) => break 'wait,
-                        Err(RecvTimeoutError::Disconnected) => break 'wait,
+                        Ok(Ev::Frames(e, frames)) => {
+                            let acked = e == epoch
+                                && frames.iter().any(|f| matches!(f, Frame::DrainAck { .. }));
+                            self.on_frames(e, frames);
+                            if acked {
+                                break 'wait;
+                            }
+                        }
+                        Ok(_) | Err(_) => break 'wait,
                     }
                 }
             }
@@ -1489,6 +1590,8 @@ pub struct ProcMetricIds {
     frames_recv: CounterId,
     bytes_sent: CounterId,
     bytes_recv: CounterId,
+    socket_writes: CounterId,
+    socket_reads: CounterId,
     tel_frames: CounterId,
     tel_events: CounterId,
     tel_dropped: CounterId,
@@ -1503,13 +1606,29 @@ pub struct ProcMetricIds {
 /// scrapes monotone, matching `ProcessCounters` handling).
 #[derive(Clone, Copy, Debug, Default)]
 struct WireLast {
-    frames_sent: u64,
-    frames_recv: u64,
-    bytes_sent: u64,
-    bytes_recv: u64,
+    wire: WireCounters,
     tel_frames: u64,
     tel_events: u64,
     tel_dropped: u64,
+}
+
+/// Monotone per-endpoint wire counters (client side of the connection).
+/// `frames_sent / socket_writes` and `frames_recv / socket_reads` are the
+/// frames each syscall carried.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WireCounters {
+    /// Frames put on the connection.
+    pub frames_sent: u64,
+    /// Frames decoded off the connection.
+    pub frames_recv: u64,
+    /// Bytes written to the socket.
+    pub bytes_sent: u64,
+    /// Bytes read from the socket.
+    pub bytes_recv: u64,
+    /// Socket writes (one per flush of the coalescing buffer).
+    pub socket_writes: u64,
+    /// Socket reads (one per refill of the read buffer).
+    pub socket_reads: u64,
 }
 
 /// One endpoint's drained observability plane, ready for merging into a
@@ -1701,6 +1820,19 @@ impl ProcessFabric {
         }
     }
 
+    /// Wire counters for `ep`.
+    pub fn wire_counters(&self, ep: usize) -> WireCounters {
+        let s = &self.shared[ep];
+        WireCounters {
+            frames_sent: s.frames_sent.load(Ordering::Relaxed),
+            frames_recv: s.frames_recv.load(Ordering::Relaxed),
+            bytes_sent: s.bytes_sent.load(Ordering::Relaxed),
+            bytes_recv: s.bytes_recv.load(Ordering::Relaxed),
+            socket_writes: s.socket_writes.load(Ordering::Relaxed),
+            socket_reads: s.socket_reads.load(Ordering::Relaxed),
+        }
+    }
+
     /// The spawn generation `ep` last announced in HELLO.
     pub fn generation(&self, ep: usize) -> u64 {
         self.shared[ep].generation.load(Ordering::SeqCst)
@@ -1764,6 +1896,16 @@ impl ProcessFabric {
                     bytes_recv: reg.counter(
                         "fedci_wire_bytes_received_total",
                         "Bytes read from the endpoint connection.",
+                        l,
+                    ),
+                    socket_writes: reg.counter(
+                        "fedci_wire_socket_writes_total",
+                        "Socket writes on the endpoint connection (frames sent / this = frames per write).",
+                        l,
+                    ),
+                    socket_reads: reg.counter(
+                        "fedci_wire_socket_reads_total",
+                        "Socket reads on the endpoint connection (frames received / this = frames per read).",
                         l,
                     ),
                     tel_frames: reg.counter(
@@ -1830,42 +1972,25 @@ impl ProcessFabric {
             id.last = now;
 
             let wire = WireLast {
-                frames_sent: s.frames_sent.load(Ordering::Relaxed),
-                frames_recv: s.frames_recv.load(Ordering::Relaxed),
-                bytes_sent: s.bytes_sent.load(Ordering::Relaxed),
-                bytes_recv: s.bytes_recv.load(Ordering::Relaxed),
+                wire: self.wire_counters(ep),
                 tel_frames: s.tel_frames.load(Ordering::Relaxed),
                 tel_events: s.tel_events.load(Ordering::Relaxed),
                 tel_dropped: s.telemetry.lock().dropped_batches,
             };
-            reg.inc(
-                id.frames_sent,
-                (wire.frames_sent - id.last_wire.frames_sent) as f64,
-            );
-            reg.inc(
-                id.frames_recv,
-                (wire.frames_recv - id.last_wire.frames_recv) as f64,
-            );
-            reg.inc(
-                id.bytes_sent,
-                (wire.bytes_sent - id.last_wire.bytes_sent) as f64,
-            );
-            reg.inc(
-                id.bytes_recv,
-                (wire.bytes_recv - id.last_wire.bytes_recv) as f64,
-            );
-            reg.inc(
-                id.tel_frames,
-                (wire.tel_frames - id.last_wire.tel_frames) as f64,
-            );
-            reg.inc(
-                id.tel_events,
-                (wire.tel_events - id.last_wire.tel_events) as f64,
-            );
-            reg.inc(
-                id.tel_dropped,
-                (wire.tel_dropped - id.last_wire.tel_dropped) as f64,
-            );
+            let (w, lw) = (wire.wire, id.last_wire.wire);
+            for (counter, now, last) in [
+                (id.frames_sent, w.frames_sent, lw.frames_sent),
+                (id.frames_recv, w.frames_recv, lw.frames_recv),
+                (id.bytes_sent, w.bytes_sent, lw.bytes_sent),
+                (id.bytes_recv, w.bytes_recv, lw.bytes_recv),
+                (id.socket_writes, w.socket_writes, lw.socket_writes),
+                (id.socket_reads, w.socket_reads, lw.socket_reads),
+                (id.tel_frames, wire.tel_frames, id.last_wire.tel_frames),
+                (id.tel_events, wire.tel_events, id.last_wire.tel_events),
+                (id.tel_dropped, wire.tel_dropped, id.last_wire.tel_dropped),
+            ] {
+                reg.inc(counter, (now - last) as f64);
+            }
             id.last_wire = wire;
             reg.replace_histogram(id.hb_rtt, s.rtt_hist.lock().clone());
             reg.replace_histogram(id.dispatch_rtt, s.dispatch_hist.lock().clone());
@@ -2253,40 +2378,46 @@ mod tests {
         }
         .write_to(&mut s)
         .unwrap();
-        // Wait for the RESULT so the full span exists, then beat to
-        // trigger a flush.
+        // Wait for the RESULT, then beat to trigger a flush. The SENT
+        // stamp lands just after the RESULT's write returns, so it may
+        // miss the first flush and ride the next beat's.
         loop {
             if matches!(Frame::read_from(&mut s).unwrap(), Frame::Result { .. }) {
                 break;
             }
         }
-        Frame::Heartbeat {
-            seq: 1,
-            t_client_us: 1,
-        }
-        .write_to(&mut s)
-        .unwrap();
         let mut stages = Vec::new();
-        let counters;
-        loop {
-            match Frame::read_from(&mut s).unwrap() {
-                Frame::Telemetry {
-                    generation,
-                    seq,
-                    events,
-                    counters: c,
-                    ..
-                } => {
-                    assert_eq!(generation, 0);
-                    assert!(seq >= 1);
-                    stages.extend(events.iter().map(|e| e.stage));
-                    counters = c;
-                    break;
+        let mut counters = Vec::new();
+        let mut beat = 0;
+        while !stages.contains(&TEL_STAGE_SENT) {
+            beat += 1;
+            assert!(beat <= 100, "SENT never shipped: {stages:?}");
+            Frame::Heartbeat {
+                seq: beat,
+                t_client_us: 1,
+            }
+            .write_to(&mut s)
+            .unwrap();
+            loop {
+                match Frame::read_from(&mut s).unwrap() {
+                    Frame::Telemetry {
+                        generation,
+                        seq,
+                        events,
+                        counters: c,
+                        ..
+                    } => {
+                        assert_eq!(generation, 0);
+                        assert!(seq >= beat);
+                        stages.extend(events.iter().map(|e| e.stage));
+                        counters = c;
+                        break;
+                    }
+                    Frame::HeartbeatAck { t_daemon_us, .. } => {
+                        assert!(t_daemon_us > 0, "daemon must stamp its clock");
+                    }
+                    other => panic!("unexpected frame {other:?}"),
                 }
-                Frame::HeartbeatAck { t_daemon_us, .. } => {
-                    assert!(t_daemon_us > 0, "daemon must stamp its clock");
-                }
-                other => panic!("unexpected frame {other:?}"),
             }
         }
         // The attempt's full daemon-side span made it across.
@@ -2312,6 +2443,38 @@ mod tests {
         }
         assert!(saw_final_flush, "DRAIN must flush telemetry before acking");
         daemon.join().unwrap();
+    }
+
+    #[test]
+    fn failed_batch_write_requeues_results_in_order_and_drops_acks() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.shutdown(Shutdown::Write).unwrap(); // every write fails from here on
+        let result = |task| Frame::Result {
+            task,
+            attempt: 1,
+            generation: 0,
+            ok: true,
+            payload: vec![task as u8],
+        };
+        let ack = Frame::TransferAck { key: 1, stored: 1 };
+        let drain_ack = Frame::DrainAck { remaining: 0 };
+        let shared = DaemonShared::new();
+        *shared.outbox.lock() = [result(1), ack, result(2), drain_ack, result(3)].into();
+        *shared.conn.lock() = Some(Arc::new(stream));
+        let tel = DaemonTelemetry::new(0, 16);
+        std::thread::scope(|scope| {
+            scope.spawn(|| daemon_writer(&shared, &tel));
+            // The writer requeues, then gives the dead connection up.
+            while shared.conn.lock().is_some() {
+                std::thread::yield_now();
+            }
+            shared.stop_writer.store(true, Ordering::SeqCst);
+            shared.outbox_cv.notify_all();
+        });
+        let left: Vec<Frame> = shared.outbox.lock().drain(..).collect();
+        assert_eq!(left, [result(1), result(2), result(3)]);
     }
 
     #[test]

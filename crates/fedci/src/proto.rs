@@ -285,11 +285,11 @@ impl Frame {
     pub fn kind(&self) -> u16 {
         match self {
             Frame::Hello { .. } => 1,
-            Frame::Dispatch { .. } => 2,
+            Frame::Dispatch { .. } => KIND_DISPATCH,
             Frame::Result { .. } => 3,
             Frame::Poll => 4,
             Frame::PollAck { .. } => 5,
-            Frame::Transfer { .. } => 6,
+            Frame::Transfer { .. } => KIND_TRANSFER,
             Frame::TransferAck { .. } => 7,
             Frame::Heartbeat { .. } => 8,
             Frame::HeartbeatAck { .. } => 9,
@@ -302,8 +302,16 @@ impl Frame {
 
     /// Encodes the frame, header included.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&self.kind().to_le_bytes());
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoded frame, header included, to `out` — no
+    /// intermediate buffer, so a connection can coalesce many frames into
+    /// one write. `out` may already hold earlier frames.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = begin_frame(out, self.kind());
         match self {
             Frame::Hello {
                 proto,
@@ -311,10 +319,10 @@ impl Frame {
                 workers,
                 generation,
             } => {
-                body.extend_from_slice(&proto.to_le_bytes());
-                put_str(&mut body, name);
-                body.extend_from_slice(&workers.to_le_bytes());
-                body.extend_from_slice(&generation.to_le_bytes());
+                out.extend_from_slice(&proto.to_le_bytes());
+                put_str(out, name);
+                out.extend_from_slice(&workers.to_le_bytes());
+                out.extend_from_slice(&generation.to_le_bytes());
             }
             Frame::Dispatch {
                 task,
@@ -323,17 +331,8 @@ impl Frame {
                 function,
                 deps,
                 payload,
-            } => {
-                body.extend_from_slice(&task.to_le_bytes());
-                body.extend_from_slice(&attempt.to_le_bytes());
-                body.extend_from_slice(&generation.to_le_bytes());
-                put_str(&mut body, function);
-                body.extend_from_slice(&(deps.len() as u16).to_le_bytes());
-                for d in deps {
-                    body.extend_from_slice(&d.to_le_bytes());
-                }
-                put_bytes(&mut body, payload);
-            }
+            } => put_dispatch(out, *task, *attempt, *generation, function, deps, payload),
+            Frame::Transfer { key, payload } => put_transfer(out, *key, payload),
             Frame::Result {
                 task,
                 attempt,
@@ -341,11 +340,11 @@ impl Frame {
                 ok,
                 payload,
             } => {
-                body.extend_from_slice(&task.to_le_bytes());
-                body.extend_from_slice(&attempt.to_le_bytes());
-                body.extend_from_slice(&generation.to_le_bytes());
-                body.push(u8::from(*ok));
-                put_bytes(&mut body, payload);
+                out.extend_from_slice(&task.to_le_bytes());
+                out.extend_from_slice(&attempt.to_le_bytes());
+                out.extend_from_slice(&generation.to_le_bytes());
+                out.push(u8::from(*ok));
+                put_bytes(out, payload);
             }
             Frame::Poll | Frame::Drain => {}
             Frame::PollAck {
@@ -353,21 +352,17 @@ impl Frame {
                 queued,
                 completed,
             } => {
-                body.extend_from_slice(&busy.to_le_bytes());
-                body.extend_from_slice(&queued.to_le_bytes());
-                body.extend_from_slice(&completed.to_le_bytes());
-            }
-            Frame::Transfer { key, payload } => {
-                body.extend_from_slice(&key.to_le_bytes());
-                put_bytes(&mut body, payload);
+                out.extend_from_slice(&busy.to_le_bytes());
+                out.extend_from_slice(&queued.to_le_bytes());
+                out.extend_from_slice(&completed.to_le_bytes());
             }
             Frame::TransferAck { key, stored } => {
-                body.extend_from_slice(&key.to_le_bytes());
-                body.extend_from_slice(&stored.to_le_bytes());
+                out.extend_from_slice(&key.to_le_bytes());
+                out.extend_from_slice(&stored.to_le_bytes());
             }
             Frame::Heartbeat { seq, t_client_us } => {
-                body.extend_from_slice(&seq.to_le_bytes());
-                body.extend_from_slice(&t_client_us.to_le_bytes());
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(&t_client_us.to_le_bytes());
             }
             Frame::HeartbeatAck {
                 seq,
@@ -375,16 +370,16 @@ impl Frame {
                 t_client_us,
                 t_daemon_us,
             } => {
-                body.extend_from_slice(&seq.to_le_bytes());
-                body.extend_from_slice(&busy.to_le_bytes());
-                body.extend_from_slice(&t_client_us.to_le_bytes());
-                body.extend_from_slice(&t_daemon_us.to_le_bytes());
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(&busy.to_le_bytes());
+                out.extend_from_slice(&t_client_us.to_le_bytes());
+                out.extend_from_slice(&t_daemon_us.to_le_bytes());
             }
             Frame::DrainAck { remaining } => {
-                body.extend_from_slice(&remaining.to_le_bytes());
+                out.extend_from_slice(&remaining.to_le_bytes());
             }
             Frame::TelemetrySub { level } => {
-                body.push(*level);
+                out.push(*level);
             }
             Frame::Telemetry {
                 generation,
@@ -393,54 +388,41 @@ impl Frame {
                 counters,
                 exec_buckets,
             } => {
-                body.extend_from_slice(&generation.to_le_bytes());
-                body.extend_from_slice(&seq.to_le_bytes());
-                body.extend_from_slice(&(events.len() as u32).to_le_bytes());
+                out.extend_from_slice(&generation.to_le_bytes());
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(&(events.len() as u32).to_le_bytes());
                 for e in events {
-                    body.push(e.stage);
-                    body.extend_from_slice(&e.t_us.to_le_bytes());
-                    body.extend_from_slice(&e.task.to_le_bytes());
-                    body.extend_from_slice(&e.attempt.to_le_bytes());
-                    body.extend_from_slice(&e.arg.to_le_bytes());
+                    out.push(e.stage);
+                    out.extend_from_slice(&e.t_us.to_le_bytes());
+                    out.extend_from_slice(&e.task.to_le_bytes());
+                    out.extend_from_slice(&e.attempt.to_le_bytes());
+                    out.extend_from_slice(&e.arg.to_le_bytes());
                 }
-                body.extend_from_slice(&(counters.len() as u16).to_le_bytes());
+                out.extend_from_slice(&(counters.len() as u16).to_le_bytes());
                 for (code, value) in counters {
-                    body.extend_from_slice(&code.to_le_bytes());
-                    body.extend_from_slice(&value.to_le_bytes());
+                    out.extend_from_slice(&code.to_le_bytes());
+                    out.extend_from_slice(&value.to_le_bytes());
                 }
-                body.extend_from_slice(&(exec_buckets.len() as u16).to_le_bytes());
+                out.extend_from_slice(&(exec_buckets.len() as u16).to_le_bytes());
                 for (bucket, count) in exec_buckets {
-                    body.extend_from_slice(&bucket.to_le_bytes());
-                    body.extend_from_slice(&count.to_le_bytes());
+                    out.extend_from_slice(&bucket.to_le_bytes());
+                    out.extend_from_slice(&count.to_le_bytes());
                 }
             }
         }
-        let mut out = Vec::with_capacity(4 + body.len());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        end_frame(out, start);
     }
 
     /// Decodes one frame from `buf`, which must contain exactly the frame
     /// (header included) and nothing else.
     pub fn decode(buf: &[u8]) -> Result<Frame, ProtoError> {
-        let mut c = Cursor { buf, pos: 0 };
-        let len = c.u32()?;
-        if !(2..=MAX_FRAME).contains(&len) {
-            return Err(ProtoError::Oversized(len));
+        let head = buf.first_chunk::<4>().ok_or(ProtoError::Truncated)?;
+        let len = body_len(*head)?;
+        match buf.len() - 4 {
+            n if n < len => Err(ProtoError::Truncated),
+            n if n > len => Err(ProtoError::TrailingBytes(n - len)),
+            _ => decode_exact(&buf[4..]),
         }
-        if buf.len() as u64 - 4 != len as u64 {
-            return if (buf.len() as u64) < 4 + len as u64 {
-                Err(ProtoError::Truncated)
-            } else {
-                Err(ProtoError::TrailingBytes(buf.len() - 4 - len as usize))
-            };
-        }
-        let frame = decode_body(&mut c)?;
-        if c.pos != buf.len() {
-            return Err(ProtoError::TrailingBytes(buf.len() - c.pos));
-        }
-        Ok(frame)
     }
 
     /// Reads one frame from `r` (blocking). The length header is bounds
@@ -450,18 +432,9 @@ impl Frame {
     pub fn read_from<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
         let mut head = [0u8; 4];
         read_exact_or_truncated(r, &mut head)?;
-        let len = u32::from_le_bytes(head);
-        if !(2..=MAX_FRAME).contains(&len) {
-            return Err(ProtoError::Oversized(len));
-        }
-        let mut body = vec![0u8; len as usize];
+        let mut body = vec![0u8; body_len(head)?];
         read_exact_or_truncated(r, &mut body)?;
-        let mut c = Cursor { buf: &body, pos: 0 };
-        let frame = decode_body(&mut c)?;
-        if c.pos != body.len() {
-            return Err(ProtoError::TrailingBytes(body.len() - c.pos));
-        }
-        Ok(frame)
+        decode_exact(&body)
     }
 
     /// Writes the encoded frame to `w` and flushes.
@@ -470,6 +443,123 @@ impl Frame {
         w.flush()?;
         Ok(())
     }
+}
+
+/// Size of the per-connection I/O buffers: [`FrameReader`]'s read buffer,
+/// and the threshold at which the process fabric's coalescing write
+/// buffers flush.
+pub const IO_BUF: usize = 64 * 1024;
+
+/// Reads frames through an [`IO_BUF`]-sized buffer: one `read` on the
+/// underlying stream brings in as many frames as the peer has written,
+/// and each is decoded straight out of the buffer — no header/body read
+/// pair and no body allocation per frame. A frame larger than the buffer
+/// is read into an allocation of its own (bounds-checked against
+/// [`MAX_FRAME`] first, exactly as [`Frame::read_from`] does).
+pub struct FrameReader<R> {
+    inner: R,
+    buf: Box<[u8]>,
+    /// `buf[pos..end]` holds bytes read but not yet decoded.
+    pos: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wraps `inner`. The reader may read ahead of the frame it returns,
+    /// so it must own the stream for the rest of the conversation.
+    pub fn new(inner: R) -> Self {
+        FrameReader {
+            inner,
+            buf: vec![0; IO_BUF].into_boxed_slice(),
+            pos: 0,
+            end: 0,
+        }
+    }
+
+    /// Total length (header included) of the frame at the front of the
+    /// buffer, once its 4-byte header is in. The length is validated
+    /// here, before anything is sized by it.
+    fn front_len(&self) -> Result<Option<usize>, ProtoError> {
+        let Some(head) = self.buf[self.pos..self.end].first_chunk::<4>() else {
+            return Ok(None);
+        };
+        Ok(Some(4 + body_len(*head)?))
+    }
+
+    /// Returns the next frame, blocking on the underlying stream only
+    /// when the buffer does not already hold it. EOF — at a frame
+    /// boundary or inside a frame — is [`ProtoError::Truncated`].
+    pub fn read_frame(&mut self) -> Result<Frame, ProtoError> {
+        loop {
+            if let Some(total) = self.front_len()? {
+                if self.end - self.pos >= total {
+                    let body = self.pos + 4..self.pos + total;
+                    self.pos += total;
+                    return decode_exact(&self.buf[body]);
+                }
+                if total > self.buf.len() {
+                    return self.read_large(total);
+                }
+            }
+            // Only a partial frame is left: move it to the front so the
+            // whole buffer is free behind it, then read more.
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(ProtoError::Truncated),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(ProtoError::Io(e)),
+            }
+        }
+    }
+
+    /// Blocks for one frame, then appends every further frame that is
+    /// already complete in the buffer — all the frames one socket read
+    /// brought in — without touching the stream again. On error, frames
+    /// decoded before it are left in `out`.
+    pub fn read_batch(&mut self, out: &mut Vec<Frame>) -> Result<(), ProtoError> {
+        out.push(self.read_frame()?);
+        while matches!(self.front_len(), Ok(Some(total)) if self.end - self.pos >= total) {
+            out.push(self.read_frame()?);
+        }
+        Ok(())
+    }
+
+    /// A frame that cannot fit the buffer: take what is buffered of it,
+    /// read the rest directly into its own allocation.
+    fn read_large(&mut self, total: usize) -> Result<Frame, ProtoError> {
+        let mut body = vec![0u8; total - 4];
+        let have = self.end - self.pos - 4;
+        body[..have].copy_from_slice(&self.buf[self.pos + 4..self.end]);
+        self.pos = 0;
+        self.end = 0;
+        read_exact_or_truncated(&mut self.inner, &mut body[have..])?;
+        decode_exact(&body)
+    }
+}
+
+/// The length a frame header claims for what follows it (kind tag +
+/// fields), refused unless a real frame can have it — the check every
+/// decode path makes before anything is sized by the claim.
+fn body_len(head: [u8; 4]) -> Result<usize, ProtoError> {
+    let len = u32::from_le_bytes(head);
+    if !(2..=MAX_FRAME).contains(&len) {
+        return Err(ProtoError::Oversized(len));
+    }
+    Ok(len as usize)
+}
+
+/// Decodes `body` (kind tag + fields, no length header), which must hold
+/// exactly one frame.
+fn decode_exact(body: &[u8]) -> Result<Frame, ProtoError> {
+    let mut c = Cursor { buf: body, pos: 0 };
+    let frame = decode_body(&mut c)?;
+    if c.pos != body.len() {
+        return Err(ProtoError::TrailingBytes(body.len() - c.pos));
+    }
+    Ok(frame)
 }
 
 fn decode_body(c: &mut Cursor<'_>) -> Result<Frame, ProtoError> {
@@ -571,6 +661,74 @@ fn decode_body(c: &mut Cursor<'_>) -> Result<Frame, ProtoError> {
         }
         k => return Err(ProtoError::UnknownKind(k)),
     })
+}
+
+/// Appends a DISPATCH frame built from borrowed parts — byte-identical to
+/// encoding the equivalent [`Frame::Dispatch`], without first copying the
+/// function name, dep list and payload into an owned frame.
+pub fn encode_dispatch_into(
+    out: &mut Vec<u8>,
+    task: u64,
+    attempt: u32,
+    generation: u64,
+    function: &str,
+    deps: &[u64],
+    payload: &[u8],
+) {
+    let start = begin_frame(out, KIND_DISPATCH);
+    put_dispatch(out, task, attempt, generation, function, deps, payload);
+    end_frame(out, start);
+}
+
+/// Appends a TRANSFER frame for a borrowed blob — byte-identical to
+/// encoding the equivalent [`Frame::Transfer`], without copying the blob
+/// into an owned frame first.
+pub fn encode_transfer_into(out: &mut Vec<u8>, key: u64, payload: &[u8]) {
+    let start = begin_frame(out, KIND_TRANSFER);
+    put_transfer(out, key, payload);
+    end_frame(out, start);
+}
+
+const KIND_DISPATCH: u16 = 2;
+const KIND_TRANSFER: u16 = 6;
+
+/// Starts a frame at the end of `out`: a length placeholder (patched by
+/// [`end_frame`]) and the kind tag. Returns the frame's start offset.
+fn begin_frame(out: &mut Vec<u8>, kind: u16) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(&kind.to_le_bytes());
+    start
+}
+
+fn end_frame(out: &mut [u8], start: usize) {
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+fn put_dispatch(
+    out: &mut Vec<u8>,
+    task: u64,
+    attempt: u32,
+    generation: u64,
+    function: &str,
+    deps: &[u64],
+    payload: &[u8],
+) {
+    out.extend_from_slice(&task.to_le_bytes());
+    out.extend_from_slice(&attempt.to_le_bytes());
+    out.extend_from_slice(&generation.to_le_bytes());
+    put_str(out, function);
+    out.extend_from_slice(&(deps.len() as u16).to_le_bytes());
+    for d in deps {
+        out.extend_from_slice(&d.to_le_bytes());
+    }
+    put_bytes(out, payload);
+}
+
+fn put_transfer(out: &mut Vec<u8>, key: u64, payload: &[u8]) {
+    out.extend_from_slice(&key.to_le_bytes());
+    put_bytes(out, payload);
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {

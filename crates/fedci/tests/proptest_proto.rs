@@ -3,7 +3,10 @@
 //! hostile length headers, random garbage — come back as clean errors,
 //! never a panic and never an allocation bigger than the input justifies.
 
-use fedci::proto::{Frame, ProtoError, TelemetryEvent, MAX_FRAME, PROTO_VERSION, TEL_MAX_EVENTS};
+use fedci::proto::{
+    encode_dispatch_into, encode_transfer_into, Frame, FrameReader, ProtoError, TelemetryEvent,
+    IO_BUF, MAX_FRAME, PROTO_VERSION, TEL_MAX_EVENTS,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -139,8 +142,148 @@ fn arb_tel_event() -> BoxedStrategy<TelemetryEvent> {
         .boxed()
 }
 
+/// A stream that hands out its bytes in the given chunk sizes (cycled),
+/// the way a socket returns whatever has arrived so far.
+struct Chunked {
+    data: Vec<u8>,
+    pos: usize,
+    chunks: Vec<usize>,
+    reads: usize,
+}
+
+impl Chunked {
+    fn new(data: Vec<u8>, chunks: Vec<usize>) -> Self {
+        Chunked {
+            data,
+            pos: 0,
+            chunks,
+            reads: 0,
+        }
+    }
+}
+
+impl std::io::Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let chunk = self.chunks[self.reads % self.chunks.len()];
+        self.reads += 1;
+        let n = chunk.min(buf.len()).min(self.data.len() - self.pos);
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+fn arb_chunks() -> BoxedStrategy<Vec<usize>> {
+    vec(1usize..400, 1..8).boxed()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `encode_into` appends: onto a buffer that already holds bytes it
+    /// produces exactly the concatenation of the frames' `encode()`s, and
+    /// the borrowing encoders agree with the owned frames byte for byte.
+    #[test]
+    fn encode_into_appends_the_concatenation(
+        prefix in vec(arb_byte(), 0..40),
+        frames in vec(arb_frame(), 1..6),
+    ) {
+        let mut out = prefix.clone();
+        let mut borrowed = prefix.clone();
+        let mut want = prefix;
+        for f in &frames {
+            f.encode_into(&mut out);
+            want.extend_from_slice(&f.encode());
+            match f {
+                Frame::Dispatch { task, attempt, generation, function, deps, payload } => {
+                    encode_dispatch_into(
+                        &mut borrowed, *task, *attempt, *generation, function, deps, payload,
+                    );
+                }
+                Frame::Transfer { key, payload } => {
+                    encode_transfer_into(&mut borrowed, *key, payload);
+                }
+                other => other.encode_into(&mut borrowed),
+            }
+        }
+        prop_assert_eq!(&out, &want);
+        prop_assert_eq!(&borrowed, &want);
+    }
+
+    /// Frames decoded through the buffered reader, with the stream split
+    /// at arbitrary chunk boundaries, equal `read_from` frame by frame —
+    /// whether taken one at a time or a batch per read.
+    #[test]
+    fn buffered_reader_matches_read_from(
+        frames in vec(arb_frame(), 1..12),
+        chunks in arb_chunks(),
+        batched in 0u8..2,
+    ) {
+        let mut stream = Vec::new();
+        for f in &frames {
+            f.encode_into(&mut stream);
+        }
+        let mut plain = std::io::Cursor::new(stream.clone());
+        let mut reader = FrameReader::new(Chunked::new(stream, chunks));
+        let mut got = Vec::new();
+        let end = loop {
+            let r = if batched == 1 {
+                reader.read_batch(&mut got)
+            } else {
+                reader.read_frame().map(|f| got.push(f))
+            };
+            if let Err(e) = r {
+                break e;
+            }
+        };
+        prop_assert!(matches!(end, ProtoError::Truncated), "clean EOF, got {end}");
+        prop_assert_eq!(got.len(), frames.len());
+        for f in &got {
+            prop_assert_eq!(f, &Frame::read_from(&mut plain).unwrap());
+        }
+    }
+
+    /// A stream cut anywhere, or corrupted in one byte, comes back from
+    /// the buffered reader as the intact frames followed by an error —
+    /// never a panic, never a frame the bytes do not spell.
+    #[test]
+    fn buffered_reader_survives_truncation_and_corruption(
+        frames in vec(arb_frame(), 1..6),
+        chunks in arb_chunks(),
+        cut_frac in 0.0f64..1.0,
+        xor in 0u16..256,
+    ) {
+        let mut stream = Vec::new();
+        let mut ends = Vec::new();
+        for f in &frames {
+            f.encode_into(&mut stream);
+            ends.push(stream.len());
+        }
+        let cut = ((stream.len() as f64) * cut_frac) as usize;
+        stream.truncate(cut.max(1));
+        let last = stream.len() - 1;
+        stream[last] ^= xor as u8;
+        let intact = ends.iter().filter(|&&e| e <= last).count();
+        let mut reader = FrameReader::new(Chunked::new(stream, chunks));
+        let mut got = Vec::new();
+        while reader.read_batch(&mut got).is_ok() {}
+        prop_assert!(got.len() >= intact);
+        prop_assert_eq!(&got[..intact], &frames[..intact]);
+    }
+
+    /// A hostile header through the buffered reader is refused before
+    /// anything is sized by it.
+    #[test]
+    fn buffered_reader_rejects_hostile_length(
+        len in (MAX_FRAME + 1)..u32::MAX,
+        tail in vec(arb_byte(), 0..32),
+        chunks in arb_chunks(),
+    ) {
+        let mut stream = len.to_le_bytes().to_vec();
+        stream.extend_from_slice(&tail);
+        let mut reader = FrameReader::new(Chunked::new(stream, chunks));
+        prop_assert!(matches!(reader.read_frame(), Err(ProtoError::Oversized(_))));
+    }
 
     /// decode(encode(f)) == f, for both the slice and the reader paths.
     #[test]
@@ -221,6 +364,34 @@ proptest! {
             Ok(decoded) => prop_assert_eq!(decoded.encode(), bytes),
         }
     }
+}
+
+/// Frames larger than the read buffer take the reader's own-allocation
+/// path; frames around them still decode from the buffer, and a length
+/// the stream cannot back is `Truncated`, not a hang or a panic.
+#[test]
+fn buffered_reader_handles_frames_larger_than_its_buffer() {
+    let big = Frame::Transfer {
+        key: 9,
+        payload: (0..3 * IO_BUF).map(|i| i as u8).collect(),
+    };
+    let small = Frame::TransferAck { key: 9, stored: 1 };
+    let mut stream = Vec::new();
+    for f in [&small, &big, &small, &big] {
+        f.encode_into(&mut stream);
+    }
+    for chunk in [1 << 20, 1000, IO_BUF] {
+        let mut reader = FrameReader::new(Chunked::new(stream.clone(), vec![chunk]));
+        for want in [&small, &big, &small, &big] {
+            assert_eq!(&reader.read_frame().unwrap(), want);
+        }
+        assert!(matches!(reader.read_frame(), Err(ProtoError::Truncated)));
+    }
+    // A header that claims MAX_FRAME with almost nothing behind it.
+    let mut hostile = MAX_FRAME.to_le_bytes().to_vec();
+    hostile.extend_from_slice(&[6, 0, 1, 2, 3]);
+    let mut reader = FrameReader::new(Chunked::new(hostile, vec![3]));
+    assert!(matches!(reader.read_frame(), Err(ProtoError::Truncated)));
 }
 
 /// Non-property regression anchors: the exact constants matter on the

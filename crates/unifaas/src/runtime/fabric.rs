@@ -173,12 +173,12 @@ fn attempt_span_id(task: usize, attempt: u32) -> u64 {
     ((task as u64) << 32) | u64::from(attempt)
 }
 
-#[derive(Clone)]
+/// What a task needs to be dispatched — immutable once submitted, so
+/// the retry table and every attempt share one copy.
 struct PendingTask {
     function: Arc<str>,
     payload: Vec<u8>,
     dep_ids: Vec<usize>,
-    remaining: usize,
 }
 
 /// Aggregate robustness statistics for one run.
@@ -196,7 +196,8 @@ pub struct FabricRunStats {
 }
 
 struct Coord {
-    pending: HashMap<usize, PendingTask>,
+    /// Tasks waiting on dependencies: (unresolved dep count, task).
+    pending: HashMap<usize, (usize, Arc<PendingTask>)>,
     dependents: HashMap<usize, Vec<usize>>,
     /// Where each resolved task's output lives (endpoint, byte length).
     produced_at: HashMap<usize, (usize, u64)>,
@@ -212,7 +213,7 @@ struct Coord {
     /// number is the generation guard.
     inflight: HashMap<usize, (Instant, u32, usize)>,
     /// Tasks kept re-dispatchable while retries remain.
-    retriable: HashMap<usize, PendingTask>,
+    retriable: HashMap<usize, Arc<PendingTask>>,
     stats: FabricRunStats,
 }
 
@@ -320,14 +321,13 @@ impl FabricRuntime {
             .copied()
             .filter(|d| !coord.produced_at.contains_key(d))
             .collect();
-        let task = PendingTask {
+        let task = Arc::new(PendingTask {
             function: Arc::from(function),
             payload,
             dep_ids,
-            remaining: unresolved.len(),
-        };
+        });
         let n_deps = task.dep_ids.len();
-        if task.remaining == 0 {
+        if unresolved.is_empty() {
             drop(coord);
             if let Some(tr) = &self.trace {
                 tr.instant(tr.labels.submit, id as u64, n_deps as i64);
@@ -337,7 +337,7 @@ impl FabricRuntime {
             for d in &unresolved {
                 coord.dependents.entry(*d).or_default().push(id);
             }
-            coord.pending.insert(id, task);
+            coord.pending.insert(id, (unresolved.len(), task));
             drop(coord);
             if let Some(tr) = &self.trace {
                 tr.instant(tr.labels.submit, id as u64, n_deps as i64);
@@ -438,13 +438,13 @@ impl FabricRuntime {
 /// it so dispatch and health updates never run with the lock held.
 enum Next {
     Retry {
-        task: PendingTask,
+        task: Arc<PendingTask>,
         backoff: Option<Duration>,
     },
     Finalize {
         failed: bool,
         ran: bool,
-        ready: Vec<(usize, PendingTask)>,
+        ready: Vec<(usize, Arc<PendingTask>)>,
     },
 }
 
@@ -473,14 +473,17 @@ impl FabricHandle {
                 _ => return, // stale or already finalized
             }
             coord.inflight.remove(&id);
+            // The attempt's span closes before its future can resolve: a
+            // caller woken by the future (or by `wait_all`) always finds
+            // the span complete in the trace it takes.
+            if let Some(tr) = &self.trace {
+                tr.end(tr.labels.attempt, attempt_span_id(id, attempt));
+                tr.instant(tr.labels.result, id as u64, i64::from(ok));
+            }
             if result.is_err() && can_retry && attempt < self.retry.max_attempts {
                 coord.attempts.insert(id, attempt + 1);
                 coord.stats.retries += 1;
-                let task = coord
-                    .retriable
-                    .get(&id)
-                    .expect("retriable recorded")
-                    .clone();
+                let task = Arc::clone(coord.retriable.get(&id).expect("retriable recorded"));
                 Next::Retry {
                     task,
                     backoff: self.retry.backoff_for(attempt + 1),
@@ -504,10 +507,10 @@ impl FabricHandle {
                 let mut ready = Vec::new();
                 if let Some(deps) = coord.dependents.remove(&id) {
                     for dep in deps {
-                        if let Some(t) = coord.pending.get_mut(&dep) {
-                            t.remaining -= 1;
-                            if t.remaining == 0 {
-                                let t = coord.pending.remove(&dep).expect("present");
+                        if let Some((remaining, _)) = coord.pending.get_mut(&dep) {
+                            *remaining -= 1;
+                            if *remaining == 0 {
+                                let (_, t) = coord.pending.remove(&dep).expect("present");
                                 ready.push((dep, t));
                             }
                         }
@@ -520,10 +523,6 @@ impl FabricHandle {
                 }
             }
         };
-        if let Some(tr) = &self.trace {
-            tr.end(tr.labels.attempt, attempt_span_id(id, attempt));
-            tr.instant(tr.labels.result, id as u64, i64::from(ok));
-        }
         match next {
             Next::Retry { task, backoff } => {
                 if let Some(tr) = &self.trace {
@@ -605,14 +604,14 @@ impl FabricHandle {
         best.unwrap_or(0)
     }
 
-    fn dispatch(&self, id: usize, task: PendingTask) {
+    fn dispatch(&self, id: usize, task: Arc<PendingTask>) {
         let (ep, attempt, stage, upstream_err) = {
             let mut coord = self.coord.lock();
             let ep = self.place(&coord, &task);
             let attempt = coord.attempts.get(&id).copied().unwrap_or(1);
             coord.inflight.insert(id, (Instant::now(), attempt, ep));
             if self.retry.max_attempts > 1 || self.retry.task_timeout.is_some() {
-                coord.retriable.insert(id, task.clone());
+                coord.retriable.insert(id, Arc::clone(&task));
             }
             coord.stats.dispatched += 1;
             // Gather dep outputs for staging — or the upstream error that
@@ -643,12 +642,19 @@ impl FabricHandle {
         for (key, bytes) in &stage {
             self.fabric.stage(ep, *key, bytes);
         }
+        let deps = task.dep_ids.iter().map(|d| *d as u64).collect();
+        // The one payload copy of a dispatch, made outside the `Coord`
+        // lock — and not made at all when no retry table shares the task.
+        let (function, payload) = match Arc::try_unwrap(task) {
+            Ok(t) => (t.function, t.payload),
+            Err(t) => (Arc::clone(&t.function), t.payload.clone()),
+        };
         let job = JobSpec {
             task: id as u64,
             attempt,
-            function: Arc::clone(&task.function),
-            deps: task.dep_ids.iter().map(|d| *d as u64).collect(),
-            payload: task.payload.clone(),
+            function,
+            deps,
+            payload,
         };
         let this = self.clone();
         self.fabric.submit(

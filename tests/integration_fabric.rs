@@ -3,14 +3,17 @@
 //! an in-thread daemon (connect mode — the spawn/SIGKILL paths live in
 //! `crates/cli/tests`, where the daemon binary is available).
 
-use fedci::fabric::{assemble_input, Fabric, FabricTiming, FnRegistry, JobSpec, ThreadedFabric};
-use fedci::process::{
-    spawn_daemon_thread, DaemonConfig, EndpointMode, ProcessEndpointSpec, ProcessFabric,
-    ProcessFabricConfig,
+use fedci::fabric::{
+    assemble_input, fnv1a64, Fabric, FabricTiming, FnRegistry, JobSpec, ProbeState, ThreadedFabric,
 };
-use std::sync::Arc;
+use fedci::process::{
+    spawn_daemon_thread, ChaosProxy, DaemonConfig, EndpointMode, ProcessEndpointSpec,
+    ProcessFabric, ProcessFabricConfig,
+};
+use std::net::SocketAddr;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-use unifaas::runtime::fabric::FabricRuntime;
+use unifaas::runtime::fabric::{FabricRuntime, WireFuture};
 use unifaas::runtime::live::LiveRetryPolicy;
 use unifaas_cli::fabricrun::{reference_outcome, run_workload, FabricWorkload};
 
@@ -104,6 +107,7 @@ fn process_fabric_connect_mode_matches_threaded_digest() {
 
 #[test]
 fn merged_timeline_is_causally_complete_over_the_wire() {
+    let _serial = cpu_heavy();
     let w = FabricWorkload::new(40, 11);
     let daemon = spawn_daemon_thread(DaemonConfig::new("obs-it", 2)).expect("daemon");
     let fabric = Arc::new(ProcessFabric::new(
@@ -177,4 +181,217 @@ fn fabric_timing_validation_is_exposed_end_to_end() {
     assert!(bad.validate().is_err(), "heartbeat >= suspect must fail");
     assert!(FabricTiming::default().validate().is_ok());
     assert!(FabricTiming::fast().validate().is_ok());
+}
+
+// ---------------------------------------------------------------------------
+// The pipelined wire: coalesced writes, buffered reads, flush-on-idle
+// ---------------------------------------------------------------------------
+
+/// The burst tests below keep every core busy for a moment. They take
+/// this lock, and so does the merged-timeline test above, whose causal
+/// check allows the daemon's writer thread 1 ms between a write and its
+/// SENT stamp — a bound a starved thread on a two-core box can miss.
+static CPU_HEAVY: Mutex<()> = Mutex::new(());
+
+fn cpu_heavy() -> MutexGuard<'static, ()> {
+    CPU_HEAVY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A one-endpoint connect-mode fabric at `addr` (a daemon on a thread, or
+/// a chaos proxy in front of one) with the retrying client runtime on top.
+fn connect(addr: SocketAddr, timing: FabricTiming) -> (Arc<ProcessFabric>, FabricRuntime) {
+    let fabric = Arc::new(ProcessFabric::new(
+        vec![ProcessEndpointSpec {
+            name: "wire".to_string(),
+            workers: 2,
+            mode: EndpointMode::Connect {
+                addr: addr.to_string(),
+            },
+        }],
+        ProcessFabricConfig {
+            timing,
+            seed: 5,
+            respawn: false,
+            telemetry: false,
+        },
+    ));
+    assert!(
+        fabric.wait_probe(0, ProbeState::Alive, Duration::from_secs(10)),
+        "endpoint never came up"
+    );
+    let rt =
+        FabricRuntime::new(Arc::clone(&fabric) as Arc<dyn Fabric>).with_retry(LiveRetryPolicy {
+            max_attempts: 5,
+            task_timeout: Some(Duration::from_secs(10)),
+            backoff: Duration::from_millis(2),
+        });
+    (fabric, rt)
+}
+
+/// Submits `n` independent `fnv` tasks over an 8-byte payload.
+fn submit_burst(rt: &FabricRuntime, n: u64) -> Vec<WireFuture> {
+    (0..n)
+        .map(|i| rt.submit("fnv", i.to_le_bytes().to_vec(), &[]))
+        .collect()
+}
+
+/// Every future resolved, with the bytes an in-process `fnv` gives.
+fn assert_burst_oracle(futures: &[WireFuture]) {
+    for (i, f) in futures.iter().enumerate() {
+        let want = fnv1a64(&(i as u64).to_le_bytes()).to_le_bytes();
+        assert_eq!(
+            f.wait().expect("task resolves").as_slice(),
+            want,
+            "task {i}"
+        );
+    }
+}
+
+#[test]
+fn burst_shares_socket_writes_and_resolves_every_task() {
+    let _serial = cpu_heavy();
+    const N: u64 = 20_000;
+    let daemon = spawn_daemon_thread(DaemonConfig::new("burst", 2)).expect("daemon");
+    let (fabric, rt) = connect(daemon.addr(), FabricTiming::default());
+    // Completions run on the supervisor thread, so one that blocks holds
+    // the supervisor still while the whole burst queues up behind it —
+    // the backlog a fast client produces, made deterministic.
+    let (release, gate) = std::sync::mpsc::channel::<()>();
+    fabric.submit(
+        0,
+        JobSpec {
+            task: u64::MAX,
+            attempt: 1,
+            function: Arc::from("echo"),
+            deps: vec![],
+            payload: vec![],
+        },
+        Box::new(move |_| gate.recv().expect("gate released")),
+    );
+    let futures = submit_burst(&rt, N);
+    release.send(()).expect("supervisor waiting");
+    rt.wait_all();
+    assert_burst_oracle(&futures);
+    let stats = rt.stats();
+    assert_eq!((stats.completed, stats.retries), (N, 0), "{stats:?}");
+    let c = fabric.counters(0);
+    assert_eq!(
+        (c.connects, c.failovers, c.stale_results),
+        (1, 0, 0),
+        "{c:?}"
+    );
+    let wc = fabric.wire_counters(0);
+    assert!(wc.frames_sent > N, "{wc:?}");
+    assert!(
+        wc.socket_writes < wc.frames_sent / 4,
+        "a queued burst must share socket writes: {wc:?}"
+    );
+    assert!(wc.socket_reads < wc.frames_recv, "{wc:?}");
+    fabric.shutdown();
+    daemon.join().expect("daemon drains cleanly");
+}
+
+#[test]
+fn burst_under_fast_timing_keeps_heartbeats_on_time() {
+    let _serial = cpu_heavy();
+    const N: u64 = 20_000;
+    let daemon = spawn_daemon_thread(DaemonConfig::new("fastburst", 2)).expect("daemon");
+    let (fabric, rt) = connect(daemon.addr(), FabricTiming::fast());
+    let mut futures = Vec::with_capacity(N as usize);
+    for i in 0..N {
+        futures.push(rt.submit("fnv", i.to_le_bytes().to_vec(), &[]));
+        if i % 500 == 0 {
+            assert_ne!(fabric.probe(0), ProbeState::Dead, "died mid-burst");
+        }
+    }
+    rt.wait_all();
+    assert_burst_oracle(&futures);
+    // A 250 ms `down_after` and a backlog of tens of thousands of events:
+    // the connection must never have been declared dead.
+    let c = fabric.counters(0);
+    assert_eq!(
+        (c.connects, c.failovers, c.stale_results),
+        (1, 0, 0),
+        "{c:?}"
+    );
+    assert_eq!(rt.stats().retries, 0);
+    fabric.shutdown();
+    daemon.join().expect("daemon drains cleanly");
+}
+
+#[test]
+fn closed_loop_chain_flushes_every_hop_at_once() {
+    let _serial = cpu_heavy();
+    const HOPS: u64 = 200;
+    let daemon = spawn_daemon_thread(DaemonConfig::new("chain", 2)).expect("daemon");
+    let (fabric, rt) = connect(daemon.addr(), FabricTiming::default());
+    let before = fabric.wire_counters(0);
+    let mut prev: Option<WireFuture> = None;
+    let mut want = Vec::new();
+    for i in 0..HOPS {
+        let payload = i.to_le_bytes().to_vec();
+        want.extend_from_slice(&payload);
+        want = fnv1a64(&want).to_le_bytes().to_vec();
+        let deps: Vec<&WireFuture> = prev.iter().collect();
+        let f = rt.submit("fnv", payload, &deps);
+        // One request in flight: the next hop is not even submitted until
+        // this one's RESULT is back, so its DISPATCH cannot have waited
+        // for a later frame — and with no timer in the write path, a held
+        // frame would hang here.
+        assert_eq!(f.wait().expect("hop resolves").as_slice(), want, "hop {i}");
+        prev = Some(f);
+    }
+    let after = fabric.wire_counters(0);
+    let writes = after.socket_writes - before.socket_writes;
+    let frames = after.frames_sent - before.frames_sent;
+    // A hop's TRANSFER and DISPATCH may share a write; nothing else can.
+    assert!(writes >= HOPS, "{writes} writes for {HOPS} hops");
+    assert!(writes <= frames, "{writes} writes for {frames} frames");
+    assert!(
+        frames >= 2 * HOPS - 1,
+        "TRANSFER + DISPATCH per hop: {frames}"
+    );
+    fabric.shutdown();
+    daemon.join().expect("daemon drains cleanly");
+}
+
+#[test]
+fn cut_inside_a_result_batch_resolves_every_task_exactly_once() {
+    let _serial = cpu_heavy();
+    const N: u64 = 4_000;
+    // Every RESULT is sent twice, so each batch on the wire holds replays
+    // next to first copies — the worst case for the attempt guard.
+    let mut cfg = DaemonConfig::new("cut", 2);
+    cfg.chaos.dup_results = true;
+    let daemon = spawn_daemon_thread(cfg).expect("daemon");
+    let proxy = ChaosProxy::start(daemon.addr()).expect("proxy");
+    // Default timing: the cut is the only thing that may end a connection
+    // here, not a 250 ms liveness verdict on a loaded test box.
+    let (fabric, rt) = connect(proxy.addr(), FabricTiming::default());
+    // ~20 kB downstream is a few hundred RESULTs into the burst: the cut
+    // lands mid-frame in the middle of the result stream.
+    proxy.cut_after_down_bytes(20_000);
+    let futures = submit_burst(&rt, N);
+    rt.wait_all();
+    // Exactly once: `WireFuture::resolve` asserts it is never called
+    // twice, and every task carries the oracle bytes.
+    assert_burst_oracle(&futures);
+    let stats = rt.stats();
+    assert_eq!(stats.completed, N, "{stats:?}");
+    assert_eq!(stats.dispatched, N + stats.retries, "{stats:?}");
+    // Drain first: the last tasks' duplicates trail their first copies.
+    fabric.shutdown();
+    daemon.join().expect("daemon drains cleanly");
+    let c = fabric.counters(0);
+    assert_eq!(c.connects, 2, "one cut, one reconnect: {c:?}");
+    assert!(
+        c.failovers >= 1,
+        "the torn RESULT's attempt failed over: {c:?}"
+    );
+    // Each task's final attempt produced two RESULTs and resolved once;
+    // the other copy — and every replay of a superseded attempt — was
+    // dropped as stale. (The cut can fall between a first copy and its
+    // duplicate — for one task per daemon worker, as the two workers'
+    // pairs may interleave — and that duplicate is lost with the cut.)
+    assert!(c.stale_results >= N - 2, "replays must be dropped: {c:?}");
 }
