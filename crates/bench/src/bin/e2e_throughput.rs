@@ -65,19 +65,34 @@ struct Row {
     peak_rss_mb: Option<f64>,
 }
 
+/// What every row of one invocation shares: the command line's choices.
+#[derive(Clone, Copy)]
+struct RunOpts<'a> {
+    trace: Option<TraceConfig>,
+    trace_out: Option<&'a str>,
+    metrics: bool,
+    metrics_out: Option<&'a str>,
+    shards: usize,
+    reference_queue: bool,
+    journal: Option<&'a str>,
+}
+
 fn run(
     workload: &'static str,
     dag: Dag,
     pool: ConfigBuilder,
     strategy: SchedulingStrategy,
-    trace: Option<TraceConfig>,
-    trace_out: Option<&str>,
-    metrics: bool,
-    metrics_out: Option<&str>,
-    shards: usize,
-    reference_queue: bool,
-    journal: Option<&str>,
+    opts: RunOpts<'_>,
 ) -> Row {
+    let RunOpts {
+        trace,
+        trace_out,
+        metrics,
+        metrics_out,
+        shards,
+        reference_queue,
+        journal,
+    } = opts;
     let tasks = dag.len();
     let sched_tag = match &strategy {
         SchedulingStrategy::Capacity => "Capacity",
@@ -202,11 +217,12 @@ fn main() {
     // DAG generators are lazy so a filtered run never builds the
     // million-task graph it is not going to execute.
     type DagGen = fn() -> Dag;
-    let workloads: Vec<(&'static str, DagGen, fn() -> ConfigBuilder)> = vec![
+    type PoolGen = fn() -> ConfigBuilder;
+    let workloads: Vec<(&'static str, DagGen, PoolGen)> = vec![
         (
             "drug",
             (|| drug::generate(&drug::DrugParams::full())) as DagGen,
-            drug_static_pool as fn() -> ConfigBuilder,
+            drug_static_pool as PoolGen,
         ),
         (
             "montage",
@@ -228,24 +244,21 @@ fn main() {
         ("stress-1m", stress::million, drug_static_pool),
     ];
 
+    let opts = RunOpts {
+        trace,
+        trace_out: out,
+        metrics,
+        metrics_out: metrics_out.as_deref(),
+        shards,
+        reference_queue,
+        journal: journal.as_deref(),
+    };
     for (name, gen, pool) in workloads {
         if !wants(name) || (smoke && name == "stress-1m") {
             continue;
         }
         for strategy in strategies.clone() {
-            rows.push(run(
-                name,
-                gen(),
-                pool(),
-                strategy,
-                trace,
-                out,
-                metrics,
-                metrics_out.as_deref(),
-                shards,
-                reference_queue,
-                journal.as_deref(),
-            ));
+            rows.push(run(name, gen(), pool(), strategy, opts));
         }
     }
 
@@ -280,13 +293,13 @@ fn main() {
                 None => "-".into(),
             }
         );
-        let _ = write!(
+        let _ = writeln!(
             json,
             "    {{\"workload\": \"{}\", \"scheduler\": \"{}\", \"tasks\": {}, \
              \"wall_s\": {:.3}, \"sched_wall_s\": {:.3}, \"events\": {}, \
              \"events_per_sec\": {:.0}, \
              \"makespan_s\": {:.3}, \"transfer_gb\": {:.4}, \
-             \"allocs\": {}, \"alloc_mb\": {}, \"peak_rss_mb\": {}}}{}\n",
+             \"allocs\": {}, \"alloc_mb\": {}, \"peak_rss_mb\": {}}}{}",
             r.workload,
             r.scheduler,
             r.tasks,

@@ -108,11 +108,11 @@ fn main() {
             r.hook_calls,
             r.makespan
         );
-        let _ = write!(
+        let _ = writeln!(
             json,
             "    {{\"workload\": \"{}\", \"scheduler\": \"{}\", \"tasks\": {}, \
              \"overhead_per_task_s\": {:e}, \"sched_wall_s\": {:.6}, \
-             \"hook_calls\": {}, \"makespan_s\": {:.3}}}{}\n",
+             \"hook_calls\": {}, \"makespan_s\": {:.3}}}{}",
             r.workload,
             r.scheduler,
             r.tasks,

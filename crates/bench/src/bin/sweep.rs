@@ -126,10 +126,10 @@ fn main() {
             o.report.makespan.as_secs_f64(),
             format!("{digest:016x}"),
         );
-        let _ = write!(
+        let _ = writeln!(
             json,
             "    {{\"run\": \"{}\", \"wall_s\": {:.3}, \"events\": {}, \
-             \"makespan_s\": {:.3}, \"digest\": \"{:016x}\"}}{}\n",
+             \"makespan_s\": {:.3}, \"digest\": \"{:016x}\"}}{}",
             o.label,
             o.wall_s,
             o.report.events_processed,

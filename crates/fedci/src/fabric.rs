@@ -448,12 +448,18 @@ impl Fabric for ThreadedFabric {
     }
 
     fn submit(&self, ep: usize, job: JobSpec, done: Completion) {
-        let registry = self.registry.clone();
-        let blobs = Arc::clone(&self.blobs[ep]);
+        // Resolved here, once: the worker touches neither the registry nor
+        // — for a job without staged inputs — the blob store.
+        let function = self.registry.get(&job.function);
+        let blobs = (!job.deps.is_empty()).then(|| Arc::clone(&self.blobs[ep]));
         self.pools[ep].submit_then(move || {
-            let result = match registry.get(&job.function) {
-                None => Err(format!("unknown function `{}`", job.function)),
-                Some(f) => assemble_input(&blobs.lock(), &job).and_then(|input| f(&input)),
+            let result = match (function, blobs) {
+                (None, _) => Err(format!("unknown function `{}`", job.function)),
+                (Some(f), None) => f(&job.payload),
+                (Some(f), Some(blobs)) => {
+                    let input = assemble_input(&blobs.lock(), &job);
+                    input.and_then(|input| f(&input))
+                }
             };
             // Report after the worker frees, so dependents see this
             // worker as placeable capacity (same as the live runtime).

@@ -12,6 +12,7 @@
 //! retry watchdog is what recovers the swallowed work.
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use simkit::metrics::{CounterId, GaugeId, MetricsRegistry};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -119,7 +120,13 @@ pub struct PoolMetricIds {
 pub struct ThreadedEndpoint {
     name: String,
     tx: Option<Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
+    rx: Receiver<Job>,
+    poll: Duration,
+    /// Workers started so far: like a thread pool's core threads, each of
+    /// the first `n_workers` submissions starts one (a funcX endpoint
+    /// provisions workers when tasks arrive), so an idle pool costs nothing.
+    handles: Mutex<Vec<JoinHandle<()>>>,
+    started: AtomicUsize,
     busy: Arc<AtomicUsize>,
     completed: Arc<AtomicUsize>,
     faults: Arc<PoolFaults>,
@@ -127,8 +134,8 @@ pub struct ThreadedEndpoint {
 }
 
 impl ThreadedEndpoint {
-    /// Spawns `n_workers` worker threads named after the endpoint, polling
-    /// the queue at [`DEFAULT_POLL_TIMEOUT`].
+    /// A pool of `n_workers` worker threads named after the endpoint,
+    /// polling the queue at [`DEFAULT_POLL_TIMEOUT`].
     pub fn new(name: &str, n_workers: usize) -> Self {
         Self::with_poll_timeout(name, n_workers, DEFAULT_POLL_TIMEOUT)
     }
@@ -141,53 +148,59 @@ impl ThreadedEndpoint {
         assert!(n_workers > 0, "an endpoint needs at least one worker");
         assert!(!poll.is_zero(), "poll timeout must be non-zero");
         let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
-        let busy = Arc::new(AtomicUsize::new(0));
-        let completed = Arc::new(AtomicUsize::new(0));
-        let faults = Arc::new(PoolFaults::default());
-        let mut handles = Vec::with_capacity(n_workers);
-        for i in 0..n_workers {
-            let rx = rx.clone();
-            let busy = Arc::clone(&busy);
-            let completed = Arc::clone(&completed);
-            let faults = Arc::clone(&faults);
-            let handle = std::thread::Builder::new()
-                .name(format!("{name}-worker-{i}"))
-                .spawn(move || loop {
-                    let job = match rx.recv_timeout(poll) {
-                        Ok(job) => job,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    };
-                    if faults.swallows_next() {
-                        // Simulated worker crash: the job (and its
-                        // completion callback) is dropped on the floor.
-                        // Recovery is the submitter's watchdog's job.
-                        drop(job);
-                        continue;
-                    }
-                    if let Some(d) = faults.delay() {
-                        std::thread::sleep(d);
-                    }
-                    busy.fetch_add(1, Ordering::SeqCst);
-                    let followup = job();
-                    busy.fetch_sub(1, Ordering::SeqCst);
-                    completed.fetch_add(1, Ordering::SeqCst);
-                    if let Some(f) = followup {
-                        f();
-                    }
-                })
-                .expect("failed to spawn worker thread");
-            handles.push(handle);
-        }
         ThreadedEndpoint {
             name: name.to_string(),
             tx: Some(tx),
-            handles,
-            busy,
-            completed,
-            faults,
+            rx,
+            poll,
+            handles: Mutex::new(Vec::with_capacity(n_workers)),
+            started: AtomicUsize::new(0),
+            busy: Arc::new(AtomicUsize::new(0)),
+            completed: Arc::new(AtomicUsize::new(0)),
+            faults: Arc::new(PoolFaults::default()),
             n_workers,
         }
+    }
+
+    /// Starts the next worker unless all `n_workers` already run.
+    fn start_worker(&self) {
+        let mut handles = self.handles.lock();
+        if handles.len() == self.n_workers {
+            return;
+        }
+        let (rx, poll) = (self.rx.clone(), self.poll);
+        let busy = Arc::clone(&self.busy);
+        let completed = Arc::clone(&self.completed);
+        let faults = Arc::clone(&self.faults);
+        let handle = std::thread::Builder::new()
+            .name(format!("{}-worker-{}", self.name, handles.len()))
+            .spawn(move || loop {
+                let job = match rx.recv_timeout(poll) {
+                    Ok(job) => job,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                };
+                if faults.swallows_next() {
+                    // Simulated worker crash: the job (and its
+                    // completion callback) is dropped on the floor.
+                    // Recovery is the submitter's watchdog's job.
+                    drop(job);
+                    continue;
+                }
+                if let Some(d) = faults.delay() {
+                    std::thread::sleep(d);
+                }
+                busy.fetch_add(1, Ordering::SeqCst);
+                let followup = job();
+                busy.fetch_sub(1, Ordering::SeqCst);
+                completed.fetch_add(1, Ordering::SeqCst);
+                if let Some(f) = followup {
+                    f();
+                }
+            })
+            .expect("failed to spawn worker thread");
+        handles.push(handle);
+        self.started.store(handles.len(), Ordering::SeqCst);
     }
 
     /// Endpoint name.
@@ -236,11 +249,14 @@ impl ThreadedEndpoint {
     where
         F: FnOnce() -> Option<Followup> + Send + 'static,
     {
+        if self.started.load(Ordering::SeqCst) < self.n_workers {
+            self.start_worker();
+        }
         self.tx
             .as_ref()
             .expect("endpoint already shut down")
             .send(Box::new(job))
-            .expect("worker threads exited unexpectedly");
+            .expect("the pool keeps a receiver");
     }
 
     /// Registers this pool's gauge/counter families in `reg`, labelled by
@@ -301,8 +317,14 @@ impl ThreadedEndpoint {
     fn shutdown_inner(&mut self) {
         if let Some(tx) = self.tx.take() {
             drop(tx); // close the channel; workers exit after draining
-            for h in self.handles.drain(..) {
-                let _ = h.join();
+            let me = std::thread::current().id();
+            for h in self.handles.lock().drain(..) {
+                // The last handle on the pool can die inside a job's
+                // follow-up; that worker cannot join itself, so it is
+                // detached and exits once the queue is drained.
+                if h.thread().id() != me {
+                    let _ = h.join();
+                }
             }
         }
     }
@@ -391,6 +413,57 @@ mod tests {
         }
         drop(ep); // must drain the queue before joining
         assert_eq!(counter.load(Ordering::SeqCst), 10);
+    }
+
+    #[test]
+    fn workers_start_one_per_submission_up_to_n() {
+        let ep = ThreadedEndpoint::new("lazy", 3);
+        assert_eq!(ep.n_workers(), 3);
+        assert!(ep.responsive());
+        assert!(ep.handles.lock().is_empty(), "a thread before any job");
+        for submitted in 1..=5 {
+            ep.submit(|| {});
+            assert_eq!(ep.handles.lock().len(), submitted.min(3));
+            assert_eq!(ep.started.load(Ordering::SeqCst), submitted.min(3));
+        }
+        ep.shutdown();
+    }
+
+    #[test]
+    fn drop_with_no_or_some_workers_started_joins_cleanly() {
+        drop(ThreadedEndpoint::new("idle", 4));
+        let ep = ThreadedEndpoint::new("partial", 4);
+        let counter = Arc::new(AtomicU64::new(0));
+        for _ in 0..2 {
+            let c = Arc::clone(&counter);
+            ep.submit(move || {
+                c.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        assert_eq!(ep.handles.lock().len(), 2);
+        drop(ep);
+        assert_eq!(counter.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_worker_can_drop_the_pool() {
+        let ep = Arc::new(ThreadedEndpoint::new("orphan", 2));
+        let last = Arc::clone(&ep);
+        let (go_tx, go_rx) = unbounded::<()>();
+        let (tx, rx) = unbounded();
+        ep.submit(move || {
+            // Until the test let go of its handle: `last` is the last.
+            let _ = go_rx.recv();
+            let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(last)));
+            tx.send(dropped.is_ok()).unwrap();
+        });
+        ep.submit(|| {});
+        drop(ep);
+        drop(go_tx);
+        let clean = rx
+            .recv_timeout(DEFAULT_POLL_TIMEOUT)
+            .expect("the worker hung dropping its own pool");
+        assert!(clean, "the worker panicked joining itself");
     }
 
     #[test]

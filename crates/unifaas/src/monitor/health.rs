@@ -192,6 +192,17 @@ impl HealthMonitor {
         }
     }
 
+    /// Records the outcome of one interaction: [`record_success`]
+    /// (HealthMonitor::record_success) or [`record_failure`]
+    /// (HealthMonitor::record_failure).
+    pub fn record(&mut self, ep: EndpointId, success: bool) -> Option<HealthState> {
+        if success {
+            self.record_success(ep)
+        } else {
+            self.record_failure(ep)
+        }
+    }
+
     /// Forces `ep` Down — used when the liveness source is authoritative
     /// (a simulated outage window opening, an operator draining a pool).
     pub fn mark_down(&mut self, ep: EndpointId) -> Option<HealthState> {

@@ -21,8 +21,8 @@
 //!
 //! * **execution at-least-once, resolution exactly-once** — a RESULT for
 //!   a superseded attempt (the endpoint was declared dead and the task
-//!   failed over) no longer matches the in-flight `(task, attempt)`
-//!   record and is dropped;
+//!   failed over) no longer matches the slot's in-flight attempt and is
+//!   dropped;
 //! * **fail-over exactly once per loss** — a dead connection fails every
 //!   in-flight attempt through the same `complete` path an application
 //!   error takes, so the retry budget and backoff apply uniformly;
@@ -31,34 +31,91 @@
 //!   watchdog: a Dead probe forces Down, a recovered probe re-admits the
 //!   endpoint via Recovering, and attempt outcomes keep their usual
 //!   weight in between. Placement filters on both.
+//!
+//! Coordination state is one dense slab under one lock (task `id` is
+//! `slots[id]`; health included), never held across `Fabric::stage` /
+//! `Fabric::submit` — a fabric may fire the completion inline. DESIGN.md
+//! has the slot life-cycle.
 
 use crate::error::UniFaasError;
 use crate::monitor::{HealthMonitor, HealthState};
 use fedci::endpoint::EndpointId;
-use fedci::fabric::{Fabric, JobSpec, ProbeState};
-use parking_lot::{Condvar, Mutex};
+use fedci::fabric::{Fabric, FabricResult, JobSpec, ProbeState};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use simkit::time::SimTime;
 use simkit::trace::{LabelId, TraceLevel, Tracer};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use taskgraph::TaskId;
 
-pub use crate::runtime::live::LiveRetryPolicy;
+/// Retry/timeout policy of the live runtimes (the live analogue of
+/// [`RetryPolicy`](crate::config::RetryPolicy)).
+///
+/// The default — one attempt, no timeout — reproduces the pre-retry
+/// behavior exactly: failures propagate immediately and nothing watches
+/// the clock.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LiveRetryPolicy {
+    /// Attempts per task (≥ 1). An application error or timeout on the
+    /// last attempt is final.
+    pub max_attempts: u32,
+    /// Wall-clock budget per attempt; exceeded attempts are presumed
+    /// swallowed (crashed worker) and re-dispatched by the `wait_all`
+    /// watchdog. `None` disables the watchdog.
+    pub task_timeout: Option<Duration>,
+    /// Base backoff before retry attempt `k`, doubling per attempt. Zero
+    /// disables backoff.
+    pub backoff: Duration,
+}
+
+impl Default for LiveRetryPolicy {
+    fn default() -> Self {
+        LiveRetryPolicy {
+            max_attempts: 1,
+            task_timeout: None,
+            backoff: Duration::ZERO,
+        }
+    }
+}
+
+impl LiveRetryPolicy {
+    pub(crate) fn enabled(&self) -> bool {
+        self.max_attempts > 1 || self.task_timeout.is_some()
+    }
+
+    /// Backoff before `attempt` (1-based; the first attempt never waits).
+    pub(crate) fn backoff_for(&self, attempt: u32) -> Option<Duration> {
+        if attempt <= 1 || self.backoff.is_zero() {
+            return None;
+        }
+        Some(self.backoff * 2u32.saturating_pow((attempt - 2).min(16)))
+    }
+}
 
 /// Result bytes of one task.
 pub type WireResult = Result<Arc<Vec<u8>>, String>;
 
-struct FutureState {
-    cell: Mutex<Option<WireResult>>,
+/// A task's shared cell — its one allocation: the dependency list and,
+/// under the mutex, first what a (re-)dispatch needs, then the result.
+struct TaskCell {
+    /// Tasks whose outputs prefix the input, in order.
+    dep_ids: Box<[usize]>,
+    state: Mutex<TaskState>,
     cond: Condvar,
+}
+
+enum TaskState {
+    /// Unresolved: the inline argument bytes, released on resolution.
+    Pending(Vec<u8>),
+    Resolved(WireResult),
 }
 
 /// A handle to the eventual byte result of a fabric task.
 #[derive(Clone)]
 pub struct WireFuture {
     id: usize,
-    state: Arc<FutureState>,
+    cell: Arc<TaskCell>,
 }
 
 impl WireFuture {
@@ -69,29 +126,22 @@ impl WireFuture {
 
     /// Blocks until the task completes, returning its output bytes.
     pub fn wait(&self) -> Result<Arc<Vec<u8>>, UniFaasError> {
-        let mut cell = self.state.cell.lock();
-        while cell.is_none() {
-            self.state.cond.wait(&mut cell);
-        }
-        match cell.as_ref().expect("checked above") {
-            Ok(v) => Ok(Arc::clone(v)),
-            Err(msg) => Err(UniFaasError::FunctionError {
-                task: self.task_id(),
-                message: msg.clone(),
-            }),
+        let mut state = self.cell.state.lock();
+        loop {
+            match &*state {
+                TaskState::Pending(_) => self.cell.cond.wait(&mut state),
+                TaskState::Resolved(Ok(v)) => return Ok(Arc::clone(v)),
+                TaskState::Resolved(Err(msg)) => {
+                    let (task, message) = (self.task_id(), msg.clone());
+                    return Err(UniFaasError::FunctionError { task, message });
+                }
+            }
         }
     }
 
     /// Non-blocking poll.
     pub fn is_done(&self) -> bool {
-        self.state.cell.lock().is_some()
-    }
-
-    fn resolve(&self, result: WireResult) {
-        let mut cell = self.state.cell.lock();
-        debug_assert!(cell.is_none(), "future resolved twice");
-        *cell = Some(result);
-        self.state.cond.notify_all();
+        matches!(*self.cell.state.lock(), TaskState::Resolved(_))
     }
 }
 
@@ -173,14 +223,6 @@ fn attempt_span_id(task: usize, attempt: u32) -> u64 {
     ((task as u64) << 32) | u64::from(attempt)
 }
 
-/// What a task needs to be dispatched — immutable once submitted, so
-/// the retry table and every attempt share one copy.
-struct PendingTask {
-    function: Arc<str>,
-    payload: Vec<u8>,
-    dep_ids: Vec<usize>,
-}
-
 /// Aggregate robustness statistics for one run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricRunStats {
@@ -195,62 +237,143 @@ pub struct FabricRunStats {
     pub watchdog_timeouts: u64,
 }
 
-struct Coord {
-    /// Tasks waiting on dependencies: (unresolved dep count, task).
-    pending: HashMap<usize, (usize, Arc<PendingTask>)>,
-    dependents: HashMap<usize, Vec<usize>>,
-    /// Where each resolved task's output lives (endpoint, byte length).
-    produced_at: HashMap<usize, (usize, u64)>,
-    /// Output bytes of successful tasks, staged on demand to whichever
+/// Where a task is in its life: `Waiting → InFlight ⇄ Retrying → Done`.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// Submitted; this many dependencies are still unresolved.
+    Waiting(u32),
+    /// An attempt failed and the next waits out its back-off: nothing is
+    /// in flight, so whatever completion arrives is stale.
+    Retrying,
+    /// Dispatched `at_us` µs after the fabric's clock epoch (0 without a
+    /// watchdog); `attempt` is the generation guard.
+    InFlight { at_us: u64, attempt: u32, ep: u16 },
+    /// Resolved: where the output lives and how long it is (0 on failure).
+    Done { ep: u16, bytes: u64 },
+}
+
+/// Everything the coordinator keeps per task; `slots[id]` is task `id`.
+struct Slot {
+    cell: Arc<TaskCell>,
+    /// Output of a successful task, staged on demand to whichever
     /// endpoint runs a dependent.
-    outputs: HashMap<usize, Arc<Vec<u8>>>,
-    next_id: usize,
-    futures: HashMap<usize, WireFuture>,
+    output: Option<Arc<Vec<u8>>>,
+    /// Tasks waiting on this one.
+    dependents: Vec<u32>,
+    phase: Phase,
+    /// Index into [`Coord::functions`].
+    function: u16,
+}
+
+// One cache line, so 100k queued tasks cost the slab 6.4 MB.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 64);
+
+struct Coord {
+    slots: Vec<Slot>,
+    /// Every slot below this index is `Done`: the watchdog scans from here.
+    first_live: usize,
+    /// Interned function names — a workflow calls a handful.
+    functions: Vec<Arc<str>>,
     outstanding: usize,
-    /// Next attempt number per task (absent = first attempt).
-    attempts: HashMap<usize, u32>,
-    /// In-flight attempts: task → (start, attempt, endpoint). The attempt
-    /// number is the generation guard.
-    inflight: HashMap<usize, (Instant, u32, usize)>,
-    /// Tasks kept re-dispatchable while retries remain.
-    retriable: HashMap<usize, Arc<PendingTask>>,
+    health: HealthMonitor,
     stats: FabricRunStats,
 }
 
+impl Coord {
+    fn intern(&mut self, function: &str) -> u16 {
+        let known = self.functions.iter().position(|f| &**f == function);
+        let i = known.unwrap_or_else(|| {
+            self.functions.push(Arc::from(function));
+            self.functions.len() - 1
+        });
+        u16::try_from(i).expect("more than 65536 distinct function names")
+    }
+
+    /// Picks an endpoint: skip Dead probes and Down health states, then
+    /// maximize free workers, breaking ties toward the endpoint already
+    /// holding the most input bytes. When everything is down, falls back
+    /// to endpoint 0 — the attempt fails fast or times out and the retry
+    /// machinery keeps going until something recovers.
+    fn place(&self, fabric: &dyn Fabric, dep_ids: &[usize]) -> usize {
+        let usable = |ep: &usize| {
+            let healthy = self.health.is_schedulable(EndpointId(*ep as u16));
+            healthy && fabric.probe(*ep) != ProbeState::Dead
+        };
+        let key = |ep: &usize| {
+            let free = fabric.n_workers(*ep) as i64 - fabric.busy_workers(*ep) as i64;
+            let local_bytes = dep_ids.iter().map(|&d| match self.slots[d].phase {
+                Phase::Done { ep: at, bytes } if usize::from(at) == *ep => bytes,
+                _ => 0,
+            });
+            let local_bytes: u64 = local_bytes.sum();
+            // Any free worker is as good as many; ties go to the first.
+            (free.min(1), local_bytes, Reverse(*ep))
+        };
+        let eps = (0..fabric.n_endpoints()).filter(usable);
+        eps.max_by_key(key).unwrap_or(0)
+    }
+
+    /// The in-flight attempts older than `timeout`, as `(task, attempt)`.
+    fn overdue(&mut self, rt: &Inner, timeout: Duration) -> Vec<(usize, u32)> {
+        let done = |s: &Slot| matches!(s.phase, Phase::Done { .. });
+        while self.slots.get(self.first_live).is_some_and(done) {
+            self.first_live += 1;
+        }
+        let (now_us, limit) = (rt.now_us(), timeout.as_micros() as u64);
+        let mut overdue = Vec::new();
+        for (id, slot) in self.slots.iter().enumerate().skip(self.first_live) {
+            match slot.phase {
+                Phase::InFlight { at_us, attempt, .. } if now_us - at_us >= limit => {
+                    overdue.push((id, attempt));
+                }
+                _ => {}
+            }
+        }
+        self.stats.watchdog_timeouts += overdue.len() as u64;
+        overdue
+    }
+}
+
+/// What the runtime handle and every completion closure share.
+struct Inner {
+    fabric: Arc<dyn Fabric>,
+    coord: Mutex<Coord>,
+    done_cond: Condvar,
+    retry: LiveRetryPolicy,
+    trace: Option<ClientTrace>,
+    /// The fabric's clock epoch: zero of [`Phase::InFlight`] stamps.
+    epoch: Instant,
+}
+
+/// The builder methods need the state to themselves: no completion yet.
+const CONFIGURE_FIRST: &str = "configure the runtime before submitting tasks";
+
 /// The fabric-backed UniFaaS runtime. See the module docs.
 pub struct FabricRuntime {
-    fabric: Arc<dyn Fabric>,
-    coord: Arc<Mutex<Coord>>,
-    done_cond: Arc<Condvar>,
-    retry: LiveRetryPolicy,
-    health: Arc<Mutex<HealthMonitor>>,
-    trace: Option<Arc<ClientTrace>>,
+    inner: Arc<Inner>,
 }
 
 impl FabricRuntime {
     /// Wraps `fabric` with the default (no-retry) policy.
     pub fn new(fabric: Arc<dyn Fabric>) -> Self {
-        let n = fabric.n_endpoints();
-        FabricRuntime {
+        let coord = Coord {
+            slots: Vec::new(),
+            first_live: 0,
+            functions: Vec::new(),
+            outstanding: 0,
+            health: HealthMonitor::new(fabric.n_endpoints()),
+            stats: FabricRunStats::default(),
+        };
+        let inner = Inner {
+            epoch: fabric.clock_epoch(),
             fabric,
-            coord: Arc::new(Mutex::new(Coord {
-                pending: HashMap::new(),
-                dependents: HashMap::new(),
-                produced_at: HashMap::new(),
-                outputs: HashMap::new(),
-                next_id: 0,
-                futures: HashMap::new(),
-                outstanding: 0,
-                attempts: HashMap::new(),
-                inflight: HashMap::new(),
-                retriable: HashMap::new(),
-                stats: FabricRunStats::default(),
-            })),
-            done_cond: Arc::new(Condvar::new()),
+            coord: Mutex::new(coord),
+            done_cond: Condvar::new(),
             retry: LiveRetryPolicy::default(),
-            health: Arc::new(Mutex::new(HealthMonitor::new(n))),
             trace: None,
-        }
+        };
+        let inner = Arc::new(inner);
+        FabricRuntime { inner }
     }
 
     /// Enables client-side tracing (builder style). Emits the `c.*`
@@ -261,7 +384,8 @@ impl FabricRuntime {
     /// (FabricRuntime::take_client_tracer) after the run.
     pub fn with_trace(mut self, level: TraceLevel) -> Self {
         if level != TraceLevel::Off {
-            self.trace = Some(Arc::new(ClientTrace::new(level, self.fabric.clock_epoch())));
+            let inner = Arc::get_mut(&mut self.inner).expect(CONFIGURE_FIRST);
+            inner.trace = Some(ClientTrace::new(level, inner.epoch));
         }
         self
     }
@@ -269,9 +393,8 @@ impl FabricRuntime {
     /// Takes the client trace recorded so far, leaving a disabled tracer
     /// behind. Returns `None` when tracing was never enabled.
     pub fn take_client_tracer(&self) -> Option<Tracer> {
-        self.trace
-            .as_ref()
-            .map(|t| std::mem::replace(&mut *t.tracer.lock(), Tracer::disabled()))
+        let trace = self.inner.trace.as_ref();
+        trace.map(|t| std::mem::replace(&mut *t.tracer.lock(), Tracer::disabled()))
     }
 
     /// Sets the retry/timeout policy (builder style). Runs on a fabric
@@ -279,71 +402,63 @@ impl FabricRuntime {
     /// `task_timeout`; without them a lost attempt is a final failure.
     pub fn with_retry(mut self, policy: LiveRetryPolicy) -> Self {
         assert!(policy.max_attempts >= 1, "need at least one attempt");
-        self.retry = policy;
+        Arc::get_mut(&mut self.inner).expect(CONFIGURE_FIRST).retry = policy;
         self
     }
 
     /// Current health state of endpoint `i`.
     pub fn endpoint_health(&self, i: usize) -> HealthState {
-        self.health.lock().state(EndpointId(i as u16))
+        self.inner.coord.lock().health.state(EndpointId(i as u16))
     }
 
     /// The underlying fabric.
     pub fn fabric(&self) -> &Arc<dyn Fabric> {
-        &self.fabric
+        &self.inner.fabric
     }
 
     /// Run statistics so far.
     pub fn stats(&self) -> FabricRunStats {
-        self.coord.lock().stats
+        self.inner.coord.lock().stats
     }
 
     /// Submits one task: run `function` over the concatenation of the
     /// dependencies' outputs (in order) and `payload`. Returns
     /// immediately with a future.
     pub fn submit(&self, function: &str, payload: Vec<u8>, deps: &[&WireFuture]) -> WireFuture {
-        let mut coord = self.coord.lock();
-        let id = coord.next_id;
-        coord.next_id += 1;
-        let future = WireFuture {
-            id,
-            state: Arc::new(FutureState {
-                cell: Mutex::new(None),
-                cond: Condvar::new(),
-            }),
-        };
-        coord.futures.insert(id, future.clone());
-        coord.outstanding += 1;
-
-        let dep_ids: Vec<usize> = deps.iter().map(|d| d.id).collect();
-        let unresolved: Vec<usize> = dep_ids
-            .iter()
-            .copied()
-            .filter(|d| !coord.produced_at.contains_key(d))
-            .collect();
-        let task = Arc::new(PendingTask {
-            function: Arc::from(function),
-            payload,
-            dep_ids,
+        let inner = &self.inner;
+        let cell = Arc::new(TaskCell {
+            dep_ids: deps.iter().map(|d| d.id).collect(),
+            state: Mutex::new(TaskState::Pending(payload)),
+            cond: Condvar::new(),
         });
-        let n_deps = task.dep_ids.len();
-        if unresolved.is_empty() {
-            drop(coord);
-            if let Some(tr) = &self.trace {
-                tr.instant(tr.labels.submit, id as u64, n_deps as i64);
-            }
-            self.handle().dispatch(id, task);
-        } else {
-            for d in &unresolved {
-                coord.dependents.entry(*d).or_default().push(id);
-            }
-            coord.pending.insert(id, (unresolved.len(), task));
-            drop(coord);
-            if let Some(tr) = &self.trace {
-                tr.instant(tr.labels.submit, id as u64, n_deps as i64);
+        // One lock acquisition allocates the slot and, when nothing is
+        // left to wait for, places the task and marks it in flight.
+        let mut coord = inner.coord.lock();
+        let id = coord.slots.len();
+        let function = coord.intern(function);
+        let mut unresolved = 0;
+        for d in deps {
+            let dep = &mut coord.slots[d.id];
+            if !matches!(dep.phase, Phase::Done { .. }) {
+                dep.dependents.push(id as u32);
+                unresolved += 1;
             }
         }
-        future
+        coord.slots.push(Slot {
+            cell: Arc::clone(&cell),
+            output: None,
+            dependents: Vec::new(),
+            phase: Phase::Waiting(unresolved),
+            function,
+        });
+        coord.outstanding += 1;
+        if let Some(tr) = &inner.trace {
+            tr.instant(tr.labels.submit, id as u64, deps.len() as i64);
+        }
+        if unresolved == 0 {
+            inner.dispatch(coord, id, 1);
+        }
+        WireFuture { id, cell }
     }
 
     /// Blocks until every submitted task has resolved.
@@ -354,49 +469,42 @@ impl FabricRuntime {
     /// [`HealthMonitor`] (Dead ⇒ Down, Alive again ⇒ Recovering), which
     /// is how heartbeat-detected crashes steer placement.
     pub fn wait_all(&self) {
-        let Some(timeout) = self.retry.task_timeout else {
-            let mut coord = self.coord.lock();
+        let inner = &self.inner;
+        let Some(timeout) = inner.retry.task_timeout else {
+            let mut coord = inner.coord.lock();
             while coord.outstanding > 0 {
-                self.done_cond.wait(&mut coord);
+                inner.done_cond.wait(&mut coord);
             }
             return;
         };
         let tick = (timeout / 4).max(Duration::from_millis(5));
         loop {
-            self.feed_probes();
-            let overdue: Vec<(usize, usize, u32)> = {
-                let mut coord = self.coord.lock();
+            inner.feed_probes();
+            let overdue = {
+                let mut coord = inner.coord.lock();
                 if coord.outstanding == 0 {
                     return;
                 }
-                self.done_cond.wait_for(&mut coord, tick);
+                inner.done_cond.wait_for(&mut coord, tick);
                 if coord.outstanding == 0 {
                     return;
                 }
-                coord
-                    .inflight
-                    .iter()
-                    .filter(|(_, (start, _, _))| start.elapsed() >= timeout)
-                    .map(|(&id, &(_, attempt, ep))| (id, ep, attempt))
-                    .collect()
+                coord.overdue(inner, timeout)
             };
-            if !overdue.is_empty() {
-                self.coord.lock().stats.watchdog_timeouts += overdue.len() as u64;
-            }
-            let handle = self.handle();
-            for (id, ep, attempt) in overdue {
-                if let Some(tr) = &self.trace {
+            for (id, attempt) in overdue {
+                if let Some(tr) = &inner.trace {
                     tr.instant(tr.labels.timeout, id as u64, i64::from(attempt));
                 }
-                handle.complete(
-                    id,
-                    ep,
-                    attempt,
-                    Err(format!("attempt {attempt} timed out after {timeout:?}")),
-                    true,
-                );
+                let msg = format!("attempt {attempt} timed out after {timeout:?}");
+                inner.complete(id, attempt, Err(msg), true);
             }
         }
+    }
+}
+
+impl Inner {
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
     }
 
     /// Folds fabric probes into the health monitor. A Dead probe is
@@ -405,275 +513,428 @@ impl FabricRuntime {
     /// so accumulated attempt-failure evidence against a flaky-but-
     /// connected endpoint is not erased by mere liveness.
     fn feed_probes(&self) {
-        let mut h = self.health.lock();
-        for ep in 0..self.fabric.n_endpoints() {
+        let probes: Vec<ProbeState> = (0..self.fabric.n_endpoints())
+            .map(|ep| self.fabric.probe(ep))
+            .collect();
+        let health = &mut self.coord.lock().health;
+        for (ep, probe) in probes.into_iter().enumerate() {
             let id = EndpointId(ep as u16);
-            match self.fabric.probe(ep) {
-                ProbeState::Dead => {
-                    h.mark_down(id);
-                }
-                ProbeState::Alive => {
-                    if h.is_down(id) {
-                        h.mark_recovering(id);
-                    }
-                }
-                ProbeState::Suspect => {}
+            if probe == ProbeState::Dead {
+                health.mark_down(id);
+            } else if probe == ProbeState::Alive && health.is_down(id) {
+                health.mark_recovering(id);
             }
         }
     }
 
-    fn handle(&self) -> FabricHandle {
-        FabricHandle {
-            fabric: Arc::clone(&self.fabric),
-            coord: Arc::clone(&self.coord),
-            done_cond: Arc::clone(&self.done_cond),
-            retry: self.retry,
-            health: Arc::clone(&self.health),
-            trace: self.trace.clone(),
-        }
-    }
-}
-
-/// What `complete` decided under the coordinator lock; acted on outside
-/// it so dispatch and health updates never run with the lock held.
-enum Next {
-    Retry {
-        task: Arc<PendingTask>,
-        backoff: Option<Duration>,
-    },
-    Finalize {
-        failed: bool,
-        ran: bool,
-        ready: Vec<(usize, Arc<PendingTask>)>,
-    },
-}
-
-/// Cheap clonable view used by fabric completions (which run on fabric
-/// threads) to report outcomes and dispatch dependents.
-#[derive(Clone)]
-struct FabricHandle {
-    fabric: Arc<dyn Fabric>,
-    coord: Arc<Mutex<Coord>>,
-    done_cond: Arc<Condvar>,
-    retry: LiveRetryPolicy,
-    health: Arc<Mutex<HealthMonitor>>,
-    trace: Option<Arc<ClientTrace>>,
-}
-
-impl FabricHandle {
-    /// Reports the outcome of attempt `attempt` of task `id` on `ep`.
-    /// Stale completions — the attempt no longer matches the in-flight
-    /// record because a fail-over superseded it — are dropped.
-    fn complete(&self, id: usize, ep: usize, attempt: u32, result: WireResult, can_retry: bool) {
-        let ok = result.is_ok();
-        let next = {
-            let mut coord = self.coord.lock();
-            match coord.inflight.get(&id) {
-                Some(&(_, a, _)) if a == attempt => {}
-                _ => return, // stale or already finalized
-            }
-            coord.inflight.remove(&id);
-            // The attempt's span closes before its future can resolve: a
-            // caller woken by the future (or by `wait_all`) always finds
-            // the span complete in the trace it takes.
-            if let Some(tr) = &self.trace {
-                tr.end(tr.labels.attempt, attempt_span_id(id, attempt));
-                tr.instant(tr.labels.result, id as u64, i64::from(ok));
-            }
-            if result.is_err() && can_retry && attempt < self.retry.max_attempts {
-                coord.attempts.insert(id, attempt + 1);
-                coord.stats.retries += 1;
-                let task = Arc::clone(coord.retriable.get(&id).expect("retriable recorded"));
-                Next::Retry {
-                    task,
-                    backoff: self.retry.backoff_for(attempt + 1),
-                }
-            } else {
-                coord.retriable.remove(&id);
-                coord.attempts.remove(&id);
-                let failed = result.is_err();
-                let bytes = result.as_ref().map_or(0, |b| b.len() as u64);
-                coord.produced_at.insert(id, (ep, bytes));
-                if let Ok(out) = &result {
-                    coord.outputs.insert(id, Arc::clone(out));
-                }
-                coord.stats.completed += 1;
-                let fut = coord.futures.get(&id).expect("future exists").clone();
-                fut.resolve(result);
-                coord.outstanding -= 1;
-                if coord.outstanding == 0 {
-                    self.done_cond.notify_all();
-                }
-                let mut ready = Vec::new();
-                if let Some(deps) = coord.dependents.remove(&id) {
-                    for dep in deps {
-                        if let Some((remaining, _)) = coord.pending.get_mut(&dep) {
-                            *remaining -= 1;
-                            if *remaining == 0 {
-                                let (_, t) = coord.pending.remove(&dep).expect("present");
-                                ready.push((dep, t));
-                            }
-                        }
-                    }
-                }
-                Next::Finalize {
-                    failed,
-                    ran: can_retry,
-                    ready,
-                }
-            }
+    /// Places ready task `id` and marks `attempt` in flight under `coord`
+    /// — the tail of the caller's lock acquisition — then releases the
+    /// lock and hands the attempt to the fabric.
+    fn dispatch(self: &Arc<Self>, mut coord: MutexGuard<'_, Coord>, id: usize, attempt: u32) {
+        let cell = Arc::clone(&coord.slots[id].cell);
+        let ep = coord.place(&*self.fabric, &cell.dep_ids);
+        // Only the watchdog reads the stamp: no clock read without one.
+        let at_us = self.retry.task_timeout.map_or(0, |_| self.now_us());
+        let ep16 = ep as u16;
+        coord.slots[id].phase = Phase::InFlight {
+            at_us,
+            attempt,
+            ep: ep16,
         };
-        match next {
-            Next::Retry { task, backoff } => {
-                if let Some(tr) = &self.trace {
-                    tr.instant(tr.labels.retry, id as u64, i64::from(attempt + 1));
-                }
-                self.record_health(ep, false);
-                match backoff {
-                    // The completion runs on a fabric thread (often the
-                    // endpoint supervisor) — sleeping there would stall
-                    // heartbeats, so backoff gets its own short-lived
-                    // timer thread.
-                    Some(d) if !d.is_zero() => {
-                        let this = self.clone();
-                        std::thread::spawn(move || {
-                            std::thread::sleep(d);
-                            this.dispatch(id, task);
-                        });
-                    }
-                    _ => self.dispatch(id, task),
-                }
-            }
-            Next::Finalize { failed, ran, ready } => {
-                if let Some(tr) = &self.trace {
-                    tr.instant(tr.labels.resolve, id as u64, i64::from(failed));
-                }
-                if ran {
-                    self.record_health(ep, !failed);
-                }
-                for (rid, task) in ready {
-                    self.dispatch(rid, task);
-                }
-            }
-        }
-    }
-
-    fn record_health(&self, ep: usize, success: bool) {
-        let mut h = self.health.lock();
-        let id = EndpointId(ep as u16);
-        if success {
-            h.record_success(id);
-        } else {
-            h.record_failure(id);
-        }
-    }
-
-    /// Picks an endpoint: skip Dead probes and Down health states, then
-    /// maximize free workers, breaking ties toward the endpoint already
-    /// holding the most input bytes. When everything is down, falls back
-    /// to endpoint 0 — the attempt fails fast or times out and the retry
-    /// machinery keeps going until something recovers.
-    fn place(&self, coord: &Coord, task: &PendingTask) -> usize {
-        let health = self.health.lock();
-        let mut best: Option<usize> = None;
-        let mut best_key = (i64::MIN, i64::MIN);
-        for ep in 0..self.fabric.n_endpoints() {
-            if self.fabric.probe(ep) == ProbeState::Dead
-                || !health.is_schedulable(EndpointId(ep as u16))
-            {
-                continue;
-            }
-            let free = self.fabric.n_workers(ep) as i64 - self.fabric.busy_workers(ep) as i64;
-            let local_bytes: i64 = task
-                .dep_ids
-                .iter()
-                .filter_map(|d| coord.produced_at.get(d))
-                .filter(|(at, _)| *at == ep)
-                .map(|(_, b)| *b as i64)
-                .sum();
-            let key = if free <= 0 {
-                (free, local_bytes)
-            } else {
-                (1, local_bytes)
-            };
-            if best.is_none() || key > best_key {
-                best_key = key;
-                best = Some(ep);
-            }
-        }
-        best.unwrap_or(0)
-    }
-
-    fn dispatch(&self, id: usize, task: Arc<PendingTask>) {
-        let (ep, attempt, stage, upstream_err) = {
-            let mut coord = self.coord.lock();
-            let ep = self.place(&coord, &task);
-            let attempt = coord.attempts.get(&id).copied().unwrap_or(1);
-            coord.inflight.insert(id, (Instant::now(), attempt, ep));
-            if self.retry.max_attempts > 1 || self.retry.task_timeout.is_some() {
-                coord.retriable.insert(id, Arc::clone(&task));
-            }
-            coord.stats.dispatched += 1;
-            // Gather dep outputs for staging — or the upstream error that
-            // dooms this task deterministically.
-            let mut stage = Vec::with_capacity(task.dep_ids.len());
-            let mut upstream_err = None;
-            for d in &task.dep_ids {
-                match coord.outputs.get(d) {
-                    Some(bytes) => stage.push((*d as u64, Arc::clone(bytes))),
-                    None => {
-                        upstream_err = Some(format!("upstream task {d} failed"));
-                        break;
-                    }
-                }
-            }
-            (ep, attempt, stage, upstream_err)
-        };
+        coord.stats.dispatched += 1;
+        let function = Arc::clone(&coord.functions[usize::from(coord.slots[id].function)]);
+        // The dep outputs to stage — or the upstream error that dooms
+        // this task deterministically.
+        let stage = cell.dep_ids.iter().map(|&d| match &coord.slots[d].output {
+            Some(bytes) => Ok((d as u64, Arc::clone(bytes))),
+            None => Err(format!("upstream task {d} failed")),
+        });
+        let stage: Result<Vec<_>, String> = stage.collect();
+        drop(coord);
         if let Some(tr) = &self.trace {
             tr.begin(tr.labels.attempt, attempt_span_id(id, attempt));
             tr.instant(tr.labels.dispatch, id as u64, ep as i64);
         }
-        if let Some(msg) = upstream_err {
+        let stage = match stage {
+            Ok(stage) => stage,
             // Never touched the endpoint: not retryable, says nothing
             // about endpoint health.
-            self.complete(id, ep, attempt, Err(msg), false);
-            return;
-        }
+            Err(msg) => return self.complete(id, attempt, Err(msg), false),
+        };
         for (key, bytes) in &stage {
             self.fabric.stage(ep, *key, bytes);
         }
-        let deps = task.dep_ids.iter().map(|d| *d as u64).collect();
-        // The one payload copy of a dispatch, made outside the `Coord`
-        // lock — and not made at all when no retry table shares the task.
-        let (function, payload) = match Arc::try_unwrap(task) {
-            Ok(t) => (t.function, t.payload),
-            Err(t) => (Arc::clone(&t.function), t.payload.clone()),
+        // The one payload copy of a dispatch — and not made at all when no
+        // later attempt can need the bytes. (An attempt the watchdog
+        // superseded before it got here may find them moved out; its
+        // result is dropped whatever it is.)
+        let payload = match &mut *cell.state.lock() {
+            TaskState::Pending(p) if attempt >= self.retry.max_attempts => std::mem::take(p),
+            TaskState::Pending(p) => p.clone(),
+            TaskState::Resolved(_) => return,
         };
         let job = JobSpec {
             task: id as u64,
             attempt,
             function,
-            deps,
+            deps: cell.dep_ids.iter().map(|&d| d as u64).collect(),
             payload,
         };
-        let this = self.clone();
-        self.fabric.submit(
-            ep,
-            job,
-            Box::new(move |result| {
-                this.complete(id, ep, attempt, result.map(Arc::new), true);
-            }),
-        );
+        let this = Arc::clone(self);
+        let done = move |result: FabricResult| {
+            this.complete(id, attempt, result.map(Arc::new), true);
+        };
+        self.fabric.submit(ep, job, Box::new(done));
+    }
+
+    /// Reports the outcome of attempt `attempt` of task `id`: guard,
+    /// resolution, health and dependents under one lock acquisition.
+    /// Stale completions — the slot is not in flight with this attempt
+    /// because a fail-over superseded it — are dropped. `ran` is false
+    /// when the attempt never reached the endpoint.
+    fn complete(self: &Arc<Self>, id: usize, attempt: u32, result: WireResult, ran: bool) {
+        let ok = result.is_ok();
+        let mut coord = self.coord.lock();
+        let ep = match coord.slots[id].phase {
+            Phase::InFlight { attempt: a, ep, .. } if a == attempt => ep,
+            _ => return,
+        };
+        // The attempt's span closes before its future can resolve: a
+        // caller woken by the future (or by `wait_all`) always finds
+        // the span complete in the trace it takes.
+        if let Some(tr) = &self.trace {
+            tr.end(tr.labels.attempt, attempt_span_id(id, attempt));
+            tr.instant(tr.labels.result, id as u64, i64::from(ok));
+        }
+        if ran {
+            coord.health.record(EndpointId(ep), ok);
+        }
+        if !ok && ran && attempt < self.retry.max_attempts {
+            coord.slots[id].phase = Phase::Retrying;
+            coord.stats.retries += 1;
+            drop(coord);
+            if let Some(tr) = &self.trace {
+                tr.instant(tr.labels.retry, id as u64, i64::from(attempt + 1));
+            }
+            match self.retry.backoff_for(attempt + 1) {
+                // The completion runs on a fabric thread (often the
+                // endpoint supervisor) — sleeping there would stall
+                // heartbeats, so backoff gets its own short-lived
+                // timer thread.
+                Some(d) => {
+                    let this = Arc::clone(self);
+                    std::thread::spawn(move || {
+                        std::thread::sleep(d);
+                        this.dispatch(this.coord.lock(), id, attempt + 1);
+                    });
+                }
+                None => self.dispatch(self.coord.lock(), id, attempt + 1),
+            }
+            return;
+        }
+        let slot = &mut coord.slots[id];
+        let bytes = result.as_ref().map_or(0, |b| b.len() as u64);
+        slot.phase = Phase::Done { ep, bytes };
+        slot.output = result.as_ref().ok().cloned();
+        let dependents = std::mem::take(&mut slot.dependents);
+        // Like the span above, recorded before anyone can be woken.
+        if let Some(tr) = &self.trace {
+            tr.instant(tr.labels.resolve, id as u64, i64::from(!ok));
+        }
+        *slot.cell.state.lock() = TaskState::Resolved(result);
+        slot.cell.cond.notify_all();
+        coord.stats.completed += 1;
+        coord.outstanding -= 1;
+        if coord.outstanding == 0 {
+            self.done_cond.notify_all();
+        }
+        let mut ready = Vec::new();
+        for dep in dependents {
+            let dep = dep as usize;
+            let Phase::Waiting(unresolved) = &mut coord.slots[dep].phase else {
+                unreachable!("a task with unresolved dependencies is Waiting");
+            };
+            *unresolved -= 1;
+            if *unresolved == 0 {
+                ready.push(dep);
+            }
+        }
+        drop(coord);
+        for dep in ready {
+            self.dispatch(self.coord.lock(), dep, 1);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedci::fabric::{FabricTiming, ThreadedFabric};
+    use fedci::fabric::{Completion, FabricResult, FabricTiming, ThreadedFabric};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn threaded(workers: &[(&str, usize)]) -> Arc<ThreadedFabric> {
         Arc::new(ThreadedFabric::new(workers, &FabricTiming::fast()))
+    }
+
+    /// One call the runtime made into the [`ScriptedFabric`].
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Stage { ep: usize, key: u64 },
+        Submit { ep: usize, job: JobSpec },
+    }
+
+    /// A scripted in-memory fabric: records every `stage`/`submit`,
+    /// answers probes as told, and completes an attempt when the test
+    /// fires it — in any order, so a test picks the interleaving. With
+    /// `inline` set the completion fires inside `submit` instead (what
+    /// `ProcessFabric::submit` does when a supervisor is gone).
+    struct ScriptedFabric {
+        labels: Vec<String>,
+        probes: Mutex<Vec<ProbeState>>,
+        calls: Mutex<Vec<Call>>,
+        held: Mutex<Vec<(u64, u32, Completion)>>,
+        submitted: Condvar,
+        inline: AtomicBool,
+    }
+
+    impl ScriptedFabric {
+        fn new(n_endpoints: usize) -> Arc<ScriptedFabric> {
+            Arc::new(ScriptedFabric {
+                labels: (0..n_endpoints).map(|ep| format!("ep{ep}")).collect(),
+                probes: Mutex::new(vec![ProbeState::Alive; n_endpoints]),
+                calls: Mutex::new(Vec::new()),
+                held: Mutex::new(Vec::new()),
+                submitted: Condvar::new(),
+                inline: AtomicBool::new(false),
+            })
+        }
+
+        fn set_probe(&self, ep: usize, state: ProbeState) {
+            self.probes.lock()[ep] = state;
+        }
+
+        /// Endpoint of every `submit` so far, in call order.
+        fn submit_eps(&self) -> Vec<usize> {
+            let calls = self.calls.lock();
+            let eps = calls.iter().filter_map(|c| match c {
+                Call::Submit { ep, .. } => Some(*ep),
+                Call::Stage { .. } => None,
+            });
+            eps.collect()
+        }
+
+        /// Blocks until `attempt` of `task` was submitted.
+        fn await_submit(&self, task: u64, attempt: u32) {
+            let mut held = self.held.lock();
+            while !held.iter().any(|h| (h.0, h.1) == (task, attempt)) {
+                self.submitted.wait(&mut held);
+            }
+        }
+
+        /// Completes `attempt` of `task` (once it was submitted) with
+        /// `result`, from this thread.
+        fn fire(&self, task: u64, attempt: u32, result: FabricResult) {
+            self.await_submit(task, attempt);
+            let mut held = self.held.lock();
+            let at = held.iter().position(|h| (h.0, h.1) == (task, attempt));
+            let done = held.swap_remove(at.expect("only `fire` removes")).2;
+            drop(held);
+            done(result);
+        }
+    }
+
+    impl Fabric for ScriptedFabric {
+        fn labels(&self) -> &[String] {
+            &self.labels
+        }
+
+        fn n_workers(&self, _ep: usize) -> usize {
+            1
+        }
+
+        fn busy_workers(&self, _ep: usize) -> usize {
+            0
+        }
+
+        fn probe(&self, ep: usize) -> ProbeState {
+            self.probes.lock()[ep]
+        }
+
+        fn stage(&self, ep: usize, key: u64, _bytes: &Arc<Vec<u8>>) {
+            self.calls.lock().push(Call::Stage { ep, key });
+        }
+
+        fn submit(&self, ep: usize, job: JobSpec, done: Completion) {
+            let (task, attempt, payload) = (job.task, job.attempt, job.payload.clone());
+            self.calls.lock().push(Call::Submit { ep, job });
+            if self.inline.load(Ordering::SeqCst) {
+                done(Ok(payload));
+            } else {
+                self.held.lock().push((task, attempt, done));
+                self.submitted.notify_all();
+            }
+        }
+
+        fn shutdown(&self) {}
+    }
+
+    fn scripted_runtime(fabric: &Arc<ScriptedFabric>, policy: LiveRetryPolicy) -> FabricRuntime {
+        FabricRuntime::new(Arc::clone(fabric) as Arc<dyn Fabric>).with_retry(policy)
+    }
+
+    fn ok(bytes: &[u8]) -> FabricResult {
+        Ok(bytes.to_vec())
+    }
+
+    #[test]
+    fn late_result_of_a_failed_over_attempt_is_dropped() {
+        let fabric = ScriptedFabric::new(1);
+        let policy = LiveRetryPolicy {
+            max_attempts: 3,
+            task_timeout: Some(Duration::from_millis(100)),
+            backoff: Duration::ZERO,
+        };
+        let rt = scripted_runtime(&fabric, policy);
+        let f = rt.submit("echo", b"x".to_vec(), &[]);
+        std::thread::scope(|s| {
+            s.spawn(|| rt.wait_all());
+            // Attempt 2 exists once the watchdog failed attempt 1 over;
+            // attempt 1's answer then comes in first.
+            fabric.await_submit(0, 2);
+            fabric.fire(0, 1, ok(b"first"));
+            assert!(!f.is_done(), "a superseded attempt resolved the future");
+            fabric.fire(0, 2, ok(b"second"));
+        });
+        assert_eq!(f.wait().unwrap().as_ref(), b"second");
+        let stats = rt.stats();
+        assert_eq!((stats.dispatched, stats.completed), (2, 1), "{stats:?}");
+        assert_eq!(
+            (stats.retries, stats.watchdog_timeouts),
+            (1, 1),
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn completion_during_backoff_is_dropped_and_the_retry_dispatches_once() {
+        let fabric = ScriptedFabric::new(1);
+        let policy = LiveRetryPolicy {
+            max_attempts: 3,
+            task_timeout: Some(Duration::from_millis(50)),
+            backoff: Duration::from_millis(200),
+        };
+        let rt = scripted_runtime(&fabric, policy);
+        let f = rt.submit("echo", b"x".to_vec(), &[]);
+        std::thread::scope(|s| {
+            s.spawn(|| rt.wait_all());
+            // The watchdog times attempt 1 out; until the back-off is over
+            // the slot is `Retrying` and nothing is in flight.
+            while rt.stats().retries == 0 {
+                std::thread::yield_now();
+            }
+            fabric.fire(0, 1, ok(b"late"));
+            assert!(!f.is_done(), "a completion resolved a slot in back-off");
+            fabric.fire(0, 2, ok(b"second"));
+        });
+        assert_eq!(f.wait().unwrap().as_ref(), b"second");
+        assert_eq!(fabric.submit_eps().len(), 2, "the retry dispatched once");
+        let stats = rt.stats();
+        assert_eq!((stats.dispatched, stats.completed), (2, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn two_dep_task_is_staged_then_submitted_once_where_its_bytes_are() {
+        let fabric = ScriptedFabric::new(2);
+        let rt = scripted_runtime(&fabric, LiveRetryPolicy::default());
+        // Both endpoints free and nothing to be near: endpoint 0. A Dead
+        // probe then pushes `y` to endpoint 1.
+        let x = rt.submit("echo", vec![], &[]);
+        fabric.set_probe(0, ProbeState::Dead);
+        let y = rt.submit("echo", vec![], &[]);
+        fabric.set_probe(0, ProbeState::Alive);
+        let z = rt.submit("sum64", b"p".to_vec(), &[&x, &y]);
+        assert_eq!(fabric.submit_eps(), [0, 1]);
+        fabric.fire(0, 1, ok(&[1; 2]));
+        assert_eq!(fabric.calls.lock().len(), 2, "`z` still waits for `y`");
+        fabric.fire(1, 1, ok(&[2; 10]));
+        // Ready exactly once, on the endpoint holding 10 of the 12 input
+        // bytes, each input staged there before the submit.
+        let job = JobSpec {
+            task: 2,
+            attempt: 1,
+            function: Arc::from("sum64"),
+            deps: vec![0, 1],
+            payload: b"p".to_vec(),
+        };
+        assert_eq!(
+            fabric.calls.lock()[2..],
+            [
+                Call::Stage { ep: 1, key: 0 },
+                Call::Stage { ep: 1, key: 1 },
+                Call::Submit { ep: 1, job },
+            ]
+        );
+        fabric.fire(2, 1, ok(b"z"));
+        rt.wait_all();
+        assert_eq!(z.wait().unwrap().as_ref(), b"z");
+        let stats = rt.stats();
+        assert_eq!((stats.dispatched, stats.completed), (3, 3), "{stats:?}");
+    }
+
+    #[test]
+    fn dead_probes_steer_placement_and_health() {
+        let fabric = ScriptedFabric::new(2);
+        let policy = LiveRetryPolicy {
+            task_timeout: Some(Duration::from_secs(5)),
+            ..LiveRetryPolicy::default()
+        };
+        let rt = scripted_runtime(&fabric, policy);
+        fabric.set_probe(0, ProbeState::Dead);
+        fabric.set_probe(1, ProbeState::Dead);
+        rt.submit("echo", vec![], &[]);
+        fabric.set_probe(1, ProbeState::Alive);
+        rt.submit("echo", vec![], &[]);
+        assert_eq!(
+            fabric.submit_eps(),
+            [0, 1],
+            "nothing schedulable falls back to endpoint 0; one Dead endpoint is avoided"
+        );
+        fabric.fire(0, 1, ok(b""));
+        fabric.fire(1, 1, ok(b""));
+        // Nothing outstanding: `wait_all` feeds the probes and returns.
+        rt.wait_all();
+        assert_eq!(rt.endpoint_health(0), HealthState::Down);
+        assert_eq!(rt.endpoint_health(1), HealthState::Healthy);
+        fabric.set_probe(0, ProbeState::Alive);
+        rt.wait_all();
+        assert_eq!(rt.endpoint_health(0), HealthState::Recovering);
+        assert_eq!(rt.endpoint_health(1), HealthState::Healthy);
+    }
+
+    #[test]
+    fn inline_completion_does_not_deadlock() {
+        let fabric = ScriptedFabric::new(1);
+        let rt = scripted_runtime(&fabric, LiveRetryPolicy::default());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            // Inside `submit` …
+            fabric.inline.store(true, Ordering::SeqCst);
+            let a = rt.submit("echo", b"a".to_vec(), &[]);
+            // … and inside the completion that made the task ready.
+            fabric.inline.store(false, Ordering::SeqCst);
+            let b = rt.submit("echo", b"b".to_vec(), &[&a]);
+            let c = rt.submit("echo", b"c".to_vec(), &[&b]);
+            fabric.inline.store(true, Ordering::SeqCst);
+            fabric.fire(1, 1, ok(b"b"));
+            rt.wait_all();
+            let outputs = [a, b, c].map(|f| f.wait().unwrap().to_vec());
+            tx.send((outputs, rt.stats())).unwrap();
+        });
+        let (outputs, stats) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("an inline completion deadlocked the runtime");
+        assert_eq!(outputs, [b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
+        assert_eq!((stats.dispatched, stats.completed), (3, 3), "{stats:?}");
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 use crate::error::UniFaasError;
 use crate::monitor::{HealthMonitor, HealthState};
+pub use crate::runtime::fabric::LiveRetryPolicy;
 use crate::trace::TraceConfig;
 use fedci::endpoint::EndpointId;
 use fedci::threaded::ThreadedEndpoint;
@@ -39,50 +40,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use taskgraph::TaskId;
-
-/// Retry/timeout policy for the live runtime (the live analogue of
-/// [`RetryPolicy`](crate::config::RetryPolicy)).
-///
-/// The default — one attempt, no timeout — reproduces the pre-retry
-/// behavior exactly: failures propagate immediately and nothing watches
-/// the clock.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LiveRetryPolicy {
-    /// Attempts per task (≥ 1). An application error or timeout on the
-    /// last attempt is final.
-    pub max_attempts: u32,
-    /// Wall-clock budget per attempt; exceeded attempts are presumed
-    /// swallowed (crashed worker) and re-dispatched by the `wait_all`
-    /// watchdog. `None` disables the watchdog.
-    pub task_timeout: Option<Duration>,
-    /// Base backoff slept (by the worker) before retry attempt `k`,
-    /// doubling per attempt. Zero disables backoff.
-    pub backoff: Duration,
-}
-
-impl Default for LiveRetryPolicy {
-    fn default() -> Self {
-        LiveRetryPolicy {
-            max_attempts: 1,
-            task_timeout: None,
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
-impl LiveRetryPolicy {
-    fn enabled(&self) -> bool {
-        self.max_attempts > 1 || self.task_timeout.is_some()
-    }
-
-    /// Backoff before `attempt` (1-based; the first attempt never waits).
-    pub(crate) fn backoff_for(&self, attempt: u32) -> Option<Duration> {
-        if attempt <= 1 || self.backoff.is_zero() {
-            return None;
-        }
-        Some(self.backoff * 2u32.saturating_pow((attempt - 2).min(16)))
-    }
-}
 
 /// A dynamically typed value passed between functions.
 pub type Value = Arc<dyn Any + Send + Sync>;
@@ -656,15 +613,7 @@ impl RuntimeHandle {
     /// Feeds an attempt outcome into the health monitor, tracing any
     /// state transition it causes.
     fn record_health(&self, ep: usize, success: bool) {
-        let transition = {
-            let mut h = self.health.lock();
-            let id = EndpointId(ep as u16);
-            if success {
-                h.record_success(id)
-            } else {
-                h.record_failure(id)
-            }
-        };
+        let transition = self.health.lock().record(EndpointId(ep as u16), success);
         if let Some(state) = transition {
             trace_health(&self.trace, ep, state);
         }

@@ -66,6 +66,70 @@ fn threaded_fabric_runs_the_reference_workload() {
     }
 }
 
+/// A completion closure keeps the runtime and, through it, the fabric
+/// alive. A client that lets go of everything mid-run therefore leaves
+/// the last reference to a pool worker — which must retire the fabric
+/// without joining itself.
+#[test]
+fn letting_go_of_everything_mid_run_leaves_the_workers_to_retire_the_fabric() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+
+    // Counts panics on this test's pool threads; every other panic in the
+    // process goes to the previous hook untouched.
+    static WORKER_PANICS: AtomicUsize = AtomicUsize::new(0);
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let thread = std::thread::current();
+        if thread.name().is_some_and(|n| n.starts_with("let-go-")) {
+            WORKER_PANICS.fetch_add(1, Ordering::SeqCst);
+        }
+        previous(info);
+    }));
+
+    /// Sends when dropped. Owned by a registered function, so it goes
+    /// with the fabric's registry — after the pools are gone.
+    struct Gone(mpsc::Sender<()>);
+    impl Drop for Gone {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+
+    let fabric = Arc::new(ThreadedFabric::new(
+        &[("let-go-a", 2), ("let-go-b", 2)],
+        &FabricTiming::fast(),
+    ));
+    let (gone_tx, gone_rx) = mpsc::channel();
+    let gone = Gone(gone_tx);
+    // The gate holds one completion back until the client is gone, so the
+    // last reference dies on a worker, never here.
+    let (open_tx, open_rx) = mpsc::channel::<()>();
+    let open_rx = Mutex::new(open_rx);
+    fabric.registry().register("gate", move |_| {
+        let _ = (&gone, open_rx.lock().unwrap().recv());
+        Ok(Vec::new())
+    });
+    let rt = FabricRuntime::new(Arc::clone(&fabric) as Arc<dyn Fabric>);
+    let gate = rt.submit("gate", Vec::new(), &[]);
+    let held: Vec<WireFuture> = (0..400u64)
+        .map(|i| rt.submit("fnv", i.to_le_bytes().to_vec(), &[]))
+        .collect();
+    drop(rt);
+    drop(fabric);
+    drop(open_tx);
+
+    gate.wait().expect("the gate opens when its sender is gone");
+    for (i, f) in held.iter().enumerate() {
+        let want = fnv1a64(&(i as u64).to_le_bytes()).to_le_bytes();
+        assert_eq!(f.wait().expect("resolved").as_slice(), want);
+    }
+    gone_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("nobody retired the fabric");
+    assert_eq!(WORKER_PANICS.load(Ordering::SeqCst), 0);
+}
+
 #[test]
 fn process_fabric_connect_mode_matches_threaded_digest() {
     let w = FabricWorkload::new(50, 7);
