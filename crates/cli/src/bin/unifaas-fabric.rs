@@ -32,10 +32,12 @@
 //!   the telemetry subscription. Open at <https://ui.perfetto.dev>.
 //! * `--trace-level` sets the client recording level (defaults to `spans`
 //!   when `--trace-out` is given).
-//! * `--metrics-out <path>` (process backend) writes the final
-//!   `fedci_proc_*` / `fedci_wire_*` registry in Prometheus text format.
-//! * `--metrics-addr <addr>` (process backend) serves the registry at
-//!   `GET http://<addr>/metrics` *during* the run, re-sampled per scrape.
+//! * `--metrics-out <path>` writes the fabric's final registry
+//!   (`fedci_pool_*`, or `fedci_proc_*` / `fedci_wire_*` on the process
+//!   backend) in Prometheus text format.
+//! * `--metrics-addr <addr>` serves the registry, plus the client's
+//!   `unifaas_outstanding_tasks`, at `GET http://<addr>/metrics` *during*
+//!   the run, re-sampled per scrape.
 //!
 //! The final line is machine-readable:
 //!
@@ -47,10 +49,9 @@ use fedci::fabric::{Fabric, FabricTiming, ThreadedFabric};
 use fedci::process::{EndpointMode, ProcessEndpointSpec, ProcessFabric, ProcessFabricConfig};
 use simkit::metrics::MetricsRegistry;
 use simkit::TraceLevel;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use unifaas::runtime::fabric::FabricRuntime;
-use unifaas::runtime::live::LiveRetryPolicy;
+use unifaas::runtime::fabric::{FabricRuntime, LiveRetryPolicy};
 use unifaas_cli::fabricrun::{
     collect_outcome, default_daemon_path, submit_layered, FabricWorkload,
 };
@@ -198,6 +199,9 @@ fn main() {
     });
     let tracing = level != TraceLevel::Off;
 
+    // Each backend registers its metrics and sets their per-scrape sampler.
+    let mut reg = MetricsRegistry::new();
+    let sample: Arc<dyn Fn(&mut MetricsRegistry) + Send + Sync>;
     let (fabric, proc_fabric): (Arc<dyn Fabric>, Option<Arc<ProcessFabric>>) = match backend
         .as_str()
     {
@@ -206,12 +210,11 @@ fn main() {
                 eprintln!("unifaas-fabric: --chaos-* flags need --backend process");
                 usage();
             }
-            if metrics_out.is_some() || metrics_addr.is_some() {
-                eprintln!("unifaas-fabric: --metrics-out/--metrics-addr need --backend process");
-                usage();
-            }
             let eps: Vec<(&str, usize)> = endpoints.iter().map(|(n, w)| (n.as_str(), *w)).collect();
-            (Arc::new(ThreadedFabric::new(&eps, &timing)), None)
+            let tf = Arc::new(ThreadedFabric::new(&eps, &timing));
+            let (pools, ids) = (Arc::clone(&tf), Mutex::new(tf.register_metrics(&mut reg)));
+            sample = Arc::new(move |r| pools.sample_metrics(r, &mut ids.lock().expect("ids lock")));
+            (tf, None)
         }
         "process" => {
             let daemon_path =
@@ -248,6 +251,8 @@ fn main() {
                 telemetry: tracing,
             };
             let pf = Arc::new(ProcessFabric::new(specs, cfg));
+            let (procs, ids) = (Arc::clone(&pf), Mutex::new(pf.register_metrics(&mut reg)));
+            sample = Arc::new(move |r| procs.sample_metrics(r, &mut ids.lock().expect("ids lock")));
             (Arc::clone(&pf) as Arc<dyn Fabric>, Some(pf))
         }
         other => {
@@ -270,26 +275,11 @@ fn main() {
 
     // The metrics registry is shared with the scrape server (when one is
     // up); every scrape re-samples the fabric under the registry lock.
-    let metrics = (metrics_out.is_some() || metrics_addr.is_some()).then(|| {
-        let pf = proc_fabric.as_ref().expect("checked above").clone();
-        let mut reg = MetricsRegistry::new();
-        let ids = pf.register_metrics(&mut reg);
-        (
-            std::sync::Arc::new(std::sync::Mutex::new(reg)),
-            std::sync::Arc::new(std::sync::Mutex::new(ids)),
-        )
-    });
+    let reg = Arc::new(Mutex::new(reg));
     let _server = metrics_addr.as_ref().map(|addr| {
-        let (reg, ids) = metrics.as_ref().expect("metrics set up").clone();
-        let pf = proc_fabric.as_ref().expect("checked above").clone();
-        let server = simkit::MetricsServer::start(
-            addr,
-            reg,
-            Some(Box::new(move |r: &mut MetricsRegistry| {
-                pf.sample_metrics(r, &mut ids.lock().expect("ids lock"));
-            })),
-        )
-        .unwrap_or_else(|e| {
+        let sample = Arc::clone(&sample);
+        let server = rt.serve_metrics(addr, Arc::clone(&reg), move |r| sample(r));
+        let server = server.unwrap_or_else(|e| {
             eprintln!("unifaas-fabric: cannot serve metrics at {addr}: {e}");
             std::process::exit(1);
         });
@@ -407,10 +397,8 @@ fn main() {
             eprintln!("wrote {path}");
         }
         if let Some(path) = &metrics_out {
-            let (reg, ids) = metrics.as_ref().expect("metrics set up");
-            let pf = proc_fabric.as_ref().expect("checked above");
             let mut reg = reg.lock().expect("registry lock");
-            pf.sample_metrics(&mut reg, &mut ids.lock().expect("ids lock"));
+            sample(&mut reg);
             std::fs::write(path, reg.render_prometheus()).unwrap_or_else(|e| {
                 eprintln!("unifaas-fabric: cannot write {path}: {e}");
                 std::process::exit(1);

@@ -30,7 +30,7 @@
 //! * `--metrics-addr <addr>` serves the final registry at
 //!   `GET http://<addr>/metrics` after the run until Ctrl-C, so a scraper
 //!   or `curl` can read a finished simulation (implies metrics
-//!   collection). Use the live runtime's `serve_metrics` for scraping a
+//!   collection). Use `FabricRuntime::serve_metrics` for scraping a
 //!   run in progress.
 //!
 //! The fault knobs override/extend the spec for quick chaos sweeps:

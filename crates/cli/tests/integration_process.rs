@@ -11,8 +11,7 @@ use fedci::process::{
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unifaas::runtime::fabric::FabricRuntime;
-use unifaas::runtime::live::LiveRetryPolicy;
+use unifaas::runtime::fabric::{FabricRuntime, LiveRetryPolicy, WireFuture};
 use unifaas_cli::fabricrun::{
     collect_outcome, reference_outcome, run_workload, submit_layered, FabricWorkload,
 };
@@ -63,18 +62,34 @@ fn assert_matches_reference(outcome: &unifaas_cli::fabricrun::RunOutcome, w: &Fa
     }
 }
 
+/// Polls until `done()` — for an event that is certain to come, so that
+/// a test waits for it instead of racing it.
+fn wait_until(what: &str, budget: Duration, done: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !done() {
+        assert!(start.elapsed() < budget, "{what}: not within {budget:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Waits until `completed` crosses `k` (so a kill lands mid-run, with
 /// work genuinely in flight).
 fn wait_completions(rt: &FabricRuntime, k: u64, budget: Duration) {
-    let start = Instant::now();
-    while rt.stats().completed < k {
-        assert!(
-            start.elapsed() < budget,
-            "only {} completions after {budget:?}",
-            rt.stats().completed
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_until("completions", budget, || rt.stats().completed >= k);
+}
+
+/// Submits a 400 ms `sleep` and returns once a heartbeat ack shows a
+/// worker of endpoint `ep` executing it. Call with every endpoint idle
+/// (the tie goes to endpoint 0) and nothing else in flight: the busy
+/// worker is then provably inside this nap with most of it still to go —
+/// the window in which a test lands its fault on in-flight work.
+fn start_nap(rt: &FabricRuntime, fabric: &ProcessFabric, ep: usize) -> WireFuture {
+    let mut nap = 400u64.to_le_bytes().to_vec();
+    nap.extend_from_slice(b"napped");
+    let napper = rt.submit("sleep", nap, &[]);
+    let budget = Duration::from_secs(30);
+    wait_until("nap start", budget, || fabric.busy_workers(ep) > 0);
+    napper
 }
 
 #[test]
@@ -120,8 +135,11 @@ fn sigkill_mid_run_respawns_and_loses_nothing() {
     let outcome = collect_outcome(&futures);
     assert_matches_reference(&outcome, &w);
 
-    let c = fabric.counters(0);
-    assert!(c.respawns >= 1, "victim was never respawned: {c:?}");
+    // The supervisor respawns a dead child whether or not work is left
+    // for it, so the respawn is certain — but not certain to be over yet.
+    wait_until("victim respawn", Duration::from_secs(30), || {
+        fabric.counters(0).respawns >= 1
+    });
     assert!(
         fabric.generation(0) >= 1,
         "respawned daemon must carry a new generation"
@@ -148,8 +166,9 @@ fn repeated_sigkills_of_both_endpoints_still_converge() {
     rt.wait_all();
     let outcome = collect_outcome(&futures);
     assert_matches_reference(&outcome, &w);
-    assert!(fabric.counters(0).respawns >= 1);
-    assert!(fabric.counters(1).respawns >= 1);
+    wait_until("both respawned", Duration::from_secs(30), || {
+        fabric.counters(0).respawns >= 1 && fabric.counters(1).respawns >= 1
+    });
     fabric.shutdown();
 }
 
@@ -180,11 +199,13 @@ fn mid_frame_socket_cut_reconnects_and_completes() {
     rt.wait_all();
     let outcome = collect_outcome(&futures);
     assert_matches_reference(&outcome, &w);
-    assert!(
-        fabric.counters(0).connects >= 2,
-        "expected a reconnect after the cut: {:?}",
-        fabric.counters(0)
-    );
+    // The armed cut fires on the next daemon→client frame: a RESULT, or —
+    // when the run got ahead of the arming — the next heartbeat ack. The
+    // reconnect therefore always comes; wait for it, do not race it.
+    let budget = Duration::from_secs(30);
+    wait_until("reconnect after the cut", budget, || {
+        fabric.counters(0).connects >= 2
+    });
     fabric.shutdown();
     drop(proxy);
     let _ = daemon; // dropped (detached) after shutdown drained it
@@ -192,23 +213,17 @@ fn mid_frame_socket_cut_reconnects_and_completes() {
 
 #[test]
 fn stalled_connection_fails_over_and_replayed_results_are_dropped_stale() {
-    // Two endpoints: "slow" executes with a delay, so cutting its
-    // connection mid-run strands completed RESULTs in the daemon outbox.
-    // They replay on reconnect — after the client has already failed the
-    // attempts over — and must be dropped as stale, not double-resolved.
-    let slow_daemon = spawn_daemon_thread(DaemonConfig {
-        chaos: DaemonChaos {
-            delay_ms: 60,
-            ..DaemonChaos::default()
-        },
-        ..DaemonConfig::new("slow", 2)
-    })
-    .expect("daemon");
-    let proxy = ChaosProxy::start(slow_daemon.addr()).expect("proxy");
+    // Two endpoints; the connection to the first is cut while its daemon
+    // is provably executing an attempt the client dispatched. The client
+    // fails the attempt over; its RESULT, finished while disconnected,
+    // waits in the daemon outbox, replays on reconnect and must be
+    // dropped as stale, not double-resolved.
+    let daemon = spawn_daemon_thread(DaemonConfig::new("cut", 2)).expect("daemon");
+    let proxy = ChaosProxy::start(daemon.addr()).expect("proxy");
     let fabric = Arc::new(ProcessFabric::new(
         vec![
             ProcessEndpointSpec {
-                name: "slow".to_string(),
+                name: "cut".to_string(),
                 workers: 2,
                 mode: EndpointMode::Connect {
                     addr: proxy.addr().to_string(),
@@ -218,19 +233,23 @@ fn stalled_connection_fails_over_and_replayed_results_are_dropped_stale() {
         ],
         fast_cfg(5),
     ));
+    for ep in 0..2 {
+        let up = fabric.wait_probe(ep, ProbeState::Alive, Duration::from_secs(30));
+        assert!(up, "endpoint {ep} never came up");
+    }
     let rt = FabricRuntime::new(Arc::clone(&fabric) as Arc<dyn Fabric>).with_retry(retry_policy());
 
+    let napper = start_nap(&rt, &fabric, 0);
+    // Cut mid-run: the layered workload is in flight on both endpoints.
     let w = FabricWorkload {
         tasks: 60,
         width: 6,
         seed: 11,
     };
     let futures = submit_layered(&rt, &w);
-    // Wait until the slow endpoint has work in flight, then cut. Its
-    // workers keep executing into the outbox while disconnected.
-    wait_completions(&rt, 4, Duration::from_secs(30));
     proxy.cut_now();
     rt.wait_all();
+    assert_eq!(napper.wait().expect("nap failed over").as_ref(), b"napped");
     let outcome = collect_outcome(&futures);
     assert_matches_reference(&outcome, &w);
 
@@ -239,9 +258,9 @@ fn stalled_connection_fails_over_and_replayed_results_are_dropped_stale() {
         c.failovers >= 1,
         "cut connection should have failed over in-flight work: {c:?}"
     );
-    // Give the replayed outbox a beat to arrive, then check it was
-    // ignored. (The replay may also have raced `wait_all`, which is
-    // fine — the counter is monotone.)
+    // The first attempt's RESULT reaches the client once its nap is over
+    // and the connection is back; it may also have raced `wait_all`,
+    // which is fine — the counter is monotone.
     let deadline = Instant::now() + Duration::from_secs(5);
     while fabric.counters(0).stale_results == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
@@ -329,7 +348,9 @@ fn sigkill_timeline_spans_generations_and_shows_truncated_attempts() {
     rt.wait_all();
     let outcome = collect_outcome(&futures);
     assert_matches_reference(&outcome, &w);
-    assert!(fabric.counters(0).respawns >= 1);
+    wait_until("victim respawn", Duration::from_secs(30), || {
+        fabric.counters(0).respawns >= 1
+    });
 
     let client = rt.take_client_tracer().expect("tracing enabled");
     fabric.shutdown();
@@ -459,13 +480,19 @@ fn respawn_disabled_turns_sigkill_into_clean_permanent_failure() {
             task_timeout: Some(Duration::from_millis(500)),
             backoff: Duration::ZERO,
         });
+    let up = fabric.wait_probe(0, ProbeState::Alive, Duration::from_secs(30));
+    assert!(up, "the endpoint never came up");
+    // Killed with a worker inside a nap: the run cannot have finished.
+    let napper = start_nap(&rt, &fabric, 0);
     let w = FabricWorkload::new(50, 3);
     let futures = submit_layered(&rt, &w);
-    wait_completions(&rt, 5, Duration::from_secs(30));
     fabric.kill(0);
     rt.wait_all();
     let outcome = collect_outcome(&futures);
-    assert!(outcome.failures > 0, "the kill should strand some tasks");
+    let stranded = napper
+        .wait()
+        .expect_err("the kill strands the attempt it interrupts");
+    assert!(stranded.to_string().contains("mortal"), "{stranded}");
     // No hang, every future resolved, and the endpoint reads Dead.
     assert_eq!(outcome.results.len(), w.tasks);
     assert!(fabric.wait_probe(0, ProbeState::Dead, Duration::from_secs(5)));

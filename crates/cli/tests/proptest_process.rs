@@ -14,8 +14,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use unifaas::runtime::fabric::FabricRuntime;
-use unifaas::runtime::live::LiveRetryPolicy;
+use unifaas::runtime::fabric::{FabricRuntime, LiveRetryPolicy};
 use unifaas_cli::fabricrun::{collect_outcome, reference_outcome, submit_layered, FabricWorkload};
 
 fn spawn_spec(name: &str) -> ProcessEndpointSpec {

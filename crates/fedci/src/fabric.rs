@@ -1,12 +1,10 @@
 //! The execution-fabric abstraction shared by the live backends.
 //!
 //! The simulated backend reproduces the paper's experiments over virtual
-//! time; the *live* backends execute real work on real resources. Before
-//! this module existed the only live backend was the in-process
-//! [`threaded`](crate::threaded) worker pools, and the runtime above was
-//! welded to them. [`Fabric`] extracts the contract that runtime actually
-//! relies on, so the same client path — placement, retry/health machinery,
-//! straggler watchdog — drives both the threaded pools and the
+//! time; the *live* backends execute real work on real resources.
+//! [`Fabric`] is the contract the live runtime relies on, so one client
+//! path — placement, retry/health machinery, straggler watchdog — drives
+//! both the in-process [`threaded`](crate::threaded) worker pools and the
 //! process-isolated TCP backend ([`crate::process`]):
 //!
 //! * work is a *named function over bytes* ([`JobSpec`]): the only job
@@ -25,8 +23,9 @@
 //! used to be hardcoded per backend, with the ordering every liveness
 //! pipeline needs validated in one place (heartbeat < suspect < down).
 
-use crate::threaded::ThreadedEndpoint;
+use crate::threaded::{PoolMetricIds, ThreadedEndpoint};
 use parking_lot::Mutex;
+use simkit::metrics::MetricsRegistry;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -368,7 +367,7 @@ pub fn assemble_input(
 ///
 /// [`PoolFaults`]: crate::threaded::PoolFaults
 pub struct ThreadedFabric {
-    pools: Vec<Arc<ThreadedEndpoint>>,
+    pools: Vec<ThreadedEndpoint>,
     labels: Vec<String>,
     registry: FnRegistry,
     blobs: Vec<BlobStore>,
@@ -389,13 +388,7 @@ impl ThreadedFabric {
         ThreadedFabric {
             pools: endpoints
                 .iter()
-                .map(|(l, w)| {
-                    Arc::new(ThreadedEndpoint::with_poll_timeout(
-                        l,
-                        *w,
-                        timing.poll_timeout,
-                    ))
-                })
+                .map(|(l, w)| ThreadedEndpoint::with_poll_timeout(l, *w, timing.poll_timeout))
                 .collect(),
             labels: endpoints.iter().map(|(l, _)| l.to_string()).collect(),
             registry: FnRegistry::builtins(),
@@ -415,6 +408,21 @@ impl ThreadedFabric {
     /// The underlying pool for endpoint `ep` (fault-injection hooks).
     pub fn pool(&self, ep: usize) -> &ThreadedEndpoint {
         &self.pools[ep]
+    }
+
+    /// Registers every pool's `fedci_pool_*` gauge/counter families in
+    /// `reg` (the counterpart of `ProcessFabric::register_metrics`).
+    pub fn register_metrics(&self, reg: &mut MetricsRegistry) -> Vec<PoolMetricIds> {
+        let pools = self.pools.iter();
+        pools.map(|pool| pool.register_metrics(reg)).collect()
+    }
+
+    /// Samples every pool into `reg`; counters advance by delta, so
+    /// repeated scrapes stay monotone.
+    pub fn sample_metrics(&self, reg: &mut MetricsRegistry, ids: &mut [PoolMetricIds]) {
+        for (pool, id) in self.pools.iter().zip(ids) {
+            pool.sample_metrics(reg, id);
+        }
     }
 }
 
@@ -462,7 +470,7 @@ impl Fabric for ThreadedFabric {
                 }
             };
             // Report after the worker frees, so dependents see this
-            // worker as placeable capacity (same as the live runtime).
+            // worker as placeable capacity.
             Some(Box::new(move || done(result)) as Box<dyn FnOnce() + Send>)
         });
     }

@@ -23,8 +23,8 @@
 //!   cadence, payload limits and batching parameters;
 //! * [`fault`] — deterministic fault injection (transfer failures, task
 //!   crashes, endpoint outages);
-//! * [`threaded`] — a real-threads execution fabric (crossbeam worker
-//!   pools) used by the live runtime and the examples;
+//! * [`threaded`] — real-thread worker pools (crossbeam), owned by
+//!   [`fabric::ThreadedFabric`], the in-process live backend;
 //! * [`fabric`] — the live-fabric abstraction ([`fabric::Fabric`]) shared
 //!   by the threaded pools and the process backend, with the
 //!   [`fabric::FabricTiming`] heartbeat/poll configuration;

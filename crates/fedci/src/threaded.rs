@@ -1,14 +1,15 @@
 //! A real-threads execution fabric.
 //!
-//! While the discrete-event backend reproduces paper-scale experiments, the
-//! *live* runtime executes actual Rust closures on per-endpoint worker
-//! thread pools — the same shape as a funcX endpoint's worker processes.
-//! Examples and the latency benchmark run on this fabric.
+//! While the discrete-event backend reproduces paper-scale experiments,
+//! these per-endpoint worker thread pools execute actual Rust closures —
+//! the same shape as a funcX endpoint's worker processes. Their one owner
+//! is [`ThreadedFabric`](crate::fabric::ThreadedFabric), the in-process
+//! backend the examples and the `threaded-fanout` benchmark run on.
 //!
-//! The fabric supports fault injection for chaos testing ([`PoolFaults`]):
+//! The pools support fault injection for chaos testing ([`PoolFaults`]):
 //! a pool can be marked down (its liveness probe fails and placement
 //! avoids it), made to silently swallow every Nth job (a crashed worker
-//! that never reports), or slowed by a fixed delay. The live runtime's
+//! that never reports), or slowed by a fixed delay. The fabric runtime's
 //! retry watchdog is what recovers the swallowed work.
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};

@@ -29,8 +29,6 @@ pub enum UniFaasError {
     /// The configuration is invalid (e.g. no endpoints, or a home index out
     /// of range).
     InvalidConfig(String),
-    /// A function was invoked that was never registered (live runtime).
-    UnknownFunction(String),
     /// A live-runtime function returned an application error.
     FunctionError {
         /// The failing task.
@@ -56,7 +54,6 @@ impl fmt::Display for UniFaasError {
                 )
             }
             UniFaasError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            UniFaasError::UnknownFunction(name) => write!(f, "unknown function `{name}`"),
             UniFaasError::FunctionError { task, message } => {
                 write!(f, "task {task} returned an error: {message}")
             }
@@ -93,6 +90,6 @@ mod tests {
     #[test]
     fn is_std_error() {
         fn takes_err(_: &dyn std::error::Error) {}
-        takes_err(&UniFaasError::UnknownFunction("f".into()));
+        takes_err(&UniFaasError::InvalidConfig("f".into()));
     }
 }

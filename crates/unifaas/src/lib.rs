@@ -19,12 +19,13 @@
 //!   (real-time, minimum data movement) and **DHA** (hybrid
 //!   heterogeneity-aware with delay scheduling and re-scheduling, Eq. 2).
 //!
-//! Two runtimes execute the same framework code:
+//! Two runtimes execute workflows:
 //!
 //! * [`runtime::sim`] — a deterministic discrete-event runtime over the
 //!   `fedci` substrate, used to reproduce the paper's experiments at scale;
-//! * [`runtime::live`] — a real-thread runtime executing actual Rust
-//!   closures on per-endpoint worker pools, used by the examples.
+//! * [`runtime::fabric`] — the live runtime: real functions on real
+//!   endpoints, in-process worker pools and TCP endpoint daemons alike,
+//!   with [`runtime::typed`] functions (Listing 1) on top.
 //!
 //! ## Quickstart (simulated federation)
 //!
@@ -50,6 +51,26 @@
 //! let report = SimRuntime::new(config, dag).run().expect("workflow failed");
 //! assert_eq!(report.tasks_completed, 11);
 //! ```
+//!
+//! ## Quickstart (real functions, live fabric)
+//!
+//! ```
+//! use fedci::fabric::{FabricTiming, ThreadedFabric};
+//! use std::sync::Arc;
+//! use unifaas::prelude::*;
+//!
+//! let fabric = ThreadedFabric::new(&[("cluster", 4), ("lab", 2)], &FabricTiming::default());
+//! // Register functions (the `@function` decorator) ...
+//! fabric.registry().register("square", typed(|x: u64| Ok(x * x)));
+//! fabric.registry().register("sub", typed(|(a, b): (u64, u64)| Ok(a - b)));
+//! let rt = FabricRuntime::new(Arc::new(fabric));
+//!
+//! // ... invoke them to get futures, and pass futures on as arguments:
+//! // a function receives its dependencies' results first, then its own.
+//! let nine = rt.call::<_, u64>("square", 3u64, &[]);
+//! let five = rt.call::<_, u64>("sub", 4u64, &[&nine]);
+//! assert_eq!(five.get().unwrap(), 5);
+//! ```
 
 pub mod config;
 pub mod data;
@@ -74,8 +95,8 @@ pub mod prelude {
     pub use crate::files::{GlobusFile, RemoteDirectory, RemoteFile, RsyncFile};
     pub use crate::metrics::RunReport;
     pub use crate::runtime::fabric::{FabricRunStats, FabricRuntime, WireFuture};
-    pub use crate::runtime::live::{LiveRuntime, Value};
     pub use crate::runtime::sim::SimRuntime;
+    pub use crate::runtime::typed::{typed, Rest, TypedFuture, Wire};
     pub use crate::trace::{RunTrace, TraceConfig};
     pub use fedci::hardware::ClusterSpec;
     pub use fedci::transfer::TransferMechanism;

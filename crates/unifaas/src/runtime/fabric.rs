@@ -1,16 +1,12 @@
 //! The fabric runtime: one client path over every live backend.
 //!
-//! [`FabricRuntime`] is the wire-level sibling of
-//! [`LiveRuntime`](crate::runtime::live::LiveRuntime): the same
-//! future-composition programming model and the same exactly-once
-//! coordination machinery — attempt-generation guards, a straggler
-//! watchdog, health-filtered placement — but speaking
-//! [`fedci::fabric::Fabric`], so the identical code drives in-process
-//! worker pools ([`ThreadedFabric`](fedci::fabric::ThreadedFabric)) and
-//! process-isolated TCP endpoints
-//! ([`ProcessFabric`](fedci::process::ProcessFabric)). That is the point:
-//! when a chaos test SIGKILLs a daemon, the recovery it exercises is the
-//! one machinery every backend shares.
+//! [`FabricRuntime`] is the live client: futures go out, functions run on
+//! endpoints, and the exactly-once coordination machinery —
+//! attempt-generation guards, a straggler watchdog, health-filtered
+//! placement — speaks [`fedci::fabric::Fabric`], so the identical code
+//! drives in-process worker pools and process-isolated TCP endpoints.
+//! That is the point: when a chaos test SIGKILLs a daemon, the recovery
+//! it exercises is the one machinery every backend shares.
 //!
 //! Work is a *named function over bytes* — the only shape that crosses a
 //! process boundary. A task's input is the concatenation of its
@@ -42,14 +38,17 @@ use crate::monitor::{HealthMonitor, HealthState};
 use fedci::endpoint::EndpointId;
 use fedci::fabric::{Fabric, FabricResult, JobSpec, ProbeState};
 use parking_lot::{Condvar, Mutex, MutexGuard};
+use simkit::metrics::{MetricsRegistry, MetricsServer};
 use simkit::time::SimTime;
 use simkit::trace::{LabelId, TraceLevel, Tracer};
 use std::cmp::Reverse;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use taskgraph::TaskId;
 
-/// Retry/timeout policy of the live runtimes (the live analogue of
+/// Retry/timeout policy of the live runtime (the live analogue of
 /// [`RetryPolicy`](crate::config::RetryPolicy)).
 ///
 /// The default — one attempt, no timeout — reproduces the pre-retry
@@ -80,12 +79,8 @@ impl Default for LiveRetryPolicy {
 }
 
 impl LiveRetryPolicy {
-    pub(crate) fn enabled(&self) -> bool {
-        self.max_attempts > 1 || self.task_timeout.is_some()
-    }
-
     /// Backoff before `attempt` (1-based; the first attempt never waits).
-    pub(crate) fn backoff_for(&self, attempt: u32) -> Option<Duration> {
+    fn backoff_for(&self, attempt: u32) -> Option<Duration> {
         if attempt <= 1 || self.backoff.is_zero() {
             return None;
         }
@@ -343,6 +338,39 @@ struct Inner {
     trace: Option<ClientTrace>,
     /// The fabric's clock epoch: zero of [`Phase::InFlight`] stamps.
     epoch: Instant,
+    /// The back-off timer, started by the first retry that has to wait.
+    timer: OnceLock<mpsc::Sender<Backoff>>,
+}
+
+/// A retry waiting out its back-off: `(due, task, runtime, attempt)`. The
+/// entry, not the timer thread, holds the runtime: a waiting retry keeps
+/// it alive (futures held after the [`FabricRuntime`] is dropped still
+/// resolve), an idle timer holds nothing.
+type Backoff = (Instant, usize, Arc<Inner>, u32);
+
+/// The timer thread: keeps the waiting retries ordered by due time and
+/// dispatches each when it is due.
+fn run_timer(rx: mpsc::Receiver<Backoff>) {
+    // A task waits for one retry at a time: `(due, task)` is unique.
+    let mut waiting: BTreeMap<(Instant, usize), (Arc<Inner>, u32)> = BTreeMap::new();
+    loop {
+        let now = Instant::now();
+        while let Some(next) = waiting.first_entry().filter(|e| e.key().0 <= now) {
+            let ((_, id), (rt, attempt)) = next.remove_entry();
+            rt.dispatch(rt.coord.lock(), id, attempt);
+        }
+        let received = match waiting.first_key_value() {
+            Some(((due, _), _)) => rx.recv_timeout(due.saturating_duration_since(Instant::now())),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match received {
+            Ok((due, id, rt, attempt)) => waiting.insert((due, id), (rt, attempt)),
+            Err(RecvTimeoutError::Timeout) => continue,
+            // Every waiting retry holds the runtime and with it the
+            // sender: the channel disconnects only with nothing waiting.
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
+    }
 }
 
 /// The builder methods need the state to themselves: no completion yet.
@@ -371,6 +399,7 @@ impl FabricRuntime {
             done_cond: Condvar::new(),
             retry: LiveRetryPolicy::default(),
             trace: None,
+            timer: OnceLock::new(),
         };
         let inner = Arc::new(inner);
         FabricRuntime { inner }
@@ -421,6 +450,32 @@ impl FabricRuntime {
         self.inner.coord.lock().stats
     }
 
+    /// Starts a Prometheus scrape server at `addr` (port 0 picks an
+    /// ephemeral port, see [`MetricsServer::local_addr`]) over `registry`,
+    /// to which it adds the `unifaas_outstanding_tasks` gauge. Every
+    /// scrape first runs `sample` — the fabric's own `sample_metrics`,
+    /// over the ids its `register_metrics` put into `registry` — so
+    /// `GET /metrics` reads live state. The server stops when the handle
+    /// is dropped; the runtime keeps running either way.
+    pub fn serve_metrics(
+        &self,
+        addr: &str,
+        registry: Arc<std::sync::Mutex<MetricsRegistry>>,
+        sample: impl Fn(&mut MetricsRegistry) + Send + 'static,
+    ) -> std::io::Result<MetricsServer> {
+        let outstanding = registry.lock().expect("registry lock").gauge(
+            "unifaas_outstanding_tasks",
+            "Submitted tasks whose futures have not resolved.",
+            &[],
+        );
+        let inner = Arc::clone(&self.inner);
+        let refresh = move |reg: &mut MetricsRegistry| {
+            sample(reg);
+            reg.set(outstanding, inner.coord.lock().outstanding as f64);
+        };
+        MetricsServer::start(addr, registry, Some(Box::new(refresh)))
+    }
+
     /// Submits one task: run `function` over the concatenation of the
     /// dependencies' outputs (in order) and `payload`. Returns
     /// immediately with a future.
@@ -434,6 +489,13 @@ impl FabricRuntime {
         // One lock acquisition allocates the slot and, when nothing is
         // left to wait for, places the task and marks it in flight.
         let mut coord = inner.coord.lock();
+        // Checked before anything is linked: a foreign future's id would
+        // alias an unrelated task of this runtime, or none at all.
+        for d in deps {
+            let slot = coord.slots.get(d.id);
+            let own = slot.is_some_and(|s| Arc::ptr_eq(&s.cell, &d.cell));
+            assert!(own, "dependency {} belongs to another runtime", d.id);
+        }
         let id = coord.slots.len();
         let function = coord.intern(function);
         let mut unresolved = 0;
@@ -587,6 +649,20 @@ impl Inner {
         self.fabric.submit(ep, job, Box::new(done));
     }
 
+    /// Queues `attempt` of task `id` on the timer, starting it on first use.
+    fn dispatch_after(self: &Arc<Self>, delay: Duration, id: usize, attempt: u32) {
+        let timer = self.timer.get_or_init(|| {
+            let (tx, rx) = mpsc::channel();
+            let thread = std::thread::Builder::new().name("unifaas-backoff".into());
+            thread
+                .spawn(move || run_timer(rx))
+                .expect("failed to spawn the back-off timer");
+            tx
+        });
+        let retry = (Instant::now() + delay, id, Arc::clone(self), attempt);
+        timer.send(retry).expect("the timer outlives its sender");
+    }
+
     /// Reports the outcome of attempt `attempt` of task `id`: guard,
     /// resolution, health and dependents under one lock acquisition.
     /// Stale completions — the slot is not in flight with this attempt
@@ -619,15 +695,8 @@ impl Inner {
             match self.retry.backoff_for(attempt + 1) {
                 // The completion runs on a fabric thread (often the
                 // endpoint supervisor) — sleeping there would stall
-                // heartbeats, so backoff gets its own short-lived
-                // timer thread.
-                Some(d) => {
-                    let this = Arc::clone(self);
-                    std::thread::spawn(move || {
-                        std::thread::sleep(d);
-                        this.dispatch(this.coord.lock(), id, attempt + 1);
-                    });
-                }
+                // heartbeats, so the retry waits on the timer thread.
+                Some(delay) => self.dispatch_after(delay, id, attempt + 1),
                 None => self.dispatch(self.coord.lock(), id, attempt + 1),
             }
             return;
@@ -670,7 +739,7 @@ impl Inner {
 mod tests {
     use super::*;
     use fedci::fabric::{Completion, FabricResult, FabricTiming, ThreadedFabric};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
     fn threaded(workers: &[(&str, usize)]) -> Arc<ThreadedFabric> {
         Arc::new(ThreadedFabric::new(workers, &FabricTiming::fast()))
@@ -1070,17 +1139,133 @@ mod tests {
         assert!(rt.take_client_tracer().expect("still Some").is_empty());
     }
 
-    #[test]
-    fn exhausted_attempts_fail_finally() {
-        let rt = FabricRuntime::new(threaded(&[("a", 1)])).with_retry(LiveRetryPolicy {
-            max_attempts: 2,
+    /// A one-endpoint runtime whose function `flaky` fails its first
+    /// `failures` executions, and the execution counter.
+    fn flaky_runtime(failures: u32, max_attempts: u32) -> (FabricRuntime, Arc<AtomicU32>) {
+        let fabric = threaded(&[("a", 2)]);
+        let tries = Arc::new(AtomicU32::new(0));
+        let counted = Arc::clone(&tries);
+        fabric.registry().register("flaky", move |_| {
+            if counted.fetch_add(1, Ordering::SeqCst) < failures {
+                return Err("transient".into());
+            }
+            Ok(vec![7])
+        });
+        let policy = LiveRetryPolicy {
+            max_attempts,
             task_timeout: None,
             backoff: Duration::from_millis(1),
-        });
-        let f = rt.submit("fail", b"always".to_vec(), &[]);
+        };
+        (FabricRuntime::new(fabric).with_retry(policy), tries)
+    }
+
+    #[test]
+    fn exhausted_attempts_fail_finally() {
+        let (rt, tries) = flaky_runtime(u32::MAX, 2);
+        let f = rt.submit("flaky", vec![], &[]);
         let err = f.wait().unwrap_err();
-        assert!(err.to_string().contains("always"));
+        assert!(err.to_string().contains("transient"));
         rt.wait_all();
         assert_eq!(rt.stats().retries, 1);
+        assert_eq!(tries.load(Ordering::SeqCst), 2, "exactly max_attempts runs");
+    }
+
+    #[test]
+    fn retry_succeeds_after_transient_app_error() {
+        let (rt, tries) = flaky_runtime(2, 3);
+        let f = rt.submit("flaky", vec![], &[]);
+        assert_eq!(f.wait().expect("third attempt succeeds").as_ref(), &[7]);
+        rt.wait_all();
+        assert_eq!(tries.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn repeated_failures_mark_endpoint_down() {
+        let rt = FabricRuntime::new(threaded(&[("a", 1)]));
+        for _ in 0..3 {
+            assert!(rt.submit("fail", b"kaput".to_vec(), &[]).wait().is_err());
+        }
+        rt.wait_all();
+        assert_eq!(rt.endpoint_health(0), HealthState::Down);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn waiting_retries_share_one_timer_thread() {
+        const N: u64 = 1000;
+        let threads = || std::fs::read_dir("/proc/self/task").unwrap().count();
+        let rt = FabricRuntime::new(threaded(&[("a", 2)])).with_retry(LiveRetryPolicy {
+            max_attempts: 3,
+            task_timeout: None,
+            backoff: Duration::from_millis(100),
+        });
+        let before = threads();
+        let futures: Vec<WireFuture> = (0..N)
+            .map(|_| rt.submit("fail", b"no".to_vec(), &[]))
+            .collect();
+        let mut peak = before;
+        while rt.stats().completed < N {
+            peak = peak.max(threads());
+            std::thread::yield_now();
+        }
+        // Two workers, the timer, and what the tests running next to this
+        // one start meanwhile; a thread per waiting retry would be ~N.
+        assert!(peak < before + 50, "{before} -> {peak} threads");
+        for f in &futures {
+            assert!(f.wait().unwrap_err().to_string().contains("no"));
+        }
+        assert_eq!(rt.stats().retries, 2 * N);
+    }
+
+    #[test]
+    fn a_retry_waiting_when_the_runtime_is_dropped_still_resolves() {
+        let fabric = ScriptedFabric::new(1);
+        let policy = LiveRetryPolicy {
+            max_attempts: 2,
+            task_timeout: None,
+            backoff: Duration::from_millis(50),
+        };
+        let rt = scripted_runtime(&fabric, policy);
+        let f = rt.submit("echo", b"x".to_vec(), &[]);
+        fabric.fire(0, 1, Err("lost".into()));
+        // From here on only the queued retry holds the runtime.
+        drop(rt);
+        fabric.fire(0, 2, ok(b"second"));
+        assert_eq!(f.wait().unwrap().as_ref(), b"second");
+    }
+
+    /// Hands runtime `b`, `own` tasks in, task 0 of another runtime.
+    fn submit_foreign_dependency(b: &FabricRuntime, own: usize) {
+        let a = FabricRuntime::new(threaded(&[("a", 1)]));
+        let foreign = a.submit("echo", vec![], &[]);
+        for _ in 0..own {
+            b.submit("echo", vec![], &[]);
+        }
+        b.submit("echo", vec![], &[&foreign]);
+    }
+
+    #[test]
+    #[should_panic(expected = "belongs to another runtime")]
+    fn dependency_id_out_of_range_is_rejected() {
+        submit_foreign_dependency(&FabricRuntime::new(threaded(&[("b", 1)])), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "belongs to another runtime")]
+    fn dependency_id_of_an_unrelated_task_is_rejected_not_aliased() {
+        submit_foreign_dependency(&FabricRuntime::new(threaded(&[("b", 1)])), 1);
+    }
+
+    #[test]
+    fn a_rejected_dependency_leaves_the_runtime_usable() {
+        let b = FabricRuntime::new(threaded(&[("b", 1)]));
+        let rejected = std::thread::scope(|s| s.spawn(|| submit_foreign_dependency(&b, 1)).join());
+        assert!(rejected.is_err());
+        // Nothing was linked and the lock is free again.
+        let f = b.submit("echo", b"ok".to_vec(), &[]);
+        assert_eq!(f.wait().unwrap().as_ref(), b"ok");
+        b.wait_all();
+        let stats = b.stats();
+        assert_eq!((stats.dispatched, stats.completed), (2, 2), "{stats:?}");
     }
 }

@@ -5,16 +5,15 @@
 //!
 //! * [`sim`] — a deterministic discrete-event runtime over virtual time,
 //!   reproducing the paper's experiments at full scale in milliseconds;
-//! * [`live`] — a real-thread runtime executing actual Rust closures on
-//!   per-endpoint worker pools (the `fedci::threaded` fabric);
-//! * [`fabric`] — a wire-level runtime over any [`fedci::fabric::Fabric`]
-//!   backend, including process-isolated TCP endpoint daemons
-//!   (`fedci::process`), sharing the live runtime's exactly-once retry
-//!   and health machinery.
+//! * [`fabric`] — the live runtime: futures over any
+//!   [`fedci::fabric::Fabric`] backend, in-process worker pools
+//!   (`fedci::threaded`) and process-isolated TCP endpoint daemons
+//!   (`fedci::process`) alike, with exactly-once retry and health
+//!   machinery. [`typed`] is its typed-function veneer (Listing 1).
 
 pub mod fabric;
-pub mod live;
 pub mod sim;
+pub mod typed;
 
 /// Lifecycle of a task, shared by both runtimes.
 ///

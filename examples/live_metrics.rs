@@ -1,6 +1,6 @@
-//! Live metrics: scrape a running `LiveRuntime` in Prometheus format.
+//! Live metrics: scrape a running `FabricRuntime` in Prometheus format.
 //!
-//! Starts the in-repo scrape server (`LiveRuntime::serve_metrics`, plain
+//! Starts the in-repo scrape server (`FabricRuntime::serve_metrics`, plain
 //! `std::net::TcpListener` — no HTTP dependency), submits a batch of work,
 //! and fetches `/metrics` with a raw TCP GET to show what Prometheus would
 //! see: per-pool worker/busy/up gauges, monotone job counters and the
@@ -8,8 +8,11 @@
 //!
 //! Run with: `cargo run --release --example live_metrics`
 
+use fedci::fabric::{FabricTiming, ThreadedFabric};
+use simkit::metrics::{parse_prometheus, MetricsRegistry};
 use std::io::{Read as _, Write as _};
-use unifaas::runtime::live::{value, LiveRuntime, Value};
+use std::sync::{Arc, Mutex};
+use unifaas::prelude::*;
 
 fn scrape(addr: std::net::SocketAddr) -> String {
     let mut stream = std::net::TcpStream::connect(addr).expect("connect to scrape server");
@@ -26,22 +29,28 @@ fn scrape(addr: std::net::SocketAddr) -> String {
 }
 
 fn main() {
-    let rt = LiveRuntime::new(&[("cluster", 4), ("lab", 2)]);
-    rt.register("spin", |_args: &[Value]| {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        Ok(value(()))
-    });
+    let endpoints = [("cluster", 4), ("lab", 2)];
+    let fabric = Arc::new(ThreadedFabric::new(&endpoints, &FabricTiming::default()));
+    let rt = FabricRuntime::new(Arc::clone(&fabric) as _);
 
-    // Port 0 lets the OS pick; a real deployment would pass a fixed
-    // address and point a Prometheus scrape job (or `curl`) at it.
+    // The fabric registers and samples its own families; the runtime adds
+    // its outstanding-task gauge and serves both. Port 0 lets the OS pick;
+    // a real deployment would pass a fixed address and point a Prometheus
+    // scrape job (or `curl`) at it.
+    let mut registry = MetricsRegistry::new();
+    let ids = Mutex::new(fabric.register_metrics(&mut registry));
+    let sample = move |reg: &mut MetricsRegistry| {
+        fabric.sample_metrics(reg, &mut ids.lock().expect("ids lock"));
+    };
     let server = rt
-        .serve_metrics("127.0.0.1:0")
+        .serve_metrics("127.0.0.1:0", Arc::new(Mutex::new(registry)), sample)
         .expect("start scrape server");
     let addr = server.local_addr();
     println!("serving metrics at http://{addr}/metrics\n");
 
+    // The builtin `sleep`: 20 ms each, nothing to echo.
     let futures: Vec<_> = (0..16)
-        .map(|_| rt.submit("spin", vec![], &[]).expect("submit"))
+        .map(|_| rt.call::<_, ()>("sleep", 20u64, &[]))
         .collect();
 
     // Scrape mid-flight: busy workers and outstanding tasks are nonzero.
@@ -51,14 +60,20 @@ fn main() {
     }
 
     for f in &futures {
-        f.wait().expect("task failed");
+        f.get().expect("task failed");
     }
     rt.wait_all();
 
     // Scrape after the drain: counters keep their totals, gauges go idle.
     println!("\n--- post-run scrape ---");
-    for line in scrape(addr).lines().filter(|l| !l.starts_with('#')) {
+    let body = scrape(addr);
+    for line in body.lines().filter(|l| !l.starts_with('#')) {
         println!("{line}");
     }
+    let samples = parse_prometheus(&body).expect("valid exposition");
+    let of = |name| samples.iter().filter(move |s| s.name == name);
+    let completed: f64 = of("fedci_pool_jobs_completed_total").map(|s| s.value).sum();
+    assert_eq!(completed, 16.0, "every job ran exactly once");
+    assert!(of("unifaas_outstanding_tasks").all(|s| s.value == 0.0));
     // The server thread stops when `server` drops.
 }

@@ -1,5 +1,4 @@
-//! Quickstart: the UniFaaS programming model on the live (real-thread)
-//! runtime.
+//! Quickstart: the UniFaaS programming model on the live runtime.
 //!
 //! Mirrors the paper's Listing 1 flow: register functions, invoke them to
 //! get futures, pass futures as arguments to build a dynamic task graph,
@@ -7,32 +6,33 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use unifaas::runtime::live::{downcast, value, LiveRuntime, Value};
+use fedci::fabric::{FabricTiming, ThreadedFabric};
+use std::sync::Arc;
+use unifaas::prelude::*;
 
 fn main() {
     // Two in-process "endpoints": a 4-worker cluster and a 2-worker lab
-    // machine, with a simulated 100 MB/s WAN between them so data gravity
-    // is observable.
-    let rt = LiveRuntime::new(&[("cluster", 4), ("lab", 2)])
-        .with_transfer_bandwidth(100.0 * 1024.0 * 1024.0);
+    // machine. Every argument crosses to its endpoint as bytes, exactly as
+    // it would to a `unifaas-endpointd` daemon over TCP.
+    let fabric = ThreadedFabric::new(&[("cluster", 4), ("lab", 2)], &FabricTiming::default());
 
     // --- register functions (the `@function` decorator) -----------------
-    rt.register("tokenize", |args: &[Value]| {
-        let text = downcast::<String>(&args[0]).ok_or("expected a String")?;
-        let words: Vec<String> = text.split_whitespace().map(str::to_string).collect();
-        Ok(value(words))
-    });
-    rt.register("count", |args: &[Value]| {
-        let words = downcast::<Vec<String>>(&args[0]).ok_or("expected words")?;
-        Ok(value(words.len() as u64))
-    });
-    rt.register("sum", |args: &[Value]| {
-        let mut total = 0u64;
-        for v in args {
-            total += *downcast::<u64>(v).ok_or("expected u64")?;
-        }
-        Ok(value(total))
-    });
+    let functions = fabric.registry();
+    functions.register(
+        "tokenize",
+        typed(|text: String| {
+            Ok(text
+                .split_whitespace()
+                .map(str::to_string)
+                .collect::<Vec<_>>())
+        }),
+    );
+    functions.register("count", typed(|words: Vec<String>| Ok(words.len() as u64)));
+    functions.register(
+        "sum",
+        typed(|Rest(counts): Rest<u64>| Ok(counts.iter().sum::<u64>())),
+    );
+    let rt = FabricRuntime::new(Arc::new(fabric));
 
     // --- compose a dynamic task graph via future passing ---------------
     let docs = [
@@ -46,22 +46,18 @@ fn main() {
     for doc in docs {
         // tokenize → count forms a two-stage pipeline per document; the
         // future of `tokenize` is passed straight into `count`.
-        let toks = rt
-            .submit_sized("tokenize", vec![value(doc.to_string())], &[], 1 << 20)
-            .expect("submit tokenize");
-        let cnt = rt.submit("count", vec![], &[&toks]).expect("submit count");
-        counts.push(cnt);
+        let toks = rt.call::<_, Vec<String>>("tokenize", doc.to_string(), &[]);
+        counts.push(rt.call::<_, u64>("count", (), &[&toks]));
     }
 
     // Fan-in: sum all per-document counts.
-    let refs: Vec<&_> = counts.iter().collect();
-    let total = rt.submit("sum", vec![], &refs).expect("submit sum");
+    let refs: Vec<&WireFuture> = counts.iter().map(|count| &**count).collect();
+    let total = rt.call::<_, u64>("sum", (), &refs);
 
-    let result = total.wait().expect("workflow failed");
-    let total_words = *downcast::<u64>(&result).expect("u64 result");
+    let total_words = total.get().expect("workflow failed");
     println!("word count across {} documents: {total_words}", docs.len());
     assert_eq!(total_words, 22);
 
     rt.wait_all();
-    println!("all tasks drained; endpoints: {:?}", rt.endpoint_labels());
+    println!("all tasks drained; endpoints: {:?}", rt.fabric().labels());
 }

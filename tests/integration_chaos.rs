@@ -3,13 +3,15 @@
 //! determinism gate: a faulted run replayed with the same seed and fault
 //! schedule is bit-identical.
 
+use fedci::fabric::{FabricTiming, ThreadedFabric};
 use simkit::{SimDuration, SimTime};
+use std::sync::Arc;
 use std::time::Duration;
 use taskgraph::workloads::stress;
 use unifaas::config::{OutageSpec, RetryPolicy};
 use unifaas::monitor::HealthPolicy;
 use unifaas::prelude::*;
-use unifaas::runtime::live::LiveRetryPolicy;
+use unifaas::runtime::fabric::LiveRetryPolicy;
 
 fn chaos_config(strategy: SchedulingStrategy) -> Config {
     Config::builder()
@@ -133,80 +135,54 @@ fn zero_fault_probabilities_match_unconfigured_run() {
     assert_eq!(plain.determinism_digest(), knobs.determinism_digest());
 }
 
+/// In-process pools with a short worker poll, so fault flags bite quickly.
+fn live_fabric(endpoints: &[(&str, usize)]) -> Arc<ThreadedFabric> {
+    Arc::new(ThreadedFabric::new(endpoints, &FabricTiming::fast()))
+}
+
 #[test]
 fn live_endpoint_killed_mid_run_workflow_completes() {
     // Two pools; the larger one goes down (probe fails, queued jobs are
     // swallowed) partway through a fan-out. The health-aware placer plus
     // the wait_all watchdog must still finish every task.
-    let rt =
-        LiveRuntime::with_pool_poll_timeout(&[("big", 4), ("small", 2)], Duration::from_millis(20))
-            .with_retry(LiveRetryPolicy {
-                max_attempts: 8,
-                task_timeout: Some(Duration::from_millis(200)),
-                backoff: Duration::from_millis(2),
-            });
-    rt.register("work", |args| {
+    let fabric = live_fabric(&[("big", 4), ("small", 2)]);
+    let work = |x: i64| {
         std::thread::sleep(Duration::from_millis(10));
-        Ok(args[0].clone())
+        Ok(x)
+    };
+    fabric.registry().register("work", typed(work));
+    let rt = FabricRuntime::new(Arc::clone(&fabric) as _).with_retry(LiveRetryPolicy {
+        max_attempts: 8,
+        task_timeout: Some(Duration::from_millis(200)),
+        backoff: Duration::from_millis(2),
     });
-    let first: Vec<_> = (0..8)
-        .map(|i| {
-            rt.submit("work", vec![unifaas::runtime::live::value(i as i64)], &[])
-                .unwrap()
-        })
-        .collect();
+    let mut futures: Vec<TypedFuture<i64>> = (0..8i64).map(|i| rt.call("work", i, &[])).collect();
     // Kill the big pool mid-run: in-flight and queued jobs there are
     // swallowed from now on, and placement must divert the rest.
-    rt.pool(0).faults().set_down(true);
-    let second: Vec<_> = (8..16)
-        .map(|i| {
-            rt.submit("work", vec![unifaas::runtime::live::value(i as i64)], &[])
-                .unwrap()
-        })
-        .collect();
+    fabric.pool(0).faults().set_down(true);
+    futures.extend((8..16i64).map(|i| rt.call("work", i, &[])));
     rt.wait_all();
-    for (i, f) in first.iter().chain(second.iter()).enumerate() {
-        let v = f.wait().unwrap_or_else(|e| panic!("task {i}: {e}"));
-        assert_eq!(
-            *unifaas::runtime::live::downcast::<i64>(&v).unwrap(),
-            i as i64
-        );
+    for (i, f) in (0..).zip(&futures) {
+        assert_eq!(f.get().unwrap_or_else(|e| panic!("task {i}: {e}")), i);
     }
 }
 
 #[test]
 fn live_pool_recovers_and_is_reused() {
-    let rt = LiveRuntime::with_pool_poll_timeout(
-        &[("flaky", 2), ("steady", 1)],
-        Duration::from_millis(20),
-    )
-    .with_retry(LiveRetryPolicy {
+    let fabric = live_fabric(&[("flaky", 2), ("steady", 1)]);
+    fabric.registry().register("id", typed(|x: i64| Ok(x)));
+    let rt = FabricRuntime::new(Arc::clone(&fabric) as _).with_retry(LiveRetryPolicy {
         max_attempts: 6,
         task_timeout: Some(Duration::from_millis(150)),
         backoff: Duration::ZERO,
     });
-    rt.register("id", |args| Ok(args[0].clone()));
-    rt.pool(0).faults().set_down(true);
-    let during: Vec<_> = (0..4)
-        .map(|i| {
-            rt.submit("id", vec![unifaas::runtime::live::value(i as i64)], &[])
-                .unwrap()
-        })
-        .collect();
+    fabric.pool(0).faults().set_down(true);
+    let mut futures: Vec<TypedFuture<i64>> = (0..4i64).map(|i| rt.call("id", i, &[])).collect();
     rt.wait_all();
-    rt.pool(0).faults().set_down(false);
-    let after: Vec<_> = (4..8)
-        .map(|i| {
-            rt.submit("id", vec![unifaas::runtime::live::value(i as i64)], &[])
-                .unwrap()
-        })
-        .collect();
+    fabric.pool(0).faults().set_down(false);
+    futures.extend((4..8i64).map(|i| rt.call("id", i, &[])));
     rt.wait_all();
-    for (i, f) in during.iter().chain(after.iter()).enumerate() {
-        let v = f.wait().unwrap();
-        assert_eq!(
-            *unifaas::runtime::live::downcast::<i64>(&v).unwrap(),
-            i as i64
-        );
+    for (i, f) in (0..).zip(&futures) {
+        assert_eq!(f.get().unwrap(), i);
     }
 }

@@ -13,8 +13,7 @@ use fedci::process::{
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-use unifaas::runtime::fabric::{FabricRuntime, WireFuture};
-use unifaas::runtime::live::LiveRetryPolicy;
+use unifaas::runtime::fabric::{FabricRuntime, LiveRetryPolicy, WireFuture};
 use unifaas_cli::fabricrun::{reference_outcome, run_workload, FabricWorkload};
 
 #[test]
@@ -458,4 +457,24 @@ fn cut_inside_a_result_batch_resolves_every_task_exactly_once() {
     // duplicate — for one task per daemon worker, as the two workers'
     // pairs may interleave — and that duplicate is lost with the cut.)
     assert!(c.stale_results >= N - 2, "replays must be dropped: {c:?}");
+}
+
+#[test]
+fn typed_calls_give_the_same_values_on_every_backend() {
+    // The typed layer is a veneer over the one client path: the same
+    // calls, byte for byte, on in-process pools and over the wire.
+    let chained_sum = |rt: &FabricRuntime| {
+        let seven = rt.call::<_, u64>("sum64", (3u64, 4u64), &[]);
+        let twelve = rt.call::<_, u64>("sum64", 5u64, &[&seven]);
+        (seven.get().unwrap(), twelve.get().unwrap())
+    };
+    let pools = ThreadedFabric::new(&[("a", 2)], &FabricTiming::fast());
+    let threaded = chained_sum(&FabricRuntime::new(Arc::new(pools)));
+    let daemon = spawn_daemon_thread(DaemonConfig::new("typed", 2)).expect("daemon");
+    let (fabric, rt) = connect(daemon.addr(), FabricTiming::fast());
+    let process = chained_sum(&rt);
+    fabric.shutdown();
+    daemon.join().expect("daemon drains cleanly");
+    assert_eq!(threaded, (7, 12));
+    assert_eq!(process, threaded);
 }

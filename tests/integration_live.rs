@@ -1,88 +1,70 @@
-//! Integration tests for the live (real-thread) runtime: the programming
-//! model of §III executed with actual Rust closures across in-process
-//! endpoints.
+//! Integration tests for the live runtime's programming model (§III):
+//! typed Rust functions executed across in-process endpoints, composed
+//! by passing futures.
 
+use fedci::fabric::{FabricTiming, ThreadedFabric};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use unifaas::runtime::live::{downcast, value, AppFuture, LiveRuntime, Value};
+use unifaas::prelude::*;
+
+fn fabric(endpoints: &[(&str, usize)]) -> ThreadedFabric {
+    ThreadedFabric::new(endpoints, &FabricTiming::default())
+}
+
+fn refs<R>(futures: &[TypedFuture<R>]) -> Vec<&WireFuture> {
+    futures.iter().map(|f| &**f).collect()
+}
 
 /// A miniature montage-shaped pipeline: per-tile project → per-pair diff →
 /// global model → per-tile correct → final add.
 #[test]
 fn montage_shaped_pipeline_produces_correct_result() {
-    let rt = LiveRuntime::new(&[("cluster", 4), ("lab", 2)]);
-    rt.register("project", |args: &[Value]| {
-        let tile = *downcast::<i64>(&args[0]).ok_or("tile")?;
-        Ok(value(tile * 10))
-    });
-    rt.register("diff", |args: &[Value]| {
-        let a = *downcast::<i64>(&args[0]).ok_or("a")?;
-        let b = *downcast::<i64>(&args[1]).ok_or("b")?;
-        Ok(value(b - a))
-    });
-    rt.register("model", |args: &[Value]| {
-        let mut sum = 0i64;
-        for v in args {
-            sum += *downcast::<i64>(v).ok_or("diff value")?;
-        }
-        Ok(value(sum))
-    });
-    rt.register("correct", |args: &[Value]| {
-        let projected = *downcast::<i64>(&args[0]).ok_or("projected")?;
-        let model = *downcast::<i64>(&args[1]).ok_or("model")?;
-        Ok(value(projected - model))
-    });
-    rt.register("add", |args: &[Value]| {
-        let mut sum = 0i64;
-        for v in args {
-            sum += *downcast::<i64>(v).ok_or("corrected value")?;
-        }
-        Ok(value(sum))
-    });
+    let fabric = fabric(&[("cluster", 4), ("lab", 2)]);
+    let functions = fabric.registry();
+    functions.register("project", typed(|tile: i64| Ok(tile * 10)));
+    functions.register("diff", typed(|(a, b): (i64, i64)| Ok(b - a)));
+    let sum = |Rest(values): Rest<i64>| Ok(values.iter().sum::<i64>());
+    functions.register("model", typed(sum));
+    functions.register(
+        "correct",
+        typed(|(projected, model): (i64, i64)| Ok(projected - model)),
+    );
+    functions.register("add", typed(sum));
+    let rt = FabricRuntime::new(Arc::new(fabric));
 
     let n = 8i64;
-    let projections: Vec<AppFuture> = (0..n)
-        .map(|i| {
-            rt.submit_sized("project", vec![value(i)], &[], 8 << 20)
-                .unwrap()
-        })
+    let projections: Vec<TypedFuture<i64>> = (0..n).map(|i| rt.call("project", i, &[])).collect();
+    let diffs: Vec<TypedFuture<i64>> = projections
+        .windows(2)
+        .map(|pair| rt.call("diff", (), &[&pair[0], &pair[1]]))
         .collect();
-    let diffs: Vec<AppFuture> = (0..n as usize - 1)
-        .map(|i| {
-            rt.submit("diff", vec![], &[&projections[i], &projections[i + 1]])
-                .unwrap()
-        })
-        .collect();
-    let diff_refs: Vec<&AppFuture> = diffs.iter().collect();
-    let model = rt.submit("model", vec![], &diff_refs).unwrap();
-    let corrected: Vec<AppFuture> = projections
+    let model = rt.call::<_, i64>("model", (), &refs(&diffs));
+    let corrected: Vec<TypedFuture<i64>> = projections
         .iter()
-        .map(|p| rt.submit("correct", vec![], &[p, &model]).unwrap())
+        .map(|p| rt.call("correct", (), &[p, &model]))
         .collect();
-    let corrected_refs: Vec<&AppFuture> = corrected.iter().collect();
-    let total = rt.submit("add", vec![], &corrected_refs).unwrap();
+    let total = rt.call::<_, i64>("add", (), &refs(&corrected));
 
     // model = sum of diffs = 10*(n-1) = 70; corrected_i = 10i - 70;
     // total = 10*(0+..+7) - 8*70 = 280 - 560 = -280.
-    let v = total.wait().unwrap();
-    assert_eq!(*downcast::<i64>(&v).unwrap(), -280);
+    assert_eq!(total.get().unwrap(), -280);
     rt.wait_all();
 }
 
 #[test]
 fn many_small_tasks_saturate_all_endpoints() {
-    let rt = LiveRuntime::new(&[("a", 3), ("b", 3)]);
+    let fabric = fabric(&[("a", 3), ("b", 3)]);
     let counter = Arc::new(AtomicUsize::new(0));
     {
         let counter = Arc::clone(&counter);
-        rt.register("tick", move |_args: &[Value]| {
+        let tick = move |(): ()| {
             counter.fetch_add(1, Ordering::SeqCst);
-            Ok(value(()))
-        });
+            Ok(())
+        };
+        fabric.registry().register("tick", typed(tick));
     }
-    let futures: Vec<AppFuture> = (0..500)
-        .map(|_| rt.submit("tick", vec![], &[]).unwrap())
-        .collect();
+    let rt = FabricRuntime::new(Arc::new(fabric));
+    let futures: Vec<TypedFuture<()>> = (0..500).map(|_| rt.call("tick", (), &[])).collect();
     rt.wait_all();
     assert_eq!(counter.load(Ordering::SeqCst), 500);
     assert!(futures.iter().all(|f| f.is_done()));
@@ -92,47 +74,13 @@ fn many_small_tasks_saturate_all_endpoints() {
 fn deep_dynamic_chain_built_from_results() {
     // Dynamic DAG: each next submission depends on the *result* of the
     // previous one (the workflow shape is decided at runtime).
-    let rt = LiveRuntime::new(&[("solo", 2)]);
-    rt.register("inc", |args: &[Value]| {
-        let x = *downcast::<i64>(&args[0]).ok_or("x")?;
-        Ok(value(x + 1))
-    });
-    let mut fut = rt.submit("inc", vec![value(0i64)], &[]).unwrap();
+    let fabric = fabric(&[("solo", 2)]);
+    fabric.registry().register("inc", typed(|x: i64| Ok(x + 1)));
+    let rt = FabricRuntime::new(Arc::new(fabric));
+    let mut fut = rt.call::<_, i64>("inc", 0i64, &[]);
     // Decide dynamically how far to chain based on intermediate values.
-    loop {
-        let v = *downcast::<i64>(&fut.wait().unwrap()).unwrap();
-        if v >= 10 {
-            break;
-        }
-        fut = rt.submit("inc", vec![], &[&fut]).unwrap();
+    while fut.get().unwrap() < 10 {
+        fut = rt.call("inc", (), &[&fut]);
     }
-    let final_v = *downcast::<i64>(&fut.wait().unwrap()).unwrap();
-    assert_eq!(final_v, 10);
-}
-
-#[test]
-fn transfer_bandwidth_penalizes_cross_endpoint_dataflow() {
-    // With a very slow simulated WAN, a consumer placed away from its
-    // producer pays real wall time; the locality-aware placer avoids it
-    // when possible.
-    let rt =
-        LiveRuntime::new(&[("x", 1), ("y", 1)]).with_transfer_bandwidth(64.0 * 1024.0 * 1024.0);
-    rt.register("produce", |_| Ok(value(42i64)));
-    rt.register("consume", |args: &[Value]| {
-        Ok(value(*downcast::<i64>(&args[0]).ok_or("v")? * 2))
-    });
-    let t0 = std::time::Instant::now();
-    let p = rt
-        .submit_sized("produce", vec![], &[], 32 << 20) // 32 MB output
-        .unwrap();
-    let c = rt.submit("consume", vec![], &[&p]).unwrap();
-    let v = c.wait().unwrap();
-    assert_eq!(*downcast::<i64>(&v).unwrap(), 84);
-    // Locality placement should avoid the 0.5 s simulated transfer: both
-    // endpoints were idle, and the producer's endpoint holds the bytes.
-    assert!(
-        t0.elapsed() < std::time::Duration::from_millis(450),
-        "took {:?} — consumer was likely placed remotely",
-        t0.elapsed()
-    );
+    assert_eq!(fut.get().unwrap(), 10);
 }

@@ -8,7 +8,6 @@ use simkit::metrics::parse_prometheus;
 use taskgraph::{Dag, TaskId, TaskSpec};
 use unifaas::config::{Config, EndpointConfig, SchedulingStrategy};
 use unifaas::profile::{OracleProfiler, ScaledPredictor};
-use unifaas::runtime::live::LiveRuntime;
 use unifaas::SimRuntime;
 
 fn two_site(strategy: SchedulingStrategy) -> Config {
@@ -208,20 +207,30 @@ fn retry_latency_stages_cover_only_the_final_attempt() {
 /// /metrics, expect 200 with a non-empty, parseable body.
 #[test]
 fn live_runtime_scrape_smoke() {
+    use fedci::fabric::{FabricTiming, ThreadedFabric};
+    use simkit::metrics::MetricsRegistry;
     use std::io::{Read, Write};
+    use std::sync::{Arc, Mutex};
+    use unifaas::runtime::fabric::FabricRuntime;
 
-    let rt = LiveRuntime::new(&[("a", 2), ("b", 1)]);
-    rt.register("noop", |_args| Ok(unifaas::runtime::live::value(0u64)));
-    let futs: Vec<_> = (0..4)
-        .map(|_| rt.submit("noop", vec![], &[]).unwrap())
-        .collect();
+    let fabric = Arc::new(ThreadedFabric::new(
+        &[("a", 2), ("b", 1)],
+        &FabricTiming::default(),
+    ));
+    let rt = FabricRuntime::new(Arc::clone(&fabric) as _);
+    let futs: Vec<_> = (0..4).map(|_| rt.submit("echo", vec![], &[])).collect();
     rt.wait_all();
     for f in futs {
         f.wait().unwrap();
     }
 
+    let mut reg = MetricsRegistry::new();
+    let ids = Mutex::new(fabric.register_metrics(&mut reg));
+    let sample = move |reg: &mut MetricsRegistry| {
+        fabric.sample_metrics(reg, &mut ids.lock().unwrap());
+    };
     let server = rt
-        .serve_metrics("127.0.0.1:0")
+        .serve_metrics("127.0.0.1:0", Arc::new(Mutex::new(reg)), sample)
         .expect("bind ephemeral port");
     let addr = server.local_addr();
     let mut conn = std::net::TcpStream::connect(addr).expect("connect");
