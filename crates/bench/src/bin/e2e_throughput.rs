@@ -31,10 +31,7 @@
 //! <scheduler>.journal` (measuring journaling-enabled overhead; makespan
 //! and transfer columns must not move — the journal only observes).
 //!
-//! `--smoke` drops the million-task rows (CI's bench-smoke job).
-//! `--shards <n>` runs every row on the sharded event engine
-//! (`Config::engine_shards = n`); makespan/transfer columns must not
-//! move — the engine is delivery-order-identical. Every
+//! `--smoke` drops the million-task rows (CI's bench-smoke job). Every
 //! row also reports the process's cumulative peak RSS (`VmHWM` after the
 //! run — a high-water mark, not a per-run delta) and, when built with
 //! `--features alloc-count`, the allocation count and bytes attributable
@@ -72,7 +69,6 @@ struct RunOpts<'a> {
     trace_out: Option<&'a str>,
     metrics: bool,
     metrics_out: Option<&'a str>,
-    shards: usize,
     reference_queue: bool,
     journal: Option<&'a str>,
 }
@@ -89,7 +85,6 @@ fn run(
         trace_out,
         metrics,
         metrics_out,
-        shards,
         reference_queue,
         journal,
     } = opts;
@@ -102,7 +97,6 @@ fn run(
     };
     let mut cfg = pool.build();
     cfg.strategy = strategy;
-    cfg.engine_shards = shards;
     cfg.engine_reference_queue = reference_queue;
     let alloc0 = alloc_snapshot();
     let t0 = Instant::now();
@@ -149,7 +143,6 @@ fn main() {
     let mut metrics = false;
     let mut metrics_out: Option<String> = None;
     let mut smoke = false;
-    let mut shards = 1usize;
     let mut reference_queue = false;
     let mut journal: Option<String> = None;
     let mut only: Option<String> = None;
@@ -159,13 +152,6 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--shards" => {
-                shards = it
-                    .next()
-                    .expect("--shards <n>")
-                    .parse()
-                    .expect("bad --shards")
-            }
             "--reference-queue" => reference_queue = true,
             "--journal" => journal = it.next().cloned(),
             "--only" => only = it.next().cloned(),
@@ -238,7 +224,7 @@ fn main() {
             drug_static_pool,
         ),
         // A million tasks in four dependent layers: the batched-EFT
-        // reschedule path, arena state and sharded-queue bookkeeping at
+        // reschedule path, arena state and event-queue bookkeeping at
         // full scale. Dropped in smoke runs — these rows dominate the
         // binary's runtime.
         ("stress-1m", stress::million, drug_static_pool),
@@ -249,7 +235,6 @@ fn main() {
         trace_out: out,
         metrics,
         metrics_out: metrics_out.as_deref(),
-        shards,
         reference_queue,
         journal: journal.as_deref(),
     };

@@ -47,8 +47,9 @@
 //!   occupancy, ready/executing counts, wall-vs-virtual ratio) to stderr
 //!   with a stall detector; `--progress-addr <addr>` additionally serves
 //!   them live at `GET /metrics` while the run executes.
-//! * `--shards <n>` / `--reference-queue` select the engine flavor (for
-//!   differential journal runs; digests are identical either way).
+//! * `--reference-queue` runs the engine on the binary-heap reference
+//!   queue (for differential journal runs; digests are identical either
+//!   way).
 //! * `unifaas-sim doctor <a.journal> <b.journal>` compares two journals
 //!   and localizes the first divergent event with task/decision context.
 //!   Exits 0 when identical, 1 on divergence.
@@ -72,7 +73,7 @@ fn usage() -> ! {
          [--trace-level off|spans|full] [--flame-out <path>] [--metrics-out <path>] \
          [--metrics-addr <addr>] [--task-fail-prob <p>] [--transfer-fail-prob <p>] \
          [--outage <ep>:<from-s>:<to-s>]... [--journal-out <path>] [--progress] \
-         [--progress-addr <addr>] [--shards <n>] [--reference-queue]\n\
+         [--progress-addr <addr>] [--reference-queue]\n\
          \x20      unifaas-sim doctor <a.journal> <b.journal>\n\
          \x20      unifaas-sim journal-perturb <in.journal> <out.journal> <record-index>"
     );
@@ -165,7 +166,6 @@ fn main() {
     let mut journal_out: Option<String> = None;
     let mut progress = false;
     let mut progress_addr: Option<String> = None;
-    let mut shards: Option<usize> = None;
     let mut reference_queue = false;
 
     let mut it = args.iter();
@@ -223,13 +223,6 @@ fn main() {
             "--progress-addr" => {
                 progress_addr = Some(it.next().cloned().unwrap_or_else(|| usage()))
             }
-            "--shards" => {
-                shards = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
             "--reference-queue" => reference_queue = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => usage(),
@@ -268,9 +261,6 @@ fn main() {
             from: SimTime::from_secs(from),
             to: SimTime::from_secs(to),
         });
-    }
-    if let Some(n) = shards {
-        spec.config.engine_shards = n;
     }
     if reference_queue {
         spec.config.engine_reference_queue = true;

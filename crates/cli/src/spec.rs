@@ -458,4 +458,23 @@ workload ensemble rounds=3 batch=5
             .unwrap();
         assert_eq!(report.tasks_completed, 30);
     }
+
+    #[test]
+    fn out_of_range_faults_and_noise_fail_the_run() {
+        // The parser accepts any float; `Config::validate` is where the
+        // range is enforced, so the error surfaces from `run`.
+        for directive in ["faults nan 2", "faults -1 7", "noise nan", "noise -3"] {
+            let spec = parse_spec(&format!(
+                "endpoint a qiming 8\nendpoint b taiyi 8\n{directive}\nworkload bag n=4 secs=5\n"
+            ))
+            .unwrap();
+            let err = unifaas::SimRuntime::new(spec.config, spec.workload.build())
+                .run()
+                .unwrap_err();
+            assert!(
+                matches!(err, unifaas::UniFaasError::InvalidConfig(_)),
+                "`{directive}`: {err}"
+            );
+        }
+    }
 }

@@ -1,52 +1,15 @@
 //! The simulation driver: pops events in time order and hands them to a
 //! handler closure, which may schedule further events.
 //!
-//! Two drivers share one contract ([`EventSink`]):
-//!
-//! * [`Engine`] — a single global event queue; the reference
-//!   implementation every digest is defined against.
-//! * [`ShardedEngine`] — per-shard event queues (typically one per
-//!   endpoint) merged by *conservative lookahead*: the engine keeps
-//!   draining the current shard while its head event precedes the
-//!   cached minimum head of every other shard (the cross-shard
-//!   horizon), and only re-scans shard heads when the horizon is
-//!   crossed. Because shards are merged by the exact global
-//!   `(time, seq)` key that [`EventQueue`] orders by, delivery order —
-//!   and therefore every determinism digest — is bit-identical to the
-//!   single-queue engine; the win is smaller per-shard heaps and long
-//!   same-shard drain runs that never touch the other heaps.
+//! There is one driver, [`Engine`], over one [`EventQueue`]. The queue's
+//! backend is the calendar wheel by default or the reference binary heap
+//! ([`Engine::new_reference`]); both deliver in the same `(time, seq)`
+//! order, and the digest, journal and doctor gates compare one against the
+//! other.
 
-use crate::event::{EventId, EventQueue, EventSlab, OrderCore, Pending};
+use crate::event::{EventId, EventQueue};
 use crate::journal::{EventCode, JournalWriter};
 use crate::time::{SimDuration, SimTime};
-
-/// The scheduling surface shared by [`Engine`] and [`ShardedEngine`].
-///
-/// Simulation handlers take `&mut dyn EventSink<E>` so the same model
-/// code drives either engine. The trait is object-safe on purpose:
-/// monomorphizing a 2 700-line runtime per engine flavor would double
-/// compile time for zero measured gain (the per-event dispatch cost is
-/// one indirect call amid hundreds of instructions).
-pub trait EventSink<E> {
-    /// Current simulation time.
-    fn now(&self) -> SimTime;
-    /// Schedules `event` at absolute time `at` (panics if in the past).
-    fn schedule(&mut self, at: SimTime, event: E) -> EventId;
-    /// Schedules `event` after a relative delay.
-    fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventId;
-    /// Cancels a pending event. Returns true if it had not yet fired.
-    fn cancel(&mut self, id: EventId) -> bool;
-    /// Number of pending events. Defaults to 0 for sinks without a queue
-    /// view (exposed here so diagnostics like the flight recorder can
-    /// sample queue occupancy through the object-safe surface).
-    fn pending(&self) -> usize {
-        0
-    }
-    /// Appends an application note (e.g. a scheduler decision) to the run
-    /// journal, stamped with the current time and the sequence number of
-    /// the event being handled. No-op when no journal is installed.
-    fn journal_note(&mut self, _kind: u16, _a: u64, _b: u64) {}
-}
 
 /// A journal installed on an engine: the writer plus the application's
 /// event encoder. Boxed inside the engine so the disabled path costs one
@@ -193,6 +156,16 @@ impl<E> Engine<E> {
         hit
     }
 
+    /// Appends an application note (e.g. a scheduler decision) to the run
+    /// journal, stamped with the current time and the sequence number of
+    /// the event being handled. No-op when no journal is installed.
+    pub fn journal_note(&mut self, kind: u16, a: u64, b: u64) {
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.writer
+                .append(self.now.as_micros(), self.processed, kind, a, b);
+        }
+    }
+
     /// Delivers the next event, advancing the clock, and returns false when
     /// the queue is empty.
     pub fn step<F: FnMut(SimTime, E, &mut Engine<E>)>(&mut self, handler: &mut F) -> bool {
@@ -241,334 +214,6 @@ impl<E> Engine<E> {
             self.now = deadline;
         }
         self.processed - before
-    }
-}
-
-impl<E> EventSink<E> for Engine<E> {
-    fn now(&self) -> SimTime {
-        Engine::now(self)
-    }
-    fn schedule(&mut self, at: SimTime, event: E) -> EventId {
-        Engine::schedule(self, at, event)
-    }
-    fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventId {
-        Engine::schedule_after(self, delay, event)
-    }
-    fn cancel(&mut self, id: EventId) -> bool {
-        Engine::cancel(self, id)
-    }
-    fn pending(&self) -> usize {
-        Engine::pending(self)
-    }
-    fn journal_note(&mut self, kind: u16, a: u64, b: u64) {
-        if let Some(j) = self.journal.as_deref_mut() {
-            j.writer
-                .append(self.now.as_micros(), self.processed, kind, a, b);
-        }
-    }
-}
-
-/// The cross-shard horizon: the head `(at µs, seq)` of the earliest
-/// event in any shard other than the one currently draining. `None`
-/// means no other shard holds a live event, so the current shard may
-/// drain completely.
-type Horizon = Option<(u64, u64)>;
-
-/// A sharded discrete-event engine with conservative-lookahead merging.
-///
-/// Events are routed to shards by a caller-supplied classifier (for the
-/// UniFaaS runtime: the endpoint an event concerns). Each shard is its
-/// own binary heap; a global monotone sequence number preserves the
-/// exact total order of the single-queue [`Engine`], so the two engines
-/// deliver identical event sequences for identical schedules.
-///
-/// The merge invariant: `pop` may take the current shard's head without
-/// looking at any other shard as long as its `(at, seq)` does not
-/// exceed the cached horizon (the minimum head among the other shards).
-/// The horizon only moves *earlier* when the handler schedules new
-/// work into another shard — and every such schedule updates the cache
-/// — so the cached value is always a lower bound on the true other-
-/// shard minimum and the invariant is conservative: at worst we re-scan
-/// shard heads more often than strictly needed, never deliver out of
-/// order.
-pub struct ShardedEngine<E> {
-    /// Per-shard ordering cores (calendar wheel by default, reference
-    /// heap on request); payloads live in the shared slab.
-    shards: Vec<OrderCore>,
-    /// Live (scheduled, not yet delivered/cancelled) events per shard —
-    /// lets an empty shard's wheel re-anchor before the next insert.
-    shard_live: Vec<usize>,
-    /// Payload slab shared across shards; slot generations provide the
-    /// same lazy cancellation scheme as [`EventQueue`], with slots
-    /// recycled via the free list instead of a monotone `live` table.
-    slab: EventSlab<E>,
-    /// slot → shard, kept in lockstep with the slab so `cancel` can
-    /// decrement the right shard's live count.
-    slot_shard: Vec<u32>,
-    route: Box<dyn Fn(&E) -> usize>,
-    pending: usize,
-    next_seq: u64,
-    now: SimTime,
-    processed: u64,
-    stats: EngineStats,
-    /// Shard currently being drained.
-    cur: usize,
-    horizon: Horizon,
-    journal: Option<Box<JournalTap<E>>>,
-}
-
-impl<E> ShardedEngine<E> {
-    /// Creates an engine with `shards` queues and a routing function
-    /// mapping each event to its shard (the result is taken modulo
-    /// `shards`). `shards` is clamped to at least 1.
-    pub fn new(shards: usize, route: impl Fn(&E) -> usize + 'static) -> Self {
-        Self::with_cores(shards, route, OrderCore::wheel)
-    }
-
-    /// Like [`ShardedEngine::new`] but on the reference binary-heap
-    /// backend, for differential tests against the wheel.
-    pub fn new_reference(shards: usize, route: impl Fn(&E) -> usize + 'static) -> Self {
-        Self::with_cores(shards, route, OrderCore::reference_heap)
-    }
-
-    fn with_cores(
-        shards: usize,
-        route: impl Fn(&E) -> usize + 'static,
-        core: fn() -> OrderCore,
-    ) -> Self {
-        let n = shards.max(1);
-        ShardedEngine {
-            shards: (0..n).map(|_| core()).collect(),
-            shard_live: vec![0; n],
-            slab: EventSlab::new(),
-            slot_shard: Vec::new(),
-            route: Box::new(route),
-            pending: 0,
-            next_seq: 0,
-            now: SimTime::ZERO,
-            processed: 0,
-            stats: EngineStats::default(),
-            cur: 0,
-            horizon: None,
-            journal: None,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Installs a run journal; see [`Engine::set_journal`]. Because the
-    /// sharded merge delivers the exact single-queue order, the journal a
-    /// sharded run writes is byte-identical to the single-engine journal
-    /// of the same schedule.
-    pub fn set_journal(&mut self, writer: JournalWriter, encode: fn(&E) -> EventCode) {
-        self.journal = Some(Box::new(JournalTap { writer, encode }));
-    }
-
-    /// Removes and returns the installed journal writer.
-    pub fn take_journal(&mut self) -> Option<JournalWriter> {
-        self.journal.take().map(|t| t.writer)
-    }
-
-    /// Scheduling/cancellation counters and the queue high-water mark.
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Total number of events delivered so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Number of pending (live) events across all shards.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past, like [`Engine::schedule`].
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
-        assert!(
-            at >= self.now,
-            "cannot schedule event in the past (now={:?}, at={:?})",
-            self.now,
-            at
-        );
-        let shard = (self.route)(&event) % self.shards.len();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let id = self.slab.insert(event);
-        let slot = id.slot() as usize;
-        if slot >= self.slot_shard.len() {
-            debug_assert_eq!(slot, self.slot_shard.len());
-            self.slot_shard.push(shard as u32);
-        } else {
-            self.slot_shard[slot] = shard as u32;
-        }
-        let at_us = at.as_micros();
-        if self.shard_live[shard] == 0 {
-            // This shard's wheel holds no live events: re-position its
-            // window so the insert lands in a rung, not the overflow heap.
-            self.shards[shard].re_anchor(at_us);
-        }
-        self.shard_live[shard] += 1;
-        self.pending += 1;
-        // A new event in a *different* shard may move the cross-shard
-        // horizon earlier; its seq is the largest ever so a tie on `at`
-        // never beats the cached head.
-        if shard != self.cur && self.horizon.is_none_or(|(hat, _)| at_us < hat) {
-            self.horizon = Some((at_us, seq));
-        }
-        self.shards[shard].insert(Pending {
-            at: at_us,
-            seq,
-            slot: id.slot(),
-            generation: id.generation(),
-        });
-        self.stats.scheduled += 1;
-        self.stats.max_pending = self.stats.max_pending.max(self.pending);
-        id
-    }
-
-    /// Schedules `event` after a relative delay.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventId {
-        self.schedule(self.now + delay, event)
-    }
-
-    /// Cancels a pending event. Returns true if it had not yet fired.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if self.slab.cancel(id) {
-            let shard = self.slot_shard[id.slot() as usize] as usize;
-            self.shard_live[shard] -= 1;
-            self.pending -= 1;
-            self.stats.cancelled += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Live head key of shard `s` (stale entries are scrubbed lazily by
-    /// the core).
-    fn clean_head(&mut self, s: usize) -> Option<(u64, u64)> {
-        self.shards[s].peek_next(&self.slab).map(|p| (p.at, p.seq))
-    }
-
-    /// Re-scans every shard head: the earliest becomes the current
-    /// shard, the second-earliest the new horizon.
-    fn rescan(&mut self) -> bool {
-        let mut best: Option<(u64, u64, usize)> = None;
-        let mut second: Horizon = None;
-        for s in 0..self.shards.len() {
-            if let Some((at, seq)) = self.clean_head(s) {
-                match best {
-                    Some((bat, bseq, _)) if (at, seq) < (bat, bseq) => {
-                        second = best.map(|(a, q, _)| (a, q));
-                        best = Some((at, seq, s));
-                    }
-                    Some(_) => {
-                        if second.is_none_or(|(sat, sseq)| (at, seq) < (sat, sseq)) {
-                            second = Some((at, seq));
-                        }
-                    }
-                    None => best = Some((at, seq, s)),
-                }
-            }
-        }
-        match best {
-            Some((_, _, s)) => {
-                self.cur = s;
-                self.horizon = second;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Pops the globally earliest live event, or `None` when drained.
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let head = self.clean_head(self.cur);
-            let within = match (head, self.horizon) {
-                (Some(h), Some(hz)) => h <= hz,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if !within && !self.rescan() {
-                return None;
-            }
-            if let Some(p) = self.shards[self.cur].pop_next(&self.slab) {
-                self.shard_live[self.cur] -= 1;
-                self.pending -= 1;
-                let payload = self.slab.take(p.slot);
-                return Some((SimTime::from_micros(p.at), payload));
-            }
-            // `cur` drained and rescan found another shard: loop.
-        }
-    }
-
-    /// Number of payload slots ever allocated — bounded by the concurrent
-    /// pending high-water mark (slots recycle through a free list), not
-    /// the lifetime event count.
-    pub fn slot_capacity(&self) -> usize {
-        self.slab.slot_capacity()
-    }
-
-    /// Delivers the next event, advancing the clock; returns false when
-    /// every shard is empty.
-    pub fn step<F: FnMut(SimTime, E, &mut ShardedEngine<E>)>(&mut self, handler: &mut F) -> bool {
-        match self.pop() {
-            Some((at, ev)) => {
-                debug_assert!(at >= self.now, "sharded engine merged out of order");
-                self.now = at;
-                self.processed += 1;
-                if let Some(j) = self.journal.as_deref_mut() {
-                    j.record(at, self.processed, &ev);
-                }
-                handler(at, ev, self);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Runs until every shard drains.
-    pub fn run<F: FnMut(SimTime, E, &mut ShardedEngine<E>)>(&mut self, mut handler: F) {
-        while self.step(&mut handler) {}
-    }
-}
-
-impl<E> EventSink<E> for ShardedEngine<E> {
-    fn now(&self) -> SimTime {
-        ShardedEngine::now(self)
-    }
-    fn schedule(&mut self, at: SimTime, event: E) -> EventId {
-        ShardedEngine::schedule(self, at, event)
-    }
-    fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventId {
-        ShardedEngine::schedule_after(self, delay, event)
-    }
-    fn cancel(&mut self, id: EventId) -> bool {
-        ShardedEngine::cancel(self, id)
-    }
-    fn pending(&self) -> usize {
-        ShardedEngine::pending(self)
-    }
-    fn journal_note(&mut self, kind: u16, a: u64, b: u64) {
-        if let Some(j) = self.journal.as_deref_mut() {
-            j.writer
-                .append(self.now.as_micros(), self.processed, kind, a, b);
-        }
     }
 }
 
@@ -676,117 +321,60 @@ mod tests {
         x
     }
 
-    #[test]
-    fn sharded_engine_matches_single_queue_delivery_order() {
-        // Identical deterministic model run on both engines: every
-        // event schedules follow-ups derived only from its tag, so any
-        // divergence in delivery order diverges the logs.
-        fn model<S: EventSink<Ev>>(
-            now: SimTime,
-            ev: Ev,
-            eng: &mut S,
-            log: &mut Vec<(SimTime, u32)>,
-            budget: &mut u32,
-        ) {
-            let Ev::Chain(tag) = ev else { return };
-            log.push((now, tag));
-            if *budget == 0 {
-                return;
-            }
-            *budget -= 1;
-            let mut s = tag as u64 ^ 0x9e37_79b9_7f4a_7c15;
-            if s == 0 {
-                s = 1;
-            }
-            let n = next_rand(&mut s) % 3;
-            for _ in 0..n {
-                let d = SimDuration::from_millis(next_rand(&mut s) % 700);
-                eng.schedule(now + d, Ev::Chain(next_rand(&mut s) as u32));
-            }
-        }
+    /// Random traffic derived only from each event's tag: up to two
+    /// follow-ups per event, and every fourth event cancels the oldest
+    /// follow-up still remembered. Any divergence in delivery order
+    /// diverges the log.
+    struct Traffic {
+        log: Vec<(SimTime, u32)>,
+        cancellable: Vec<EventId>,
+        budget: u32,
+    }
 
-        let seed_events: Vec<(SimTime, u32)> = {
+    impl Traffic {
+        fn run(mut eng: Engine<Ev>, seeds: u32) -> (Traffic, Engine<Ev>) {
             let mut s = 0x5eed_u64;
-            (0..64)
-                .map(|i| (SimTime::from_millis(next_rand(&mut s) % 5000), i))
-                .collect()
-        };
-
-        let mut single_log = Vec::new();
-        let mut eng = Engine::new();
-        for &(at, tag) in &seed_events {
-            eng.schedule(at, Ev::Chain(tag));
-        }
-        let mut budget = 4000u32;
-        eng.run(|now, ev, eng| model(now, ev, eng, &mut single_log, &mut budget));
-
-        for shards in [1usize, 2, 3, 7] {
-            let mut sharded_log = Vec::new();
-            let mut eng = ShardedEngine::new(shards, |ev: &Ev| match ev {
-                Ev::Chain(t) | Ev::Tick(t) => *t as usize,
-            });
-            for &(at, tag) in &seed_events {
+            for tag in 0..seeds {
+                let at = SimTime::from_millis(next_rand(&mut s) % 5000);
                 eng.schedule(at, Ev::Chain(tag));
             }
-            let mut budget = 4000u32;
-            eng.run(|now, ev, eng| model(now, ev, eng, &mut sharded_log, &mut budget));
-            assert_eq!(
-                single_log, sharded_log,
-                "delivery order diverged with {shards} shards"
-            );
-            assert_eq!(eng.processed(), single_log.len() as u64);
+            let mut t = Traffic {
+                log: Vec::new(),
+                cancellable: Vec::new(),
+                budget: 4000,
+            };
+            eng.run(|now, ev, eng| t.handle(now, ev, eng));
+            (t, eng)
         }
-    }
 
-    #[test]
-    fn sharded_engine_cancellation_and_stats() {
-        let mut eng = ShardedEngine::new(4, |ev: &Ev| match ev {
-            Ev::Tick(t) | Ev::Chain(t) => *t as usize,
-        });
-        let a = eng.schedule(SimTime::from_secs(1), Ev::Tick(1));
-        let b = eng.schedule(SimTime::from_secs(2), Ev::Tick(2));
-        eng.schedule(SimTime::from_secs(3), Ev::Tick(3));
-        assert_eq!(eng.pending(), 3);
-        assert!(eng.cancel(a));
-        assert!(!eng.cancel(a), "double cancel is a no-op");
-        assert_eq!(eng.stats().cancelled, 1);
-        assert_eq!(eng.stats().scheduled, 3);
-        assert_eq!(eng.stats().max_pending, 3);
-        let mut seen = Vec::new();
-        eng.run(|_, ev, _| seen.push(format!("{ev:?}")));
-        assert_eq!(seen, vec!["Tick(2)", "Tick(3)"]);
-        assert!(!eng.cancel(b), "cancel after delivery is a no-op");
-        assert_eq!(eng.processed(), 2);
-        assert_eq!(eng.pending(), 0);
-    }
-
-    #[test]
-    fn sharded_engine_fifo_ties_across_shards() {
-        // Same-instant events must fire in schedule order even when
-        // they land in different shards.
-        let mut eng = ShardedEngine::new(3, |ev: &Ev| match ev {
-            Ev::Tick(t) | Ev::Chain(t) => *t as usize,
-        });
-        for t in 0..9u32 {
-            eng.schedule(SimTime::from_secs(5), Ev::Tick(t));
-        }
-        let mut order = Vec::new();
-        eng.run(|_, ev, _| {
-            if let Ev::Tick(t) = ev {
-                order.push(t)
+        fn handle(&mut self, now: SimTime, ev: Ev, eng: &mut Engine<Ev>) {
+            let Ev::Chain(tag) = ev else { return };
+            self.log.push((now, tag));
+            if self.budget == 0 {
+                return;
             }
-        });
-        assert_eq!(order, (0..9).collect::<Vec<_>>());
+            self.budget -= 1;
+            let mut s = (tag as u64 ^ 0x9e37_79b9_7f4a_7c15).max(1);
+            for _ in 0..next_rand(&mut s) % 3 {
+                let d = SimDuration::from_millis(next_rand(&mut s) % 700);
+                let id = eng.schedule(now + d, Ev::Chain(next_rand(&mut s) as u32));
+                self.cancellable.push(id);
+            }
+            if tag % 4 == 0 && !self.cancellable.is_empty() {
+                eng.cancel(self.cancellable.remove(0));
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "cannot schedule event in the past")]
-    fn sharded_scheduling_in_the_past_panics() {
-        let mut eng = ShardedEngine::new(2, |_: &Ev| 0);
-        eng.schedule(SimTime::from_secs(5), Ev::Tick(1));
-        eng.run(|_, _, eng| {
-            eng.schedule(SimTime::from_secs(1), Ev::Tick(2));
-        });
+    fn wheel_and_heap_engines_deliver_identically_under_cancels_and_followups() {
+        let (wheel, weng) = Traffic::run(Engine::new(), 64);
+        let (heap, heng) = Traffic::run(Engine::new_reference(), 64);
+        assert_eq!(wheel.log, heap.log, "delivery order diverged");
+        assert_eq!(weng.processed(), wheel.log.len() as u64);
+        assert_eq!(weng.stats(), heng.stats());
+        assert!(weng.stats().cancelled > 0, "the traffic must cancel");
+        assert!(weng.stats().scheduled > 64, "the traffic must follow up");
     }
 
     #[test]
@@ -808,23 +396,6 @@ mod tests {
             }
         }
 
-        fn model<S: EventSink<Ev>>(now: SimTime, ev: Ev, eng: &mut S, budget: &mut u32) {
-            let Ev::Chain(tag) = ev else { return };
-            if *budget == 0 {
-                return;
-            }
-            *budget -= 1;
-            let mut s = tag as u64 ^ 0x9e37_79b9_7f4a_7c15;
-            if s == 0 {
-                s = 1;
-            }
-            let n = next_rand(&mut s) % 3;
-            for _ in 0..n {
-                let d = SimDuration::from_millis(next_rand(&mut s) % 700);
-                eng.schedule(now + d, Ev::Chain(next_rand(&mut s) as u32));
-            }
-        }
-
         let tmp = |name: &str| {
             let mut p = std::env::temp_dir();
             p.push(format!(
@@ -833,47 +404,16 @@ mod tests {
             ));
             p
         };
-        let seed_events: Vec<(SimTime, u32)> = {
-            let mut s = 0x5eed_u64;
-            (0..32)
-                .map(|i| (SimTime::from_millis(next_rand(&mut s) % 5000), i))
-                .collect()
-        };
-
+        let paths = [tmp("wheel"), tmp("heap")];
+        let engines = [Engine::new(), Engine::new_reference()];
         let mut digests = Vec::new();
-        let paths = [tmp("wheel"), tmp("heap"), tmp("sharded")];
-        for (i, path) in paths.iter().enumerate() {
+        for (path, mut eng) in paths.iter().zip(engines) {
             let writer = JournalWriter::create_with_chunk_records(path, 16).unwrap();
-            let mut budget = 2000u32;
-            match i {
-                0 | 1 => {
-                    let mut eng = if i == 0 {
-                        Engine::new()
-                    } else {
-                        Engine::new_reference()
-                    };
-                    eng.set_journal(writer, encode);
-                    for &(at, tag) in &seed_events {
-                        eng.schedule(at, Ev::Chain(tag));
-                    }
-                    eng.run(|now, ev, eng| model(now, ev, eng, &mut budget));
-                    digests.push(eng.take_journal().unwrap().finish().unwrap());
-                }
-                _ => {
-                    let mut eng = ShardedEngine::new(3, |ev: &Ev| match ev {
-                        Ev::Chain(t) | Ev::Tick(t) => *t as usize,
-                    });
-                    eng.set_journal(writer, encode);
-                    for &(at, tag) in &seed_events {
-                        eng.schedule(at, Ev::Chain(tag));
-                    }
-                    eng.run(|now, ev, eng| model(now, ev, eng, &mut budget));
-                    digests.push(eng.take_journal().unwrap().finish().unwrap());
-                }
-            }
+            eng.set_journal(writer, encode);
+            let (_, mut eng) = Traffic::run(eng, 32);
+            digests.push(eng.take_journal().unwrap().finish().unwrap());
         }
         assert_eq!(digests[0], digests[1], "wheel vs heap journal diverged");
-        assert_eq!(digests[0], digests[2], "single vs sharded journal diverged");
         assert!(digests[0].records > 0);
         let j = Journal::open(&paths[0]).unwrap();
         assert!(j.clean_close());

@@ -8,16 +8,16 @@
 //!
 //! # Implementation
 //!
-//! Two pieces, shared by [`EventQueue`] and the sharded engine:
+//! Two pieces, both private to [`EventQueue`]:
 //!
-//! * an [`EventSlab`]: payloads live in a slot array recycled through a free
+//! * an `EventSlab`: payloads live in a slot array recycled through a free
 //!   list, so the steady-state schedule→deliver→recycle cycle allocates
 //!   nothing once the run warms up. [`EventId`] packs `(generation, slot)`;
 //!   the generation is bumped every time a slot is freed, which gives exact
 //!   cancel semantics ("true exactly once while pending") without the
 //!   monotonically growing `pending: Vec<bool>` side-table the old
 //!   implementation leaked one bool per event into.
-//! * an ordering core ([`OrderCore`]): either a two-rung hierarchical
+//! * an ordering core (`OrderCore`): either a two-rung hierarchical
 //!   calendar wheel (the default — O(1) amortized insert and pop for the
 //!   near-future events that dominate simulation traffic) or the original
 //!   binary heap, kept as a selectable reference backend that every
@@ -54,7 +54,7 @@ use crate::time::SimTime;
 /// time (high 32 bits), so slots can be recycled without a stale id ever
 /// cancelling its successor.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(pub(crate) u64);
+pub struct EventId(u64);
 
 impl EventId {
     #[inline]
@@ -62,11 +62,11 @@ impl EventId {
         EventId(((gen as u64) << 32) | slot as u64)
     }
     #[inline]
-    pub(crate) fn slot(self) -> u32 {
+    fn slot(self) -> u32 {
         self.0 as u32
     }
     #[inline]
-    pub(crate) fn generation(self) -> u32 {
+    fn generation(self) -> u32 {
         (self.0 >> 32) as u32
     }
 }
@@ -79,17 +79,17 @@ struct Slot<E> {
 
 /// A slab of event payloads with free-list slot reuse.
 ///
-/// Shared by [`EventQueue`] and `ShardedEngine`: the ordering cores store
-/// only copyable `(time, seq, slot, generation)` keys, and liveness is
-/// decided here — a key whose generation no longer matches its slot was
-/// cancelled (or belongs to a previous anchor epoch) and is lazily skipped.
-pub(crate) struct EventSlab<E> {
+/// The ordering cores store only copyable `(time, seq, slot, generation)`
+/// keys, and liveness is decided here — a key whose generation no longer
+/// matches its slot was cancelled (or belongs to a previous anchor epoch)
+/// and is lazily skipped.
+struct EventSlab<E> {
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
 }
 
 impl<E> EventSlab<E> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         EventSlab {
             slots: Vec::new(),
             free: Vec::new(),
@@ -97,7 +97,7 @@ impl<E> EventSlab<E> {
     }
 
     /// Stores `payload`, reusing a free slot when one exists.
-    pub(crate) fn insert(&mut self, payload: E) -> EventId {
+    fn insert(&mut self, payload: E) -> EventId {
         match self.free.pop() {
             Some(slot) => {
                 let s = &mut self.slots[slot as usize];
@@ -118,7 +118,7 @@ impl<E> EventSlab<E> {
 
     /// True while the `(slot, generation)` pair names a pending event.
     #[inline]
-    pub(crate) fn is_live(&self, slot: u32, generation: u32) -> bool {
+    fn is_live(&self, slot: u32, generation: u32) -> bool {
         match self.slots.get(slot as usize) {
             Some(s) => s.generation == generation && s.payload.is_some(),
             None => false,
@@ -127,7 +127,7 @@ impl<E> EventSlab<E> {
 
     /// Frees a live slot and returns its payload. The generation bump makes
     /// every outstanding reference to this slot stale.
-    pub(crate) fn take(&mut self, slot: u32) -> E {
+    fn take(&mut self, slot: u32) -> E {
         let s = &mut self.slots[slot as usize];
         s.generation = s.generation.wrapping_add(1);
         self.free.push(slot);
@@ -135,7 +135,7 @@ impl<E> EventSlab<E> {
     }
 
     /// Cancels `id` if still pending, dropping its payload immediately.
-    pub(crate) fn cancel(&mut self, id: EventId) -> bool {
+    fn cancel(&mut self, id: EventId) -> bool {
         if self.is_live(id.slot(), id.generation()) {
             drop(self.take(id.slot()));
             true
@@ -147,7 +147,7 @@ impl<E> EventSlab<E> {
     /// Number of slots ever allocated — bounded by the *concurrent* event
     /// high-water mark, not the lifetime event count (regression surface
     /// for the old monotone `pending` table).
-    pub(crate) fn slot_capacity(&self) -> usize {
+    fn slot_capacity(&self) -> usize {
         self.slots.len()
     }
 }
@@ -155,11 +155,11 @@ impl<E> EventSlab<E> {
 /// A pending-event key: everything the ordering cores need, payload-free
 /// and `Copy` so heap sifts and bucket moves never touch the payload.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Pending {
-    pub(crate) at: u64,
-    pub(crate) seq: u64,
-    pub(crate) slot: u32,
-    pub(crate) generation: u32,
+struct Pending {
+    at: u64,
+    seq: u64,
+    slot: u32,
+    generation: u32,
 }
 
 impl Pending {
@@ -205,7 +205,7 @@ enum Src {
 
 /// The two-rung calendar wheel. Holds only [`Pending`] keys; liveness is
 /// checked against the slab, so cancelled entries are skipped lazily.
-pub(crate) struct Wheel {
+struct Wheel {
     /// Rung 0: bucket `b` (absolute index `at >> 16`) lives at `b & 255`
     /// while `cursor0 < b <= cursor0 + 256`.
     r0: Vec<Vec<Pending>>,
@@ -359,34 +359,34 @@ impl Wheel {
     }
 }
 
-/// The ordering backend behind [`EventQueue`] and each `ShardedEngine`
-/// shard: the calendar wheel by default, or the original binary heap kept
-/// as the reference implementation for differential tests and digest gates.
-pub(crate) enum OrderCore {
+/// The ordering backend behind [`EventQueue`]: the calendar wheel by
+/// default, or the original binary heap kept as the reference
+/// implementation for differential tests and digest gates.
+enum OrderCore {
     Wheel(Box<Wheel>),
     /// Reference backend: single binary heap over the same `Pending` keys.
     Heap(BinaryHeap<Pending>),
 }
 
 impl OrderCore {
-    pub(crate) fn wheel() -> Self {
+    fn wheel() -> Self {
         OrderCore::Wheel(Box::new(Wheel::new()))
     }
 
-    pub(crate) fn reference_heap() -> Self {
+    fn reference_heap() -> Self {
         OrderCore::Heap(BinaryHeap::new())
     }
 
     /// Must be called before inserting into a core that holds no live
     /// events (the caller tracks live counts); repositions the wheel so
     /// near-future inserts land in rung 0 again.
-    pub(crate) fn re_anchor(&mut self, at: u64) {
+    fn re_anchor(&mut self, at: u64) {
         if let OrderCore::Wheel(w) = self {
             w.re_anchor(at);
         }
     }
 
-    pub(crate) fn insert(&mut self, p: Pending) {
+    fn insert(&mut self, p: Pending) {
         match self {
             OrderCore::Wheel(w) => w.insert(p),
             OrderCore::Heap(h) => h.push(p),
@@ -395,7 +395,7 @@ impl OrderCore {
 
     /// Key of the earliest live event, or `None`. Mutates only to scrub
     /// stale keys / rotate wheel buckets.
-    pub(crate) fn peek_next<E>(&mut self, slab: &EventSlab<E>) -> Option<Pending> {
+    fn peek_next<E>(&mut self, slab: &EventSlab<E>) -> Option<Pending> {
         match self {
             OrderCore::Wheel(w) => match w.settle(slab) {
                 Src::Drain => w.drain.last().copied(),
@@ -415,7 +415,7 @@ impl OrderCore {
     }
 
     /// Removes and returns the earliest live key, or `None`.
-    pub(crate) fn pop_next<E>(&mut self, slab: &EventSlab<E>) -> Option<Pending> {
+    fn pop_next<E>(&mut self, slab: &EventSlab<E>) -> Option<Pending> {
         match self {
             OrderCore::Wheel(w) => match w.settle(slab) {
                 Src::Drain => w.drain.pop(),

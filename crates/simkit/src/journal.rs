@@ -3,8 +3,8 @@
 //!
 //! The journal is the diagnosis layer behind the repo's determinism digests:
 //! when two runs that must be bit-identical (calendar wheel vs. reference
-//! heap, single vs. sharded engine, faulted replay) disagree, their digests
-//! only say *that* they diverged. A journal records the full delivery stream
+//! heap, faulted replay) disagree, their digests only say *that* they
+//! diverged. A journal records the full delivery stream
 //! — virtual time, event kind, application ids, delivery sequence — so a
 //! doctor can binary-search to the *first* divergent event and print it.
 //!
@@ -32,7 +32,7 @@
 //! The journal is app-agnostic: `kind`/`a`/`b` are opaque to this module.
 //! The application supplies an encoder (`fn(&E) -> EventCode`) when
 //! installing a journal on an engine, and may interleave *note* records
-//! (e.g. scheduler decisions) through `EventSink::journal_note`.
+//! (e.g. scheduler decisions) through `Engine::journal_note`.
 
 use std::fs::File;
 use std::io::{self, Read as _, Write as _};

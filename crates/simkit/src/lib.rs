@@ -46,7 +46,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Engine, EngineStats, EventSink, ShardedEngine};
+pub use engine::{Engine, EngineStats};
 pub use event::{EventId, EventQueue};
 pub use journal::{Journal, JournalRecord, JournalSummary, JournalWriter};
 pub use metrics::{LogHistogram, MetricsRegistry, MetricsServer};

@@ -289,12 +289,6 @@ pub struct Config {
     /// (CI's release-mode reconciliation harness). Default off: the scan is
     /// O(n_tasks) per tick.
     pub validate_counters: bool,
-    /// Event-engine shard count. `0` or `1` selects the single-queue
-    /// reference engine; larger values run the per-endpoint sharded engine
-    /// with conservative-lookahead merging (typically `endpoints + 1`).
-    /// Delivery order — and every determinism digest — is identical either
-    /// way; this only trades heap sizes for merge bookkeeping.
-    pub engine_shards: usize,
     /// Run the event engine on the reference binary-heap queue instead of
     /// the default calendar wheel. Delivery order — and every determinism
     /// digest — is identical either way; the flag exists so CI and
@@ -367,6 +361,23 @@ impl Config {
                 )));
             }
         }
+        for (name, p) in [
+            ("task failure probability", self.task_failure_prob),
+            ("transfer failure probability", self.transfer_failure_prob),
+        ] {
+            // A NaN fails the range test too.
+            if !(0.0..=1.0).contains(&p) {
+                return Err(UniFaasError::InvalidConfig(format!(
+                    "{name} must be in [0, 1], got {p}"
+                )));
+            }
+        }
+        if !(self.exec_noise_cv.is_finite() && self.exec_noise_cv >= 0.0) {
+            return Err(UniFaasError::InvalidConfig(format!(
+                "execution noise CV must be finite and >= 0, got {}",
+                self.exec_noise_cv
+            )));
+        }
         if !(0.0..=1.0).contains(&self.retry.backoff_jitter) {
             return Err(UniFaasError::InvalidConfig(
                 "retry backoff jitter must be in [0, 1]".into(),
@@ -421,7 +432,6 @@ impl Default for ConfigBuilder {
                 health: crate::monitor::HealthPolicy::default(),
                 seed: 0x05E5,
                 validate_counters: false,
-                engine_shards: 1,
                 engine_reference_queue: false,
                 record_series: true,
                 digest_decisions: false,
@@ -543,12 +553,6 @@ impl ConfigBuilder {
     /// [`Config::engine_reference_queue`]).
     pub fn engine_reference_queue(mut self, yes: bool) -> Self {
         self.config.engine_reference_queue = yes;
-        self
-    }
-
-    /// Sets the event-engine shard count (see [`Config::engine_shards`]).
-    pub fn engine_shards(mut self, shards: usize) -> Self {
-        self.config.engine_shards = shards;
         self
     }
 
@@ -705,6 +709,36 @@ mod tests {
             ..two_ep_config()
         };
         assert!(bad_factor.validate().is_err());
+    }
+
+    #[test]
+    fn validation_catches_out_of_range_fault_and_noise_values() {
+        for bad in [f64::NAN, -0.5, 1.5] {
+            let task = Config {
+                task_failure_prob: bad,
+                ..two_ep_config()
+            };
+            assert!(task.validate().is_err(), "task_failure_prob {bad}");
+            let transfer = Config {
+                transfer_failure_prob: bad,
+                ..two_ep_config()
+            };
+            assert!(transfer.validate().is_err(), "transfer_failure_prob {bad}");
+        }
+        for bad in [f64::NAN, f64::INFINITY, -3.0] {
+            let noise = Config {
+                exec_noise_cv: bad,
+                ..two_ep_config()
+            };
+            assert!(noise.validate().is_err(), "exec_noise_cv {bad}");
+        }
+        let edge = Config {
+            task_failure_prob: 1.0,
+            transfer_failure_prob: 0.0,
+            exec_noise_cv: 1.5,
+            ..two_ep_config()
+        };
+        assert!(edge.validate().is_ok());
     }
 
     #[test]

@@ -29,6 +29,9 @@ pub enum UniFaasError {
     /// The configuration is invalid (e.g. no endpoints, or a home index out
     /// of range).
     InvalidConfig(String),
+    /// The run journal could not be created or sealed (unwritable path,
+    /// disk full): an I/O failure, not a configuration error.
+    Journal(String),
     /// A live-runtime function returned an application error.
     FunctionError {
         /// The failing task.
@@ -54,6 +57,7 @@ impl fmt::Display for UniFaasError {
                 )
             }
             UniFaasError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            UniFaasError::Journal(msg) => write!(f, "journal: {msg}"),
             UniFaasError::FunctionError { task, message } => {
                 write!(f, "task {task} returned an error: {message}")
             }

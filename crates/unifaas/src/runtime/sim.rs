@@ -45,7 +45,7 @@ use simkit::journal::{EventCode, JournalSummary, JournalWriter};
 use simkit::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 use simkit::series::SeriesHandle;
 use simkit::trace::{LabelId, TraceLevel, Tracer};
-use simkit::{Engine, EngineStats, EventSink, ShardedEngine, SimDuration, SimRng, SimTime};
+use simkit::{Engine, EngineStats, SimDuration, SimRng, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -300,7 +300,6 @@ impl SimRuntime {
     /// Runs the workflow to completion and reports.
     pub fn run(self) -> Result<RunReport, UniFaasError> {
         self.cfg.validate()?;
-        let shards = self.cfg.engine_shards;
         let reference = self.cfg.engine_reference_queue;
         let journal_out = self.journal_out.clone();
         let flight_cfg = self.flight.clone();
@@ -311,80 +310,24 @@ impl SimRuntime {
                 .map_err(|e| UniFaasError::InvalidConfig(format!("flight recorder: {e}")))?;
             rt.flight = Some(Box::new(fr));
         }
-        let open_journal = |engine_journal: &mut dyn FnMut(JournalWriter)| match &journal_out {
-            Some(path) => {
-                let w = JournalWriter::create(path).map_err(|e| {
-                    UniFaasError::InvalidConfig(format!("journal {}: {e}", path.display()))
-                })?;
-                engine_journal(w);
-                Ok(())
-            }
-            None => Ok(()),
-        };
-        let seal = |w: Option<JournalWriter>| -> Result<Option<JournalSummary>, UniFaasError> {
-            match w {
-                Some(w) => w
-                    .finish()
-                    .map(Some)
-                    .map_err(|e| UniFaasError::InvalidConfig(format!("journal: {e}"))),
-                None => Ok(None),
-            }
-        };
-        if shards > 1 {
-            // Sharded path: per-endpoint event queues merged by the exact
-            // global (time, seq) order, so delivery — and the determinism
-            // digest — is bit-identical to the single-queue engine.
-            let mut engine: ShardedEngine<Ev> = if reference {
-                ShardedEngine::new_reference(shards, shard_of)
-            } else {
-                ShardedEngine::new(shards, shard_of)
-            };
-            open_journal(&mut |w| engine.set_journal(w, ev_code))?;
-            rt.bootstrap(&mut engine);
-            let mut handler =
-                |now: SimTime, ev: Ev, eng: &mut ShardedEngine<Ev>| rt.handle(now, ev, eng);
-            while engine.step(&mut handler) {}
-            let journal = seal(engine.take_journal())?;
-            rt.finish(engine.processed(), engine.stats(), journal)
+        let mut engine: Engine<Ev> = if reference {
+            Engine::new_reference()
         } else {
-            let mut engine: Engine<Ev> = if reference {
-                Engine::new_reference()
-            } else {
-                Engine::new()
-            };
-            open_journal(&mut |w| engine.set_journal(w, ev_code))?;
-            rt.bootstrap(&mut engine);
-            let mut handler = |now: SimTime, ev: Ev, eng: &mut Engine<Ev>| rt.handle(now, ev, eng);
-            while engine.step(&mut handler) {}
-            let journal = seal(engine.take_journal())?;
-            rt.finish(engine.processed(), engine.stats(), journal)
+            Engine::new()
+        };
+        if let Some(path) = &journal_out {
+            let w = JournalWriter::create(path)
+                .map_err(|e| UniFaasError::Journal(format!("{}: {e}", path.display())))?;
+            engine.set_journal(w, ev_code);
         }
-    }
-}
-
-/// Event → shard classifier for [`ShardedEngine`]: events concerning one
-/// endpoint go to that endpoint's shard, per-task client-side events
-/// spread by task id, and global periodic events share shard 0. Any
-/// deterministic map is *correct* (the merge preserves global order
-/// regardless); this one just keeps each endpoint's dense event streams
-/// in small private heaps.
-fn shard_of(ev: &Ev) -> usize {
-    match ev {
-        Ev::TaskArrive(_, ep, _)
-        | Ev::ExecDone(_, ep)
-        | Ev::ResultObserved(_, ep, _)
-        | Ev::RetryTask(_, ep, _)
-        | Ev::ExecTimeout(_, ep, _)
-        | Ev::Commission(ep, _) => 1 + ep.index(),
-        Ev::StagingCheck(t) => 1 + t.index(),
-        Ev::XferDone(_)
-        | Ev::MockSync
-        | Ev::ScaleTick
-        | Ev::RescheduleTick
-        | Ev::CapacityChange(_)
-        | Ev::Inject(_)
-        | Ev::OutageStart(_)
-        | Ev::OutageEnd(_) => 0,
+        rt.bootstrap(&mut engine);
+        engine.run(|now, ev, eng| rt.handle(now, ev, eng));
+        let journal = engine
+            .take_journal()
+            .map(JournalWriter::finish)
+            .transpose()
+            .map_err(|e| UniFaasError::Journal(e.to_string()))?;
+        rt.finish(engine.processed(), engine.stats(), journal)
     }
 }
 
@@ -725,7 +668,7 @@ struct Rt {
     xfer_pred: HashMap<usize, f64>,
     /// True when a run journal is attached to the engine: scheduler
     /// decisions then interleave as note records via
-    /// [`EventSink::journal_note`].
+    /// [`Engine::journal_note`].
     journal_notes: bool,
     /// Running FNV over the scheduler decision stream (present iff
     /// `Config::digest_decisions`); lands in `RunReport::decision_digest`.
@@ -799,7 +742,6 @@ impl Rt {
                 rescheduling: *rescheduling,
                 delay_dispatch: *delay_dispatch,
                 steal_threshold: *steal_threshold_pct as f64 / 100.0,
-                ..crate::sched::dha::DhaOptions::default()
             })),
             SchedulingStrategy::Pinned(map) => Box::new(PinnedScheduler::new(map.clone())),
         };
@@ -1103,13 +1045,7 @@ impl Rt {
 
     /// Folds one scheduler decision into the decision digest and, on
     /// journaled runs, interleaves it into the journal as a note record.
-    fn note_decision(
-        &mut self,
-        kind: u16,
-        task: TaskId,
-        ep: EndpointId,
-        eng: &mut dyn EventSink<Ev>,
-    ) {
+    fn note_decision(&mut self, kind: u16, task: TaskId, ep: EndpointId, eng: &mut Engine<Ev>) {
         if let Some(h) = self.decision_digest.as_mut() {
             const PRIME: u64 = 0x0000_0100_0000_01b3;
             for byte in kind
@@ -1131,7 +1067,7 @@ impl Rt {
         &mut self,
         mut actions: Vec<SchedAction>,
         now: SimTime,
-        eng: &mut dyn EventSink<Ev>,
+        eng: &mut Engine<Ev>,
     ) {
         for a in actions.drain(..) {
             match a {
@@ -1402,7 +1338,7 @@ impl Rt {
         ep: EndpointId,
         runtime_retry: bool,
         now: SimTime,
-        eng: &mut dyn EventSink<Ev>,
+        eng: &mut Engine<Ev>,
     ) {
         debug_assert!(
             matches!(
@@ -1469,7 +1405,7 @@ impl Rt {
     }
 
     /// Checks whether `t`'s staging is complete; fires downstream if so.
-    fn check_staged(&mut self, t: TaskId, now: SimTime, eng: &mut dyn EventSink<Ev>) {
+    fn check_staged(&mut self, t: TaskId, now: SimTime, eng: &mut Engine<Ev>) {
         if self.tasks.state[t.index()] != TaskState::Staging {
             return; // stale notification (retargeted or already moved on)
         }
@@ -1492,13 +1428,7 @@ impl Rt {
         }
     }
 
-    fn do_dispatch(
-        &mut self,
-        t: TaskId,
-        ep: EndpointId,
-        now: SimTime,
-        eng: &mut dyn EventSink<Ev>,
-    ) {
+    fn do_dispatch(&mut self, t: TaskId, ep: EndpointId, now: SimTime, eng: &mut Engine<Ev>) {
         let predicted = self
             .predictor()
             .exec_seconds(&self.dag, t, &self.features[ep.index()]);
@@ -1552,7 +1482,7 @@ impl Rt {
         Some(eid)
     }
 
-    fn try_start(&mut self, ep: EndpointId, now: SimTime, eng: &mut dyn EventSink<Ev>) {
+    fn try_start(&mut self, ep: EndpointId, now: SimTime, eng: &mut Engine<Ev>) {
         let mut started_any = false;
         while self.endpoints[ep.index()].idle_workers() > 0
             && !self.ep_queues[ep.index()].is_empty()
@@ -1593,7 +1523,7 @@ impl Rt {
     /// calls the unbatched loop would have made. Still bounded by the
     /// believed idle count so a scheduler that keeps emitting actions
     /// without filling slots cannot spin forever.
-    fn worker_idle_loop(&mut self, ep: EndpointId, now: SimTime, eng: &mut dyn EventSink<Ev>) {
+    fn worker_idle_loop(&mut self, ep: EndpointId, now: SimTime, eng: &mut Engine<Ev>) {
         if self.fatal.is_some() {
             return;
         }
@@ -1611,7 +1541,7 @@ impl Rt {
         }
     }
 
-    fn exec_done(&mut self, t: TaskId, ep: EndpointId, now: SimTime, eng: &mut dyn EventSink<Ev>) {
+    fn exec_done(&mut self, t: TaskId, ep: EndpointId, now: SimTime, eng: &mut Engine<Ev>) {
         self.running_remove(ep, t);
         self.endpoints[ep.index()].release_worker(now);
         self.record_workers(now);
@@ -1652,7 +1582,7 @@ impl Rt {
         ep: EndpointId,
         success: bool,
         now: SimTime,
-        eng: &mut dyn EventSink<Ev>,
+        eng: &mut Engine<Ev>,
     ) {
         let predicted = self.tasks.predicted_exec[t.index()];
         self.monitor.mock_mut(ep).pop_task(predicted);
@@ -1740,7 +1670,7 @@ impl Rt {
         self.worker_idle_loop(ep, now, eng);
     }
 
-    fn mark_ready(&mut self, t: TaskId, now: SimTime, eng: &mut dyn EventSink<Ev>) {
+    fn mark_ready(&mut self, t: TaskId, now: SimTime, eng: &mut Engine<Ev>) {
         if self.fatal.is_some() {
             return;
         }
@@ -1759,7 +1689,7 @@ impl Rt {
     /// this is call-for-call identical to a `mark_ready` loop; batching-
     /// aware schedulers coalesce hook overhead across a same-timestamp
     /// run without changing any decision.
-    fn mark_ready_batch(&mut self, now: SimTime, eng: &mut dyn EventSink<Ev>) {
+    fn mark_ready_batch(&mut self, now: SimTime, eng: &mut Engine<Ev>) {
         if self.fatal.is_some() || self.ready_scratch.is_empty() {
             self.ready_scratch.clear();
             return;
@@ -1793,7 +1723,7 @@ impl Rt {
         t: TaskId,
         ep: EndpointId,
         now: SimTime,
-        eng: &mut dyn EventSink<Ev>,
+        eng: &mut Engine<Ev>,
     ) {
         self.tasks.attempts[t.index()] += 1;
         self.tasks.record_failed_attempt(t, ep);
@@ -1984,7 +1914,7 @@ impl Rt {
     /// (Re-)arms the periodic tick events. Called at bootstrap and after
     /// any event that can revive a quiesced run (capacity change, worker
     /// commissioning, dynamic DAG injection).
-    fn rearm_periodics(&mut self, eng: &mut dyn EventSink<Ev>) {
+    fn rearm_periodics(&mut self, eng: &mut Engine<Ev>) {
         if !self.mock_sync_armed {
             self.mock_sync_armed = true;
             eng.schedule_after(self.faas.status_sync_interval, Ev::MockSync);
@@ -2014,7 +1944,7 @@ impl Rt {
         }
     }
 
-    fn scale_tick(&mut self, now: SimTime, eng: &mut dyn EventSink<Ev>) {
+    fn scale_tick(&mut self, now: SimTime, eng: &mut Engine<Ev>) {
         if cfg!(debug_assertions) || self.cfg.validate_counters {
             self.validate_counters();
         }
@@ -2066,7 +1996,7 @@ impl Rt {
         }
     }
 
-    fn capacity_change(&mut self, idx: usize, now: SimTime, eng: &mut dyn EventSink<Ev>) {
+    fn capacity_change(&mut self, idx: usize, now: SimTime, eng: &mut Engine<Ev>) {
         let ev = self.cfg.capacity_events[idx];
         let ep = EndpointId(ev.endpoint as u16);
         let preempted = self.endpoints[ep.index()].force_capacity_delta(ev.delta, now);
@@ -2105,7 +2035,7 @@ impl Rt {
     /// An outage window opens: mark the endpoint Down and proactively
     /// requeue its in-flight work (§IV-G) instead of letting each task
     /// fail at dispatch and burn an attempt.
-    fn outage_start(&mut self, idx: usize, now: SimTime, eng: &mut dyn EventSink<Ev>) {
+    fn outage_start(&mut self, idx: usize, now: SimTime, eng: &mut Engine<Ev>) {
         let (ep, _, _) = self.outage_sched[idx];
         if self.health.mark_down(ep).is_some() && self.trace.is_some() {
             self.trace_health(ep, now);
@@ -2119,7 +2049,7 @@ impl Rt {
 
     /// An outage window closes: the endpoint is Recovering (its first
     /// completed task promotes it to Healthy) and re-admits work.
-    fn outage_end(&mut self, idx: usize, now: SimTime, eng: &mut dyn EventSink<Ev>) {
+    fn outage_end(&mut self, idx: usize, now: SimTime, eng: &mut Engine<Ev>) {
         let (ep, _, _) = self.outage_sched[idx];
         if self.health.mark_recovering(ep).is_some() && self.trace.is_some() {
             self.trace_health(ep, now);
@@ -2136,7 +2066,7 @@ impl Rt {
     /// scheduler re-places it on live endpoints. Runs in ascending task-id
     /// order for determinism. Requeued tasks do not consume an attempt —
     /// the outage is the runtime's fault, not the task's.
-    fn drain_endpoint(&mut self, ep: EndpointId, now: SimTime, eng: &mut dyn EventSink<Ev>) {
+    fn drain_endpoint(&mut self, ep: EndpointId, now: SimTime, eng: &mut Engine<Ev>) {
         let victims: Vec<TaskId> = (0..self.tasks.len() as u32)
             .map(TaskId)
             .filter(|t| {
@@ -2191,7 +2121,7 @@ impl Rt {
         ep: EndpointId,
         gen: u32,
         now: SimTime,
-        eng: &mut dyn EventSink<Ev>,
+        eng: &mut Engine<Ev>,
     ) {
         if self.fatal.is_some() {
             return;
@@ -2217,7 +2147,7 @@ impl Rt {
         ep: EndpointId,
         gen: u32,
         now: SimTime,
-        eng: &mut dyn EventSink<Ev>,
+        eng: &mut Engine<Ev>,
     ) {
         if self.fatal.is_some() {
             return;
@@ -2267,7 +2197,7 @@ impl Rt {
         self.worker_idle_loop(ep, now, eng);
     }
 
-    fn inject(&mut self, idx: usize, now: SimTime, eng: &mut dyn EventSink<Ev>) {
+    fn inject(&mut self, idx: usize, now: SimTime, eng: &mut Engine<Ev>) {
         let Some((_, f)) = self.injections[idx].take() else {
             return;
         };
@@ -2367,7 +2297,7 @@ impl Rt {
         }
     }
 
-    fn bootstrap(&mut self, eng: &mut dyn EventSink<Ev>) {
+    fn bootstrap(&mut self, eng: &mut Engine<Ev>) {
         let now = SimTime::ZERO;
         if self.cfg.probe_transfers && matches!(self.profiler, ProfilerKind::Learned(_)) {
             self.probe_transfers();
@@ -2411,7 +2341,7 @@ impl Rt {
         }
     }
 
-    fn handle(&mut self, now: SimTime, ev: Ev, eng: &mut dyn EventSink<Ev>) {
+    fn handle(&mut self, now: SimTime, ev: Ev, eng: &mut Engine<Ev>) {
         if let Some(fl) = self.flight.as_deref_mut() {
             fl.on_event(
                 now,
@@ -2989,50 +2919,6 @@ mod tests {
             "fault machinery must be pay-for-what-you-use"
         );
         assert_eq!(baseline.events_processed, with_knobs.events_processed);
-    }
-
-    #[test]
-    fn sharded_engine_is_digest_identical_to_single_queue() {
-        // The sharded engine merges per-endpoint queues by the exact
-        // global (time, seq) order, so every strategy must replay
-        // bit-identically for any shard count — including fault paths
-        // (retries, outages) that cancel and reschedule events.
-        for strategy in [
-            SchedulingStrategy::Capacity,
-            SchedulingStrategy::Locality,
-            SchedulingStrategy::Dha { rescheduling: true },
-        ] {
-            let base_cfg = two_ep_config(strategy.clone());
-            let baseline = SimRuntime::new(base_cfg.clone(), bag_dag(24, 4.0))
-                .run()
-                .unwrap();
-            for shards in [2usize, 3, 8] {
-                let mut cfg = base_cfg.clone();
-                cfg.engine_shards = shards;
-                let sharded = SimRuntime::new(cfg, bag_dag(24, 4.0)).run().unwrap();
-                assert_eq!(
-                    baseline.determinism_digest(),
-                    sharded.determinism_digest(),
-                    "{strategy:?} diverged with {shards} shards"
-                );
-                assert_eq!(baseline.events_processed, sharded.events_processed);
-            }
-        }
-
-        // And with the fault machinery exercised: stochastic task
-        // failures force retries through cancel/reschedule paths.
-        let mut faulty = two_ep_config(SchedulingStrategy::Dha { rescheduling: true });
-        faulty.task_failure_prob = 0.2;
-        faulty.max_task_attempts = 10;
-        let baseline = SimRuntime::new(faulty.clone(), chain_dag(12, 2.0))
-            .run()
-            .unwrap();
-        let mut sharded_cfg = faulty;
-        sharded_cfg.engine_shards = 4;
-        let sharded = SimRuntime::new(sharded_cfg, chain_dag(12, 2.0))
-            .run()
-            .unwrap();
-        assert_eq!(baseline.determinism_digest(), sharded.determinism_digest());
     }
 
     #[test]

@@ -26,9 +26,6 @@
 //!    changes and on a periodic tick, every not-yet-dispatched task is
 //!    re-evaluated; if another endpoint now offers a sufficiently better
 //!    EFT the task is *stolen* there (its data re-stages if needed).
-//!    The optional [`DhaOptions::bounded_reschedule`] knob restricts each
-//!    pass to endpoints whose observed state changed since the previous
-//!    pass (and skips the pass entirely when nothing changed).
 
 use crate::sched::queue::DelayQueues;
 use crate::sched::{SchedCtx, Scheduler};
@@ -102,14 +99,6 @@ pub struct DhaOptions {
     /// below `steal_threshold ×` the current one (hysteresis against
     /// churn). 1.0 steals on any improvement; lower values are stickier.
     pub steal_threshold: f64,
-    /// Bound each re-scheduling pass to *dirty* endpoints — endpoints
-    /// whose mock state (worker count, outstanding load) changed since the
-    /// previous pass. A pass with no dirty endpoint is skipped outright;
-    /// otherwise a pooled task only considers moving to a dirty endpoint
-    /// (or anywhere, if its own endpoint is the one that changed). Off by
-    /// default: the default full pass re-evaluates every pooled task
-    /// against every endpoint, preserving the original decisions exactly.
-    pub bounded_reschedule: bool,
 }
 
 impl Default for DhaOptions {
@@ -118,7 +107,6 @@ impl Default for DhaOptions {
             rescheduling: true,
             delay_dispatch: true,
             steal_threshold: 0.9,
-            bounded_reschedule: false,
         }
     }
 }
@@ -172,9 +160,6 @@ pub struct DhaScheduler {
     exec_epoch: u64,
     /// Best replica per (object, destination) + staging scratch.
     replica: ReplicaCache,
-    /// Per-endpoint mock-state signatures from the last re-scheduling
-    /// pass (only maintained under `bounded_reschedule`).
-    ep_sig: HashMap<EndpointId, (usize, usize, u64)>,
     /// Ready tasks with nowhere to go (every compute endpoint Down when
     /// they arrived); re-driven on the next capacity change or tick.
     parked: Vec<TaskId>,
@@ -378,7 +363,6 @@ impl DhaScheduler {
             exec_width: 0,
             exec_epoch: 0,
             replica: ReplicaCache::default(),
-            ep_sig: HashMap::new(),
             parked: Vec::new(),
             pooled: Vec::new(),
             pool_len: 0,
@@ -661,25 +645,6 @@ impl DhaScheduler {
         Some(c)
     }
 
-    /// Endpoints whose mock signature changed since the last pass, as
-    /// (slot in `compute_eps`, endpoint) pairs. Also refreshes the stored
-    /// signatures.
-    fn dirty_endpoints(&mut self, ctx: &SchedCtx) -> Vec<(usize, EndpointId)> {
-        let mut dirty = Vec::new();
-        for (slot, &ep) in ctx.compute_eps.iter().enumerate() {
-            let mock = ctx.monitor.mock(ep);
-            let sig = (
-                mock.active_workers,
-                mock.outstanding_tasks,
-                mock.outstanding_work_seconds.to_bits(),
-            );
-            if self.ep_sig.insert(ep, sig) != Some(sig) {
-                dirty.push((slot, ep));
-            }
-        }
-        dirty
-    }
-
     /// The re-scheduling pass: re-evaluate every not-yet-dispatched task.
     fn reschedule(&mut self, ctx: &mut SchedCtx) {
         self.refresh_caches(ctx);
@@ -687,15 +652,6 @@ impl DhaScheduler {
             // Predictor moved on: every class's row is stale.
             self.reset_classes();
         }
-        let dirty = if self.opts.bounded_reschedule {
-            let d = self.dirty_endpoints(ctx);
-            if d.is_empty() {
-                return; // nothing observed changed: keep every decision
-            }
-            Some(d)
-        } else {
-            None
-        };
         // Bring the persistent two-level sorted pool up to date.
         // Highest priority first, matching the dispatch order; ties break
         // by task id so the steal order is deterministic. (priority desc,
@@ -869,14 +825,6 @@ impl DhaScheduler {
                 }
             }
             let cur = self.target[task.index()].expect("pooled task has a target");
-            // Candidate endpoints this task may move to. Unbounded: all of
-            // them. Bounded: the dirty ones — unless the task's own
-            // endpoint changed, in which case it may flee anywhere.
-            let candidates: &[(usize, EndpointId)] = match &dirty {
-                None => &all_eps,
-                Some(d) if d.iter().any(|&(_, e)| e == cur) => &all_eps,
-                Some(d) => d,
-            };
             // Evaluate with the task's own committed load excluded, so its
             // current endpoint is not unfairly penalized by its own weight.
             let own = self.committed.get(task.index()).copied().flatten();
@@ -914,7 +862,7 @@ impl DhaScheduler {
             // threshold are pruned before the expensive staging estimate —
             // the common case, since most passes move nothing.
             let mut best: Option<EpEval> = None;
-            for &(slot, ep) in candidates {
+            for &(slot, ep) in &all_eps {
                 if ep == cur || ctx.is_down(ep) {
                     continue;
                 }
@@ -1727,58 +1675,5 @@ mod tests {
         }
         // The growth raised ancestors' ranks: task 1 gained the new chain.
         assert!(incremental.priority(TaskId(1)) > incremental.priority(c1));
-    }
-
-    #[test]
-    fn bounded_reschedule_is_off_by_default_and_steals_when_dirty() {
-        assert!(!DhaOptions::default().bounded_reschedule);
-        let mut fx = fixture();
-        let mut sched = DhaScheduler::with_options(DhaOptions {
-            bounded_reschedule: true,
-            ..DhaOptions::default()
-        });
-        {
-            let mut c = ctx(&fx);
-            let tasks: Vec<TaskId> = fx.dag.task_ids().collect();
-            sched.on_tasks_added(&mut c, &tasks);
-        }
-        for ep in [EndpointId(0), EndpointId(1)] {
-            for _ in 0..4 {
-                fx.monitor.mock_mut(ep).push_task(400.0);
-            }
-        }
-        {
-            let mut c = ctx(&fx);
-            sched.on_task_ready(&mut c, TaskId(0));
-            c.take_actions();
-            sched.on_staging_complete(&mut c, TaskId(0));
-            assert_eq!(sched.delayed(), 1);
-            // Seed the signatures; both endpoints saturated → no steal.
-            sched.on_tick(&mut c);
-            assert!(c.take_actions().is_empty());
-            // Nothing changed since: the pass must skip outright.
-            sched.on_tick(&mut c);
-            assert!(c.take_actions().is_empty());
-        }
-        // The other endpoint empties → it is dirty → the task moves there.
-        let cur = sched.target(TaskId(0)).unwrap();
-        let other = if cur == EndpointId(0) {
-            EndpointId(1)
-        } else {
-            EndpointId(0)
-        };
-        for _ in 0..4 {
-            fx.monitor.mock_mut(other).pop_task(400.0);
-        }
-        let mut c = ctx(&fx);
-        sched.on_tick(&mut c);
-        assert_eq!(
-            c.take_actions(),
-            vec![SchedAction::Stage {
-                task: TaskId(0),
-                ep: other
-            }]
-        );
-        assert_eq!(sched.target(TaskId(0)), Some(other));
     }
 }

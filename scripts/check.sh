@@ -19,6 +19,18 @@ if grep -rn 'runtime::live\|LiveRuntime' \
   exit 1
 fi
 
+# The sharded event engine, its `EventSink` trait and DHA's bounded
+# re-scheduling knob were deleted in PR 20. DESIGN.md and EXPERIMENTS.md
+# name them on purpose (why they went), so only code and CI are searched.
+echo "==> no ShardedEngine / engine_shards / EventSink / bounded_reschedule left"
+if grep -rnE 'ShardedEngine|engine_shards|EventSink|bounded_reschedule' \
+  --include='*.rs' --include='*.sh' --include='*.yml' \
+  --exclude=check.sh --exclude-dir=benchmark --exclude-dir=target \
+  --exclude-dir=.git .; then
+  echo "a deleted engine/scheduler mechanism is referenced again (see above)" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

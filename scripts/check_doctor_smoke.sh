@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Doctor smoke gate: journal the stress-100k DHA run on the calendar
-# wheel, the binary-heap reference queue and the sharded engine; the
-# divergence doctor must report all three journals bit-identical. Then
+# wheel and on the binary-heap reference queue; the divergence doctor
+# must report the two journals bit-identical. Then
 # inject a one-microsecond perturbation mid-journal with
 # `unifaas-sim journal-perturb` and require the doctor to localize the
 # divergence to exactly that record — never a neighbour, never a
@@ -30,7 +30,6 @@ bench() {
 
 bench wheel
 bench heap --reference-queue
-bench sharded --shards 5
 
 doctor() {
   cargo run --release -q -p unifaas-cli --bin unifaas-sim -- doctor "$@"
@@ -40,11 +39,6 @@ echo "==> doctor: wheel vs heap"
 doctor "$outdir/wheel.journal" "$outdir/heap.journal" \
   | tee "$outdir/doctor-wheel-heap.txt"
 grep -q "^journals identical" "$outdir/doctor-wheel-heap.txt"
-
-echo "==> doctor: single vs sharded"
-doctor "$outdir/wheel.journal" "$outdir/sharded.journal" \
-  | tee "$outdir/doctor-wheel-sharded.txt"
-grep -q "^journals identical" "$outdir/doctor-wheel-sharded.txt"
 
 records=$(sed -n 's/^journals identical: \([0-9]*\) records.*/\1/p' \
   "$outdir/doctor-wheel-heap.txt")

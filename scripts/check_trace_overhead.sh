@@ -23,12 +23,11 @@
 #   disabled path's allocation behaviour unchanged.
 #
 # The benchmark binary rewrites BENCH_e2e.json in the working directory, so
-# the committed baseline is read *before* the run. Three engine paths are
-# gated: the default calendar-queue engine, the sharded engine (--shards 5),
-# and the binary-heap reference queue (--reference-queue). The sharded and
-# heap runs must additionally reproduce the default run's stress-100k
-# makespan bit-for-bit — sharding and queue choice are execution
-# strategies, not semantic changes.
+# the committed baseline is read *before* the run. Two queue backends are
+# run: the default calendar-queue engine (wall-clock gated) and the
+# binary-heap reference queue (--reference-queue), which must reproduce
+# the default run's stress-100k makespan bit-for-bit — the queue backend
+# is an execution strategy, not a semantic change.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,24 +78,6 @@ gate "calendar-queue" "$current"
 # disabled measurement, not the committed baseline, so it measures
 # journal overhead rather than runner drift.
 disabled_wall="$current"
-
-# The same gate against the sharded event engine: an execution strategy,
-# not a semantic change, so it must stay inside the overhead envelope
-# AND reproduce the simulated outcome (makespan column) exactly.
-echo "==> running e2e throughput benchmark (sharded engine, 5 shards)"
-cargo run --release -q -p unifaas-bench --bin e2e_throughput -- --smoke --shards 5
-
-current=$(extract BENCH_e2e.json)
-makespan_sharded=$(extract_makespan BENCH_e2e.json)
-git checkout -- BENCH_e2e.json 2>/dev/null || true
-gate "sharded" "$current"
-
-if [ "$makespan_single" != "$makespan_sharded" ]; then
-  echo "FAIL: sharded engine changed stress-100k DHA makespan" \
-       "(${makespan_single}s -> ${makespan_sharded}s)" >&2
-  exit 1
-fi
-echo "OK: sharded makespan identical (${makespan_sharded}s)"
 
 # The binary-heap reference queue is kept as a differential oracle for
 # the calendar queue: it must produce a bit-identical simulated outcome.

@@ -1,7 +1,7 @@
 //! Property tests for the divergence doctor: for any perturbation
-//! position, any engine shard count and either queue kind, flipping one
-//! event's timestamp mid-journal must be localized by the doctor to
-//! exactly that record — never a neighbor, never a whole-chunk smear.
+//! position and either queue kind, flipping one event's timestamp
+//! mid-journal must be localized by the doctor to exactly that record —
+//! never a neighbor, never a whole-chunk smear.
 
 use fedci::hardware::ClusterSpec;
 use proptest::prelude::*;
@@ -12,12 +12,11 @@ use unifaas::config::{Config, EndpointConfig, SchedulingStrategy};
 use unifaas::obs::{doctor, perturb_journal, render_doctor, DoctorReport};
 use unifaas::SimRuntime;
 
-fn config(shards: usize, reference: bool) -> Config {
+fn config(reference: bool) -> Config {
     Config::builder()
         .endpoint(EndpointConfig::new("fast", ClusterSpec::taiyi(), 4))
         .endpoint(EndpointConfig::new("slow", ClusterSpec::qiming(), 2))
         .strategy(SchedulingStrategy::Dha { rescheduling: true })
-        .engine_shards(shards)
         .engine_reference_queue(reference)
         .build()
 }
@@ -45,17 +44,16 @@ proptest! {
     #[test]
     fn doctor_localizes_any_single_event_perturbation(
         pos_frac in 0.0f64..1.0,
-        shards in prop_oneof![Just(1usize), Just(3usize)],
         reference in prop_oneof![Just(false), Just(true)],
     ) {
         let dir = std::env::temp_dir().join(format!(
-            "ufprop-{}-{shards}-{reference}-{}",
+            "ufprop-{}-{reference}-{}",
             std::process::id(),
             (pos_frac * 1e9) as u64
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let base = dir.join("base.journal");
-        SimRuntime::new(config(shards, reference), small_dag())
+        SimRuntime::new(config(reference), small_dag())
             .with_journal(&base)
             .run()
             .unwrap();

@@ -119,21 +119,19 @@ proptest! {
         prop_assert_eq!(report.tasks_completed, n);
     }
 
-    /// The event engine offers two execution-strategy axes that must never
-    /// change semantics: single-queue vs sharded, and calendar-wheel vs
-    /// binary-heap reference ordering. Across random topologies, seeds and
-    /// outage windows, all four combinations must deliver the exact same
-    /// event sequence — witnessed by equal determinism digests (which
+    /// The event queue's backend must never change semantics: the
+    /// calendar wheel and the binary-heap reference ordering. Across random
+    /// topologies, seeds and outage windows, both must deliver the exact
+    /// same event sequence — witnessed by equal determinism digests (which
     /// cover event and decision counts, placements, makespan and transfer
     /// totals).
     #[test]
-    fn engine_variants_match_single_shard_wheel(
+    fn reference_heap_engine_matches_wheel(
         strategy in arb_strategy(),
         layers in 1usize..5,
         width in 1usize..8,
         edge_prob in 0.1f64..0.8,
         seed in 0u64..10_000,
-        shards in 2usize..9,
         outage_ep in 0usize..3, // 2 = no outage
         outage_from in 50u64..500,
         outage_len in 50u64..500,
@@ -148,34 +146,29 @@ proptest! {
             mean_output_bytes: 20 << 20,
             seed,
         });
-        let build = |engine_shards: usize, reference_queue: bool| {
+        let build = |reference_queue: bool| {
             let mut b = Config::builder()
                 .endpoint(EndpointConfig::new("a", ClusterSpec::qiming(), 6))
                 .endpoint(EndpointConfig::new("b", ClusterSpec::taiyi(), 4))
                 .strategy(strategy.clone())
                 .retries(25, 25)
                 .seed(seed)
-                .engine_shards(engine_shards)
                 .engine_reference_queue(reference_queue);
             if let Some((ep, from, len)) = outage {
                 b = b.outage(ep, from, from + len);
             }
             b.build()
         };
-        let single = SimRuntime::new(build(1, false), dag.clone()).run().unwrap();
-        for (engine_shards, reference_queue) in [(1, true), (shards, false), (shards, true)] {
-            let other = SimRuntime::new(build(engine_shards, reference_queue), dag.clone())
-                .run()
-                .unwrap();
-            prop_assert_eq!(
-                single.determinism_digest(),
-                other.determinism_digest(),
-                "engine variant diverged (seed={}, shards={}, reference_queue={}, outage={:?})",
-                seed, engine_shards, reference_queue, outage
-            );
-            prop_assert_eq!(single.events_processed, other.events_processed);
-            prop_assert_eq!(single.makespan, other.makespan);
-        }
+        let wheel = SimRuntime::new(build(false), dag.clone()).run().unwrap();
+        let heap = SimRuntime::new(build(true), dag).run().unwrap();
+        prop_assert_eq!(
+            wheel.determinism_digest(),
+            heap.determinism_digest(),
+            "reference heap diverged from the wheel (seed={}, outage={:?})",
+            seed, outage
+        );
+        prop_assert_eq!(wheel.events_processed, heap.events_processed);
+        prop_assert_eq!(wheel.makespan, heap.makespan);
     }
 
     /// The SoA task arena as a model target: `validate_counters` makes
