@@ -355,6 +355,12 @@ fn main() {
                     w.socket_reads,
                     w.frames_recv as f64 / w.socket_reads.max(1) as f64
                 );
+                // What lives where: bytes the endpoint had to be sent, and
+                // inputs it was not sent because it kept them as outputs.
+                eprintln!(
+                    "endpoint {i} ({name}): transfer_bytes={} transfers_elided={}",
+                    w.transfer_bytes, w.transfers_elided
+                );
             }
         }
     }

@@ -92,6 +92,117 @@ fn start_nap(rt: &FabricRuntime, fabric: &ProcessFabric, ep: usize) -> WireFutur
     napper
 }
 
+/// The `wire-data` shape at test size: `layers` × width 4, even layers
+/// `echo` a 256 KiB seeded blob (below layer 0 prefixed by the 8-byte
+/// result of the task above), odd layers `sum64` two blobs of the layer
+/// above. All of it is submitted before any of it runs — layer 0 waits on
+/// a 100 ms `sleep` that returns nothing — so every output is dispatched
+/// with its dependents already registered. Returns the DAG's futures and
+/// the inline payload bytes submitted.
+fn submit_data_dag(rt: &FabricRuntime, layers: usize, seed: u64) -> (Vec<WireFuture>, u64) {
+    const WIDTH: usize = 4;
+    const BLOB_WORDS: u64 = 32 * 1024;
+    let blob = |task: u64| -> Vec<u8> {
+        let word = |w: u64| (seed ^ (task << 32) ^ w).to_le_bytes();
+        (0..BLOB_WORDS).flat_map(word).collect()
+    };
+    let mut blobs: Vec<Vec<u8>> = (0..layers * WIDTH / 2).map(|t| blob(t as u64)).collect();
+    let inline = blobs.iter().map(|b| b.len() as u64).sum();
+    let gate = rt.submit("sleep", 100u64.to_le_bytes().to_vec(), &[]);
+    let mut futures: Vec<WireFuture> = Vec::with_capacity(layers * WIDTH);
+    for layer in 0..layers {
+        for j in 0..WIDTH {
+            let above = |k: usize| &futures[(layer - 1) * WIDTH + k % WIDTH];
+            let f = if layer % 2 == 0 {
+                let dep = if layer == 0 { &gate } else { above(j) };
+                let blob = blobs.pop().expect("one blob per echo");
+                rt.submit("echo", blob, &[dep])
+            } else {
+                rt.submit("sum64", Vec::new(), &[above(j), above(j + 1)])
+            };
+            futures.push(f);
+        }
+    }
+    (futures, inline)
+}
+
+/// Every task's bytes, in task order.
+fn outputs(futures: &[WireFuture]) -> Vec<Arc<Vec<u8>>> {
+    let wait = |f: &WireFuture| f.wait().expect("a data task failed");
+    futures.iter().map(wait).collect()
+}
+
+/// What the in-process backend makes of the same DAG.
+fn data_dag_reference(layers: usize, seed: u64) -> Vec<Arc<Vec<u8>>> {
+    let fabric = ThreadedFabric::new(&[("a", 2)], &FabricTiming::fast());
+    let rt = FabricRuntime::new(Arc::new(fabric));
+    let (futures, _) = submit_data_dag(&rt, layers, seed);
+    rt.wait_all();
+    outputs(&futures)
+}
+
+#[test]
+fn outputs_with_waiting_dependents_are_not_sent_back_where_they_were_computed() {
+    const LAYERS: usize = 12;
+    let fabric = Arc::new(ProcessFabric::new(
+        vec![spawn_spec("only", 2)],
+        fast_cfg(10),
+    ));
+    let rt = FabricRuntime::new(Arc::clone(&fabric) as Arc<dyn Fabric>).with_retry(retry_policy());
+    let (futures, inline) = submit_data_dag(&rt, LAYERS, 5);
+    rt.wait_all();
+    assert_eq!(outputs(&futures), data_dag_reference(LAYERS, 5));
+    let wire = fabric.wire_counters(0);
+    // Every output but the last layer's had its dependents registered
+    // before it was dispatched, and they all ran where it was kept.
+    assert_eq!(wire.transfer_bytes, 0, "{wire:?}");
+    assert_eq!(wire.transfers_elided as usize, (LAYERS - 1) * 4, "{wire:?}");
+    // The client sent its payloads and little else: the 256 KiB outputs
+    // did not travel back to the daemon that returned them.
+    assert!(
+        wire.bytes_sent as f64 <= 1.05 * inline as f64,
+        "{} bytes sent for {inline} payload bytes",
+        wire.bytes_sent
+    );
+    assert_eq!(fabric.counters(0).connects, 1);
+    fabric.shutdown();
+}
+
+#[test]
+fn sigkill_loses_kept_outputs_and_the_respawned_daemon_is_shipped_them() {
+    const LAYERS: usize = 24;
+    let fabric = Arc::new(ProcessFabric::new(
+        vec![spawn_spec("victim", 2)],
+        fast_cfg(11),
+    ));
+    let up = fabric.wait_probe(0, ProbeState::Alive, Duration::from_secs(30));
+    assert!(up, "the endpoint never came up");
+    let rt = FabricRuntime::new(Arc::clone(&fabric) as Arc<dyn Fabric>).with_retry(retry_policy());
+    // One worker naps through the kill; the other takes the DAG far enough
+    // that outputs later tasks need are kept by the generation that dies.
+    let napper = start_nap(&rt, &fabric, 0);
+    let (futures, _) = submit_data_dag(&rt, LAYERS, 6);
+    // The gate and two layers: by now the daemon holds kept outputs, and
+    // everything it was asked to run it had the inputs of.
+    wait_completions(&rt, 9, Duration::from_secs(30));
+    assert_eq!(
+        fabric.wire_counters(0).transfer_bytes,
+        0,
+        "nothing lost yet"
+    );
+    fabric.kill(0);
+    rt.wait_all();
+    assert_eq!(napper.wait().expect("nap failed over").as_ref(), b"napped");
+    assert_eq!(outputs(&futures), data_dag_reference(LAYERS, 6));
+    let (counters, wire) = (fabric.counters(0), fabric.wire_counters(0));
+    assert!(counters.respawns >= 1, "{counters:?}");
+    assert!(fabric.generation(0) >= 1);
+    // The first tasks the new generation ran named outputs the old one
+    // had kept: the client's copies went out as TRANSFERs.
+    assert!(wire.transfer_bytes > 0, "{wire:?}");
+    fabric.shutdown();
+}
+
 #[test]
 fn threaded_and_process_backends_agree_bit_for_bit() {
     let w = FabricWorkload::new(60, 1234);

@@ -37,11 +37,64 @@ pub type FabricResult = Result<Vec<u8>, String>;
 /// from a fabric-owned thread.
 pub type Completion = Box<dyn FnOnce(FabricResult) + Send + 'static>;
 
+/// A job's inline argument bytes: owned by the one attempt that will use
+/// them, or shared with the attempts that may follow. Shared exists so a
+/// large payload is not copied per attempt under a retry policy; owned,
+/// so a small one costs no allocation beyond its `Vec`.
+#[derive(Clone, Debug)]
+pub enum Payload {
+    /// This attempt's own bytes.
+    Owned(Vec<u8>),
+    /// Bytes other attempts of the task hold too.
+    Shared(Arc<Vec<u8>>),
+}
+
+impl std::ops::Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::Owned(bytes) => bytes,
+            Payload::Shared(bytes) => bytes,
+        }
+    }
+}
+
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::Owned(Vec::new())
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(bytes: Vec<u8>) -> Self {
+        Payload::Owned(bytes)
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+/// The key under which the output of attempt `attempt` of task `task` is
+/// staged, kept and named in [`JobSpec::deps`]. A key names one byte
+/// string: the task id alone would not, because an attempt the watchdog
+/// superseded can finish late on one endpoint after another attempt's
+/// output was accepted from a second, and the two need not agree.
+pub fn blob_key(task: u32, attempt: u32) -> u64 {
+    (u64::from(task) << 32) | u64::from(attempt)
+}
+
 /// A function call the fabric can ship across a process boundary.
 ///
 /// The executed input is `concat(blob[d] for d in deps) ++ payload`; the
-/// dep blobs must have been [`Fabric::stage`]d at the target endpoint
-/// first (an in-order transport makes "stage then dispatch" race-free).
+/// dep blobs must be at the target endpoint first: [`Fabric::stage`]d
+/// there (an in-order transport makes "stage then dispatch" race-free) or
+/// kept there by the attempt that produced them ([`JobSpec::keep_output`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobSpec {
     /// Task id (stable across attempts).
@@ -54,7 +107,24 @@ pub struct JobSpec {
     /// Keys of staged input blobs, concatenated in this order.
     pub deps: Vec<u64>,
     /// Inline argument bytes, appended after the dep blobs.
-    pub payload: Vec<u8>,
+    pub payload: Payload,
+    /// A dependent is already waiting for this output: an endpoint that
+    /// has a blob store of its own keeps it there under
+    /// [`JobSpec::kept_key`], so a dependent placed on the same endpoint
+    /// is not sent the bytes back.
+    pub keep_output: bool,
+}
+
+impl JobSpec {
+    /// The blob key an endpoint keeps this attempt's output under: `None`
+    /// unless [`JobSpec::keep_output`] is set (or for a task id past the
+    /// 32 bits a key has room for, which no runtime here produces).
+    pub fn kept_key(&self) -> Option<u64> {
+        if !self.keep_output {
+            return None;
+        }
+        Some(blob_key(u32::try_from(self.task).ok()?, self.attempt))
+    }
 }
 
 /// Coarse liveness as seen by the fabric's own signal (heartbeats, fault
@@ -330,26 +400,49 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Assembles a job's input: staged dep blobs in `deps` order, then the
-/// inline payload. Shared by the threaded fabric and the endpoint daemon
-/// so both sides agree byte-for-byte.
+/// The staged blobs `job` names, in `deps` order — the one step of running
+/// a job that needs the blob store, so a caller holds the store's lock for
+/// this and nothing after it.
+pub fn dep_blobs(
+    blobs: &HashMap<u64, Arc<Vec<u8>>>,
+    job: &JobSpec,
+) -> Result<Vec<Arc<Vec<u8>>>, String> {
+    let blob = |d: &u64| {
+        let found = blobs.get(d).map(Arc::clone);
+        found.ok_or_else(|| format!("missing input blob {d} for task {}", job.task))
+    };
+    job.deps.iter().map(blob).collect()
+}
+
+/// Runs `f` over a job's input: `deps` in order, then `payload`. Shared by
+/// the threaded fabric and the endpoint daemon so both sides agree
+/// byte-for-byte. An input that is one byte string already — no deps, or
+/// one dep and no payload — is borrowed, not concatenated.
+pub fn run_on_input(f: &WireFn, deps: &[Arc<Vec<u8>>], payload: &[u8]) -> FabricResult {
+    match deps {
+        [] => f(payload),
+        [only] if payload.is_empty() => f(only),
+        _ => f(&concat(deps, payload)),
+    }
+}
+
+fn concat(deps: &[Arc<Vec<u8>>], payload: &[u8]) -> Vec<u8> {
+    let size = deps.iter().map(|d| d.len()).sum::<usize>() + payload.len();
+    let mut input = Vec::with_capacity(size);
+    for d in deps {
+        input.extend_from_slice(d);
+    }
+    input.extend_from_slice(payload);
+    input
+}
+
+/// A job's whole input as one byte string: what [`run_on_input`] shows
+/// the function.
 pub fn assemble_input(
     blobs: &HashMap<u64, Arc<Vec<u8>>>,
     job: &JobSpec,
 ) -> Result<Vec<u8>, String> {
-    let mut size = job.payload.len();
-    for d in &job.deps {
-        size += blobs
-            .get(d)
-            .ok_or_else(|| format!("missing input blob {d} for task {}", job.task))?
-            .len();
-    }
-    let mut input = Vec::with_capacity(size);
-    for d in &job.deps {
-        input.extend_from_slice(blobs.get(d).expect("checked above"));
-    }
-    input.extend_from_slice(&job.payload);
-    Ok(input)
+    Ok(concat(&dep_blobs(blobs, job)?, &job.payload))
 }
 
 // ---------------------------------------------------------------------------
@@ -465,8 +558,8 @@ impl Fabric for ThreadedFabric {
                 (None, _) => Err(format!("unknown function `{}`", job.function)),
                 (Some(f), None) => f(&job.payload),
                 (Some(f), Some(blobs)) => {
-                    let input = assemble_input(&blobs.lock(), &job);
-                    input.and_then(|input| f(&input))
+                    let deps = dep_blobs(&blobs.lock(), &job);
+                    deps.and_then(|deps| run_on_input(&f, &deps, &job.payload))
                 }
             };
             // Report after the worker frees, so dependents see this
@@ -578,7 +671,8 @@ mod tests {
             attempt: 1,
             function: Arc::from("echo"),
             deps: vec![2, 1],
-            payload: b"CC".to_vec(),
+            payload: b"CC".to_vec().into(),
+            keep_output: false,
         };
         assert_eq!(assemble_input(&blobs, &job).unwrap(), b"BBAACC".to_vec());
         let missing = JobSpec {
@@ -607,7 +701,8 @@ mod tests {
                 attempt: 1,
                 function: Arc::from("echo"),
                 deps: vec![7],
-                payload: b"world".to_vec(),
+                payload: b"world".to_vec().into(),
+                keep_output: false,
             },
             Box::new(move |r| tx.send(r).unwrap()),
         );
@@ -628,7 +723,8 @@ mod tests {
                 attempt: 1,
                 function: Arc::from("nope"),
                 deps: vec![],
-                payload: vec![],
+                payload: Payload::default(),
+                keep_output: false,
             },
             Box::new(move |r| tx2.send(r).unwrap()),
         );
@@ -645,7 +741,8 @@ mod tests {
                 attempt: 1,
                 function: Arc::from("echo"),
                 deps: vec![42],
-                payload: vec![],
+                payload: Payload::default(),
+                keep_output: false,
             },
             Box::new(move |r| tx.send(r).unwrap()),
         );

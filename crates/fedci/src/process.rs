@@ -6,9 +6,10 @@
 //! * **Daemon** ([`run_daemon`] / the `unifaas-endpointd` binary): one
 //!   endpoint as its own OS process. It binds a listener, announces the
 //!   bound address, and serves one client connection at a time with the
-//!   [`crate::proto`] framing: blobs staged by TRANSFER, work arriving as
-//!   DISPATCH, results flowing back as RESULT, liveness answered per
-//!   HEARTBEAT. Results produced while the client is away are queued and
+//!   [`crate::proto`] framing: blobs staged by TRANSFER (or kept where an
+//!   attempt produced them, when a KEEP precedes its DISPATCH), work
+//!   arriving as DISPATCH, results flowing back as RESULT, liveness answered
+//!   per HEARTBEAT. Results produced while the client is away are queued and
 //!   **replayed on the next connection** — deliberately, because that is
 //!   exactly the stale-RESULT case the client's attempt-generation guard
 //!   must absorb.
@@ -27,14 +28,15 @@
 
 use crate::clock::{ClockEstimate, ClockSample, ClockSync};
 use crate::fabric::{
-    assemble_input, Completion, Fabric, FabricTiming, FnRegistry, JobSpec, ProbeState,
+    dep_blobs, run_on_input, Completion, Fabric, FabricTiming, FnRegistry, JobSpec, Payload,
+    ProbeState,
 };
 use crate::proto::{
-    encode_dispatch_into, encode_transfer_into, Frame, FrameReader, TelemetryEvent, IO_BUF,
-    PROTO_VERSION, TEL_CTR_CHAOS_DELAYS, TEL_CTR_CHAOS_SWALLOWED, TEL_CTR_DISPATCHES,
-    TEL_CTR_RESULTS_ERR, TEL_CTR_RESULTS_OK, TEL_CTR_RING_DROPPED, TEL_MAX_EVENTS,
-    TEL_STAGE_CHAOS_DELAY, TEL_STAGE_CHAOS_SWALLOW, TEL_STAGE_EXEC_BEGIN, TEL_STAGE_EXEC_END,
-    TEL_STAGE_RECV, TEL_STAGE_SENT,
+    encode_dispatch_head, encode_result_head, encode_transfer_head, flush_queued, queue_frame,
+    Frame, FrameReader, TelemetryEvent, IO_BUF, PROTO_VERSION, TEL_CTR_CHAOS_DELAYS,
+    TEL_CTR_CHAOS_SWALLOWED, TEL_CTR_DISPATCHES, TEL_CTR_RESULTS_ERR, TEL_CTR_RESULTS_OK,
+    TEL_CTR_RING_DROPPED, TEL_MAX_EVENTS, TEL_STAGE_CHAOS_DELAY, TEL_STAGE_CHAOS_SWALLOW,
+    TEL_STAGE_EXEC_BEGIN, TEL_STAGE_EXEC_END, TEL_STAGE_RECV, TEL_STAGE_SENT,
 };
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};
@@ -123,12 +125,29 @@ impl DaemonConfig {
     }
 }
 
+/// One frame awaiting write at the daemon. A RESULT is not a
+/// [`Frame::Result`], whose payload is a `Vec` of its own: a kept output
+/// is written from the `Arc` the blob store holds too.
+#[derive(Clone, Debug, PartialEq)]
+enum Outgoing {
+    Frame(Frame),
+    Result {
+        task: u64,
+        attempt: u32,
+        ok: bool,
+        payload: Payload,
+    },
+}
+
+/// A daemon's staged and kept blobs, by key.
+type BlobStore = Mutex<HashMap<u64, Arc<Vec<u8>>>>;
+
 /// State shared between the daemon's accept loop, workers and writer.
 struct DaemonShared {
     /// Frames awaiting write, in order. RESULTs that fail to write (or
     /// arrive while disconnected) survive here for replay; acks are
     /// connection-scoped and dropped on write failure.
-    outbox: Mutex<VecDeque<Frame>>,
+    outbox: Mutex<VecDeque<Outgoing>>,
     outbox_cv: Condvar,
     /// Current client connection (write half); `None` while between
     /// clients. The writer thread takes a handle to it per batch.
@@ -155,7 +174,11 @@ impl DaemonShared {
     }
 
     fn push(&self, f: Frame) {
-        self.outbox.lock().push_back(f);
+        self.push_out(Outgoing::Frame(f));
+    }
+
+    fn push_out(&self, out: Outgoing) {
+        self.outbox.lock().push_back(out);
         self.outbox_cv.notify_all();
     }
 }
@@ -319,7 +342,7 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
     on_ready(addr);
 
     let registry = FnRegistry::builtins();
-    let blobs: Arc<Mutex<HashMap<u64, Arc<Vec<u8>>>>> = Arc::new(Mutex::new(HashMap::new()));
+    let blobs: Arc<BlobStore> = Arc::new(Mutex::new(HashMap::new()));
     let tel = Arc::new(DaemonTelemetry::new(cfg.generation, cfg.telemetry_ring));
     let shared = Arc::new(DaemonShared::new());
 
@@ -403,17 +426,21 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
 fn daemon_serve_connection(
     stream: TcpStream,
     shared: &DaemonShared,
-    blobs: &Mutex<HashMap<u64, Arc<Vec<u8>>>>,
+    blobs: &BlobStore,
     job_tx: &Sender<JobSpec>,
     tel: &DaemonTelemetry,
 ) -> bool {
     let mut reader = FrameReader::new(stream);
+    // The attempt the last KEEP named: the DISPATCH behind it keeps its
+    // output. Any other DISPATCH forgets it.
+    let mut keep: Option<(u64, u32)> = None;
     loop {
         let frame = match reader.read_frame() {
             Ok(f) => f,
             Err(_) => return false, // connection gone; back to accept
         };
         match frame {
+            Frame::Keep { task, attempt } => keep = Some((task, attempt)),
             Frame::Dispatch {
                 task,
                 attempt,
@@ -430,7 +457,8 @@ fn daemon_serve_connection(
                     attempt,
                     function: Arc::from(function.as_str()),
                     deps,
-                    payload,
+                    payload: payload.into(),
+                    keep_output: keep.take() == Some((task, attempt)),
                 });
             }
             Frame::Transfer { key, payload } => {
@@ -481,7 +509,7 @@ fn daemon_serve_connection(
 fn daemon_worker(
     rx: &Receiver<JobSpec>,
     shared: &DaemonShared,
-    blobs: &Mutex<HashMap<u64, Arc<Vec<u8>>>>,
+    blobs: &BlobStore,
     registry: &FnRegistry,
     chaos: &DaemonChaos,
     tel: &DaemonTelemetry,
@@ -507,7 +535,13 @@ fn daemon_worker(
         let exec_start = Instant::now();
         let outcome = match registry.get(&job.function) {
             None => Err(format!("unknown function `{}`", job.function)),
-            Some(f) => assemble_input(&blobs.lock(), &job).and_then(|input| f(&input)),
+            Some(f) => {
+                // The store is locked for the look-up and no longer: the
+                // workers run side by side, and the reader's TRANSFER
+                // inserts do not wait for a function to return.
+                let deps = dep_blobs(&blobs.lock(), &job);
+                deps.and_then(|deps| run_on_input(&f, &deps, &job.payload))
+            }
         };
         let ok = outcome.is_ok();
         tel.event(TEL_STAGE_EXEC_END, job.task, job.attempt, u64::from(ok));
@@ -523,20 +557,27 @@ fn daemon_worker(
         }
         shared.busy.fetch_sub(1, Ordering::SeqCst);
         shared.completed.fetch_add(1, Ordering::SeqCst);
-        let result = Frame::Result {
+        let payload = match (outcome, job.kept_key()) {
+            // Kept before the RESULT can leave: a dependent dispatched on
+            // the strength of that RESULT finds the blob.
+            (Ok(bytes), Some(key)) => {
+                let bytes = Arc::new(bytes);
+                blobs.lock().insert(key, Arc::clone(&bytes));
+                Payload::Shared(bytes)
+            }
+            (Ok(bytes), None) => Payload::Owned(bytes),
+            (Err(msg), _) => Payload::Owned(msg.into_bytes()),
+        };
+        let result = Outgoing::Result {
             task: job.task,
             attempt: job.attempt,
-            generation: tel.generation,
             ok,
-            payload: match outcome {
-                Ok(bytes) => bytes,
-                Err(msg) => msg.into_bytes(),
-            },
+            payload,
         };
         if chaos.dup_results {
-            shared.push(result.clone());
+            shared.push_out(result.clone());
         }
-        shared.push(result);
+        shared.push_out(result);
     }
 }
 
@@ -545,7 +586,7 @@ fn daemon_worker(
 /// be written survive for the next connection; acks do not (they are
 /// meaningless to a future client).
 fn daemon_writer(shared: &DaemonShared, tel: &DaemonTelemetry) {
-    let mut batch: Vec<Frame> = Vec::new();
+    let mut batch: Vec<Outgoing> = Vec::new();
     let mut wbuf: Vec<u8> = Vec::with_capacity(IO_BUF);
     loop {
         let stream = {
@@ -568,11 +609,15 @@ fn daemon_writer(shared: &DaemonShared, tel: &DaemonTelemetry) {
         // of every RESULT before it — so those are written first.
         let ack = batch
             .iter()
-            .position(|f| matches!(f, Frame::DrainAck { .. }));
+            .position(|f| matches!(f, Outgoing::Frame(Frame::DrainAck { .. })));
         let mut tail = ack.map_or_else(Vec::new, |i| batch.split_off(i));
         let mut wrote = write_batch(&stream, &mut batch, &mut wbuf, tel);
         if wrote && !tail.is_empty() {
-            batch = tel.flush_frames();
+            batch = tel
+                .flush_frames()
+                .into_iter()
+                .map(Outgoing::Frame)
+                .collect();
             batch.append(&mut tail);
             wrote = write_batch(&stream, &mut batch, &mut wbuf, tel);
         }
@@ -583,7 +628,7 @@ fn daemon_writer(shared: &DaemonShared, tel: &DaemonTelemetry) {
             {
                 let mut q = shared.outbox.lock();
                 for frame in batch.drain(..).chain(tail).rev() {
-                    if matches!(frame, Frame::Result { .. }) {
+                    if matches!(frame, Outgoing::Result { .. }) {
                         q.push_front(frame);
                     }
                 }
@@ -598,42 +643,48 @@ fn daemon_writer(shared: &DaemonShared, tel: &DaemonTelemetry) {
     }
 }
 
-/// Puts `batch` on `stream` with one write. On success consumes it and
-/// gives every RESULT the span's last daemon-side stamp — it hit the wire
-/// (replays after a reconnect re-stamp, which is the truth: the first
-/// copy never arrived). On failure leaves `batch` intact.
+/// Puts `batch` on `stream` through `wbuf`: one write per [`IO_BUF`] of
+/// frames, a large RESULT payload written from where it lives. On success
+/// consumes the batch and gives every RESULT the span's last daemon-side
+/// stamp — it hit the wire (replays after a reconnect re-stamp, which is
+/// the truth: the first copy never arrived). On failure leaves `batch`
+/// intact.
 fn write_batch(
     mut stream: &TcpStream,
-    batch: &mut Vec<Frame>,
+    batch: &mut Vec<Outgoing>,
     wbuf: &mut Vec<u8>,
     tel: &DaemonTelemetry,
 ) -> bool {
-    for frame in batch.iter() {
-        frame.encode_into(wbuf);
-    }
-    let wrote = stream.write_all(wbuf).is_ok();
-    reset_wbuf(wbuf);
+    let queued = batch.iter().try_for_each(|out| match out {
+        Outgoing::Frame(frame) => queue_frame(&mut stream, wbuf, |b| frame.encode_into(b), &[]),
+        Outgoing::Result {
+            task,
+            attempt,
+            ok,
+            payload,
+        } => {
+            let (task, attempt, ok) = (*task, *attempt, *ok);
+            let head = |b: &mut Vec<u8>| {
+                encode_result_head(b, task, attempt, tel.generation, ok, payload.len());
+            };
+            queue_frame(&mut stream, wbuf, head, payload)
+        }
+    });
+    let wrote = queued
+        .and_then(|()| flush_queued(&mut stream, wbuf))
+        .is_ok();
+    wbuf.clear();
     if wrote {
-        for frame in batch.drain(..) {
-            if let Frame::Result {
+        for out in batch.drain(..) {
+            if let Outgoing::Result {
                 task, attempt, ok, ..
-            } = frame
+            } = out
             {
                 tel.event(TEL_STAGE_SENT, task, attempt, u64::from(ok));
             }
         }
     }
     wrote
-}
-
-/// Empties a coalescing write buffer after its flush; one that a run of
-/// huge frames grew past 2 MiB gives the memory back.
-fn reset_wbuf(wbuf: &mut Vec<u8>) {
-    if wbuf.capacity() > 32 * IO_BUF {
-        *wbuf = Vec::with_capacity(IO_BUF);
-    } else {
-        wbuf.clear();
-    }
 }
 
 /// Handle to a daemon running on a thread in this process (connect-mode
@@ -790,6 +841,10 @@ struct EpShared {
     /// frames each syscall carried.
     socket_writes: AtomicU64,
     socket_reads: AtomicU64,
+    /// TRANSFER payload bytes shipped, and stage requests answered without
+    /// a TRANSFER because the daemon kept the output where it was computed.
+    transfer_bytes: AtomicU64,
+    transfers_elided: AtomicU64,
     tel_frames: AtomicU64,
     tel_events: AtomicU64,
     /// Heartbeat round-trip times, seconds.
@@ -817,6 +872,8 @@ impl EpShared {
             bytes_recv: AtomicU64::new(0),
             socket_writes: AtomicU64::new(0),
             socket_reads: AtomicU64::new(0),
+            transfer_bytes: AtomicU64::new(0),
+            transfers_elided: AtomicU64::new(0),
             tel_frames: AtomicU64::new(0),
             tel_events: AtomicU64::new(0),
             rtt_hist: Mutex::new(LogHistogram::new()),
@@ -943,6 +1000,28 @@ impl Read for CountingReader {
     }
 }
 
+/// The writer half of a supervisor connection: counts socket writes and
+/// bytes where they happen, a large payload's own write included.
+struct CountingWriter {
+    inner: TcpStream,
+    shared: Arc<EpShared>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.shared.socket_writes.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .bytes_sent
+            .fetch_add(n as u64, Ordering::Relaxed);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
 /// Everything the supervisor thread reacts to, merged into one channel so
 /// a single `recv_timeout` drives commands, inbound frames, and timer
 /// deadlines alike.
@@ -961,20 +1040,26 @@ enum Ev {
 
 /// One live connection as the supervisor sees it.
 struct Conn {
-    stream: TcpStream,
+    stream: CountingWriter,
     /// Encoded frames not yet written (see [`Supervisor::queue`]).
     wbuf: Vec<u8>,
     epoch: u64,
+    /// Blob keys a stage request was answered for on this connection.
     staged: HashSet<u64>,
+    /// Keys of outputs the daemon kept (their RESULT arrived on this
+    /// connection) that no stage request has asked for yet.
+    kept: HashSet<u64>,
     hb_last_sent: Instant,
     last_ack: Instant,
 }
 
-/// One in-flight attempt: its completion plus the instant its DISPATCH
-/// entered the write buffer (for the dispatch-roundtrip histogram).
+/// One in-flight attempt: its completion, the instant its DISPATCH entered
+/// the write buffer (for the dispatch-roundtrip histogram), and the key the
+/// daemon keeps its output under, if it was told to.
 struct Pending {
     done: Completion,
     sent_at: Instant,
+    kept: Option<u64>,
 }
 
 /// The supervisor for one endpoint.
@@ -1009,40 +1094,37 @@ impl Supervisor {
         self.clock0.elapsed().as_micros() as u64
     }
 
-    /// Appends one frame (whatever `encode` appends) to the connection's
-    /// write buffer, which is written once it passes [`IO_BUF`] — a
-    /// larger frame trips that by itself — and otherwise before the
-    /// supervisor next blocks (see [`Supervisor::run`]). Returns `false`
-    /// while disconnected or if that write failed.
-    fn queue(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> bool {
+    /// Queues one frame — `head` appends it up to its `payload`, empty for
+    /// most kinds — on the connection's write buffer, which is written once
+    /// it passes [`IO_BUF`] and otherwise before the supervisor next blocks
+    /// (see [`Supervisor::run`]); a payload of [`IO_BUF`] or more goes out
+    /// at once, uncopied. Returns `false` while disconnected or if a write
+    /// failed.
+    fn queue(&mut self, head: impl FnOnce(&mut Vec<u8>), payload: &[u8]) -> bool {
         let Some(c) = &mut self.conn else {
             return false;
         };
-        encode(&mut c.wbuf);
         self.shared.frames_sent.fetch_add(1, Ordering::Relaxed);
-        c.wbuf.len() < IO_BUF || self.flush()
+        let queued = queue_frame(&mut c.stream, &mut c.wbuf, head, payload);
+        self.written(queued)
     }
 
-    /// Writes everything buffered with one `write_all`. A failed write
-    /// loses the connection, which fails every outstanding attempt —
-    /// those whose DISPATCH was still in the buffer included.
+    /// Writes everything buffered with one `write_all`.
     fn flush(&mut self) -> bool {
         let Some(c) = &mut self.conn else {
             return false;
         };
-        if c.wbuf.is_empty() {
-            return true;
-        }
-        if (&c.stream).write_all(&c.wbuf).is_err() {
+        let flushed = flush_queued(&mut c.stream, &mut c.wbuf);
+        self.written(flushed)
+    }
+
+    /// A failed write loses the connection, which fails every outstanding
+    /// attempt — those whose DISPATCH was still in the buffer included.
+    fn written(&mut self, result: std::io::Result<()>) -> bool {
+        if result.is_err() {
             self.conn_lost("socket write failed");
-            return false;
         }
-        self.shared.socket_writes.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .bytes_sent
-            .fetch_add(c.wbuf.len() as u64, Ordering::Relaxed);
-        reset_wbuf(&mut c.wbuf);
-        true
+        result.is_ok()
     }
 
     fn run(mut self) {
@@ -1068,7 +1150,7 @@ impl Supervisor {
                 // Written at once, taking along whatever is buffered: the
                 // probe's stamp stays honest and the beat stays on schedule
                 // even when the loop below never goes idle.
-                let _ = self.queue(|out| hb.encode_into(out)) && self.flush();
+                let _ = self.queue(|out| hb.encode_into(out), &[]) && self.flush();
             }
             if let Some(c) = &self.conn {
                 let silent = now.duration_since(c.last_ack);
@@ -1153,16 +1235,24 @@ impl Supervisor {
         }
     }
 
-    /// Ships blob `key` to the current connection unless it already has
-    /// it this epoch.
+    /// Ships blob `key` to the current connection unless its daemon has
+    /// it: TRANSFERred this epoch, or kept where an attempt computed it.
     fn stage_to_conn(&mut self, key: u64) {
         let (Some(c), Some(bytes)) = (&mut self.conn, self.blob_cache.get(&key)) else {
             return;
         };
-        if c.staged.insert(key) {
-            let bytes = Arc::clone(bytes);
-            self.queue(|out| encode_transfer_into(out, key, &bytes));
+        if !c.staged.insert(key) {
+            return;
         }
+        if c.kept.remove(&key) {
+            self.shared.transfers_elided.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let bytes = Arc::clone(bytes);
+        self.shared
+            .transfer_bytes
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        self.queue(|out| encode_transfer_head(out, key, bytes.len()), &bytes);
     }
 
     fn submit(&mut self, job: JobSpec, done: Completion) {
@@ -1184,28 +1274,28 @@ impl Supervisor {
         }
         // Outstanding from the moment its DISPATCH is buffered: if the
         // write that carries it fails, `conn_lost` fails it with the rest.
+        let kept = job.kept_key();
         self.outstanding.insert(
             (job.task, job.attempt),
             Pending {
                 done,
                 sent_at: Instant::now(),
+                kept,
             },
         );
+        let (task, attempt) = (job.task, job.attempt);
+        if kept.is_some() {
+            self.queue(|out| Frame::Keep { task, attempt }.encode_into(out), &[]);
+        }
         // Span context: the daemon generation this dispatch believes it
         // is talking to (a respawned daemon will answer with its own,
         // newer generation on the RESULT).
         let generation = self.shared.generation.load(Ordering::SeqCst);
-        self.queue(|out| {
-            encode_dispatch_into(
-                out,
-                job.task,
-                job.attempt,
-                generation,
-                &job.function,
-                &job.deps,
-                &job.payload,
-            );
-        });
+        let (function, deps, len) = (&job.function, &job.deps, job.payload.len());
+        let head = |out: &mut Vec<u8>| {
+            encode_dispatch_head(out, task, attempt, generation, function, deps, len);
+        };
+        self.queue(head, &job.payload);
     }
 
     fn on_frames(&mut self, epoch: u64, frames: Vec<Frame>) {
@@ -1279,6 +1369,11 @@ impl Supervisor {
                         .dispatch_hist
                         .lock()
                         .observe(p.sent_at.elapsed().as_secs_f64());
+                    // Outstanding means dispatched on this connection, and
+                    // its daemon stored the output before it sent this.
+                    if let (true, Some(key), Some(c)) = (ok, p.kept, &mut self.conn) {
+                        c.kept.insert(key);
+                    }
                     (p.done)(if ok {
                         Ok(payload)
                     } else {
@@ -1367,10 +1462,14 @@ impl Supervisor {
                 }
                 let now = Instant::now();
                 self.conn = Some(Conn {
-                    stream,
+                    stream: CountingWriter {
+                        inner: stream,
+                        shared: Arc::clone(&self.shared),
+                    },
                     wbuf: Vec::with_capacity(IO_BUF),
                     epoch,
                     staged: HashSet::new(),
+                    kept: HashSet::new(),
                     // Backdate so the first heartbeat goes out on the
                     // next loop iteration.
                     hb_last_sent: now - self.timing.heartbeat_interval,
@@ -1384,7 +1483,7 @@ impl Supervisor {
                 // cover even the first task, and re-sent on every
                 // reconnect so a respawned daemon re-subscribes.
                 if self.telemetry {
-                    self.queue(|out| Frame::TelemetrySub { level: 2 }.encode_into(out));
+                    self.queue(|out| Frame::TelemetrySub { level: 2 }.encode_into(out), &[]);
                 }
                 // Probe flips to Alive when HELLO arrives.
             }
@@ -1433,7 +1532,7 @@ impl Supervisor {
     /// staged set, and schedule reconnection.
     fn conn_lost(&mut self, reason: &str) {
         let Some(c) = self.conn.take() else { return };
-        let _ = c.stream.shutdown(Shutdown::Both);
+        let _ = c.stream.inner.shutdown(Shutdown::Both);
         self.shared.set_probe(ProbeState::Dead);
         let n = self.outstanding.len() as u64;
         if n > 0 {
@@ -1475,7 +1574,7 @@ impl Supervisor {
 
     fn shutdown(mut self) {
         if let Some(epoch) = self.conn.as_ref().map(|c| c.epoch) {
-            if self.queue(|out| Frame::Drain.encode_into(out)) && self.flush() {
+            if self.queue(|out| Frame::Drain.encode_into(out), &[]) && self.flush() {
                 // Give the daemon a moment to ack so it exits cleanly;
                 // results that race in still resolve normally.
                 let deadline = Instant::now() + Duration::from_millis(500);
@@ -1496,7 +1595,7 @@ impl Supervisor {
             }
         }
         if let Some(c) = self.conn.take() {
-            let _ = c.stream.shutdown(Shutdown::Both);
+            let _ = c.stream.inner.shutdown(Shutdown::Both);
         }
         if let Some(mut ch) = self.child.take() {
             // Post-drain the daemon exits on its own; give it a beat,
@@ -1592,6 +1691,8 @@ pub struct ProcMetricIds {
     bytes_recv: CounterId,
     socket_writes: CounterId,
     socket_reads: CounterId,
+    transfer_bytes: CounterId,
+    transfers_elided: CounterId,
     tel_frames: CounterId,
     tel_events: CounterId,
     tel_dropped: CounterId,
@@ -1625,10 +1726,16 @@ pub struct WireCounters {
     pub bytes_sent: u64,
     /// Bytes read from the socket.
     pub bytes_recv: u64,
-    /// Socket writes (one per flush of the coalescing buffer).
+    /// Socket writes (one per flush of the coalescing buffer, one more
+    /// per large payload).
     pub socket_writes: u64,
     /// Socket reads (one per refill of the read buffer).
     pub socket_reads: u64,
+    /// TRANSFER payload bytes shipped to the endpoint.
+    pub transfer_bytes: u64,
+    /// Stage requests answered without a TRANSFER because the endpoint
+    /// kept the output where it was computed.
+    pub transfers_elided: u64,
 }
 
 /// One endpoint's drained observability plane, ready for merging into a
@@ -1830,6 +1937,8 @@ impl ProcessFabric {
             bytes_recv: s.bytes_recv.load(Ordering::Relaxed),
             socket_writes: s.socket_writes.load(Ordering::Relaxed),
             socket_reads: s.socket_reads.load(Ordering::Relaxed),
+            transfer_bytes: s.transfer_bytes.load(Ordering::Relaxed),
+            transfers_elided: s.transfers_elided.load(Ordering::Relaxed),
         }
     }
 
@@ -1906,6 +2015,16 @@ impl ProcessFabric {
                     socket_reads: reg.counter(
                         "fedci_wire_socket_reads_total",
                         "Socket reads on the endpoint connection (frames received / this = frames per read).",
+                        l,
+                    ),
+                    transfer_bytes: reg.counter(
+                        "fedci_wire_transfer_bytes_total",
+                        "TRANSFER payload bytes shipped to the endpoint.",
+                        l,
+                    ),
+                    transfers_elided: reg.counter(
+                        "fedci_wire_transfers_elided_total",
+                        "Stage requests answered without a TRANSFER: the endpoint kept the output.",
                         l,
                     ),
                     tel_frames: reg.counter(
@@ -1985,6 +2104,8 @@ impl ProcessFabric {
                 (id.bytes_recv, w.bytes_recv, lw.bytes_recv),
                 (id.socket_writes, w.socket_writes, lw.socket_writes),
                 (id.socket_reads, w.socket_reads, lw.socket_reads),
+                (id.transfer_bytes, w.transfer_bytes, lw.transfer_bytes),
+                (id.transfers_elided, w.transfers_elided, lw.transfers_elided),
                 (id.tel_frames, wire.tel_frames, id.last_wire.tel_frames),
                 (id.tel_events, wire.tel_events, id.last_wire.tel_events),
                 (id.tel_dropped, wire.tel_dropped, id.last_wire.tel_dropped),
@@ -2359,6 +2480,149 @@ mod tests {
         daemon.join().unwrap();
     }
 
+    /// Connects to `daemon` and reads its HELLO.
+    fn raw_client(daemon: &DaemonHandle) -> TcpStream {
+        let mut s = TcpStream::connect(daemon.addr()).unwrap();
+        let hello = Frame::read_from(&mut s).unwrap();
+        assert!(matches!(hello, Frame::Hello { .. }), "{hello:?}");
+        s
+    }
+
+    fn dispatch(task: u64, attempt: u32, function: &str, deps: &[u64], payload: &[u8]) -> Frame {
+        Frame::Dispatch {
+            task,
+            attempt,
+            generation: 0,
+            function: function.to_string(),
+            deps: deps.to_vec(),
+            payload: payload.to_vec(),
+        }
+    }
+
+    /// Reads until every task in `tasks` has its RESULT; returns them as
+    /// `task → (ok, payload)`.
+    fn read_results(s: &mut TcpStream, tasks: &[u64]) -> HashMap<u64, (bool, Vec<u8>)> {
+        let mut results = HashMap::new();
+        while !tasks.iter().all(|t| results.contains_key(t)) {
+            if let Frame::Result {
+                task, ok, payload, ..
+            } = Frame::read_from(s).unwrap()
+            {
+                results.insert(task, (ok, payload));
+            }
+        }
+        results
+    }
+
+    #[test]
+    fn kept_outputs_are_keyed_by_attempt_and_only_kept_when_told() {
+        use crate::fabric::blob_key;
+        let daemon = spawn_daemon_thread(DaemonConfig::new("keeper", 2)).unwrap();
+        let mut s = raw_client(&daemon);
+        // Two attempts of one task, both kept, that disagree about the
+        // output — and a third task whose DISPATCH no KEEP precedes.
+        for frame in [
+            Frame::Keep {
+                task: 5,
+                attempt: 1,
+            },
+            dispatch(5, 1, "echo", &[], b"first"),
+            Frame::Keep {
+                task: 5,
+                attempt: 2,
+            },
+            dispatch(5, 2, "echo", &[], b"second"),
+            dispatch(8, 1, "echo", &[], b"unkept"),
+        ] {
+            frame.write_to(&mut s).unwrap();
+        }
+        // Both attempts of task 5 answer under one task id: wait for the
+        // second RESULT of it by counting.
+        let mut answered = 0;
+        while answered < 3 {
+            answered += usize::from(matches!(
+                Frame::read_from(&mut s).unwrap(),
+                Frame::Result { ok: true, .. }
+            ));
+        }
+        // One dependent per key: each sees its own attempt's bytes.
+        dispatch(6, 1, "echo", &[blob_key(5, 1)], b"")
+            .write_to(&mut s)
+            .unwrap();
+        dispatch(7, 1, "echo", &[blob_key(5, 2)], b"")
+            .write_to(&mut s)
+            .unwrap();
+        dispatch(9, 1, "echo", &[blob_key(8, 1)], b"")
+            .write_to(&mut s)
+            .unwrap();
+        let results = read_results(&mut s, &[6, 7, 9]);
+        assert_eq!(results[&6], (true, b"first".to_vec()));
+        assert_eq!(results[&7], (true, b"second".to_vec()));
+        let (ok, msg) = &results[&9];
+        let msg = String::from_utf8_lossy(msg);
+        assert!(!ok && msg.contains("missing input blob"), "{ok} {msg}");
+        Frame::Drain.write_to(&mut s).unwrap();
+        daemon.join().unwrap();
+    }
+
+    #[test]
+    fn functions_run_outside_the_blob_store_lock() {
+        let daemon = spawn_daemon_thread(DaemonConfig::new("unlocked", 2)).unwrap();
+        let mut s = raw_client(&daemon);
+        // `sleep` takes its milliseconds from the head of its input: here
+        // from the staged blob both jobs name.
+        let mut nap = 300u64.to_le_bytes().to_vec();
+        nap.extend_from_slice(b"napped");
+        Frame::Transfer {
+            key: 1,
+            payload: nap,
+        }
+        .write_to(&mut s)
+        .unwrap();
+        let started = Instant::now();
+        dispatch(1, 1, "sleep", &[1], b"").write_to(&mut s).unwrap();
+        dispatch(2, 1, "sleep", &[1], b"").write_to(&mut s).unwrap();
+        // Both workers hold a job before the next TRANSFER leaves.
+        loop {
+            Frame::Poll.write_to(&mut s).unwrap();
+            let busy = loop {
+                if let Frame::PollAck { busy, .. } = Frame::read_from(&mut s).unwrap() {
+                    break busy;
+                }
+            };
+            if busy == 2 {
+                break;
+            }
+        }
+        Frame::Transfer {
+            key: 2,
+            payload: b"while they sleep".to_vec(),
+        }
+        .write_to(&mut s)
+        .unwrap();
+        let mut order = Vec::new();
+        while order.iter().filter(|f| **f == "result").count() < 2 {
+            match Frame::read_from(&mut s).unwrap() {
+                Frame::TransferAck { key: 2, .. } => order.push("ack"),
+                Frame::Result { ok, payload, .. } => {
+                    assert!(ok && payload == b"napped", "{ok} {payload:?}");
+                    order.push("result");
+                }
+                _ => {}
+            }
+        }
+        let took = started.elapsed();
+        // The reader stored the blob while both functions slept, and the
+        // two naps overlapped.
+        assert_eq!(order, ["ack", "result", "result"]);
+        assert!(
+            took < Duration::from_millis(500),
+            "two 300 ms naps: {took:?}"
+        );
+        Frame::Drain.write_to(&mut s).unwrap();
+        daemon.join().unwrap();
+    }
+
     #[test]
     fn daemon_ships_telemetry_only_when_subscribed() {
         let daemon = spawn_daemon_thread(DaemonConfig::new("tel", 1)).unwrap();
@@ -2451,15 +2715,14 @@ mod tests {
         let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
         stream.shutdown(Shutdown::Write).unwrap(); // every write fails from here on
-        let result = |task| Frame::Result {
+        let result = |task| Outgoing::Result {
             task,
             attempt: 1,
-            generation: 0,
             ok: true,
-            payload: vec![task as u8],
+            payload: vec![task as u8].into(),
         };
-        let ack = Frame::TransferAck { key: 1, stored: 1 };
-        let drain_ack = Frame::DrainAck { remaining: 0 };
+        let ack = Outgoing::Frame(Frame::TransferAck { key: 1, stored: 1 });
+        let drain_ack = Outgoing::Frame(Frame::DrainAck { remaining: 0 });
         let shared = DaemonShared::new();
         *shared.outbox.lock() = [result(1), ack, result(2), drain_ack, result(3)].into();
         *shared.conn.lock() = Some(Arc::new(stream));
@@ -2473,7 +2736,7 @@ mod tests {
             shared.stop_writer.store(true, Ordering::SeqCst);
             shared.outbox_cv.notify_all();
         });
-        let left: Vec<Frame> = shared.outbox.lock().drain(..).collect();
+        let left: Vec<Outgoing> = shared.outbox.lock().drain(..).collect();
         assert_eq!(left, [result(1), result(2), result(3)]);
     }
 
@@ -2529,7 +2792,8 @@ mod tests {
                 attempt: 1,
                 function: Arc::from("fnv"),
                 deps: vec![11],
-                payload: b"xyz".to_vec(),
+                payload: b"xyz".to_vec().into(),
+                keep_output: false,
             },
             Box::new(move |r| tx.send(r).unwrap()),
         );
@@ -2570,7 +2834,8 @@ mod tests {
                 attempt: 1,
                 function: Arc::from("echo"),
                 deps: vec![],
-                payload: vec![],
+                payload: Payload::default(),
+                keep_output: false,
             },
             Box::new(move |r| tx.send(r).unwrap()),
         );
@@ -2612,7 +2877,8 @@ mod tests {
                 attempt: 1,
                 function: Arc::from("echo"),
                 deps: vec![],
-                payload: b"ok".to_vec(),
+                payload: b"ok".to_vec().into(),
+                keep_output: false,
             },
             Box::new(move |r| tx.send(r).unwrap()),
         );

@@ -17,6 +17,7 @@
 //! ```text
 //! daemon → client   HELLO          once per connection: identity + generation
 //! client → daemon   TRANSFER       stage an input blob        → TRANSFER_ACK
+//! client → daemon   KEEP           the DISPATCH behind this: keep its output
 //! client → daemon   DISPATCH       run a function attempt     → RESULT
 //! client → daemon   HEARTBEAT      liveness, seq-numbered,
 //!                                  timestamped for clock sync → HEARTBEAT_ACK
@@ -41,8 +42,10 @@ use std::io::{Read, Write};
 /// Protocol revision carried in HELLO; peers with a different revision
 /// must disconnect. Revision 2 added clock-sync timestamps on the
 /// heartbeat exchange, the `generation` span context on DISPATCH/RESULT,
-/// and the TELEMETRY_SUB/TELEMETRY pair.
-pub const PROTO_VERSION: u16 = 2;
+/// and the TELEMETRY_SUB/TELEMETRY pair. Revision 3 added KEEP, and with
+/// it the rule that a blob key names one byte string: the output of one
+/// attempt ([`crate::fabric::blob_key`]).
+pub const PROTO_VERSION: u16 = 3;
 
 /// Upper bound on `length` (kind + body). Chosen comfortably above any
 /// real frame so the only way to hit it is corruption or attack; checked
@@ -278,6 +281,19 @@ pub enum Frame {
         /// `LogHistogram` bucket counts (`bucket_counts()` form).
         exec_buckets: Vec<(i32, u64)>,
     },
+    /// Client → daemon, directly ahead of the DISPATCH of the same
+    /// `(task, attempt)` in the same write: keep that attempt's output in
+    /// the blob store under [`blob_key`](crate::fabric::blob_key)`(task,
+    /// attempt)` — a dependent is already waiting for it. Its own frame
+    /// because DISPATCH's field list is frozen; the in-order transport
+    /// makes keep-then-dispatch race-free exactly as stage-then-dispatch
+    /// is. A KEEP no DISPATCH follows is forgotten.
+    Keep {
+        /// Task id of the dispatch that follows.
+        task: u64,
+        /// Attempt of the dispatch that follows.
+        attempt: u32,
+    },
 }
 
 impl Frame {
@@ -286,7 +302,7 @@ impl Frame {
         match self {
             Frame::Hello { .. } => 1,
             Frame::Dispatch { .. } => KIND_DISPATCH,
-            Frame::Result { .. } => 3,
+            Frame::Result { .. } => KIND_RESULT,
             Frame::Poll => 4,
             Frame::PollAck { .. } => 5,
             Frame::Transfer { .. } => KIND_TRANSFER,
@@ -297,6 +313,7 @@ impl Frame {
             Frame::DrainAck { .. } => 11,
             Frame::TelemetrySub { .. } => 12,
             Frame::Telemetry { .. } => 13,
+            Frame::Keep { .. } => 14,
         }
     }
 
@@ -312,6 +329,9 @@ impl Frame {
     /// one write. `out` may already hold earlier frames.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let start = begin_frame(out, self.kind());
+        // What DISPATCH, RESULT and TRANSFER end in: appended last, behind
+        // a head that already counts it.
+        let mut payload: &[u8] = &[];
         match self {
             Frame::Hello {
                 proto,
@@ -330,21 +350,24 @@ impl Frame {
                 generation,
                 function,
                 deps,
-                payload,
-            } => put_dispatch(out, *task, *attempt, *generation, function, deps, payload),
-            Frame::Transfer { key, payload } => put_transfer(out, *key, payload),
+                payload: p,
+            } => {
+                put_dispatch_head(out, *task, *attempt, *generation, function, deps, p.len());
+                payload = p;
+            }
+            Frame::Transfer { key, payload: p } => {
+                put_transfer_head(out, *key, p.len());
+                payload = p;
+            }
             Frame::Result {
                 task,
                 attempt,
                 generation,
                 ok,
-                payload,
+                payload: p,
             } => {
-                out.extend_from_slice(&task.to_le_bytes());
-                out.extend_from_slice(&attempt.to_le_bytes());
-                out.extend_from_slice(&generation.to_le_bytes());
-                out.push(u8::from(*ok));
-                put_bytes(out, payload);
+                put_result_head(out, *task, *attempt, *generation, *ok, p.len());
+                payload = p;
             }
             Frame::Poll | Frame::Drain => {}
             Frame::PollAck {
@@ -409,8 +432,13 @@ impl Frame {
                     out.extend_from_slice(&count.to_le_bytes());
                 }
             }
+            Frame::Keep { task, attempt } => {
+                out.extend_from_slice(&task.to_le_bytes());
+                out.extend_from_slice(&attempt.to_le_bytes());
+            }
         }
-        end_frame(out, start);
+        end_frame(out, start, payload.len());
+        out.extend_from_slice(payload);
     }
 
     /// Decodes one frame from `buf`, which must contain exactly the frame
@@ -454,8 +482,11 @@ pub const IO_BUF: usize = 64 * 1024;
 /// underlying stream brings in as many frames as the peer has written,
 /// and each is decoded straight out of the buffer — no header/body read
 /// pair and no body allocation per frame. A frame larger than the buffer
-/// is read into an allocation of its own (bounds-checked against
-/// [`MAX_FRAME`] first, exactly as [`Frame::read_from`] does).
+/// (bounds-checked against [`MAX_FRAME`] first, exactly as
+/// [`Frame::read_from`] does) that ends in a payload — DISPATCH, RESULT,
+/// TRANSFER — has its head decoded from the buffer and its payload read
+/// from the stream into the `Vec` the [`Frame`] owns: the bytes are
+/// materialised once.
 pub struct FrameReader<R> {
     inner: R,
     buf: Box<[u8]>,
@@ -501,14 +532,24 @@ impl<R: Read> FrameReader<R> {
                     return self.read_large(total);
                 }
             }
-            // Only a partial frame is left: move it to the front so the
-            // whole buffer is free behind it, then read more.
-            self.buf.copy_within(self.pos..self.end, 0);
-            self.end -= self.pos;
-            self.pos = 0;
+            self.fill()?;
+        }
+    }
+
+    /// Reads more of the stream behind what is buffered, first moving the
+    /// partial frame at the front of the buffer to its start so the whole
+    /// buffer is free behind it. EOF is [`ProtoError::Truncated`].
+    fn fill(&mut self) -> Result<(), ProtoError> {
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        loop {
             match self.inner.read(&mut self.buf[self.end..]) {
                 Ok(0) => return Err(ProtoError::Truncated),
-                Ok(n) => self.end += n,
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(());
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(ProtoError::Io(e)),
             }
@@ -527,14 +568,48 @@ impl<R: Read> FrameReader<R> {
         Ok(())
     }
 
-    /// A frame that cannot fit the buffer: take what is buffered of it,
-    /// read the rest directly into its own allocation.
+    /// A frame of `total` bytes, more than the buffer holds. One that ends
+    /// in a payload and whose head fits the buffer gets the payload read
+    /// from the stream into its own `Vec`; its inner length claim is held
+    /// to the frame length first, with the errors [`Frame::decode`] gives
+    /// the same bytes. Anything else — TELEMETRY, a DISPATCH with tens of
+    /// thousands of deps — is read whole and decoded from that.
     fn read_large(&mut self, total: usize) -> Result<Frame, ProtoError> {
-        let mut body = vec![0u8; total - 4];
+        let body_len = total - 4;
+        loop {
+            // Less than the body is buffered, so `Truncated` here says
+            // only that the head is not in yet.
+            let have = &self.buf[self.pos + 4..self.end];
+            let mut c = Cursor { buf: have, pos: 0 };
+            let kind = c.u16();
+            match kind.and_then(|kind| Head::decode(kind, &mut c)) {
+                Ok(Some((head, n))) => {
+                    let rest = body_len - c.pos;
+                    if n > rest {
+                        return Err(ProtoError::Truncated);
+                    }
+                    if n < rest {
+                        return Err(ProtoError::TrailingBytes(rest - n));
+                    }
+                    let buffered = &have[c.pos..];
+                    let mut payload = vec![0u8; n];
+                    payload[..buffered.len()].copy_from_slice(buffered);
+                    let behind = buffered.len();
+                    (self.pos, self.end) = (0, 0);
+                    read_exact_or_truncated(&mut self.inner, &mut payload[behind..])?;
+                    return Ok(head.with_payload(payload));
+                }
+                Err(ProtoError::Truncated) if self.end - self.pos < self.buf.len() => {
+                    self.fill()?;
+                }
+                Ok(None) | Err(ProtoError::Truncated) => break,
+                Err(e) => return Err(e),
+            }
+        }
+        let mut body = vec![0u8; body_len];
         let have = self.end - self.pos - 4;
         body[..have].copy_from_slice(&self.buf[self.pos + 4..self.end]);
-        self.pos = 0;
-        self.end = 0;
+        (self.pos, self.end) = (0, 0);
         read_exact_or_truncated(&mut self.inner, &mut body[have..])?;
         decode_exact(&body)
     }
@@ -562,8 +637,103 @@ fn decode_exact(body: &[u8]) -> Result<Frame, ProtoError> {
     Ok(frame)
 }
 
+/// A DISPATCH, RESULT or TRANSFER up to its payload — the kinds that end
+/// in one, so a reader that has the head can put the payload straight
+/// into the `Vec` the frame will own.
+enum Head {
+    Dispatch {
+        task: u64,
+        attempt: u32,
+        generation: u64,
+        function: String,
+        deps: Vec<u64>,
+    },
+    Result {
+        task: u64,
+        attempt: u32,
+        generation: u64,
+        ok: bool,
+    },
+    Transfer {
+        key: u64,
+    },
+}
+
+impl Head {
+    /// Decodes the head of a frame of `kind` and the payload length it
+    /// claims (not yet checked against anything); `None` for a kind that
+    /// does not end in a payload.
+    fn decode(kind: u16, c: &mut Cursor<'_>) -> Result<Option<(Head, usize)>, ProtoError> {
+        let head = match kind {
+            KIND_DISPATCH => {
+                let task = c.u64()?;
+                let attempt = c.u32()?;
+                let generation = c.u64()?;
+                let function = c.string()?;
+                let n = c.u16()? as usize;
+                let mut deps = Vec::with_capacity(n.min(1024));
+                for _ in 0..n {
+                    deps.push(c.u64()?);
+                }
+                Head::Dispatch {
+                    task,
+                    attempt,
+                    generation,
+                    function,
+                    deps,
+                }
+            }
+            KIND_RESULT => Head::Result {
+                task: c.u64()?,
+                attempt: c.u32()?,
+                generation: c.u64()?,
+                ok: c.bool()?,
+            },
+            KIND_TRANSFER => Head::Transfer { key: c.u64()? },
+            _ => return Ok(None),
+        };
+        Ok(Some((head, c.u32()? as usize)))
+    }
+
+    fn with_payload(self, payload: Vec<u8>) -> Frame {
+        match self {
+            Head::Dispatch {
+                task,
+                attempt,
+                generation,
+                function,
+                deps,
+            } => Frame::Dispatch {
+                task,
+                attempt,
+                generation,
+                function,
+                deps,
+                payload,
+            },
+            Head::Result {
+                task,
+                attempt,
+                generation,
+                ok,
+            } => Frame::Result {
+                task,
+                attempt,
+                generation,
+                ok,
+                payload,
+            },
+            Head::Transfer { key } => Frame::Transfer { key, payload },
+        }
+    }
+}
+
 fn decode_body(c: &mut Cursor<'_>) -> Result<Frame, ProtoError> {
     let kind = c.u16()?;
+    if let Some((head, n)) = Head::decode(kind, c)? {
+        // The one copy of a buffered frame's payload: out of the buffer.
+        return Ok(head.with_payload(c.take(n)?.to_vec()));
+    }
     Ok(match kind {
         1 => Frame::Hello {
             proto: c.u16()?,
@@ -571,42 +741,11 @@ fn decode_body(c: &mut Cursor<'_>) -> Result<Frame, ProtoError> {
             workers: c.u32()?,
             generation: c.u64()?,
         },
-        2 => {
-            let task = c.u64()?;
-            let attempt = c.u32()?;
-            let generation = c.u64()?;
-            let function = c.string()?;
-            let n = c.u16()? as usize;
-            let mut deps = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                deps.push(c.u64()?);
-            }
-            let payload = c.bytes()?;
-            Frame::Dispatch {
-                task,
-                attempt,
-                generation,
-                function,
-                deps,
-                payload,
-            }
-        }
-        3 => Frame::Result {
-            task: c.u64()?,
-            attempt: c.u32()?,
-            generation: c.u64()?,
-            ok: c.bool()?,
-            payload: c.bytes()?,
-        },
         4 => Frame::Poll,
         5 => Frame::PollAck {
             busy: c.u32()?,
             queued: c.u32()?,
             completed: c.u64()?,
-        },
-        6 => Frame::Transfer {
-            key: c.u64()?,
-            payload: c.bytes()?,
         },
         7 => Frame::TransferAck {
             key: c.u64()?,
@@ -659,37 +798,90 @@ fn decode_body(c: &mut Cursor<'_>) -> Result<Frame, ProtoError> {
                 exec_buckets,
             }
         }
+        14 => Frame::Keep {
+            task: c.u64()?,
+            attempt: c.u32()?,
+        },
         k => return Err(ProtoError::UnknownKind(k)),
     })
 }
 
-/// Appends a DISPATCH frame built from borrowed parts — byte-identical to
-/// encoding the equivalent [`Frame::Dispatch`], without first copying the
-/// function name, dep list and payload into an owned frame.
-pub fn encode_dispatch_into(
+/// Appends the head of a DISPATCH frame: everything but the payload
+/// bytes, the frame length already counting them. The frame is complete
+/// once exactly `payload_len` bytes follow — in `out`, or written to the
+/// stream straight from where a large payload lives. Head plus payload is
+/// byte-identical to encoding the equivalent [`Frame::Dispatch`].
+pub fn encode_dispatch_head(
     out: &mut Vec<u8>,
     task: u64,
     attempt: u32,
     generation: u64,
     function: &str,
     deps: &[u64],
-    payload: &[u8],
+    payload_len: usize,
 ) {
     let start = begin_frame(out, KIND_DISPATCH);
-    put_dispatch(out, task, attempt, generation, function, deps, payload);
-    end_frame(out, start);
+    put_dispatch_head(out, task, attempt, generation, function, deps, payload_len);
+    end_frame(out, start, payload_len);
 }
 
-/// Appends a TRANSFER frame for a borrowed blob — byte-identical to
-/// encoding the equivalent [`Frame::Transfer`], without copying the blob
-/// into an owned frame first.
-pub fn encode_transfer_into(out: &mut Vec<u8>, key: u64, payload: &[u8]) {
+/// Appends the head of a RESULT frame (see [`encode_dispatch_head`]).
+pub fn encode_result_head(
+    out: &mut Vec<u8>,
+    task: u64,
+    attempt: u32,
+    generation: u64,
+    ok: bool,
+    payload_len: usize,
+) {
+    let start = begin_frame(out, KIND_RESULT);
+    put_result_head(out, task, attempt, generation, ok, payload_len);
+    end_frame(out, start, payload_len);
+}
+
+/// Appends the head of a TRANSFER frame (see [`encode_dispatch_head`]).
+pub fn encode_transfer_head(out: &mut Vec<u8>, key: u64, payload_len: usize) {
     let start = begin_frame(out, KIND_TRANSFER);
-    put_transfer(out, key, payload);
-    end_frame(out, start);
+    put_transfer_head(out, key, payload_len);
+    end_frame(out, start, payload_len);
+}
+
+/// Queues one frame for `w` through the coalescing buffer `buf`: `head`
+/// appends the frame up to `payload` (all of it, for a frame that has
+/// none), and `buf` is written out once it holds [`IO_BUF`]. A payload of
+/// [`IO_BUF`] or more is never copied into the buffer — the buffer, head
+/// last, is written, then the payload from where it lives — so `buf`
+/// stays under two buffers' length. On error `buf` holds garbage and the
+/// connection is to be given up.
+pub fn queue_frame<W: Write>(
+    w: &mut W,
+    buf: &mut Vec<u8>,
+    head: impl FnOnce(&mut Vec<u8>),
+    payload: &[u8],
+) -> std::io::Result<()> {
+    head(buf);
+    if payload.len() >= IO_BUF {
+        flush_queued(w, buf)?;
+        return w.write_all(payload);
+    }
+    buf.extend_from_slice(payload);
+    if buf.len() >= IO_BUF {
+        flush_queued(w, buf)?;
+    }
+    Ok(())
+}
+
+/// Writes what [`queue_frame`] left in `buf`, with one `write_all`.
+pub fn flush_queued<W: Write>(w: &mut W, buf: &mut Vec<u8>) -> std::io::Result<()> {
+    if !buf.is_empty() {
+        w.write_all(buf)?;
+        buf.clear();
+    }
+    Ok(())
 }
 
 const KIND_DISPATCH: u16 = 2;
+const KIND_RESULT: u16 = 3;
 const KIND_TRANSFER: u16 = 6;
 
 /// Starts a frame at the end of `out`: a length placeholder (patched by
@@ -701,19 +893,21 @@ fn begin_frame(out: &mut Vec<u8>, kind: u16) -> usize {
     start
 }
 
-fn end_frame(out: &mut [u8], start: usize) {
-    let len = (out.len() - start - 4) as u32;
+/// Patches the length of the frame begun at `start`: what `out` holds of
+/// it plus `pending` payload bytes still to follow.
+fn end_frame(out: &mut [u8], start: usize, pending: usize) {
+    let len = (out.len() - start - 4 + pending) as u32;
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-fn put_dispatch(
+fn put_dispatch_head(
     out: &mut Vec<u8>,
     task: u64,
     attempt: u32,
     generation: u64,
     function: &str,
     deps: &[u64],
-    payload: &[u8],
+    payload_len: usize,
 ) {
     out.extend_from_slice(&task.to_le_bytes());
     out.extend_from_slice(&attempt.to_le_bytes());
@@ -723,23 +917,33 @@ fn put_dispatch(
     for d in deps {
         out.extend_from_slice(&d.to_le_bytes());
     }
-    put_bytes(out, payload);
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
 }
 
-fn put_transfer(out: &mut Vec<u8>, key: u64, payload: &[u8]) {
+fn put_result_head(
+    out: &mut Vec<u8>,
+    task: u64,
+    attempt: u32,
+    generation: u64,
+    ok: bool,
+    payload_len: usize,
+) {
+    out.extend_from_slice(&task.to_le_bytes());
+    out.extend_from_slice(&attempt.to_le_bytes());
+    out.extend_from_slice(&generation.to_le_bytes());
+    out.push(u8::from(ok));
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+}
+
+fn put_transfer_head(out: &mut Vec<u8>, key: u64, payload_len: usize) {
     out.extend_from_slice(&key.to_le_bytes());
-    put_bytes(out, payload);
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     debug_assert!(s.len() <= u16::MAX as usize, "string field too long");
     out.extend_from_slice(&(s.len() as u16).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
 }
 
 /// `read_exact` with EOF mapped to [`ProtoError::Truncated`]; other IO
@@ -807,11 +1011,6 @@ impl Cursor<'_> {
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadUtf8)
     }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, ProtoError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
 }
 
 #[cfg(test)]
@@ -875,6 +1074,10 @@ mod tests {
             Frame::Drain,
             Frame::DrainAck { remaining: 5 },
             Frame::TelemetrySub { level: 2 },
+            Frame::Keep {
+                task: 7,
+                attempt: 2,
+            },
             Frame::Telemetry {
                 generation: 1,
                 seq: 9,

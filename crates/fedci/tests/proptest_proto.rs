@@ -4,11 +4,51 @@
 //! never a panic and never an allocation bigger than the input justifies.
 
 use fedci::proto::{
-    encode_dispatch_into, encode_transfer_into, Frame, FrameReader, ProtoError, TelemetryEvent,
-    IO_BUF, MAX_FRAME, PROTO_VERSION, TEL_MAX_EVENTS,
+    encode_dispatch_head, encode_result_head, encode_transfer_head, flush_queued, queue_frame,
+    Frame, FrameReader, ProtoError, TelemetryEvent, IO_BUF, MAX_FRAME, PROTO_VERSION,
+    TEL_MAX_EVENTS,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The system allocator, remembering the largest single request: how the
+/// hostile-length tests see that no length claim sized an allocation.
+struct Watched;
+
+static LARGEST_ALLOCATION: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no memory of the
+// allocation.
+unsafe impl GlobalAlloc for Watched {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST_ALLOCATION.fetch_max(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LARGEST_ALLOCATION.fetch_max(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc_zeroed`'s own.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST_ALLOCATION.fetch_max(new_size, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.realloc`'s own.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's obligations are `System.dealloc`'s own.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Watched = Watched;
 
 /// Any string a u16-length field can carry (kept short for speed).
 fn arb_name() -> BoxedStrategy<String> {
@@ -101,6 +141,7 @@ fn arb_frame() -> BoxedStrategy<Frame> {
         Just(Frame::Drain),
         (0u32..4096).prop_map(|remaining| Frame::DrainAck { remaining }),
         (0u16..4).prop_map(|level| Frame::TelemetrySub { level: level as u8 }),
+        (0u64..1_000_000, 0u32..20).prop_map(|(task, attempt)| Frame::Keep { task, attempt }),
         (
             0u64..10,
             0u64..1_000_000,
@@ -182,7 +223,8 @@ proptest! {
 
     /// `encode_into` appends: onto a buffer that already holds bytes it
     /// produces exactly the concatenation of the frames' `encode()`s, and
-    /// the borrowing encoders agree with the owned frames byte for byte.
+    /// a head encoded from borrowed parts, then the payload, agrees with
+    /// the owned frame byte for byte.
     #[test]
     fn encode_into_appends_the_concatenation(
         prefix in vec(arb_byte(), 0..40),
@@ -196,12 +238,20 @@ proptest! {
             want.extend_from_slice(&f.encode());
             match f {
                 Frame::Dispatch { task, attempt, generation, function, deps, payload } => {
-                    encode_dispatch_into(
-                        &mut borrowed, *task, *attempt, *generation, function, deps, payload,
+                    let n = payload.len();
+                    encode_dispatch_head(
+                        &mut borrowed, *task, *attempt, *generation, function, deps, n,
                     );
+                    borrowed.extend_from_slice(payload);
+                }
+                Frame::Result { task, attempt, generation, ok, payload } => {
+                    let n = payload.len();
+                    encode_result_head(&mut borrowed, *task, *attempt, *generation, *ok, n);
+                    borrowed.extend_from_slice(payload);
                 }
                 Frame::Transfer { key, payload } => {
-                    encode_transfer_into(&mut borrowed, *key, payload);
+                    encode_transfer_head(&mut borrowed, *key, payload.len());
+                    borrowed.extend_from_slice(payload);
                 }
                 other => other.encode_into(&mut borrowed),
             }
@@ -366,6 +416,181 @@ proptest! {
     }
 }
 
+/// One of the three kinds that end in a payload, around a payload of
+/// `len` seeded bytes.
+fn payload_frame(kind: u8, len: usize, seed: u8) -> Frame {
+    let payload: Vec<u8> = (0..len)
+        .map(|i| (i as u8).wrapping_mul(31) ^ seed)
+        .collect();
+    match kind % 3 {
+        0 => Frame::Dispatch {
+            task: 7,
+            attempt: 2,
+            generation: 1,
+            function: "sum64".to_string(),
+            deps: vec![(7 << 32) | 1, (8 << 32) | 3],
+            payload,
+        },
+        1 => Frame::Result {
+            task: 7,
+            attempt: 2,
+            generation: 1,
+            ok: true,
+            payload,
+        },
+        _ => Frame::Transfer { key: 9, payload },
+    }
+}
+
+/// Offset of the `u32` payload-length field inside `frame`'s encoding
+/// (the payload is the last field, its length the four bytes before it).
+fn payload_len_at(frame: &Frame, encoded: &[u8]) -> usize {
+    let (Frame::Dispatch { payload, .. }
+    | Frame::Result { payload, .. }
+    | Frame::Transfer { payload, .. }) = frame
+    else {
+        panic!("{frame:?} does not end in a payload");
+    };
+    encoded.len() - payload.len() - 4
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// DISPATCH, RESULT and TRANSFER with payloads on both sides of the
+    /// reader's buffer, fed in arbitrary chunkings: what the reader returns
+    /// is what the slice decoder makes of the same bytes.
+    #[test]
+    fn large_payload_frames_match_the_slice_decoder(
+        shapes in vec((0u8..3, 0usize..4 * IO_BUF, arb_byte()), 1..4),
+        chunks in vec(1usize..3 * IO_BUF, 1..6),
+    ) {
+        let frames: Vec<Frame> = shapes
+            .iter()
+            .map(|&(kind, len, seed)| payload_frame(kind, len, seed))
+            .collect();
+        let mut stream = Vec::new();
+        let mut want = Vec::new();
+        for f in &frames {
+            let at = stream.len();
+            f.encode_into(&mut stream);
+            want.push(Frame::decode(&stream[at..]).unwrap());
+        }
+        let mut reader = FrameReader::new(Chunked::new(stream, chunks));
+        for w in &want {
+            prop_assert_eq!(&reader.read_frame().unwrap(), w);
+        }
+        prop_assert!(matches!(reader.read_frame(), Err(ProtoError::Truncated)));
+    }
+
+    /// A payload-length field that disagrees with the frame length is the
+    /// slice decoder's error, found before the payload is sized or read.
+    #[test]
+    fn inner_length_claim_is_held_to_the_frame_length(
+        kind in 0u8..3,
+        len in IO_BUF..3 * IO_BUF,
+        off in 1u32..100_000,
+        over in 0u8..2,
+        chunks in vec(1usize..3 * IO_BUF, 1..6),
+    ) {
+        let frame = payload_frame(kind, len, 5);
+        let mut bytes = frame.encode();
+        let at = payload_len_at(&frame, &bytes);
+        let claim = if over == 1 { len as u32 + off } else { (len as u32).saturating_sub(off) };
+        prop_assume!(claim != len as u32);
+        bytes[at..at + 4].copy_from_slice(&claim.to_le_bytes());
+        let want = Frame::decode(&bytes).unwrap_err().to_string();
+        let mut reader = FrameReader::new(Chunked::new(bytes, chunks));
+        prop_assert_eq!(reader.read_frame().unwrap_err().to_string(), want);
+    }
+
+    /// Frames queued through the coalescing buffer — a payload of `IO_BUF`
+    /// or more written behind its head, not copied into the buffer — put
+    /// on the stream exactly the bytes `encode_into` produces, and the
+    /// buffer stays under two buffers' length.
+    #[test]
+    fn queued_frames_are_byte_identical_to_encode_into(
+        shapes in vec((0u8..3, 0usize..2 * IO_BUF + 100, arb_byte()), 1..8),
+    ) {
+        let (mut wire, mut buf, mut want) = (Vec::new(), Vec::new(), Vec::new());
+        for &(kind, len, seed) in &shapes {
+            let frame = payload_frame(kind, len, seed);
+            frame.encode_into(&mut want);
+            match &frame {
+                Frame::Dispatch { task, attempt, generation, function, deps, payload } => {
+                    let n = payload.len();
+                    let head = |b: &mut Vec<u8>| {
+                        encode_dispatch_head(b, *task, *attempt, *generation, function, deps, n);
+                    };
+                    queue_frame(&mut wire, &mut buf, head, payload).unwrap();
+                }
+                Frame::Result { task, attempt, generation, ok, payload } => {
+                    let n = payload.len();
+                    let head = |b: &mut Vec<u8>| {
+                        encode_result_head(b, *task, *attempt, *generation, *ok, n);
+                    };
+                    queue_frame(&mut wire, &mut buf, head, payload).unwrap();
+                }
+                Frame::Transfer { key, payload } => {
+                    let head = |b: &mut Vec<u8>| encode_transfer_head(b, *key, payload.len());
+                    queue_frame(&mut wire, &mut buf, head, payload).unwrap();
+                }
+                other => queue_frame(&mut wire, &mut buf, |b| other.encode_into(b), &[]).unwrap(),
+            }
+            prop_assert!(buf.len() < 2 * IO_BUF, "buffer grew to {}", buf.len());
+        }
+        flush_queued(&mut wire, &mut buf).unwrap();
+        prop_assert_eq!(&wire, &want);
+    }
+}
+
+/// A stream that ends anywhere inside a frame larger than the buffer —
+/// header, head or any byte of the payload — is `Truncated`.
+#[test]
+fn truncation_at_every_byte_of_a_large_frame_is_truncated() {
+    for kind in 0..3 {
+        let bytes = payload_frame(kind, IO_BUF + 1000, 3).encode();
+        for cut in 0..bytes.len() {
+            let mut reader = FrameReader::new(&bytes[..cut]);
+            let got = reader.read_frame();
+            assert!(
+                matches!(got, Err(ProtoError::Truncated)),
+                "kind {kind} cut at {cut}/{}: {got:?}",
+                bytes.len()
+            );
+        }
+    }
+}
+
+/// No length a peer can claim — in the 4-byte frame header or in the
+/// payload-length field of an honest-looking head — sizes an allocation
+/// past `MAX_FRAME`: every case below is refused, and the largest request
+/// the allocator saw in this whole test binary stays under the cap.
+#[test]
+fn hostile_length_claims_never_size_an_allocation() {
+    for claim in [MAX_FRAME + 1, u32::MAX / 2, u32::MAX] {
+        let header = claim.to_le_bytes();
+        let refused = FrameReader::new(&header[..]).read_frame();
+        assert!(matches!(refused, Err(ProtoError::Oversized(_))), "{claim}");
+    }
+    // The largest frame a header may claim, nothing behind its head.
+    for kind in 0..3 {
+        let frame = payload_frame(kind, 0, 0);
+        let mut bytes = frame.encode();
+        bytes[..4].copy_from_slice(&MAX_FRAME.to_le_bytes());
+        let at = payload_len_at(&frame, &bytes);
+        // ... whose payload-length field claims 4 GiB, or just too much.
+        for claim in [u32::MAX, MAX_FRAME] {
+            bytes[at..at + 4].copy_from_slice(&claim.to_le_bytes());
+            let mut reader = FrameReader::new(&bytes[..]);
+            let refused = reader.read_frame();
+            assert!(matches!(refused, Err(ProtoError::Truncated)), "{kind}");
+        }
+    }
+    let largest = LARGEST_ALLOCATION.load(Ordering::Relaxed);
+    assert!(largest <= MAX_FRAME as usize, "an allocation of {largest}");
+}
+
 /// Frames larger than the read buffer take the reader's own-allocation
 /// path; frames around them still decode from the buffer, and a length
 /// the stream cannot back is `Truncated`, not a hang or a panic.
@@ -400,7 +625,8 @@ fn buffered_reader_handles_frames_larger_than_its_buffer() {
 fn wire_constants_are_pinned() {
     // Revision 2: clock-sync timestamps on the heartbeat exchange, span
     // context on DISPATCH/RESULT, TELEMETRY_SUB/TELEMETRY frames.
-    assert_eq!(PROTO_VERSION, 2);
+    // Revision 3: KEEP, and blob keys that name one attempt's output.
+    assert_eq!(PROTO_VERSION, 3);
     assert_eq!(MAX_FRAME, 16 * 1024 * 1024);
     const { assert!(TEL_MAX_EVENTS >= 1024) };
     // Kind tags are part of the wire contract; renumbering breaks
@@ -426,5 +652,13 @@ fn wire_constants_are_pinned() {
         }
         .kind(),
         13
+    );
+    assert_eq!(
+        Frame::Keep {
+            task: 0,
+            attempt: 0
+        }
+        .kind(),
+        14
     );
 }

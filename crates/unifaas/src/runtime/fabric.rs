@@ -10,8 +10,10 @@
 //!
 //! Work is a *named function over bytes* — the only shape that crosses a
 //! process boundary. A task's input is the concatenation of its
-//! dependencies' outputs (staged to the executing endpoint as keyed
-//! blobs) followed by its payload.
+//! dependencies' outputs (at the executing endpoint as keyed blobs: kept
+//! there when it produced them, staged there otherwise) followed by its
+//! payload. A blob key names the output of one *accepted attempt*
+//! ([`blob_key`]), never a task: DESIGN.md has the hazard that closes.
 //!
 //! Robustness contract, mirrored from the simulated runtime (§IV-G):
 //!
@@ -36,7 +38,8 @@
 use crate::error::UniFaasError;
 use crate::monitor::{HealthMonitor, HealthState};
 use fedci::endpoint::EndpointId;
-use fedci::fabric::{Fabric, FabricResult, JobSpec, ProbeState};
+use fedci::fabric::{blob_key, Fabric, FabricResult, JobSpec, Payload, ProbeState};
+use fedci::proto::IO_BUF;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use simkit::metrics::{MetricsRegistry, MetricsServer};
 use simkit::time::SimTime;
@@ -102,8 +105,33 @@ struct TaskCell {
 
 enum TaskState {
     /// Unresolved: the inline argument bytes, released on resolution.
-    Pending(Vec<u8>),
+    Pending(Payload),
     Resolved(WireResult),
+}
+
+impl TaskState {
+    /// The payload for `attempt`, or `None` once the task is resolved.
+    /// The final attempt takes the bytes. (An attempt the watchdog
+    /// superseded before it got here may find them taken; its result is
+    /// dropped whatever it is.) An earlier one leaves them for the next:
+    /// a small payload is copied, one of [`IO_BUF`] or more is shared
+    /// from its first such attempt on — large enough that the `Arc`'s
+    /// allocation is nothing next to the copy, which a dispatch made from
+    /// a completion would do on the endpoint's only I/O thread.
+    fn payload_for(&mut self, last_attempt: bool) -> Option<Payload> {
+        let TaskState::Pending(p) = self else {
+            return None;
+        };
+        if last_attempt {
+            return Some(std::mem::take(p));
+        }
+        if let Payload::Owned(bytes) = p {
+            if bytes.len() >= IO_BUF {
+                *p = Payload::Shared(Arc::new(std::mem::take(bytes)));
+            }
+        }
+        Some(p.clone())
+    }
 }
 
 /// A handle to the eventual byte result of a fabric task.
@@ -243,8 +271,9 @@ enum Phase {
     /// Dispatched `at_us` µs after the fabric's clock epoch (0 without a
     /// watchdog); `attempt` is the generation guard.
     InFlight { at_us: u64, attempt: u32, ep: u16 },
-    /// Resolved: where the output lives and how long it is (0 on failure).
-    Done { ep: u16, bytes: u64 },
+    /// Resolved by `attempt`: where the output lives and how long it is
+    /// (0 on failure).
+    Done { ep: u16, attempt: u32, bytes: u64 },
 }
 
 /// Everything the coordinator keeps per task; `slots[id]` is task `id`.
@@ -297,7 +326,7 @@ impl Coord {
         let key = |ep: &usize| {
             let free = fabric.n_workers(*ep) as i64 - fabric.busy_workers(*ep) as i64;
             let local_bytes = dep_ids.iter().map(|&d| match self.slots[d].phase {
-                Phase::Done { ep: at, bytes } if usize::from(at) == *ep => bytes,
+                Phase::Done { ep: at, bytes, .. } if usize::from(at) == *ep => bytes,
                 _ => 0,
             });
             let local_bytes: u64 = local_bytes.sum();
@@ -483,7 +512,7 @@ impl FabricRuntime {
         let inner = &self.inner;
         let cell = Arc::new(TaskCell {
             dep_ids: deps.iter().map(|d| d.id).collect(),
-            state: Mutex::new(TaskState::Pending(payload)),
+            state: Mutex::new(TaskState::Pending(payload.into())),
             cond: Condvar::new(),
         });
         // One lock acquisition allocates the slot and, when nothing is
@@ -605,11 +634,19 @@ impl Inner {
         };
         coord.stats.dispatched += 1;
         let function = Arc::clone(&coord.functions[usize::from(coord.slots[id].function)]);
-        // The dep outputs to stage — or the upstream error that dooms
-        // this task deterministically.
-        let stage = cell.dep_ids.iter().map(|&d| match &coord.slots[d].output {
-            Some(bytes) => Ok((d as u64, Arc::clone(bytes))),
-            None => Err(format!("upstream task {d} failed")),
+        // A dependent already waits for this output: worth keeping where
+        // it is computed. One that registers later gets it staged.
+        let keep_output = !coord.slots[id].dependents.is_empty();
+        // The dep outputs to stage, each under the key of the attempt that
+        // resolved it — or the upstream error that dooms this task
+        // deterministically.
+        let stage = cell.dep_ids.iter().map(|&d| match &coord.slots[d] {
+            Slot {
+                output: Some(bytes),
+                phase: Phase::Done { attempt, .. },
+                ..
+            } => Ok((blob_key(d as u32, *attempt), Arc::clone(bytes))),
+            _ => Err(format!("upstream task {d} failed")),
         });
         let stage: Result<Vec<_>, String> = stage.collect();
         drop(coord);
@@ -626,21 +663,17 @@ impl Inner {
         for (key, bytes) in &stage {
             self.fabric.stage(ep, *key, bytes);
         }
-        // The one payload copy of a dispatch — and not made at all when no
-        // later attempt can need the bytes. (An attempt the watchdog
-        // superseded before it got here may find them moved out; its
-        // result is dropped whatever it is.)
-        let payload = match &mut *cell.state.lock() {
-            TaskState::Pending(p) if attempt >= self.retry.max_attempts => std::mem::take(p),
-            TaskState::Pending(p) => p.clone(),
-            TaskState::Resolved(_) => return,
+        let last_attempt = attempt >= self.retry.max_attempts;
+        let Some(payload) = cell.state.lock().payload_for(last_attempt) else {
+            return;
         };
         let job = JobSpec {
             task: id as u64,
             attempt,
             function,
-            deps: cell.dep_ids.iter().map(|&d| d as u64).collect(),
+            deps: stage.iter().map(|&(key, _)| key).collect(),
             payload,
+            keep_output,
         };
         let this = Arc::clone(self);
         let done = move |result: FabricResult| {
@@ -703,7 +736,7 @@ impl Inner {
         }
         let slot = &mut coord.slots[id];
         let bytes = result.as_ref().map_or(0, |b| b.len() as u64);
-        slot.phase = Phase::Done { ep, bytes };
+        slot.phase = Phase::Done { ep, attempt, bytes };
         slot.output = result.as_ref().ok().cloned();
         let dependents = std::mem::take(&mut slot.dependents);
         // Like the span above, recorded before anyone can be woken.
@@ -834,7 +867,7 @@ mod tests {
         }
 
         fn submit(&self, ep: usize, job: JobSpec, done: Completion) {
-            let (task, attempt, payload) = (job.task, job.attempt, job.payload.clone());
+            let (task, attempt, payload) = (job.task, job.attempt, job.payload.to_vec());
             self.calls.lock().push(Call::Submit { ep, job });
             if self.inline.load(Ordering::SeqCst) {
                 done(Ok(payload));
@@ -927,19 +960,28 @@ mod tests {
         assert_eq!(fabric.calls.lock().len(), 2, "`z` still waits for `y`");
         fabric.fire(1, 1, ok(&[2; 10]));
         // Ready exactly once, on the endpoint holding 10 of the 12 input
-        // bytes, each input staged there before the submit.
+        // bytes, each input staged there before the submit under the key
+        // of the attempt that produced it.
+        let keys = [blob_key(0, 1), blob_key(1, 1)];
         let job = JobSpec {
             task: 2,
             attempt: 1,
             function: Arc::from("sum64"),
-            deps: vec![0, 1],
-            payload: b"p".to_vec(),
+            deps: keys.to_vec(),
+            payload: b"p".to_vec().into(),
+            keep_output: false,
         };
         assert_eq!(
             fabric.calls.lock()[2..],
             [
-                Call::Stage { ep: 1, key: 0 },
-                Call::Stage { ep: 1, key: 1 },
+                Call::Stage {
+                    ep: 1,
+                    key: keys[0]
+                },
+                Call::Stage {
+                    ep: 1,
+                    key: keys[1]
+                },
                 Call::Submit { ep: 1, job },
             ]
         );
@@ -948,6 +990,87 @@ mod tests {
         assert_eq!(z.wait().unwrap().as_ref(), b"z");
         let stats = rt.stats();
         assert_eq!((stats.dispatched, stats.completed), (3, 3), "{stats:?}");
+    }
+
+    #[test]
+    fn a_dependent_is_given_the_accepted_attempts_key_not_the_superseded_ones() {
+        let fabric = ScriptedFabric::new(2);
+        let policy = LiveRetryPolicy {
+            max_attempts: 3,
+            task_timeout: Some(Duration::from_millis(100)),
+            backoff: Duration::ZERO,
+        };
+        let rt = scripted_runtime(&fabric, policy);
+        let x = rt.submit("echo", b"x".to_vec(), &[]);
+        let y = rt.submit("echo", vec![], &[&x]);
+        // Attempt 1 sits on endpoint 0; with that one reading Dead, the
+        // attempt the watchdog replaces it with goes to endpoint 1.
+        fabric.set_probe(0, ProbeState::Dead);
+        std::thread::scope(|s| {
+            s.spawn(|| rt.wait_all());
+            fabric.await_submit(0, 2);
+            fabric.set_probe(0, ProbeState::Alive);
+            fabric.fire(0, 2, ok(b"second"));
+            // Attempt 1 finishes late, where it ran, with other bytes: an
+            // endpoint told to keep it holds them under attempt 1's key.
+            fabric.fire(0, 1, ok(b"first"));
+            fabric.await_submit(1, 1);
+            fabric.fire(1, 1, ok(b"second"));
+        });
+        assert_eq!(y.wait().unwrap().as_ref(), b"second");
+        let calls = fabric.calls.lock();
+        let submits = calls.iter().filter_map(|c| match c {
+            Call::Submit { ep, job } => Some((*ep, job)),
+            Call::Stage { .. } => None,
+        });
+        let submits: Vec<(usize, &JobSpec)> = submits.collect();
+        assert_eq!(submits.iter().map(|s| s.0).collect::<Vec<_>>()[..2], [0, 1]);
+        // `y` registered between the two attempts of `x`: only the second
+        // was told a dependent waits for its output.
+        let kept: Vec<bool> = submits.iter().map(|s| s.1.keep_output).collect();
+        assert_eq!(kept, [false, true, false]);
+        // What `y` names, and what was staged for it, is attempt 2's output.
+        let accepted = blob_key(0, 2);
+        assert_eq!(submits[2].1.deps, [accepted]);
+        let staged = calls.iter().filter_map(|c| match c {
+            Call::Stage { key, .. } => Some(*key),
+            Call::Submit { .. } => None,
+        });
+        assert_eq!(staged.collect::<Vec<_>>(), [accepted]);
+    }
+
+    #[test]
+    fn only_a_large_payload_is_shared_between_attempts() {
+        let fabric = ScriptedFabric::new(1);
+        let policy = LiveRetryPolicy {
+            max_attempts: 2,
+            ..LiveRetryPolicy::default()
+        };
+        let rt = scripted_runtime(&fabric, policy);
+        let large = rt.submit("echo", vec![7; IO_BUF], &[]);
+        rt.submit("echo", vec![7; IO_BUF - 1], &[]);
+        fabric.fire(0, 1, Err("lost".into()));
+        fabric.fire(0, 2, ok(b"done"));
+        fabric.fire(1, 1, ok(b"done"));
+        rt.wait_all();
+        assert_eq!(large.wait().unwrap().as_ref(), b"done");
+        let calls = fabric.calls.lock();
+        let payloads: Vec<&Payload> = calls
+            .iter()
+            .map(|c| match c {
+                Call::Submit { job, .. } => &job.payload,
+                Call::Stage { .. } => unreachable!("no task has a dependency"),
+            })
+            .collect();
+        // First attempts of the large and the small task, then the large
+        // one's last, which takes what the first left shared.
+        assert!(
+            matches!(
+                payloads[..],
+                [Payload::Shared(a), Payload::Owned(_), Payload::Shared(b)] if Arc::ptr_eq(a, b)
+            ),
+            "{payloads:?}"
+        );
     }
 
     #[test]

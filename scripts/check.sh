@@ -31,6 +31,14 @@ if grep -rnE 'ShardedEngine|engine_shards|EventSink|bounded_reschedule' \
   exit 1
 fi
 
+# The daemon ran every function under its blob-store lock until PR 21: a
+# match arm keeps the guard of `&blobs.lock()` alive until the arm ends.
+echo "==> no function call under the daemon's blob-store lock"
+if grep -n 'assemble_input(&blobs.lock()' crates/fedci/src/process.rs; then
+  echo "the daemon assembles and runs a job under its blob-store lock again" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

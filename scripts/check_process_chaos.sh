@@ -5,7 +5,9 @@
 # end-to-end digest equivalence run of the `unifaas-fabric` driver:
 # threaded backend, unfaulted process backend, and a process run whose
 # endpoints are SIGKILLed mid-flight must all print the same result
-# digest with zero failures.
+# digest with zero failures — and, from `--report`, the unfaulted process
+# run must have left outputs where they were computed while the SIGKILL
+# run was re-shipped what the killed daemons had kept.
 #
 # Usage: scripts/check_process_chaos.sh [outdir]
 #   outdir — where run transcripts, digests and recovery counters land
@@ -74,6 +76,28 @@ if ! grep -q "respawns=[1-9]" "$outdir/chaos.report.txt"; then
   exit 1
 fi
 echo "OK: SIGKILLed process run converged to the unfaulted digest ($d_threaded)"
+
+echo "==> locality gate: kept outputs are not sent back; a respawn is re-shipped what it lost"
+# The layered DAG is submitted up front, so every non-leaf output is
+# dispatched with its dependents registered and kept where it is computed.
+sum_field() { grep -o "$1=[0-9]*" "$outdir/$2.report.txt" | awk -F= '{ s += $2 } END { print s + 0 }'; }
+elided=$(sum_field transfers_elided process)
+shipped=$(sum_field transfer_bytes process)
+shipped_chaos=$(sum_field transfer_bytes chaos)
+echo "process: transfers_elided=$elided transfer_bytes=$shipped; chaos: transfer_bytes=$shipped_chaos"
+if [ "${elided:-0}" -lt 100 ]; then
+  echo "FAIL: the unfaulted process run elided almost no transfers" >&2
+  cat "$outdir/process.report.txt" >&2
+  exit 1
+fi
+# A killed generation takes its kept outputs with it; the tasks retried on
+# its successor name them, so the client's copies go out as TRANSFERs.
+if [ "${shipped_chaos:-0}" -le "${shipped:-0}" ]; then
+  echo "FAIL: the SIGKILL run shipped nothing the unfaulted run did not" >&2
+  cat "$outdir/chaos.report.txt" >&2
+  exit 1
+fi
+echo "OK: $elided transfers elided unfaulted; $shipped_chaos bytes re-shipped under SIGKILL"
 
 echo "==> observability gate: merged timeline + metrics from the chaos run"
 if ! [ -s "$outdir/chaos_trace.json" ]; then

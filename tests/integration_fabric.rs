@@ -39,7 +39,8 @@ fn assemble_input_orders_deps_before_payload() {
         attempt: 1,
         function: Arc::from("echo"),
         deps: vec![9, 7],
-        payload: b"CC".to_vec(),
+        payload: b"CC".to_vec().into(),
+        keep_output: false,
     };
     assert_eq!(assemble_input(&blobs, &job).unwrap(), b"BBAACC");
     let missing = JobSpec {
@@ -327,7 +328,8 @@ fn burst_shares_socket_writes_and_resolves_every_task() {
             attempt: 1,
             function: Arc::from("echo"),
             deps: vec![],
-            payload: vec![],
+            payload: Vec::new().into(),
+            keep_output: false,
         },
         Box::new(move |_| gate.recv().expect("gate released")),
     );
