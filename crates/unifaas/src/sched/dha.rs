@@ -20,8 +20,9 @@
 //! 3. **Delay scheduling**: after staging, the task waits in a per-endpoint
 //!    client-side queue (ordered by priority) and is dispatched only when
 //!    the target has an idle worker — keeping the re-schedulable pool
-//!    large. Queues are indexed binary heaps ([`DelayQueues`]): push/pop
-//!    are O(log n) and removal (stealing, fault retries) is O(1).
+//!    large. Queues are binary heaps of packed integer keys over a dense
+//!    per-task index ([`DelayQueues`], no hashing): push/pop are
+//!    O(log n) and removal (stealing, fault retries) is O(1).
 //! 4. **Re-scheduling** (optional — Table V ablates it): on capacity
 //!    changes and on a periodic tick, every not-yet-dispatched task is
 //!    re-evaluated; if another endpoint now offers a sufficiently better
@@ -767,8 +768,10 @@ impl DhaScheduler {
         // clears the verdicts, and the pass terminates outright once
         // every class present in the pool holds a no-steal verdict and no
         // unclassified tasks remain. For homogeneous bags that makes a
-        // pass O(#classes) instead of O(pool). Traced passes evaluate
-        // every task (each owes a decision record).
+        // pass O(#classes) instead of O(pool). Traced passes take the
+        // same shortcuts: a pass records only steals (`DecisionKind::
+        // Steal`), and a verdict-covered task provably does not steal,
+        // so skipping it drops no record.
         debug_assert_eq!(
             self.class_count.iter().map(|&c| c as usize).sum::<usize>() + self.unclassified,
             self.pool_len,
@@ -788,7 +791,7 @@ impl DhaScheduler {
         let mut im = 0;
         let mut iy = 0;
         loop {
-            if !ctx.trace_decisions && self.unclassified == 0 && unverdicted == 0 {
+            if self.unclassified == 0 && unverdicted == 0 {
                 break; // every pooled task is covered by a no-steal verdict
             }
             let take_young = match (pool_main.get(im), pool_young.get(iy)) {
@@ -817,11 +820,9 @@ impl DhaScheduler {
                     unverdicted -= 1;
                 }
             }
-            if !ctx.trace_decisions {
-                if let Some(c) = pre_class {
-                    if self.class_verdict[c] {
-                        continue; // covered by this pass's class verdict
-                    }
+            if let Some(c) = pre_class {
+                if self.class_verdict[c] {
+                    continue; // covered by this pass's class verdict
                 }
             }
             let cur = self.target[task.index()].expect("pooled task has a target");

@@ -39,6 +39,22 @@ if grep -n 'assemble_input(&blobs.lock()' crates/fedci/src/process.rs; then
   exit 1
 fi
 
+# DHA's delay queues index tasks densely and order heap entries by one
+# integer compare; the hashed index and the float comparator are gone.
+echo "==> no hashing or float comparator in the delay queues"
+if grep -nE 'HashMap|partial_cmp' crates/unifaas/src/sched/queue.rs; then
+  echo "sched/queue.rs hashes tasks or compares priorities as floats again" >&2
+  exit 1
+fi
+
+# A traced re-scheduling pass takes the same class-verdict shortcuts as an
+# untraced one (it records only steals, and a covered task cannot steal).
+echo "==> DHA's re-scheduling shortcuts do not depend on tracing"
+if grep -n '!ctx.trace_decisions' crates/unifaas/src/sched/dha.rs; then
+  echo "sched/dha.rs gates a shortcut on tracing again" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

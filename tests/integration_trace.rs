@@ -138,24 +138,50 @@ fn perfetto_export_is_balanced_and_has_endpoint_tracks() {
 
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
-    let dag = drug_dag();
     let strategy = SchedulingStrategy::Dha { rescheduling: true };
-    let base = SimRuntime::new(testbed(strategy.clone()), dag.clone())
-        .run()
-        .unwrap();
-    let traced = SimRuntime::new(testbed(strategy), dag)
-        .with_trace(TraceConfig::default())
-        .run()
-        .unwrap();
-    // Bit-identical outcomes: tracing must not touch RNG draws, event order
-    // or any scheduling decision.
-    assert_eq!(base.makespan, traced.makespan);
-    assert_eq!(base.transfer_bytes, traced.transfer_bytes);
-    assert_eq!(base.tasks_per_endpoint, traced.tasks_per_endpoint);
-    assert_eq!(base.events_processed, traced.events_processed);
-    assert_eq!(base.failed_attempts, traced.failed_attempts);
-    assert!(base.trace.is_none());
-    assert!(traced.trace.is_some());
+    // The second input is a layered bag on small pools, which waits mostly
+    // in DHA's delay queues; doubling one endpoint's workers mid-run makes
+    // the re-scheduling pass steal. The pass's class-verdict shortcut skips
+    // verdict-covered tasks whether or not decisions are traced, so both
+    // runs make the same decisions and the trace still records the steals.
+    let bag_cfg = Config::builder()
+        .endpoint(EndpointConfig::new("Taiyi", ClusterSpec::taiyi(), 8))
+        .endpoint(EndpointConfig::new("Qiming", ClusterSpec::qiming(), 8))
+        .strategy(strategy.clone())
+        .capacity_event(20, 1, 8)
+        .build();
+    let inputs = [
+        (testbed(strategy), drug_dag(), TraceConfig::default(), false),
+        (
+            bag_cfg,
+            taskgraph::workloads::stress::layered_bag(300, 3, 5.0),
+            TraceConfig::at_level(TraceLevel::Full),
+            true,
+        ),
+    ];
+    for (cfg, dag, trace_cfg, must_steal) in inputs {
+        let n_tasks = dag.len();
+        let base = SimRuntime::new(cfg.clone(), dag.clone()).run().unwrap();
+        let traced = SimRuntime::new(cfg, dag)
+            .with_trace(trace_cfg)
+            .run()
+            .unwrap();
+        // Bit-identical outcomes: tracing must not touch RNG draws, event
+        // order or any scheduling decision.
+        assert_eq!(base.tasks_completed, n_tasks);
+        assert_eq!(base.determinism_digest(), traced.determinism_digest());
+        assert!(base.trace.is_none());
+        let trace = traced.trace.as_ref().expect("traced run returns a trace");
+        assert_eq!(trace.dropped_decisions, 0);
+        if must_steal {
+            let steals = trace
+                .decisions
+                .iter()
+                .filter(|d| d.kind == DecisionKind::Steal)
+                .count();
+            assert!(steals > 0, "the capacity event must trigger steals");
+        }
+    }
 }
 
 #[test]

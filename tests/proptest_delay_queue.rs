@@ -3,6 +3,13 @@
 //! workers), and removals (task stealing, fault retries), dispatch order is
 //! descending (priority, FIFO) per endpoint and removed tasks never
 //! dispatch.
+//!
+//! The draws are shaped to reach the queue's edge cases: priorities come
+//! mostly from a small set (exact ties, −0.0 vs 0.0, ±∞, negatives), task
+//! ids are sparse up to `1 << 16` and endpoints go up to 8 (both dense
+//! index axes must grow), and push-heavy phases pile well over 64 entries
+//! onto one endpoint before remove-heavy phases turn most of them into
+//! tombstones (the compaction path).
 
 use fedci::endpoint::EndpointId;
 use proptest::prelude::*;
@@ -19,12 +26,66 @@ enum Op {
     Remove { task: u32 },
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u32..24, 0u16..4, 0.0f64..100.0).prop_map(|(task, ep, prio)| Op::Push { task, ep, prio }),
-        (0u16..4).prop_map(|ep| Op::Pop { ep }),
-        (0u32..24).prop_map(|task| Op::Remove { task }),
-    ]
+/// Highest endpoint id drawn.
+const MAX_EP: u16 = 8;
+/// Distinct tasks per case: enough to hold > 64 live entries at once.
+const TASKS: u32 = 200;
+
+/// The `i`-th task id: odd multipliers are bijective modulo `1 << 16`, so
+/// the ids are distinct and spread over `0..1 << 16`.
+fn sparse_task(i: u32) -> u32 {
+    i.wrapping_mul(40_503) % (1 << 16)
+}
+
+fn arb_task() -> impl Strategy<Value = u32> {
+    (0..TASKS).prop_map(sparse_task)
+}
+
+/// Three draws in four on endpoints 0 and 1, so one heap grows past the
+/// compaction threshold; otherwise any endpoint up to `MAX_EP`.
+fn arb_ep() -> impl Strategy<Value = u16> {
+    (0u16..4, 0..MAX_EP + 1).prop_map(|(k, ep)| if k == 0 { ep } else { ep % 2 })
+}
+
+/// Four draws in five from a handful of exact values, so ties (and −0.0
+/// against 0.0) are common; otherwise any value in a wide range.
+fn arb_prio() -> impl Strategy<Value = f64> {
+    const EXACT: [f64; 8] = [
+        -0.0,
+        0.0,
+        1.0,
+        2.5,
+        -1.0,
+        -7.25,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    (0..EXACT.len() * 5 / 4, -100.0f64..100.0).prop_map(|(i, x)| EXACT.get(i).copied().unwrap_or(x))
+}
+
+/// One operation, drawn with the given relative weights.
+fn arb_op(push: u32, pop: u32, remove: u32) -> impl Strategy<Value = Op> {
+    (0..push + pop + remove, arb_task(), arb_ep(), arb_prio()).prop_map(
+        move |(k, task, ep, prio)| {
+            if k < push {
+                Op::Push { task, ep, prio }
+            } else if k < push + pop {
+                Op::Pop { ep }
+            } else {
+                Op::Remove { task }
+            }
+        },
+    )
+}
+
+/// Alternating phases: push-heavy ones (with interleaved removes) grow the
+/// queues past 64 live entries, remove/pop-heavy ones shrink them.
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    let phase = prop_oneof![
+        proptest::collection::vec(arb_op(6, 1, 2), 100..240),
+        proptest::collection::vec(arb_op(1, 3, 4), 20..120),
+    ];
+    proptest::collection::vec(phase, 1..5).prop_map(|p| p.concat())
 }
 
 /// Straight-line reference model: a flat list of live entries; pop scans
@@ -65,7 +126,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn matches_reference_model(ops in proptest::collection::vec(arb_op(), 0..120)) {
+    fn matches_reference_model(ops in arb_ops()) {
         let mut queues = DelayQueues::new();
         let mut model = Model::default();
         let mut removed: std::collections::HashSet<TaskId> =
@@ -109,7 +170,7 @@ proptest! {
             }
         }
         // Drain everything that remains: full order must match per endpoint.
-        for ep in 0..4u16 {
+        for ep in 0..=MAX_EP {
             let ep = EndpointId(ep);
             loop {
                 let got = queues.pop(ep);
@@ -126,7 +187,7 @@ proptest! {
 
     #[test]
     fn drains_in_descending_priority_fifo(
-        prios in proptest::collection::vec(0.0f64..10.0, 1..60)
+        prios in proptest::collection::vec(arb_prio(), 1..200)
     ) {
         let mut queues = DelayQueues::new();
         let ep = EndpointId(0);
