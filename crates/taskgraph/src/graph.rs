@@ -6,16 +6,63 @@
 //! programming model — you can only depend on a future you already hold —
 //! and is what makes *dynamic* task graphs (tasks added during execution)
 //! safe.
+//!
+//! Adjacency costs no heap allocation per task. A task's predecessors are
+//! fixed when it is added, so all of them live in one append-only array
+//! cut by per-task end offsets. Successors keep growing as later tasks
+//! arrive, so each task stores up to [`INLINE_SUCCS`] of them in place and
+//! spills to its own `Vec` only past that.
 
 use crate::task::{FunctionId, TaskId, TaskSpec};
+
+/// Successors a task stores without a heap allocation. Three keeps
+/// [`Succs`] at the size of a bare `Vec` header (24 bytes).
+const INLINE_SUCCS: usize = 3;
+
+/// One task's successor list: in place while short, on the heap after.
+#[derive(Clone, Debug)]
+enum Succs {
+    Inline(u32, [TaskId; INLINE_SUCCS]),
+    Spilled(Vec<TaskId>),
+}
+
+impl Succs {
+    const EMPTY: Succs = Succs::Inline(0, [TaskId(0); INLINE_SUCCS]);
+
+    fn as_slice(&self) -> &[TaskId] {
+        match self {
+            Succs::Inline(len, ids) => &ids[..*len as usize],
+            Succs::Spilled(v) => v,
+        }
+    }
+
+    fn push(&mut self, t: TaskId) {
+        match self {
+            Succs::Inline(len, ids) if (*len as usize) < INLINE_SUCCS => {
+                ids[*len as usize] = t;
+                *len += 1;
+            }
+            Succs::Inline(_, ids) => {
+                let mut v = Vec::with_capacity(2 * INLINE_SUCCS);
+                v.extend_from_slice(ids);
+                v.push(t);
+                *self = Succs::Spilled(v);
+            }
+            Succs::Spilled(v) => v.push(t),
+        }
+    }
+}
 
 /// A workflow task graph.
 #[derive(Clone, Debug, Default)]
 pub struct Dag {
     specs: Vec<TaskSpec>,
-    preds: Vec<Vec<TaskId>>,
-    succs: Vec<Vec<TaskId>>,
-    n_edges: usize,
+    /// Every task's predecessors, concatenated in task order.
+    pred_ids: Vec<TaskId>,
+    /// End of each task's run in `pred_ids`; it starts at the previous
+    /// task's end (0 for the first task).
+    pred_end: Vec<u32>,
+    succs: Vec<Succs>,
     function_names: Vec<String>,
 }
 
@@ -69,12 +116,13 @@ impl Dag {
             );
         }
         self.specs.push(spec);
-        self.preds.push(deps.to_vec());
-        self.succs.push(Vec::new());
+        self.pred_ids.extend_from_slice(deps);
+        let end = u32::try_from(self.pred_ids.len()).expect("too many edges");
+        self.pred_end.push(end);
+        self.succs.push(Succs::EMPTY);
         for d in deps {
             self.succs[d.index()].push(id);
         }
-        self.n_edges += deps.len();
         id
     }
 
@@ -90,7 +138,7 @@ impl Dag {
 
     /// Number of edges.
     pub fn n_edges(&self) -> usize {
-        self.n_edges
+        self.pred_ids.len()
     }
 
     /// The spec of a task.
@@ -105,17 +153,33 @@ impl Dag {
 
     /// Direct predecessors (dependencies) of a task.
     pub fn preds(&self, t: TaskId) -> &[TaskId] {
-        &self.preds[t.index()]
+        &self.pred_ids[self.pred_range(t)]
     }
 
     /// Direct successors (dependents) of a task.
     pub fn succs(&self, t: TaskId) -> &[TaskId] {
-        &self.succs[t.index()]
+        self.succs[t.index()].as_slice()
+    }
+
+    /// Bytes a task reads: its predecessors' outputs plus its external
+    /// input.
+    pub fn input_bytes(&self, t: TaskId) -> u64 {
+        self.preds(t)
+            .iter()
+            .map(|p| self.spec(*p).output_bytes)
+            .sum::<u64>()
+            + self.spec(t).external_input_bytes
     }
 
     /// In-degree of a task.
     pub fn in_degree(&self, t: TaskId) -> usize {
-        self.preds[t.index()].len()
+        self.pred_range(t).len()
+    }
+
+    fn pred_range(&self, t: TaskId) -> std::ops::Range<usize> {
+        let i = t.index();
+        let start = if i == 0 { 0 } else { self.pred_end[i - 1] };
+        start as usize..self.pred_end[i] as usize
     }
 
     /// Iterator over all task ids in creation order (which is a valid
@@ -158,7 +222,7 @@ impl Dag {
     pub fn summary(&self) -> DagSummary {
         DagSummary {
             n_tasks: self.len(),
-            n_edges: self.n_edges,
+            n_edges: self.n_edges(),
             n_functions: self.n_functions(),
             total_compute_seconds: self.total_compute_seconds(),
             mean_task_seconds: if self.is_empty() {
@@ -265,6 +329,19 @@ mod tests {
             }
         }
         let _ = c;
+    }
+
+    #[test]
+    fn successor_list_is_a_vec_header_wide_and_spills_in_order() {
+        assert!(std::mem::size_of::<Succs>() <= std::mem::size_of::<Vec<TaskId>>());
+        let mut dag = Dag::new();
+        let root = dag.add_task(spec(0, 1.0), &[]);
+        let kids: Vec<TaskId> = (0..2 * INLINE_SUCCS + 1)
+            .map(|_| dag.add_task(spec(0, 1.0), &[root]))
+            .collect();
+        assert_eq!(dag.succs(root), &kids[..]);
+        assert_eq!(dag.n_edges(), kids.len());
+        assert_eq!(dag.clone().succs(root), &kids[..]);
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Task monitor and history database (§IV-B).
 //!
-//! Every completed task streams a [`TaskRecord`] into the monitor, which
-//! keeps (a) per-(function, endpoint) success statistics for the fault
-//! tolerance policy and (b) an append-only [`HistoryDb`] that the profilers
-//! train on. The history database persists as a plain CSV file so a later
-//! run can "start a workflow by loading an existing database" and pre-build
-//! performance models.
+//! The monitor keeps (a) per-endpoint success counts of execution attempts
+//! for the fault tolerance policy and (b) an append-only [`HistoryDb`] of
+//! [`TaskRecord`]s that the learned profilers train on. The history
+//! database persists as a plain CSV file so a later run can "start a
+//! workflow by loading an existing database" and pre-build performance
+//! models.
 
+use crate::profile::transfer::parse_transfer_record_name;
 use fedci::endpoint::EndpointId;
-use simkit::OnlineStats;
-use std::collections::HashMap;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -18,8 +17,8 @@ use std::sync::Arc;
 /// this structure with `function_name = "__transfer__/<src>/<dst>"`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TaskRecord {
-    /// Name of the function executed. Shared (`Arc<str>`) so the runtime's
-    /// per-completion observation clones an interned name instead of
+    /// Name of the function executed. Shared (`Arc<str>`) so a learned
+    /// run's per-completion record clones an interned name instead of
     /// allocating a fresh `String` per task.
     pub function: Arc<str>,
     /// Endpoint it ran on.
@@ -241,61 +240,54 @@ impl Iterator for CsvRecords<'_> {
     }
 }
 
-/// Live aggregation over the record stream.
+/// Live aggregation over the record stream: per-endpoint success counts
+/// of execution attempts for the fault tolerance policy, plus the history
+/// database the learned profiler trains on.
 ///
-/// Function names are interned to dense `u32` ids so the per-record and
-/// per-query paths hash a fixed-size integer key instead of allocating
-/// and hashing an owned `String` — `observe` runs once per completed
-/// task and `mean_duration` once per prediction, so both are hot at the
-/// million-task scale.
+/// The two are fed separately. Every execution attempt is counted
+/// ([`TaskMonitor::count_attempt`]), but a record joins the history
+/// ([`TaskMonitor::record`]) only when something will read it, so a run
+/// without a learned profiler builds no per-task record at all.
 #[derive(Clone, Debug, Default)]
 pub struct TaskMonitor {
     db: HistoryDb,
-    /// Function name → interned id (index into `names`).
-    name_ids: HashMap<String, u32>,
-    /// Interned id → function name.
-    names: Vec<String>,
-    /// (interned function, endpoint) → duration stats.
-    duration_stats: HashMap<(u32, EndpointId), OnlineStats>,
-    /// endpoint → (successes, attempts) for the reassignment policy.
-    success_counts: HashMap<EndpointId, (u64, u64)>,
+    /// Endpoint index → (successes, attempts) of execution attempts.
+    success_counts: Vec<(u64, u64)>,
 }
 
 impl TaskMonitor {
-    /// Creates a monitor, optionally seeded with a prior history database.
+    /// Creates a monitor that takes over a prior history database, if any.
+    /// Its execution rows count toward the success rates; its transfer
+    /// rows (named by [`transfer_record_name`]) do not.
+    ///
+    /// [`transfer_record_name`]: crate::profile::transfer::transfer_record_name
     pub fn new(history: Option<HistoryDb>) -> Self {
+        let db = history.unwrap_or_default();
         let mut m = TaskMonitor::default();
-        if let Some(db) = history {
-            for rec in db.records().to_vec() {
-                m.observe(rec);
+        for rec in db.records() {
+            if parse_transfer_record_name(&rec.function).is_none() {
+                m.count_attempt(rec.endpoint, rec.success);
             }
         }
+        m.db = db;
         m
     }
 
-    /// Interned id of `function`, allocating only on first sight.
-    fn intern(&mut self, function: &str) -> u32 {
-        if let Some(&id) = self.name_ids.get(function) {
-            return id;
+    /// Counts one execution attempt on `endpoint`. An attempt the
+    /// execution timeout killed counts as failed.
+    pub fn count_attempt(&mut self, endpoint: EndpointId, success: bool) {
+        let i = endpoint.index();
+        if i >= self.success_counts.len() {
+            self.success_counts.resize(i + 1, (0, 0));
         }
-        let id = self.names.len() as u32;
-        self.names.push(function.to_string());
-        self.name_ids.insert(function.to_string(), id);
-        id
+        let (ok, attempts) = &mut self.success_counts[i];
+        *ok += u64::from(success);
+        *attempts += 1;
     }
 
-    /// Streams in one record, updating all aggregates.
-    pub fn observe(&mut self, rec: TaskRecord) {
-        let entry = self.success_counts.entry(rec.endpoint).or_insert((0, 0));
-        entry.1 += 1;
-        if rec.success {
-            entry.0 += 1;
-            let id = self.intern(&rec.function);
-            self.duration_stats
-                .entry((id, rec.endpoint))
-                .or_default()
-                .push(rec.duration_seconds);
-        }
+    /// Appends `rec` to the history. Counts nothing: execution attempts
+    /// go through [`TaskMonitor::count_attempt`].
+    pub fn record(&mut self, rec: TaskRecord) {
         self.db.push(rec);
     }
 
@@ -304,21 +296,11 @@ impl TaskMonitor {
         &self.db
     }
 
-    /// Mean observed duration of `function` on `endpoint`, if any
-    /// successful runs exist.
-    pub fn mean_duration(&self, function: &str, endpoint: EndpointId) -> Option<f64> {
-        let id = *self.name_ids.get(function)?;
-        self.duration_stats
-            .get(&(id, endpoint))
-            .filter(|s| s.count() > 0)
-            .map(|s| s.mean())
-    }
-
     /// Task success rate of an endpoint (`None` if never attempted). Drives
     /// §IV-G's "reassigns it to the endpoint with the highest success rate".
     pub fn success_rate(&self, endpoint: EndpointId) -> Option<f64> {
         self.success_counts
-            .get(&endpoint)
+            .get(endpoint.index())
             .filter(|(_, attempts)| *attempts > 0)
             .map(|(ok, attempts)| *ok as f64 / *attempts as f64)
     }
@@ -357,22 +339,12 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_duration_per_function_endpoint() {
+    fn recording_history_counts_no_attempt() {
         let mut m = TaskMonitor::default();
-        m.observe(rec("dock", 0, 10.0, true));
-        m.observe(rec("dock", 0, 20.0, true));
-        m.observe(rec("dock", 1, 5.0, true));
-        assert_eq!(m.mean_duration("dock", EndpointId(0)), Some(15.0));
-        assert_eq!(m.mean_duration("dock", EndpointId(1)), Some(5.0));
-        assert_eq!(m.mean_duration("dock", EndpointId(2)), None);
-        assert_eq!(m.mean_duration("other", EndpointId(0)), None);
-    }
-
-    #[test]
-    fn failed_runs_do_not_pollute_duration_stats() {
-        let mut m = TaskMonitor::default();
-        m.observe(rec("dock", 0, 999.0, false));
-        assert_eq!(m.mean_duration("dock", EndpointId(0)), None);
+        m.record(rec("dock", 0, 999.0, false));
+        assert_eq!(m.history().len(), 1);
+        assert_eq!(m.success_rate(EndpointId(0)), None);
+        m.count_attempt(EndpointId(0), false);
         assert_eq!(m.success_rate(EndpointId(0)), Some(0.0));
     }
 
@@ -380,11 +352,11 @@ mod tests {
     fn success_rates_and_best_endpoint() {
         let mut m = TaskMonitor::default();
         for _ in 0..8 {
-            m.observe(rec("f", 0, 1.0, true));
+            m.count_attempt(EndpointId(0), true);
         }
-        m.observe(rec("f", 0, 1.0, false));
-        m.observe(rec("f", 0, 1.0, false)); // ep0: 8/10
-        m.observe(rec("f", 1, 1.0, true)); // ep1: 1/1
+        m.count_attempt(EndpointId(0), false);
+        m.count_attempt(EndpointId(0), false); // ep0: 8/10
+        m.count_attempt(EndpointId(1), true); // ep1: 1/1
         assert!((m.success_rate(EndpointId(0)).unwrap() - 0.8).abs() < 1e-9);
         assert_eq!(m.success_rate(EndpointId(1)), Some(1.0));
         assert_eq!(m.success_rate(EndpointId(9)), None);
@@ -398,6 +370,35 @@ mod tests {
             Some(EndpointId(5))
         );
         assert_eq!(m.best_endpoint_by_success(&[]), None);
+    }
+
+    #[test]
+    fn seeded_transfers_are_not_task_attempts() {
+        use crate::profile::transfer::transfer_record_name;
+        let transfer_into = |dst: u16| TaskRecord {
+            function: transfer_record_name(EndpointId(1), EndpointId(dst)).into(),
+            ..rec("", dst, 3.0, true)
+        };
+        // ep0: one failed task and many inbound transfers; ep1: one success.
+        let mut db = HistoryDb::new();
+        db.push(rec("dock", 0, 10.0, false));
+        for _ in 0..10 {
+            db.push(transfer_into(0));
+        }
+        db.push(rec("dock", 1, 10.0, true));
+        let m = TaskMonitor::new(Some(db.clone()));
+        assert_eq!(m.success_rate(EndpointId(0)), Some(0.0));
+        assert_eq!(m.success_rate(EndpointId(1)), Some(1.0));
+        assert_eq!(m.history().len(), 12, "transfer rows stay in the history");
+
+        // With ep1 at one success in two, received data must not make ep0
+        // (never a successful task) the better retry target.
+        db.push(rec("dock", 1, 10.0, false));
+        let m = TaskMonitor::new(Some(db));
+        assert_eq!(
+            m.best_endpoint_by_success(&[EndpointId(0), EndpointId(1)]),
+            Some(EndpointId(1))
+        );
     }
 
     #[test]
@@ -424,9 +425,10 @@ mod tests {
     fn monitor_seeds_from_history() {
         let mut db = HistoryDb::new();
         db.push(rec("dock", 0, 10.0, true));
+        db.push(rec("dock", 0, 10.0, false));
         let m = TaskMonitor::new(Some(db));
-        assert_eq!(m.mean_duration("dock", EndpointId(0)), Some(10.0));
-        assert_eq!(m.history().len(), 1);
+        assert_eq!(m.success_rate(EndpointId(0)), Some(0.5));
+        assert_eq!(m.history().len(), 2);
     }
 
     #[test]

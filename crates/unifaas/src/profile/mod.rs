@@ -136,15 +136,9 @@ impl Default for LearnedProfiler {
 impl Predictor for LearnedProfiler {
     fn exec_seconds(&self, dag: &Dag, task: TaskId, ep: &EndpointFeatures) -> f64 {
         let spec = dag.spec(task);
-        let input_bytes: u64 = dag
-            .preds(task)
-            .iter()
-            .map(|p| dag.spec(*p).output_bytes)
-            .sum::<u64>()
-            + spec.external_input_bytes;
         self.execution.predict(
             dag.function_name(spec.function),
-            input_bytes,
+            dag.input_bytes(task),
             ep,
             spec.compute_seconds,
         )

@@ -584,6 +584,9 @@ struct Rt {
     monitor: EndpointMonitor,
     task_monitor: TaskMonitor,
     profiler: ProfilerKind,
+    /// True iff a learned profiler trains on the run's history: only then
+    /// does an execution attempt or a transfer become a [`TaskRecord`].
+    keep_history: bool,
     dm: DataManager,
     faas: FaasServiceModel,
     faults: FaultInjector,
@@ -634,8 +637,8 @@ struct Rt {
     /// Reusable buffer of tasks that turned Ready within one event, fed to
     /// the batched `on_tasks_ready` hook.
     ready_scratch: Vec<TaskId>,
-    /// Interned function names (indexed by `FunctionId`) so each completed
-    /// task's monitor record clones an `Arc<str>` instead of allocating.
+    /// Interned function names (indexed by `FunctionId`) so each history
+    /// record of a learned run clones an `Arc<str>` instead of allocating.
     fn_names: Vec<Arc<str>>,
     completed: usize,
     failed_attempts: usize,
@@ -840,6 +843,7 @@ impl Rt {
             home,
             monitor: EndpointMonitor::new(mocks),
             task_monitor,
+            keep_history: matches!(profiler, ProfilerKind::Learned(_)),
             profiler,
             dm,
             faas,
@@ -907,28 +911,37 @@ impl Rt {
 
     // ---- metrics helpers ----------------------------------------------
 
-    fn record_workers(&mut self, now: SimTime) {
+    /// Records `ep`'s busy-worker count and the total, after a task started
+    /// or stopped there. Every change to an endpoint's counts is recorded
+    /// for that endpoint before any other endpoint's, so the series this
+    /// call skips already hold their current values.
+    fn record_busy(&mut self, ep: EndpointId, now: SimTime) {
         if !self.cfg.record_series {
             return;
         }
-        let mut busy_total = 0.0;
-        let mut active_total = 0.0;
-        for ep in 0..self.endpoints.len() {
-            let busy = self.endpoints[ep].busy_workers() as f64;
-            let active = self.endpoints[ep].active_workers() as f64;
-            self.series
-                .busy_workers
-                .at_mut(self.busy_h[ep])
-                .record(now, busy);
-            self.series
-                .active_workers
-                .at_mut(self.active_h[ep])
-                .record(now, active);
-            busy_total += busy;
-            active_total += active;
+        let busy = self.endpoints[ep.index()].busy_workers();
+        let total: usize = self.endpoints.iter().map(EndpointSim::busy_workers).sum();
+        self.series
+            .busy_workers
+            .at_mut(self.busy_h[ep.index()])
+            .record(now, busy as f64);
+        self.series.busy_total.record(now, total as f64);
+    }
+
+    /// Records `ep`'s busy and provisioned worker counts and both totals,
+    /// after its capacity changed.
+    fn record_workers(&mut self, ep: EndpointId, now: SimTime) {
+        self.record_busy(ep, now);
+        if !self.cfg.record_series {
+            return;
         }
-        self.series.busy_total.record(now, busy_total);
-        self.series.active_total.record(now, active_total);
+        let active = self.endpoints[ep.index()].active_workers();
+        let total: usize = self.endpoints.iter().map(EndpointSim::active_workers).sum();
+        self.series
+            .active_workers
+            .at_mut(self.active_h[ep.index()])
+            .record(now, active as f64);
+        self.series.active_total.record(now, total as f64);
     }
 
     fn record_staging(&mut self, now: SimTime) {
@@ -1509,7 +1522,7 @@ impl Rt {
             }
         }
         if started_any {
-            self.record_workers(now);
+            self.record_busy(ep, now);
             if self.trace.is_some() {
                 self.trace_busy(ep, now);
             }
@@ -1544,7 +1557,7 @@ impl Rt {
     fn exec_done(&mut self, t: TaskId, ep: EndpointId, now: SimTime, eng: &mut Engine<Ev>) {
         self.running_remove(ep, t);
         self.endpoints[ep.index()].release_worker(now);
-        self.record_workers(now);
+        self.record_busy(ep, now);
         let success = !self.faults.task_fails(ep, now);
         self.set_state(t, TaskState::AwaitResult, now);
         self.tasks.t_exec_end[t.index()] = now;
@@ -1587,33 +1600,16 @@ impl Rt {
         let predicted = self.tasks.predicted_exec[t.index()];
         self.monitor.mock_mut(ep).pop_task(predicted);
 
-        // Observe: stream the record into the task monitor.
-        let spec = self.dag.spec(t);
-        let (func, output_bytes) = (spec.function, spec.output_bytes);
-        let input_bytes: u64 = self
-            .dag
-            .preds(t)
-            .iter()
-            .map(|p| self.dag.spec(*p).output_bytes)
-            .sum::<u64>()
-            + spec.external_input_bytes;
-        let function = self.function_arc(func);
-        let f = &self.features[ep.index()];
+        // Observe: count the attempt and, on a learned run, keep its record.
+        self.task_monitor.count_attempt(ep, success);
         let duration = self.tasks.t_exec_end[t.index()]
             .saturating_since(self.tasks.t_exec_start[t.index()])
             .as_secs_f64();
-        self.task_monitor.observe(TaskRecord {
-            function,
-            endpoint: ep,
-            input_bytes,
-            duration_seconds: duration,
-            output_bytes,
-            cores: f.cores,
-            cpu_ghz: f.cpu_ghz,
-            ram_gb: f.ram_gb,
-            success,
-        });
-        self.maybe_retrain();
+        if self.keep_history {
+            let input_bytes = self.dag.input_bytes(t);
+            self.record_attempt(t, ep, input_bytes, duration, success);
+            self.maybe_retrain();
+        }
 
         if success {
             // A completed task is a liveness signal: it promotes a
@@ -1848,6 +1844,49 @@ impl Rt {
         }
     }
 
+    /// Appends one execution attempt of `t` on `ep` to the history. Learned
+    /// runs only (see `keep_history`).
+    fn record_attempt(
+        &mut self,
+        t: TaskId,
+        ep: EndpointId,
+        input_bytes: u64,
+        duration_seconds: f64,
+        success: bool,
+    ) {
+        let spec = self.dag.spec(t);
+        let (func, output_bytes) = (spec.function, spec.output_bytes);
+        let function = self.function_arc(func);
+        let f = &self.features[ep.index()];
+        self.task_monitor.record(TaskRecord {
+            function,
+            endpoint: ep,
+            input_bytes,
+            duration_seconds,
+            output_bytes,
+            cores: f.cores,
+            cpu_ghz: f.cpu_ghz,
+            ram_gb: f.ram_gb,
+            success,
+        });
+    }
+
+    /// Appends one completed (or probed) transfer to the history for the
+    /// transfer profiler. Learned runs only.
+    fn record_transfer(&mut self, src: EndpointId, dst: EndpointId, bytes: u64, secs: f64) {
+        self.task_monitor.record(TaskRecord {
+            function: transfer_record_name(src, dst).into(),
+            endpoint: dst,
+            input_bytes: bytes,
+            duration_seconds: secs,
+            output_bytes: 0,
+            cores: 0,
+            cpu_ghz: 0.0,
+            ram_gb: 0,
+            success: true,
+        });
+    }
+
     /// Interned name of function `f`. The cache extends lazily because
     /// dynamic DAG growth can register new functions mid-run.
     fn function_arc(&mut self, f: FunctionId) -> Arc<str> {
@@ -1990,7 +2029,7 @@ impl Rt {
                     let m = self.monitor.mock_mut(ep);
                     let out = m.outstanding_tasks;
                     m.sync(a, out, p);
-                    self.record_workers(now);
+                    self.record_workers(ep, now);
                 }
             }
         }
@@ -2023,7 +2062,7 @@ impl Rt {
             }
         }
         self.sync_mocks(now);
-        self.record_workers(now);
+        self.record_workers(ep, now);
         let actions = self.sched(now, |s, ctx| s.on_capacity_change(ctx));
         self.process_actions(actions, now, eng);
         // New workers (positive delta) can start queued/staged tasks.
@@ -2106,7 +2145,7 @@ impl Rt {
             self.set_pending(t, None, now);
             self.mark_ready(t, now, eng);
         }
-        self.record_workers(now);
+        self.record_busy(ep, now);
         self.record_staging(now);
         if self.trace.is_some() {
             self.trace_busy(ep, now);
@@ -2165,32 +2204,22 @@ impl Rt {
         self.endpoints[ep.index()].release_worker(now);
         let predicted = self.tasks.predicted_exec[t.index()];
         self.monitor.mock_mut(ep).pop_task(predicted);
-        self.record_workers(now);
+        self.record_busy(ep, now);
         self.tasks.t_exec_end[t.index()] = now;
         if self.trace.is_some() {
             self.trace_busy(ep, now);
             let tr = self.trace.as_deref_mut().expect("checked");
             tr.labels.task_fault(&mut tr.tracer, now, ep, t.0 as u64);
         }
-        // Feed the monitor a failed record so §IV-G retry targeting learns
-        // which endpoints strand straggler attempts.
-        let spec = self.dag.spec(t);
-        let (func, output_bytes) = (spec.function, spec.output_bytes);
-        let function = self.function_arc(func);
-        let f = &self.features[ep.index()];
-        self.task_monitor.observe(TaskRecord {
-            function,
-            endpoint: ep,
-            input_bytes: 0,
-            duration_seconds: now
+        // Count a failed attempt so §IV-G retry targeting learns which
+        // endpoints strand straggler attempts.
+        self.task_monitor.count_attempt(ep, false);
+        if self.keep_history {
+            let duration = now
                 .saturating_since(self.tasks.t_exec_start[t.index()])
-                .as_secs_f64(),
-            output_bytes,
-            cores: f.cores,
-            cpu_ghz: f.cpu_ghz,
-            ram_gb: f.ram_gb,
-            success: false,
-        });
+                .as_secs_f64();
+            self.record_attempt(t, ep, 0, duration, false);
+        }
         self.failed_attempts += 1;
         self.task_attempt_failed(t, ep, now, eng);
         self.try_start(ep, now, eng);
@@ -2277,17 +2306,7 @@ impl Rt {
                         .dm
                         .lone_transfer_duration(bytes, src, dst)
                         .as_secs_f64();
-                    self.task_monitor.observe(TaskRecord {
-                        function: transfer_record_name(src, dst).into(),
-                        endpoint: dst,
-                        input_bytes: bytes,
-                        duration_seconds: secs,
-                        output_bytes: 0,
-                        cores: 0,
-                        cpu_ghz: 0.0,
-                        ram_gb: 0,
-                        success: true,
-                    });
+                    self.record_transfer(src, dst, bytes, secs);
                 }
             }
         }
@@ -2306,7 +2325,9 @@ impl Rt {
         let all: Vec<TaskId> = self.dag.task_ids().collect();
         self.register_inputs(&all);
         self.init_deps(&all);
-        self.record_workers(now);
+        for i in 0..self.endpoints.len() {
+            self.record_workers(EndpointId(i as u16), now);
+        }
         self.record_staging(now);
 
         let actions = self.sched(now, |s, ctx| s.on_tasks_added(ctx, &all));
@@ -2395,18 +2416,10 @@ impl Rt {
                             self.trace_drift(dst, x.0 as u64, rel, now);
                         }
                     }
-                    self.task_monitor.observe(TaskRecord {
-                        function: transfer_record_name(src, dst).into(),
-                        endpoint: dst,
-                        input_bytes: bytes,
-                        duration_seconds: secs,
-                        output_bytes: 0,
-                        cores: 0,
-                        cpu_ghz: 0.0,
-                        ram_gb: 0,
-                        success: true,
-                    });
-                    self.maybe_retrain();
+                    if self.keep_history {
+                        self.record_transfer(src, dst, bytes, secs);
+                        self.maybe_retrain();
+                    }
                 }
                 for sx in out.started {
                     eng.schedule(sx.completes_at, Ev::XferDone(sx.id));
@@ -2502,7 +2515,7 @@ impl Rt {
                 let m = self.monitor.mock_mut(ep);
                 let out = m.outstanding_tasks;
                 m.sync(a, out, p);
-                self.record_workers(now);
+                self.record_workers(ep, now);
                 self.try_start(ep, now, eng);
                 self.worker_idle_loop(ep, now, eng);
                 self.rearm_periodics(eng);

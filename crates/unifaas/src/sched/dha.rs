@@ -310,14 +310,7 @@ fn rank_costs<'a>(ctx: &'a SchedCtx<'a>) -> impl CostEstimator + 'a {
     let n_eps = ctx.compute_eps.len().max(1) as f64;
     FnCosts {
         staging: move |t: TaskId| {
-            let spec = ctx.dag.spec(t);
-            let bytes: u64 = ctx
-                .dag
-                .preds(t)
-                .iter()
-                .map(|p| ctx.dag.spec(*p).output_bytes)
-                .sum::<u64>()
-                + spec.external_input_bytes;
+            let bytes = ctx.dag.input_bytes(t);
             ctx.compute_eps
                 .iter()
                 .map(|ep| ctx.predictor.transfer_seconds(bytes, ctx.home, *ep))

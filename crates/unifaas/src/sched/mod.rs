@@ -206,17 +206,6 @@ impl<'a> SchedCtx<'a> {
     pub fn task_inputs(&self, task: TaskId) -> Vec<DataId> {
         task_inputs(self.dag, task, self.inline_limit)
     }
-
-    /// Total input bytes of `task`.
-    pub fn task_input_bytes(&self, task: TaskId) -> u64 {
-        let spec = self.dag.spec(task);
-        self.dag
-            .preds(task)
-            .iter()
-            .map(|p| self.dag.spec(*p).output_bytes)
-            .sum::<u64>()
-            + spec.external_input_bytes
-    }
 }
 
 /// Data-object id conventions shared by the runtime, data manager and

@@ -55,6 +55,19 @@ if grep -n '!ctx.trace_decisions' crates/unifaas/src/sched/dha.rs; then
   exit 1
 fi
 
+# A DAG task costs no heap allocation for its adjacency (one flat
+# predecessor array, successors inline until they spill), and the task
+# monitor keeps dense per-endpoint counts, not per-function statistics.
+echo "==> no per-task adjacency Vecs in the DAG, no hashing in the task monitor"
+if grep -n 'Vec<Vec<TaskId>>' crates/taskgraph/src/graph.rs; then
+  echo "taskgraph/src/graph.rs keeps a Vec per task for adjacency again" >&2
+  exit 1
+fi
+if grep -nE 'HashMap|mean_duration' crates/unifaas/src/monitor/task_monitor.rs; then
+  echo "monitor/task_monitor.rs hashes or aggregates durations again" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
