@@ -8,6 +8,7 @@
 use crate::error::UniFaasError;
 use fedci::faas::FaasServiceModel;
 use fedci::hardware::ClusterSpec;
+use fedci::storage::MAX_ENDPOINTS;
 use fedci::transfer::TransferMechanism;
 use simkit::{SimDuration, SimTime};
 
@@ -322,6 +323,12 @@ impl Config {
                 "at least one endpoint is required".into(),
             ));
         }
+        if self.endpoints.len() > MAX_ENDPOINTS {
+            return Err(UniFaasError::TooManyEndpoints {
+                endpoints: self.endpoints.len(),
+                max: MAX_ENDPOINTS,
+            });
+        }
         if let Some(h) = self.home {
             if h >= self.endpoints.len() {
                 return Err(UniFaasError::InvalidConfig(format!(
@@ -387,6 +394,35 @@ impl Config {
             return Err(UniFaasError::InvalidConfig(
                 "retry backoff factor must be >= 1".into(),
             ));
+        }
+        // A periodic tick re-arms at `now + interval` while the run can
+        // progress, so a zero interval on an armed tick stops virtual time.
+        let rescheduling = matches!(
+            self.strategy,
+            SchedulingStrategy::Dha { rescheduling: true }
+                | SchedulingStrategy::DhaCustom {
+                    rescheduling: true,
+                    ..
+                }
+        );
+        for (name, armed, interval) in [
+            (
+                "re-scheduling interval",
+                rescheduling,
+                self.reschedule_interval,
+            ),
+            (
+                "scaling interval",
+                self.scaling.enabled,
+                self.scaling.interval,
+            ),
+            ("status sync interval", true, self.faas.status_sync_interval),
+        ] {
+            if armed && interval == SimDuration::ZERO {
+                return Err(UniFaasError::InvalidConfig(format!(
+                    "{name} must be positive"
+                )));
+            }
         }
         if let SchedulingStrategy::Pinned(map) = &self.strategy {
             for (_, label) in map {
@@ -739,6 +775,80 @@ mod tests {
             ..two_ep_config()
         };
         assert!(edge.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_a_zero_interval_on_an_armed_tick() {
+        let zero = SimDuration::ZERO;
+        for strategy in [
+            SchedulingStrategy::Dha { rescheduling: true },
+            SchedulingStrategy::DhaCustom {
+                rescheduling: true,
+                delay_dispatch: true,
+                steal_threshold_pct: 90,
+            },
+        ] {
+            let c = Config {
+                strategy,
+                reschedule_interval: zero,
+                ..two_ep_config()
+            };
+            assert!(matches!(c.validate(), Err(UniFaasError::InvalidConfig(_))));
+        }
+        let scaling = Config {
+            scaling: ScalingConfig {
+                enabled: true,
+                interval: zero,
+                ..ScalingConfig::default()
+            },
+            ..two_ep_config()
+        };
+        assert!(matches!(
+            scaling.validate(),
+            Err(UniFaasError::InvalidConfig(_))
+        ));
+        let mut sync = two_ep_config();
+        sync.faas.status_sync_interval = zero;
+        assert!(matches!(
+            sync.validate(),
+            Err(UniFaasError::InvalidConfig(_))
+        ));
+        // A tick that is never armed may keep a zero interval.
+        let unarmed = Config {
+            strategy: SchedulingStrategy::Dha {
+                rescheduling: false,
+            },
+            reschedule_interval: zero,
+            scaling: ScalingConfig {
+                enabled: false,
+                interval: zero,
+                ..ScalingConfig::default()
+            },
+            ..two_ep_config()
+        };
+        assert!(unarmed.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_more_endpoints_than_the_data_store_holds() {
+        let pool = |n: usize| {
+            (0..n).fold(Config::builder(), |b, i| {
+                b.endpoint(EndpointConfig::new(
+                    &format!("ep{i}"),
+                    ClusterSpec::qiming(),
+                    1,
+                ))
+            })
+        };
+        // `build` appends the home: 63 + 1 fit, 64 + 1 do not.
+        assert!(pool(MAX_ENDPOINTS - 1).build().validate().is_ok());
+        assert_eq!(
+            pool(MAX_ENDPOINTS).build().validate(),
+            Err(UniFaasError::TooManyEndpoints {
+                endpoints: MAX_ENDPOINTS + 1,
+                max: MAX_ENDPOINTS
+            })
+        );
     }
 
     #[test]

@@ -22,21 +22,11 @@
 
 use fedci::endpoint::EndpointId;
 use fedci::network::NetworkTopology;
-use fedci::storage::{DataId, DataStore};
+use fedci::storage::{DataId, DataStore, SourceMemo};
 use fedci::transfer::TransferParams;
 use simkit::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use taskgraph::TaskId;
-
-/// Memoized replica choice per `(object, destination)`, invalidated by the
-/// store's version counter — the same discipline as the scheduler's
-/// best-replica cache. Replica sets only ever change when the store's
-/// version bumps, so a hit is exact, not approximate.
-#[derive(Default, Debug)]
-struct BestSourceCache {
-    map: HashMap<(DataId, EndpointId), EndpointId>,
-    version: u64,
-}
 
 /// Identifier of one transfer.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -71,6 +61,9 @@ struct Xfer {
     interested: Vec<TaskId>,
     state: XferState,
     started_at: Option<SimTime>,
+    /// The object's previous transfer (`XferId + 1`, 0 = none): the next
+    /// link of its chain from `DataManager::latest`.
+    prev: u32,
 }
 
 /// Snapshot of one transfer's metadata, for tracing and diagnostics.
@@ -154,12 +147,18 @@ pub struct DataManager {
     net: NetworkTopology,
     xfers: Vec<Xfer>,
     pairs: Vec<PairState>,
-    inflight: HashMap<(DataId, EndpointId), XferId>,
+    /// Newest transfer of each object (`XferId + 1`, 0 = none), indexed by
+    /// `DataId`; older ones chain through `Xfer::prev`. An object has at
+    /// most one transfer in flight per destination, and a successful one
+    /// leaves the object present there, so a chain holds about one
+    /// transfer per endpoint plus any that failed for good.
+    latest: Vec<u32>,
     backlog: Vec<u64>,
     /// Transfers currently Queued or Active; +1 on creation, −1 on the
     /// terminal Done/Failed transition (retries stay outstanding).
     outstanding: usize,
-    best_src: BestSourceCache,
+    /// Highest-bandwidth replica per (object, destination).
+    best_src: SourceMemo,
     bytes_moved: u64,
     max_retries: u32,
 }
@@ -180,10 +179,10 @@ impl DataManager {
             net,
             xfers: Vec::new(),
             pairs: (0..n * n).map(|_| PairState::default()).collect(),
-            inflight: HashMap::new(),
+            latest: Vec::new(),
             backlog: vec![0; n * n],
             outstanding: 0,
-            best_src: BestSourceCache::default(),
+            best_src: SourceMemo::new(n),
             bytes_moved: 0,
             max_retries,
         }
@@ -263,7 +262,7 @@ impl DataManager {
                 continue;
             }
             missing += 1;
-            if let Some(&xid) = self.inflight.get(&(obj, dst)) {
+            if let Some(xid) = self.inflight(obj, dst) {
                 let xfer = &mut self.xfers[xid.0];
                 if !xfer.interested.contains(&task) {
                     xfer.interested.push(task);
@@ -272,9 +271,15 @@ impl DataManager {
             }
             let bytes = self.store.bytes(obj);
             let src = self.best_source(obj, dst);
-            let replica_candidates = self.store.replicas(obj).len() as u32;
+            let replica_candidates = self.store.replicas(obj).count() as u32;
             let pid = self.net.pair_id(src, dst);
             let xid = XferId(self.xfers.len());
+            let o = obj.0 as usize;
+            if self.latest.len() <= o {
+                self.latest.resize(o + 1, 0);
+            }
+            let link = u32::try_from(xid.0 + 1).expect("fewer than 2^32 transfers");
+            let prev = std::mem::replace(&mut self.latest[o], link);
             self.xfers.push(Xfer {
                 object: obj,
                 src,
@@ -285,9 +290,9 @@ impl DataManager {
                 interested: vec![task],
                 state: XferState::Queued,
                 started_at: None,
+                prev,
             });
             self.outstanding += 1;
-            self.inflight.insert((obj, dst), xid);
             self.backlog[pid] += bytes;
             self.pairs[pid].queue.push_back(xid);
             self.pump_pair(pid, now, out);
@@ -309,30 +314,35 @@ impl DataManager {
         }
     }
 
+    /// The transfer of `obj` to `dst` that is queued or active, if any.
+    fn inflight(&self, obj: DataId, dst: EndpointId) -> Option<XferId> {
+        let mut link = self.latest.get(obj.0 as usize).copied().unwrap_or(0);
+        while link != 0 {
+            let x = &self.xfers[link as usize - 1];
+            if x.dst == dst && matches!(x.state, XferState::Queued | XferState::Active) {
+                return Some(XferId(link as usize - 1));
+            }
+            link = x.prev;
+        }
+        None
+    }
+
     /// Picks the replica with the fastest link to `dst`, memoized per
-    /// `(object, dst)` until the store's replica set changes.
+    /// `(object, dst)` until that object's replica set changes.
     fn best_source(&mut self, obj: DataId, dst: EndpointId) -> EndpointId {
-        if self.best_src.version != self.store.version() {
-            self.best_src.map.clear();
-            self.best_src.version = self.store.version();
-        }
-        if let Some(&src) = self.best_src.map.get(&(obj, dst)) {
-            return src;
-        }
-        let src = *self
-            .store
-            .replicas(obj)
-            .iter()
-            .max_by(|a, b| {
-                let ba = self.net.link(**a, dst).bandwidth_bps;
-                let bb = self.net.link(**b, dst).bandwidth_bps;
-                ba.partial_cmp(&bb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.0.cmp(&a.0)) // tie → lower id
-            })
-            .expect("object has at least its home replica");
-        self.best_src.map.insert((obj, dst), src);
-        src
+        let (store, net) = (&self.store, &self.net);
+        self.best_src.get_or_insert_with(store, obj, dst, || {
+            store
+                .replicas(obj)
+                .max_by(|a, b| {
+                    let ba = net.link(*a, dst).bandwidth_bps;
+                    let bb = net.link(*b, dst).bandwidth_bps;
+                    ba.partial_cmp(&bb)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(b.0.cmp(&a.0)) // tie → lower id
+                })
+                .expect("object has at least its home replica")
+        })
     }
 
     /// Starts queued transfers on a pair while concurrency allows,
@@ -400,14 +410,12 @@ impl DataManager {
             } else {
                 x.state = XferState::Failed;
                 out.failed_tasks = x.interested.clone();
-                self.inflight.remove(&(obj, dst));
                 self.outstanding -= 1;
             }
         } else {
             let x = &mut self.xfers[id.0];
             x.state = XferState::Done;
             out.tasks_to_check = x.interested.clone();
-            self.inflight.remove(&(obj, dst));
             self.outstanding -= 1;
             self.store.add_replica(obj, dst);
             self.bytes_moved += bytes;
@@ -438,6 +446,7 @@ mod tests {
     use super::*;
     use fedci::network::Link;
     use fedci::transfer::TransferMechanism;
+    use proptest::prelude::*;
 
     fn ep(i: u16) -> EndpointId {
         EndpointId(i)
@@ -613,5 +622,70 @@ mod tests {
         let r2 = m.request_stage(TaskId(1), &[DataId(2)], ep(1), t(0));
         // The second transfer sees 2 active → half the share → slower.
         assert!(r2.started[0].completes_at > r1.started[0].completes_at);
+    }
+
+    /// A replica mutation or a best-source query, for the memo test.
+    #[derive(Clone, Debug)]
+    enum MemoOp {
+        Add { obj: u64, ep: u16 },
+        Evict { obj: u64 },
+        Query { obj: u64, dst: u16 },
+    }
+
+    const MEMO_EPS: u16 = 6;
+    const MEMO_OBJS: u64 = 8;
+
+    fn memo_op() -> impl Strategy<Value = MemoOp> {
+        prop_oneof![
+            (0..MEMO_OBJS, 0..MEMO_EPS).prop_map(|(obj, ep)| MemoOp::Add { obj, ep }),
+            (0..MEMO_OBJS).prop_map(|obj| MemoOp::Evict { obj }),
+            (0..MEMO_OBJS, 0..MEMO_EPS).prop_map(|(obj, dst)| MemoOp::Query { obj, dst }),
+            (0..MEMO_OBJS, 0..MEMO_EPS).prop_map(|(obj, dst)| MemoOp::Query { obj, dst }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The memoized best source always equals a fresh argmax over the
+        /// object's current replicas (highest bandwidth, ties to the lower
+        /// id), whatever replica changes happened since it was memoized.
+        #[test]
+        fn best_source_memo_matches_an_uncached_argmax(
+            bandwidths in proptest::collection::vec(1u8..5, 15..16),
+            ops in proptest::collection::vec(memo_op(), 1..200),
+        ) {
+            let n = MEMO_EPS;
+            let mut net = NetworkTopology::uniform(n as usize, Link::wan());
+            let mut pairs = bandwidths.iter();
+            for a in 0..n {
+                for b in a + 1..n {
+                    let bw = *pairs.next().expect("one per unordered pair");
+                    let link = Link { bandwidth_bps: f64::from(bw) * 1e6, ..Link::wan() };
+                    net.set_link(ep(a), ep(b), link);
+                }
+            }
+            let mut m = DataManager::new(net.clone(), TransferMechanism::Globus.default_params(), 0);
+            for o in 0..MEMO_OBJS {
+                m.store.register(DataId(o), 1 << 20, ep(o as u16 % n));
+            }
+            for op in ops {
+                match op {
+                    MemoOp::Add { obj, ep } => m.store.add_replica(DataId(obj), EndpointId(ep)),
+                    MemoOp::Evict { obj } => m.store.evict_non_home(DataId(obj)),
+                    MemoOp::Query { obj, dst } => {
+                        let (obj, dst) = (DataId(obj), ep(dst));
+                        let mut want: Option<EndpointId> = None;
+                        for e in (0..n).map(ep).filter(|e| m.store.present_at(obj, *e)) {
+                            let bw = net.link(e, dst).bandwidth_bps;
+                            if want.is_none_or(|w| bw > net.link(w, dst).bandwidth_bps) {
+                                want = Some(e);
+                            }
+                        }
+                        prop_assert_eq!(Some(m.best_source(obj, dst)), want);
+                    }
+                }
+            }
+        }
     }
 }

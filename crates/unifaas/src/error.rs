@@ -29,6 +29,14 @@ pub enum UniFaasError {
     /// The configuration is invalid (e.g. no endpoints, or a home index out
     /// of range).
     InvalidConfig(String),
+    /// The configuration has more endpoints than the simulator's data
+    /// store can place replicas on.
+    TooManyEndpoints {
+        /// Endpoints configured, the implicit home included.
+        endpoints: usize,
+        /// The data store's limit.
+        max: usize,
+    },
     /// The run journal could not be created or sealed (unwritable path,
     /// disk full): an I/O failure, not a configuration error.
     Journal(String),
@@ -57,6 +65,10 @@ impl fmt::Display for UniFaasError {
                 )
             }
             UniFaasError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            UniFaasError::TooManyEndpoints { endpoints, max } => write!(
+                f,
+                "invalid configuration: {endpoints} endpoints, the data store holds at most {max}"
+            ),
             UniFaasError::Journal(msg) => write!(f, "journal: {msg}"),
             UniFaasError::FunctionError { task, message } => {
                 write!(f, "task {task} returned an error: {message}")

@@ -15,8 +15,8 @@
 //!    staging starts immediately, overlapping data movement with
 //!    computation. Per-endpoint staging/execution predictions are computed
 //!    once per decision, and best-replica lookups are cached across
-//!    decisions (invalidated by the data store's version counter and the
-//!    predictor's epoch).
+//!    decisions (per object, invalidated by that object's replica-set
+//!    generation and by the predictor's epoch).
 //! 3. **Delay scheduling**: after staging, the task waits in a per-endpoint
 //!    client-side queue (ordered by priority) and is dispatched only when
 //!    the target has an idle worker — keeping the re-schedulable pool
@@ -32,8 +32,7 @@ use crate::sched::queue::DelayQueues;
 use crate::sched::{SchedCtx, Scheduler};
 use crate::trace::{CandidateEval, DecisionKind, DecisionRecord};
 use fedci::endpoint::EndpointId;
-use fedci::storage::DataId;
-use std::collections::HashMap;
+use fedci::storage::{DataId, SourceMemo};
 use taskgraph::rank::{extend_priorities, priorities, CostEstimator, FnCosts};
 use taskgraph::TaskId;
 
@@ -224,23 +223,26 @@ struct EvalClass {
     row: Box<[u64]>,
 }
 
-/// Best-replica memo shared by all staging estimates, valid for one
-/// (store version, predictor epoch) pair, plus reusable scratch space.
+/// Best-replica memo shared by all staging estimates (per object and
+/// destination, valid while the object's replica set is unchanged; dropped
+/// when the predictor retrains), plus reusable scratch space.
 #[derive(Debug, Default)]
 struct ReplicaCache {
-    map: HashMap<(DataId, EndpointId), EndpointId>,
-    key: (u64, u64),
+    /// Sized for the endpoint count by the first hook.
+    memo: SourceMemo,
+    /// The predictor epoch `memo` was filled under.
+    epoch: u64,
     /// Scratch: bytes to pull grouped by source (tiny; linear scan).
     per_src: Vec<(EndpointId, u64)>,
 }
 
 impl ReplicaCache {
-    /// Drops cached decisions when the data store or predictor moved on.
+    /// Drops the memo when the predictor moved on (a retrain).
     fn refresh(&mut self, ctx: &SchedCtx) {
-        let key = (ctx.store.version(), ctx.predictor.epoch());
-        if self.key != key {
-            self.map.clear();
-            self.key = key;
+        let epoch = ctx.predictor.epoch();
+        if self.memo.width() != ctx.endpoints.len() || self.epoch != epoch {
+            self.memo = SourceMemo::new(ctx.endpoints.len());
+            self.epoch = epoch;
         }
     }
 
@@ -252,24 +254,18 @@ impl ReplicaCache {
         ep: EndpointId,
         bytes: u64,
     ) -> EndpointId {
-        if let Some(&src) = self.map.get(&(id, ep)) {
-            return src;
-        }
-        let src = ctx
-            .store
-            .replicas(id)
-            .iter()
-            .copied()
-            .map(|r| (ctx.predictor.transfer_seconds(bytes, r, ep), r))
-            .min_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1 .0.cmp(&b.1 .0))
-            })
-            .expect("object has at least one replica")
-            .1;
-        self.map.insert((id, ep), src);
-        src
+        self.memo.get_or_insert_with(ctx.store, id, ep, || {
+            ctx.store
+                .replicas(id)
+                .map(|r| (ctx.predictor.transfer_seconds(bytes, r, ep), r))
+                .min_by(|a, b| {
+                    a.0.partial_cmp(&b.0)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.1 .0.cmp(&b.1 .0))
+                })
+                .expect("object has at least one replica")
+                .1
+        })
     }
 
     /// Predicted seconds until all of `inputs` could be present at `ep`:
@@ -436,9 +432,9 @@ impl DhaScheduler {
         self.staged.len()
     }
 
-    /// Drops caches whose validity key (store version / predictor epoch)
-    /// moved on. Called once per decision-making hook; within a hook
-    /// nothing mutates (actions are deferred), so the caches are safe.
+    /// Drops caches whose validity key (the predictor epoch) moved on.
+    /// Called once per decision-making hook; within a hook nothing mutates
+    /// (actions are deferred), so the caches are safe.
     fn refresh_caches(&mut self, ctx: &SchedCtx) {
         self.replica.refresh(ctx);
         let epoch = ctx.predictor.epoch();
@@ -1242,12 +1238,14 @@ impl Scheduler for DhaScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::{EndpointMonitor, MockEndpoint};
-    use crate::profile::{EndpointFeatures, OracleProfiler};
+    use crate::monitor::{EndpointMonitor, MockEndpoint, TaskMonitor, TaskRecord};
+    use crate::profile::transfer::transfer_record_name;
+    use crate::profile::{EndpointFeatures, LearnedProfiler, OracleProfiler, Predictor};
     use crate::sched::{output_id, SchedAction};
     use fedci::network::{Link, NetworkTopology};
     use fedci::storage::DataStore;
     use fedci::transfer::TransferMechanism;
+    use proptest::prelude::*;
     use simkit::SimTime;
     use taskgraph::{Dag, TaskSpec};
 
@@ -1575,7 +1573,7 @@ mod tests {
                 }]
             );
         }
-        // The object lands on ep0 (store version bumps). Re-deciding must
+        // The object lands on ep0 (its generation bumps). Re-deciding must
         // see the new replica, not the cached best source.
         fx.store.add_replica(output_id(TaskId(0)), EndpointId(0));
         sched.on_task_removed(TaskId(1));
@@ -1669,5 +1667,125 @@ mod tests {
         }
         // The growth raised ancestors' ranks: task 1 gained the new chain.
         assert!(incremental.priority(TaskId(1)) > incremental.priority(c1));
+    }
+
+    /// A replica mutation, a predictor retrain or a best-source query, for
+    /// the memo test.
+    #[derive(Clone, Debug)]
+    enum MemoOp {
+        Add {
+            obj: u64,
+            ep: u16,
+        },
+        Evict {
+            obj: u64,
+        },
+        /// Four transfer observations on `src → dst` at `secs_per_mb`,
+        /// then a retrain (a new predictor epoch).
+        Retrain {
+            src: u16,
+            dst: u16,
+            secs_per_mb: u8,
+        },
+        Query {
+            obj: u64,
+            dst: u16,
+        },
+    }
+
+    const MEMO_EPS: u16 = 5;
+    const MEMO_OBJS: u64 = 8;
+
+    fn memo_op() -> impl Strategy<Value = MemoOp> {
+        prop_oneof![
+            (0..MEMO_OBJS, 0..MEMO_EPS).prop_map(|(obj, ep)| MemoOp::Add { obj, ep }),
+            (0..MEMO_OBJS).prop_map(|obj| MemoOp::Evict { obj }),
+            (0..MEMO_EPS, 0..MEMO_EPS, 0u8..8).prop_map(|(src, dst, secs_per_mb)| {
+                MemoOp::Retrain {
+                    src,
+                    dst,
+                    secs_per_mb,
+                }
+            }),
+            (0..MEMO_OBJS, 0..MEMO_EPS).prop_map(|(obj, dst)| MemoOp::Query { obj, dst }),
+            (0..MEMO_OBJS, 0..MEMO_EPS).prop_map(|(obj, dst)| MemoOp::Query { obj, dst }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The memoized best replica always equals a fresh argmin of the
+        /// predicted transfer time over the object's current replicas
+        /// (ties to the lower id), across replica changes and retrains.
+        #[test]
+        fn replica_memo_matches_an_uncached_argmin(
+            ops in proptest::collection::vec(memo_op(), 1..200),
+        ) {
+            let n = MEMO_EPS;
+            let eps: Vec<EndpointId> = (0..n).map(EndpointId).collect();
+            let features: Vec<EndpointFeatures> = eps
+                .iter()
+                .map(|&id| EndpointFeatures { id, cores: 16, cpu_ghz: 2.6, ram_gb: 64, speed_factor: 1.0 })
+                .collect();
+            let mocks = eps.iter().map(|&id| MockEndpoint::new(id, "ep", 4, 1.0)).collect();
+            let endpoints = EndpointMonitor::new(mocks);
+            let dag = Dag::new();
+            let mut store = DataStore::new();
+            let bytes = |o: u64| (o + 1) << 20;
+            for o in 0..MEMO_OBJS {
+                store.register(DataId(o), bytes(o), EndpointId(o as u16 % n));
+            }
+            let mut tasks = TaskMonitor::new(None);
+            let mut predictor = LearnedProfiler::new();
+            let mut cache = ReplicaCache::default();
+            for op in ops {
+                match op {
+                    MemoOp::Add { obj, ep } => store.add_replica(DataId(obj), EndpointId(ep)),
+                    MemoOp::Evict { obj } => store.evict_non_home(DataId(obj)),
+                    MemoOp::Retrain { src, dst, secs_per_mb } => {
+                        for mb in 1..=4u64 {
+                            tasks.record(TaskRecord {
+                                function: transfer_record_name(EndpointId(src), EndpointId(dst)).into(),
+                                endpoint: EndpointId(dst),
+                                input_bytes: mb << 20,
+                                duration_seconds: 0.5 + (mb * u64::from(secs_per_mb)) as f64,
+                                output_bytes: 0,
+                                cores: 0,
+                                cpu_ghz: 0.0,
+                                ram_gb: 0,
+                                success: true,
+                            });
+                        }
+                        predictor.retrain(&tasks);
+                    }
+                    MemoOp::Query { obj, dst } => {
+                        let (id, dst) = (DataId(obj), EndpointId(dst));
+                        let ctx = SchedCtx::new(
+                            SimTime::ZERO,
+                            &dag,
+                            &endpoints,
+                            &store,
+                            &predictor,
+                            &features,
+                            EndpointId(0),
+                            &eps,
+                            &crate::data::NoTransferLoad,
+                            0,
+                        );
+                        let mut want: Option<(f64, EndpointId)> = None;
+                        for &e in eps.iter().filter(|e| store.present_at(id, **e)) {
+                            let t = predictor.transfer_seconds(bytes(obj), e, dst);
+                            if want.is_none_or(|(best, _)| t < best) {
+                                want = Some((t, e));
+                            }
+                        }
+                        cache.refresh(&ctx);
+                        let got = cache.best_source(&ctx, id, dst, bytes(obj));
+                        prop_assert_eq!(Some(got), want.map(|(_, e)| e));
+                    }
+                }
+            }
+        }
     }
 }

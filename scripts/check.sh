@@ -68,6 +68,23 @@ if grep -nE 'HashMap|mean_duration' crates/unifaas/src/monitor/task_monitor.rs; 
   exit 1
 fi
 
+# The data store is a Vec indexed by object id, and both best-source memos
+# are dense per-(object, destination) entries stamped with the object's
+# replica-set generation: no hashing, no store-wide version counter.
+echo "==> no hashing in the data store or the best-source memos, no DataStore::version"
+if grep -n 'HashMap' crates/fedci/src/storage.rs crates/unifaas/src/data.rs; then
+  echo "the data store or the data manager hashes object ids again" >&2
+  exit 1
+fi
+if sed -n '/^struct ReplicaCache/,/^}/p' crates/unifaas/src/sched/dha.rs | grep -n 'HashMap'; then
+  echo "DHA's best-replica memo hashes again" >&2
+  exit 1
+fi
+if grep -n 'fn version' crates/fedci/src/storage.rs; then
+  echo "fedci/src/storage.rs has a store-wide version counter again" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
