@@ -29,7 +29,7 @@
 use crate::clock::{ClockEstimate, ClockSample, ClockSync};
 use crate::fabric::{
     dep_blobs, run_on_input, Completion, Fabric, FabricTiming, FnRegistry, JobSpec, Payload,
-    ProbeState,
+    ProbeState, WireFn,
 };
 use crate::proto::{
     encode_dispatch_head, encode_result_head, encode_transfer_head, flush_queued, queue_frame,
@@ -43,6 +43,7 @@ use parking_lot::{Condvar, Mutex};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use simkit::metrics::{CounterId, GaugeId, HistogramId, LogHistogram, MetricsRegistry};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::process::{Child, Command, Stdio};
@@ -141,6 +142,64 @@ enum Outgoing {
 
 /// A daemon's staged and kept blobs, by key.
 type BlobStore = Mutex<HashMap<u64, Arc<Vec<u8>>>>;
+
+/// One decoded DISPATCH on its way to a worker, its function already
+/// looked up by the connection's reader (`None`: no such function).
+struct DaemonJob {
+    spec: JobSpec,
+    run: Option<WireFn>,
+}
+
+/// The reader-to-workers hand-off: every job one socket read brought in
+/// enters under one lock acquisition, with one wake-up. Closed at DRAIN;
+/// the workers finish what is queued and exit.
+struct JobQueue {
+    state: Mutex<(VecDeque<DaemonJob>, bool)>,
+    ready: Condvar,
+}
+
+impl JobQueue {
+    fn new() -> Self {
+        JobQueue {
+            state: Mutex::new((VecDeque::new(), false)),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Queues all of `jobs`, leaving it empty.
+    fn push_all(&self, jobs: &mut Vec<DaemonJob>) {
+        let n = jobs.len();
+        if n == 0 {
+            return;
+        }
+        self.state.lock().0.extend(jobs.drain(..));
+        if n == 1 {
+            self.ready.notify_one();
+        } else {
+            self.ready.notify_all();
+        }
+    }
+
+    /// The next job, blocking while the queue is empty and open; `None`
+    /// once it is closed and empty.
+    fn pop(&self) -> Option<DaemonJob> {
+        let mut state = self.state.lock();
+        loop {
+            if let Some(job) = state.0.pop_front() {
+                return Some(job);
+            }
+            if state.1 {
+                return None;
+            }
+            self.ready.wait(&mut state);
+        }
+    }
+
+    fn close(&self) {
+        self.state.lock().1 = true;
+        self.ready.notify_all();
+    }
+}
 
 /// State shared between the daemon's accept loop, workers and writer.
 struct DaemonShared {
@@ -346,19 +405,18 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
     let tel = Arc::new(DaemonTelemetry::new(cfg.generation, cfg.telemetry_ring));
     let shared = Arc::new(DaemonShared::new());
 
-    let (job_tx, job_rx) = unbounded::<JobSpec>();
+    let jobs = Arc::new(JobQueue::new());
     let mut workers = Vec::with_capacity(cfg.workers.max(1));
     for i in 0..cfg.workers.max(1) {
-        let rx = job_rx.clone();
+        let jobs = Arc::clone(&jobs);
         let shared = Arc::clone(&shared);
         let blobs = Arc::clone(&blobs);
-        let registry = registry.clone();
         let chaos = cfg.chaos;
         let tel = Arc::clone(&tel);
         workers.push(
             std::thread::Builder::new()
                 .name(format!("{}-worker-{i}", cfg.name))
-                .spawn(move || daemon_worker(&rx, &shared, &blobs, &registry, &chaos, &tel))
+                .spawn(move || daemon_worker(&jobs, &shared, &blobs, &chaos, &tel))
                 .expect("spawn daemon worker"),
         );
     }
@@ -397,7 +455,7 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
         *shared.conn.lock() = Some(write_half);
         shared.outbox_cv.notify_all();
 
-        draining = daemon_serve_connection(stream, &shared, &blobs, &job_tx, &tel);
+        draining = daemon_serve_connection(stream, &shared, &blobs, &registry, &jobs, &tel);
         if !draining {
             // Connection lost; the write half stays queued-for-replay.
             *shared.conn.lock() = None;
@@ -406,7 +464,7 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
 
     // Drain: no new work; finish the queue, flush results (the final
     // connection stays open until the outbox is empty), exit.
-    drop(job_tx);
+    jobs.close();
     for w in workers {
         let _ = w.join();
     }
@@ -423,98 +481,152 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
 
 /// Reads frames from one client connection until it breaks or DRAINs.
 /// Returns `true` if the daemon should shut down (DRAIN received).
+///
+/// Each socket read is applied whole, frames in order: a TRANSFER is
+/// stored, a KEEP remembered for the DISPATCH behind it, acks pushed. The
+/// read's jobs reach the workers together once it is applied (or just
+/// ahead of a POLL or DRAIN, whose answers count them). Frames that decoded
+/// before a read error are applied before the connection is dropped.
 fn daemon_serve_connection(
     stream: TcpStream,
     shared: &DaemonShared,
     blobs: &BlobStore,
-    job_tx: &Sender<JobSpec>,
+    registry: &FnRegistry,
+    jobs: &JobQueue,
     tel: &DaemonTelemetry,
 ) -> bool {
     let mut reader = FrameReader::new(stream);
     // The attempt the last KEEP named: the DISPATCH behind it keeps its
     // output. Any other DISPATCH forgets it.
     let mut keep: Option<(u64, u32)> = None;
+    // The functions this connection has named, each looked up once.
+    let mut fns: Vec<(Arc<str>, WireFn)> = Vec::new();
+    let mut frames = Vec::new();
+    let mut batch = Vec::new();
     loop {
-        let frame = match reader.read_frame() {
-            Ok(f) => f,
-            Err(_) => return false, // connection gone; back to accept
-        };
-        match frame {
-            Frame::Keep { task, attempt } => keep = Some((task, attempt)),
-            Frame::Dispatch {
-                task,
-                attempt,
-                generation: _,
-                function,
-                deps,
-                payload,
-            } => {
-                let depth = shared.queued.fetch_add(1, Ordering::SeqCst) + 1;
-                tel.dispatches.fetch_add(1, Ordering::Relaxed);
-                tel.event(TEL_STAGE_RECV, task, attempt, u64::from(depth));
-                let _ = job_tx.send(JobSpec {
+        let read = reader.read_batch(&mut frames);
+        for frame in frames.drain(..) {
+            match frame {
+                Frame::Keep { task, attempt } => keep = Some((task, attempt)),
+                Frame::Dispatch {
                     task,
                     attempt,
-                    function: Arc::from(function.as_str()),
+                    generation: _,
+                    function,
                     deps,
-                    payload: payload.into(),
-                    keep_output: keep.take() == Some((task, attempt)),
-                });
-            }
-            Frame::Transfer { key, payload } => {
-                let stored = payload.len() as u64;
-                blobs.lock().insert(key, Arc::new(payload));
-                shared.push(Frame::TransferAck { key, stored });
-            }
-            Frame::Heartbeat { seq, t_client_us } => {
-                shared.push(Frame::HeartbeatAck {
-                    seq,
-                    busy: shared.busy.load(Ordering::SeqCst),
-                    t_client_us,
-                    t_daemon_us: tel.now_us(),
-                });
-                // Telemetry rides the heartbeat cadence: anything the
-                // ring gathered since the last beat ships right behind
-                // the ack (nothing while unsubscribed).
-                for f in tel.flush_frames() {
-                    shared.push(f);
+                    payload,
+                } => {
+                    tel.dispatches.fetch_add(1, Ordering::Relaxed);
+                    if tel.enabled() {
+                        let depth = shared.queued.load(Ordering::SeqCst) as usize + batch.len() + 1;
+                        tel.event(TEL_STAGE_RECV, task, attempt, depth as u64);
+                    }
+                    let (function, run) = resolve(&mut fns, registry, &function);
+                    batch.push(DaemonJob {
+                        spec: JobSpec {
+                            task,
+                            attempt,
+                            function,
+                            deps,
+                            payload: payload.into(),
+                            keep_output: keep.take() == Some((task, attempt)),
+                        },
+                        run,
+                    });
                 }
+                Frame::Transfer { key, payload } => {
+                    let stored = payload.len() as u64;
+                    blobs.lock().insert(key, Arc::new(payload));
+                    shared.push(Frame::TransferAck { key, stored });
+                }
+                Frame::Heartbeat { seq, t_client_us } => {
+                    shared.push(Frame::HeartbeatAck {
+                        seq,
+                        busy: shared.busy.load(Ordering::SeqCst),
+                        t_client_us,
+                        t_daemon_us: tel.now_us(),
+                    });
+                    // Telemetry rides the heartbeat cadence: anything the
+                    // ring gathered since the last beat ships right behind
+                    // the ack (nothing while unsubscribed).
+                    for f in tel.flush_frames() {
+                        shared.push(f);
+                    }
+                }
+                Frame::TelemetrySub { level } => {
+                    tel.level.store(level, Ordering::Relaxed);
+                }
+                Frame::Poll => {
+                    hand_off(shared, jobs, &mut batch);
+                    shared.push(Frame::PollAck {
+                        busy: shared.busy.load(Ordering::SeqCst),
+                        queued: shared.queued.load(Ordering::SeqCst),
+                        completed: shared.completed.load(Ordering::SeqCst),
+                    });
+                }
+                Frame::Drain => {
+                    hand_off(shared, jobs, &mut batch);
+                    // The writer puts the final telemetry flush ahead of this.
+                    shared.push(Frame::DrainAck {
+                        remaining: shared.queued.load(Ordering::SeqCst)
+                            + shared.busy.load(Ordering::SeqCst),
+                    });
+                    return true;
+                }
+                // Client-bound frames arriving here are a protocol violation;
+                // tolerate them rather than crash the endpoint.
+                _ => {}
             }
-            Frame::TelemetrySub { level } => {
-                tel.level.store(level, Ordering::Relaxed);
-            }
-            Frame::Poll => {
-                shared.push(Frame::PollAck {
-                    busy: shared.busy.load(Ordering::SeqCst),
-                    queued: shared.queued.load(Ordering::SeqCst),
-                    completed: shared.completed.load(Ordering::SeqCst),
-                });
-            }
-            Frame::Drain => {
-                // The writer puts the final telemetry flush ahead of this.
-                shared.push(Frame::DrainAck {
-                    remaining: shared.queued.load(Ordering::SeqCst)
-                        + shared.busy.load(Ordering::SeqCst),
-                });
-                return true;
-            }
-            // Client-bound frames arriving here are a protocol violation;
-            // tolerate them rather than crash the endpoint.
-            _ => {}
+        }
+        hand_off(shared, jobs, &mut batch);
+        if read.is_err() {
+            return false; // connection gone; back to accept
         }
     }
 }
 
+/// The function `name` resolves to, and the name as the job carries it.
+/// Registered names are looked up once per connection and shared from
+/// `fns` after that; only those are remembered, so `fns` never outgrows
+/// the registry. An unknown name resolves to `None`, and its attempt fails
+/// at the worker.
+fn resolve(
+    fns: &mut Vec<(Arc<str>, WireFn)>,
+    registry: &FnRegistry,
+    name: &str,
+) -> (Arc<str>, Option<WireFn>) {
+    if let Some((known, f)) = fns.iter().find(|(known, _)| **known == *name) {
+        return (Arc::clone(known), Some(Arc::clone(f)));
+    }
+    let name: Arc<str> = Arc::from(name);
+    let f = registry.get(&name);
+    if let Some(f) = &f {
+        fns.push((Arc::clone(&name), Arc::clone(f)));
+    }
+    (name, f)
+}
+
+/// Hands the jobs decoded so far to the workers: one count update, one
+/// queue lock, one wake-up.
+fn hand_off(shared: &DaemonShared, jobs: &JobQueue, batch: &mut Vec<DaemonJob>) {
+    if batch.is_empty() {
+        return;
+    }
+    shared
+        .queued
+        .fetch_add(batch.len() as u32, Ordering::SeqCst);
+    jobs.push_all(batch);
+}
+
 /// One daemon worker: pull a job, apply chaos, execute, queue the RESULT.
 fn daemon_worker(
-    rx: &Receiver<JobSpec>,
+    jobs: &JobQueue,
     shared: &DaemonShared,
     blobs: &BlobStore,
-    registry: &FnRegistry,
     chaos: &DaemonChaos,
     tel: &DaemonTelemetry,
 ) {
-    while let Ok(job) = rx.recv() {
+    while let Some(DaemonJob { spec: job, run }) = jobs.pop() {
         shared.queued.fetch_sub(1, Ordering::SeqCst);
         let n = shared.jobs_seen.fetch_add(1, Ordering::SeqCst) + 1;
         if chaos.swallow_every > 0 && n.is_multiple_of(chaos.swallow_every as u64) {
@@ -533,14 +645,19 @@ fn daemon_worker(
         shared.busy.fetch_add(1, Ordering::SeqCst);
         tel.event(TEL_STAGE_EXEC_BEGIN, job.task, job.attempt, 0);
         let exec_start = Instant::now();
-        let outcome = match registry.get(&job.function) {
+        let outcome = match &run {
             None => Err(format!("unknown function `{}`", job.function)),
             Some(f) => {
-                // The store is locked for the look-up and no longer: the
-                // workers run side by side, and the reader's TRANSFER
-                // inserts do not wait for a function to return.
-                let deps = dep_blobs(&blobs.lock(), &job);
-                deps.and_then(|deps| run_on_input(&f, &deps, &job.payload))
+                // The store is locked for the look-up and no longer (and
+                // not at all for a job without inputs): the workers run
+                // side by side, and the reader's TRANSFER inserts do not
+                // wait for a function to return.
+                let deps = if job.deps.is_empty() {
+                    Ok(Vec::new())
+                } else {
+                    dep_blobs(&blobs.lock(), &job)
+                };
+                deps.and_then(|deps| run_on_input(f, &deps, &job.payload))
             }
         };
         let ok = outcome.is_ok();
@@ -1062,6 +1179,48 @@ struct Pending {
     kept: Option<u64>,
 }
 
+/// A supervisor's in-flight attempts by `(task, attempt)`, hashed by
+/// [`InFlightHasher`].
+///
+/// Keyed for locality on the assumption that task ids are dense: the
+/// runtime hands out slab indices, so consecutive tasks sit in
+/// consecutive buckets and a near-FIFO stream of RESULTs walks the table
+/// in order. Ids that are strided (say, multiples of a power of two
+/// larger than the table) share buckets and cost probes; correctness
+/// comes from key equality either way, and the table holds only what is
+/// in flight. Only `submit` inserts keys; a RESULT from the wire only
+/// looks one up, so a hostile daemon cannot lengthen a probe.
+type InFlight = HashMap<(u64, u32), Pending, BuildHasherDefault<InFlightHasher>>;
+
+/// The hash of an in-flight key: the task id in the low bits, the attempt
+/// folded in above bit 40, and the top seven bits — which the table keeps
+/// as a per-slot tag — mixed from both, so a probe over a run of
+/// neighbours compares few keys. Not for keys whose low bits are not a
+/// dense task id (`blob_key` puts the attempt there).
+#[derive(Default)]
+struct InFlightHasher(u64);
+
+impl Hasher for InFlightHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, task: u64) {
+        self.0 ^= task;
+    }
+
+    fn write_u32(&mut self, attempt: u32) {
+        self.0 ^= u64::from(attempt) << 40;
+    }
+
+    fn finish(&self) -> u64 {
+        const TAG: u64 = 0x7f << 57;
+        self.0 ^ (self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) & TAG)
+    }
+}
+
 /// The supervisor for one endpoint.
 struct Supervisor {
     spec: ProcessEndpointSpec,
@@ -1084,7 +1243,7 @@ struct Supervisor {
     backoff_exp: u32,
     next_connect: Instant,
     gave_up: bool,
-    outstanding: HashMap<(u64, u32), Pending>,
+    outstanding: InFlight,
     blob_cache: HashMap<u64, Arc<Vec<u8>>>,
 }
 
@@ -1589,7 +1748,9 @@ impl Supervisor {
                                 break 'wait;
                             }
                         }
-                        Ok(_) | Err(_) => break 'wait,
+                        Ok(Ev::ReaderClosed(e)) if e == epoch => break 'wait,
+                        Ok(ev) => refuse(ev),
+                        Err(_) => break 'wait,
                     }
                 }
             }
@@ -1617,8 +1778,24 @@ impl Supervisor {
         }
         self.shared.set_probe(ProbeState::Dead);
         for (_, p) in std::mem::take(&mut self.outstanding) {
-            (p.done)(Err("fabric shut down".to_string()));
+            (p.done)(Err(SHUT_DOWN.to_string()));
         }
+        // Whatever queued up behind the shutdown: a submit among it must
+        // still resolve.
+        while let Ok(ev) = self.rx.try_recv() {
+            refuse(ev);
+        }
+    }
+}
+
+/// The error an attempt submitted after shutdown began resolves with.
+const SHUT_DOWN: &str = "fabric shut down";
+
+/// Answers an event that reaches a supervisor after shutdown began: a
+/// submit fails (its completion must fire), anything else is dropped.
+fn refuse(ev: Ev) {
+    if let Ev::Submit(_, done) = ev {
+        done(Err(SHUT_DOWN.to_string()));
     }
 }
 
@@ -1828,7 +2005,7 @@ impl ProcessFabric {
                 backoff_exp: 0,
                 next_connect: Instant::now(),
                 gave_up: false,
-                outstanding: HashMap::new(),
+                outstanding: InFlight::default(),
                 blob_cache: HashMap::new(),
                 spec: spec.clone(),
             };
@@ -2157,6 +2334,10 @@ impl Fabric for ProcessFabric {
     }
 
     fn submit(&self, ep: usize, job: JobSpec, done: Completion) {
+        if self.down.load(Ordering::SeqCst) {
+            done(Err(SHUT_DOWN.to_string()));
+            return;
+        }
         if let Err(e) = self.txs[ep].send(Ev::Submit(job, done)) {
             if let Ev::Submit(_, done) = e.0 {
                 done(Err(format!("endpoint {} supervisor gone", self.labels[ep])));
@@ -2385,509 +2566,4 @@ fn proxy_pump(src: &mut TcpStream, dst: &mut TcpStream, ctl: &ProxyCtl, down: bo
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::mpsc;
-
-    fn fast_cfg(seed: u64) -> ProcessFabricConfig {
-        ProcessFabricConfig {
-            timing: FabricTiming::fast(),
-            seed,
-            respawn: true,
-            telemetry: false,
-        }
-    }
-
-    #[test]
-    fn daemon_speaks_the_protocol_raw() {
-        let daemon = spawn_daemon_thread(DaemonConfig::new("raw", 2)).unwrap();
-        let mut s = TcpStream::connect(daemon.addr()).unwrap();
-        let hello = Frame::read_from(&mut s).unwrap();
-        match hello {
-            Frame::Hello {
-                proto,
-                name,
-                workers,
-                generation,
-            } => {
-                assert_eq!(proto, PROTO_VERSION);
-                assert_eq!(name, "raw");
-                assert_eq!(workers, 2);
-                assert_eq!(generation, 0);
-            }
-            other => panic!("expected HELLO, got {other:?}"),
-        }
-        // Stage a blob, dispatch against it, read the result.
-        Frame::Transfer {
-            key: 5,
-            payload: b"hi ".to_vec(),
-        }
-        .write_to(&mut s)
-        .unwrap();
-        Frame::Dispatch {
-            task: 1,
-            attempt: 1,
-            generation: 0,
-            function: "echo".to_string(),
-            deps: vec![5],
-            payload: b"there".to_vec(),
-        }
-        .write_to(&mut s)
-        .unwrap();
-        Frame::Heartbeat {
-            seq: 1,
-            t_client_us: 777,
-        }
-        .write_to(&mut s)
-        .unwrap();
-        let mut saw_result = false;
-        let mut saw_hb = false;
-        let mut saw_transfer_ack = false;
-        for _ in 0..3 {
-            match Frame::read_from(&mut s).unwrap() {
-                Frame::Result {
-                    task,
-                    attempt,
-                    generation,
-                    ok,
-                    payload,
-                } => {
-                    assert_eq!((task, attempt, generation, ok), (1, 1, 0, true));
-                    assert_eq!(payload, b"hi there".to_vec());
-                    saw_result = true;
-                }
-                Frame::HeartbeatAck {
-                    seq, t_client_us, ..
-                } => {
-                    // Unsubscribed: the ack comes back alone (no
-                    // TELEMETRY rides behind it) with our stamp echoed.
-                    assert_eq!((seq, t_client_us), (1, 777));
-                    saw_hb = true;
-                }
-                Frame::TransferAck { key, stored } => {
-                    assert_eq!((key, stored), (5, 3));
-                    saw_transfer_ack = true;
-                }
-                other => panic!("unexpected frame {other:?}"),
-            }
-        }
-        assert!(saw_result && saw_hb && saw_transfer_ack);
-        Frame::Drain.write_to(&mut s).unwrap();
-        assert!(matches!(
-            Frame::read_from(&mut s).unwrap(),
-            Frame::DrainAck { .. }
-        ));
-        daemon.join().unwrap();
-    }
-
-    /// Connects to `daemon` and reads its HELLO.
-    fn raw_client(daemon: &DaemonHandle) -> TcpStream {
-        let mut s = TcpStream::connect(daemon.addr()).unwrap();
-        let hello = Frame::read_from(&mut s).unwrap();
-        assert!(matches!(hello, Frame::Hello { .. }), "{hello:?}");
-        s
-    }
-
-    fn dispatch(task: u64, attempt: u32, function: &str, deps: &[u64], payload: &[u8]) -> Frame {
-        Frame::Dispatch {
-            task,
-            attempt,
-            generation: 0,
-            function: function.to_string(),
-            deps: deps.to_vec(),
-            payload: payload.to_vec(),
-        }
-    }
-
-    /// Reads until every task in `tasks` has its RESULT; returns them as
-    /// `task → (ok, payload)`.
-    fn read_results(s: &mut TcpStream, tasks: &[u64]) -> HashMap<u64, (bool, Vec<u8>)> {
-        let mut results = HashMap::new();
-        while !tasks.iter().all(|t| results.contains_key(t)) {
-            if let Frame::Result {
-                task, ok, payload, ..
-            } = Frame::read_from(s).unwrap()
-            {
-                results.insert(task, (ok, payload));
-            }
-        }
-        results
-    }
-
-    #[test]
-    fn kept_outputs_are_keyed_by_attempt_and_only_kept_when_told() {
-        use crate::fabric::blob_key;
-        let daemon = spawn_daemon_thread(DaemonConfig::new("keeper", 2)).unwrap();
-        let mut s = raw_client(&daemon);
-        // Two attempts of one task, both kept, that disagree about the
-        // output — and a third task whose DISPATCH no KEEP precedes.
-        for frame in [
-            Frame::Keep {
-                task: 5,
-                attempt: 1,
-            },
-            dispatch(5, 1, "echo", &[], b"first"),
-            Frame::Keep {
-                task: 5,
-                attempt: 2,
-            },
-            dispatch(5, 2, "echo", &[], b"second"),
-            dispatch(8, 1, "echo", &[], b"unkept"),
-        ] {
-            frame.write_to(&mut s).unwrap();
-        }
-        // Both attempts of task 5 answer under one task id: wait for the
-        // second RESULT of it by counting.
-        let mut answered = 0;
-        while answered < 3 {
-            answered += usize::from(matches!(
-                Frame::read_from(&mut s).unwrap(),
-                Frame::Result { ok: true, .. }
-            ));
-        }
-        // One dependent per key: each sees its own attempt's bytes.
-        dispatch(6, 1, "echo", &[blob_key(5, 1)], b"")
-            .write_to(&mut s)
-            .unwrap();
-        dispatch(7, 1, "echo", &[blob_key(5, 2)], b"")
-            .write_to(&mut s)
-            .unwrap();
-        dispatch(9, 1, "echo", &[blob_key(8, 1)], b"")
-            .write_to(&mut s)
-            .unwrap();
-        let results = read_results(&mut s, &[6, 7, 9]);
-        assert_eq!(results[&6], (true, b"first".to_vec()));
-        assert_eq!(results[&7], (true, b"second".to_vec()));
-        let (ok, msg) = &results[&9];
-        let msg = String::from_utf8_lossy(msg);
-        assert!(!ok && msg.contains("missing input blob"), "{ok} {msg}");
-        Frame::Drain.write_to(&mut s).unwrap();
-        daemon.join().unwrap();
-    }
-
-    #[test]
-    fn functions_run_outside_the_blob_store_lock() {
-        let daemon = spawn_daemon_thread(DaemonConfig::new("unlocked", 2)).unwrap();
-        let mut s = raw_client(&daemon);
-        // `sleep` takes its milliseconds from the head of its input: here
-        // from the staged blob both jobs name.
-        let mut nap = 300u64.to_le_bytes().to_vec();
-        nap.extend_from_slice(b"napped");
-        Frame::Transfer {
-            key: 1,
-            payload: nap,
-        }
-        .write_to(&mut s)
-        .unwrap();
-        let started = Instant::now();
-        dispatch(1, 1, "sleep", &[1], b"").write_to(&mut s).unwrap();
-        dispatch(2, 1, "sleep", &[1], b"").write_to(&mut s).unwrap();
-        // Both workers hold a job before the next TRANSFER leaves.
-        loop {
-            Frame::Poll.write_to(&mut s).unwrap();
-            let busy = loop {
-                if let Frame::PollAck { busy, .. } = Frame::read_from(&mut s).unwrap() {
-                    break busy;
-                }
-            };
-            if busy == 2 {
-                break;
-            }
-        }
-        Frame::Transfer {
-            key: 2,
-            payload: b"while they sleep".to_vec(),
-        }
-        .write_to(&mut s)
-        .unwrap();
-        let mut order = Vec::new();
-        while order.iter().filter(|f| **f == "result").count() < 2 {
-            match Frame::read_from(&mut s).unwrap() {
-                Frame::TransferAck { key: 2, .. } => order.push("ack"),
-                Frame::Result { ok, payload, .. } => {
-                    assert!(ok && payload == b"napped", "{ok} {payload:?}");
-                    order.push("result");
-                }
-                _ => {}
-            }
-        }
-        let took = started.elapsed();
-        // The reader stored the blob while both functions slept, and the
-        // two naps overlapped.
-        assert_eq!(order, ["ack", "result", "result"]);
-        assert!(
-            took < Duration::from_millis(500),
-            "two 300 ms naps: {took:?}"
-        );
-        Frame::Drain.write_to(&mut s).unwrap();
-        daemon.join().unwrap();
-    }
-
-    #[test]
-    fn daemon_ships_telemetry_only_when_subscribed() {
-        let daemon = spawn_daemon_thread(DaemonConfig::new("tel", 1)).unwrap();
-        let mut s = TcpStream::connect(daemon.addr()).unwrap();
-        assert!(matches!(
-            Frame::read_from(&mut s).unwrap(),
-            Frame::Hello { .. }
-        ));
-        Frame::TelemetrySub { level: 2 }.write_to(&mut s).unwrap();
-        Frame::Dispatch {
-            task: 9,
-            attempt: 1,
-            generation: 0,
-            function: "echo".to_string(),
-            deps: vec![],
-            payload: b"x".to_vec(),
-        }
-        .write_to(&mut s)
-        .unwrap();
-        // Wait for the RESULT, then beat to trigger a flush. The SENT
-        // stamp lands just after the RESULT's write returns, so it may
-        // miss the first flush and ride the next beat's.
-        loop {
-            if matches!(Frame::read_from(&mut s).unwrap(), Frame::Result { .. }) {
-                break;
-            }
-        }
-        let mut stages = Vec::new();
-        let mut counters = Vec::new();
-        let mut beat = 0;
-        while !stages.contains(&TEL_STAGE_SENT) {
-            beat += 1;
-            assert!(beat <= 100, "SENT never shipped: {stages:?}");
-            Frame::Heartbeat {
-                seq: beat,
-                t_client_us: 1,
-            }
-            .write_to(&mut s)
-            .unwrap();
-            loop {
-                match Frame::read_from(&mut s).unwrap() {
-                    Frame::Telemetry {
-                        generation,
-                        seq,
-                        events,
-                        counters: c,
-                        ..
-                    } => {
-                        assert_eq!(generation, 0);
-                        assert!(seq >= beat);
-                        stages.extend(events.iter().map(|e| e.stage));
-                        counters = c;
-                        break;
-                    }
-                    Frame::HeartbeatAck { t_daemon_us, .. } => {
-                        assert!(t_daemon_us > 0, "daemon must stamp its clock");
-                    }
-                    other => panic!("unexpected frame {other:?}"),
-                }
-            }
-        }
-        // The attempt's full daemon-side span made it across.
-        for want in [
-            TEL_STAGE_RECV,
-            TEL_STAGE_EXEC_BEGIN,
-            TEL_STAGE_EXEC_END,
-            TEL_STAGE_SENT,
-        ] {
-            assert!(stages.contains(&want), "missing stage {want} in {stages:?}");
-        }
-        assert!(counters.contains(&(TEL_CTR_DISPATCHES, 1)), "{counters:?}");
-        assert!(counters.contains(&(TEL_CTR_RESULTS_OK, 1)), "{counters:?}");
-        Frame::Drain.write_to(&mut s).unwrap();
-        // The drain-triggered flush precedes the ack.
-        let mut saw_final_flush = false;
-        loop {
-            match Frame::read_from(&mut s).unwrap() {
-                Frame::Telemetry { .. } => saw_final_flush = true,
-                Frame::DrainAck { .. } => break,
-                other => panic!("unexpected frame {other:?}"),
-            }
-        }
-        assert!(saw_final_flush, "DRAIN must flush telemetry before acking");
-        daemon.join().unwrap();
-    }
-
-    #[test]
-    fn failed_batch_write_requeues_results_in_order_and_drops_acks() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (stream, _) = listener.accept().unwrap();
-        stream.shutdown(Shutdown::Write).unwrap(); // every write fails from here on
-        let result = |task| Outgoing::Result {
-            task,
-            attempt: 1,
-            ok: true,
-            payload: vec![task as u8].into(),
-        };
-        let ack = Outgoing::Frame(Frame::TransferAck { key: 1, stored: 1 });
-        let drain_ack = Outgoing::Frame(Frame::DrainAck { remaining: 0 });
-        let shared = DaemonShared::new();
-        *shared.outbox.lock() = [result(1), ack, result(2), drain_ack, result(3)].into();
-        *shared.conn.lock() = Some(Arc::new(stream));
-        let tel = DaemonTelemetry::new(0, 16);
-        std::thread::scope(|scope| {
-            scope.spawn(|| daemon_writer(&shared, &tel));
-            // The writer requeues, then gives the dead connection up.
-            while shared.conn.lock().is_some() {
-                std::thread::yield_now();
-            }
-            shared.stop_writer.store(true, Ordering::SeqCst);
-            shared.outbox_cv.notify_all();
-        });
-        let left: Vec<Outgoing> = shared.outbox.lock().drain(..).collect();
-        assert_eq!(left, [result(1), result(2), result(3)]);
-    }
-
-    #[test]
-    fn telemetry_store_drops_stale_generation_and_out_of_order_batches() {
-        let ev = |t_us| TelemetryEvent {
-            stage: TEL_STAGE_RECV,
-            t_us,
-            task: 1,
-            attempt: 1,
-            arg: 0,
-        };
-        let mut store = TelemetryStore::new();
-        assert!(store.ingest(1, 1, 1, vec![ev(10)], vec![(TEL_CTR_DISPATCHES, 1)], vec![]));
-        // A batch from a dead generation must never merge: its clock is
-        // a different incarnation's and its counters would double-count.
-        assert!(!store.ingest(1, 0, 7, vec![ev(20)], vec![(TEL_CTR_DISPATCHES, 9)], vec![]));
-        // Replayed / reordered sequence numbers are refused whole.
-        assert!(!store.ingest(1, 1, 1, vec![ev(30)], vec![], vec![]));
-        assert!(store.ingest(1, 1, 2, vec![ev(40)], vec![], vec![]));
-        assert!(!store.ingest(1, 1, 2, vec![ev(50)], vec![], vec![]));
-        assert_eq!(store.dropped_batches, 3);
-        let times: Vec<u64> = store.events.iter().map(|&(_, e)| e.t_us).collect();
-        assert_eq!(times, vec![10, 40]);
-        assert_eq!(store.gen_counters[&1], vec![(TEL_CTR_DISPATCHES, 1)]);
-        assert!(!store.gen_counters.contains_key(&0));
-    }
-
-    #[test]
-    fn process_fabric_connect_mode_round_trip() {
-        let daemon = spawn_daemon_thread(DaemonConfig::new("ep0", 2)).unwrap();
-        let fabric = ProcessFabric::new(
-            vec![ProcessEndpointSpec {
-                name: "ep0".to_string(),
-                workers: 2,
-                mode: EndpointMode::Connect {
-                    addr: daemon.addr().to_string(),
-                },
-            }],
-            fast_cfg(7),
-        );
-        assert!(
-            fabric.wait_probe(0, ProbeState::Alive, Duration::from_secs(5)),
-            "endpoint never came up"
-        );
-        let blob = Arc::new(b"abc".to_vec());
-        fabric.stage(0, 11, &blob);
-        let (tx, rx) = mpsc::channel();
-        fabric.submit(
-            0,
-            JobSpec {
-                task: 1,
-                attempt: 1,
-                function: Arc::from("fnv"),
-                deps: vec![11],
-                payload: b"xyz".to_vec().into(),
-                keep_output: false,
-            },
-            Box::new(move |r| tx.send(r).unwrap()),
-        );
-        let got = rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
-        assert_eq!(
-            got,
-            crate::fabric::fnv1a64(b"abcxyz").to_le_bytes().to_vec()
-        );
-        assert!(fabric.counters(0).connects >= 1);
-        fabric.shutdown();
-        daemon.join().unwrap();
-    }
-
-    #[test]
-    fn submit_fails_fast_when_unreachable() {
-        // Grab an ephemeral port and close the listener: connections are
-        // refused, the fabric backs off, submissions fail promptly.
-        let dead = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let fabric = ProcessFabric::new(
-            vec![ProcessEndpointSpec {
-                name: "gone".to_string(),
-                workers: 1,
-                mode: EndpointMode::Connect {
-                    addr: dead.to_string(),
-                },
-            }],
-            fast_cfg(3),
-        );
-        assert_eq!(fabric.probe(0), ProbeState::Dead);
-        let (tx, rx) = mpsc::channel();
-        fabric.submit(
-            0,
-            JobSpec {
-                task: 1,
-                attempt: 1,
-                function: Arc::from("echo"),
-                deps: vec![],
-                payload: Payload::default(),
-                keep_output: false,
-            },
-            Box::new(move |r| tx.send(r).unwrap()),
-        );
-        let err = rx
-            .recv_timeout(Duration::from_secs(5))
-            .unwrap()
-            .unwrap_err();
-        assert!(err.contains("not connected"), "err = {err}");
-        fabric.shutdown();
-    }
-
-    #[test]
-    fn proxy_cut_mid_frame_then_reconnect() {
-        let daemon = spawn_daemon_thread(DaemonConfig::new("prox", 1)).unwrap();
-        let proxy = ChaosProxy::start(daemon.addr()).unwrap();
-        // Cut after 3 daemon→client bytes: mid-HELLO, guaranteed.
-        proxy.cut_after_down_bytes(3);
-        let fabric = ProcessFabric::new(
-            vec![ProcessEndpointSpec {
-                name: "prox".to_string(),
-                workers: 1,
-                mode: EndpointMode::Connect {
-                    addr: proxy.addr().to_string(),
-                },
-            }],
-            fast_cfg(11),
-        );
-        // First connection dies mid-frame; the reconnect (budget
-        // disarmed) completes and work flows.
-        assert!(
-            fabric.wait_probe(0, ProbeState::Alive, Duration::from_secs(10)),
-            "never recovered from mid-frame cut"
-        );
-        let (tx, rx) = mpsc::channel();
-        fabric.submit(
-            0,
-            JobSpec {
-                task: 1,
-                attempt: 1,
-                function: Arc::from("echo"),
-                deps: vec![],
-                payload: b"ok".to_vec().into(),
-                keep_output: false,
-            },
-            Box::new(move |r| tx.send(r).unwrap()),
-        );
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap(),
-            b"ok".to_vec()
-        );
-        assert!(fabric.counters(0).connects >= 2, "{:?}", fabric.counters(0));
-        fabric.shutdown();
-        daemon.join().unwrap();
-    }
-}
+mod tests;

@@ -39,6 +39,25 @@ if grep -n 'assemble_input(&blobs.lock()' crates/fedci/src/process.rs; then
   exit 1
 fi
 
+# An attempt's trip through the process fabric costs no hashing of the
+# function name and no lock per job: the daemon's reader resolves
+# functions once per connection and hands a whole socket read to the
+# workers at once, and the supervisor's in-flight table is keyed for
+# locality, not by the default SipHash.
+echo "==> no per-job function lookup or job channel in the daemon, no SipHash in-flight table"
+if sed -n '/^fn daemon_worker/,/^}/p' crates/fedci/src/process.rs | grep -n 'registry'; then
+  echo "daemon_worker looks functions up in the registry per job again" >&2
+  exit 1
+fi
+if grep -nE '(Sender|Receiver|unbounded::)<(JobSpec|DaemonJob)>' crates/fedci/src/process.rs; then
+  echo "the daemon hands jobs to its workers through a crossbeam channel again" >&2
+  exit 1
+fi
+if grep -n 'outstanding: HashMap::new()' crates/fedci/src/process.rs; then
+  echo "Supervisor::outstanding is built with the default hasher again" >&2
+  exit 1
+fi
+
 # DHA's delay queues index tasks densely and order heap entries by one
 # integer compare; the hashed index and the float comparator are gone.
 echo "==> no hashing or float comparator in the delay queues"
