@@ -1,14 +1,14 @@
 //! End-to-end runtime throughput benchmark → `BENCH_e2e.json`.
 //!
-//! Where `sched_overhead` isolates the wall clock spent *inside scheduler
-//! hooks*, this binary measures the whole coordinator: full-run wall-clock
-//! time and simulation events processed per second for the paper-scale
-//! workloads — drug screening (24,001 tasks), montage (11,340 tasks) and a
-//! 100k-task bag-of-tasks stress DAG — under Capacity, Locality and DHA —
-//! plus a million-task layered stress DAG (omitted with `--smoke`).
+//! Measures the whole coordinator: full-run wall-clock time and
+//! simulation events processed per second for the paper-scale workloads
+//! — drug screening (24,001 tasks), montage (11,340 tasks) and a 100k-task
+//! bag-of-tasks stress DAG — under Capacity, Locality and DHA — plus a
+//! million-task layered stress DAG (omitted with `--smoke`).
 //! This is the metric the data-plane/runtime-loop work optimizes: periodic
 //! `MockSync`/`ScaleTick` handling, staging bookkeeping and metrics
-//! recording all land here and nowhere in `BENCH_sched.json`.
+//! recording all land here, next to the time spent inside scheduler hooks
+//! (`sched (s)`).
 //!
 //! Each row also carries the run's makespan and transfer volume so the
 //! file doubles as a bit-identity witness: optimizations must change the
@@ -30,6 +30,10 @@
 //! `--journal <path>` writes a run journal per row to `<path>.<workload>.
 //! <scheduler>.journal` (measuring journaling-enabled overhead; makespan
 //! and transfer columns must not move — the journal only observes).
+//!
+//! `--verify` runs every row with `Config::verify` (counter
+//! reconciliation, checked event queue, decision digest); its makespan,
+//! transfer and events columns must equal a plain run's.
 //!
 //! `--smoke` drops the million-task rows (CI's bench-smoke job). Every
 //! row also reports the process's cumulative peak RSS (`VmHWM` after the
@@ -69,7 +73,7 @@ struct RunOpts<'a> {
     trace_out: Option<&'a str>,
     metrics: bool,
     metrics_out: Option<&'a str>,
-    reference_queue: bool,
+    verify: bool,
     journal: Option<&'a str>,
 }
 
@@ -85,7 +89,7 @@ fn run(
         trace_out,
         metrics,
         metrics_out,
-        reference_queue,
+        verify,
         journal,
     } = opts;
     let tasks = dag.len();
@@ -97,7 +101,7 @@ fn run(
     };
     let mut cfg = pool.build();
     cfg.strategy = strategy;
-    cfg.engine_reference_queue = reference_queue;
+    cfg.verify = verify;
     let alloc0 = alloc_snapshot();
     let t0 = Instant::now();
     let mut runtime = SimRuntime::new(cfg, dag).with_metrics(metrics);
@@ -143,7 +147,7 @@ fn main() {
     let mut metrics = false;
     let mut metrics_out: Option<String> = None;
     let mut smoke = false;
-    let mut reference_queue = false;
+    let mut verify = false;
     let mut journal: Option<String> = None;
     let mut only: Option<String> = None;
     let mut only_sched: Option<String> = None;
@@ -152,7 +156,7 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--reference-queue" => reference_queue = true,
+            "--verify" => verify = true,
             "--journal" => journal = it.next().cloned(),
             "--only" => only = it.next().cloned(),
             "--strategy" => only_sched = it.next().cloned(),
@@ -235,7 +239,7 @@ fn main() {
         trace_out: out,
         metrics,
         metrics_out: metrics_out.as_deref(),
-        reference_queue,
+        verify,
         journal: journal.as_deref(),
     };
     for (name, gen, pool) in workloads {

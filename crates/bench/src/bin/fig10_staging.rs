@@ -6,10 +6,10 @@
 //! Capacity, whose offline decisions let staging start the moment a
 //! dependency completes and overlap with computation.
 
-use simkit::{SimDuration, SimTime};
+use simkit::SimTime;
 use taskgraph::workloads::drug;
 use unifaas::prelude::*;
-use unifaas_bench::drug_static_pool;
+use unifaas_bench::{drug_static_pool, grid};
 
 fn main() {
     println!("=== Fig. 10: tasks in data staging over time (drug screening) ===\n");
@@ -27,27 +27,17 @@ fn main() {
         .iter()
         .map(|r| r.makespan.as_secs_f64())
         .fold(0.0, f64::max);
-    let step = SimDuration::from_secs_f64((horizon / 20.0).max(1.0));
     print!("{:>8}", "t(s)");
     for r in &results {
         print!(" {:>12}", r.scheduler);
     }
     println!();
-    let mut t = SimTime::ZERO;
-    let end = SimTime::from_secs_f64(horizon);
-    loop {
+    for t in grid(SimTime::ZERO, SimTime::from_secs_f64(horizon), 20) {
         print!("{:>8.0}", t.as_secs_f64());
         for r in &results {
             print!(" {:>12.0}", r.series.staging_tasks.value_at(t));
         }
         println!();
-        if t >= end {
-            break;
-        }
-        t += step;
-        if t > end {
-            t = end;
-        }
     }
 
     for r in &results {

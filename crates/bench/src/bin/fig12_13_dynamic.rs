@@ -5,10 +5,10 @@
 //! workers sit idle; shrunk EP1 becomes the bottleneck with a long tail),
 //! while DHA's re-scheduling quickly floods the new capacity.
 
-use simkit::{SimDuration, SimTime};
+use simkit::SimTime;
 use taskgraph::workloads::{drug, montage};
 use unifaas::prelude::*;
-use unifaas_bench::{drug_dynamic_pool, montage_dynamic_pool, print_series_grid};
+use unifaas_bench::{drug_dynamic_pool, grid, montage_dynamic_pool, print_series_grid};
 
 fn run_panel(
     title: &str,
@@ -30,8 +30,7 @@ fn run_panel(
             report.makespan.as_secs_f64()
         );
         let end = SimTime::ZERO + report.makespan;
-        let step = SimDuration::from_secs_f64((report.makespan.as_secs_f64() / 16.0).max(1.0));
-        print_series_grid(&report.series.busy_workers, SimTime::ZERO, end, step);
+        print_series_grid(&report.series.busy_workers, grid(SimTime::ZERO, end, 16));
     }
     println!();
 }

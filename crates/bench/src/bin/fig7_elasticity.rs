@@ -78,21 +78,18 @@ fn main() {
     let report = rt.run().expect("run failed");
     assert_eq!(report.tasks_completed, 2 * (80 + 320));
 
+    // The paper's 15 s ticks, then the end of the run.
     let end = SimTime::ZERO + report.makespan + SimDuration::from_secs(45);
+    let ticks = || {
+        (0..)
+            .map(|i| SimTime::from_secs(15 * i))
+            .take_while(move |&t| t < end)
+            .chain([end])
+    };
     println!("-- pending tasks per endpoint --");
-    print_series_grid(
-        &report.series.pending_tasks,
-        SimTime::ZERO,
-        end,
-        SimDuration::from_secs(15),
-    );
+    print_series_grid(&report.series.pending_tasks, ticks());
     println!("\n-- active workers per endpoint --");
-    print_series_grid(
-        &report.series.active_workers,
-        SimTime::ZERO,
-        end,
-        SimDuration::from_secs(15),
-    );
+    print_series_grid(&report.series.active_workers, ticks());
 
     // Shape checks matching the paper's narrative.
     let ep1 = report.series.active_workers.get("EP1").expect("EP1 series");

@@ -3,10 +3,10 @@
 //! Same runs as Table IV; the claim: DHA holds consistently high
 //! utilization while Capacity and Locality decay into a long tail.
 
-use simkit::{SimDuration, SimTime};
+use simkit::SimTime;
 use taskgraph::workloads::{drug, montage};
 use unifaas::prelude::*;
-use unifaas_bench::{all_strategies, drug_static_pool, montage_static_pool};
+use unifaas_bench::{all_strategies, drug_static_pool, grid, montage_static_pool};
 
 fn run_and_collect(
     workflow: &str,
@@ -25,15 +25,12 @@ fn run_and_collect(
         .iter()
         .map(|r| r.makespan.as_secs_f64())
         .fold(0.0, f64::max);
-    let step = SimDuration::from_secs_f64((horizon / 20.0).max(1.0));
     print!("{:>8}", "t(s)");
     for r in &results {
         print!(" {:>16}", r.scheduler);
     }
     println!();
-    let mut t = SimTime::ZERO;
-    let end = SimTime::from_secs_f64(horizon);
-    loop {
+    for t in grid(SimTime::ZERO, SimTime::from_secs_f64(horizon), 20) {
         print!("{:>8.0}", t.as_secs_f64());
         for r in &results {
             let u = if (t - SimTime::ZERO) <= r.makespan {
@@ -44,13 +41,6 @@ fn run_and_collect(
             print!(" {u:>16.1}");
         }
         println!();
-        if t >= end {
-            break;
-        }
-        t += step;
-        if t > end {
-            t = end;
-        }
     }
     for r in &results {
         println!(

@@ -61,10 +61,11 @@ fn main() {
     // Oracle: Table IV's assumption.
     let mut cfg = drug_static_pool().build();
     cfg.strategy = SchedulingStrategy::Dha { rescheduling: true };
-    let report = SimRuntime::new(cfg, dag()).run().expect("oracle run");
-    print_result_row("Oracle (Table IV)", &report);
+    let oracle = SimRuntime::new(cfg, dag()).run().expect("oracle run");
+    print_result_row("Oracle (Table IV)", &oracle);
 
     // Learned, cold start: only probing transfers + online observation.
+    let mut learned = Vec::new();
     for (family, label) in [
         (ModelFamily::RandomForest, "Learned: random forest"),
         (ModelFamily::BayesianLinear, "Learned: Bayesian linear"),
@@ -76,6 +77,7 @@ fn main() {
         cfg.model_family = family;
         let report = SimRuntime::new(cfg, dag()).run().expect("learned run");
         print_result_row(label, &report);
+        learned.push((label, report));
     }
 
     // Learned + history: warm-started from prior runs.
@@ -87,13 +89,27 @@ fn main() {
         .run()
         .expect("warm run");
     print_result_row("Learned: forest + history", &report);
+    learned.push(("Learned: forest + history", report));
 
     println!(
-        "\nexpected: learned knowledge lands within ~1% of the oracle — the paper's\n\
-         functions have stable per-stage behaviour, so the observe-predict-decide\n\
-         loop converges within the first wave of tasks (and probing transfers seed\n\
-         the per-pair bandwidth models before any task moves). The model families\n\
-         coincide on *decisions* even when their point predictions differ, because\n\
-         endpoint selection only needs the EFT ordering."
+        "\n  {:<24} {:>12} {:>14}",
+        "vs the oracle", "makespan", "transfer"
+    );
+    let pct = |x: f64, base: f64| (x / base - 1.0) * 100.0;
+    for (label, r) in &learned {
+        println!(
+            "  {label:<24} {:>+11.1}% {:>+13.1}%",
+            pct(r.makespan.as_secs_f64(), oracle.makespan.as_secs_f64()),
+            pct(r.transfer_gb(), oracle.transfer_gb())
+        );
+    }
+
+    println!(
+        "\nobserved: each model family makes its own schedule (the families do not\n\
+         coincide on decisions). Cold-start forest and Bayesian linear run a few\n\
+         percent over the oracle; warm-started from a history database, the forest\n\
+         lands within ~1% of it, so the gap is the cost of learning online. OLS\n\
+         finishes sooner than the oracle but stages far more data: the oracle's\n\
+         greedy EFT plan is not the best schedule on this workload."
     );
 }

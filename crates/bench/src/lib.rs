@@ -5,16 +5,14 @@
 //! here build the Table II / §VI endpoint pools and format output rows.
 
 pub mod memstats;
-pub mod sweep;
 
 use fedci::hardware::ClusterSpec;
 use simkit::series::SeriesSet;
-use simkit::{SimDuration, SimTime};
+use simkit::SimTime;
 use unifaas::config::{Config, ConfigBuilder, EndpointConfig, SchedulingStrategy};
 use unifaas::metrics::RunReport;
 
 pub use memstats::{alloc_snapshot, peak_rss_bytes, AllocSnapshot};
-pub use sweep::{default_sweep_threads, run_sweep, SweepJob, SweepOutcome, SweepSummary};
 
 /// The §VI-A static-capacity pool for the drug-screening workflow:
 /// 2000/384/48/52 workers on Taiyi/Qiming/Dept/Lab (EP1–EP4).
@@ -88,28 +86,29 @@ pub fn print_result_header(workflow: &str) {
     );
 }
 
-/// Prints a labeled time-series set on a uniform grid — the textual form
-/// of the paper's figure panels.
-pub fn print_series_grid(set: &SeriesSet, from: SimTime, to: SimTime, step: SimDuration) {
+/// The `n + 1` instants `from + (to − from)·i/n` for `i` in `0..=n`
+/// (`n > 0`): a uniform grid whose last point is exactly `to`. Each point
+/// is computed from `i`, not by adding a rounded step, so the grid never
+/// falls short of `to` and never repeats its last point.
+pub fn grid(from: SimTime, to: SimTime, n: u64) -> impl Iterator<Item = SimTime> {
+    let (a, span) = (from.as_micros(), (to - from).as_micros());
+    (0..=n).map(move |i| SimTime::from_micros(a + span * i / n))
+}
+
+/// Prints a labeled time-series set at the given instants — the textual
+/// form of the paper's figure panels.
+pub fn print_series_grid(set: &SeriesSet, times: impl IntoIterator<Item = SimTime>) {
     print!("{:>8}", "t(s)");
     for (label, _) in set.iter() {
         print!(" {label:>12}");
     }
     println!();
-    let mut t = from;
-    loop {
+    for t in times {
         print!("{:>8.0}", t.as_secs_f64());
         for (_, series) in set.iter() {
             print!(" {:>12.1}", series.value_at(t));
         }
         println!();
-        if t >= to {
-            break;
-        }
-        t += step;
-        if t > to {
-            t = to;
-        }
     }
 }
 
@@ -141,5 +140,21 @@ mod tests {
     #[test]
     fn strategy_list_covers_all_three() {
         assert_eq!(all_strategies().len(), 3);
+    }
+
+    #[test]
+    fn grid_ends_on_its_last_point_once() {
+        // 2351.123457 s / 20 is not a whole number of µs: a rounded step
+        // would end 17 µs short of `to` and print its row twice.
+        let to = SimTime::from_micros(2_351_123_457);
+        let points: Vec<SimTime> = grid(SimTime::ZERO, to, 20).collect();
+        assert_eq!(points.len(), 21);
+        assert_eq!(points[0], SimTime::ZERO);
+        assert_eq!(points[20], to);
+        assert!(points.windows(2).all(|w| w[0] < w[1]));
+        let from = SimTime::from_secs(10);
+        let shifted: Vec<SimTime> = grid(from, SimTime::from_secs(50), 4).collect();
+        let secs: Vec<u64> = shifted.iter().map(|t| t.as_micros() / 1_000_000).collect();
+        assert_eq!(secs, [10, 20, 30, 40, 50]);
     }
 }

@@ -47,9 +47,12 @@
 //!   occupancy, ready/executing counts, wall-vs-virtual ratio) to stderr
 //!   with a stall detector; `--progress-addr <addr>` additionally serves
 //!   them live at `GET /metrics` while the run executes.
-//! * `--reference-queue` runs the engine on the binary-heap reference
-//!   queue (for differential journal runs; digests are identical either
-//!   way).
+//! * `--verify` checks the run as it goes (`Config::verify`): counter
+//!   reconciliation on every periodic tick, every event delivery checked
+//!   against a reference binary heap, and the scheduler decision stream
+//!   digested and printed. It panics at the first failed check; the
+//!   journal, makespan and every other printed number are the same as
+//!   without it.
 //! * `unifaas-sim doctor <a.journal> <b.journal>` compares two journals
 //!   and localizes the first divergent event with task/decision context.
 //!   Exits 0 when identical, 1 on divergence.
@@ -73,7 +76,7 @@ fn usage() -> ! {
          [--trace-level off|spans|full] [--flame-out <path>] [--metrics-out <path>] \
          [--metrics-addr <addr>] [--task-fail-prob <p>] [--transfer-fail-prob <p>] \
          [--outage <ep>:<from-s>:<to-s>]... [--journal-out <path>] [--progress] \
-         [--progress-addr <addr>] [--reference-queue]\n\
+         [--progress-addr <addr>] [--verify]\n\
          \x20      unifaas-sim doctor <a.journal> <b.journal>\n\
          \x20      unifaas-sim journal-perturb <in.journal> <out.journal> <record-index>"
     );
@@ -166,7 +169,7 @@ fn main() {
     let mut journal_out: Option<String> = None;
     let mut progress = false;
     let mut progress_addr: Option<String> = None;
-    let mut reference_queue = false;
+    let mut verify = false;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -223,7 +226,7 @@ fn main() {
             "--progress-addr" => {
                 progress_addr = Some(it.next().cloned().unwrap_or_else(|| usage()))
             }
-            "--reference-queue" => reference_queue = true,
+            "--verify" => verify = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => usage(),
             other if spec_path.is_none() && !other.starts_with('-') => {
@@ -262,9 +265,7 @@ fn main() {
             to: SimTime::from_secs(to),
         });
     }
-    if reference_queue {
-        spec.config.engine_reference_queue = true;
-    }
+    spec.config.verify |= verify;
 
     let dag = spec.workload.build();
     let n_tasks = dag.len();
@@ -365,6 +366,9 @@ fn main() {
             trace.decisions.len(),
             trace.transfers.len()
         );
+    }
+    if let Some(d) = report.decision_digest {
+        println!("decision digest    {d:#018x} (verified run)");
     }
     if let (Some(path), Some(j)) = (&journal_out, &report.journal) {
         println!(

@@ -2,10 +2,9 @@
 //! handler closure, which may schedule further events.
 //!
 //! There is one driver, [`Engine`], over one [`EventQueue`]. The queue's
-//! backend is the calendar wheel by default or the reference binary heap
-//! ([`Engine::new_reference`]); both deliver in the same `(time, seq)`
-//! order, and the digest, journal and doctor gates compare one against the
-//! other.
+//! backend is the calendar wheel; [`Engine::new_checked`] runs it with the
+//! reference binary heap as its oracle, panicking at the first delivery
+//! where the two disagree on `(time, seq)`.
 
 use crate::event::{EventId, EventQueue};
 use crate::journal::{EventCode, JournalWriter};
@@ -68,11 +67,11 @@ impl<E> Engine<E> {
         Self::with_queue(EventQueue::new())
     }
 
-    /// Creates an engine on the reference binary-heap event queue.
-    /// Delivery order is identical to [`Engine::new`]; this exists so
-    /// digest gates and benches can pin the wheel against the heap.
-    pub fn new_reference() -> Self {
-        Self::with_queue(EventQueue::new_reference_heap())
+    /// Creates an engine whose event queue checks every delivery against
+    /// the reference binary heap (see [`EventQueue::new_checked`]).
+    /// Delivery order is identical to [`Engine::new`].
+    pub fn new_checked() -> Self {
+        Self::with_queue(EventQueue::new_checked())
     }
 
     fn with_queue(queue: EventQueue<E>) -> Self {
@@ -367,12 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn wheel_and_heap_engines_deliver_identically_under_cancels_and_followups() {
+    fn plain_and_checked_engines_deliver_identically_under_cancels_and_followups() {
         let (wheel, weng) = Traffic::run(Engine::new(), 64);
-        let (heap, heng) = Traffic::run(Engine::new_reference(), 64);
-        assert_eq!(wheel.log, heap.log, "delivery order diverged");
+        let (checked, ceng) = Traffic::run(Engine::new_checked(), 64);
+        assert_eq!(wheel.log, checked.log, "delivery order diverged");
         assert_eq!(weng.processed(), wheel.log.len() as u64);
-        assert_eq!(weng.stats(), heng.stats());
+        assert_eq!(weng.stats(), ceng.stats());
         assert!(weng.stats().cancelled > 0, "the traffic must cancel");
         assert!(weng.stats().scheduled > 64, "the traffic must follow up");
     }
@@ -404,8 +403,8 @@ mod tests {
             ));
             p
         };
-        let paths = [tmp("wheel"), tmp("heap")];
-        let engines = [Engine::new(), Engine::new_reference()];
+        let paths = [tmp("wheel"), tmp("checked")];
+        let engines = [Engine::new(), Engine::new_checked()];
         let mut digests = Vec::new();
         for (path, mut eng) in paths.iter().zip(engines) {
             let writer = JournalWriter::create_with_chunk_records(path, 16).unwrap();
@@ -413,7 +412,7 @@ mod tests {
             let (_, mut eng) = Traffic::run(eng, 32);
             digests.push(eng.take_journal().unwrap().finish().unwrap());
         }
-        assert_eq!(digests[0], digests[1], "wheel vs heap journal diverged");
+        assert_eq!(digests[0], digests[1], "plain vs checked journal diverged");
         assert!(digests[0].records > 0);
         let j = Journal::open(&paths[0]).unwrap();
         assert!(j.clean_close());

@@ -17,11 +17,12 @@
 //!   cancel semantics ("true exactly once while pending") without the
 //!   monotonically growing `pending: Vec<bool>` side-table the old
 //!   implementation leaked one bool per event into.
-//! * an ordering core (`OrderCore`): either a two-rung hierarchical
-//!   calendar wheel (the default — O(1) amortized insert and pop for the
-//!   near-future events that dominate simulation traffic) or the original
-//!   binary heap, kept as a selectable reference backend that every
-//!   differential test and digest gate compares the wheel against.
+//! * an ordering core (`OrderCore`): a two-rung hierarchical calendar
+//!   wheel (the default — O(1) amortized insert and pop for the
+//!   near-future events that dominate simulation traffic), the original
+//!   binary heap (the reference the differential tests and benches
+//!   compare the wheel against), or the two together as a checked core
+//!   that runs the wheel with the heap as its oracle on every delivery.
 //!
 //! ## Wheel layout
 //!
@@ -357,15 +358,68 @@ impl Wheel {
             };
         }
     }
+
+    #[inline]
+    fn peek<E>(&mut self, slab: &EventSlab<E>) -> Option<Pending> {
+        match self.settle(slab) {
+            Src::Drain => self.drain.last().copied(),
+            Src::Overlay => self.overlay.peek().copied(),
+            Src::Empty => None,
+        }
+    }
+
+    #[inline]
+    fn pop<E>(&mut self, slab: &EventSlab<E>) -> Option<Pending> {
+        match self.settle(slab) {
+            Src::Drain => self.drain.pop(),
+            Src::Overlay => self.overlay.pop(),
+            Src::Empty => None,
+        }
+    }
+}
+
+/// Pops the earliest live key off a reference heap, skipping stale keys.
+fn heap_pop<E>(h: &mut BinaryHeap<Pending>, slab: &EventSlab<E>) -> Option<Pending> {
+    while let Some(p) = h.pop() {
+        if slab.is_live(p.slot, p.generation) {
+            return Some(p);
+        }
+    }
+    None
+}
+
+/// Key of a reference heap's earliest live event, scrubbing stale keys.
+fn heap_peek<E>(h: &mut BinaryHeap<Pending>, slab: &EventSlab<E>) -> Option<Pending> {
+    while let Some(p) = h.peek() {
+        if slab.is_live(p.slot, p.generation) {
+            return Some(*p);
+        }
+        h.pop();
+    }
+    None
+}
+
+/// The checked core's verdict: the wheel's answer, if the heap agrees.
+fn agree(wheel: Option<Pending>, heap: Option<Pending>) -> Option<Pending> {
+    let (w, h) = (wheel.map(|p| p.key()), heap.map(|p| p.key()));
+    assert!(
+        w == h,
+        "event queue order broken: the wheel delivers (at, seq) {w:?} \
+         where the reference heap delivers {h:?}"
+    );
+    wheel
 }
 
 /// The ordering backend behind [`EventQueue`]: the calendar wheel by
-/// default, or the original binary heap kept as the reference
-/// implementation for differential tests and digest gates.
+/// default, the original binary heap kept as the reference implementation
+/// for differential tests and benches, or both at once, checked.
 enum OrderCore {
     Wheel(Box<Wheel>),
     /// Reference backend: single binary heap over the same `Pending` keys.
     Heap(BinaryHeap<Pending>),
+    /// Every key goes into the wheel and the heap; every peek and pop asks
+    /// both and panics unless they name the same `(at, seq)`.
+    Checked(Box<Wheel>, BinaryHeap<Pending>),
 }
 
 impl OrderCore {
@@ -377,11 +431,15 @@ impl OrderCore {
         OrderCore::Heap(BinaryHeap::new())
     }
 
+    fn checked() -> Self {
+        OrderCore::Checked(Box::new(Wheel::new()), BinaryHeap::new())
+    }
+
     /// Must be called before inserting into a core that holds no live
     /// events (the caller tracks live counts); repositions the wheel so
     /// near-future inserts land in rung 0 again.
     fn re_anchor(&mut self, at: u64) {
-        if let OrderCore::Wheel(w) = self {
+        if let OrderCore::Wheel(w) | OrderCore::Checked(w, _) = self {
             w.re_anchor(at);
         }
     }
@@ -390,6 +448,10 @@ impl OrderCore {
         match self {
             OrderCore::Wheel(w) => w.insert(p),
             OrderCore::Heap(h) => h.push(p),
+            OrderCore::Checked(w, h) => {
+                w.insert(p);
+                h.push(p);
+            }
         }
     }
 
@@ -397,39 +459,18 @@ impl OrderCore {
     /// stale keys / rotate wheel buckets.
     fn peek_next<E>(&mut self, slab: &EventSlab<E>) -> Option<Pending> {
         match self {
-            OrderCore::Wheel(w) => match w.settle(slab) {
-                Src::Drain => w.drain.last().copied(),
-                Src::Overlay => w.overlay.peek().copied(),
-                Src::Empty => None,
-            },
-            OrderCore::Heap(h) => {
-                while let Some(p) = h.peek() {
-                    if slab.is_live(p.slot, p.generation) {
-                        return Some(*p);
-                    }
-                    h.pop();
-                }
-                None
-            }
+            OrderCore::Wheel(w) => w.peek(slab),
+            OrderCore::Heap(h) => heap_peek(h, slab),
+            OrderCore::Checked(w, h) => agree(w.peek(slab), heap_peek(h, slab)),
         }
     }
 
     /// Removes and returns the earliest live key, or `None`.
     fn pop_next<E>(&mut self, slab: &EventSlab<E>) -> Option<Pending> {
         match self {
-            OrderCore::Wheel(w) => match w.settle(slab) {
-                Src::Drain => w.drain.pop(),
-                Src::Overlay => w.overlay.pop(),
-                Src::Empty => None,
-            },
-            OrderCore::Heap(h) => {
-                while let Some(p) = h.pop() {
-                    if slab.is_live(p.slot, p.generation) {
-                        return Some(p);
-                    }
-                }
-                None
-            }
+            OrderCore::Wheel(w) => w.pop(slab),
+            OrderCore::Heap(h) => heap_pop(h, slab),
+            OrderCore::Checked(w, h) => agree(w.pop(slab), heap_pop(h, slab)),
         }
     }
 }
@@ -437,9 +478,10 @@ impl OrderCore {
 /// A deterministic future-event list.
 ///
 /// O(1) amortized insertion and pop-min on the calendar-wheel backend
-/// (O(log n) on the reference heap), O(1) cancellation (stale keys are
-/// lazily skipped), and zero steady-state allocation: payload slots, bucket
-/// vectors and the drain rotate through free lists instead of growing.
+/// (O(log n) on the reference heap and the checked core), O(1)
+/// cancellation (stale keys are lazily skipped), and zero steady-state
+/// allocation: payload slots, bucket vectors and the drain rotate through
+/// free lists instead of growing.
 pub struct EventQueue<E> {
     slab: EventSlab<E>,
     core: OrderCore,
@@ -464,6 +506,15 @@ impl<E> EventQueue<E> {
     /// differential tests and benches can compare the two.
     pub fn new_reference_heap() -> Self {
         Self::with_core(OrderCore::reference_heap())
+    }
+
+    /// Creates an empty queue that runs the calendar wheel with the
+    /// reference heap as its oracle: every event is kept in both, and a
+    /// delivery (or peek) panics unless the two agree on its `(time, seq)`.
+    /// Same delivery order as [`EventQueue::new`], at the heap's cost on
+    /// top of the wheel's.
+    pub fn new_checked() -> Self {
+        Self::with_core(OrderCore::checked())
     }
 
     fn with_core(core: OrderCore) -> Self {
@@ -549,15 +600,16 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    /// Runs `f` against both backends.
-    fn on_both(f: impl Fn(EventQueue<&'static str>)) {
+    /// Runs `f` against every backend.
+    fn on_each(f: impl Fn(EventQueue<&'static str>)) {
         f(EventQueue::new());
         f(EventQueue::new_reference_heap());
+        f(EventQueue::new_checked());
     }
 
     #[test]
     fn pops_in_time_order() {
-        on_both(|mut q| {
+        on_each(|mut q| {
             q.schedule(t(5), "c");
             q.schedule(t(1), "a");
             q.schedule(t(3), "b");
@@ -581,7 +633,7 @@ mod tests {
 
     #[test]
     fn cancellation_skips_events() {
-        on_both(|mut q| {
+        on_each(|mut q| {
             let a = q.schedule(t(1), "a");
             q.schedule(t(2), "b");
             assert_eq!(q.len(), 2);
@@ -595,7 +647,7 @@ mod tests {
 
     #[test]
     fn cancel_after_delivery_returns_false() {
-        on_both(|mut q| {
+        on_each(|mut q| {
             let a = q.schedule(t(1), "a");
             assert_eq!(q.pop(), Some((t(1), "a")));
             assert!(!q.cancel(a));
@@ -608,7 +660,7 @@ mod tests {
         // events were still pending used to return true and corrupt `len`
         // (the old implementation inferred "delivered" from an empty
         // queue, which only worked when nothing else was scheduled).
-        on_both(|mut q| {
+        on_each(|mut q| {
             let a = q.schedule(t(1), "a");
             let _b = q.schedule(t(2), "b");
             assert_eq!(q.pop(), Some((t(1), "a")));
@@ -624,7 +676,7 @@ mod tests {
     fn cancel_after_slot_reuse_returns_false() {
         // The slot freed by delivering `a` is recycled for `b`; the stale
         // id must not cancel the new occupant (generation check).
-        on_both(|mut q| {
+        on_each(|mut q| {
             let a = q.schedule(t(1), "a");
             assert_eq!(q.pop(), Some((t(1), "a")));
             let _b = q.schedule(t(2), "b");
@@ -641,7 +693,7 @@ mod tests {
 
     #[test]
     fn peek_time_skips_cancelled() {
-        on_both(|mut q| {
+        on_each(|mut q| {
             let a = q.schedule(t(1), "a");
             q.schedule(t(2), "b");
             q.cancel(a);
@@ -712,7 +764,11 @@ mod tests {
         // Regression for the monotone `pending: Vec<bool>` side-table: a
         // long run of schedule/cancel/pop cycles must reuse slots, keeping
         // the slab bounded by the concurrent high-water mark (here 3).
-        for mut q in [EventQueue::new(), EventQueue::new_reference_heap()] {
+        for mut q in [
+            EventQueue::new(),
+            EventQueue::new_reference_heap(),
+            EventQueue::new_checked(),
+        ] {
             for round in 0..10_000u64 {
                 let base = SimTime::from_millis(round * 10);
                 let a = q.schedule(base, 0u32);
@@ -747,6 +803,8 @@ mod tests {
         }
         let mut wheel = EventQueue::new();
         let mut heap = EventQueue::new_reference_heap();
+        // Checks itself on every peek and pop; here it only has to keep up.
+        let mut checked = EventQueue::new_checked();
         let mut s = 0xdead_beef_u64;
         let mut now = 0u64;
         let mut ids = Vec::new();
@@ -765,19 +823,23 @@ mod tests {
                     let tag = next_rand(&mut s) as u32;
                     let iw = wheel.schedule(at, tag);
                     let ih = heap.schedule(at, tag);
-                    ids.push((iw, ih));
+                    let ic = checked.schedule(at, tag);
+                    ids.push((iw, ih, ic));
                 }
                 6..=7 => {
                     if !ids.is_empty() {
-                        let (iw, ih) = ids[(next_rand(&mut s) as usize) % ids.len()];
+                        let (iw, ih, ic) = ids[(next_rand(&mut s) as usize) % ids.len()];
                         assert_eq!(wheel.cancel(iw), heap.cancel(ih));
+                        checked.cancel(ic);
                     }
                 }
                 _ => {
                     assert_eq!(wheel.peek_time(), heap.peek_time());
+                    assert_eq!(checked.peek_time(), heap.peek_time());
                     let a = wheel.pop();
                     let b = heap.pop();
                     assert_eq!(a, b);
+                    assert_eq!(checked.pop(), b);
                     if let Some((at, _)) = a {
                         now = at.as_micros();
                     }
@@ -790,9 +852,27 @@ mod tests {
             let a = wheel.pop();
             let b = heap.pop();
             assert_eq!(a, b);
+            assert_eq!(checked.pop(), b);
             if a.is_none() {
                 break;
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "event queue order broken")]
+    fn checked_core_panics_when_wheel_and_heap_disagree() {
+        let mut q = EventQueue::new_checked();
+        q.schedule(t(1), "a");
+        q.schedule(t(2), "b");
+        // A key the wheel never saw: the heap now names an earlier event.
+        let OrderCore::Checked(_, heap) = &mut q.core else {
+            unreachable!()
+        };
+        let mut early = *heap.peek().unwrap();
+        early.seq = u64::MAX;
+        early.at = 0;
+        heap.push(early);
+        q.pop();
     }
 }

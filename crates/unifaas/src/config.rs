@@ -284,30 +284,16 @@ pub struct Config {
     pub health: crate::monitor::HealthPolicy,
     /// Master RNG seed; every run with the same seed replays exactly.
     pub seed: u64,
-    /// Cross-check the runtime's transition-maintained counters against a
-    /// full task scan on every periodic tick, panicking on drift. Debug
-    /// builds always do this; the flag extends the check to release builds
-    /// (CI's release-mode reconciliation harness). Default off: the scan is
-    /// O(n_tasks) per tick.
-    pub validate_counters: bool,
-    /// Run the event engine on the reference binary-heap queue instead of
-    /// the default calendar wheel. Delivery order — and every determinism
-    /// digest — is identical either way; the flag exists so CI and
-    /// differential tests can pin the wheel against the heap baseline.
-    pub engine_reference_queue: bool,
-    /// Record utilization time-series (busy/active workers, staging and
-    /// pending task counts) during the run. Default on; large-scale
-    /// throughput benchmarks turn it off to shave per-event overhead.
-    /// Series are diagnostic output only — schedules, report counters, and
-    /// the determinism digest are identical either way.
-    pub record_series: bool,
-    /// Fold the scheduler decision stream (every staging and dispatch
-    /// action, in order) into an auxiliary digest reported as
-    /// [`RunReport::decision_digest`](crate::metrics::RunReport::decision_digest)
-    /// and mixed into the determinism digest. Default off: the event
-    /// stream already witnesses behavior; this catches placement
-    /// divergence even when the event stream happens to agree.
-    pub digest_decisions: bool,
+    /// Check this run as it goes, at a cost: reconcile the runtime's
+    /// transition-maintained counters against a full task scan on every
+    /// periodic tick (debug builds always do), fold the scheduler decision
+    /// stream into [`RunReport::decision_digest`](crate::metrics::RunReport::decision_digest)
+    /// and the determinism digest, and check every event delivery of the
+    /// calendar-wheel queue against a reference binary heap. Panics at the
+    /// first counter drift or out-of-order delivery. Schedules, report
+    /// counters and series are the same either way; only the digest gains
+    /// the decision stream. Default off.
+    pub verify: bool,
 }
 
 impl Config {
@@ -467,10 +453,7 @@ impl Default for ConfigBuilder {
                 retry: RetryPolicy::default(),
                 health: crate::monitor::HealthPolicy::default(),
                 seed: 0x05E5,
-                validate_counters: false,
-                engine_reference_queue: false,
-                record_series: true,
-                digest_decisions: false,
+                verify: false,
             },
         }
     }
@@ -578,31 +561,9 @@ impl ConfigBuilder {
         self
     }
 
-    /// Enables release-mode counter reconciliation (see
-    /// [`Config::validate_counters`]).
-    pub fn validate_counters(mut self, yes: bool) -> Self {
-        self.config.validate_counters = yes;
-        self
-    }
-
-    /// Runs the engine on the reference binary-heap event queue (see
-    /// [`Config::engine_reference_queue`]).
-    pub fn engine_reference_queue(mut self, yes: bool) -> Self {
-        self.config.engine_reference_queue = yes;
-        self
-    }
-
-    /// Folds the scheduler decision stream into the determinism digest
-    /// (see [`Config::digest_decisions`]).
-    pub fn digest_decisions(mut self, yes: bool) -> Self {
-        self.config.digest_decisions = yes;
-        self
-    }
-
-    /// Toggles utilization time-series recording (see
-    /// [`Config::record_series`]).
-    pub fn record_series(mut self, yes: bool) -> Self {
-        self.config.record_series = yes;
+    /// Turns the run's self-checks on (see [`Config::verify`]).
+    pub fn verify(mut self, yes: bool) -> Self {
+        self.config.verify = yes;
         self
     }
 

@@ -118,7 +118,7 @@ pub struct RunReport {
     pub metrics: Option<Box<MetricsRegistry>>,
     /// FNV-1a digest over the scheduler decision stream (every staging and
     /// dispatch action, in order). `None` unless the run was configured
-    /// with `digest_decisions(true)`; when present it is folded into
+    /// with `verify(true)`; when present it is folded into
     /// [`determinism_digest`](RunReport::determinism_digest) so placement
     /// divergence is caught even when the event stream happens to agree.
     pub decision_digest: Option<u64>,

@@ -300,7 +300,7 @@ impl SimRuntime {
     /// Runs the workflow to completion and reports.
     pub fn run(self) -> Result<RunReport, UniFaasError> {
         self.cfg.validate()?;
-        let reference = self.cfg.engine_reference_queue;
+        let verify = self.cfg.verify;
         let journal_out = self.journal_out.clone();
         let flight_cfg = self.flight.clone();
         let mut rt = Rt::build(self)?;
@@ -310,8 +310,8 @@ impl SimRuntime {
                 .map_err(|e| UniFaasError::InvalidConfig(format!("flight recorder: {e}")))?;
             rt.flight = Some(Box::new(fr));
         }
-        let mut engine: Engine<Ev> = if reference {
-            Engine::new_reference()
+        let mut engine: Engine<Ev> = if verify {
+            Engine::new_checked()
         } else {
             Engine::new()
         };
@@ -674,7 +674,7 @@ struct Rt {
     /// [`Engine::journal_note`].
     journal_notes: bool,
     /// Running FNV over the scheduler decision stream (present iff
-    /// `Config::digest_decisions`); lands in `RunReport::decision_digest`.
+    /// `Config::verify`); lands in `RunReport::decision_digest`.
     decision_digest: Option<u64>,
     /// In-run flight recorder (present iff `SimRuntime::with_flight`).
     flight: Option<Box<FlightRecorder>>,
@@ -729,7 +729,9 @@ impl Rt {
             Some(p) => ProfilerKind::Custom(p),
             None => match cfg.knowledge {
                 KnowledgeMode::Oracle => ProfilerKind::Oracle(OracleProfiler::new(net, params)),
-                KnowledgeMode::Learned => ProfilerKind::Learned(Box::default()),
+                KnowledgeMode::Learned => {
+                    ProfilerKind::Learned(Box::new(LearnedProfiler::with_family(cfg.model_family)))
+                }
             },
         };
 
@@ -830,7 +832,7 @@ impl Rt {
         let ep_labels: Vec<String> = cfg.endpoints.iter().map(|e| e.label.clone()).collect();
         let mh = MetricHandles::new(&mut metrics, &ep_labels);
         let accuracy = r.metrics.then(|| Box::new(AccuracyMonitor::new()));
-        let digest_decisions = cfg.digest_decisions;
+        let verify = cfg.verify;
         Ok(Rt {
             cfg,
             dag: r.dag,
@@ -896,7 +898,7 @@ impl Rt {
             accuracy,
             xfer_pred: HashMap::new(),
             journal_notes: false,
-            decision_digest: digest_decisions.then_some(0xcbf2_9ce4_8422_2325),
+            decision_digest: verify.then_some(0xcbf2_9ce4_8422_2325),
             flight: None,
         })
     }
@@ -916,9 +918,6 @@ impl Rt {
     /// for that endpoint before any other endpoint's, so the series this
     /// call skips already hold their current values.
     fn record_busy(&mut self, ep: EndpointId, now: SimTime) {
-        if !self.cfg.record_series {
-            return;
-        }
         let busy = self.endpoints[ep.index()].busy_workers();
         let total: usize = self.endpoints.iter().map(EndpointSim::busy_workers).sum();
         self.series
@@ -932,9 +931,6 @@ impl Rt {
     /// after its capacity changed.
     fn record_workers(&mut self, ep: EndpointId, now: SimTime) {
         self.record_busy(ep, now);
-        if !self.cfg.record_series {
-            return;
-        }
         let active = self.endpoints[ep.index()].active_workers();
         let total: usize = self.endpoints.iter().map(EndpointSim::active_workers).sum();
         self.series
@@ -945,9 +941,6 @@ impl Rt {
     }
 
     fn record_staging(&mut self, now: SimTime) {
-        if !self.cfg.record_series {
-            return;
-        }
         self.series
             .staging_tasks
             .record(now, self.staging_count as f64);
@@ -977,19 +970,15 @@ impl Rt {
         if let Some(o) = old {
             self.pending_count[o.index()] -= 1;
             let v = self.pending_count[o.index()] as f64;
-            if self.cfg.record_series {
-                let h = self.pending_handle(o.index());
-                self.series.pending_tasks.at_mut(h).record(now, v);
-            }
+            let h = self.pending_handle(o.index());
+            self.series.pending_tasks.at_mut(h).record(now, v);
             self.metrics.set(self.mh.pending[o.index()], v);
         }
         if let Some(e) = ep {
             self.pending_count[e.index()] += 1;
             let v = self.pending_count[e.index()] as f64;
-            if self.cfg.record_series {
-                let h = self.pending_handle(e.index());
-                self.series.pending_tasks.at_mut(h).record(now, v);
-            }
+            let h = self.pending_handle(e.index());
+            self.series.pending_tasks.at_mut(h).record(now, v);
             self.metrics.set(self.mh.pending[e.index()], v);
         }
         // A Ready task gaining or losing an assignment moves between the
@@ -1268,9 +1257,9 @@ impl Rt {
     /// or `None` when everything reconciles.
     ///
     /// Always compiled: debug builds assert it on every periodic tick, and
-    /// release builds do too when [`Config::validate_counters`] is set —
-    /// which is how CI catches release-mode-only drift (e.g. an overflow a
-    /// debug build would have trapped differently).
+    /// release builds do too when [`Config::verify`] is set — which is how
+    /// CI catches release-mode-only drift (e.g. an overflow a debug build
+    /// would have trapped differently).
     fn counter_drift(&self) -> Option<String> {
         let mut ep_outstanding = vec![0usize; self.endpoints.len()];
         let (mut active, mut waiting, mut staging) = (0usize, 0usize, 0usize);
@@ -1338,8 +1327,8 @@ impl Rt {
 
     /// Panics on counter drift. Every periodic tick calls this in debug
     /// builds (the whole test suite doubles as a reconciliation harness)
-    /// and in release builds with [`Config::validate_counters`] set.
-    fn validate_counters(&self) {
+    /// and in release builds with [`Config::verify`] set.
+    fn check_counters(&self) {
         if let Some(msg) = self.counter_drift() {
             panic!("counter reconciliation failed: {msg}");
         }
@@ -1969,8 +1958,8 @@ impl Rt {
     }
 
     fn sync_mocks(&mut self, _now: SimTime) {
-        if cfg!(debug_assertions) || self.cfg.validate_counters {
-            self.validate_counters();
+        if cfg!(debug_assertions) || self.cfg.verify {
+            self.check_counters();
         }
         // Ground-truth outstanding per endpoint: the maintained counters.
         for ep in 0..self.endpoints.len() {
@@ -1984,8 +1973,8 @@ impl Rt {
     }
 
     fn scale_tick(&mut self, now: SimTime, eng: &mut Engine<Ev>) {
-        if cfg!(debug_assertions) || self.cfg.validate_counters {
-            self.validate_counters();
+        if cfg!(debug_assertions) || self.cfg.verify {
+            self.check_counters();
         }
         // Ready tasks without a target yet (e.g. Locality's backlog while no
         // worker is idle anywhere) are demand visible to *every* endpoint —
@@ -2550,8 +2539,8 @@ impl Rt {
                 self.dag.len()
             )));
         }
-        if self.cfg.validate_counters {
-            self.validate_counters();
+        if self.cfg.verify {
+            self.check_counters();
         }
         self.latency.scheduling_s = self.sched_wall.as_secs_f64();
         // Seal the trace: close dangling spans defensively and snapshot the

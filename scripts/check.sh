@@ -31,6 +31,18 @@ if grep -rnE 'ShardedEngine|engine_shards|EventSink|bounded_reschedule' \
   exit 1
 fi
 
+# The simulator's run-mode knobs became one `Config::verify`, and the
+# sweep and scheduler-overhead harnesses were deleted (their numbers come
+# from benchmark/ and table3_overhead). History files may name them.
+echo "==> no engine_reference_queue / record_series / digest_decisions / validate_counters / sweep harness left"
+if grep -rnE 'engine_reference_queue|record_series|digest_decisions|validate_counters|reference-queue|sched_overhead|run_sweep' \
+  --include='*.rs' --include='*.sh' --include='*.yml' \
+  --exclude=check.sh --exclude-dir=benchmark --exclude-dir=target \
+  --exclude-dir=.git .; then
+  echo "a deleted run-mode knob or harness is referenced again (see above)" >&2
+  exit 1
+fi
+
 # The daemon ran every function under its blob-store lock until PR 21: a
 # match arm keeps the guard of `&blobs.lock()` alive until the arm ends.
 echo "==> no function call under the daemon's blob-store lock"
@@ -109,5 +121,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test -q"
 cargo test --workspace -q
+
+echo "==> golden gate"
+scripts/check_golden.sh
 
 echo "All checks passed."

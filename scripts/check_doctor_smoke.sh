@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Doctor smoke gate: journal the stress-100k DHA run on the calendar
-# wheel and on the binary-heap reference queue; the divergence doctor
-# must report the two journals bit-identical. Then
+# Doctor smoke gate: journal the stress-100k DHA run plain and with
+# --verify (checked event queue, counter reconciliation, decision
+# digest); the divergence doctor must report the two journals
+# bit-identical. Then
 # inject a one-microsecond perturbation mid-journal with
 # `unifaas-sim journal-perturb` and require the doctor to localize the
 # divergence to exactly that record — never a neighbour, never a
@@ -28,27 +29,27 @@ bench() {
   mv "$outdir/$tag.stress-100k.DHA.journal" "$outdir/$tag.journal"
 }
 
-bench wheel
-bench heap --reference-queue
+bench plain
+bench verify --verify
 
 doctor() {
   cargo run --release -q -p unifaas-cli --bin unifaas-sim -- doctor "$@"
 }
 
-echo "==> doctor: wheel vs heap"
-doctor "$outdir/wheel.journal" "$outdir/heap.journal" \
-  | tee "$outdir/doctor-wheel-heap.txt"
-grep -q "^journals identical" "$outdir/doctor-wheel-heap.txt"
+echo "==> doctor: plain vs verify"
+doctor "$outdir/plain.journal" "$outdir/verify.journal" \
+  | tee "$outdir/doctor-plain-verify.txt"
+grep -q "^journals identical" "$outdir/doctor-plain-verify.txt"
 
 records=$(sed -n 's/^journals identical: \([0-9]*\) records.*/\1/p' \
-  "$outdir/doctor-wheel-heap.txt")
+  "$outdir/doctor-plain-verify.txt")
 target=$((records / 2))
 echo "==> injecting 1us perturbation at record #$target of $records"
 cargo run --release -q -p unifaas-cli --bin unifaas-sim -- \
-  journal-perturb "$outdir/wheel.journal" "$outdir/perturbed.journal" "$target"
+  journal-perturb "$outdir/plain.journal" "$outdir/perturbed.journal" "$target"
 
 set +e
-doctor "$outdir/wheel.journal" "$outdir/perturbed.journal" \
+doctor "$outdir/plain.journal" "$outdir/perturbed.journal" \
   > "$outdir/doctor-perturbed.txt"
 status=$?
 set -e

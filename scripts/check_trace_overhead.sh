@@ -23,11 +23,11 @@
 #   disabled path's allocation behaviour unchanged.
 #
 # The benchmark binary rewrites BENCH_e2e.json in the working directory, so
-# the committed baseline is read *before* the run. Two queue backends are
-# run: the default calendar-queue engine (wall-clock gated) and the
-# binary-heap reference queue (--reference-queue), which must reproduce
-# the default run's stress-100k makespan bit-for-bit — the queue backend
-# is an execution strategy, not a semantic change.
+# the committed baseline is read *before* the run. Two runs are compared:
+# the default one (wall-clock gated) and a --verify run (every delivery
+# checked against the reference binary heap, counters reconciled), which
+# must reproduce the default run's stress-100k makespan bit-for-bit —
+# checking a run must not change it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,28 +73,28 @@ cargo run --release -q -p unifaas-bench --bin e2e_throughput -- --smoke
 current=$(extract BENCH_e2e.json)
 makespan_single=$(extract_makespan BENCH_e2e.json)
 git checkout -- BENCH_e2e.json 2>/dev/null || true
-gate "calendar-queue" "$current"
+gate "default" "$current"
 # The journal-enabled gate below compares against this machine's fresh
 # disabled measurement, not the committed baseline, so it measures
 # journal overhead rather than runner drift.
 disabled_wall="$current"
 
-# The binary-heap reference queue is kept as a differential oracle for
-# the calendar queue: it must produce a bit-identical simulated outcome.
-# No wall-clock gate here — the heap path is the slower reference and is
-# only required to be *correct*, not fast.
-echo "==> running e2e throughput benchmark (binary-heap reference queue)"
-cargo run --release -q -p unifaas-bench --bin e2e_throughput -- --smoke --reference-queue
+# A verify run keeps the binary heap as the calendar queue's oracle on
+# every delivery (and panics at the first disagreement); it must produce
+# a bit-identical simulated outcome. No wall-clock gate here — checking
+# costs time and is only required to be *correct*, not fast.
+echo "==> running e2e throughput benchmark (--verify)"
+cargo run --release -q -p unifaas-bench --bin e2e_throughput -- --smoke --verify
 
-makespan_heap=$(extract_makespan BENCH_e2e.json)
+makespan_verify=$(extract_makespan BENCH_e2e.json)
 git checkout -- BENCH_e2e.json 2>/dev/null || true
 
-if [ "$makespan_single" != "$makespan_heap" ]; then
-  echo "FAIL: heap reference queue changed stress-100k DHA makespan" \
-       "(${makespan_single}s -> ${makespan_heap}s)" >&2
+if [ "$makespan_single" != "$makespan_verify" ]; then
+  echo "FAIL: --verify changed stress-100k DHA makespan" \
+       "(${makespan_single}s -> ${makespan_verify}s)" >&2
   exit 1
 fi
-echo "OK: heap-reference makespan identical (${makespan_heap}s)"
+echo "OK: verified-run makespan identical (${makespan_verify}s)"
 
 # Journal-ENABLED envelope: the run journal records every delivered
 # event (34 bytes, buffered sequential writes plus decision notes). It

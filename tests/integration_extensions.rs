@@ -4,6 +4,7 @@
 //! spec pipeline.
 
 use simkit::{SimDuration, SimTime};
+use taskgraph::workloads::drug;
 use taskgraph::workloads::ensemble::{generate as ensemble, EnsembleParams};
 use taskgraph::{Dag, TaskSpec};
 use unifaas::config::{KnowledgeMode, ScalingConfig, ScalingPolicyKind, SchedulingStrategy};
@@ -122,6 +123,35 @@ fn all_model_families_complete_in_learned_mode() {
             .unwrap();
         assert_eq!(report.tasks_completed, 150, "{family:?}");
     }
+}
+
+/// `Config::model_family` picks the learned execution model: the
+/// example-scale drug screen (`specs/drug_small.spec`'s DAG) under learned
+/// DHA places tasks differently with each family.
+#[test]
+fn model_family_changes_learned_decisions() {
+    let digest = |family: ModelFamily| {
+        let cfg = Config::builder()
+            .endpoint(EndpointConfig::new("Taiyi", ClusterSpec::taiyi(), 200))
+            .endpoint(EndpointConfig::new("Qiming", ClusterSpec::qiming(), 8))
+            .strategy(SchedulingStrategy::Dha { rescheduling: true })
+            .knowledge(KnowledgeMode::Learned)
+            .model_family(family)
+            .verify(true)
+            .build();
+        SimRuntime::new(cfg, drug::generate(&drug::DrugParams::small(600)))
+            .run()
+            .unwrap()
+            .decision_digest
+            .expect("verified run reports the decision digest")
+    };
+    let forest = digest(ModelFamily::RandomForest);
+    assert_ne!(forest, digest(ModelFamily::Linear), "OLS");
+    assert_ne!(
+        forest,
+        digest(ModelFamily::BayesianLinear),
+        "Bayesian linear"
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! End-to-end tests for the run journal, divergence doctor, flight
 //! recorder and decision-digest folding: journals must be bit-identical
-//! across engine flavors, observation must never perturb the simulated
+//! with and without `verify`, observation must never perturb the simulated
 //! timeline, and an injected single-event perturbation must be localized
 //! to the exact record.
 
@@ -43,23 +43,18 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Wheel and heap engines of the same seed must write bit-identical
-/// journals, and the doctor must say so.
+/// A plain run and a `verify` run (checked event queue, counter
+/// reconciliation, decision digest) of the same seed must write
+/// bit-identical journals, and the doctor must say so.
 #[test]
 fn journals_identical_across_engine_flavors() {
     let dir = tmp_dir("flavors");
     let strategy = SchedulingStrategy::Dha { rescheduling: true };
-    let paths = [dir.join("wheel.journal"), dir.join("heap.journal")];
-    let configs = [
-        site_config(strategy.clone()),
-        Config::builder()
-            .endpoint(EndpointConfig::new("fast", ClusterSpec::taiyi(), 4))
-            .endpoint(EndpointConfig::new("slow", ClusterSpec::qiming(), 2))
-            .strategy(strategy)
-            .engine_reference_queue(true)
-            .build(),
-    ];
-    let mut digests = Vec::new();
+    let paths = [dir.join("plain.journal"), dir.join("verify.journal")];
+    let mut verified = site_config(strategy.clone());
+    verified.verify = true;
+    let configs = [site_config(strategy), verified];
+    let mut runs = Vec::new();
     for (cfg, path) in configs.into_iter().zip(&paths) {
         let report = SimRuntime::new(cfg, diamond_dag(24))
             .with_journal(path)
@@ -67,15 +62,16 @@ fn journals_identical_across_engine_flavors() {
             .unwrap();
         let summary = report.journal.expect("journaled run reports a summary");
         assert!(summary.records > 0);
-        digests.push((report.determinism_digest(), summary));
+        runs.push((report.makespan, report.events_processed, summary));
     }
-    assert_eq!(digests[0], digests[1], "wheel vs heap");
+    assert_eq!(runs[0], runs[1], "plain vs verify");
+    let summary = &runs[0].2;
 
-    let wheel = Journal::open(&paths[0]).unwrap();
-    assert!(wheel.clean_close(), "finished run seals its journal");
-    assert_eq!(wheel.total_records(), digests[0].1.records);
-    assert_eq!(wheel.final_digest(), digests[0].1.digest);
-    let report = doctor(&wheel, &Journal::open(&paths[1]).unwrap());
+    let plain = Journal::open(&paths[0]).unwrap();
+    assert!(plain.clean_close(), "finished run seals its journal");
+    assert_eq!(plain.total_records(), summary.records);
+    assert_eq!(plain.final_digest(), summary.digest);
+    let report = doctor(&plain, &Journal::open(&paths[1]).unwrap());
     assert!(report.is_identical(), "{}", render_doctor(&report));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -148,30 +144,28 @@ fn doctor_localizes_injected_perturbation() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The decision digest is deterministic across engine flavors, stable
-/// across repeats, and folded into the determinism digest only when the
-/// config asks for it.
+/// The decision digest is stable across repeats and folded into the
+/// determinism digest only when the config asks for it (`verify`).
 #[test]
 fn decision_digest_is_deterministic_and_config_gated() {
     let strategy = SchedulingStrategy::Dha { rescheduling: true };
-    let run = |digest_on: bool, reference: bool| {
+    let run = |verify: bool| {
         let cfg = Config::builder()
             .endpoint(EndpointConfig::new("fast", ClusterSpec::taiyi(), 4))
             .endpoint(EndpointConfig::new("slow", ClusterSpec::qiming(), 2))
             .strategy(strategy.clone())
-            .digest_decisions(digest_on)
-            .engine_reference_queue(reference)
+            .verify(verify)
             .build();
         SimRuntime::new(cfg, diamond_dag(20)).run().unwrap()
     };
-    let off = run(false, false);
+    let off = run(false);
     assert!(off.decision_digest.is_none(), "default off");
-    let on1 = run(true, false);
-    let on2 = run(true, false);
-    let on_heap = run(true, true);
-    let d = on1.decision_digest.expect("enabled run reports the digest");
+    let on1 = run(true);
+    let on2 = run(true);
+    let d = on1
+        .decision_digest
+        .expect("verified run reports the digest");
     assert_eq!(on2.decision_digest, Some(d), "repeatable");
-    assert_eq!(on_heap.decision_digest, Some(d), "queue-independent");
     // Folding is config-gated: the event-stream components are unchanged,
     // so the combined digests differ exactly by the folded stream.
     assert_eq!(off.makespan, on1.makespan);

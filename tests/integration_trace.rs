@@ -5,8 +5,8 @@
 //! traced and an untraced run are bit-identical).
 //!
 //! Also exercises the release-mode counter-reconciliation harness
-//! (`Config::validate_counters`), which promotes the debug-only internal
-//! asserts into a check CI can run on release builds.
+//! (`Config::verify`), which promotes the debug-only internal asserts into
+//! a check CI can run on release builds.
 
 use fedci::hardware::ClusterSpec;
 use taskgraph::workloads::drug;
@@ -186,8 +186,8 @@ fn tracing_does_not_perturb_the_simulation() {
 
 #[test]
 fn counter_validation_runs_under_faults_and_scaling() {
-    // `validate_counters(true)` turns the debug-only reconciliation asserts
-    // into release-mode checks: every periodic tick full-scans task states
+    // `verify(true)` turns the debug-only reconciliation asserts into
+    // release-mode checks: every periodic tick full-scans task states
     // against the transition-maintained counters and panics on drift. A
     // fault-heavy elastic run exercises the transitions most likely to
     // drift (retries, rescheduling, commission/decommission).
@@ -202,7 +202,7 @@ fn counter_validation_runs_under_faults_and_scaling() {
             ..ScalingConfig::default()
         })
         .faults(0.05, 0.05)
-        .validate_counters(true)
+        .verify(true)
         .build();
     let report = SimRuntime::new(cfg, dag)
         .with_trace(TraceConfig::default())

@@ -1,5 +1,5 @@
 //! Property tests for the divergence doctor: for any perturbation
-//! position and either queue kind, flipping one event's timestamp
+//! position, with `verify` on or off, flipping one event's timestamp
 //! mid-journal must be localized by the doctor to exactly that record —
 //! never a neighbor, never a whole-chunk smear.
 
@@ -12,12 +12,12 @@ use unifaas::config::{Config, EndpointConfig, SchedulingStrategy};
 use unifaas::obs::{doctor, perturb_journal, render_doctor, DoctorReport};
 use unifaas::SimRuntime;
 
-fn config(reference: bool) -> Config {
+fn config(verify: bool) -> Config {
     Config::builder()
         .endpoint(EndpointConfig::new("fast", ClusterSpec::taiyi(), 4))
         .endpoint(EndpointConfig::new("slow", ClusterSpec::qiming(), 2))
         .strategy(SchedulingStrategy::Dha { rescheduling: true })
-        .engine_reference_queue(reference)
+        .verify(verify)
         .build()
 }
 
@@ -44,16 +44,16 @@ proptest! {
     #[test]
     fn doctor_localizes_any_single_event_perturbation(
         pos_frac in 0.0f64..1.0,
-        reference in prop_oneof![Just(false), Just(true)],
+        verify in prop_oneof![Just(false), Just(true)],
     ) {
         let dir = std::env::temp_dir().join(format!(
-            "ufprop-{}-{reference}-{}",
+            "ufprop-{}-{verify}-{}",
             std::process::id(),
             (pos_frac * 1e9) as u64
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let base = dir.join("base.journal");
-        SimRuntime::new(config(reference), small_dag())
+        SimRuntime::new(config(verify), small_dag())
             .with_journal(&base)
             .run()
             .unwrap();
