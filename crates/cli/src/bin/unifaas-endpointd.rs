@@ -3,8 +3,7 @@
 //! ```text
 //! unifaas-endpointd [--name <label>] [--workers <n>] [--listen <addr>]
 //!                   [--generation <g>] [--telemetry-ring <events>]
-//!                   [--chaos-swallow-every <k>] [--chaos-delay-ms <ms>]
-//!                   [--chaos-dup-results]
+//!                   [--fault <rule>]...
 //! ```
 //!
 //! The daemon binds a TCP listener, prints `LISTENING <addr>` on stdout
@@ -18,31 +17,34 @@
 //! a bounded ring (`--telemetry-ring` events, drop-oldest) and ship as
 //! TELEMETRY batches behind every heartbeat ack.
 //!
-//! The `--chaos-*` flags are for crash/fault testing only: swallow every
-//! k-th job without replying (a hung worker), delay every execution (a
-//! straggler), or send every RESULT twice (a duplicating network). The
-//! chaos tests in `crates/cli/tests` drive these — and plain `kill -9` —
-//! to prove the client's exactly-once machinery holds against real
-//! process failures.
+//! `--fault <rule>` (repeatable) is for crash/fault testing only, one
+//! `fedci::fault` rule each: `swallow every=<k>` drops every k-th job
+//! without replying (a hung worker), `delay ms=<ms>` delays every
+//! execution (a straggler), and `dup` sends every RESULT twice (a
+//! duplicating network); any other rule is rejected. The chaos tests in
+//! `crates/cli/tests` drive these — and plain `kill -9` — to prove the
+//! client's exactly-once machinery holds against real process failures.
 
-use fedci::process::{run_daemon, DaemonChaos, DaemonConfig};
+use fedci::process::{run_daemon, DaemonConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: unifaas-endpointd [--name <label>] [--workers <n>] [--listen <addr>] \
-         [--generation <g>] [--telemetry-ring <events>] [--chaos-swallow-every <k>] \
-         [--chaos-delay-ms <ms>] [--chaos-dup-results]"
+         [--generation <g>] [--telemetry-ring <events>] [--fault <rule>]..."
     );
     std::process::exit(2);
 }
 
-fn parse_or_usage<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+fn parse_or_usage<T: std::str::FromStr<Err: std::fmt::Display>>(
+    flag: &str,
+    value: Option<String>,
+) -> T {
     let Some(v) = value else {
         eprintln!("unifaas-endpointd: {flag} needs a value");
         usage();
     };
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("unifaas-endpointd: bad value `{v}` for {flag}");
+    v.parse().unwrap_or_else(|e| {
+        eprintln!("unifaas-endpointd: bad value `{v}` for {flag}: {e}");
         usage();
     })
 }
@@ -50,7 +52,6 @@ fn parse_or_usage<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T 
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut cfg = DaemonConfig::new("endpoint", 2);
-    let mut chaos = DaemonChaos::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--name" => cfg.name = parse_or_usage("--name", args.next()),
@@ -60,11 +61,7 @@ fn main() {
             "--telemetry-ring" => {
                 cfg.telemetry_ring = parse_or_usage("--telemetry-ring", args.next())
             }
-            "--chaos-swallow-every" => {
-                chaos.swallow_every = parse_or_usage("--chaos-swallow-every", args.next())
-            }
-            "--chaos-delay-ms" => chaos.delay_ms = parse_or_usage("--chaos-delay-ms", args.next()),
-            "--chaos-dup-results" => chaos.dup_results = true,
+            "--fault" => cfg.faults.push(parse_or_usage("--fault", args.next())),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unifaas-endpointd: unknown flag `{other}`");
@@ -72,7 +69,6 @@ fn main() {
             }
         }
     }
-    cfg.chaos = chaos;
     let name = cfg.name.clone();
     if let Err(e) = run_daemon(cfg, |addr| {
         // The supervisor reads this exact line to learn the bound port.

@@ -5,22 +5,24 @@
 //! unifaas-fabric [--backend threaded|process] [--endpoints a:4,b:4]
 //!                [--tasks <n>] [--width <w>] [--seed <s>]
 //!                [--daemon <path-to-unifaas-endpointd>]
-//!                [--chaos-kill <ep>:<after-k-completions>]...
-//!                [--chaos-swallow-every <k>] [--chaos-delay-ms <ms>]
-//!                [--max-attempts <n>] [--task-timeout-ms <ms>]
+//!                [--fault <rule>]... [--max-attempts <n>] [--task-timeout-ms <ms>]
 //!                [--fast-timing] [--report]
 //!                [--trace-out <path>] [--trace-level off|spans|full]
 //!                [--metrics-out <path>] [--metrics-addr <addr>]
 //! ```
 //!
 //! With `--backend process` each endpoint is a spawned
-//! `unifaas-endpointd` child speaking the length-prefixed TCP protocol;
-//! `--chaos-kill ep:k` SIGKILLs endpoint `ep`'s child once `k` tasks have
-//! completed (repeatable), and the supervisor's heartbeat/reconnect/
-//! re-dispatch machinery is expected to carry the run to the same digest
-//! an unfaulted run produces. `--chaos-swallow-every` / `--chaos-delay-ms`
-//! pass the daemons' own fault injectors through, so the injected instants
-//! show up in the merged timeline.
+//! `unifaas-endpointd` child speaking the length-prefixed TCP protocol.
+//! Each `--fault <rule>` (repeatable) adds one `fedci::fault` rule:
+//! `kill ep=<i> after=<k>` SIGKILLs endpoint `i`'s child once `k` tasks
+//! have completed, and the supervisor's heartbeat/reconnect/re-dispatch
+//! machinery is expected to carry the run to the same digest an unfaulted
+//! run produces. `swallow [ep=<i>] every=<k>`, `delay [ep=<i>] ms=<ms>` and
+//! `dup [ep=<i>]` ride each covered daemon's spawn command, so respawned
+//! generations inject them too and the injected instants show up in the
+//! merged timeline. The threaded backend runs `swallow` and `delay` in its
+//! pools and rejects the rest; there a `swallow` needs `--task-timeout-ms`
+//! (process runs default to a 10 s watchdog).
 //!
 //! Observability flags:
 //!
@@ -46,6 +48,7 @@
 //! ```
 
 use fedci::fabric::{Fabric, FabricTiming, ThreadedFabric};
+use fedci::fault::{Backend, FaultError, FaultPlan, FaultRule};
 use fedci::process::{EndpointMode, ProcessEndpointSpec, ProcessFabric, ProcessFabricConfig};
 use simkit::metrics::MetricsRegistry;
 use simkit::TraceLevel;
@@ -60,12 +63,16 @@ fn usage() -> ! {
     eprintln!(
         "usage: unifaas-fabric [--backend threaded|process] [--endpoints a:4,b:4] \
          [--tasks <n>] [--width <w>] [--seed <s>] [--daemon <path>] \
-         [--chaos-kill <ep>:<after-k>]... [--chaos-swallow-every <k>] \
-         [--chaos-delay-ms <ms>] [--max-attempts <n>] \
+         [--fault <rule>]... [--max-attempts <n>] \
          [--task-timeout-ms <ms>] [--fast-timing] [--report] \
          [--trace-out <path>] [--trace-level off|spans|full] \
          [--metrics-out <path>] [--metrics-addr <addr>]"
     );
+    std::process::exit(2);
+}
+
+fn bad_plan(e: FaultError) -> ! {
+    eprintln!("unifaas-fabric: {e}");
     std::process::exit(2);
 }
 
@@ -76,9 +83,9 @@ fn need(flag: &str, v: Option<String>) -> String {
     })
 }
 
-fn parse<T: std::str::FromStr>(flag: &str, v: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("unifaas-fabric: bad value `{v}` for {flag}");
+fn parse<T: std::str::FromStr<Err: std::fmt::Display>>(flag: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|e| {
+        eprintln!("unifaas-fabric: bad value `{v}` for {flag}: {e}");
         usage();
     })
 }
@@ -104,7 +111,7 @@ fn main() {
     let mut width = 4usize;
     let mut seed = 42u64;
     let mut daemon: Option<String> = None;
-    let mut kills: Vec<(usize, u64)> = Vec::new();
+    let mut plan = FaultPlan::default();
     let mut max_attempts = 5u32;
     let mut task_timeout_ms = 0u64;
     let mut fast_timing = false;
@@ -113,8 +120,6 @@ fn main() {
     let mut trace_level: Option<TraceLevel> = None;
     let mut metrics_out: Option<String> = None;
     let mut metrics_addr: Option<String> = None;
-    let mut chaos_swallow_every = 0u64;
-    let mut chaos_delay_ms = 0u64;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--backend" => backend = need("--backend", args.next()),
@@ -123,29 +128,13 @@ fn main() {
             "--width" => width = parse("--width", &need("--width", args.next())),
             "--seed" => seed = parse("--seed", &need("--seed", args.next())),
             "--daemon" => daemon = Some(need("--daemon", args.next())),
-            "--chaos-kill" => {
-                let v = need("--chaos-kill", args.next());
-                let Some((ep, after)) = v.split_once(':') else {
-                    eprintln!("unifaas-fabric: bad --chaos-kill `{v}` (want ep:after-k)");
-                    usage();
-                };
-                kills.push((parse("--chaos-kill", ep), parse("--chaos-kill", after)));
-            }
+            "--fault" => plan.push(parse("--fault", &need("--fault", args.next()))),
             "--max-attempts" => {
                 max_attempts = parse("--max-attempts", &need("--max-attempts", args.next()))
             }
             "--task-timeout-ms" => {
                 task_timeout_ms =
                     parse("--task-timeout-ms", &need("--task-timeout-ms", args.next()))
-            }
-            "--chaos-swallow-every" => {
-                chaos_swallow_every = parse(
-                    "--chaos-swallow-every",
-                    &need("--chaos-swallow-every", args.next()),
-                )
-            }
-            "--chaos-delay-ms" => {
-                chaos_delay_ms = parse("--chaos-delay-ms", &need("--chaos-delay-ms", args.next()))
             }
             "--fast-timing" => fast_timing = true,
             "--report" => report = true,
@@ -184,6 +173,9 @@ fn main() {
         (0, _) => None,
         (ms, _) => Some(Duration::from_millis(ms)),
     };
+    // A swallowed attempt comes back only through the watchdog.
+    plan.check_watchdog(timeout.is_some())
+        .unwrap_or_else(|e| bad_plan(e));
     let policy = LiveRetryPolicy {
         max_attempts,
         task_timeout: timeout,
@@ -206,12 +198,9 @@ fn main() {
         .as_str()
     {
         "threaded" => {
-            if !kills.is_empty() || chaos_swallow_every > 0 || chaos_delay_ms > 0 {
-                eprintln!("unifaas-fabric: --chaos-* flags need --backend process");
-                usage();
-            }
             let eps: Vec<(&str, usize)> = endpoints.iter().map(|(n, w)| (n.as_str(), *w)).collect();
-            let tf = Arc::new(ThreadedFabric::new(&eps, &timing));
+            let tf = ThreadedFabric::new(&eps, &timing).with_faults(&plan);
+            let tf = Arc::new(tf.unwrap_or_else(|e| bad_plan(e)));
             let (pools, ids) = (Arc::clone(&tf), Mutex::new(tf.register_metrics(&mut reg)));
             sample = Arc::new(move |r| pools.sample_metrics(r, &mut ids.lock().expect("ids lock")));
             (tf, None)
@@ -223,25 +212,21 @@ fn main() {
                 eprintln!("unifaas-fabric: cannot locate unifaas-endpointd; pass --daemon <path>");
                 std::process::exit(2);
             };
-            // Daemon-side chaos rides the spawn command, so respawned
+            plan.check(Backend::Process, endpoints.len())
+                .unwrap_or_else(|e| bad_plan(e));
+            // Each daemon's rules ride its spawn command, so respawned
             // generations inject the same faults.
-            let mut command = vec![daemon_path.clone()];
-            if chaos_swallow_every > 0 {
-                command.push("--chaos-swallow-every".to_string());
-                command.push(chaos_swallow_every.to_string());
-            }
-            if chaos_delay_ms > 0 {
-                command.push("--chaos-delay-ms".to_string());
-                command.push(chaos_delay_ms.to_string());
-            }
-            let specs: Vec<ProcessEndpointSpec> = endpoints
-                .iter()
-                .map(|(name, workers)| ProcessEndpointSpec {
-                    name: name.clone(),
-                    workers: *workers,
-                    mode: EndpointMode::Spawn {
-                        command: command.clone(),
-                    },
+            let specs: Vec<ProcessEndpointSpec> = (endpoints.iter().enumerate())
+                .map(|(ep, (name, workers))| {
+                    let mut command = vec![daemon_path.clone()];
+                    for rule in plan.for_endpoint(ep).rules() {
+                        command.extend(["--fault".to_string(), rule.to_string()]);
+                    }
+                    ProcessEndpointSpec {
+                        name: name.clone(),
+                        workers: *workers,
+                        mode: EndpointMode::Spawn { command },
+                    }
                 })
                 .collect();
             let cfg = ProcessFabricConfig {
@@ -260,12 +245,6 @@ fn main() {
             usage();
         }
     };
-    for (ep, _) in &kills {
-        if *ep >= endpoints.len() {
-            eprintln!("unifaas-fabric: --chaos-kill endpoint {ep} out of range");
-            std::process::exit(2);
-        }
-    }
 
     let rt = Arc::new(
         FabricRuntime::new(Arc::clone(&fabric))
@@ -291,13 +270,18 @@ fn main() {
     let started = std::time::Instant::now();
     let futures = submit_layered(&rt, &workload);
 
-    // The chaos scheduler: fire each kill once its completion threshold
-    // passes. Polling stats() is deliberate — it observes the run exactly
-    // like an external chaos agent would.
+    // The chaos scheduler: fire each `kill` rule once its completion
+    // threshold passes. Polling stats() is deliberate — it observes the run
+    // exactly like an external chaos agent would.
     let killer = proc_fabric.as_ref().map(|pf| {
         let pf = Arc::clone(pf);
         let rt = Arc::clone(&rt);
-        let mut kills = kills.clone();
+        let mut kills: Vec<(usize, u64)> = (plan.rules().iter())
+            .filter_map(|r| match *r {
+                FaultRule::Kill { ep, after } => Some((ep, after)),
+                _ => None,
+            })
+            .collect();
         kills.sort_by_key(|&(_, after)| after);
         std::thread::spawn(move || {
             while !kills.is_empty() {

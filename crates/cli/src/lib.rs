@@ -25,7 +25,9 @@
 //! * `knowledge oracle|learned`;
 //! * `transfer globus|rsync`;
 //! * `seed <u64>`, `noise <cv>`;
-//! * `faults <transfer_prob> <task_prob>`;
+//! * `fault <rule>` (repeatable) — one `fedci::fault` rule, e.g.
+//!   `fault task-fail p=0.02`, `fault down ep=0 from=300 to=900`,
+//!   `fault swallow ep=1 every=7` (needs an execution timeout);
 //! * `capacity-event <at_secs> <endpoint_index> <±delta>`;
 //! * `scaling on|off [idle=<secs>]`;
 //! * `workload drug pipelines=N | montage tiles=N | bag n=N secs=S | ensemble rounds=R batch=B`.

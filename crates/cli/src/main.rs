@@ -5,9 +5,7 @@
 //!                         [--series <dir>] [--quiet] [--report]
 //!                         [--trace-out <path>] [--trace-level off|spans|full]
 //!                         [--flame-out <path>] [--metrics-out <path>]
-//!                         [--metrics-addr <addr>]
-//!                         [--task-fail-prob <p>] [--transfer-fail-prob <p>]
-//!                         [--outage <ep>:<from-s>:<to-s>]...
+//!                         [--metrics-addr <addr>] [--fault <rule>]...
 //! ```
 //!
 //! `--strategy` overrides the spec (handy for comparing schedulers on one
@@ -33,10 +31,12 @@
 //!   collection). Use `FabricRuntime::serve_metrics` for scraping a
 //!   run in progress.
 //!
-//! The fault knobs override/extend the spec for quick chaos sweeps:
-//! `--task-fail-prob` / `--transfer-fail-prob` set the per-attempt failure
-//! probabilities, and each `--outage ep:from:to` (seconds, repeatable)
-//! schedules a deterministic endpoint outage window.
+//! Each `--fault <rule>` (repeatable) adds one `fedci::fault` rule to the
+//! spec's plan, for quick chaos sweeps: `--fault 'task-fail p=0.02'`,
+//! `--fault 'transfer-fail p=0.02'`, `--fault 'down ep=0 from=300 to=900'`
+//! (a deterministic outage window, whole virtual seconds), `--fault
+//! 'delay ms=5'`. A `swallow` rule needs an execution timeout, which no
+//! flag or directive sets, so it is rejected here.
 //!
 //! Run-journal flags and subcommands:
 //!
@@ -74,8 +74,7 @@ fn usage() -> ! {
         "usage: unifaas-sim <spec-file> [--strategy capacity|locality|dha|dha-no-resched] \
          [--series <dir>] [--quiet] [--report] [--trace-out <path>] \
          [--trace-level off|spans|full] [--flame-out <path>] [--metrics-out <path>] \
-         [--metrics-addr <addr>] [--task-fail-prob <p>] [--transfer-fail-prob <p>] \
-         [--outage <ep>:<from-s>:<to-s>]... [--journal-out <path>] [--progress] \
+         [--metrics-addr <addr>] [--fault <rule>]... [--journal-out <path>] [--progress] \
          [--progress-addr <addr>] [--verify]\n\
          \x20      unifaas-sim doctor <a.journal> <b.journal>\n\
          \x20      unifaas-sim journal-perturb <in.journal> <out.journal> <record-index>"
@@ -134,18 +133,6 @@ fn perturb_main(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// Parses an `--outage` operand of the form `ep:from:to` (seconds).
-fn parse_outage(s: &str) -> Option<(usize, u64, u64)> {
-    let mut parts = s.split(':');
-    let ep = parts.next()?.parse().ok()?;
-    let from = parts.next()?.parse().ok()?;
-    let to = parts.next()?.parse().ok()?;
-    if parts.next().is_some() || to <= from {
-        return None;
-    }
-    Some((ep, from, to))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -163,9 +150,7 @@ fn main() {
     let mut flame_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut metrics_addr: Option<String> = None;
-    let mut task_fail_prob: Option<f64> = None;
-    let mut transfer_fail_prob: Option<f64> = None;
-    let mut outages: Vec<(usize, u64, u64)> = Vec::new();
+    let mut faults: Vec<fedci::FaultRule> = Vec::new();
     let mut journal_out: Option<String> = None;
     let mut progress = false;
     let mut progress_addr: Option<String> = None;
@@ -174,29 +159,15 @@ fn main() {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--task-fail-prob" => {
-                task_fail_prob = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|p| (0.0..=1.0).contains(p))
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--transfer-fail-prob" => {
-                transfer_fail_prob = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|p| (0.0..=1.0).contains(p))
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--outage" => {
-                outages.push(
-                    it.next()
-                        .and_then(|s| parse_outage(s))
-                        .unwrap_or_else(|| usage()),
-                );
-            }
+            "--fault" => faults.push(
+                it.next()
+                    .map(|s| s.parse())
+                    .unwrap_or_else(|| usage())
+                    .unwrap_or_else(|e| {
+                        eprintln!("--fault: {e}");
+                        std::process::exit(2);
+                    }),
+            ),
             "--trace-out" => trace_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--report" => report_flag = true,
             "--flame-out" => flame_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
@@ -248,22 +219,8 @@ fn main() {
     if let Some(s) = strategy_override {
         spec.config.strategy = s;
     }
-    if let Some(p) = task_fail_prob {
-        spec.config.task_failure_prob = p;
-    }
-    if let Some(p) = transfer_fail_prob {
-        spec.config.transfer_failure_prob = p;
-    }
-    for (ep, from, to) in outages {
-        if ep >= spec.config.endpoints.len() {
-            eprintln!("--outage endpoint {ep} out of range");
-            std::process::exit(2);
-        }
-        spec.config.outages.push(unifaas::config::OutageSpec {
-            endpoint: ep,
-            from: SimTime::from_secs(from),
-            to: SimTime::from_secs(to),
-        });
+    for rule in faults {
+        spec.config.faults.push(rule);
     }
     spec.config.verify |= verify;
 

@@ -214,34 +214,9 @@ pub fn parse_spec(text: &str) -> Result<RunSpec, SpecError> {
                     .ok_or_else(|| err(line_no, "noise needs a float cv"))?;
                 builder = builder.exec_noise_cv(cv);
             }
-            "faults" => {
-                let xfer: f64 = tokens
-                    .get(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(line_no, "faults needs two probabilities"))?;
-                let task: f64 = tokens
-                    .get(2)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(line_no, "faults needs two probabilities"))?;
-                builder = builder.faults(xfer, task);
-            }
-            "outage" => {
-                let ep: usize = tokens
-                    .get(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(line_no, "outage needs <ep> <from-s> <to-s>"))?;
-                let from: u64 = tokens
-                    .get(2)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(line_no, "outage needs <ep> <from-s> <to-s>"))?;
-                let to: u64 = tokens
-                    .get(3)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(line_no, "outage needs <ep> <from-s> <to-s>"))?;
-                if to <= from {
-                    return Err(err(line_no, "outage window must end after it starts"));
-                }
-                builder = builder.outage(ep, from, to);
+            "fault" => {
+                let rule = line["fault".len()..].parse();
+                builder = builder.fault(rule.map_err(|e| err(line_no, format!("{e}")))?);
             }
             "capacity-event" => {
                 let at: u64 = tokens
@@ -336,7 +311,6 @@ pub fn parse_spec(text: &str) -> Result<RunSpec, SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::SimTime;
 
     const GOOD: &str = "\
 # comment
@@ -347,8 +321,9 @@ knowledge learned
 transfer rsync
 seed 7
 noise 0.05
-faults 0.1 0.05
-outage 1 100 200
+fault transfer-fail p=0.1
+fault task-fail p=0.05
+fault down ep=1 from=100 to=200
 capacity-event 120 0 -50
 scaling on idle=20
 workload drug pipelines=10
@@ -369,11 +344,21 @@ workload drug pipelines=10
         assert_eq!(spec.config.transfer, TransferMechanism::Rsync);
         assert_eq!(spec.config.seed, 7);
         assert_eq!(spec.config.exec_noise_cv, 0.05);
-        assert_eq!(spec.config.transfer_failure_prob, 0.1);
-        assert_eq!(spec.config.outages.len(), 1);
-        assert_eq!(spec.config.outages[0].endpoint, 1);
-        assert_eq!(spec.config.outages[0].from, SimTime::from_secs(100));
-        assert_eq!(spec.config.outages[0].to, SimTime::from_secs(200));
+        let rules: Vec<String> = spec
+            .config
+            .faults
+            .rules()
+            .iter()
+            .map(|r| r.to_string())
+            .collect();
+        assert_eq!(
+            rules,
+            [
+                "transfer-fail p=0.1",
+                "task-fail p=0.05",
+                "down ep=1 from=100 to=200"
+            ]
+        );
         assert_eq!(spec.config.capacity_events.len(), 1);
         assert_eq!(spec.config.capacity_events[0].delta, -50);
         assert!(spec.config.scaling.enabled);
@@ -440,11 +425,17 @@ workload ensemble rounds=3 batch=5
         assert!(parse_spec("endpoint a qiming four\nworkload bag n=1 secs=1\n").is_err());
         assert!(parse_spec("endpoint a qiming 4 max=2\nworkload bag n=1 secs=1\n").is_err());
         assert!(parse_spec("endpoint a qiming 4\nworkload drug\n").is_err());
-        // Outage windows must be well-formed.
-        assert!(
-            parse_spec("endpoint a qiming 4\noutage 0 200 100\nworkload bag n=1 secs=1\n").is_err()
-        );
-        assert!(parse_spec("endpoint a qiming 4\noutage 0 50\nworkload bag n=1 secs=1\n").is_err());
+        // Fault rules must parse, with the line number of the bad one.
+        for bad in [
+            "fault down ep=0 from=200 to=100",
+            "fault down ep=0 from=50",
+            "fault",
+        ] {
+            let e = parse_spec(&format!(
+                "endpoint a qiming 4\n{bad}\nworkload bag n=1 secs=1\n"
+            ));
+            assert_eq!(e.unwrap_err().line, 2, "`{bad}`");
+        }
     }
 
     #[test]
@@ -460,10 +451,14 @@ workload ensemble rounds=3 batch=5
     }
 
     #[test]
-    fn out_of_range_faults_and_noise_fail_the_run() {
-        // The parser accepts any float; `Config::validate` is where the
-        // range is enforced, so the error surfaces from `run`.
-        for directive in ["faults nan 2", "faults -1 7", "noise nan", "noise -3"] {
+    fn out_of_range_faults_fail_the_parse_and_noise_the_run() {
+        for directive in ["fault task-fail p=nan", "fault transfer-fail p=-1"] {
+            let text = format!("endpoint a qiming 8\n{directive}\nworkload bag n=4 secs=5\n");
+            assert!(parse_spec(&text).is_err(), "`{directive}`");
+        }
+        // The parser accepts any float noise; `Config::validate` is where
+        // the range is enforced, so the error surfaces from `run`.
+        for directive in ["noise nan", "noise -3"] {
             let spec = parse_spec(&format!(
                 "endpoint a qiming 8\nendpoint b taiyi 8\n{directive}\nworkload bag n=4 secs=5\n"
             ))
@@ -476,5 +471,13 @@ workload ensemble rounds=3 batch=5
                 "`{directive}`: {err}"
             );
         }
+        // A rule the simulator cannot run is a typed error from `run`.
+        let spec =
+            parse_spec("endpoint a qiming 8\nfault kill ep=0 after=3\nworkload bag n=4 secs=5\n");
+        let spec = spec.unwrap();
+        let err = unifaas::SimRuntime::new(spec.config, spec.workload.build())
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, unifaas::UniFaasError::Fault(_)), "{err}");
     }
 }

@@ -6,7 +6,7 @@
 
 use fedci::fabric::{Fabric, FabricTiming, ProbeState, ThreadedFabric};
 use fedci::process::{
-    spawn_daemon_thread, ChaosProxy, DaemonChaos, DaemonConfig, EndpointMode, ProcessEndpointSpec,
+    spawn_daemon_thread, ChaosProxy, DaemonConfig, EndpointMode, ProcessEndpointSpec,
     ProcessFabric, ProcessFabricConfig,
 };
 use std::sync::Arc;
@@ -388,14 +388,9 @@ fn stalled_connection_fails_over_and_replayed_results_are_dropped_stale() {
 fn duplicated_results_resolve_each_task_exactly_once() {
     // A daemon that sends every RESULT twice: the second copy no longer
     // matches an outstanding (task, attempt) and must be dropped.
-    let daemon = spawn_daemon_thread(DaemonConfig {
-        chaos: DaemonChaos {
-            dup_results: true,
-            ..DaemonChaos::default()
-        },
-        ..DaemonConfig::new("dup", 2)
-    })
-    .expect("daemon");
+    let mut cfg = DaemonConfig::new("dup", 2);
+    cfg.faults.push("dup".parse().unwrap());
+    let daemon = spawn_daemon_thread(cfg).expect("daemon");
     let fabric = Arc::new(ProcessFabric::new(
         vec![ProcessEndpointSpec {
             name: "dup".to_string(),
@@ -431,11 +426,7 @@ fn sigkill_timeline_spans_generations_and_shows_truncated_attempts() {
     // received/executing but never resulted), the respawn gap, and
     // post-respawn retries on generation 1, all offset-corrected.
     let w = FabricWorkload::new(120, 31);
-    let chaos_cmd = vec![
-        daemon_bin(),
-        "--chaos-delay-ms".to_string(),
-        "25".to_string(),
-    ];
+    let chaos_cmd = vec![daemon_bin(), "--fault".into(), "delay ms=25".into()];
     let fabric = Arc::new(ProcessFabric::new(
         vec![
             ProcessEndpointSpec {
@@ -516,14 +507,9 @@ fn chaos_swallow_instants_are_assertable_in_the_merged_timeline() {
     // A daemon that swallows every 5th job: the swallow instant must be
     // visible in the merged timeline at an explicit (task, attempt), and
     // every swallowed attempt shows up as a truncated chain.
-    let daemon = spawn_daemon_thread(DaemonConfig {
-        chaos: DaemonChaos {
-            swallow_every: 5,
-            ..DaemonChaos::default()
-        },
-        ..DaemonConfig::new("swallower", 2)
-    })
-    .expect("daemon");
+    let mut cfg = DaemonConfig::new("swallower", 2);
+    cfg.faults.push("swallow every=5".parse().unwrap());
+    let daemon = spawn_daemon_thread(cfg).expect("daemon");
     let fabric = Arc::new(ProcessFabric::new(
         vec![ProcessEndpointSpec {
             name: "swallower".to_string(),
@@ -609,4 +595,30 @@ fn respawn_disabled_turns_sigkill_into_clean_permanent_failure() {
     assert!(fabric.wait_probe(0, ProbeState::Dead, Duration::from_secs(5)));
     assert_eq!(fabric.counters(0).respawns, 0);
     fabric.shutdown();
+}
+
+#[test]
+fn threaded_cli_swallow_needs_a_watchdog_and_then_recovers() {
+    let fabric = |extra: &[&str]| {
+        let mut args = ["--backend", "threaded", "--tasks", "40", "--width", "8"].to_vec();
+        args.extend(["--fast-timing"].iter().chain(extra));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_unifaas-fabric"))
+            .args(&args)
+            .output()
+            .expect("run unifaas-fabric");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let digest = stdout.lines().last().unwrap_or("").split(' ').next();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), digest.unwrap_or("").to_string(), stderr)
+    };
+    // Without a watchdog a swallowed attempt would hang the run: rejected.
+    let (code, _, stderr) = fabric(&["--fault", "swallow every=3"]);
+    assert_eq!(code, Some(2));
+    assert!(stderr.contains("needs an execution timeout"), "{stderr}");
+    let (code, reference, _) = fabric(&[]);
+    assert_eq!(code, Some(0));
+    let watched = ["--fault", "swallow every=3", "--task-timeout-ms", "100"];
+    let (code, digest, stderr) = fabric(&watched);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(digest, reference);
 }

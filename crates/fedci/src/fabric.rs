@@ -4,7 +4,7 @@
 //! time; the *live* backends execute real work on real resources.
 //! [`Fabric`] is the contract the live runtime relies on, so one client
 //! path — placement, retry/health machinery, straggler watchdog — drives
-//! both the in-process [`threaded`](crate::threaded) worker pools and the
+//! both the in-process worker pools ([`ThreadedFabric`]) and the
 //! process-isolated TCP backend ([`crate::process`]):
 //!
 //! * work is a *named function over bytes* ([`JobSpec`]): the only job
@@ -16,19 +16,22 @@
 //!   (connection cut, endpoint crash). Exactly-once *task* semantics are
 //!   the client's job, via attempt generations;
 //! * liveness is a cheap probe ([`Fabric::probe`]) distilled from whatever
-//!   signal the backend has — pool fault flags in-process, heartbeat
-//!   acknowledgements over TCP.
+//!   signal the backend has — the operator's down switch in-process,
+//!   heartbeat acknowledgements over TCP.
 //!
 //! [`FabricTiming`] centralizes the heartbeat/poll/backoff intervals that
 //! used to be hardcoded per backend, with the ordering every liveness
 //! pipeline needs validated in one place (heartbeat < suspect < down).
 
-use crate::threaded::{PoolMetricIds, ThreadedEndpoint};
+use crate::fault::{Backend, FaultError, FaultPlan};
+use crate::threaded::ThreadedEndpoint;
 use parking_lot::Mutex;
 use simkit::metrics::MetricsRegistry;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+pub use crate::threaded::PoolMetricIds;
 
 /// The outcome of one job attempt: result bytes or an error message.
 pub type FabricResult = Result<Vec<u8>, String>;
@@ -449,16 +452,15 @@ pub fn assemble_input(
 // ThreadedFabric
 // ---------------------------------------------------------------------------
 
-/// The in-process fabric: [`ThreadedEndpoint`] worker pools behind the
+/// The in-process fabric: one worker pool per endpoint behind the
 /// [`Fabric`] trait.
 ///
 /// Staged blobs live in a per-endpoint map (the analogue of an endpoint's
 /// shared filesystem); jobs execute registry functions on the pool's
-/// workers. Fault injection flows through the pool's [`PoolFaults`]
-/// switches — a down pool fails its probe and swallows submissions, which
-/// is exactly the loss mode the client's watchdog recovers.
-///
-/// [`PoolFaults`]: crate::threaded::PoolFaults
+/// workers. Faults come from a [`FaultPlan`] ([`ThreadedFabric::with_faults`])
+/// and the operator's [`ThreadedFabric::set_down`] — a down pool fails its
+/// probe and drops submissions, which is exactly the loss mode the
+/// client's watchdog recovers.
 pub struct ThreadedFabric {
     pools: Vec<ThreadedEndpoint>,
     labels: Vec<String>,
@@ -498,9 +500,23 @@ impl ThreadedFabric {
         &self.registry
     }
 
-    /// The underlying pool for endpoint `ep` (fault-injection hooks).
-    pub fn pool(&self, ep: usize) -> &ThreadedEndpoint {
-        &self.pools[ep]
+    /// Runs `plan`'s `swallow` and `delay` rules: every k-th submission to
+    /// a covered endpoint is dropped without a result, and each job there
+    /// sleeps `ms` first. Call before the first submission. Any other rule
+    /// is [`FaultError::Unsupported`].
+    pub fn with_faults(mut self, plan: &FaultPlan) -> Result<Self, FaultError> {
+        plan.check(Backend::Threaded, self.pools.len())?;
+        for (ep, pool) in self.pools.iter_mut().enumerate() {
+            pool.set_faults(plan.attempt_faults(ep));
+        }
+        Ok(self)
+    }
+
+    /// Marks endpoint `ep` down (its probe fails; the jobs it has queued
+    /// and every new one are dropped) or back up — the in-process
+    /// counterpart of `ProcessFabric::kill`.
+    pub fn set_down(&self, ep: usize, down: bool) {
+        self.pools[ep].set_down(down);
     }
 
     /// Registers every pool's `fedci_pool_*` gauge/counter families in
@@ -754,11 +770,26 @@ mod tests {
     }
 
     #[test]
-    fn threaded_fabric_down_pool_fails_probe() {
-        let fabric = ThreadedFabric::new(&[("a", 1)], &FabricTiming::fast());
-        fabric.pool(0).faults().set_down(true);
-        assert_eq!(fabric.probe(0), ProbeState::Dead);
-        fabric.pool(0).faults().set_down(false);
-        assert_eq!(fabric.probe(0), ProbeState::Alive);
+    fn pool_workers_start_one_per_submission_up_to_n() {
+        let fabric = ThreadedFabric::new(&[("lazy", 2)], &FabricTiming::fast());
+        let job = |task| JobSpec {
+            task,
+            attempt: 1,
+            function: Arc::from("echo"),
+            deps: vec![],
+            payload: Payload::default(),
+            keep_output: false,
+        };
+        assert!(
+            fabric.pools[0].handles.lock().is_empty(),
+            "a thread before any job"
+        );
+        for submitted in 1..=4 {
+            fabric.submit(0, job(submitted), Box::new(drop));
+            assert_eq!(
+                fabric.pools[0].handles.lock().len(),
+                submitted.min(2) as usize
+            );
+        }
     }
 }

@@ -21,12 +21,12 @@
 //!   there);
 //! * [`faas`] — the cloud service model: dispatch latency, result-polling
 //!   cadence, payload limits and batching parameters;
-//! * [`fault`] — deterministic fault injection (transfer failures, task
-//!   crashes, endpoint outages);
-//! * [`threaded`] — real-thread worker pools (crossbeam), owned by
-//!   [`fabric::ThreadedFabric`], the in-process live backend;
+//! * [`fault`] — one seeded fault plan for every backend (task and
+//!   transfer failures, endpoint outages, swallowed, delayed and
+//!   duplicated attempts, daemon kills);
 //! * [`fabric`] — the live-fabric abstraction ([`fabric::Fabric`]) shared
-//!   by the threaded pools and the process backend, with the
+//!   by [`fabric::ThreadedFabric`] (real-thread worker pools, the
+//!   in-process live backend) and the process backend, with the
 //!   [`fabric::FabricTiming`] heartbeat/poll configuration;
 //! * [`proto`] — the length-prefixed wire codec the process fabric speaks
 //!   (HELLO/DISPATCH/RESULT/POLL/TRANSFER/HEARTBEAT/DRAIN);
@@ -45,13 +45,13 @@ pub mod network;
 pub mod process;
 pub mod proto;
 pub mod storage;
-pub mod threaded;
+mod threaded;
 pub mod trace;
 pub mod transfer;
 
 pub use endpoint::{EndpointId, EndpointSim};
 pub use faas::FaasServiceModel;
-pub use fault::FaultInjector;
+pub use fault::{FaultInjector, FaultPlan, FaultRule};
 pub use hardware::ClusterSpec;
 pub use network::NetworkTopology;
 pub use storage::DataStore;

@@ -31,6 +31,7 @@ use crate::fabric::{
     dep_blobs, run_on_input, Completion, Fabric, FabricTiming, FnRegistry, JobSpec, Payload,
     ProbeState, WireFn,
 };
+use crate::fault::{AttemptFaults, Backend, FaultPlan};
 use crate::proto::{
     encode_dispatch_head, encode_result_head, encode_transfer_head, flush_queued, queue_frame,
     Frame, FrameReader, TelemetryEvent, IO_BUF, PROTO_VERSION, TEL_CTR_CHAOS_DELAYS,
@@ -76,23 +77,6 @@ const DRAIN_BUDGET: usize = 512;
 // Daemon
 // ---------------------------------------------------------------------------
 
-/// Daemon-side fault injection, for chaos tests that need the *endpoint*
-/// to misbehave (as opposed to the connection, which [`ChaosProxy`]
-/// covers).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DaemonChaos {
-    /// Silently drop every Nth dispatched job (0 = never): the worker
-    /// takes it and no RESULT ever comes back.
-    pub swallow_every: usize,
-    /// Sleep this long before executing each job (straggler injection;
-    /// also widens the window for a result to complete while the client
-    /// is disconnected).
-    pub delay_ms: u64,
-    /// Send every RESULT twice — a hostile duplicate the client's
-    /// attempt guard must drop.
-    pub dup_results: bool,
-}
-
 /// Configuration for one endpoint daemon.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
@@ -105,22 +89,24 @@ pub struct DaemonConfig {
     /// Spawn generation, echoed in HELLO (the supervisor increments it
     /// per respawn).
     pub generation: u64,
-    /// Fault injection switches.
-    pub chaos: DaemonChaos,
+    /// Faults to inject: `swallow`, `delay` and `dup`, for chaos tests
+    /// that need the *endpoint* to misbehave (the connection is
+    /// [`ChaosProxy`]'s). The daemon is endpoint 0 of its plan.
+    pub faults: FaultPlan,
     /// Capacity of the telemetry trace ring (events). The ring only
     /// fills once a client subscribes with TELEMETRY_SUB.
     pub telemetry_ring: usize,
 }
 
 impl DaemonConfig {
-    /// A daemon on an ephemeral localhost port, no chaos.
+    /// A daemon on an ephemeral localhost port, no faults.
     pub fn new(name: &str, workers: usize) -> Self {
         DaemonConfig {
             name: name.to_string(),
             workers,
             listen: "127.0.0.1:0".to_string(),
             generation: 0,
-            chaos: DaemonChaos::default(),
+            faults: FaultPlan::default(),
             telemetry_ring: DAEMON_TEL_RING_CAPACITY,
         }
     }
@@ -214,6 +200,7 @@ struct DaemonShared {
     busy: AtomicU32,
     queued: AtomicU32,
     completed: AtomicU64,
+    /// Jobs pulled, counted only under a `swallow` rule.
     jobs_seen: AtomicU64,
     stop_writer: AtomicBool,
 }
@@ -396,6 +383,10 @@ impl DaemonTelemetry {
 /// in the library so tests can run a daemon on a thread ([`spawn_daemon_thread`])
 /// instead of a child process.
 pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std::io::Result<()> {
+    cfg.faults
+        .check(Backend::Daemon, 1)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+    let faults = cfg.faults.attempt_faults(0);
     let listener = TcpListener::bind(&cfg.listen)?;
     let addr = listener.local_addr()?;
     on_ready(addr);
@@ -411,12 +402,11 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
         let jobs = Arc::clone(&jobs);
         let shared = Arc::clone(&shared);
         let blobs = Arc::clone(&blobs);
-        let chaos = cfg.chaos;
         let tel = Arc::clone(&tel);
         workers.push(
             std::thread::Builder::new()
                 .name(format!("{}-worker-{i}", cfg.name))
-                .spawn(move || daemon_worker(&jobs, &shared, &blobs, &chaos, &tel))
+                .spawn(move || daemon_worker(&jobs, &shared, &blobs, faults, &tel))
                 .expect("spawn daemon worker"),
         );
     }
@@ -618,18 +608,21 @@ fn hand_off(shared: &DaemonShared, jobs: &JobQueue, batch: &mut Vec<DaemonJob>) 
     jobs.push_all(batch);
 }
 
-/// One daemon worker: pull a job, apply chaos, execute, queue the RESULT.
+/// One daemon worker: pull a job, apply the plan's faults, execute, queue
+/// the RESULT.
 fn daemon_worker(
     jobs: &JobQueue,
     shared: &DaemonShared,
     blobs: &BlobStore,
-    chaos: &DaemonChaos,
+    faults: AttemptFaults,
     tel: &DaemonTelemetry,
 ) {
     while let Some(DaemonJob { spec: job, run }) = jobs.pop() {
         shared.queued.fetch_sub(1, Ordering::SeqCst);
-        let n = shared.jobs_seen.fetch_add(1, Ordering::SeqCst) + 1;
-        if chaos.swallow_every > 0 && n.is_multiple_of(chaos.swallow_every as u64) {
+        if faults.swallow_every > 0
+            && (shared.jobs_seen.fetch_add(1, Ordering::SeqCst) + 1)
+                .is_multiple_of(faults.swallow_every)
+        {
             // Crashed mid-execution: no RESULT, ever. The explicit
             // instant lets the merged timeline show *where* the fault
             // landed instead of leaving an unexplained truncated attempt.
@@ -637,10 +630,15 @@ fn daemon_worker(
             tel.event(TEL_STAGE_CHAOS_SWALLOW, job.task, job.attempt, 0);
             continue;
         }
-        if chaos.delay_ms > 0 {
+        if faults.delay_ms > 0 {
             tel.chaos_delays.fetch_add(1, Ordering::Relaxed);
-            tel.event(TEL_STAGE_CHAOS_DELAY, job.task, job.attempt, chaos.delay_ms);
-            std::thread::sleep(Duration::from_millis(chaos.delay_ms));
+            tel.event(
+                TEL_STAGE_CHAOS_DELAY,
+                job.task,
+                job.attempt,
+                faults.delay_ms,
+            );
+            std::thread::sleep(Duration::from_millis(faults.delay_ms));
         }
         shared.busy.fetch_add(1, Ordering::SeqCst);
         tel.event(TEL_STAGE_EXEC_BEGIN, job.task, job.attempt, 0);
@@ -691,7 +689,7 @@ fn daemon_worker(
             ok,
             payload,
         };
-        if chaos.dup_results {
+        if faults.dup {
             shared.push_out(result.clone());
         }
         shared.push_out(result);
@@ -852,7 +850,15 @@ pub fn spawn_daemon_thread(cfg: DaemonConfig) -> std::io::Result<DaemonHandle> {
             addr,
             join: Some(join),
         }),
-        Err(_) => Err(std::io::Error::other("daemon failed to bind")),
+        // The daemon returned before it was ready: its error says why.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => Err(join
+            .join()
+            .ok()
+            .and_then(Result::err)
+            .unwrap_or_else(|| std::io::Error::other("daemon exited before binding"))),
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            Err(std::io::Error::other("daemon failed to bind"))
+        }
     }
 }
 
@@ -869,7 +875,7 @@ pub enum EndpointMode {
     /// incremented generation — if it dies.
     Spawn {
         /// Program and leading arguments (e.g. the `unifaas-endpointd`
-        /// path plus chaos flags).
+        /// path plus `--fault` rules).
         command: Vec<String>,
     },
     /// Connect to an already-running daemon (or a [`ChaosProxy`] in

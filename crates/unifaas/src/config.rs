@@ -7,6 +7,7 @@
 
 use crate::error::UniFaasError;
 use fedci::faas::FaasServiceModel;
+use fedci::fault::{Backend, FaultPlan, FaultRule};
 use fedci::hardware::ClusterSpec;
 use fedci::storage::MAX_ENDPOINTS;
 use fedci::transfer::TransferMechanism;
@@ -126,20 +127,6 @@ pub struct CapacityEvent {
     /// Worker delta (positive adds, negative removes; removals may preempt
     /// running tasks, which are re-queued).
     pub delta: i64,
-}
-
-/// A scheduled endpoint outage `[from, to)` for the fault-tolerance
-/// experiments: the endpoint is marked Down at `from` (its queued and
-/// staging tasks drain through the §IV-G reassignment policy) and
-/// Recovering at `to`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OutageSpec {
-    /// Index of the endpoint affected.
-    pub endpoint: usize,
-    /// When the outage begins.
-    pub from: SimTime,
-    /// When liveness is restored.
-    pub to: SimTime,
 }
 
 /// Retry behavior for failed task attempts (§IV-G).
@@ -272,12 +259,9 @@ pub struct Config {
     pub capacity_events: Vec<CapacityEvent>,
     /// DHA re-scheduling cadence.
     pub reschedule_interval: SimDuration,
-    /// Transfer failure probability per attempt (fault injection).
-    pub transfer_failure_prob: f64,
-    /// Task failure probability per attempt (fault injection).
-    pub task_failure_prob: f64,
-    /// Scheduled endpoint outages (fault injection).
-    pub outages: Vec<OutageSpec>,
+    /// Faults to inject (`task-fail`, `transfer-fail`, `down`, `swallow`,
+    /// `delay`; see [`fedci::fault`]). Empty by default.
+    pub faults: FaultPlan,
     /// Retry backoff and execution-timeout policy (§IV-G).
     pub retry: RetryPolicy,
     /// Endpoint health state-machine thresholds.
@@ -340,31 +324,9 @@ impl Config {
                 )));
             }
         }
-        for o in &self.outages {
-            if o.endpoint >= self.endpoints.len() {
-                return Err(UniFaasError::InvalidConfig(format!(
-                    "outage references endpoint {} out of range",
-                    o.endpoint
-                )));
-            }
-            if o.from >= o.to {
-                return Err(UniFaasError::InvalidConfig(format!(
-                    "outage window on endpoint {} is empty",
-                    o.endpoint
-                )));
-            }
-        }
-        for (name, p) in [
-            ("task failure probability", self.task_failure_prob),
-            ("transfer failure probability", self.transfer_failure_prob),
-        ] {
-            // A NaN fails the range test too.
-            if !(0.0..=1.0).contains(&p) {
-                return Err(UniFaasError::InvalidConfig(format!(
-                    "{name} must be in [0, 1], got {p}"
-                )));
-            }
-        }
+        self.faults.check(Backend::Sim, self.endpoints.len())?;
+        self.faults
+            .check_watchdog(self.retry.exec_timeout.is_some())?;
         if !(self.exec_noise_cv.is_finite() && self.exec_noise_cv >= 0.0) {
             return Err(UniFaasError::InvalidConfig(format!(
                 "execution noise CV must be finite and >= 0, got {}",
@@ -447,9 +409,7 @@ impl Default for ConfigBuilder {
                 exec_noise_cv: 0.02,
                 capacity_events: Vec::new(),
                 reschedule_interval: SimDuration::from_secs(10),
-                transfer_failure_prob: 0.0,
-                task_failure_prob: 0.0,
-                outages: Vec::new(),
+                faults: FaultPlan::default(),
                 retry: RetryPolicy::default(),
                 health: crate::monitor::HealthPolicy::default(),
                 seed: 0x05E5,
@@ -525,10 +485,9 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets fault-injection probabilities.
-    pub fn faults(mut self, transfer_prob: f64, task_prob: f64) -> Self {
-        self.config.transfer_failure_prob = transfer_prob;
-        self.config.task_failure_prob = task_prob;
+    /// Adds a fault rule to [`Config::faults`].
+    pub fn fault(mut self, rule: FaultRule) -> Self {
+        self.config.faults.push(rule);
         self
     }
 
@@ -548,16 +507,6 @@ impl ConfigBuilder {
     /// Sets the endpoint health state-machine thresholds.
     pub fn health_policy(mut self, p: crate::monitor::HealthPolicy) -> Self {
         self.config.health = p;
-        self
-    }
-
-    /// Schedules an endpoint outage over `[from, to)` seconds.
-    pub fn outage(mut self, endpoint: usize, from_seconds: u64, to_seconds: u64) -> Self {
-        self.config.outages.push(OutageSpec {
-            endpoint,
-            from: SimTime::from_secs(from_seconds),
-            to: SimTime::from_secs(to_seconds),
-        });
         self
     }
 
@@ -601,6 +550,7 @@ impl ConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedci::fault::FaultError;
 
     fn two_ep_config() -> Config {
         Config::builder()
@@ -669,23 +619,31 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
+    fn with_faults(rules: &[&str]) -> Config {
+        let mut c = two_ep_config();
+        c.faults = rules.iter().map(|r| r.parse().unwrap()).collect();
+        c
+    }
+
     #[test]
-    fn validation_catches_bad_outage() {
-        let out_of_range = Config::builder()
-            .endpoint(EndpointConfig::new("a", ClusterSpec::qiming(), 4))
-            .outage(9, 10, 20)
-            .build();
-        assert!(out_of_range.validate().is_err());
-        let empty_window = Config::builder()
-            .endpoint(EndpointConfig::new("a", ClusterSpec::qiming(), 4))
-            .outage(0, 20, 20)
-            .build();
-        assert!(empty_window.validate().is_err());
-        let good = Config::builder()
-            .endpoint(EndpointConfig::new("a", ClusterSpec::qiming(), 4))
-            .outage(0, 10, 20)
-            .build();
-        assert!(good.validate().is_ok());
+    fn validation_checks_the_fault_plan() {
+        let fault = |c: Config| match c.validate() {
+            Err(UniFaasError::Fault(e)) => e,
+            other => panic!("expected a fault error, got {other:?}"),
+        };
+        let e = fault(with_faults(&["down ep=9 from=10 to=20"]));
+        assert!(matches!(e, FaultError::NoSuchEndpoint { .. }));
+        let e = fault(with_faults(&["kill ep=0 after=5"]));
+        assert!(matches!(e, FaultError::Unsupported { .. }));
+        let e = fault(with_faults(&["swallow every=3"]));
+        assert!(matches!(e, FaultError::NeedsWatchdog { .. }));
+        let mut watched = with_faults(&["swallow every=3", "down ep=0 from=10 to=20"]);
+        watched.retry.exec_timeout = Some(SimDuration::from_secs(60));
+        assert!(watched.validate().is_ok());
+        // A rule built as a value is range-checked like a parsed one.
+        let mut bad = two_ep_config();
+        bad.faults.push(FaultRule::TaskFail { p: 1.5 });
+        assert!(matches!(fault(bad), FaultError::Probability { .. }));
     }
 
     #[test]
@@ -709,19 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn validation_catches_out_of_range_fault_and_noise_values() {
-        for bad in [f64::NAN, -0.5, 1.5] {
-            let task = Config {
-                task_failure_prob: bad,
-                ..two_ep_config()
-            };
-            assert!(task.validate().is_err(), "task_failure_prob {bad}");
-            let transfer = Config {
-                transfer_failure_prob: bad,
-                ..two_ep_config()
-            };
-            assert!(transfer.validate().is_err(), "transfer_failure_prob {bad}");
-        }
+    fn validation_catches_out_of_range_noise_values() {
         for bad in [f64::NAN, f64::INFINITY, -3.0] {
             let noise = Config {
                 exec_noise_cv: bad,
@@ -730,10 +676,8 @@ mod tests {
             assert!(noise.validate().is_err(), "exec_noise_cv {bad}");
         }
         let edge = Config {
-            task_failure_prob: 1.0,
-            transfer_failure_prob: 0.0,
             exec_noise_cv: 1.5,
-            ..two_ep_config()
+            ..with_faults(&["task-fail p=1", "transfer-fail p=0"])
         };
         assert!(edge.validate().is_ok());
     }

@@ -1,6 +1,7 @@
 //! Error types for workflow execution.
 
 use fedci::endpoint::EndpointId;
+use fedci::fault::FaultError;
 use std::fmt;
 use taskgraph::TaskId;
 
@@ -37,6 +38,9 @@ pub enum UniFaasError {
         /// The data store's limit.
         max: usize,
     },
+    /// The fault plan cannot run on the simulator (a rule it does not
+    /// support, an endpoint out of range, a `swallow` with no watchdog).
+    Fault(FaultError),
     /// The run journal could not be created or sealed (unwritable path,
     /// disk full): an I/O failure, not a configuration error.
     Journal(String),
@@ -69,6 +73,7 @@ impl fmt::Display for UniFaasError {
                 f,
                 "invalid configuration: {endpoints} endpoints, the data store holds at most {max}"
             ),
+            UniFaasError::Fault(e) => write!(f, "invalid configuration: {e}"),
             UniFaasError::Journal(msg) => write!(f, "journal: {msg}"),
             UniFaasError::FunctionError { task, message } => {
                 write!(f, "task {task} returned an error: {message}")
@@ -78,6 +83,12 @@ impl fmt::Display for UniFaasError {
 }
 
 impl std::error::Error for UniFaasError {}
+
+impl From<FaultError> for UniFaasError {
+    fn from(e: FaultError) -> Self {
+        UniFaasError::Fault(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -98,6 +98,7 @@ pub mod prelude {
     pub use crate::runtime::sim::SimRuntime;
     pub use crate::runtime::typed::{typed, Rest, TypedFuture, Wire};
     pub use crate::trace::{RunTrace, TraceConfig};
+    pub use fedci::fault::{FaultPlan, FaultRule};
     pub use fedci::hardware::ClusterSpec;
     pub use fedci::transfer::TransferMechanism;
     pub use simkit::trace::TraceLevel;

@@ -1182,31 +1182,30 @@ mod tests {
 
     #[test]
     fn watchdog_recovers_swallowed_work() {
-        let fabric = threaded(&[("flaky", 1)]);
-        // Swallow the first job pulled: no completion will ever come.
-        fabric.pool(0).faults().set_crash_every(1);
-        let rt = FabricRuntime::new(Arc::clone(&fabric) as Arc<dyn Fabric>).with_retry(
-            LiveRetryPolicy {
-                max_attempts: 5,
-                task_timeout: Some(Duration::from_millis(150)),
-                backoff: Duration::ZERO,
-            },
-        );
-        let f = rt.submit("echo", b"survivor".to_vec(), &[]);
-        // Heal after the first swallow so a retry can land.
-        std::thread::sleep(Duration::from_millis(50));
-        fabric.pool(0).faults().set_crash_every(0);
+        // Every second submission is swallowed: task b's first attempt
+        // never completes, and its retry (the third submission) lands.
+        let plan = fedci::FaultPlan::from_iter(["swallow every=2".parse().unwrap()]);
+        let timing = FabricTiming::fast();
+        let fabric = ThreadedFabric::new(&[("flaky", 1)], &timing).with_faults(&plan);
+        let rt = FabricRuntime::new(Arc::new(fabric.unwrap())).with_retry(LiveRetryPolicy {
+            max_attempts: 5,
+            task_timeout: Some(Duration::from_millis(150)),
+            backoff: Duration::ZERO,
+        });
+        let a = rt.submit("echo", b"first".to_vec(), &[]);
+        let b = rt.submit("echo", b"survivor".to_vec(), &[]);
         rt.wait_all();
-        assert_eq!(f.wait().unwrap().as_ref(), b"survivor");
+        assert_eq!(a.wait().unwrap().as_ref(), b"first");
+        assert_eq!(b.wait().unwrap().as_ref(), b"survivor");
         let stats = rt.stats();
-        assert!(stats.watchdog_timeouts >= 1, "{stats:?}");
-        assert!(stats.retries >= 1, "{stats:?}");
+        assert_eq!(stats.watchdog_timeouts, 1, "{stats:?}");
+        assert_eq!(stats.retries, 1, "{stats:?}");
     }
 
     #[test]
     fn down_pool_is_avoided_and_health_reflects_probe() {
         let fabric = threaded(&[("up", 1), ("down", 1)]);
-        fabric.pool(1).faults().set_down(true);
+        fabric.set_down(1, true);
         let rt = FabricRuntime::new(Arc::clone(&fabric) as Arc<dyn Fabric>).with_retry(
             LiveRetryPolicy {
                 max_attempts: 3,

@@ -766,17 +766,8 @@ impl Rt {
             .collect();
 
         let mut rng = SimRng::seed_from_u64(cfg.seed);
-        let faults = {
-            let mut f = FaultInjector::with_probs(
-                rng.fork().raw().next_u64_compat(),
-                cfg.transfer_failure_prob,
-                cfg.task_failure_prob,
-            );
-            for o in &cfg.outages {
-                f.add_outage(EndpointId(o.endpoint as u16), o.from, o.to);
-            }
-            f
-        };
+        let fault_seed = rng.fork().raw().next_u64_compat();
+        let faults = FaultInjector::new(fault_seed, &cfg.faults, n);
         let outage_sched = faults.outage_windows();
         let health = HealthMonitor::with_policy(n, cfg.health);
         // Seeded off the config seed but on its own stream: forking the
@@ -1492,17 +1483,24 @@ impl Rt {
             let t = self.ep_queues[ep.index()]
                 .pop_front()
                 .expect("checked non-empty");
-            let ok = self.endpoints[ep.index()].occupy_worker(now);
-            debug_assert!(ok);
-            started_any = true;
+            // A swallowed attempt leaves its worker free and schedules no
+            // completion: only the watchdog below ever hears of it.
+            let swallowed = self.faults.swallows(ep);
+            if !swallowed {
+                let ok = self.endpoints[ep.index()].occupy_worker(now);
+                debug_assert!(ok);
+                started_any = true;
+            }
             self.set_state(t, TaskState::Running, now);
             self.tasks.t_exec_start[t.index()] = now;
             self.set_pending(t, None, now);
-            let noise = self.rng.normal_min(1.0, self.cfg.exec_noise_cv, 0.1);
-            let base = self.dag.spec(t).compute_seconds * noise;
-            let dur = self.endpoints[ep.index()].exec_duration(base);
-            let eid = eng.schedule(now + dur, Ev::ExecDone(t, ep));
-            self.running_insert(ep, t, eid);
+            if !swallowed {
+                let noise = self.rng.normal_min(1.0, self.cfg.exec_noise_cv, 0.1);
+                let base = self.dag.spec(t).compute_seconds * noise;
+                let dur = self.endpoints[ep.index()].exec_duration(base);
+                let eid = eng.schedule(now + dur + self.faults.exec_delay(ep), Ev::ExecDone(t, ep));
+                self.running_insert(ep, t, eid);
+            }
             // Straggler watchdog (opt-in): kill and reassign an attempt
             // that exceeds the configured execution timeout.
             if let Some(timeout) = self.cfg.retry.exec_timeout {
@@ -2117,9 +2115,14 @@ impl Rt {
             self.scheduler.on_task_removed(t);
             match state {
                 TaskState::Running => {
-                    let eid = self.running_remove(ep, t).expect("running task tracked");
-                    eng.cancel(eid);
-                    self.endpoints[ep.index()].release_worker(now);
+                    match self.running_remove(ep, t) {
+                        Some(eid) => {
+                            eng.cancel(eid);
+                            self.endpoints[ep.index()].release_worker(now);
+                        }
+                        // Only a swallowed attempt runs with no completion.
+                        None => assert!(self.faults.has_swallow(ep), "running task tracked"),
+                    }
                     let predicted = self.tasks.predicted_exec[t.index()];
                     self.monitor.mock_mut(ep).pop_task(predicted);
                 }
@@ -2186,11 +2189,15 @@ impl Rt {
         {
             return;
         }
-        let Some(eid) = self.running_remove(ep, t) else {
-            return;
-        };
-        eng.cancel(eid);
-        self.endpoints[ep.index()].release_worker(now);
+        match self.running_remove(ep, t) {
+            Some(eid) => {
+                eng.cancel(eid);
+                self.endpoints[ep.index()].release_worker(now);
+            }
+            // A swallowed attempt holds no worker and no completion.
+            None if self.faults.has_swallow(ep) => {}
+            None => return,
+        }
         let predicted = self.tasks.predicted_exec[t.index()];
         self.monitor.mock_mut(ep).pop_task(predicted);
         self.record_busy(ep, now);
@@ -2773,10 +2780,47 @@ mod tests {
         assert!(cold.makespan > pre.makespan);
     }
 
+    fn fault(cfg: &mut Config, rule: &str) {
+        cfg.faults.push(rule.parse().unwrap());
+    }
+
+    #[test]
+    fn swallowed_attempts_are_recovered_by_the_watchdog() {
+        let mut cfg = two_ep_config(SchedulingStrategy::Locality);
+        fault(&mut cfg, "swallow ep=0 every=3");
+        cfg.retry.exec_timeout = Some(SimDuration::from_secs(60));
+        cfg.max_task_attempts = 10;
+        let report = SimRuntime::new(cfg.clone(), bag_dag(24, 5.0))
+            .run()
+            .unwrap();
+        assert_eq!(report.tasks_completed, 24);
+        assert!(
+            report.failed_attempts > 0,
+            "every 3rd attempt on ep 0 is lost"
+        );
+        cfg.faults = Default::default();
+        fault(&mut cfg, "swallow every=1");
+        let err = SimRuntime::new(cfg, bag_dag(2, 1.0)).run().unwrap_err();
+        assert!(matches!(err, UniFaasError::TaskFailed { .. }));
+    }
+
+    #[test]
+    fn delay_adds_to_execution_time() {
+        let run = |rules: &[&str]| {
+            let mut cfg = two_ep_config(SchedulingStrategy::Locality);
+            rules.iter().for_each(|r| fault(&mut cfg, r));
+            SimRuntime::new(cfg, chain_dag(4, 5.0)).run().unwrap()
+        };
+        let (plain, late) = (run(&[]), run(&["delay ms=2000"]));
+        assert_eq!(late.tasks_completed, 4);
+        let extra = late.latency.execution_s - plain.latency.execution_s;
+        assert!((extra - 8.0).abs() < 1e-6, "4 attempts × 2 s, got {extra}");
+    }
+
     #[test]
     fn task_failures_are_retried_and_reassigned() {
         let mut cfg = two_ep_config(SchedulingStrategy::Locality);
-        cfg.task_failure_prob = 0.3;
+        fault(&mut cfg, "task-fail p=0.3");
         cfg.max_task_attempts = 10;
         let report = SimRuntime::new(cfg, bag_dag(30, 5.0)).run().unwrap();
         assert_eq!(report.tasks_completed, 30);
@@ -2786,7 +2830,7 @@ mod tests {
     #[test]
     fn fatal_when_task_fails_everywhere() {
         let mut cfg = two_ep_config(SchedulingStrategy::Locality);
-        cfg.task_failure_prob = 1.0;
+        fault(&mut cfg, "task-fail p=1");
         cfg.max_task_attempts = 3;
         let err = SimRuntime::new(cfg, bag_dag(2, 1.0)).run().unwrap_err();
         assert!(matches!(err, UniFaasError::TaskFailed { .. }));
@@ -2797,11 +2841,7 @@ mod tests {
         // "fast" is down for the entire run: everything it was assigned at
         // t=0 must be drained, reassigned and completed by "slow".
         let mut cfg = two_ep_config(SchedulingStrategy::Locality);
-        cfg.outages.push(crate::config::OutageSpec {
-            endpoint: 0,
-            from: SimTime::from_secs(1),
-            to: SimTime::from_secs(100_000),
-        });
+        fault(&mut cfg, "down ep=0 from=1 to=100000");
         let report = SimRuntime::new(cfg, bag_dag(24, 30.0)).run().unwrap();
         assert_eq!(report.tasks_completed, 24);
         let by_label = |l: &str| {
@@ -2821,11 +2861,7 @@ mod tests {
         // "fast" is down [1, 40). Tasks injected after recovery must be
         // able to land on it again (4 idle workers beat the busy "slow").
         let mut cfg = two_ep_config(SchedulingStrategy::Locality);
-        cfg.outages.push(crate::config::OutageSpec {
-            endpoint: 0,
-            from: SimTime::from_secs(1),
-            to: SimTime::from_secs(40),
-        });
+        fault(&mut cfg, "down ep=0 from=1 to=40");
         let mut rt = SimRuntime::new(cfg, bag_dag(6, 300.0));
         rt.inject_at(SimTime::from_secs(60), |dag| {
             let f = dag.register_function("late");
@@ -2848,7 +2884,7 @@ mod tests {
     fn retry_backoff_delays_reassignment() {
         let base = || {
             let mut cfg = two_ep_config(SchedulingStrategy::Locality);
-            cfg.task_failure_prob = 0.5;
+            fault(&mut cfg, "task-fail p=0.5");
             cfg.max_task_attempts = 20;
             cfg
         };
@@ -2926,7 +2962,7 @@ mod tests {
     #[test]
     fn transfer_failures_retry_transparently() {
         let mut cfg = two_ep_config(SchedulingStrategy::Locality);
-        cfg.transfer_failure_prob = 0.2;
+        fault(&mut cfg, "transfer-fail p=0.2");
         cfg.max_transfer_retries = 10;
         let report = SimRuntime::new(cfg, chain_dag(6, 2.0)).run().unwrap();
         assert_eq!(report.tasks_completed, 6);

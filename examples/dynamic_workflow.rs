@@ -34,7 +34,8 @@ fn run(strategy: SchedulingStrategy) -> unifaas::RunReport {
         .capacity_event(60, 0, -30)
         .capacity_event(90, 1, 30)
         // Faults: 5% of transfers and 3% of task attempts fail.
-        .faults(0.05, 0.03)
+        .fault("transfer-fail p=0.05".parse().unwrap())
+        .fault("task-fail p=0.03".parse().unwrap())
         .retries(5, 5)
         .build();
 

@@ -43,6 +43,19 @@ if grep -rnE 'engine_reference_queue|record_series|digest_decisions|validate_cou
   exit 1
 fi
 
+# Faults used to be written four ways: the simulator's three Config
+# fields and their spec directives and flags, the thread pools'
+# `PoolFaults`, the daemons' `DaemonChaos` and the `--chaos-*` flags. One
+# `fedci::fault::FaultPlan` with one rule syntax replaced them all.
+echo "==> no second fault vocabulary (PoolFaults / DaemonChaos / OutageSpec / fault probabilities / chaos flags)"
+if grep -rnE 'PoolFaults|DaemonChaos|OutageSpec|task_failure_prob|transfer_failure_prob|--task-fail-prob|--transfer-fail-prob|--outage |--chaos-' \
+  --include='*.rs' --include='*.sh' --include='*.yml' \
+  --exclude=check.sh --exclude-dir=benchmark --exclude-dir=target \
+  --exclude-dir=.git .; then
+  echo "a deleted fault vocabulary is referenced again (see above)" >&2
+  exit 1
+fi
+
 # The daemon ran every function under its blob-store lock until PR 21: a
 # match arm keeps the guard of `&blobs.lock()` alive until the arm ends.
 echo "==> no function call under the daemon's blob-store lock"

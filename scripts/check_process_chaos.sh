@@ -49,7 +49,8 @@ fabric process --backend process
 # merged cross-process Perfetto timeline and the final scraped metrics,
 # which CI uploads alongside the transcripts when the gate fails.
 fabric chaos --backend process \
-  --chaos-kill 0:60 --chaos-kill 1:150 --chaos-kill 0:250 \
+  --fault 'kill ep=0 after=60' --fault 'kill ep=1 after=150' \
+  --fault 'kill ep=0 after=250' \
   --trace-out "$outdir/chaos_trace.json" \
   --metrics-out "$outdir/chaos_metrics.prom"
 

@@ -1,17 +1,24 @@
 //! Chaos integration tests: endpoints die mid-run — in the simulator and
-//! on the live thread fabric — and workflows must still complete. Plus the
-//! determinism gate: a faulted run replayed with the same seed and fault
-//! schedule is bit-identical.
+//! on the live thread fabric — and workflows must still complete; one
+//! fault plan runs on the simulator, the thread fabric and the process
+//! fabric. Plus the determinism gate: a faulted run replayed with the same
+//! seed and fault schedule is bit-identical.
 
-use fedci::fabric::{FabricTiming, ThreadedFabric};
-use simkit::{SimDuration, SimTime};
+use fedci::fabric::{Fabric, FabricTiming, ThreadedFabric};
+use fedci::fault::Backend;
+use fedci::process::{
+    spawn_daemon_thread, DaemonConfig, EndpointMode, ProcessEndpointSpec, ProcessFabric,
+    ProcessFabricConfig,
+};
+use simkit::SimDuration;
 use std::sync::Arc;
 use std::time::Duration;
 use taskgraph::workloads::stress;
-use unifaas::config::{OutageSpec, RetryPolicy};
+use unifaas::config::RetryPolicy;
 use unifaas::monitor::HealthPolicy;
 use unifaas::prelude::*;
 use unifaas::runtime::fabric::LiveRetryPolicy;
+use unifaas_cli::fabricrun::{run_workload, FabricWorkload};
 
 fn chaos_config(strategy: SchedulingStrategy) -> Config {
     Config::builder()
@@ -20,6 +27,10 @@ fn chaos_config(strategy: SchedulingStrategy) -> Config {
         .endpoint(EndpointConfig::new("Lab", ClusterSpec::lab_cluster(), 4))
         .strategy(strategy)
         .build()
+}
+
+fn fault(cfg: &mut Config, rule: &str) {
+    cfg.faults.push(rule.parse().unwrap());
 }
 
 fn all_strategies() -> Vec<SchedulingStrategy> {
@@ -39,11 +50,7 @@ fn sim_endpoint_killed_mid_run_workflow_completes() {
     // later; every scheduler must drain it, reassign and finish.
     for strategy in all_strategies() {
         let mut cfg = chaos_config(strategy.clone());
-        cfg.outages.push(OutageSpec {
-            endpoint: 0,
-            from: SimTime::from_secs(30),
-            to: SimTime::from_secs(600),
-        });
+        fault(&mut cfg, "down ep=0 from=30 to=600");
         let report = SimRuntime::new(cfg, stress::bag_of_tasks(60, 20.0))
             .run()
             .unwrap_or_else(|e| panic!("{strategy:?}: {e}"));
@@ -56,8 +63,8 @@ fn sim_outage_with_failures_and_retries_completes() {
     // Outage + probabilistic task/transfer failures + backoff + straggler
     // watchdog, all at once.
     let mut cfg = chaos_config(SchedulingStrategy::Dha { rescheduling: true });
-    cfg.task_failure_prob = 0.05;
-    cfg.transfer_failure_prob = 0.05;
+    fault(&mut cfg, "task-fail p=0.05");
+    fault(&mut cfg, "transfer-fail p=0.05");
     cfg.max_task_attempts = 10;
     cfg.exec_noise_cv = 0.3;
     cfg.retry = RetryPolicy {
@@ -66,11 +73,7 @@ fn sim_outage_with_failures_and_retries_completes() {
         ..RetryPolicy::default()
     };
     cfg.health = HealthPolicy::default();
-    cfg.outages.push(OutageSpec {
-        endpoint: 1,
-        from: SimTime::from_secs(50),
-        to: SimTime::from_secs(400),
-    });
+    fault(&mut cfg, "down ep=1 from=50 to=400");
     let report = SimRuntime::new(cfg, stress::bag_of_tasks(80, 25.0))
         .run()
         .unwrap();
@@ -85,15 +88,11 @@ fn faulted_run_replays_bit_identically() {
     let run = || {
         let mut cfg = chaos_config(SchedulingStrategy::Locality);
         cfg.seed = 42;
-        cfg.task_failure_prob = 0.1;
-        cfg.transfer_failure_prob = 0.05;
+        fault(&mut cfg, "task-fail p=0.1");
+        fault(&mut cfg, "transfer-fail p=0.05");
         cfg.max_task_attempts = 8;
         cfg.retry.backoff_base = SimDuration::from_secs(5);
-        cfg.outages.push(OutageSpec {
-            endpoint: 2,
-            from: SimTime::from_secs(20),
-            to: SimTime::from_secs(200),
-        });
+        fault(&mut cfg, "down ep=2 from=20 to=200");
         SimRuntime::new(cfg, stress::bag_of_tasks(50, 15.0))
             .run()
             .unwrap()
@@ -117,8 +116,8 @@ fn zero_fault_probabilities_match_unconfigured_run() {
         .run()
         .unwrap();
     let mut cfg = chaos_config(SchedulingStrategy::Locality);
-    cfg.task_failure_prob = 0.0;
-    cfg.transfer_failure_prob = 0.0;
+    fault(&mut cfg, "task-fail p=0");
+    fault(&mut cfg, "transfer-fail p=0");
     cfg.retry = RetryPolicy {
         backoff_base: SimDuration::from_secs(9),
         backoff_factor: 4.0,
@@ -159,7 +158,7 @@ fn live_endpoint_killed_mid_run_workflow_completes() {
     let mut futures: Vec<TypedFuture<i64>> = (0..8i64).map(|i| rt.call("work", i, &[])).collect();
     // Kill the big pool mid-run: in-flight and queued jobs there are
     // swallowed from now on, and placement must divert the rest.
-    fabric.pool(0).faults().set_down(true);
+    fabric.set_down(0, true);
     futures.extend((8..16i64).map(|i| rt.call("work", i, &[])));
     rt.wait_all();
     for (i, f) in (0..).zip(&futures) {
@@ -176,13 +175,102 @@ fn live_pool_recovers_and_is_reused() {
         task_timeout: Some(Duration::from_millis(150)),
         backoff: Duration::ZERO,
     });
-    fabric.pool(0).faults().set_down(true);
+    fabric.set_down(0, true);
     let mut futures: Vec<TypedFuture<i64>> = (0..4i64).map(|i| rt.call("id", i, &[])).collect();
     rt.wait_all();
-    fabric.pool(0).faults().set_down(false);
+    fabric.set_down(0, false);
     futures.extend((4..8i64).map(|i| rt.call("id", i, &[])));
     rt.wait_all();
     for (i, f) in (0..).zip(&futures) {
         assert_eq!(f.get().unwrap(), i);
     }
+}
+
+/// The subset of the fault plan every backend runs, written once and
+/// parsed once, on the simulator, the thread pools and real daemons.
+#[test]
+fn one_plan_runs_on_every_backend() {
+    let plan: FaultPlan = ["swallow ep=0 every=7", "delay ep=1 ms=2"]
+        .iter()
+        .map(|r| r.parse().unwrap())
+        .collect();
+    for backend in [Backend::Sim, Backend::Threaded, Backend::Process] {
+        assert_eq!(plan.check(backend, 2), Ok(()), "{backend:?}");
+    }
+
+    // Simulator: the swallowed attempts are the watchdog's, and a verified
+    // run replays bit-identically.
+    let sim = || {
+        let mut cfg = chaos_config(SchedulingStrategy::Capacity);
+        cfg.faults = plan.clone();
+        cfg.retry.exec_timeout = Some(SimDuration::from_secs(120));
+        cfg.max_task_attempts = 10;
+        cfg.verify = true;
+        SimRuntime::new(cfg, stress::bag_of_tasks(60, 20.0))
+            .run()
+            .unwrap()
+    };
+    let (a, b) = (sim(), sim());
+    assert_eq!(a.tasks_completed, 60);
+    let tally: usize = a.tasks_per_endpoint.iter().map(|(_, n)| n).sum();
+    assert_eq!(tally, 60, "each task completes exactly once");
+    assert!(
+        a.failed_attempts > 0,
+        "every 7th attempt on endpoint 0 is lost"
+    );
+    assert_eq!(a.determinism_digest(), b.determinism_digest());
+    assert_eq!(a.events_processed, b.events_processed);
+
+    // Live backends: at-least-once execution, exactly-once resolution, and
+    // the output digest of an unfaulted run.
+    let w = FabricWorkload::new(40, 17);
+    let retry = LiveRetryPolicy {
+        max_attempts: 8,
+        task_timeout: Some(Duration::from_millis(250)),
+        backoff: Duration::from_millis(2),
+    };
+    let run = |fabric: Arc<dyn Fabric>| {
+        let rt = FabricRuntime::new(fabric).with_retry(retry);
+        let outcome = run_workload(&rt, &w);
+        assert_eq!(outcome.failures, 0);
+        assert_eq!(rt.stats().completed, 40);
+        (outcome.digest, rt.stats().retries)
+    };
+    let endpoints = [("a", 2), ("b", 2)];
+    let (reference, _) = run(live_fabric(&endpoints));
+    let threaded = ThreadedFabric::new(&endpoints, &FabricTiming::fast()).with_faults(&plan);
+    let (digest, retries) = run(Arc::new(threaded.unwrap()));
+    assert_eq!(digest, reference, "threaded");
+    assert!(retries > 0, "threaded: nothing was swallowed");
+
+    let daemons: Vec<_> = (0..2)
+        .map(|ep| {
+            let mut cfg = DaemonConfig::new(endpoints[ep].0, 2);
+            cfg.faults = plan.for_endpoint(ep);
+            spawn_daemon_thread(cfg).expect("daemon")
+        })
+        .collect();
+    let specs = (daemons.iter().zip(endpoints)).map(|(d, (name, workers))| ProcessEndpointSpec {
+        name: name.to_string(),
+        workers,
+        mode: EndpointMode::Connect {
+            addr: d.addr().to_string(),
+        },
+    });
+    let process = Arc::new(ProcessFabric::new(
+        specs.collect(),
+        ProcessFabricConfig {
+            timing: FabricTiming::fast(),
+            seed: 5,
+            respawn: false,
+            telemetry: false,
+        },
+    ));
+    let (digest, retries) = run(Arc::clone(&process) as Arc<dyn Fabric>);
+    process.shutdown();
+    for d in daemons {
+        d.join().expect("daemon drains cleanly");
+    }
+    assert_eq!(digest, reference, "process");
+    assert!(retries > 0, "process: nothing was swallowed");
 }

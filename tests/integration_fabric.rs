@@ -427,7 +427,7 @@ fn cut_inside_a_result_batch_resolves_every_task_exactly_once() {
     // Every RESULT is sent twice, so each batch on the wire holds replays
     // next to first copies — the worst case for the attempt guard.
     let mut cfg = DaemonConfig::new("cut", 2);
-    cfg.chaos.dup_results = true;
+    cfg.faults.push("dup".parse().unwrap());
     let daemon = spawn_daemon_thread(cfg).expect("daemon");
     let proxy = ChaosProxy::start(daemon.addr()).expect("proxy");
     // Default timing: the cut is the only thing that may end a connection

@@ -130,7 +130,7 @@ fn biased_predictor_shows_up_in_calibration() {
 #[test]
 fn attempt_counters_reconcile_under_seeded_faults() {
     let mut cfg = two_site(SchedulingStrategy::Locality);
-    cfg.task_failure_prob = 0.15;
+    cfg.faults.push("task-fail p=0.15".parse().unwrap());
     cfg.max_task_attempts = 10;
     cfg.seed = 7;
     let report = SimRuntime::new(cfg, fan_dag(40, 5.0))
@@ -187,7 +187,7 @@ fn attempt_counters_reconcile_under_seeded_faults() {
 #[test]
 fn retry_latency_stages_cover_only_the_final_attempt() {
     let mut cfg = two_site(SchedulingStrategy::Locality);
-    cfg.task_failure_prob = 0.3;
+    cfg.faults.push("task-fail p=0.3".parse().unwrap());
     cfg.max_task_attempts = 20;
     cfg.seed = 11;
     let report = SimRuntime::new(cfg, fan_dag(30, 5.0)).run().unwrap();

@@ -45,8 +45,13 @@ fn testbed(strategy: SchedulingStrategy) -> Config {
         .seed(7)
         .capacity_event(SHRINK_AT_S, 0, -25)
         .capacity_event(900, 1, 20)
-        .outage(2, OUTAGE_S.0, OUTAGE_S.1)
-        .faults(0.05, 0.08)
+        .fault(
+            format!("down ep=2 from={} to={}", OUTAGE_S.0, OUTAGE_S.1)
+                .parse()
+                .unwrap(),
+        )
+        .fault("transfer-fail p=0.05".parse().unwrap())
+        .fault("task-fail p=0.08".parse().unwrap())
         .retries(5, 40)
         .retry_policy(retry)
         .build()

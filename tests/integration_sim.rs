@@ -234,8 +234,8 @@ fn rsync_and_globus_mechanisms_both_work() {
 #[test]
 fn fault_injection_end_to_end_with_both_failure_kinds() {
     let mut cfg = testbed(SchedulingStrategy::Locality);
-    cfg.transfer_failure_prob = 0.15;
-    cfg.task_failure_prob = 0.1;
+    cfg.faults.push("transfer-fail p=0.15".parse().unwrap());
+    cfg.faults.push("task-fail p=0.1".parse().unwrap());
     cfg.max_transfer_retries = 8;
     cfg.max_task_attempts = 8;
     let dag = drug::generate(&drug::DrugParams::small(20));

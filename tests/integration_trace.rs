@@ -201,7 +201,8 @@ fn counter_validation_runs_under_faults_and_scaling() {
             enabled: true,
             ..ScalingConfig::default()
         })
-        .faults(0.05, 0.05)
+        .fault("transfer-fail p=0.05".parse().unwrap())
+        .fault("task-fail p=0.05".parse().unwrap())
         .verify(true)
         .build();
     let report = SimRuntime::new(cfg, dag)

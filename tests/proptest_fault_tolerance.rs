@@ -1,12 +1,15 @@
 //! Property-based tests for the fault-tolerance machinery: under random
 //! fault schedules no task is lost or duplicated, attempt budgets are
-//! respected, and faulted runs replay deterministically.
+//! respected, and faulted runs replay deterministically. The fault-rule
+//! parser, which reads daemon argv, never panics on hostile input and
+//! round-trips every valid rule.
 
+use proptest::collection;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use simkit::{SimDuration, SimTime};
+use simkit::SimDuration;
+use std::str::FromStr;
 use taskgraph::workloads::random::{generate, RandomDagParams};
-use unifaas::config::OutageSpec;
 use unifaas::prelude::*;
 
 fn arb_strategy() -> impl Strategy<Value = SchedulingStrategy> {
@@ -32,17 +35,14 @@ fn faulted_config(
         .strategy(strategy)
         .seed(seed)
         .build();
-    cfg.task_failure_prob = task_fail;
-    cfg.transfer_failure_prob = transfer_fail;
+    cfg.faults.push(FaultRule::TaskFail { p: task_fail });
+    cfg.faults
+        .push(FaultRule::TransferFail { p: transfer_fail });
     cfg.max_task_attempts = max_attempts;
     cfg.max_transfer_retries = 10;
     cfg.retry.backoff_base = SimDuration::from_secs(backoff_s);
     if let Some((ep, from, to)) = outage {
-        cfg.outages.push(OutageSpec {
-            endpoint: ep,
-            from: SimTime::from_secs(from),
-            to: SimTime::from_secs(to),
-        });
+        cfg.faults.push(FaultRule::Down { ep, from, to });
     }
     cfg
 }
@@ -148,5 +148,97 @@ proptest! {
                 )))
             }
         }
+    }
+}
+
+/// What rules are made of, plus near misses: hostile argv is mostly
+/// almost-valid argv.
+const WORDS: [&str; 33] = [
+    "task-fail",
+    "transfer-fail",
+    "down",
+    "swallow",
+    "delay",
+    "dup",
+    "kill",
+    "p=0.5",
+    "p=",
+    "p=nan",
+    "p=-0",
+    "p=1e309",
+    "ep=0",
+    "ep=18446744073709551616",
+    "ep=-1",
+    "every=0",
+    "every=7",
+    "ms=2",
+    "from=300",
+    "to=900",
+    "from=inf",
+    "to=1e400",
+    "to=18446744073710",
+    "after=60",
+    "=",
+    "==",
+    "ep",
+    "\t",
+    "é",
+    "\u{0}",
+    "p=0.5=1",
+    "ms=99999999999999999999",
+    "from=0.0000001",
+];
+
+fn arb_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        collection::vec(0usize..WORDS.len(), 0..8).prop_map(|words| {
+            let words: Vec<&str> = words.into_iter().map(|i| WORDS[i]).collect();
+            words.join(" ")
+        }),
+        collection::vec(0u32..0x11_0000, 0..24)
+            .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect()),
+    ]
+}
+
+fn arb_ep() -> impl Strategy<Value = Option<usize>> {
+    prop_oneof![Just(None), (0usize..64).prop_map(Some)]
+}
+
+fn arb_p() -> impl Strategy<Value = f64> {
+    prop_oneof![0.0f64..1.0, Just(0.0), Just(1.0)]
+}
+
+fn arb_rule() -> impl Strategy<Value = FaultRule> {
+    prop_oneof![
+        arb_p().prop_map(|p| FaultRule::TaskFail { p }),
+        arb_p().prop_map(|p| FaultRule::TransferFail { p }),
+        (0usize..64, 0u64..1 << 43, 1u64..1 << 43).prop_map(|(ep, from, len)| FaultRule::Down {
+            ep,
+            from,
+            to: from + len,
+        }),
+        (arb_ep(), 1u64..u64::MAX).prop_map(|(ep, every)| FaultRule::Swallow { ep, every }),
+        (arb_ep(), 0..u64::MAX / 1000 + 1).prop_map(|(ep, ms)| FaultRule::Delay { ep, ms }),
+        arb_ep().prop_map(|ep| FaultRule::Dup { ep }),
+        (0usize..64, 0u64..u64::MAX).prop_map(|(ep, after)| FaultRule::Kill { ep, after }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// Arbitrary text is a rule or a typed error, never a panic; whatever
+    /// parses prints back to text that parses to the same rule.
+    #[test]
+    fn arbitrary_text_never_panics_the_rule_parser(text in arb_text()) {
+        if let Ok(rule) = FaultRule::from_str(&text) {
+            prop_assert_eq!(rule.to_string().parse::<FaultRule>(), Ok(rule));
+        }
+    }
+
+    /// `parse(display(r)) == r` for every valid rule.
+    #[test]
+    fn valid_rules_round_trip_through_text(rule in arb_rule()) {
+        prop_assert_eq!(rule.to_string().parse::<FaultRule>(), Ok(rule));
     }
 }

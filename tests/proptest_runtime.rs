@@ -111,7 +111,8 @@ proptest! {
             .endpoint(EndpointConfig::new("a", ClusterSpec::qiming(), 8))
             .endpoint(EndpointConfig::new("b", ClusterSpec::taiyi(), 8))
             .strategy(strategy)
-            .faults(transfer_p, task_p)
+            .fault(FaultRule::TransferFail { p: transfer_p })
+            .fault(FaultRule::TaskFail { p: task_p })
             .retries(25, 25)
             .seed(seed)
             .build();
@@ -153,7 +154,8 @@ proptest! {
             .seed(seed)
             .verify(true);
         if outage_ep < 2 {
-            b = b.outage(outage_ep, outage_from, outage_from + outage_len);
+            let to = outage_from + outage_len;
+            b = b.fault(format!("down ep={outage_ep} from={outage_from} to={to}").parse().unwrap());
         }
         let report = SimRuntime::new(b.build(), dag).run().unwrap();
         prop_assert_eq!(report.tasks_completed, n);
@@ -192,12 +194,13 @@ proptest! {
                 .endpoint(EndpointConfig::new("a", ClusterSpec::qiming(), 8))
                 .endpoint(EndpointConfig::new("b", ClusterSpec::taiyi(), 8))
                 .strategy(strategy.clone())
-                .faults(transfer_p, task_p)
+                .fault(FaultRule::TransferFail { p: transfer_p })
+                .fault(FaultRule::TaskFail { p: task_p })
                 .retries(25, 25)
                 .seed(seed)
                 .verify(true);
             if let Some((ep, from, len)) = outage {
-                b = b.outage(ep, from, from + len);
+                b = b.fault(format!("down ep={ep} from={from} to={}", from + len).parse().unwrap());
             }
             b.build()
         };
