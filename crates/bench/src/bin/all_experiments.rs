@@ -1,39 +1,40 @@
-//! Runs every experiment binary's logic in sequence — the rows recorded in
-//! EXPERIMENTS.md come from this program's output.
+//! Runs the paper's experiments in-process and prints their tables and
+//! figures; `results/all_experiments.txt` is this program's full output.
 //!
-//! `cargo run --release -p unifaas-bench --bin all_experiments`
+//! `cargo run --release -p unifaas-bench --bin all_experiments [name ...]`
+//!
+//! With no names it runs every experiment in [`EXPERIMENTS`] order; given
+//! names, only those, in the order given. An unknown name lists the valid
+//! ones and exits with status 2.
 
-use std::process::Command;
+use unifaas_bench::experiments::{Experiment, EXPERIMENTS};
+use unifaas_bench::Runs;
+
+/// The registry entry called `name`, or the list of valid names and exit 2.
+fn lookup(name: &str) -> &'static (&'static str, Experiment) {
+    EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| {
+            eprintln!("unknown experiment `{name}`; valid names:");
+            for (n, _) in EXPERIMENTS {
+                eprintln!("  {n}");
+            }
+            std::process::exit(2)
+        })
+}
 
 fn main() {
-    let bins = [
-        "fig5_latency",
-        "fig6_scaling",
-        "fig7_elasticity",
-        "fig8_workloads",
-        "table3_overhead",
-        "table4_static",
-        "fig9_utilization",
-        "fig10_staging",
-        "fig11_distribution",
-        "table5_dynamic",
-        "fig12_13_dynamic",
-        "ablations",
-        "knowledge_ablation",
-        "scaling_coordination",
-    ];
-    let exe = std::env::current_exe().expect("current exe");
-    let dir = exe.parent().expect("bin dir");
-    for bin in bins {
-        println!("\n################ {bin} ################\n");
-        let path = dir.join(bin);
-        let status = Command::new(&path)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {}: {e}", path.display()));
-        if !status.success() {
-            eprintln!("{bin} exited with {status}");
-            std::process::exit(1);
-        }
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let chosen: Vec<_> = if names.is_empty() {
+        EXPERIMENTS.iter().collect()
+    } else {
+        names.iter().map(|name| lookup(name)).collect()
+    };
+    let mut runs = Runs::default();
+    for (name, experiment) in chosen {
+        println!("\n################ {name} ################\n");
+        experiment(&mut runs);
     }
     println!("\nall experiments completed.");
 }

@@ -1,16 +1,19 @@
-//! Shared helpers for the experiment binaries.
-//!
-//! Each binary in `src/bin/` regenerates one table or figure from the
-//! paper's evaluation (see DESIGN.md's per-experiment index). The helpers
-//! here build the Table II / §VI endpoint pools and format output rows.
+//! The paper's evaluation as a library: [`experiments`] holds one function
+//! per table or figure (see DESIGN.md's per-experiment index), run by the
+//! `all_experiments` binary over one [`Runs`] memo. The helpers here build
+//! the Table II / §VI endpoint pools and format output rows.
 
+pub mod experiments;
 pub mod memstats;
 
 use fedci::hardware::ClusterSpec;
 use simkit::series::SeriesSet;
 use simkit::SimTime;
+use taskgraph::workloads::{drug, montage};
+use taskgraph::Dag;
 use unifaas::config::{Config, ConfigBuilder, EndpointConfig, SchedulingStrategy};
 use unifaas::metrics::RunReport;
+use unifaas::SimRuntime;
 
 pub use memstats::{alloc_snapshot, peak_rss_bytes, AllocSnapshot};
 
@@ -56,6 +59,75 @@ pub fn montage_dynamic_pool() -> ConfigBuilder {
         .endpoint(EndpointConfig::new("Lab", ClusterSpec::lab_cluster(), 52))
         .capacity_event(120, 0, 80)
         .capacity_event(300, 1, -168)
+}
+
+/// One §VI case study: it fixes both the endpoint pool and the DAG.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pool {
+    /// [`drug_static_pool`] running the 24,001-task drug DAG (Table IV).
+    DrugStatic,
+    /// [`montage_static_pool`] running the 11,340-task montage DAG.
+    MontageStatic,
+    /// [`drug_dynamic_pool`] running the 12,001-task drug DAG (Table V).
+    DrugDynamic,
+    /// [`montage_dynamic_pool`] running the montage DAG.
+    MontageDynamic,
+}
+
+impl Pool {
+    /// The endpoint pool, capacity events included.
+    pub fn config(self) -> ConfigBuilder {
+        match self {
+            Pool::DrugStatic => drug_static_pool(),
+            Pool::MontageStatic => montage_static_pool(),
+            Pool::DrugDynamic => drug_dynamic_pool(),
+            Pool::MontageDynamic => montage_dynamic_pool(),
+        }
+    }
+
+    /// A fresh copy of the case study's DAG.
+    pub fn dag(self) -> Dag {
+        match self {
+            Pool::DrugStatic => drug::generate(&drug::DrugParams::full()),
+            Pool::DrugDynamic => drug::generate(&drug::DrugParams::dynamic_study()),
+            Pool::MontageStatic | Pool::MontageDynamic => {
+                montage::generate(&montage::MontageParams::full())
+            }
+        }
+    }
+
+    /// Simulates the case study under `strategy`.
+    pub fn run(self, strategy: SchedulingStrategy) -> RunReport {
+        let mut cfg = self.config().build();
+        cfg.strategy = strategy;
+        SimRuntime::new(cfg, self.dag()).run().expect("run failed")
+    }
+}
+
+/// The case-study runs of one invocation, each simulated once: Table III/IV
+/// and Figs. 9–11 read the same static runs, Table V and Figs. 12–13 the
+/// same dynamic ones. Strategies are compared as given, not normalised.
+#[derive(Default)]
+pub struct Runs {
+    memo: Vec<(Pool, SchedulingStrategy, RunReport)>,
+}
+
+impl Runs {
+    /// The reports of `pool` under each of `strategies`, in order,
+    /// simulating only the pairs not seen before.
+    pub fn get(&mut self, pool: Pool, strategies: &[SchedulingStrategy]) -> Vec<&RunReport> {
+        let at: Vec<usize> = strategies
+            .iter()
+            .map(|s| {
+                let known = self.memo.iter().position(|(p, q, _)| *p == pool && q == s);
+                known.unwrap_or_else(|| {
+                    self.memo.push((pool, s.clone(), pool.run(s.clone())));
+                    self.memo.len() - 1
+                })
+            })
+            .collect();
+        at.into_iter().map(|i| &self.memo[i].2).collect()
+    }
 }
 
 /// The three general schedulers compared throughout the evaluation.
@@ -107,6 +179,32 @@ pub fn print_series_grid(set: &SeriesSet, times: impl IntoIterator<Item = SimTim
         print!("{:>8.0}", t.as_secs_f64());
         for (_, series) in set.iter() {
             print!(" {:>12.1}", series.value_at(t));
+        }
+        println!();
+    }
+}
+
+/// Prints one column per report, headed by its scheduler, on a 20-step
+/// grid up to the longest makespan — Figs. 9 and 10's form.
+pub fn print_report_grid(
+    reports: &[&RunReport],
+    width: usize,
+    precision: usize,
+    value: impl Fn(&RunReport, SimTime) -> f64,
+) {
+    let horizon = reports
+        .iter()
+        .map(|r| r.makespan.as_secs_f64())
+        .fold(0.0, f64::max);
+    print!("{:>8}", "t(s)");
+    for r in reports {
+        print!(" {:>width$}", r.scheduler);
+    }
+    println!();
+    for t in grid(SimTime::ZERO, SimTime::from_secs_f64(horizon), 20) {
+        print!("{:>8.0}", t.as_secs_f64());
+        for r in reports {
+            print!(" {:>width$.precision$}", value(r, t));
         }
         println!();
     }

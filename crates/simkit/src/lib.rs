@@ -15,7 +15,7 @@
 //! * [`rng`] — seeded random number generation plus the statistical
 //!   distributions the workload generators need (implemented in-crate so we
 //!   do not depend on `rand_distr`),
-//! * [`stats`] — online statistics (Welford mean/variance, quantile sketch),
+//! * [`stats`] — online statistics (Welford mean, variance, min and max),
 //! * [`series`] — time-series recorders used to regenerate the paper's
 //!   figures.
 //!

@@ -63,11 +63,6 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// Last sample time, if any.
-    pub fn last_time(&self) -> Option<SimTime> {
-        self.points.last().map(|(t, _)| *t)
-    }
-
     /// Integral of the step function over `[from, to]`, in value·seconds.
     pub fn integral(&self, from: SimTime, to: SimTime) -> f64 {
         if to <= from || self.points.is_empty() {

@@ -104,110 +104,6 @@ impl OnlineStats {
     }
 }
 
-/// Exponentially weighted moving average, used by the endpoint monitor to
-/// smooth noisy utilization signals.
-#[derive(Clone, Debug)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// `alpha` is the weight on the newest observation (0 < alpha <= 1).
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Folds in an observation and returns the new smoothed value.
-    pub fn push(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            Some(v) => v + self.alpha * (x - v),
-            None => x,
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current smoothed value, if any observation has been pushed.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
-/// A fixed-bucket histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n` equal-width buckets spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo && n > 0);
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records an observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total observations including under/overflow.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Bucket counts (excluding under/overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Approximate quantile `q` in `[0,1]` by scanning bucket midpoints.
-    /// Returns `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut cum = self.underflow;
-        if cum >= target {
-            return Some(self.lo);
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Some(self.lo + (i as f64 + 0.5) * width);
-            }
-        }
-        Some(self.hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,52 +208,5 @@ mod tests {
         a.merge(&nan_only);
         assert_eq!(a.count(), 2);
         assert!((a.mean() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        e.push(10.0);
-        assert_eq!(e.value(), Some(10.0));
-        for _ in 0..50 {
-            e.push(2.0);
-        }
-        assert!((e.value().unwrap() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_zero_alpha() {
-        Ewma::new(0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.push(i as f64 / 10.0); // 0.0 .. 9.9 uniformly
-        }
-        assert_eq!(h.count(), 100);
-        assert!(h.buckets().iter().all(|&c| c == 10));
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 4.5).abs() <= 1.0, "median={median}");
-    }
-
-    #[test]
-    fn histogram_overflow_underflow() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.push(-5.0);
-        h.push(5.0);
-        h.push(0.5);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.buckets().iter().sum::<u64>(), 1);
-        assert_eq!(h.quantile(0.0), Some(0.0));
-    }
-
-    #[test]
-    fn histogram_empty_quantile() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(h.quantile(0.5), None);
     }
 }

@@ -106,11 +106,6 @@ impl SimDuration {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
-    /// This duration as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))

@@ -504,12 +504,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets the endpoint health state-machine thresholds.
-    pub fn health_policy(mut self, p: crate::monitor::HealthPolicy) -> Self {
-        self.config.health = p;
-        self
-    }
-
     /// Turns the run's self-checks on (see [`Config::verify`]).
     pub fn verify(mut self, yes: bool) -> Self {
         self.config.verify = yes;

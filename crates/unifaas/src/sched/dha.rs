@@ -85,7 +85,7 @@ impl DenseTaskSet {
 }
 
 /// Tunable knobs of DHA, exposed for the ablation benchmarks
-/// (`bench/src/bin/ablations.rs`).
+/// (`unifaas_bench::experiments::ablations`).
 #[derive(Clone, Copy, Debug)]
 pub struct DhaOptions {
     /// Enable the re-scheduling mechanism (Table V ablates this).

@@ -56,6 +56,22 @@ if grep -rnE 'PoolFaults|DaemonChaos|OutageSpec|task_failure_prob|transfer_failu
   exit 1
 fi
 
+# The paper's tables and figures are functions in crates/bench/src/
+# experiments.rs, run in-process by the one `all_experiments` binary over
+# one memo of simulated runs; the per-figure binaries and the launcher
+# that spawned them are gone.
+echo "==> one experiment binary, no process launcher"
+bins=$(cd crates/bench/src/bin && ls | sort | tr '\n' ' ')
+if [ "$bins" != "all_experiments.rs e2e_throughput.rs " ]; then
+  echo "crates/bench/src/bin/ holds $bins(want all_experiments.rs e2e_throughput.rs)" >&2
+  exit 1
+fi
+if grep -n 'Command::new' crates/bench/src/bin/all_experiments.rs \
+  crates/bench/src/experiments.rs crates/bench/src/lib.rs; then
+  echo "all_experiments spawns processes again" >&2
+  exit 1
+fi
+
 # The daemon ran every function under its blob-store lock until PR 21: a
 # match arm keeps the guard of `&blobs.lock()` alive until the arm ends.
 echo "==> no function call under the daemon's blob-store lock"
