@@ -152,7 +152,7 @@ pub fn fig6_scaling(_: &mut Runs) {
         );
     }
     println!(
-        "\nideal strong scaling: 100000/(24n) s and 100000/(24n)*... tasks*duration/workers;\n\
+        "\nideal strong scaling: 100,000 x 1 s or 20,000 x 5 s over 24n workers, both ~4,167/n s;\n\
          expected: 5 s tasks near-ideal to ~12 endpoints; 1 s tasks flatten around 6\n\
          endpoints (client submission becomes the bottleneck); weak curves rise there."
     );
