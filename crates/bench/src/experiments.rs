@@ -59,7 +59,7 @@ const DHA_NO_RESCHED: SchedulingStrategy = SchedulingStrategy::Dha {
 /// input prestaging disabled (so the 1 MB file actually transfers) and
 /// report the mean per-stage latency. Scheduling is real measured wall
 /// clock; the other stages are fabric model times.
-pub fn fig5_latency(_: &mut Runs) {
+fn fig5_latency(_: &mut Runs) {
     println!("=== Fig. 5: latency breakdown (hello world + 1 MB file, 20 runs) ===\n");
     let runs = 20;
     let mut totals = [0.0f64; 6]; // sched, staging, submission, queue, exec, poll
@@ -118,7 +118,7 @@ pub fn fig5_latency(_: &mut Runs) {
 /// tasks stop improving around 6 endpoints because the client's serial
 /// submission overhead becomes the bottleneck; weak-scaling curves rise
 /// once the client saturates.
-pub fn fig6_scaling(_: &mut Runs) {
+fn fig6_scaling(_: &mut Runs) {
     const WORKERS_PER_EP: usize = 24;
     let run = |dag: Dag, n_endpoints: usize| {
         let mut b = Config::builder();
@@ -169,7 +169,7 @@ pub fn fig6_scaling(_: &mut Runs) {
 /// 60, EP2/EP3 to 20 each); EP3 goes idle and returns its workers ~t=50;
 /// at t=70 submit 200/80/40 tasks (everything scales to its max); at the
 /// end all endpoints return to zero. The whole cycle is repeated twice.
-pub fn fig7_elasticity(_: &mut Runs) {
+fn fig7_elasticity(_: &mut Runs) {
     println!("=== Fig. 7: multi-endpoint elasticity ===\n");
 
     // Fast-provisioning variants of the clusters: the paper pre-allocated
@@ -268,7 +268,7 @@ pub fn fig7_elasticity(_: &mut Runs) {
 /// compute, ≈220 s average, 480.64 GB data; montage = 11,340 functions,
 /// ≈6.4 s average, 673.49 GB data. The generators must reproduce these
 /// aggregates exactly (durations and sizes are calibrated).
-pub fn fig8_workloads(_: &mut Runs) {
+fn fig8_workloads(_: &mut Runs) {
     let print_summary = |name: &str, dag: &Dag, (p_tasks, p_mean, p_gb): (usize, f64, f64)| {
         let s = dag.summary();
         let gb = s.total_data_bytes as f64 / (1u64 << 30) as f64;
@@ -319,7 +319,7 @@ pub fn fig8_workloads(_: &mut Runs) {
 /// prediction), divided by tasks — the same metric. Absolute numbers
 /// depend on the host CPU; the ordering (Capacity ≪ Locality < DHA) is
 /// the reproducible claim.
-pub fn table3_overhead(runs: &mut Runs) {
+fn table3_overhead(runs: &mut Runs) {
     println!("=== Table III: scheduler overhead (drug screening, 24,001 tasks) ===\n");
     println!(
         "{:<12} {:>16} {:>14} {:>12}",
@@ -350,7 +350,7 @@ pub fn table3_overhead(runs: &mut Runs) {
 /// 2.57, Locality 1,055 / 13.35, DHA 909 / 18.27, Qiming-only 1,994 / 0.
 /// The reproducible claims: DHA wins makespan, Capacity moves the least
 /// data, Locality moves the most (drug), federating beats the baseline.
-pub fn table4_static(runs: &mut Runs) {
+fn table4_static(runs: &mut Runs) {
     let baseline = |pool: Pool, endpoint: EndpointConfig| {
         let cfg = Config::builder()
             .endpoint(endpoint)
@@ -396,7 +396,7 @@ pub fn table4_static(runs: &mut Runs) {
 ///
 /// Same runs as Table IV; the claim: DHA holds consistently high
 /// utilization while Capacity and Locality decay into a long tail.
-pub fn fig9_utilization(runs: &mut Runs) {
+fn fig9_utilization(runs: &mut Runs) {
     println!("=== Fig. 9: worker utilization under static capacity ===\n");
     for (workflow, pool) in [
         ("drug screening", Pool::DrugStatic),
@@ -430,7 +430,7 @@ pub fn fig9_utilization(runs: &mut Runs) {
 /// delays, so it accumulates far more tasks in the staging state than
 /// Capacity, whose offline decisions let staging start the moment a
 /// dependency completes and overlap with computation.
-pub fn fig10_staging(runs: &mut Runs) {
+fn fig10_staging(runs: &mut Runs) {
     println!("=== Fig. 10: tasks in data staging over time (drug screening) ===\n");
     let reports = runs.get(Pool::DrugStatic, &[Capacity, Locality]);
     print_report_grid(&reports, 12, 0, |r, t| r.series.staging_tasks.value_at(t));
@@ -449,7 +449,7 @@ pub fn fig10_staging(runs: &mut Runs) {
 ///
 /// The claim: Capacity distributes tasks proportionally to worker counts;
 /// DHA is heterogeneity-aware and skews toward Taiyi, the faster cluster.
-pub fn fig11_distribution(runs: &mut Runs) {
+fn fig11_distribution(runs: &mut Runs) {
     println!("=== Fig. 11: workload distribution (drug screening) ===\n");
     let reports = runs.get(Pool::DrugStatic, &[Capacity, DHA]);
     let total = |r: &RunReport| r.tasks_per_endpoint.iter().map(|(_, c)| c).sum::<usize>();
@@ -492,7 +492,7 @@ pub fn fig11_distribution(runs: &mut Runs) {
 /// 1,868 / 29.62. Reproducible claims: DHA < Locality < Capacity on
 /// makespan; re-scheduling buys DHA ~25-30%; Capacity collapses because it
 /// cannot react to the capacity shift.
-pub fn table5_dynamic(runs: &mut Runs) {
+fn table5_dynamic(runs: &mut Runs) {
     println!("=== Table V: dynamic resource capacity ===\n");
     for (workflow, pool) in [
         (
@@ -522,7 +522,7 @@ pub fn table5_dynamic(runs: &mut Runs) {
 /// The claim: Capacity fails to rebalance when capacity shifts (EP2's new
 /// workers sit idle; shrunk EP1 becomes the bottleneck with a long tail),
 /// while DHA's re-scheduling quickly floods the new capacity.
-pub fn fig12_13_dynamic(runs: &mut Runs) {
+fn fig12_13_dynamic(runs: &mut Runs) {
     println!("=== Figs. 12-13: dynamic capacity timelines ===\n");
     for (title, pool, events) in [
         (
@@ -559,7 +559,7 @@ pub fn fig12_13_dynamic(runs: &mut Runs) {
 /// additionally ablates the delay mechanism and sweeps the steal
 /// hysteresis, on the dynamic-capacity drug workload where the mechanisms
 /// matter most.
-pub fn ablations(_: &mut Runs) {
+fn ablations(_: &mut Runs) {
     let dha = |rescheduling, delay_dispatch, steal_threshold_pct| {
         Pool::DrugDynamic.run(SchedulingStrategy::DhaCustom {
             rescheduling,
@@ -597,7 +597,7 @@ pub fn ablations(_: &mut Runs) {
 /// profilers (random forest / Bayesian linear / OLS per function, per-pair
 /// transfer models seeded by probing transfers), optionally warmed from a
 /// prior run's history database.
-pub fn knowledge_ablation(runs: &mut Runs) {
+fn knowledge_ablation(runs: &mut Runs) {
     let learned = |family| {
         let mut cfg = Pool::DrugStatic.config().build();
         cfg.strategy = DHA;
@@ -700,7 +700,7 @@ fn synthetic_history() -> HistoryDb {
 ///
 /// The metric trade-off: makespan vs. worker-seconds provisioned (what a
 /// facility bills you for).
-pub fn scaling_coordination(_: &mut Runs) {
+fn scaling_coordination(_: &mut Runs) {
     let run = |policy: ScalingPolicyKind| {
         let mut taiyi = ClusterSpec::taiyi(); // slow batch queue (90 s)
         taiyi.provision_delay_s = 90.0;
