@@ -4,7 +4,6 @@
 //! the Table II / §VI endpoint pools and format output rows.
 
 pub mod experiments;
-pub mod memstats;
 
 use fedci::hardware::ClusterSpec;
 use simkit::series::SeriesSet;
@@ -14,8 +13,6 @@ use taskgraph::Dag;
 use unifaas::config::{Config, ConfigBuilder, EndpointConfig, SchedulingStrategy};
 use unifaas::metrics::RunReport;
 use unifaas::SimRuntime;
-
-pub use memstats::{alloc_snapshot, peak_rss_bytes, AllocSnapshot};
 
 /// The §VI-A static-capacity pool for the drug-screening workflow:
 /// 2000/384/48/52 workers on Taiyi/Qiming/Dept/Lab (EP1–EP4).

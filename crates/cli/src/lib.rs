@@ -30,7 +30,10 @@
 //!   `fault swallow ep=1 every=7` (needs an execution timeout);
 //! * `capacity-event <at_secs> <endpoint_index> <±delta>`;
 //! * `scaling on|off [idle=<secs>]`;
-//! * `workload drug pipelines=N | montage tiles=N | bag n=N secs=S | ensemble rounds=R batch=B`.
+//! * `workload drug pipelines=N | montage tiles=N | bag n=N [depth=D] secs=S |
+//!   ensemble rounds=R batch=B` — `bag` is `D` dependent layers of `N`
+//!   tasks of `S ≥ 0` seconds each (`D` defaults to one); a key the
+//!   workload does not take is an error.
 
 pub mod fabricrun;
 pub mod spec;

@@ -38,10 +38,14 @@ pub enum WorkloadSpec {
         /// Tiles (tasks = 5 × tiles + 6 with the default overlap ratio).
         tiles: usize,
     },
-    /// Bag of independent stress tasks.
+    /// Layered bag of stress tasks (`stress::layered_bag`): `depth` layers
+    /// of `n` tasks, task `j` of each layer depending on task `j` of the
+    /// layer before. Depth 1 is a bag of independent tasks.
     Bag {
-        /// Task count.
+        /// Tasks per layer.
         n: usize,
+        /// Layers (at least 1).
+        depth: usize,
         /// Seconds per task.
         secs: f64,
     },
@@ -64,7 +68,7 @@ impl WorkloadSpec {
             WorkloadSpec::Montage { tiles } => {
                 montage::generate(&montage::MontageParams::small(*tiles))
             }
-            WorkloadSpec::Bag { n, secs } => stress::bag_of_tasks(*n, *secs),
+            WorkloadSpec::Bag { n, depth, secs } => stress::layered_bag(*n, *depth, *secs),
             WorkloadSpec::Ensemble { rounds, batch } => {
                 ensemble::generate(&ensemble::EnsembleParams {
                     rounds: *rounds,
@@ -257,39 +261,67 @@ pub fn parse_spec(text: &str) -> Result<RunSpec, SpecError> {
                 });
             }
             "workload" => {
-                let w = match tokens.get(1).copied() {
-                    Some("drug") => WorkloadSpec::Drug {
-                        pipelines: kv(&tokens, "pipelines")
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| err(line_no, "workload drug needs pipelines=N"))?,
+                let kind = tokens.get(1).copied().unwrap_or("");
+                let keys: &[&str] = match kind {
+                    "drug" => &["pipelines"],
+                    "montage" => &["tiles"],
+                    "bag" => &["n", "depth", "secs"],
+                    "ensemble" => &["rounds", "batch"],
+                    other => return Err(err(line_no, format!("unknown workload `{other}`"))),
+                };
+                let known = |t: &&str| {
+                    keys.iter()
+                        .any(|k| t.strip_prefix(k).is_some_and(|r| r.starts_with('=')))
+                };
+                if let Some(bad) = tokens[2..].iter().find(|t| !known(t)) {
+                    return Err(err(
+                        line_no,
+                        format!(
+                            "workload {kind}: unknown key `{bad}` (keys: {})",
+                            keys.join(", ")
+                        ),
+                    ));
+                }
+                let num = |key: &str| -> Result<usize, SpecError> {
+                    kv(&tokens, key)
+                        .and_then(|v| v.parse().ok())
+                        .ok_or_else(|| err(line_no, format!("workload {kind} needs {key}=N")))
+                };
+                let w = match kind {
+                    "drug" => WorkloadSpec::Drug {
+                        pipelines: num("pipelines")?,
                     },
-                    Some("montage") => WorkloadSpec::Montage {
-                        tiles: kv(&tokens, "tiles")
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| err(line_no, "workload montage needs tiles=N"))?,
+                    "montage" => WorkloadSpec::Montage {
+                        tiles: num("tiles")?,
                     },
-                    Some("bag") => WorkloadSpec::Bag {
-                        n: kv(&tokens, "n")
+                    "bag" => {
+                        let secs: f64 = kv(&tokens, "secs")
                             .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| err(line_no, "workload bag needs n=N"))?,
-                        secs: kv(&tokens, "secs")
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| err(line_no, "workload bag needs secs=S"))?,
-                    },
-                    Some("ensemble") => WorkloadSpec::Ensemble {
-                        rounds: kv(&tokens, "rounds")
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| err(line_no, "workload ensemble needs rounds=N"))?,
-                        batch: kv(&tokens, "batch")
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| err(line_no, "workload ensemble needs batch=N"))?,
-                    },
-                    other => {
-                        return Err(err(
-                            line_no,
-                            format!("unknown workload `{}`", other.unwrap_or("")),
-                        ))
+                            .ok_or_else(|| err(line_no, "workload bag needs secs=S"))?;
+                        if !(secs.is_finite() && secs >= 0.0) {
+                            return Err(err(
+                                line_no,
+                                format!("workload bag: secs must be finite and >= 0, got {secs}"),
+                            ));
+                        }
+                        let depth = match kv(&tokens, "depth") {
+                            None => 1,
+                            Some(_) => num("depth")?,
+                        };
+                        if depth == 0 {
+                            return Err(err(line_no, "workload bag: depth must be >= 1"));
+                        }
+                        WorkloadSpec::Bag {
+                            n: num("n")?,
+                            depth,
+                            secs,
+                        }
                     }
+                    // "ensemble", the one kind left.
+                    _ => WorkloadSpec::Ensemble {
+                        rounds: num("rounds")?,
+                        batch: num("batch")?,
+                    },
                 };
                 workload = Some(w);
             }
@@ -371,7 +403,18 @@ workload drug pipelines=10
     fn uniform_cluster_and_bag_workload() {
         let spec = parse_spec("endpoint a uniform:1.5 4\nworkload bag n=20 secs=3.5\n").unwrap();
         assert_eq!(spec.config.endpoints[0].cluster.speed_factor, 1.5);
+        assert_eq!(
+            spec.workload,
+            WorkloadSpec::Bag {
+                n: 20,
+                depth: 1,
+                secs: 3.5
+            }
+        );
         assert_eq!(spec.workload.build().len(), 20);
+        let spec = parse_spec("endpoint a qiming 4\nworkload bag n=10 depth=3 secs=2\n").unwrap();
+        let dag = spec.workload.build();
+        assert_eq!((dag.len(), dag.n_edges()), (30, 20));
     }
 
     #[test]
@@ -405,6 +448,26 @@ workload ensemble rounds=3 batch=5
             .unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("bogus"));
+    }
+
+    #[test]
+    fn bad_workload_lines_fail_on_their_line() {
+        for (line, why) in [
+            ("workload bag n=10 secs=-1", "secs must be finite"),
+            ("workload bag n=10 secs=nan", "secs must be finite"),
+            ("workload bag n=10 secs=inf", "secs must be finite"),
+            ("workload bag n=10 depth=0 secs=1", "depth must be >= 1"),
+            ("workload bag n=10 depth=x secs=1", "needs depth=N"),
+            ("workload bag n=10 secs=1 bogus=3", "unknown key `bogus=3`"),
+            ("workload bag n=10 dept=4 secs=1", "unknown key `dept=4`"),
+            ("workload bag n=10 secs=1 depth", "unknown key `depth`"),
+            ("workload drug pipelines=4 tiles=2", "unknown key `tiles=2`"),
+            ("workload fractal n=1", "unknown workload `fractal`"),
+        ] {
+            let e = parse_spec(&format!("endpoint a qiming 4\n{line}\n")).unwrap_err();
+            assert_eq!(e.line, 2, "`{line}`");
+            assert!(e.message.contains(why), "`{line}`: {}", e.message);
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! disabled path is a single branch on an already-resident bool. Hot call
 //! sites that would need to *compute* arguments should guard on
 //! `tracer.enabled()` themselves so the argument construction is skipped
-//! too. The criterion bench `tracer_disabled_span_pair` in
+//! too. The criterion bench `trace_span_pair_disabled` in
 //! `crates/bench/benches/micro.rs` pins this down.
 //!
 //! An enabled tracer appends into a fixed-capacity ring buffer; when the

@@ -62,13 +62,31 @@ fi
 # that spawned them are gone.
 echo "==> one experiment binary, no process launcher"
 bins=$(cd crates/bench/src/bin && ls | sort | tr '\n' ' ')
-if [ "$bins" != "all_experiments.rs e2e_throughput.rs " ]; then
-  echo "crates/bench/src/bin/ holds $bins(want all_experiments.rs e2e_throughput.rs)" >&2
+if [ "$bins" != "all_experiments.rs " ]; then
+  echo "crates/bench/src/bin/ holds $bins(want all_experiments.rs)" >&2
   exit 1
 fi
 if grep -n 'Command::new' crates/bench/src/bin/all_experiments.rs \
   crates/bench/src/experiments.rs crates/bench/src/lib.rs; then
   echo "all_experiments spawns processes again" >&2
+  exit 1
+fi
+
+# The second benchmark system (e2e_throughput, its BENCH_e2e.json
+# baseline, the alloc-count allocator and the two wall-clock gate scripts)
+# was retired: benchmark/ measures throughput and scale, the golden gate
+# pins the stress-100k/1m runs, tests/alloc_gate.rs counts allocations.
+# History files may name it.
+echo "==> no second benchmark system (e2e_throughput / BENCH_e2e / alloc-count / memstats / its gate scripts)"
+if grep -rnE 'e2e_throughput|BENCH_e2e|alloc-count|memstats|check_bench_smoke|check_trace_overhead' \
+  --include='*.rs' --include='*.sh' --include='*.yml' --include='*.toml' \
+  --exclude=check.sh --exclude-dir=benchmark --exclude-dir=target \
+  --exclude-dir=.git .; then
+  echo "the retired benchmark system is referenced again (see above)" >&2
+  exit 1
+fi
+if [ -e BENCH_e2e.json ]; then
+  echo "the retired BENCH_e2e.json baseline is back" >&2
   exit 1
 fi
 

@@ -11,6 +11,15 @@
 #   results/golden/<spec>.decisions.jsonl  that spec's scheduler decisions: the
 #                                          trace JSONL "decision" records of a
 #                                          --trace-out run, candidate lists cut
+#   results/golden/<stress>.<strategy>.txt unifaas-sim specs/stress/<stress>.spec
+#                                          --strategy <strategy> --verify stdout,
+#                                          for capacity, locality and dha. A
+#                                          traced run would write ~10 MB of
+#                                          decisions per 100k tasks, so the
+#                                          printed decision digest pins them.
+#
+# A plain stress run must print exactly its --verify run's lines minus the
+# "decision digest" line: checking a run does not change it.
 #
 # Masks. Each replaces one wall-clock number with <wall>, on both sides,
 # before `cmp`; nothing else is masked:
@@ -59,11 +68,26 @@ for spec in specs/*.spec; do
     "$out/$name.trace.json.jsonl" > "$out/$name.decisions.jsonl"
 done
 
+for spec in specs/stress/*.spec; do
+  name=$(basename "$spec" .spec)
+  for strategy in capacity locality dha; do
+    echo "==> unifaas-sim $spec --strategy $strategy [--verify]"
+    "$bin/unifaas-sim" "$spec" --strategy "$strategy" --verify > "$out/$name.$strategy.txt"
+    "$bin/unifaas-sim" "$spec" --strategy "$strategy" > "$out/$name.$strategy.plain"
+  done
+done
+
 pairs=("$out/all_experiments.txt:results/all_experiments.txt")
 for spec in specs/*.spec; do
   name=$(basename "$spec" .spec)
   pairs+=("$out/$name.txt:results/golden/$name.txt")
   pairs+=("$out/$name.decisions.jsonl:results/golden/$name.decisions.jsonl")
+done
+for spec in specs/stress/*.spec; do
+  name=$(basename "$spec" .spec)
+  for strategy in capacity locality dha; do
+    pairs+=("$out/$name.$strategy.txt:results/golden/$name.$strategy.txt")
+  done
 done
 
 if [ "$update" -eq 1 ]; then
@@ -89,7 +113,15 @@ for p in "${pairs[@]}"; do
     fail=1
   fi
 done
+for plain in "$out"/*.plain; do
+  verified="${plain%.plain}.txt"
+  if ! cmp -s <(mask "$plain") <(grep -v '^decision digest' "$verified" | mask /dev/stdin); then
+    echo "FAIL: --verify changed a run: $(basename "$plain" .plain) (masked diff, verified first):" >&2
+    diff <(grep -v '^decision digest' "$verified" | mask /dev/stdin) <(mask "$plain") | head -40 >&2 || true
+    fail=1
+  fi
+done
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "OK: ${#pairs[@]} outputs match their goldens"
+echo "OK: ${#pairs[@]} outputs match their goldens; plain stress runs match their --verify runs"

@@ -7,7 +7,9 @@
 # endpoints are SIGKILLed mid-flight must all print the same result
 # digest with zero failures — and, from `--report`, the unfaulted process
 # run must have left outputs where they were computed while the SIGKILL
-# run was re-shipped what the killed daemons had kept.
+# run was re-shipped what the killed daemons had kept. Last, a process
+# run with telemetry off must print the same digest as one exporting a
+# merged trace and metrics, within a wall-clock envelope of it.
 #
 # Usage: scripts/check_process_chaos.sh [outdir]
 #   outdir — where run transcripts, digests and recovery counters land
@@ -133,3 +135,72 @@ if ! grep -q '^fedci_proc_respawns' "$outdir/chaos_metrics.prom" \
   exit 1
 fi
 echo "OK: chaos run shipped a causally clean merged timeline and fedci_* metrics"
+
+# Fabric telemetry gate: the live process fabric with telemetry DISABLED
+# (no --trace-out/--metrics-out → no TELEMETRY_SUB on the wire, daemon
+# ring never drains, client tracer never allocated) must produce the same
+# digest as the fully observed run — observability must never steer the
+# run — and the observed run must stay inside a generous wall envelope of
+# the disabled one (the runs are short and timing-paced, so the envelope
+# is absolute-slack-padded rather than a tight ratio).
+fdir="$outdir/telemetry"
+mkdir -p "$fdir"
+
+run_fabric() {
+  local tag="$1"
+  shift
+  local t0 t1
+  t0=$(date +%s.%N)
+  ./target/release/unifaas-fabric --backend process \
+    --tasks 300 --width 4 --seed 7 --fast-timing "$@" \
+    > "$fdir/$tag.out" 2> "$fdir/$tag.err"
+  t1=$(date +%s.%N)
+  awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.3f", b - a }'
+}
+
+echo "==> telemetry gate: process fabric with telemetry disabled vs merged trace + metrics export"
+wall_off=$(run_fabric off)
+wall_on=$(run_fabric on \
+  --trace-out "$fdir/trace.json" --metrics-out "$fdir/metrics.prom")
+
+fab_digest() { sed -n 's/^digest=\(0x[0-9a-f]*\).*/\1/p' "$fdir/$1.out"; }
+d_off=$(fab_digest off)
+d_on=$(fab_digest on)
+echo "fabric digests: disabled=$d_off observed=$d_on" \
+     "(wall ${wall_off}s vs ${wall_on}s)"
+if [ -z "$d_off" ] || [ "$d_off" != "$d_on" ]; then
+  echo "FAIL: enabling telemetry changed the fabric digest" >&2
+  cat "$fdir/on.err" >&2
+  exit 1
+fi
+for tag in off on; do
+  if ! grep -q " failures=0 " "$fdir/$tag.out"; then
+    echo "FAIL: fabric $tag run reported failures" >&2
+    exit 1
+  fi
+done
+awk -v off="$wall_off" -v on="$wall_on" 'BEGIN {
+  limit = off * 1.5 + 1.0
+  if (on > limit) {
+    printf "FAIL: observed fabric run %.3fs exceeds %.3fs (disabled %.3fs * 1.5 + 1s)\n",
+           on, limit, off
+    exit 1
+  }
+  printf "OK: observed fabric run %.3fs <= %.3fs\n", on, limit
+}'
+if ! grep -q '"client"' "$fdir/trace.json" \
+  || ! grep -q 'gen0 (offset ' "$fdir/trace.json"; then
+  echo "FAIL: merged trace missing client track or offset-corrected daemon track" >&2
+  exit 1
+fi
+if ! grep -q '^fedci_' "$fdir/metrics.prom"; then
+  echo "FAIL: metrics export missing fedci_* series" >&2
+  exit 1
+fi
+if grep -q "causal violations" "$fdir/on.err" \
+  && ! grep -q " 0 causal violations" "$fdir/on.err"; then
+  echo "FAIL: observed fabric run reported causal violations" >&2
+  grep "violation" "$fdir/on.err" >&2
+  exit 1
+fi
+echo "OK: telemetry-disabled fabric path digest-identical; merged trace and metrics exported"

@@ -84,7 +84,7 @@ fn building_a_layered_bag_allocates_per_growth_step_not_per_task() {
 #[test]
 fn steady_state_simulation_is_allocation_free() {
     // The §VI-A drug static pool under Capacity, on 100k independent
-    // 10 s tasks: the stress-100k row of the e2e throughput benchmark.
+    // 10 s tasks, as in specs/stress/stress_100k.spec.
     let cfg = Config::builder()
         .endpoint(EndpointConfig::new("Taiyi", ClusterSpec::taiyi(), 2000))
         .endpoint(EndpointConfig::new("Qiming", ClusterSpec::qiming(), 384))
