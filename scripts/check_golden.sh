@@ -11,6 +11,13 @@
 #   results/golden/<spec>.decisions.jsonl  that spec's scheduler decisions: the
 #                                          trace JSONL "decision" records of a
 #                                          --trace-out run, candidate lists cut
+#   results/golden/<spec>.observability.txt
+#                                          unifaas-sim specs/<spec>.spec --report
+#                                          --trace-out t.json --metrics-out m.prom
+#                                          --flame-out f.folded --journal-out
+#                                          j.journal: the sha256 of every file it
+#                                          writes, then its stdout. Pins every
+#                                          observability artifact byte for byte.
 #   results/golden/<stress>.<strategy>.txt unifaas-sim specs/stress/<stress>.spec
 #                                          --strategy <strategy> --verify stdout,
 #                                          for capacity, locality and dha. A
@@ -66,6 +73,15 @@ for spec in specs/*.spec; do
   (cd "$out" && "$bin/unifaas-sim" "$root/$spec" --trace-out "$name.trace.json" > /dev/null)
   sed -n '/"kind":"decision"/s/,"exec_cache_hit".*$/}/p' \
     "$out/$name.trace.json.jsonl" > "$out/$name.decisions.jsonl"
+  # Every observability output at once, in a directory of its own so the
+  # file names (which the run prints) are the same on every machine.
+  echo "==> unifaas-sim $spec [observability]"
+  obs="$out/$name.obs"
+  mkdir -p "$obs"
+  (cd "$obs" && "$bin/unifaas-sim" "$root/$spec" --report --trace-out t.json \
+    --metrics-out m.prom --flame-out f.folded --journal-out j.journal > stdout.txt)
+  (cd "$obs" && sha256sum t.json t.json.jsonl t.json.counters.txt m.prom f.folded j.journal \
+    && cat stdout.txt) > "$out/$name.observability.txt"
 done
 
 for spec in specs/stress/*.spec; do
@@ -82,6 +98,7 @@ for spec in specs/*.spec; do
   name=$(basename "$spec" .spec)
   pairs+=("$out/$name.txt:results/golden/$name.txt")
   pairs+=("$out/$name.decisions.jsonl:results/golden/$name.decisions.jsonl")
+  pairs+=("$out/$name.observability.txt:results/golden/$name.observability.txt")
 done
 for spec in specs/stress/*.spec; do
   name=$(basename "$spec" .spec)
