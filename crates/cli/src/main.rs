@@ -264,7 +264,6 @@ fn main() {
         runtime = runtime.with_flight(unifaas::flight::FlightConfig {
             progress_stderr: progress,
             serve_addr: progress_addr.clone(),
-            ..unifaas::flight::FlightConfig::default()
         });
     }
     let report = runtime.run().unwrap_or_else(|e| {
@@ -333,13 +332,8 @@ fn main() {
             j.records, j.chunks, j.digest
         );
     }
-    if let Some(fl) = report.flight.as_deref() {
-        if fl.stalls > 0 {
-            eprintln!(
-                "warning: stall detector fired {} time(s); see the last --progress lines",
-                fl.stalls
-            );
-        }
+    if let Some(stalls) = report.flight_stalls.filter(|&n| n > 0) {
+        eprintln!("warning: stall detector fired {stalls} time(s); see the last --progress lines");
     }
     if report_flag {
         match report

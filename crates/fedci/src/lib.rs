@@ -31,9 +31,7 @@
 //! * [`proto`] — the length-prefixed wire codec the process fabric speaks
 //!   (HELLO/DISPATCH/RESULT/POLL/TRANSFER/HEARTBEAT/DRAIN);
 //! * [`process`] — process-isolated endpoint daemons over TCP: spawn,
-//!   heartbeat, reconnect with seeded backoff, survive `kill -9`;
-//! * [`trace`] — the substrate's trace-event taxonomy (queue/execute
-//!   spans, transfer and fault instants) for the `simkit::trace` sink.
+//!   heartbeat, reconnect with seeded backoff, survive `kill -9`.
 
 pub mod clock;
 pub mod endpoint;
@@ -46,7 +44,6 @@ pub mod process;
 pub mod proto;
 pub mod storage;
 mod threaded;
-pub mod trace;
 pub mod transfer;
 
 pub use endpoint::{EndpointId, EndpointSim};

@@ -1,6 +1,5 @@
 //! Run metrics: everything the paper's tables and figures report.
 
-use crate::flight::FlightReport;
 use crate::profile::accuracy::CalibrationRow;
 use crate::trace::RunTrace;
 use simkit::journal::JournalSummary;
@@ -128,11 +127,10 @@ pub struct RunReport {
     /// runs of the same config stay bit-identical; the journal digest is
     /// its own, stronger witness.
     pub journal: Option<JournalSummary>,
-    /// Flight-recorder report (`None` unless built with
-    /// [`SimRuntime::with_flight`](crate::SimRuntime::with_flight)).
-    /// Excluded from the determinism digest: snapshots carry wall-clock
-    /// measurements.
-    pub flight: Option<Box<FlightReport>>,
+    /// Stall episodes the progress recorder detected (`None` unless built
+    /// with [`SimRuntime::with_flight`](crate::SimRuntime::with_flight)).
+    /// Excluded from the determinism digest, like the journal summary.
+    pub flight_stalls: Option<u64>,
 }
 
 impl RunReport {
@@ -259,7 +257,7 @@ mod tests {
             metrics: None,
             decision_digest: None,
             journal: None,
-            flight: None,
+            flight_stalls: None,
         };
         assert_eq!(report.transfer_gb(), 2.0);
         assert!((report.scheduler_overhead_per_task() - 0.0005).abs() < 1e-9);
@@ -275,7 +273,7 @@ mod tests {
         other.failed_attempts = 1;
         assert_ne!(other.determinism_digest(), d);
 
-        // The journal summary and flight report are observation artifacts:
+        // The journal summary and stall count are observation artifacts:
         // attaching them must not move the digest.
         let mut journaled = report.clone();
         journaled.journal = Some(JournalSummary {
@@ -283,7 +281,7 @@ mod tests {
             chunks: 1,
             digest: 0xdead_beef,
         });
-        journaled.flight = Some(Box::default());
+        journaled.flight_stalls = Some(3);
         assert_eq!(journaled.determinism_digest(), d, "observers must not leak");
 
         // The decision digest, when enabled, is folded in.

@@ -309,28 +309,8 @@ pub fn write_flamegraph(trace: &RunTrace, path: &Path) -> std::io::Result<()> {
 // Run-journal divergence doctor
 // ---------------------------------------------------------------------------
 
+use crate::runtime::record::DELIVERY_KINDS;
 use simkit::journal::{Journal, JournalRecord, NOTE_KIND_FLAG};
-
-/// Journal event-kind names, indexed by the `kind` field of delivery
-/// records. Must stay in sync with the sim runtime's event encoding (the
-/// same order as its trace labels).
-pub const EVENT_KIND_NAMES: [&str; 15] = [
-    "StagingCheck",
-    "XferDone",
-    "TaskArrive",
-    "ExecDone",
-    "ResultObserved",
-    "MockSync",
-    "ScaleTick",
-    "RescheduleTick",
-    "CapacityChange",
-    "Commission",
-    "Inject",
-    "OutageStart",
-    "OutageEnd",
-    "RetryTask",
-    "ExecTimeout",
-];
 
 /// Journal note kind: the scheduler decided to stage data for task `a`
 /// toward endpoint `b`.
@@ -345,10 +325,7 @@ pub fn kind_name(kind: u16) -> &'static str {
         NOTE_DECISION_STAGE => "Decision:Stage",
         NOTE_DECISION_DISPATCH => "Decision:Dispatch",
         k if k & NOTE_KIND_FLAG != 0 => "Note:?",
-        k => EVENT_KIND_NAMES
-            .get(k as usize)
-            .copied()
-            .unwrap_or("Event:?"),
+        k => DELIVERY_KINDS.get(k as usize).map_or("Event:?", |d| d.name),
     }
 }
 
@@ -356,10 +333,11 @@ pub fn kind_name(kind: u16) -> &'static str {
 /// field `a` (staging checks, arrivals, completions, retries, timeouts,
 /// and scheduler decision notes).
 pub fn task_of(rec: &JournalRecord) -> Option<u64> {
-    match rec.kind {
-        0 | 2 | 3 | 4 | 13 | 14 | NOTE_DECISION_STAGE | NOTE_DECISION_DISPATCH => Some(rec.a),
-        _ => None,
-    }
+    let task = match rec.kind {
+        NOTE_DECISION_STAGE | NOTE_DECISION_DISPATCH => true,
+        k => DELIVERY_KINDS.get(k as usize).is_some_and(|d| d.task),
+    };
+    task.then_some(rec.a)
 }
 
 /// One side of a divergence: the record (if that journal still has one at

@@ -12,6 +12,7 @@
 //!   machinery. [`typed`] is its typed-function veneer (Listing 1).
 
 pub mod fabric;
+pub(crate) mod record;
 pub mod sim;
 pub mod typed;
 

@@ -19,32 +19,28 @@ use crate::config::{Config, KnowledgeMode, SchedulingStrategy};
 use crate::data::StartedXfer;
 use crate::data::{DataManager, XferId};
 use crate::error::UniFaasError;
-use crate::flight::{FlightConfig, FlightRecorder, FlightSample};
-use crate::metrics::{LatencyBreakdown, RunReport, RunSeries};
+use crate::flight::{FlightConfig, FlightSample};
+use crate::metrics::RunReport;
 use crate::monitor::HistoryDb;
 use crate::monitor::{EndpointMonitor, HealthMonitor, MockEndpoint, TaskMonitor, TaskRecord};
 use crate::obs::{NOTE_DECISION_DISPATCH, NOTE_DECISION_STAGE};
-use crate::profile::accuracy::AccuracyMonitor;
 use crate::profile::transfer::transfer_record_name;
 use crate::profile::{EndpointFeatures, LearnedProfiler, OracleProfiler, Predictor};
+use crate::runtime::record::{RecordConfig, Recorder};
 use crate::runtime::TaskState;
 use crate::scaling::{CoordinatedScaling, DefaultScaling, ScaleCommand, ScaleView, Scaling};
 use crate::sched::{
     external_input_id, output_id, task_inputs, CapacityScheduler, DhaScheduler, LocalityScheduler,
     PinnedScheduler, SchedAction, SchedCtx, Scheduler,
 };
-use crate::trace::{DecisionRecord, RunTrace, TraceConfig, TransferRecord};
+use crate::trace::{DecisionRecord, TraceConfig};
 use fedci::endpoint::{EndpointId, EndpointSim};
 use fedci::faas::FaasServiceModel;
 use fedci::fault::FaultInjector;
 use fedci::network::{Link, NetworkTopology};
-use fedci::trace::FedciTraceLabels;
 use fedci::transfer::TransferParams;
 use simkit::event::EventId;
 use simkit::journal::{EventCode, JournalSummary, JournalWriter};
-use simkit::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
-use simkit::series::SeriesHandle;
-use simkit::trace::{LabelId, TraceLevel, Tracer};
 use simkit::{Engine, EngineStats, SimDuration, SimRng, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -186,6 +182,16 @@ enum ProfilerKind {
     Custom(Box<dyn Predictor>),
 }
 
+impl ProfilerKind {
+    fn get(&self) -> &dyn Predictor {
+        match self {
+            ProfilerKind::Oracle(p) => p,
+            ProfilerKind::Learned(p) => p.as_ref(),
+            ProfilerKind::Custom(p) => p.as_ref(),
+        }
+    }
+}
+
 type InjectFn = Box<dyn FnOnce(&mut Dag)>;
 
 /// The simulated-federation workflow runtime.
@@ -232,22 +238,23 @@ impl SimRuntime {
         self
     }
 
-    /// Enables the in-run flight recorder: a bounded ring of recent
-    /// events, periodic progress snapshots (optionally streamed to stderr
-    /// or served live over HTTP) and a stall detector, returned as
-    /// [`RunReport::flight`]. The recorder only observes runtime counters,
-    /// so schedules and digests are unchanged.
+    /// Enables the in-run progress recorder: periodic progress snapshots
+    /// streamed to stderr and/or served live over HTTP, and a stall
+    /// detector whose count lands in [`RunReport::flight_stalls`]. The
+    /// recorder only observes runtime counters, so schedules and digests
+    /// are unchanged.
     pub fn with_flight(mut self, cfg: FlightConfig) -> Self {
         self.flight = Some(cfg);
         self
     }
 
     /// Enables the metrics observatory: counters/gauges/histograms in a
-    /// [`MetricsRegistry`] (returned as [`RunReport::metrics`], ready for
-    /// Prometheus text dump) plus a live predictor-accuracy monitor whose
-    /// calibration table lands in [`RunReport::calibration`]. Disabled
-    /// runs register the same series but pay a single branch per emission
-    /// site, and their determinism digest is unchanged.
+    /// [`MetricsRegistry`](simkit::MetricsRegistry) (returned as
+    /// [`RunReport::metrics`], ready for Prometheus text dump) plus a live
+    /// predictor-accuracy monitor whose calibration table lands in
+    /// [`RunReport::calibration`]. Unmetered
+    /// runs register nothing and pay a single branch per emission site;
+    /// the determinism digest is the same either way.
     pub fn with_metrics(mut self, yes: bool) -> Self {
         self.metrics = yes;
         self
@@ -302,14 +309,7 @@ impl SimRuntime {
         self.cfg.validate()?;
         let verify = self.cfg.verify;
         let journal_out = self.journal_out.clone();
-        let flight_cfg = self.flight.clone();
         let mut rt = Rt::build(self)?;
-        rt.journal_notes = journal_out.is_some();
-        if let Some(fc) = flight_cfg {
-            let fr = FlightRecorder::new(fc)
-                .map_err(|e| UniFaasError::InvalidConfig(format!("flight recorder: {e}")))?;
-            rt.flight = Some(Box::new(fr));
-        }
         let mut engine: Engine<Ev> = if verify {
             Engine::new_checked()
         } else {
@@ -331,10 +331,10 @@ impl SimRuntime {
     }
 }
 
-/// Event → journal/flight encoding. Kinds follow the trace-label order of
-/// `handle`'s instant match (and [`crate::obs::EVENT_KIND_NAMES`]); `a`
-/// carries the task/transfer/schedule id and `b` packs the endpoint id in
-/// its low 32 bits with any generation/flag above.
+/// Event → record-stream encoding, shared by the run journal and the
+/// recorder. `kind` indexes [`DELIVERY_KINDS`](super::record::DELIVERY_KINDS);
+/// `a` carries the task/transfer/schedule id and `b` packs the endpoint id
+/// in its low 32 bits with any generation/flag above.
 fn ev_code(ev: &Ev) -> EventCode {
     let (kind, a, b) = match ev {
         Ev::StagingCheck(t) => (0, t.0 as u64, 0),
@@ -354,220 +354,6 @@ fn ev_code(ev: &Ev) -> EventCode {
         Ev::ExecTimeout(t, ep, gen) => (14, t.0 as u64, ep.0 as u64 | (*gen as u64) << 32),
     };
     EventCode { kind, a, b }
-}
-
-/// Tracing state for a run, boxed behind one `Option` so untraced runs pay
-/// a pointer check per instrumentation site and nothing else.
-struct RtTrace {
-    tracer: Tracer,
-    /// Substrate taxonomy (queued/executing/transfer spans, fault instants,
-    /// busy counters) with one display track per endpoint.
-    labels: FedciTraceLabels,
-    /// Track for client-side lifecycle stages (before a task has a target).
-    client_track: LabelId,
-    ready: LabelId,
-    staging: LabelId,
-    staged: LabelId,
-    dispatched: LabelId,
-    polled: LabelId,
-    /// Instant emitted when the predictor-accuracy monitor flags drift
-    /// (arg: signed relative error in per-mille).
-    drift: LabelId,
-    /// One instant label per `Ev` variant, emitted at `Full` level.
-    ev_labels: [LabelId; 15],
-    /// The open lifecycle span per task: `(span name, track)`.
-    open: Vec<Option<(LabelId, LabelId)>>,
-    decisions: Vec<DecisionRecord>,
-    transfers: Vec<TransferRecord>,
-    max_decisions: usize,
-    max_transfers: usize,
-    dropped_decisions: u64,
-    dropped_transfers: u64,
-}
-
-impl RtTrace {
-    fn new(cfg: &TraceConfig, endpoint_labels: &[String], n_tasks: usize) -> RtTrace {
-        let mut tracer = Tracer::new(cfg.level, cfg.ring_capacity);
-        let labels = FedciTraceLabels::new(&mut tracer, endpoint_labels);
-        RtTrace {
-            client_track: tracer.intern("client"),
-            ready: tracer.intern("ready"),
-            staging: tracer.intern("staging"),
-            staged: tracer.intern("staged"),
-            dispatched: tracer.intern("dispatched"),
-            polled: tracer.intern("polled"),
-            drift: tracer.intern("predictor.drift"),
-            ev_labels: [
-                tracer.intern("ev.staging_check"),
-                tracer.intern("ev.xfer_done"),
-                tracer.intern("ev.task_arrive"),
-                tracer.intern("ev.exec_done"),
-                tracer.intern("ev.result_observed"),
-                tracer.intern("ev.mock_sync"),
-                tracer.intern("ev.scale_tick"),
-                tracer.intern("ev.reschedule_tick"),
-                tracer.intern("ev.capacity_change"),
-                tracer.intern("ev.commission"),
-                tracer.intern("ev.inject"),
-                tracer.intern("ev.outage_start"),
-                tracer.intern("ev.outage_end"),
-                tracer.intern("ev.retry_task"),
-                tracer.intern("ev.exec_timeout"),
-            ],
-            labels,
-            tracer,
-            open: vec![None; n_tasks],
-            decisions: Vec::new(),
-            transfers: Vec::new(),
-            max_decisions: cfg.max_decisions,
-            max_transfers: cfg.max_transfers,
-            dropped_decisions: 0,
-            dropped_transfers: 0,
-        }
-    }
-
-    /// Ends `t`'s open lifecycle span and begins `next` (or nothing, for
-    /// terminal states). The span id is the task id, so Perfetto stitches
-    /// consecutive stages into one async lane per task.
-    fn transition(&mut self, t: TaskId, now: SimTime, next: Option<(LabelId, LabelId)>) {
-        let slot = &mut self.open[t.index()];
-        if let Some((name, track)) = slot.take() {
-            self.tracer.end(now, name, track, t.0 as u64);
-        }
-        if let Some((name, track)) = next {
-            self.tracer.begin(now, name, track, t.0 as u64);
-            *slot = Some((name, track));
-        }
-    }
-
-    fn grow(&mut self, n_tasks: usize) {
-        if self.open.len() < n_tasks {
-            self.open.resize(n_tasks, None);
-        }
-    }
-
-    fn push_decision(&mut self, d: DecisionRecord) {
-        if self.decisions.len() < self.max_decisions {
-            self.decisions.push(d);
-        } else {
-            self.dropped_decisions += 1;
-        }
-    }
-
-    fn push_transfer(&mut self, r: TransferRecord) {
-        if self.transfers.len() < self.max_transfers {
-            self.transfers.push(r);
-        } else {
-            self.dropped_transfers += 1;
-        }
-    }
-}
-
-/// Pre-registered metric handles for the run's [`MetricsRegistry`].
-/// Registration happens unconditionally at build time (it is setup-time
-/// metadata interning, exactly like tracer labels); every emission site
-/// guards on `MetricsRegistry::enabled`, so an unmetered run pays one
-/// branch per site.
-struct MetricHandles {
-    /// `unifaas_task_dispatches_total{endpoint}` — one per attempt sent
-    /// to an endpoint.
-    dispatches: Vec<CounterId>,
-    /// `unifaas_tasks_completed_total{endpoint}`.
-    completed: Vec<CounterId>,
-    /// `unifaas_task_attempt_failures_total{endpoint}` — failed attempts
-    /// attributed to the endpoint they ran on.
-    failures: Vec<CounterId>,
-    /// `unifaas_pending_tasks{endpoint}` gauge.
-    pending: Vec<GaugeId>,
-    /// `unifaas_task_exec_seconds{endpoint}` histogram.
-    exec_hist: Vec<HistogramId>,
-    /// `unifaas_task_stage_seconds{stage}` histograms, per completed task:
-    /// staging, submission, queue, execution, polling.
-    stage_hist: [HistogramId; 5],
-    /// `unifaas_transfers_total`.
-    transfers: CounterId,
-    /// `unifaas_transfer_bytes_total`.
-    transfer_bytes: CounterId,
-}
-
-impl MetricHandles {
-    fn new(reg: &mut MetricsRegistry, endpoints: &[String]) -> Self {
-        let per_ep = |reg: &mut MetricsRegistry, name: &str, help: &str| -> Vec<CounterId> {
-            endpoints
-                .iter()
-                .map(|l| reg.counter(name, help, &[("endpoint", l)]))
-                .collect()
-        };
-        let dispatches = per_ep(
-            reg,
-            "unifaas_task_dispatches_total",
-            "Task attempts dispatched to the endpoint.",
-        );
-        let completed = per_ep(
-            reg,
-            "unifaas_tasks_completed_total",
-            "Tasks completed successfully on the endpoint.",
-        );
-        let failures = per_ep(
-            reg,
-            "unifaas_task_attempt_failures_total",
-            "Failed task attempts on the endpoint (retried or fatal).",
-        );
-        let pending = endpoints
-            .iter()
-            .map(|l| {
-                reg.gauge(
-                    "unifaas_pending_tasks",
-                    "Tasks targeted at the endpoint but not yet executing.",
-                    &[("endpoint", l)],
-                )
-            })
-            .collect();
-        let exec_hist = endpoints
-            .iter()
-            .map(|l| {
-                reg.histogram(
-                    "unifaas_task_exec_seconds",
-                    "Observed task execution time.",
-                    &[("endpoint", l)],
-                )
-            })
-            .collect();
-        let stage = |reg: &mut MetricsRegistry, s: &str| {
-            reg.histogram(
-                "unifaas_task_stage_seconds",
-                "Per-task latency stage, sampled once per completed task.",
-                &[("stage", s)],
-            )
-        };
-        let stage_hist = [
-            stage(reg, "staging"),
-            stage(reg, "submission"),
-            stage(reg, "queue"),
-            stage(reg, "execution"),
-            stage(reg, "polling"),
-        ];
-        let transfers = reg.counter(
-            "unifaas_transfers_total",
-            "Completed inter-endpoint transfers.",
-            &[],
-        );
-        let transfer_bytes = reg.counter(
-            "unifaas_transfer_bytes_total",
-            "Bytes moved across endpoints.",
-            &[],
-        );
-        MetricHandles {
-            dispatches,
-            completed,
-            failures,
-            pending,
-            exec_hist,
-            stage_hist,
-            transfers,
-            transfer_bytes,
-        }
-    }
 }
 
 /// Internal mutable run state.
@@ -648,36 +434,11 @@ struct Rt {
     records_at_last_retrain: usize,
     sched_wall: std::time::Duration,
     sched_calls: u64,
-    latency: LatencyBreakdown,
-    series: RunSeries,
-    /// Interned per-endpoint series handles: recording a sample is an
-    /// index, not a label lookup plus `String` clone.
-    busy_h: Vec<SeriesHandle>,
-    active_h: Vec<SeriesHandle>,
-    pending_h: Vec<Option<SeriesHandle>>,
     mock_sync_armed: bool,
     scale_armed: bool,
     resched_armed: bool,
-    /// Present only on traced runs; see [`RtTrace`].
-    trace: Option<Box<RtTrace>>,
-    /// Counter/gauge/histogram registry (disabled unless `with_metrics`).
-    metrics: MetricsRegistry,
-    /// Pre-registered handles into `metrics`; see [`MetricHandles`].
-    mh: MetricHandles,
-    /// Predicted-vs-actual drift monitor (present iff metrics enabled).
-    accuracy: Option<Box<AccuracyMonitor>>,
-    /// Predicted duration per in-flight transfer, keyed by `XferId.0`;
-    /// consumed when the transfer completes.
-    xfer_pred: HashMap<usize, f64>,
-    /// True when a run journal is attached to the engine: scheduler
-    /// decisions then interleave as note records via
-    /// [`Engine::journal_note`].
-    journal_notes: bool,
-    /// Running FNV over the scheduler decision stream (present iff
-    /// `Config::verify`); lands in `RunReport::decision_digest`.
-    decision_digest: Option<u64>,
-    /// In-run flight recorder (present iff `SimRuntime::with_flight`).
-    flight: Option<Box<FlightRecorder>>,
+    /// Where every run fact is reported; see [`Recorder`].
+    rec: Recorder,
 }
 
 impl Rt {
@@ -794,36 +555,19 @@ impl Rt {
             }),
         };
         let faas = cfg.faas.clone();
-        // Intern the per-endpoint series up front (stable insertion order:
-        // endpoint id), so recording never touches labels again.
-        let mut series = RunSeries::default();
-        let busy_h: Vec<SeriesHandle> = cfg
-            .endpoints
-            .iter()
-            .map(|e| series.busy_workers.handle(&e.label))
-            .collect();
-        let active_h: Vec<SeriesHandle> = cfg
-            .endpoints
-            .iter()
-            .map(|e| series.active_workers.handle(&e.label))
-            .collect();
-        let trace = r
-            .trace
-            .as_ref()
-            .filter(|tc| tc.level != TraceLevel::Off)
-            .map(|tc| {
-                let labels: Vec<String> = cfg.endpoints.iter().map(|e| e.label.clone()).collect();
-                Box::new(RtTrace::new(tc, &labels, n_tasks))
-            });
-        let mut metrics = if r.metrics {
-            MetricsRegistry::new()
-        } else {
-            MetricsRegistry::disabled()
-        };
-        let ep_labels: Vec<String> = cfg.endpoints.iter().map(|e| e.label.clone()).collect();
-        let mh = MetricHandles::new(&mut metrics, &ep_labels);
-        let accuracy = r.metrics.then(|| Box::new(AccuracyMonitor::new()));
-        let verify = cfg.verify;
+        let rec = Recorder::new(
+            RecordConfig {
+                trace: r.trace,
+                metrics: r.metrics,
+                flight: r.flight,
+                journal: r.journal_out.is_some(),
+                verify: cfg.verify,
+            },
+            cfg.endpoints.iter().map(|e| e.label.clone()).collect(),
+            &endpoints,
+            n_tasks,
+        )
+        .map_err(|e| UniFaasError::InvalidConfig(format!("flight recorder: {e}")))?;
         Ok(Rt {
             cfg,
             dag: r.dag,
@@ -875,82 +619,11 @@ impl Rt {
             records_at_last_retrain: 0,
             sched_wall: std::time::Duration::ZERO,
             sched_calls: 0,
-            latency: LatencyBreakdown::default(),
-            series,
-            busy_h,
-            active_h,
-            pending_h: vec![None; n],
             mock_sync_armed: false,
             scale_armed: false,
             resched_armed: false,
-            trace,
-            metrics,
-            mh,
-            accuracy,
-            xfer_pred: HashMap::new(),
-            journal_notes: false,
-            decision_digest: verify.then_some(0xcbf2_9ce4_8422_2325),
-            flight: None,
+            rec,
         })
-    }
-
-    fn predictor(&self) -> &dyn Predictor {
-        match &self.profiler {
-            ProfilerKind::Oracle(p) => p,
-            ProfilerKind::Learned(p) => p.as_ref(),
-            ProfilerKind::Custom(p) => p.as_ref(),
-        }
-    }
-
-    // ---- metrics helpers ----------------------------------------------
-
-    /// Records `ep`'s busy-worker count and the total, after a task started
-    /// or stopped there. Every change to an endpoint's counts is recorded
-    /// for that endpoint before any other endpoint's, so the series this
-    /// call skips already hold their current values.
-    fn record_busy(&mut self, ep: EndpointId, now: SimTime) {
-        let busy = self.endpoints[ep.index()].busy_workers();
-        let total: usize = self.endpoints.iter().map(EndpointSim::busy_workers).sum();
-        self.series
-            .busy_workers
-            .at_mut(self.busy_h[ep.index()])
-            .record(now, busy as f64);
-        self.series.busy_total.record(now, total as f64);
-    }
-
-    /// Records `ep`'s busy and provisioned worker counts and both totals,
-    /// after its capacity changed.
-    fn record_workers(&mut self, ep: EndpointId, now: SimTime) {
-        self.record_busy(ep, now);
-        let active = self.endpoints[ep.index()].active_workers();
-        let total: usize = self.endpoints.iter().map(EndpointSim::active_workers).sum();
-        self.series
-            .active_workers
-            .at_mut(self.active_h[ep.index()])
-            .record(now, active as f64);
-        self.series.active_total.record(now, total as f64);
-    }
-
-    fn record_staging(&mut self, now: SimTime) {
-        self.series
-            .staging_tasks
-            .record(now, self.staging_count as f64);
-    }
-
-    /// Handle for an endpoint's pending-tasks series, interned on first
-    /// use so endpoints that never see pending tasks get no empty series.
-    fn pending_handle(&mut self, ep: usize) -> SeriesHandle {
-        match self.pending_h[ep] {
-            Some(h) => h,
-            None => {
-                let h = self
-                    .series
-                    .pending_tasks
-                    .handle(&self.cfg.endpoints[ep].label);
-                self.pending_h[ep] = Some(h);
-                h
-            }
-        }
     }
 
     fn set_pending(&mut self, t: TaskId, ep: Option<EndpointId>, now: SimTime) {
@@ -960,17 +633,11 @@ impl Rt {
         }
         if let Some(o) = old {
             self.pending_count[o.index()] -= 1;
-            let v = self.pending_count[o.index()] as f64;
-            let h = self.pending_handle(o.index());
-            self.series.pending_tasks.at_mut(h).record(now, v);
-            self.metrics.set(self.mh.pending[o.index()], v);
+            self.rec.pending(o, now, self.pending_count[o.index()]);
         }
         if let Some(e) = ep {
             self.pending_count[e.index()] += 1;
-            let v = self.pending_count[e.index()] as f64;
-            let h = self.pending_handle(e.index());
-            self.series.pending_tasks.at_mut(h).record(now, v);
-            self.metrics.set(self.mh.pending[e.index()], v);
+            self.rec.pending(e, now, self.pending_count[e.index()]);
         }
         // A Ready task gaining or losing an assignment moves between the
         // unassigned and assigned demand pools (see `set_state`).
@@ -997,18 +664,12 @@ impl Rt {
         f: F,
     ) -> Vec<SchedAction> {
         let t0 = std::time::Instant::now();
-        let trace_on = self.trace.as_ref().is_some_and(|t| t.tracer.enabled());
-        let predictor: &dyn Predictor = match &self.profiler {
-            ProfilerKind::Oracle(p) => p,
-            ProfilerKind::Learned(p) => p.as_ref(),
-            ProfilerKind::Custom(p) => p.as_ref(),
-        };
         let mut ctx = SchedCtx::new(
             now,
             &self.dag,
             &self.monitor,
             &self.dm.store,
-            predictor,
+            self.profiler.get(),
             &self.features,
             self.home,
             &self.compute_eps,
@@ -1016,7 +677,7 @@ impl Rt {
             self.faas.max_payload_bytes,
         )
         .with_health(&self.health)
-        .with_decision_trace(trace_on)
+        .with_decision_trace(self.rec.traces_decisions())
         .with_action_buf(self.action_bufs.pop().unwrap_or_default())
         .with_decision_buf(self.decision_bufs.pop().unwrap_or_default());
         f(self.scheduler.as_mut(), &mut ctx);
@@ -1024,36 +685,11 @@ impl Rt {
         self.sched_wall += t0.elapsed();
         self.sched_calls += 1;
         let mut decisions = ctx.take_decisions();
-        if trace_on {
-            let tr = self.trace.as_deref_mut().expect("trace_on implies trace");
-            for d in decisions.drain(..) {
-                tr.push_decision(d);
-            }
-        }
+        self.rec.decision_records(&mut decisions);
         if self.decision_bufs.len() < SCRATCH_POOL {
             self.decision_bufs.push(decisions);
         }
         actions
-    }
-
-    /// Folds one scheduler decision into the decision digest and, on
-    /// journaled runs, interleaves it into the journal as a note record.
-    fn note_decision(&mut self, kind: u16, task: TaskId, ep: EndpointId, eng: &mut Engine<Ev>) {
-        if let Some(h) = self.decision_digest.as_mut() {
-            const PRIME: u64 = 0x0000_0100_0000_01b3;
-            for byte in kind
-                .to_le_bytes()
-                .into_iter()
-                .chain(task.0.to_le_bytes())
-                .chain((ep.0 as u32).to_le_bytes())
-            {
-                *h ^= byte as u64;
-                *h = h.wrapping_mul(PRIME);
-            }
-        }
-        if self.journal_notes {
-            eng.journal_note(kind, task.0 as u64, ep.0 as u64);
-        }
     }
 
     fn process_actions(
@@ -1065,11 +701,11 @@ impl Rt {
         for a in actions.drain(..) {
             match a {
                 SchedAction::Stage { task, ep } => {
-                    self.note_decision(NOTE_DECISION_STAGE, task, ep, eng);
+                    self.rec.decision(NOTE_DECISION_STAGE, task, ep, eng);
                     self.do_stage(task, ep, false, now, eng)
                 }
                 SchedAction::Dispatch { task, ep } => {
-                    self.note_decision(NOTE_DECISION_DISPATCH, task, ep, eng);
+                    self.rec.decision(NOTE_DECISION_DISPATCH, task, ep, eng);
                     self.do_dispatch(task, ep, now, eng)
                 }
             }
@@ -1084,8 +720,8 @@ impl Rt {
     // ---- task lifecycle -----------------------------------------------
 
     /// Central task state transition. Every write to `TaskArena::state` goes
-    /// through here so the tick counters stay exact without scans, and so a
-    /// traced run gets its per-task lifecycle spans from one place. Callers
+    /// through here so the tick counters stay exact without scans, and so
+    /// the recorder hears of every state change from one place. Callers
     /// entering Dispatched must set `target` *before* calling (the
     /// per-endpoint outstanding count is keyed by it).
     fn set_state(&mut self, t: TaskId, new: TaskState, now: SimTime) {
@@ -1140,106 +776,7 @@ impl Rt {
             TaskState::Waiting | TaskState::Done | TaskState::Failed => {}
         }
         self.tasks.state[t.index()] = new;
-        if self.trace.is_some() {
-            self.trace_state_span(t, new, now);
-        }
-    }
-
-    /// Emits the lifecycle span transition for `t` entering `new`. Stages
-    /// before a task has a target live on the client track; targeted stages
-    /// live on the target endpoint's track. The arrival→start queue wait is
-    /// traced separately (the `TaskArrive` handler), because it is not a
-    /// `TaskState` transition.
-    fn trace_state_span(&mut self, t: TaskId, new: TaskState, now: SimTime) {
-        let target = self.tasks.target[t.index()];
-        let tr = self.trace.as_deref_mut().expect("caller checked");
-        if !tr.tracer.enabled() {
-            return;
-        }
-        let track = target.map_or(tr.client_track, |ep| tr.labels.tracks[ep.index()]);
-        let next = match new {
-            TaskState::Ready => Some((tr.ready, tr.client_track)),
-            TaskState::Staging => Some((tr.staging, track)),
-            TaskState::Staged => Some((tr.staged, track)),
-            TaskState::Dispatched => Some((tr.dispatched, track)),
-            TaskState::Running => Some((tr.labels.executing, track)),
-            TaskState::AwaitResult => Some((tr.polled, track)),
-            TaskState::Waiting | TaskState::Done | TaskState::Failed => None,
-        };
-        tr.transition(t, now, next);
-    }
-
-    /// Opens a transfer span on the destination's track and, at `Full`
-    /// level, records the source-choice rationale as a [`TransferRecord`].
-    /// Callers must have checked `self.trace.is_some()`.
-    fn trace_xfer_begin(&mut self, id: XferId, now: SimTime) {
-        let info = self.dm.xfer_info(id);
-        let tr = self.trace.as_deref_mut().expect("caller checked");
-        if !tr.tracer.enabled() {
-            return;
-        }
-        let track = tr.labels.tracks[info.dst.index()];
-        tr.tracer.begin(now, tr.labels.transfer, track, id.0 as u64);
-        if tr.tracer.full() {
-            tr.push_transfer(TransferRecord {
-                at: now,
-                xfer: id.0 as u64,
-                object: info.object.0,
-                src: info.src,
-                dst: info.dst,
-                bytes: info.bytes,
-                replica_candidates: info.replica_candidates,
-                attempt: info.attempt,
-            });
-        }
-    }
-
-    /// Closes a transfer span (and emits a fault instant on a failed
-    /// attempt). Callers must have checked `self.trace.is_some()`.
-    fn trace_xfer_end(&mut self, id: XferId, now: SimTime, failed: bool) {
-        let info = self.dm.xfer_info(id);
-        let tr = self.trace.as_deref_mut().expect("caller checked");
-        if !tr.tracer.enabled() {
-            return;
-        }
-        let track = tr.labels.tracks[info.dst.index()];
-        tr.tracer.end(now, tr.labels.transfer, track, id.0 as u64);
-        if failed {
-            tr.labels
-                .transfer_fault(&mut tr.tracer, now, info.dst, id.0 as u64, info.attempt);
-        }
-    }
-
-    /// Records `ep`'s busy-worker count after an occupy/release. Callers
-    /// must have checked `self.trace.is_some()`.
-    fn trace_busy(&mut self, ep: EndpointId, now: SimTime) {
-        let busy = self.endpoints[ep.index()].busy_workers();
-        let tr = self.trace.as_deref_mut().expect("caller checked");
-        tr.labels.busy_workers(&mut tr.tracer, now, ep, busy);
-    }
-
-    /// Records `ep`'s provisioned-worker count after a capacity change.
-    /// Callers must have checked `self.trace.is_some()`.
-    fn trace_capacity(&mut self, ep: EndpointId, now: SimTime) {
-        let workers = self.endpoints[ep.index()].active_workers();
-        let tr = self.trace.as_deref_mut().expect("caller checked");
-        tr.labels.capacity_change(&mut tr.tracer, now, ep, workers);
-    }
-
-    /// Emits a health-transition instant for `ep`'s current state. Callers
-    /// must have checked `self.trace.is_some()`.
-    fn trace_health(&mut self, ep: EndpointId, now: SimTime) {
-        let code = self.health.state(ep).code();
-        let tr = self.trace.as_deref_mut().expect("caller checked");
-        tr.labels.health_transition(&mut tr.tracer, now, ep, code);
-    }
-
-    /// Emits a retry instant for a failed attempt of `t` on `ep`. Callers
-    /// must have checked `self.trace.is_some()`.
-    fn trace_retry(&mut self, ep: EndpointId, t: TaskId, attempt: u32, now: SimTime) {
-        let tr = self.trace.as_deref_mut().expect("caller checked");
-        tr.labels
-            .task_retry(&mut tr.tracer, now, ep, t.0 as u64, attempt);
+        self.rec.state(t, new, &self.tasks.target, now);
     }
 
     /// Full-scan cross-check of the transition-maintained counters, the
@@ -1347,7 +884,7 @@ impl Rt {
         self.tasks.runtime_retry[t.index()] = runtime_retry;
         self.set_state(t, TaskState::Staging, now);
         self.set_pending(t, Some(ep), now);
-        self.record_staging(now);
+        self.rec.staging(now, self.staging_count);
         let inputs = task_inputs(&self.dag, t, self.faas.max_payload_bytes);
         // Reuse one scratch buffer for the started transfers and schedule
         // their completions in a single batch.
@@ -1356,45 +893,25 @@ impl Rt {
         let missing = self
             .dm
             .request_stage_into(t, &inputs, ep, now, &mut started);
-        for sx in &started {
-            eng.schedule(sx.completes_at, Ev::XferDone(sx.id));
-        }
-        if self.trace.is_some() {
-            for sx in &started {
-                self.trace_xfer_begin(sx.id, now);
-            }
-        }
-        if self.accuracy.is_some() {
-            for sx in &started {
-                self.accuracy_xfer_begin(sx.id);
-            }
-        }
+        self.xfers_started(&started, now, eng);
         self.xfer_scratch = started;
         if missing == 0 {
             eng.schedule(now, Ev::StagingCheck(t));
         }
     }
 
-    /// Snapshots the predicted duration of a just-started transfer so the
-    /// accuracy monitor can score it on completion. Callers must have
-    /// checked `self.accuracy.is_some()`.
-    fn accuracy_xfer_begin(&mut self, id: XferId) {
-        let info = self.dm.xfer_info(id);
-        let pred = self
-            .predictor()
-            .transfer_seconds(info.bytes, info.src, info.dst);
-        self.xfer_pred.insert(id.0, pred);
-    }
-
-    /// Emits a predictor-drift instant on `ep`'s track (arg: signed
-    /// relative error in per-mille). No-op on untraced runs.
-    fn trace_drift(&mut self, ep: EndpointId, id: u64, rel_err: f64, now: SimTime) {
-        let Some(tr) = self.trace.as_deref_mut() else {
-            return;
-        };
-        let track = tr.labels.tracks[ep.index()];
-        let arg = (rel_err * 1000.0).clamp(i64::MIN as f64, i64::MAX as f64) as i64;
-        tr.tracer.instant(now, tr.drift, track, id, arg);
+    /// Schedules the completions of transfers that just started and
+    /// reports their begin.
+    fn xfers_started(&mut self, started: &[StartedXfer], now: SimTime, eng: &mut Engine<Ev>) {
+        for sx in started {
+            eng.schedule(sx.completes_at, Ev::XferDone(sx.id));
+        }
+        if self.rec.wants_xfers() {
+            for sx in started {
+                let info = self.dm.xfer_info(sx.id);
+                self.rec.xfer_begin(sx.id, &info, self.profiler.get(), now);
+            }
+        }
     }
 
     /// Checks whether `t`'s staging is complete; fires downstream if so.
@@ -1411,7 +928,7 @@ impl Rt {
         }
         self.set_state(t, TaskState::Staged, now);
         self.tasks.t_staged[t.index()] = now;
-        self.record_staging(now);
+        self.rec.staging(now, self.staging_count);
         if self.tasks.runtime_retry[t.index()] {
             // §IV-G reassignment path: bypass the scheduler.
             self.do_dispatch(t, ep, now, eng);
@@ -1423,7 +940,8 @@ impl Rt {
 
     fn do_dispatch(&mut self, t: TaskId, ep: EndpointId, now: SimTime, eng: &mut Engine<Ev>) {
         let predicted = self
-            .predictor()
+            .profiler
+            .get()
             .exec_seconds(&self.dag, t, &self.features[ep.index()]);
         debug_assert_eq!(
             self.tasks.state[t.index()],
@@ -1434,7 +952,7 @@ impl Rt {
         self.tasks.predicted_exec[t.index()] = predicted;
         self.tasks.target[t.index()] = Some(ep);
         self.set_state(t, TaskState::Dispatched, now);
-        self.metrics.inc(self.mh.dispatches[ep.index()], 1.0);
+        self.rec.dispatched(ep);
         // Local mocking: push a mock task at submission time.
         self.monitor.mock_mut(ep).push_task(predicted);
         // The client serializes submissions.
@@ -1509,10 +1027,7 @@ impl Rt {
             }
         }
         if started_any {
-            self.record_busy(ep, now);
-            if self.trace.is_some() {
-                self.trace_busy(ep, now);
-            }
+            self.rec.busy(ep, now, &self.endpoints);
         }
     }
 
@@ -1544,16 +1059,12 @@ impl Rt {
     fn exec_done(&mut self, t: TaskId, ep: EndpointId, now: SimTime, eng: &mut Engine<Ev>) {
         self.running_remove(ep, t);
         self.endpoints[ep.index()].release_worker(now);
-        self.record_busy(ep, now);
         let success = !self.faults.task_fails(ep, now);
         self.set_state(t, TaskState::AwaitResult, now);
         self.tasks.t_exec_end[t.index()] = now;
-        if self.trace.is_some() {
-            self.trace_busy(ep, now);
-            if !success {
-                let tr = self.trace.as_deref_mut().expect("checked");
-                tr.labels.task_fault(&mut tr.tracer, now, ep, t.0 as u64);
-            }
+        self.rec.busy(ep, now, &self.endpoints);
+        if !success {
+            self.rec.task_fault(ep, t, now);
         }
         if success {
             // The output file exists on the endpoint's shared filesystem
@@ -1603,8 +1114,8 @@ impl Rt {
             // Recovering endpoint back to Healthy. (Outage windows — not
             // stochastic task crashes — are what drive Down in the sim;
             // the live runtime infers liveness from probes instead.)
-            if self.health.record_success(ep).is_some() && self.trace.is_some() {
-                self.trace_health(ep, now);
+            if let Some(state) = self.health.record_success(ep) {
+                self.rec.health(ep, state, now);
             }
             self.set_state(t, TaskState::Done, now);
             // The per-task attempt log only matters for the fatal
@@ -1616,22 +1127,7 @@ impl Rt {
             self.completed += 1;
             self.makespan_end = now;
             self.tasks_per_ep[ep.index()] += 1;
-            self.aggregate_latency(t, now);
-            self.metrics.inc(self.mh.completed[ep.index()], 1.0);
-            if self.accuracy.is_some() {
-                let func = self.dag.spec(t).function;
-                let acc = self.accuracy.as_deref_mut().expect("checked");
-                let drifted = acc.record_exec(
-                    self.dag.function_name(func),
-                    &self.cfg.endpoints[ep.index()].label,
-                    predicted,
-                    duration,
-                );
-                if drifted {
-                    let rel = (predicted - duration) / duration.abs().max(1e-9);
-                    self.trace_drift(ep, t.0 as u64, rel, now);
-                }
-            }
+            self.task_done(t, ep, predicted, now);
             // Dependencies resolve when the *client* observes the result
             // (it orchestrates successor staging). Indexed re-borrow per
             // successor instead of cloning the slice: the adjacency list
@@ -1710,7 +1206,7 @@ impl Rt {
     ) {
         self.tasks.attempts[t.index()] += 1;
         self.tasks.record_failed_attempt(t, ep);
-        self.metrics.inc(self.mh.failures[ep.index()], 1.0);
+        self.rec.attempt_failed(ep);
         // The runtime takes over the task (§IV-G); the scheduler must drop
         // any reservations/queue entries it still holds for it.
         self.scheduler.on_task_removed(t);
@@ -1741,9 +1237,7 @@ impl Rt {
         // attempt, double-counting time already attributed to them.
         self.tasks.t_ready[t.index()] = now;
         let attempts = self.tasks.attempts[t.index()];
-        if self.trace.is_some() {
-            self.trace_retry(ep, t, attempts, now);
-        }
+        self.rec.retry(ep, t, attempts, now);
         let Some(retry_ep) = self.live_retry_ep(retry_ep) else {
             // Every compute endpoint is Down. Hand the task back to the
             // scheduler, which parks it until capacity returns (re-driven
@@ -1795,40 +1289,21 @@ impl Rt {
         )
     }
 
-    fn aggregate_latency(&mut self, t: TaskId, now: SimTime) {
+    /// Reports `t`'s completion on `ep` with its latency stages.
+    fn task_done(&mut self, t: TaskId, ep: EndpointId, predicted: f64, now: SimTime) {
         let i = t.index();
-        let staging = self.tasks.t_staged[i]
-            .saturating_since(self.tasks.t_ready[i])
-            .as_secs_f64();
-        let submission = self.tasks.t_arrived[i]
-            .saturating_since(self.tasks.t_dispatched[i])
-            .as_secs_f64();
-        let queue = self.tasks.t_exec_start[i]
-            .saturating_since(self.tasks.t_arrived[i])
-            .as_secs_f64();
-        let execution = self.tasks.t_exec_end[i]
-            .saturating_since(self.tasks.t_exec_start[i])
-            .as_secs_f64();
-        let polling = now.saturating_since(self.tasks.t_exec_end[i]).as_secs_f64();
-        let target = self.tasks.target[i];
-        self.latency.count += 1;
-        self.latency.staging_s += staging;
-        self.latency.submission_s += submission;
-        self.latency.queue_s += queue;
-        self.latency.execution_s += execution;
-        self.latency.polling_s += polling;
-        if self.metrics.enabled() {
-            let [h_stage, h_sub, h_queue, h_exec, h_poll] = self.mh.stage_hist;
-            self.metrics.observe(h_stage, staging);
-            self.metrics.observe(h_sub, submission);
-            self.metrics.observe(h_queue, queue);
-            self.metrics.observe(h_exec, execution);
-            self.metrics.observe(h_poll, polling);
-            if let Some(ep) = target {
-                self.metrics
-                    .observe(self.mh.exec_hist[ep.index()], execution);
-            }
-        }
+        let ts = &self.tasks;
+        let stages = [
+            ts.t_staged[i].saturating_since(ts.t_ready[i]),
+            ts.t_arrived[i].saturating_since(ts.t_dispatched[i]),
+            ts.t_exec_start[i].saturating_since(ts.t_arrived[i]),
+            ts.t_exec_end[i].saturating_since(ts.t_exec_start[i]),
+            now.saturating_since(ts.t_exec_end[i]),
+        ]
+        .map(|d| d.as_secs_f64());
+        let target = ts.target[i];
+        self.rec
+            .task_done(t, ep, target, stages, predicted, &self.dag, now);
     }
 
     /// Appends one execution attempt of `t` on `ep` to the history. Learned
@@ -2008,15 +1483,12 @@ impl Rt {
                 }
                 ScaleCommand::In { ep, workers } => {
                     self.endpoints[ep.index()].release_idle_workers(workers, now);
-                    if self.trace.is_some() {
-                        self.trace_capacity(ep, now);
-                    }
+                    self.rec.workers(ep, now, &self.endpoints);
                     let e = &self.endpoints[ep.index()];
                     let (a, p) = (e.active_workers(), e.pending_workers());
                     let m = self.monitor.mock_mut(ep);
                     let out = m.outstanding_tasks;
                     m.sync(a, out, p);
-                    self.record_workers(ep, now);
                 }
             }
         }
@@ -2026,9 +1498,7 @@ impl Rt {
         let ev = self.cfg.capacity_events[idx];
         let ep = EndpointId(ev.endpoint as u16);
         let preempted = self.endpoints[ep.index()].force_capacity_delta(ev.delta, now);
-        if self.trace.is_some() {
-            self.trace_capacity(ep, now);
-        }
+        self.rec.workers(ep, now, &self.endpoints);
         // Choose the most recently started running tasks as the preempted
         // ones (their batch nodes died); deterministic order.
         if preempted > 0 {
@@ -2049,7 +1519,6 @@ impl Rt {
             }
         }
         self.sync_mocks(now);
-        self.record_workers(ep, now);
         let actions = self.sched(now, |s, ctx| s.on_capacity_change(ctx));
         self.process_actions(actions, now, eng);
         // New workers (positive delta) can start queued/staged tasks.
@@ -2063,8 +1532,8 @@ impl Rt {
     /// fail at dispatch and burn an attempt.
     fn outage_start(&mut self, idx: usize, now: SimTime, eng: &mut Engine<Ev>) {
         let (ep, _, _) = self.outage_sched[idx];
-        if self.health.mark_down(ep).is_some() && self.trace.is_some() {
-            self.trace_health(ep, now);
+        if let Some(state) = self.health.mark_down(ep) {
+            self.rec.health(ep, state, now);
         }
         self.drain_endpoint(ep, now, eng);
         self.sync_mocks(now);
@@ -2077,8 +1546,8 @@ impl Rt {
     /// completed task promotes it to Healthy) and re-admits work.
     fn outage_end(&mut self, idx: usize, now: SimTime, eng: &mut Engine<Ev>) {
         let (ep, _, _) = self.outage_sched[idx];
-        if self.health.mark_recovering(ep).is_some() && self.trace.is_some() {
-            self.trace_health(ep, now);
+        if let Some(state) = self.health.mark_recovering(ep) {
+            self.rec.health(ep, state, now);
         }
         self.sync_mocks(now);
         let actions = self.sched(now, |s, ctx| s.on_capacity_change(ctx));
@@ -2137,11 +1606,8 @@ impl Rt {
             self.set_pending(t, None, now);
             self.mark_ready(t, now, eng);
         }
-        self.record_busy(ep, now);
-        self.record_staging(now);
-        if self.trace.is_some() {
-            self.trace_busy(ep, now);
-        }
+        self.rec.busy(ep, now, &self.endpoints);
+        self.rec.staging(now, self.staging_count);
     }
 
     /// A backed-off retry fires. Stale generations (the task moved on) are
@@ -2200,13 +1666,9 @@ impl Rt {
         }
         let predicted = self.tasks.predicted_exec[t.index()];
         self.monitor.mock_mut(ep).pop_task(predicted);
-        self.record_busy(ep, now);
         self.tasks.t_exec_end[t.index()] = now;
-        if self.trace.is_some() {
-            self.trace_busy(ep, now);
-            let tr = self.trace.as_deref_mut().expect("checked");
-            tr.labels.task_fault(&mut tr.tracer, now, ep, t.0 as u64);
-        }
+        self.rec.busy(ep, now, &self.endpoints);
+        self.rec.task_fault(ep, t, now);
         // Count a failed attempt so §IV-G retry targeting learns which
         // endpoints strand straggler attempts.
         self.task_monitor.count_attempt(ep, false);
@@ -2235,9 +1697,7 @@ impl Rt {
         self.tasks.grow(added.len());
         self.deps_remaining
             .resize(self.deps_remaining.len() + added.len(), 0);
-        if let Some(tr) = self.trace.as_deref_mut() {
-            tr.grow(self.dag.len());
-        }
+        self.rec.grow(self.dag.len());
         self.register_inputs(&added);
         self.init_deps(&added);
         let actions = self.sched(now, |s, ctx| s.on_tasks_added(ctx, &added));
@@ -2321,10 +1781,6 @@ impl Rt {
         let all: Vec<TaskId> = self.dag.task_ids().collect();
         self.register_inputs(&all);
         self.init_deps(&all);
-        for i in 0..self.endpoints.len() {
-            self.record_workers(EndpointId(i as u16), now);
-        }
-        self.record_staging(now);
 
         let actions = self.sched(now, |s, ctx| s.on_tasks_added(ctx, &all));
         self.process_actions(actions, now, eng);
@@ -2359,73 +1815,31 @@ impl Rt {
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev, eng: &mut Engine<Ev>) {
-        if let Some(fl) = self.flight.as_deref_mut() {
-            fl.on_event(
-                now,
-                ev_code(&ev),
-                FlightSample {
-                    completed: self.completed as u64,
-                    ready: self.waiting_task_count,
-                    executing: self.active_task_count,
-                    queue_pending: eng.pending(),
-                },
-            );
-        }
-        if let Some(tr) = self.trace.as_deref_mut() {
-            if tr.tracer.full() {
-                let (idx, arg) = match &ev {
-                    Ev::StagingCheck(t) => (0, t.0 as i64),
-                    Ev::XferDone(x) => (1, x.0 as i64),
-                    Ev::TaskArrive(t, _, _) => (2, t.0 as i64),
-                    Ev::ExecDone(t, _) => (3, t.0 as i64),
-                    Ev::ResultObserved(t, _, _) => (4, t.0 as i64),
-                    Ev::MockSync => (5, 0),
-                    Ev::ScaleTick => (6, 0),
-                    Ev::RescheduleTick => (7, 0),
-                    Ev::CapacityChange(i) => (8, *i as i64),
-                    Ev::Commission(_, n) => (9, *n as i64),
-                    Ev::Inject(i) => (10, *i as i64),
-                    Ev::OutageStart(i) => (11, *i as i64),
-                    Ev::OutageEnd(i) => (12, *i as i64),
-                    Ev::RetryTask(t, _, _) => (13, t.0 as i64),
-                    Ev::ExecTimeout(t, _, _) => (14, t.0 as i64),
-                };
-                let (name, track) = (tr.ev_labels[idx], tr.client_track);
-                tr.tracer.instant(now, name, track, 0, arg);
-            }
+        if self.rec.wants_deliveries() {
+            let sample = FlightSample {
+                completed: self.completed as u64,
+                ready: self.waiting_task_count,
+                executing: self.active_task_count,
+                queue_pending: eng.pending(),
+            };
+            self.rec.delivery(now, ev_code(&ev), sample);
         }
         match ev {
             Ev::StagingCheck(t) => self.check_staged(t, now, eng),
             Ev::XferDone(x) => {
                 let failed = self.faults.transfer_fails();
-                if self.trace.is_some() {
-                    self.trace_xfer_end(x, now, failed);
-                }
+                let info = self.rec.wants_xfers().then(|| self.dm.xfer_info(x));
                 let out = self.dm.complete(x, now, failed);
-                let pred = self.xfer_pred.remove(&x.0);
+                if let Some(info) = info {
+                    self.rec.xfer_end(x, &info, failed, out.observation, now);
+                }
                 if let Some((src, dst, bytes, secs)) = out.observation {
-                    self.metrics.inc(self.mh.transfers, 1.0);
-                    self.metrics.inc(self.mh.transfer_bytes, bytes as f64);
-                    if let (Some(pred), Some(acc)) = (pred, self.accuracy.as_deref_mut()) {
-                        if acc.record_transfer(src, dst, pred, secs) {
-                            let rel = (pred - secs) / secs.abs().max(1e-9);
-                            self.trace_drift(dst, x.0 as u64, rel, now);
-                        }
-                    }
                     if self.keep_history {
                         self.record_transfer(src, dst, bytes, secs);
                         self.maybe_retrain();
                     }
                 }
-                for sx in out.started {
-                    eng.schedule(sx.completes_at, Ev::XferDone(sx.id));
-                    if self.trace.is_some() {
-                        self.trace_xfer_begin(sx.id, now);
-                    }
-                    if self.accuracy.is_some() {
-                        self.accuracy_xfer_begin(sx.id);
-                    }
-                }
+                self.xfers_started(&out.started, now, eng);
                 for t in out.tasks_to_check {
                     self.check_staged(t, now, eng);
                 }
@@ -2436,7 +1850,7 @@ impl Rt {
                         // Leaving Staging (to retry or to Failed) adjusts
                         // the staging counter inside `set_state`.
                         self.task_attempt_failed(t, ep, now, eng);
-                        self.record_staging(now);
+                        self.rec.staging(now, self.staging_count);
                     }
                 }
             }
@@ -2451,14 +1865,7 @@ impl Rt {
                 }
                 self.tasks.t_arrived[t.index()] = now;
                 self.ep_queues[ep.index()].push_back(t);
-                // Not a `TaskState` change, but a distinct lifecycle stage:
-                // close the dispatched span, open the endpoint-queue wait.
-                if let Some(tr) = self.trace.as_deref_mut() {
-                    if tr.tracer.enabled() {
-                        let queued = (tr.labels.queued, tr.labels.tracks[ep.index()]);
-                        tr.transition(t, now, Some(queued));
-                    }
-                }
+                self.rec.queued(t, ep, now);
                 self.try_start(ep, now, eng);
             }
             Ev::ExecDone(t, ep) => self.exec_done(t, ep, now, eng),
@@ -2503,15 +1910,12 @@ impl Rt {
             Ev::CapacityChange(i) => self.capacity_change(i, now, eng),
             Ev::Commission(ep, n) => {
                 self.endpoints[ep.index()].commission_workers(n, now);
-                if self.trace.is_some() {
-                    self.trace_capacity(ep, now);
-                }
+                self.rec.workers(ep, now, &self.endpoints);
                 let e = &self.endpoints[ep.index()];
                 let (a, p) = (e.active_workers(), e.pending_workers());
                 let m = self.monitor.mock_mut(ep);
                 let out = m.outstanding_tasks;
                 m.sync(a, out, p);
-                self.record_workers(ep, now);
                 self.try_start(ep, now, eng);
                 self.worker_idle_loop(ep, now, eng);
                 self.rearm_periodics(eng);
@@ -2549,49 +1953,14 @@ impl Rt {
         if self.cfg.verify {
             self.check_counters();
         }
-        self.latency.scheduling_s = self.sched_wall.as_secs_f64();
-        // Seal the trace: close dangling spans defensively and snapshot the
-        // engine's always-on stats as final counters.
-        let trace = self.trace.take().map(|b| {
-            let end = self.makespan_end;
-            let mut rt = *b;
-            for i in 0..rt.open.len() {
-                if rt.open[i].is_some() {
-                    rt.transition(TaskId(i as u32), end, None);
-                }
-            }
-            let l = rt.tracer.intern("engine.events");
-            rt.tracer.counter(end, l, events as f64);
-            let l = rt.tracer.intern("engine.scheduled");
-            rt.tracer.counter(end, l, stats.scheduled as f64);
-            let l = rt.tracer.intern("engine.cancelled");
-            rt.tracer.counter(end, l, stats.cancelled as f64);
-            let l = rt.tracer.intern("engine.max_pending");
-            rt.tracer.counter(end, l, stats.max_pending as f64);
-            Box::new(RunTrace {
-                tracer: rt.tracer,
-                decisions: rt.decisions,
-                transfers: rt.transfers,
-                dropped_decisions: rt.dropped_decisions,
-                dropped_transfers: rt.dropped_transfers,
-            })
-        });
+        let mut rec = self.rec.finish(self.makespan_end, events, stats);
+        rec.latency.scheduling_s = self.sched_wall.as_secs_f64();
         let tasks_per_endpoint = self
             .tasks_per_ep
             .iter()
             .enumerate()
             .map(|(i, n)| (self.cfg.endpoints[i].label.clone(), *n))
             .collect();
-        let mut metrics = std::mem::take(&mut self.metrics);
-        let calibration = self
-            .accuracy
-            .as_deref()
-            .map(|a| a.calibration_table())
-            .unwrap_or_default();
-        if let Some(acc) = self.accuracy.as_deref() {
-            acc.export(&mut metrics);
-        }
-        let metrics = metrics.enabled().then(|| Box::new(metrics));
         Ok(RunReport {
             scheduler: self.scheduler.name().to_string(),
             makespan: self.makespan_end.saturating_since(SimTime::ZERO),
@@ -2602,14 +1971,14 @@ impl Rt {
             scheduler_wall: self.sched_wall,
             scheduler_calls: self.sched_calls,
             events_processed: events,
-            latency: self.latency,
-            series: self.series,
-            trace,
-            calibration,
-            metrics,
-            decision_digest: self.decision_digest,
+            latency: rec.latency,
+            series: rec.series,
+            trace: rec.trace,
+            calibration: rec.calibration,
+            metrics: rec.metrics,
+            decision_digest: rec.decision_digest,
             journal,
-            flight: self.flight.take().map(|f| Box::new(f.into_report())),
+            flight_stalls: rec.flight_stalls,
         })
     }
 }

@@ -178,32 +178,20 @@ fn decision_digest_is_deterministic_and_config_gated() {
     assert_eq!(on1.determinism_digest(), on2.determinism_digest());
 }
 
-/// The flight recorder observes a real run without perturbing it and
-/// reports snapshots plus the recent-event ring.
+/// The progress recorder observes a real run without perturbing it and
+/// reports its stall count (none, on a healthy run).
 #[test]
 fn flight_recorder_observes_without_perturbing() {
     let strategy = SchedulingStrategy::Dha { rescheduling: true };
     let plain = SimRuntime::new(site_config(strategy.clone()), diamond_dag(20))
         .run()
         .unwrap();
+    assert_eq!(plain.flight_stalls, None, "no recorder, no stall count");
     let flown = SimRuntime::new(site_config(strategy), diamond_dag(20))
-        .with_flight(FlightConfig {
-            snapshot_every: 50,
-            ring_capacity: 32,
-            ..FlightConfig::default()
-        })
+        .with_flight(FlightConfig::default())
         .run()
         .unwrap();
     assert_eq!(plain.determinism_digest(), flown.determinism_digest());
-    let fr = flown.flight.as_deref().expect("flight report present");
-    assert!(!fr.snapshots.is_empty(), "snapshots taken");
-    assert_eq!(fr.recent.len(), 32, "ring filled");
-    assert_eq!(fr.stalls, 0, "healthy run");
-    let last = fr.snapshots.last().unwrap();
-    assert!(last.events > 0 && last.events_per_sec > 0.0);
-    assert!(last.virtual_s > 0.0);
-    // Ring sequence numbers are contiguous and end at the last delivery.
-    let seqs: Vec<u64> = fr.recent.iter().map(|e| e.seq).collect();
-    assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1));
-    assert_eq!(*seqs.last().unwrap(), flown.events_processed);
+    assert_eq!(plain.events_processed, flown.events_processed);
+    assert_eq!(flown.flight_stalls, Some(0), "healthy run");
 }
