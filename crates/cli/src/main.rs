@@ -398,39 +398,10 @@ fn main() {
     }
 
     if let Some(dir) = series_dir {
-        std::fs::create_dir_all(&dir).expect("create series dir");
-        let end = SimTime::ZERO + report.makespan;
-        let step = SimDuration::from_secs_f64((report.makespan.as_secs_f64() / 200.0).max(1.0));
-        let sets = [
-            ("busy_workers", &report.series.busy_workers),
-            ("active_workers", &report.series.active_workers),
-            ("pending_tasks", &report.series.pending_tasks),
-        ];
-        for (name, set) in sets {
-            let path = format!("{dir}/{name}.csv");
-            let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create csv"));
-            write!(f, "t_seconds").unwrap();
-            for (label, _) in set.iter() {
-                write!(f, ",{label}").unwrap();
-            }
-            writeln!(f).unwrap();
-            let mut t = SimTime::ZERO;
-            loop {
-                write!(f, "{:.1}", t.as_secs_f64()).unwrap();
-                for (_, series) in set.iter() {
-                    write!(f, ",{}", series.value_at(t)).unwrap();
-                }
-                writeln!(f).unwrap();
-                if t >= end {
-                    break;
-                }
-                t += step;
-                if t > end {
-                    t = end;
-                }
-            }
-            println!("wrote {path}");
-        }
+        write_series(&dir, &report).unwrap_or_else(|e| {
+            eprintln!("cannot write series {dir}: {e}");
+            std::process::exit(1);
+        });
     }
 
     if let Some(addr) = &metrics_addr {
@@ -455,4 +426,44 @@ fn main() {
             std::thread::park();
         }
     }
+}
+
+/// Writes the run's per-endpoint time series as CSV files under `dir`
+/// (created if missing), sampled at ~200 points over the makespan.
+fn write_series(dir: &str, report: &unifaas::RunReport) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let end = SimTime::ZERO + report.makespan;
+    let step = SimDuration::from_secs_f64((report.makespan.as_secs_f64() / 200.0).max(1.0));
+    let sets = [
+        ("busy_workers", &report.series.busy_workers),
+        ("active_workers", &report.series.active_workers),
+        ("pending_tasks", &report.series.pending_tasks),
+    ];
+    for (name, set) in sets {
+        let path = format!("{dir}/{name}.csv");
+        let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
+        write!(f, "t_seconds")?;
+        for (label, _) in set.iter() {
+            write!(f, ",{label}")?;
+        }
+        writeln!(f)?;
+        let mut t = SimTime::ZERO;
+        loop {
+            write!(f, "{:.1}", t.as_secs_f64())?;
+            for (_, series) in set.iter() {
+                write!(f, ",{}", series.value_at(t))?;
+            }
+            writeln!(f)?;
+            if t >= end {
+                break;
+            }
+            t += step;
+            if t > end {
+                t = end;
+            }
+        }
+        f.flush()?;
+        println!("wrote {path}");
+    }
+    Ok(())
 }
