@@ -20,7 +20,6 @@
 
 pub mod bayes;
 pub mod dataset;
-pub mod eval;
 pub mod forest;
 pub mod linreg;
 pub mod matrix;
@@ -29,7 +28,6 @@ pub mod tree;
 
 pub use bayes::{BayesianLinearModel, BayesianLinearRegression};
 pub use dataset::Dataset;
-pub use eval::{mae, r2_score, rmse};
 pub use forest::{RandomForest, RandomForestParams};
 pub use linreg::LinearRegression;
 pub use polyreg::PolynomialRegression;

@@ -75,7 +75,6 @@
 pub mod config;
 pub mod data;
 pub mod error;
-pub mod files;
 pub mod flight;
 pub mod metrics;
 pub mod monitor;
@@ -92,7 +91,6 @@ pub mod prelude {
         Config, ConfigBuilder, EndpointConfig, KnowledgeMode, SchedulingStrategy,
     };
     pub use crate::error::UniFaasError;
-    pub use crate::files::{GlobusFile, RemoteDirectory, RemoteFile, RsyncFile};
     pub use crate::metrics::RunReport;
     pub use crate::runtime::fabric::{FabricRunStats, FabricRuntime, WireFuture};
     pub use crate::runtime::sim::SimRuntime;
