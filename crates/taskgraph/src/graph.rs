@@ -72,6 +72,18 @@ impl Dag {
         Dag::default()
     }
 
+    /// Creates an empty DAG with room for `tasks` tasks and `edges` edges,
+    /// so a generator that knows its size builds it without regrowing.
+    pub fn with_capacity(tasks: usize, edges: usize) -> Self {
+        Dag {
+            specs: Vec::with_capacity(tasks),
+            pred_ids: Vec::with_capacity(edges),
+            pred_end: Vec::with_capacity(tasks),
+            succs: Vec::with_capacity(tasks),
+            function_names: Vec::new(),
+        }
+    }
+
     /// Registers a function name, returning its id. Re-registering the same
     /// name returns the existing id.
     pub fn register_function(&mut self, name: &str) -> FunctionId {

@@ -45,7 +45,7 @@ pub fn weak_scaling(task_seconds: f64, n_workers: usize) -> Dag {
 /// readiness propagation, not just one giant initial burst.
 pub fn layered_bag(width: usize, depth: usize, seconds: f64) -> Dag {
     assert!(depth >= 1, "layered_bag needs at least one layer");
-    let mut dag = Dag::new();
+    let mut dag = Dag::with_capacity(width * depth, width * (depth - 1));
     let f = dag.register_function(&format!("stress_{seconds}s"));
     let mut prev: Vec<crate::TaskId> = (0..width)
         .map(|_| dag.add_task(TaskSpec::compute(f, seconds), &[]))
