@@ -179,7 +179,7 @@ impl FlightRecorder {
                 );
             }
         }
-        if self.events % SNAPSHOT_EVERY == 0 {
+        if self.events.is_multiple_of(SNAPSHOT_EVERY) {
             self.snapshot(now, sample);
         }
     }

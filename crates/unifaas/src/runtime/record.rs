@@ -352,14 +352,8 @@ pub(super) struct Recorder {
 }
 
 impl Recorder {
-    /// Builds the enabled consumers and records the run's initial worker
-    /// and staging counts.
-    pub fn new(
-        rc: RecordConfig,
-        labels: Vec<String>,
-        endpoints: &[EndpointSim],
-        n_tasks: usize,
-    ) -> std::io::Result<Recorder> {
+    /// Builds the enabled consumers.
+    pub fn new(rc: RecordConfig, labels: Vec<String>, n_tasks: usize) -> std::io::Result<Recorder> {
         let mut series = RunSeries::default();
         let busy_h = labels
             .iter()
@@ -377,7 +371,7 @@ impl Recorder {
             Some(fc) => Some(Box::new(FlightRecorder::new(fc)?)),
             None => None,
         };
-        let mut rec = Recorder {
+        Ok(Recorder {
             deliveries: flight.is_some() || trace.as_ref().is_some_and(|t| t.tracer.full()),
             meter: rc.metrics.then(|| Box::new(Meter::new(&labels))),
             pending_h: vec![None; labels.len()],
@@ -390,12 +384,16 @@ impl Recorder {
             decision_digest: rc.verify.then_some(0xcbf2_9ce4_8422_2325),
             journal_notes: rc.journal,
             flight,
-        };
+        })
+    }
+
+    /// The run starts: every endpoint's initial worker counts, and no task
+    /// staging.
+    pub fn start(&mut self, endpoints: &[EndpointSim]) {
         for i in 0..endpoints.len() {
-            rec.worker_series(EndpointId(i as u16), SimTime::ZERO, endpoints);
+            self.worker_series(EndpointId(i as u16), SimTime::ZERO, endpoints);
         }
-        rec.staging(SimTime::ZERO, 0);
-        Ok(rec)
+        self.staging(SimTime::ZERO, 0);
     }
 
     /// True when some consumer reads every delivery: only then does the

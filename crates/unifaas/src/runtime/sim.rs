@@ -564,7 +564,6 @@ impl Rt {
                 verify: cfg.verify,
             },
             cfg.endpoints.iter().map(|e| e.label.clone()).collect(),
-            &endpoints,
             n_tasks,
         )
         .map_err(|e| UniFaasError::InvalidConfig(format!("flight recorder: {e}")))?;
@@ -1781,6 +1780,7 @@ impl Rt {
         let all: Vec<TaskId> = self.dag.task_ids().collect();
         self.register_inputs(&all);
         self.init_deps(&all);
+        self.rec.start(&self.endpoints);
 
         let actions = self.sched(now, |s, ctx| s.on_tasks_added(ctx, &all));
         self.process_actions(actions, now, eng);
@@ -2027,6 +2027,39 @@ mod tests {
             dag.add_task(TaskSpec::compute(f, secs), &[]);
         }
         dag
+    }
+
+    /// `DELIVERY_KINDS` is indexed by `ev_code`'s kind: each entry names
+    /// its `Ev` variant, and flags exactly the kinds whose `a` is a task.
+    #[test]
+    fn delivery_kinds_match_the_event_encoding() {
+        use crate::runtime::record::DELIVERY_KINDS;
+        let (t, ep) = (TaskId(7), EndpointId(1));
+        let evs = [
+            Ev::StagingCheck(t),
+            Ev::XferDone(XferId(3)),
+            Ev::TaskArrive(t, ep, 2),
+            Ev::ExecDone(t, ep),
+            Ev::ResultObserved(t, ep, true),
+            Ev::MockSync,
+            Ev::ScaleTick,
+            Ev::RescheduleTick,
+            Ev::CapacityChange(0),
+            Ev::Commission(ep, 4),
+            Ev::Inject(0),
+            Ev::OutageStart(0),
+            Ev::OutageEnd(0),
+            Ev::RetryTask(t, ep, 1),
+            Ev::ExecTimeout(t, ep, 1),
+        ];
+        assert_eq!(evs.len(), DELIVERY_KINDS.len());
+        for (i, ev) in evs.iter().enumerate() {
+            let code = ev_code(ev);
+            let kind = DELIVERY_KINDS[i];
+            assert_eq!(code.kind as usize, i, "{ev:?}");
+            assert!(format!("{ev:?}").starts_with(kind.name), "{ev:?}");
+            assert_eq!(kind.task, code.a == 7, "{ev:?}");
+        }
     }
 
     #[test]

@@ -163,6 +163,27 @@ if grep -n 'fn version' crates/fedci/src/storage.rs; then
   exit 1
 fi
 
+# The simulator reports each run fact once to one recorder
+# (unifaas/src/runtime/record.rs), and the 15 delivery kinds are listed
+# once there. The fedci label set, the flight recorder's ring and its
+# report were folded in or deleted; history files may name them.
+echo "==> delivery kinds listed once; no FedciTraceLabels / FlightReport / RecentEvent"
+kinds='StagingCheck|XferDone|TaskArrive|ExecDone|ResultObserved|MockSync|ScaleTick|RescheduleTick|CapacityChange|Commission|Inject|OutageStart|OutageEnd|RetryTask|ExecTimeout'
+labels='staging_check|xfer_done|task_arrive|exec_done|result_observed|mock_sync|scale_tick|reschedule_tick|capacity_change|commission|inject|outage_start|outage_end|retry_task|exec_timeout'
+files=$(grep -rlE "\"($kinds)\"|\"ev\.($labels)\"" \
+  --include='*.rs' --exclude-dir=benchmark --exclude-dir=target --exclude-dir=.git . || true)
+if [ "$(echo "$files" | grep -c .)" -gt 1 ]; then
+  echo "delivery-kind names are spelled out in more than one file:" $files >&2
+  exit 1
+fi
+if grep -rnE 'FedciTraceLabels|FlightReport|RecentEvent' \
+  --include='*.rs' --include='*.sh' --include='*.yml' \
+  --exclude=check.sh --exclude-dir=benchmark --exclude-dir=target \
+  --exclude-dir=.git .; then
+  echo "a deleted recorder type is referenced again (see above)" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
