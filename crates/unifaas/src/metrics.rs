@@ -78,7 +78,7 @@ impl RunSeries {
 }
 
 /// The final report of a workflow run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Scheduler used.
     pub scheduler: String,

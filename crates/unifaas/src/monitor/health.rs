@@ -46,8 +46,7 @@ pub enum HealthState {
 }
 
 impl HealthState {
-    /// Stable numeric code for trace instants (the trace layer cannot
-    /// depend on this crate's types).
+    /// Stable numeric code: the argument of the trace's `health` instants.
     pub fn code(self) -> u32 {
         match self {
             HealthState::Healthy => 0,

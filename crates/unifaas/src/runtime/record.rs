@@ -22,9 +22,9 @@
 
 use crate::data::{XferId, XferInfo};
 use crate::flight::{FlightConfig, FlightRecorder, FlightSample};
-use crate::metrics::{LatencyBreakdown, RunSeries};
+use crate::metrics::{LatencyBreakdown, RunReport, RunSeries};
 use crate::monitor::HealthState;
-use crate::profile::accuracy::{AccuracyMonitor, CalibrationRow};
+use crate::profile::accuracy::AccuracyMonitor;
 use crate::profile::Predictor;
 use crate::runtime::TaskState;
 use crate::trace::{DecisionRecord, RunTrace, TraceConfig, TransferRecord};
@@ -35,6 +35,7 @@ use simkit::series::SeriesHandle;
 use simkit::trace::{LabelId, TraceLevel, Tracer};
 use simkit::{Engine, EngineStats, SimTime};
 use std::collections::HashMap;
+use std::path::PathBuf;
 use taskgraph::{Dag, TaskId};
 
 /// One kind of simulator event delivery: the run journal's `kind` field
@@ -309,26 +310,15 @@ impl Meter {
     }
 }
 
-/// What a finished run recorded, for its [`RunReport`](crate::RunReport).
-pub(super) struct Recorded {
-    pub latency: LatencyBreakdown,
-    pub series: RunSeries,
-    pub trace: Option<Box<RunTrace>>,
-    pub calibration: Vec<CalibrationRow>,
-    pub metrics: Option<Box<MetricsRegistry>>,
-    pub decision_digest: Option<u64>,
-    pub flight_stalls: Option<u64>,
-}
-
-/// Which optional consumers a run enables.
+/// Which optional recorders a run enables; set through `SimRuntime`'s
+/// `with_*` builders.
+#[derive(Default)]
 pub(super) struct RecordConfig {
     pub trace: Option<TraceConfig>,
     pub metrics: bool,
     pub flight: Option<FlightConfig>,
-    /// A run journal is attached: decisions become journal notes.
-    pub journal: bool,
-    /// `Config::verify`: decisions fold into the decision digest.
-    pub verify: bool,
+    /// The run journal's path: decisions become journal notes.
+    pub journal_out: Option<PathBuf>,
 }
 
 /// The one recorder of a simulated run; see the module docs.
@@ -352,8 +342,14 @@ pub(super) struct Recorder {
 }
 
 impl Recorder {
-    /// Builds the enabled consumers.
-    pub fn new(rc: RecordConfig, labels: Vec<String>, n_tasks: usize) -> std::io::Result<Recorder> {
+    /// Builds the enabled consumers; `verify` (`Config::verify`) turns on
+    /// the decision digest.
+    pub fn new(
+        rc: RecordConfig,
+        verify: bool,
+        labels: Vec<String>,
+        n_tasks: usize,
+    ) -> std::io::Result<Recorder> {
         let mut series = RunSeries::default();
         let busy_h = labels
             .iter()
@@ -381,8 +377,8 @@ impl Recorder {
             busy_h,
             active_h,
             trace,
-            decision_digest: rc.verify.then_some(0xcbf2_9ce4_8422_2325),
-            journal_notes: rc.journal,
+            decision_digest: verify.then_some(0xcbf2_9ce4_8422_2325),
+            journal_notes: rc.journal_out.is_some(),
             flight,
         })
     }
@@ -732,9 +728,9 @@ impl Recorder {
         }
     }
 
-    /// Seals every consumer at the end of a run (`end` is the makespan's
-    /// end; `events` and `stats` the engine's totals).
-    pub fn finish(self, end: SimTime, events: u64, stats: EngineStats) -> Recorded {
+    /// Seals every consumer into `report`, which holds the runtime's own
+    /// totals; `end` is the makespan's end and `stats` the engine's.
+    pub fn finish(self, report: RunReport, end: SimTime, stats: EngineStats) -> RunReport {
         let (metrics, calibration) = match self.meter {
             Some(mut m) => {
                 m.accuracy.export(&mut m.reg);
@@ -742,14 +738,19 @@ impl Recorder {
             }
             None => (None, Vec::new()),
         };
-        Recorded {
-            latency: self.latency,
+        let events = report.events_processed;
+        RunReport {
+            latency: LatencyBreakdown {
+                scheduling_s: report.scheduler_wall.as_secs_f64(),
+                ..self.latency
+            },
             series: self.series,
             trace: self.trace.map(|t| Box::new(t.seal(end, events, stats))),
             calibration,
             metrics,
             decision_digest: self.decision_digest,
             flight_stalls: self.flight.map(|f| f.stalls()),
+            ..report
         }
     }
 }

@@ -202,11 +202,9 @@ pub struct SimRuntime {
     history: Option<HistoryDb>,
     prestage_inputs: bool,
     injections: Vec<(SimTime, InjectFn)>,
-    trace: Option<TraceConfig>,
-    metrics: bool,
     predictor_override: Option<Box<dyn Predictor>>,
-    journal_out: Option<PathBuf>,
-    flight: Option<FlightConfig>,
+    /// The recorders the run enables.
+    record: RecordConfig,
 }
 
 impl SimRuntime {
@@ -219,11 +217,8 @@ impl SimRuntime {
             history: None,
             prestage_inputs: true,
             injections: Vec::new(),
-            trace: None,
-            metrics: false,
             predictor_override: None,
-            journal_out: None,
-            flight: None,
+            record: RecordConfig::default(),
         }
     }
 
@@ -234,7 +229,7 @@ impl SimRuntime {
     /// per delivered event, and journaled runs produce bit-identical
     /// reports and digests to unjournaled ones.
     pub fn with_journal<P: Into<PathBuf>>(mut self, path: P) -> Self {
-        self.journal_out = Some(path.into());
+        self.record.journal_out = Some(path.into());
         self
     }
 
@@ -244,7 +239,7 @@ impl SimRuntime {
     /// recorder only observes runtime counters, so schedules and digests
     /// are unchanged.
     pub fn with_flight(mut self, cfg: FlightConfig) -> Self {
-        self.flight = Some(cfg);
+        self.record.flight = Some(cfg);
         self
     }
 
@@ -252,11 +247,11 @@ impl SimRuntime {
     /// [`MetricsRegistry`](simkit::MetricsRegistry) (returned as
     /// [`RunReport::metrics`], ready for Prometheus text dump) plus a live
     /// predictor-accuracy monitor whose calibration table lands in
-    /// [`RunReport::calibration`]. Unmetered
-    /// runs register nothing and pay a single branch per emission site;
-    /// the determinism digest is the same either way.
+    /// [`RunReport::calibration`]. Unmetered runs register nothing and
+    /// pay a single branch per emission site; the determinism digest is
+    /// the same either way.
     pub fn with_metrics(mut self, yes: bool) -> Self {
-        self.metrics = yes;
+        self.record.metrics = yes;
         self
     }
 
@@ -273,7 +268,7 @@ impl SimRuntime {
     /// instants, returned as [`RunReport::trace`]. An untraced run pays a
     /// single pointer check per instrumentation site.
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = Some(trace);
+        self.record.trace = Some(trace);
         self
     }
 
@@ -308,7 +303,7 @@ impl SimRuntime {
     pub fn run(self) -> Result<RunReport, UniFaasError> {
         self.cfg.validate()?;
         let verify = self.cfg.verify;
-        let journal_out = self.journal_out.clone();
+        let journal_out = self.record.journal_out.clone();
         let mut rt = Rt::build(self)?;
         let mut engine: Engine<Ev> = if verify {
             Engine::new_checked()
@@ -555,18 +550,9 @@ impl Rt {
             }),
         };
         let faas = cfg.faas.clone();
-        let rec = Recorder::new(
-            RecordConfig {
-                trace: r.trace,
-                metrics: r.metrics,
-                flight: r.flight,
-                journal: r.journal_out.is_some(),
-                verify: cfg.verify,
-            },
-            cfg.endpoints.iter().map(|e| e.label.clone()).collect(),
-            n_tasks,
-        )
-        .map_err(|e| UniFaasError::InvalidConfig(format!("flight recorder: {e}")))?;
+        let labels = cfg.endpoints.iter().map(|e| e.label.clone()).collect();
+        let rec = Recorder::new(r.record, cfg.verify, labels, n_tasks)
+            .map_err(|e| UniFaasError::InvalidConfig(format!("flight recorder: {e}")))?;
         Ok(Rt {
             cfg,
             dag: r.dag,
@@ -1953,15 +1939,13 @@ impl Rt {
         if self.cfg.verify {
             self.check_counters();
         }
-        let mut rec = self.rec.finish(self.makespan_end, events, stats);
-        rec.latency.scheduling_s = self.sched_wall.as_secs_f64();
         let tasks_per_endpoint = self
             .tasks_per_ep
             .iter()
             .enumerate()
             .map(|(i, n)| (self.cfg.endpoints[i].label.clone(), *n))
             .collect();
-        Ok(RunReport {
+        let report = RunReport {
             scheduler: self.scheduler.name().to_string(),
             makespan: self.makespan_end.saturating_since(SimTime::ZERO),
             tasks_completed: self.completed,
@@ -1971,15 +1955,10 @@ impl Rt {
             scheduler_wall: self.sched_wall,
             scheduler_calls: self.sched_calls,
             events_processed: events,
-            latency: rec.latency,
-            series: rec.series,
-            trace: rec.trace,
-            calibration: rec.calibration,
-            metrics: rec.metrics,
-            decision_digest: rec.decision_digest,
             journal,
-            flight_stalls: rec.flight_stalls,
-        })
+            ..RunReport::default()
+        };
+        Ok(self.rec.finish(report, self.makespan_end, stats))
     }
 }
 
