@@ -590,6 +590,7 @@ impl Recorder {
         }
     }
 
+    #[inline]
     fn busy_series(&mut self, ep: EndpointId, now: SimTime, endpoints: &[EndpointSim]) {
         let busy = endpoints[ep.index()].busy_workers();
         let total: usize = endpoints.iter().map(EndpointSim::busy_workers).sum();
@@ -600,6 +601,7 @@ impl Recorder {
         self.series.busy_total.record(now, total as f64);
     }
 
+    #[inline]
     fn worker_series(&mut self, ep: EndpointId, now: SimTime, endpoints: &[EndpointSim]) {
         self.busy_series(ep, now, endpoints);
         let active = endpoints[ep.index()].active_workers();
