@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! unifaas-endpointd [--name <label>] [--workers <n>] [--listen <addr>]
-//!                   [--generation <g>] [--telemetry-ring <events>]
-//!                   [--fault <rule>]...
+//!                   [--generation <g>] [--fault <rule>]...
 //! ```
 //!
 //! The daemon binds a TCP listener, prints `LISTENING <addr>` on stdout
@@ -14,8 +13,8 @@
 //! acked with current busy count (plus a local-clock stamp feeding the
 //! client's offset estimator), and DRAIN flushes and exits. When a client
 //! subscribes with TELEMETRY_SUB, per-attempt trace events accumulate in
-//! a bounded ring (`--telemetry-ring` events, drop-oldest) and ship as
-//! TELEMETRY batches behind every heartbeat ack.
+//! a bounded ring (`fedci::process::DAEMON_TEL_RING_CAPACITY` events,
+//! drop-oldest) and ship as TELEMETRY batches behind every heartbeat ack.
 //!
 //! `--fault <rule>` (repeatable) is for crash/fault testing only, one
 //! `fedci::fault` rule each: `swallow every=<k>` drops every k-th job
@@ -30,7 +29,12 @@ use fedci::process::{run_daemon, DaemonConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: unifaas-endpointd [--name <label>] [--workers <n>] [--listen <addr>] \
-         [--generation <g>] [--telemetry-ring <events>] [--fault <rule>]..."
+         [--generation <g>] [--fault <rule>]...\n\
+         \n\
+         Binds --listen (default 127.0.0.1:0), prints `LISTENING <addr>` on stdout and\n\
+         serves one fedci::proto client at a time until it sends DRAIN. --generation is\n\
+         echoed in HELLO; each --fault is one fedci::fault rule: `swallow every=<k>`,\n\
+         `delay ms=<ms>` or `dup`."
     );
     std::process::exit(2);
 }
@@ -58,9 +62,6 @@ fn main() {
             "--workers" => cfg.workers = parse_or_usage("--workers", args.next()),
             "--listen" => cfg.listen = parse_or_usage("--listen", args.next()),
             "--generation" => cfg.generation = parse_or_usage("--generation", args.next()),
-            "--telemetry-ring" => {
-                cfg.telemetry_ring = parse_or_usage("--telemetry-ring", args.next())
-            }
             "--fault" => cfg.faults.push(parse_or_usage("--fault", args.next())),
             "--help" | "-h" => usage(),
             other => {

@@ -385,6 +385,53 @@ fn stalled_connection_fails_over_and_replayed_results_are_dropped_stale() {
 }
 
 #[test]
+fn half_open_connection_turns_suspect_then_dead_and_recovers_after_the_stall() {
+    // The proxy stops forwarding daemon→client bytes but keeps both
+    // sockets open: nothing errors, the acks just stop. Silence alone
+    // must turn the probe Suspect, then Dead, and fail over what was in
+    // flight exactly once; once the stall lifts, the run completes.
+    let daemon = spawn_daemon_thread(DaemonConfig::new("mute", 2)).expect("daemon");
+    let proxy = ChaosProxy::start(daemon.addr()).expect("proxy");
+    let fabric = Arc::new(ProcessFabric::new(
+        vec![
+            ProcessEndpointSpec {
+                name: "mute".to_string(),
+                workers: 2,
+                mode: EndpointMode::Connect {
+                    addr: proxy.addr().to_string(),
+                },
+            },
+            spawn_spec("fast", 2),
+        ],
+        fast_cfg(8),
+    ));
+    for ep in 0..2 {
+        let up = fabric.wait_probe(ep, ProbeState::Alive, Duration::from_secs(30));
+        assert!(up, "endpoint {ep} never came up");
+    }
+    let rt = FabricRuntime::new(Arc::clone(&fabric) as Arc<dyn Fabric>).with_retry(retry_policy());
+    let napper = start_nap(&rt, &fabric, 0);
+    proxy.set_stall_down(true);
+    let budget = Duration::from_secs(10);
+    assert!(
+        fabric.wait_probe(0, ProbeState::Suspect, budget),
+        "never Suspect"
+    );
+    assert!(fabric.wait_probe(0, ProbeState::Dead, budget), "never Dead");
+    // The nap was the one attempt in flight: it failed over, once.
+    assert_eq!(fabric.counters(0).failovers, 1, "{:?}", fabric.counters(0));
+    let w = FabricWorkload::new(40, 13);
+    let futures = submit_layered(&rt, &w);
+    proxy.set_stall_down(false);
+    rt.wait_all();
+    assert_eq!(napper.wait().expect("nap failed over").as_ref(), b"napped");
+    assert_matches_reference(&collect_outcome(&futures), &w);
+    let up = fabric.wait_probe(0, ProbeState::Alive, Duration::from_secs(30));
+    assert!(up, "the endpoint never came back: {:?}", fabric.counters(0));
+    fabric.shutdown();
+}
+
+#[test]
 fn duplicated_results_resolve_each_task_exactly_once() {
     // A daemon that sends every RESULT twice: the second copy no longer
     // matches an outstanding (task, attempt) and must be dropped.

@@ -19,9 +19,9 @@
 //!   signal the backend has — the operator's down switch in-process,
 //!   heartbeat acknowledgements over TCP.
 //!
-//! [`FabricTiming`] centralizes the heartbeat/poll/backoff intervals that
-//! used to be hardcoded per backend, with the ordering every liveness
-//! pipeline needs validated in one place (heartbeat < suspect < down).
+//! [`FabricTiming`] holds the heartbeat/backoff intervals, with the
+//! ordering every liveness pipeline needs validated in one place
+//! (heartbeat < suspect < down).
 
 use crate::fault::{Backend, FaultError, FaultPlan};
 use crate::threaded::ThreadedEndpoint;
@@ -198,18 +198,13 @@ pub trait Fabric: Send + Sync {
 // FabricTiming
 // ---------------------------------------------------------------------------
 
-/// Heartbeat/poll/backoff intervals shared by the live backends.
+/// Heartbeat/backoff intervals of the process fabric.
 ///
-/// These used to be scattered hardcodes (`threaded::DEFAULT_POLL_TIMEOUT`,
-/// ad-hoc watchdog ticks). Centralizing them buys one validation point:
-/// liveness only works if `heartbeat_interval < suspect_after <
-/// down_after`, and backoff only terminates if `reconnect_base <=
-/// reconnect_max`.
+/// One validation point: liveness only works if `heartbeat_interval <
+/// suspect_after < down_after`, and backoff only terminates if
+/// `reconnect_base <= reconnect_max`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FabricTiming {
-    /// How long an idle threaded worker blocks on its queue before
-    /// re-checking pool state (fault flags, shutdown).
-    pub poll_timeout: Duration,
     /// Interval between heartbeats on a process-fabric connection.
     pub heartbeat_interval: Duration,
     /// No heartbeat ack for this long ⇒ the endpoint is Suspect.
@@ -228,7 +223,6 @@ pub struct FabricTiming {
 impl Default for FabricTiming {
     fn default() -> Self {
         FabricTiming {
-            poll_timeout: crate::threaded::DEFAULT_POLL_TIMEOUT,
             heartbeat_interval: Duration::from_millis(500),
             suspect_after: Duration::from_millis(1500),
             down_after: Duration::from_secs(5),
@@ -244,7 +238,6 @@ impl FabricTiming {
     /// suspicion, fast reconnect. Still satisfies [`FabricTiming::validate`].
     pub fn fast() -> Self {
         FabricTiming {
-            poll_timeout: Duration::from_millis(20),
             heartbeat_interval: Duration::from_millis(25),
             suspect_after: Duration::from_millis(80),
             down_after: Duration::from_millis(250),
@@ -256,9 +249,6 @@ impl FabricTiming {
 
     /// Checks the interval ordering the liveness pipeline depends on.
     pub fn validate(&self) -> Result<(), String> {
-        if self.poll_timeout.is_zero() {
-            return Err("poll_timeout must be non-zero".into());
-        }
         if self.heartbeat_interval.is_zero() {
             return Err("heartbeat_interval must be non-zero".into());
         }
@@ -483,7 +473,7 @@ impl ThreadedFabric {
         ThreadedFabric {
             pools: endpoints
                 .iter()
-                .map(|(l, w)| ThreadedEndpoint::with_poll_timeout(l, *w, timing.poll_timeout))
+                .map(|(l, w)| ThreadedEndpoint::new(l, *w))
                 .collect(),
             labels: endpoints.iter().map(|(l, _)| l.to_string()).collect(),
             registry: FnRegistry::builtins(),
@@ -599,11 +589,6 @@ mod tests {
     fn timing_default_and_fast_validate() {
         assert_eq!(FabricTiming::default().validate(), Ok(()));
         assert_eq!(FabricTiming::fast().validate(), Ok(()));
-        assert_eq!(
-            FabricTiming::default().poll_timeout,
-            crate::threaded::DEFAULT_POLL_TIMEOUT,
-            "the old hardcode and the shared config must agree"
-        );
     }
 
     #[test]
@@ -630,10 +615,6 @@ mod tests {
         for t in [
             FabricTiming {
                 heartbeat_interval: Duration::ZERO,
-                ..d
-            },
-            FabricTiming {
-                poll_timeout: Duration::ZERO,
                 ..d
             },
             FabricTiming {

@@ -27,11 +27,15 @@
 //! * [`fabric`] — the live-fabric abstraction ([`fabric::Fabric`]) shared
 //!   by [`fabric::ThreadedFabric`] (real-thread worker pools, the
 //!   in-process live backend) and the process backend, with the
-//!   [`fabric::FabricTiming`] heartbeat/poll configuration;
+//!   [`fabric::FabricTiming`] heartbeat/backoff configuration;
 //! * [`proto`] — the length-prefixed wire codec the process fabric speaks
-//!   (HELLO/DISPATCH/RESULT/POLL/TRANSFER/HEARTBEAT/DRAIN);
+//!   (HELLO, DISPATCH/RESULT, TRANSFER, KEEP, HEARTBEAT, TELEMETRY, DRAIN;
+//!   revision 4);
 //! * [`process`] — process-isolated endpoint daemons over TCP: spawn,
-//!   heartbeat, reconnect with seeded backoff, survive `kill -9`.
+//!   heartbeat, reconnect with seeded backoff, survive `kill -9`. Two
+//!   sans-IO protocol machines (the supervisor's and the daemon's) make
+//!   every decision; one std-net driver owns the sockets, threads and
+//!   child processes.
 
 pub mod clock;
 pub mod endpoint;

@@ -1,7 +1,22 @@
-//! Unit tests of the daemon, the supervisor and the chaos proxy.
+//! Tests of the std-net driver over real sockets: the daemon, the
+//! supervisor thread and the chaos proxy. The machines' own tests, which
+//! need neither, are in `machine_tests.rs`.
 
+use super::daemon::Outgoing;
+use super::driver::Ev;
+use super::endpointd::{daemon_writer, DaemonShared};
 use super::*;
-use std::sync::mpsc;
+use crate::fabric::{Fabric, FabricTiming, JobSpec, Payload, ProbeState};
+use crate::proto::{
+    Frame, FrameReader, PROTO_VERSION, TEL_CTR_DISPATCHES, TEL_CTR_RESULTS_OK,
+    TEL_STAGE_EXEC_BEGIN, TEL_STAGE_EXEC_END, TEL_STAGE_RECV, TEL_STAGE_SENT,
+};
+use std::collections::HashMap;
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn fast_cfg(seed: u64) -> ProcessFabricConfig {
     ProcessFabricConfig {
@@ -196,11 +211,15 @@ fn functions_run_outside_the_blob_store_lock() {
     let started = Instant::now();
     dispatch(1, 1, "sleep", &[1], b"").write_to(&mut s).unwrap();
     dispatch(2, 1, "sleep", &[1], b"").write_to(&mut s).unwrap();
-    // Both workers hold a job before the next TRANSFER leaves.
-    loop {
-        Frame::Poll.write_to(&mut s).unwrap();
+    // Both workers hold a job before the next TRANSFER leaves: a
+    // heartbeat ack says so.
+    for seq in 1.. {
+        let t_client_us = 0;
+        Frame::Heartbeat { seq, t_client_us }
+            .write_to(&mut s)
+            .unwrap();
         let busy = loop {
-            if let Frame::PollAck { busy, .. } = Frame::read_from(&mut s).unwrap() {
+            if let Frame::HeartbeatAck { busy, .. } = Frame::read_from(&mut s).unwrap() {
                 break busy;
             }
         };
@@ -337,12 +356,11 @@ fn failed_batch_write_requeues_results_in_order_and_drops_acks() {
     };
     let ack = Outgoing::Frame(Frame::TransferAck { key: 1, stored: 1 });
     let drain_ack = Outgoing::Frame(Frame::DrainAck { remaining: 0 });
-    let shared = DaemonShared::new();
+    let shared = DaemonShared::new(0, Default::default());
     *shared.outbox.lock() = [result(1), ack, result(2), drain_ack, result(3)].into();
     *shared.conn.lock() = Some(Arc::new(stream));
-    let tel = DaemonTelemetry::new(0, 16);
     std::thread::scope(|scope| {
-        scope.spawn(|| daemon_writer(&shared, &tel));
+        scope.spawn(|| daemon_writer(&shared));
         // The writer requeues, then gives the dead connection up.
         while shared.conn.lock().is_some() {
             std::thread::yield_now();
@@ -352,31 +370,6 @@ fn failed_batch_write_requeues_results_in_order_and_drops_acks() {
     });
     let left: Vec<Outgoing> = shared.outbox.lock().drain(..).collect();
     assert_eq!(left, [result(1), result(2), result(3)]);
-}
-
-#[test]
-fn telemetry_store_drops_stale_generation_and_out_of_order_batches() {
-    let ev = |t_us| TelemetryEvent {
-        stage: TEL_STAGE_RECV,
-        t_us,
-        task: 1,
-        attempt: 1,
-        arg: 0,
-    };
-    let mut store = TelemetryStore::new();
-    assert!(store.ingest(1, 1, 1, vec![ev(10)], vec![(TEL_CTR_DISPATCHES, 1)], vec![]));
-    // A batch from a dead generation must never merge: its clock is
-    // a different incarnation's and its counters would double-count.
-    assert!(!store.ingest(1, 0, 7, vec![ev(20)], vec![(TEL_CTR_DISPATCHES, 9)], vec![]));
-    // Replayed / reordered sequence numbers are refused whole.
-    assert!(!store.ingest(1, 1, 1, vec![ev(30)], vec![], vec![]));
-    assert!(store.ingest(1, 1, 2, vec![ev(40)], vec![], vec![]));
-    assert!(!store.ingest(1, 1, 2, vec![ev(50)], vec![], vec![]));
-    assert_eq!(store.dropped_batches, 3);
-    let times: Vec<u64> = store.events.iter().map(|&(_, e)| e.t_us).collect();
-    assert_eq!(times, vec![10, 40]);
-    assert_eq!(store.gen_counters[&1], vec![(TEL_CTR_DISPATCHES, 1)]);
-    assert!(!store.gen_counters.contains_key(&0));
 }
 
 #[test]
@@ -693,78 +686,6 @@ fn echo_job(task: u64, attempt: u32, payload: &[u8]) -> JobSpec {
     }
 }
 
-fn ok_result(task: u64, attempt: u32, payload: &[u8]) -> Frame {
-    Frame::Result {
-        task,
-        attempt,
-        generation: 0,
-        ok: true,
-        payload: payload.to_vec(),
-    }
-}
-
-#[test]
-fn in_flight_table_resolves_each_attempt_exactly_once() {
-    // Attempt 2 of task 5 is answered first by attempt 1, then twice by
-    // itself; any other DISPATCH has its payload echoed.
-    let (addr, fake) = fake_daemon(|frame| match frame {
-        Frame::Dispatch {
-            task: 5,
-            attempt: 2,
-            ..
-        } => vec![
-            ok_result(5, 1, b"stale"),
-            ok_result(5, 2, b"fresh"),
-            ok_result(5, 2, b"again"),
-        ],
-        Frame::Dispatch {
-            task,
-            attempt,
-            payload,
-            ..
-        } => vec![ok_result(task, attempt, &payload)],
-        _ => vec![],
-    });
-    let fabric = connect_fabric(addr, 5);
-    let (tx, rx) = mpsc::channel();
-    let submit = |task: u64, attempt: u32| {
-        let tx = tx.clone();
-        let payload = [task.to_le_bytes(), u64::from(attempt).to_le_bytes()].concat();
-        let done = move |r| tx.send(((task, attempt), r)).unwrap();
-        fabric.submit(0, echo_job(task, attempt, &payload), Box::new(done));
-    };
-    submit(5, 2);
-    let first = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-    assert_eq!(first, ((5, 2), Ok(b"fresh".to_vec())));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while fabric.counters(0).stale_results < 2 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    // The stale attempt and the duplicate, each counted once.
-    assert_eq!(fabric.counters(0).stale_results, 2);
-    assert!(rx.try_recv().is_err());
-
-    // Ids strided far past the table's size share its low bits, and
-    // the last three keys hash to the same value outright.
-    let mut keys: Vec<(u64, u32)> = (1..=64u64).map(|i| (i << 24, 1 + (i % 3) as u32)).collect();
-    keys.extend([(1 << 40, 1), (2 << 40, 2), (3 << 40, 3)]);
-    for &(task, attempt) in &keys {
-        submit(task, attempt);
-    }
-    let mut resolved = HashMap::new();
-    for _ in &keys {
-        let (key, r) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(resolved.insert(key, r).is_none(), "{key:?} resolved twice");
-    }
-    for (task, attempt) in keys {
-        let want = [task.to_le_bytes(), u64::from(attempt).to_le_bytes()].concat();
-        assert_eq!(resolved[&(task, attempt)], Ok(want), "{task} {attempt}");
-    }
-    assert_eq!(fabric.counters(0).stale_results, 2);
-    fabric.shutdown();
-    fake.join().unwrap();
-}
-
 #[test]
 fn a_submit_that_meets_a_shutdown_fails_instead_of_vanishing() {
     // A daemon that never acks DRAIN keeps the supervisor in its
@@ -830,4 +751,34 @@ fn submits_queued_behind_a_shutdown_still_resolve() {
         "completion never fired"
     );
     fabric.shutdown();
+}
+
+#[test]
+fn a_spawned_daemon_that_never_announces_is_killed_and_backed_off() {
+    // A child that sleeps without printing: the wait for its LISTENING
+    // line is bounded by the connect timeout, then the child is killed
+    // and reaped and the supervisor backs off — it keeps serving its
+    // channel instead of blocking in the read.
+    let fabric = ProcessFabric::new(
+        vec![ProcessEndpointSpec {
+            name: "mute".to_string(),
+            workers: 1,
+            mode: EndpointMode::Spawn {
+                command: ["sh", "-c", "exec sleep 30", "sh"]
+                    .map(String::from)
+                    .to_vec(),
+            },
+        }],
+        fast_cfg(17),
+    );
+    let (tx, rx) = mpsc::channel();
+    let done = Box::new(move |r| tx.send(r).unwrap());
+    fabric.submit(0, echo_job(1, 1, b""), done);
+    let got = rx.recv_timeout(Duration::from_secs(5));
+    let err = got.expect("the submit never resolved").unwrap_err();
+    assert!(err.contains("not connected"), "err = {err}");
+    let started = Instant::now();
+    fabric.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(3), "shutdown took {took:?}");
 }

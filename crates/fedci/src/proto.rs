@@ -21,7 +21,6 @@
 //! client → daemon   DISPATCH       run a function attempt     → RESULT
 //! client → daemon   HEARTBEAT      liveness, seq-numbered,
 //!                                  timestamped for clock sync → HEARTBEAT_ACK
-//! client → daemon   POLL           queue-depth snapshot       → POLL_ACK
 //! client → daemon   TELEMETRY_SUB  enable/disable daemon telemetry
 //! daemon → client   TELEMETRY      batched trace events + metric deltas
 //! client → daemon   DRAIN          finish queued work, stop   → DRAIN_ACK
@@ -44,8 +43,10 @@ use std::io::{Read, Write};
 /// heartbeat exchange, the `generation` span context on DISPATCH/RESULT,
 /// and the TELEMETRY_SUB/TELEMETRY pair. Revision 3 added KEEP, and with
 /// it the rule that a blob key names one byte string: the output of one
-/// attempt ([`crate::fabric::blob_key`]).
-pub const PROTO_VERSION: u16 = 3;
+/// attempt ([`crate::fabric::blob_key`]). Revision 4 removed POLL and
+/// POLL_ACK (HEARTBEAT_ACK carries the busy count); kinds 4 and 5 are
+/// unassigned.
+pub const PROTO_VERSION: u16 = 4;
 
 /// Upper bound on `length` (kind + body). Chosen comfortably above any
 /// real frame so the only way to hit it is corruption or attack; checked
@@ -198,17 +199,6 @@ pub enum Frame {
         /// Result bytes or UTF-8 error message.
         payload: Vec<u8>,
     },
-    /// Client → daemon: request a queue-depth snapshot.
-    Poll,
-    /// Daemon → client: answer to [`Frame::Poll`].
-    PollAck {
-        /// Workers currently executing.
-        busy: u32,
-        /// Jobs queued and not yet started.
-        queued: u32,
-        /// Jobs completed since the daemon started.
-        completed: u64,
-    },
     /// Client → daemon: stage blob `key` for later dispatch deps.
     Transfer {
         /// Blob key.
@@ -303,8 +293,6 @@ impl Frame {
             Frame::Hello { .. } => 1,
             Frame::Dispatch { .. } => KIND_DISPATCH,
             Frame::Result { .. } => KIND_RESULT,
-            Frame::Poll => 4,
-            Frame::PollAck { .. } => 5,
             Frame::Transfer { .. } => KIND_TRANSFER,
             Frame::TransferAck { .. } => 7,
             Frame::Heartbeat { .. } => 8,
@@ -369,16 +357,7 @@ impl Frame {
                 put_result_head(out, *task, *attempt, *generation, *ok, p.len());
                 payload = p;
             }
-            Frame::Poll | Frame::Drain => {}
-            Frame::PollAck {
-                busy,
-                queued,
-                completed,
-            } => {
-                out.extend_from_slice(&busy.to_le_bytes());
-                out.extend_from_slice(&queued.to_le_bytes());
-                out.extend_from_slice(&completed.to_le_bytes());
-            }
+            Frame::Drain => {}
             Frame::TransferAck { key, stored } => {
                 out.extend_from_slice(&key.to_le_bytes());
                 out.extend_from_slice(&stored.to_le_bytes());
@@ -741,12 +720,6 @@ fn decode_body(c: &mut Cursor<'_>) -> Result<Frame, ProtoError> {
             workers: c.u32()?,
             generation: c.u64()?,
         },
-        4 => Frame::Poll,
-        5 => Frame::PollAck {
-            busy: c.u32()?,
-            queued: c.u32()?,
-            completed: c.u64()?,
-        },
         7 => Frame::TransferAck {
             key: c.u64()?,
             stored: c.u64()?,
@@ -1047,12 +1020,6 @@ mod tests {
                 ok: false,
                 payload: b"boom".to_vec(),
             },
-            Frame::Poll,
-            Frame::PollAck {
-                busy: 3,
-                queued: 9,
-                completed: 1234,
-            },
             Frame::Transfer {
                 key: 42,
                 payload: vec![1; 100],
@@ -1185,7 +1152,7 @@ mod tests {
 
     #[test]
     fn unknown_kind_and_trailing_bytes_rejected() {
-        let mut bad = Frame::Poll.encode();
+        let mut bad = Frame::Drain.encode();
         bad[4] = 0xff; // kind := 0x00ff
         assert!(matches!(
             Frame::decode(&bad),
@@ -1205,7 +1172,7 @@ mod tests {
 
         // Inner trailing bytes: length header admits one more byte than
         // the message consumes.
-        let mut inner = Frame::Poll.encode();
+        let mut inner = Frame::Drain.encode();
         inner.push(7);
         let len = (inner.len() - 4) as u32;
         inner[..4].copy_from_slice(&len.to_le_bytes());

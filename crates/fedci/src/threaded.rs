@@ -15,7 +15,7 @@
 //! recovers the dropped work.
 
 use crate::fault::AttemptFaults;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use simkit::metrics::{CounterId, GaugeId, MetricsRegistry};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -29,10 +29,6 @@ use std::time::Duration;
 /// as free, like a funcX worker that reports its result after releasing.
 type Followup = Box<dyn FnOnce() + Send + 'static>;
 type Job = Box<dyn FnOnce() -> Option<Followup> + Send + 'static>;
-
-/// How long an idle worker blocks on the queue before re-checking the
-/// channel for closure.
-pub const DEFAULT_POLL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Metric handles for one pool (see [`ThreadedEndpoint::register_metrics`]),
 /// plus the counter high-water marks that keep sampled counters monotone.
@@ -51,14 +47,13 @@ pub struct PoolMetricIds {
 /// Each worker executes one job at a time, mirroring the funcX model where
 /// each worker process runs a single function invocation.
 ///
-/// The struct is 144 bytes. Growing or shrinking it by 8 moved the
+/// The struct is 128 bytes. Growing or shrinking it by 8 moved the
 /// `threaded-fanout` benchmark's peak RSS up by about 12 % (glibc heap
 /// layout, 2-core x86-64 box), so rarely used state lives behind a pointer.
 pub struct ThreadedEndpoint {
     name: String,
     tx: Option<Sender<Job>>,
     rx: Receiver<Job>,
-    poll: Duration,
     /// Workers started so far: like a thread pool's core threads, each of
     /// the first `n_workers` submissions starts one (a funcX endpoint
     /// provisions workers when tasks arrive), so an idle pool costs nothing.
@@ -84,17 +79,15 @@ struct PoolCounters {
 }
 
 impl ThreadedEndpoint {
-    /// A pool of `n_workers` worker threads named after the endpoint. `poll`
-    /// is how long an idle worker blocks before re-checking the channel.
-    pub fn with_poll_timeout(name: &str, n_workers: usize, poll: Duration) -> Self {
+    /// A pool of `n_workers` worker threads named after the endpoint. An
+    /// idle worker blocks on the queue until a job or its closure arrives.
+    pub fn new(name: &str, n_workers: usize) -> Self {
         assert!(n_workers > 0, "an endpoint needs at least one worker");
-        assert!(!poll.is_zero(), "poll timeout must be non-zero");
         let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
         ThreadedEndpoint {
             name: name.to_string(),
             tx: Some(tx),
             rx,
-            poll,
             handles: Mutex::new(Vec::with_capacity(n_workers)),
             started: AtomicUsize::new(0),
             counters: Arc::default(),
@@ -116,22 +109,19 @@ impl ThreadedEndpoint {
         if handles.len() == self.n_workers {
             return;
         }
-        let (rx, poll) = (self.rx.clone(), self.poll);
+        let rx = self.rx.clone();
         let counters = Arc::clone(&self.counters);
         let handle = std::thread::Builder::new()
             .name(format!("{}-worker-{}", self.name, handles.len()))
-            .spawn(move || loop {
-                let job = match rx.recv_timeout(poll) {
-                    Ok(job) => job,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                };
-                counters.busy.fetch_add(1, Ordering::SeqCst);
-                let followup = job();
-                counters.busy.fetch_sub(1, Ordering::SeqCst);
-                counters.completed.fetch_add(1, Ordering::SeqCst);
-                if let Some(f) = followup {
-                    f();
+            .spawn(move || {
+                while let Ok(job) = rx.recv() {
+                    counters.busy.fetch_add(1, Ordering::SeqCst);
+                    let followup = job();
+                    counters.busy.fetch_sub(1, Ordering::SeqCst);
+                    counters.completed.fetch_add(1, Ordering::SeqCst);
+                    if let Some(f) = followup {
+                        f();
+                    }
                 }
             })
             .expect("failed to spawn worker thread");

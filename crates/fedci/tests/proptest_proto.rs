@@ -110,14 +110,6 @@ fn arb_frame() -> BoxedStrategy<Frame> {
                 payload,
             }
         ),
-        Just(Frame::Poll),
-        (0u32..64, 0u32..4096, 0u64..1_000_000).prop_map(|(busy, queued, completed)| {
-            Frame::PollAck {
-                busy,
-                queued,
-                completed,
-            }
-        }),
         (0u64..1_000_000, arb_payload())
             .prop_map(|(key, payload)| Frame::Transfer { key, payload }),
         (0u64..1_000_000, 0u64..1_000_000)
@@ -626,13 +618,19 @@ fn wire_constants_are_pinned() {
     // Revision 2: clock-sync timestamps on the heartbeat exchange, span
     // context on DISPATCH/RESULT, TELEMETRY_SUB/TELEMETRY frames.
     // Revision 3: KEEP, and blob keys that name one attempt's output.
-    assert_eq!(PROTO_VERSION, 3);
+    // Revision 4: POLL/POLL_ACK removed; kinds 4 and 5 stay unassigned.
+    assert_eq!(PROTO_VERSION, 4);
     assert_eq!(MAX_FRAME, 16 * 1024 * 1024);
     const { assert!(TEL_MAX_EVENTS >= 1024) };
     // Kind tags are part of the wire contract; renumbering breaks
     // rolling upgrades between daemon and client builds.
-    assert_eq!(Frame::Poll.kind(), 4);
     assert_eq!(Frame::Drain.kind(), 10);
+    for unassigned in [4u16, 5] {
+        let mut bytes = Frame::Drain.encode();
+        bytes[4..6].copy_from_slice(&unassigned.to_le_bytes());
+        let got = Frame::decode(&bytes);
+        assert!(matches!(got, Err(ProtoError::UnknownKind(k)) if k == unassigned));
+    }
     assert_eq!(
         Frame::Heartbeat {
             seq: 0,

@@ -93,7 +93,7 @@ fi
 # The daemon ran every function under its blob-store lock until PR 21: a
 # match arm keeps the guard of `&blobs.lock()` alive until the arm ends.
 echo "==> no function call under the daemon's blob-store lock"
-if grep -n 'assemble_input(&blobs.lock()' crates/fedci/src/process.rs; then
+if grep -rn 'assemble_input(&.*blobs.lock()' crates/fedci/src/process/; then
   echo "the daemon assembles and runs a job under its blob-store lock again" >&2
   exit 1
 fi
@@ -104,16 +104,50 @@ fi
 # workers at once, and the supervisor's in-flight table is keyed for
 # locality, not by the default SipHash.
 echo "==> no per-job function lookup or job channel in the daemon, no SipHash in-flight table"
-if sed -n '/^fn daemon_worker/,/^}/p' crates/fedci/src/process.rs | grep -n 'registry'; then
+if sed -n '/^fn daemon_worker/,/^}/p' crates/fedci/src/process/endpointd.rs | grep -n 'registry'; then
   echo "daemon_worker looks functions up in the registry per job again" >&2
   exit 1
 fi
-if grep -nE '(Sender|Receiver|unbounded::)<(JobSpec|DaemonJob)>' crates/fedci/src/process.rs; then
+if grep -rnE '(Sender|Receiver|unbounded::)<(JobSpec|DaemonJob)>' crates/fedci/src/process/; then
   echo "the daemon hands jobs to its workers through a crossbeam channel again" >&2
   exit 1
 fi
-if grep -n 'outstanding: HashMap::new()' crates/fedci/src/process.rs; then
+if grep -n 'outstanding: HashMap::new()' crates/fedci/src/process/supervisor.rs; then
   echo "Supervisor::outstanding is built with the default hasher again" >&2
+  exit 1
+fi
+
+# The wire protocol's decisions live in two machines that take the time
+# as an argument and leave their output in buffers; sockets, threads,
+# child processes, channels, locks and clocks are the std-net driver's.
+# One file per part, none of them 800 lines long.
+echo "==> sans-IO wire machines; one process/ module of small files"
+machines="crates/fedci/src/process/supervisor.rs crates/fedci/src/process/daemon.rs"
+if grep -nE 'std::net|std::thread|std::process|Instant::now|sleep\(|Condvar|crossbeam|Mutex|mpsc' \
+  $machines; then
+  echo "a protocol machine does I/O, blocks or reads the clock again (see above)" >&2
+  exit 1
+fi
+if [ -e crates/fedci/src/process.rs ]; then
+  echo "crates/fedci/src/process.rs is back; the fabric lives in process/" >&2
+  exit 1
+fi
+for f in crates/fedci/src/process/*.rs; do
+  if [ "$(wc -l < "$f")" -ge 800 ]; then
+    echo "$f has $(wc -l < "$f") lines (the limit is 799)" >&2
+    exit 1
+  fi
+done
+
+# POLL/POLL_ACK (protocol revision 4), the daemon's telemetry-ring option
+# and the threaded pools' poll timeout were deleted; history files may
+# name them.
+echo "==> no POLL frames, --telemetry-ring or poll_timeout left"
+if grep -rnE 'Frame::Poll|PollAck|telemetry_ring|--telemetry-ring|poll_timeout' \
+  --include='*.rs' --include='*.sh' --include='*.yml' --include='*.toml' \
+  --exclude=check.sh --exclude-dir=benchmark --exclude-dir=target \
+  --exclude-dir=.git .; then
+  echo "a deleted wire frame or option is referenced again (see above)" >&2
   exit 1
 fi
 
