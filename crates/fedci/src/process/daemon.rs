@@ -47,7 +47,8 @@ pub(crate) enum Effect {
     Beat { seq: u64, t_client_us: u64 },
     /// Set the telemetry level (TELEMETRY_SUB).
     Subscribe(u8),
-    /// While subscribed: stamp RECV for this read's job at the index. In
+    /// Stamp RECV for this read's job at the index (the daemon's
+    /// telemetry, which owns the level, drops it while unsubscribed). In
     /// frame order, so a heartbeat behind the DISPATCH ships the stamp.
     Recv(usize),
 }
@@ -60,20 +61,9 @@ pub(crate) struct Connection {
     keep: Option<(u64, u32)>,
     /// The functions this connection has named, each looked up once.
     fns: Vec<(Arc<str>, WireFn)>,
-    /// Whether the daemon's telemetry is on (the level outlives a
-    /// connection; TELEMETRY_SUB sets it).
-    subscribed: bool,
 }
 
 impl Connection {
-    /// A connection to a daemon whose telemetry is `subscribed`.
-    pub fn new(subscribed: bool) -> Self {
-        Connection {
-            subscribed,
-            ..Connection::default()
-        }
-    }
-
     /// Applies one read's `frames` in order, appending DISPATCHes to
     /// `jobs` and everything else the daemon must do to `effects`.
     /// `lookup` resolves a function name. Returns `true` at a DRAIN: the
@@ -97,9 +87,7 @@ impl Connection {
                     payload,
                     ..
                 } => {
-                    if self.subscribed {
-                        effects.push(Effect::Recv(jobs.len()));
-                    }
+                    effects.push(Effect::Recv(jobs.len()));
                     let (function, run) = self.resolve(lookup, &function);
                     jobs.push(DaemonJob {
                         spec: JobSpec {
@@ -117,10 +105,7 @@ impl Connection {
                 Frame::Heartbeat { seq, t_client_us } => {
                     effects.push(Effect::Beat { seq, t_client_us });
                 }
-                Frame::TelemetrySub { level } => {
-                    self.subscribed = level != 0;
-                    effects.push(Effect::Subscribe(level));
-                }
+                Frame::TelemetrySub { level } => effects.push(Effect::Subscribe(level)),
                 Frame::Drain => return true,
                 // Client-bound frames arriving here are a protocol
                 // violation; tolerate them rather than crash the endpoint.

@@ -3,7 +3,7 @@
 //! ([`super::supervisor`]) over a channel of events, a reader thread per
 //! connection, the child daemon's spawn and kill, and the socket counters.
 
-use super::supervisor::{Outbox, Supervisor};
+use super::supervisor::Supervisor;
 use super::{Ctr, EpShared, LISTENING_PREFIX, SHUT_DOWN};
 use crate::fabric::{Completion, Fabric, FabricTiming, JobSpec, ProbeState};
 use crate::proto::{Frame, FrameReader};
@@ -79,6 +79,17 @@ pub struct ProcessFabricConfig {
     pub telemetry: bool,
 }
 
+impl Default for ProcessFabricConfig {
+    fn default() -> Self {
+        ProcessFabricConfig {
+            timing: FabricTiming::default(),
+            seed: 1,
+            respawn: true,
+            telemetry: false,
+        }
+    }
+}
+
 /// A supervisor connection's socket, counting reads or writes and bytes
 /// where they happen: a large payload's own write, and inbound bytes that
 /// later fail to decode, included.
@@ -107,20 +118,6 @@ impl Write for Counted {
     fn flush(&mut self) -> std::io::Result<()> {
         self.inner.flush()
     }
-}
-
-/// Writes what the machine buffered: the bytes up to each large payload,
-/// then the payload from where it lives.
-fn write_out(w: &mut impl Write, out: &mut Outbox) -> std::io::Result<()> {
-    let mut at = 0;
-    for (end, payload) in out.large.drain(..) {
-        w.write_all(&out.bytes[at..end])?;
-        w.write_all(&payload)?;
-        at = end;
-    }
-    w.write_all(&out.bytes[at..])?;
-    out.bytes.clear();
-    Ok(())
 }
 
 /// Everything a supervisor thread reacts to, merged into one channel so
@@ -233,7 +230,7 @@ impl Driver {
         let Some((_, stream)) = &mut self.conn else {
             return;
         };
-        if write_out(stream, &mut self.sup.out.wire).is_err() {
+        if self.sup.out.wire.write_out(stream).is_err() {
             self.sup.conn_lost("socket write failed", now);
         }
     }

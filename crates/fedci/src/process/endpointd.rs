@@ -9,11 +9,11 @@ use super::daemon::{requeue, split_at_drain_ack, Connection, DaemonJob, Effect, 
 use crate::fabric::{dep_blobs, run_on_input, FnRegistry, Payload, WireFn};
 use crate::fault::{AttemptFaults, Backend, FaultPlan};
 use crate::proto::{
-    encode_result_head, flush_queued, queue_frame, Frame, FrameReader, TelemetryEvent, IO_BUF,
-    PROTO_VERSION, TEL_CTR_CHAOS_DELAYS, TEL_CTR_CHAOS_SWALLOWED, TEL_CTR_DISPATCHES,
-    TEL_CTR_RESULTS_ERR, TEL_CTR_RESULTS_OK, TEL_CTR_RING_DROPPED, TEL_MAX_EVENTS,
-    TEL_STAGE_CHAOS_DELAY, TEL_STAGE_CHAOS_SWALLOW, TEL_STAGE_EXEC_BEGIN, TEL_STAGE_EXEC_END,
-    TEL_STAGE_RECV, TEL_STAGE_SENT,
+    encode_result_head, Frame, FrameReader, Outbox, TelemetryEvent, IO_BUF, PROTO_VERSION,
+    TEL_CTR_CHAOS_DELAYS, TEL_CTR_CHAOS_SWALLOWED, TEL_CTR_DISPATCHES, TEL_CTR_RESULTS_ERR,
+    TEL_CTR_RESULTS_OK, TEL_CTR_RING_DROPPED, TEL_MAX_EVENTS, TEL_STAGE_CHAOS_DELAY,
+    TEL_STAGE_CHAOS_SWALLOW, TEL_STAGE_EXEC_BEGIN, TEL_STAGE_EXEC_END, TEL_STAGE_RECV,
+    TEL_STAGE_SENT,
 };
 use parking_lot::{Condvar, Mutex};
 use simkit::metrics::LogHistogram;
@@ -376,7 +376,7 @@ fn serve_connection(
 ) -> bool {
     let tel = &d.tel;
     let mut reader = FrameReader::new(stream);
-    let mut conn = Connection::new(tel.enabled());
+    let mut conn = Connection::default();
     let (mut frames, mut batch, mut effects) = (Vec::new(), Vec::new(), Vec::new());
     loop {
         let read = reader.read_batch(&mut frames);
@@ -553,36 +553,46 @@ pub(super) fn daemon_writer(d: &DaemonShared) {
     }
 }
 
-/// Puts `batch` on `stream` through `wbuf`: one write per [`IO_BUF`] of
-/// frames, a large RESULT payload written from where it lives. On success
-/// consumes the batch and gives every RESULT the span's last daemon-side
-/// stamp — it hit the wire (replays after a reconnect re-stamp, which is
-/// the truth: the first copy never arrived). On failure leaves `batch`
-/// intact.
+/// Puts `batch` on `stream` through an [`Outbox`] over `wbuf`: one write
+/// per [`IO_BUF`] of frames, a large RESULT payload written from where it
+/// lives. On success consumes the batch and gives every RESULT the span's
+/// last daemon-side stamp — it hit the wire (replays after a reconnect
+/// re-stamp, which is the truth: the first copy never arrived). On
+/// failure leaves `batch` intact.
 fn write_batch(
     mut stream: &TcpStream,
     batch: &mut Vec<Outgoing>,
     wbuf: &mut Vec<u8>,
     tel: &DaemonTelemetry,
 ) -> bool {
-    let queued = batch.iter().try_for_each(|out| match out {
-        Outgoing::Frame(frame) => queue_frame(&mut stream, wbuf, |b| frame.encode_into(b), &[]),
-        Outgoing::Result {
-            task,
-            attempt,
-            ok,
-            payload,
-        } => {
-            let (task, attempt, ok) = (*task, *attempt, *ok);
-            let head = |b: &mut Vec<u8>| {
-                encode_result_head(b, task, attempt, tel.generation, ok, payload.len());
-            };
-            queue_frame(&mut stream, wbuf, head, payload)
+    let mut out = Outbox {
+        bytes: std::mem::take(wbuf),
+        large: Vec::new(),
+    };
+    let queued = batch.iter().try_for_each(|item| {
+        match item {
+            Outgoing::Frame(frame) => out.push(|b| frame.encode_into(b), &[][..]),
+            Outgoing::Result {
+                task,
+                attempt,
+                ok,
+                payload,
+            } => {
+                let (task, attempt, ok) = (*task, *attempt, *ok);
+                let head = |b: &mut Vec<u8>| {
+                    encode_result_head(b, task, attempt, tel.generation, ok, payload.len());
+                };
+                out.push(head, &payload[..]);
+            }
+        }
+        if out.due() {
+            out.write_out(&mut stream)
+        } else {
+            Ok(())
         }
     });
-    let wrote = queued
-        .and_then(|()| flush_queued(&mut stream, wbuf))
-        .is_ok();
+    let wrote = queued.and_then(|()| out.write_out(&mut stream)).is_ok();
+    *wbuf = out.bytes;
     wbuf.clear();
     if wrote {
         for out in batch.drain(..) {

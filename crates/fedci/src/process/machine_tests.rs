@@ -73,15 +73,8 @@ impl Rig {
 
     /// Decodes and empties what the machine buffered for the socket.
     fn sent(&mut self) -> Vec<Frame> {
-        let out = &mut self.sup.out.wire;
-        let (mut bytes, mut at) = (Vec::new(), 0);
-        for (end, payload) in out.large.drain(..) {
-            bytes.extend_from_slice(&out.bytes[at..end]);
-            bytes.extend_from_slice(&payload);
-            at = end;
-        }
-        bytes.extend_from_slice(&out.bytes[at..]);
-        out.bytes.clear();
+        let mut bytes = Vec::new();
+        self.sup.out.wire.write_out(&mut bytes).unwrap();
         let mut reader = FrameReader::new(bytes.as_slice());
         std::iter::from_fn(|| reader.read_frame().ok()).collect()
     }
@@ -469,11 +462,16 @@ fn a_read_is_applied_in_order_and_stops_at_drain() {
         seq: 4,
         t_client_us: 9,
     };
-    assert_eq!(effects, [stored, beat, Effect::Subscribe(2)]);
+    let recvs = (0..4).map(Effect::Recv);
+    let want: Vec<Effect> = std::iter::once(stored)
+        .chain(recvs)
+        .chain([beat, Effect::Subscribe(2)])
+        .collect();
+    assert_eq!(effects, want);
     // A registered name is looked up once per connection.
     assert_eq!(lookups.get(), 2);
-    // Subscribed now: each DISPATCH's RECV stamp takes its place in frame
-    // order, ahead of the heartbeat that ships it.
+    // Each DISPATCH's RECV stamp takes its place in frame order, ahead of
+    // the heartbeat that ships it.
     effects.clear();
     let beat = Frame::Heartbeat {
         seq: 5,

@@ -10,7 +10,7 @@ use super::{Ctr, EpShared, SHUT_DOWN};
 use crate::clock::ClockSample;
 use crate::fabric::{Completion, FabricResult, FabricTiming, JobSpec, Payload, ProbeState};
 use crate::proto::{
-    encode_dispatch_head, encode_transfer_head, Frame, TelemetryEvent, IO_BUF, PROTO_VERSION,
+    encode_dispatch_head, encode_transfer_head, Frame, Outbox, TelemetryEvent, PROTO_VERSION,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::hash_map::Entry;
@@ -19,34 +19,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Frames encoded for the current connection and not yet written. A
-/// payload under [`IO_BUF`] is copied in behind its head; a larger one is
-/// not copied at all: it waits in `large`, to be written from where it
-/// lives right behind the bytes it follows.
-#[derive(Default)]
-pub(crate) struct Outbox {
-    pub bytes: Vec<u8>,
-    /// `(offset, payload)`: the payload follows `bytes[..offset]`.
-    pub large: Vec<(usize, Payload)>,
-}
-
-impl Outbox {
-    fn push(&mut self, head: impl FnOnce(&mut Vec<u8>), payload: Payload) {
-        head(&mut self.bytes);
-        if payload.len() >= IO_BUF {
-            self.large.push((self.bytes.len(), payload));
-        } else {
-            self.bytes.extend_from_slice(&payload);
-        }
-    }
-
-    /// To be written now rather than before the driver next blocks:
-    /// [`IO_BUF`] is buffered, or a large payload waits.
-    pub fn due(&self) -> bool {
-        self.bytes.len() >= IO_BUF || !self.large.is_empty()
-    }
-}
 
 /// One TELEMETRY batch the machine accepted, for the fabric's store.
 pub(crate) struct TelBatch {
@@ -60,7 +32,7 @@ pub(crate) struct TelBatch {
 #[derive(Default)]
 pub(crate) struct Output {
     /// Frames for the current connection.
-    pub wire: Outbox,
+    pub wire: Outbox<Payload>,
     /// Completions to fire, in order, each with its attempt's outcome.
     pub resolved: Vec<(Completion, FabricResult)>,
     /// DISPATCH-buffered to RESULT-handled latencies.

@@ -819,38 +819,61 @@ pub fn encode_transfer_head(out: &mut Vec<u8>, key: u64, payload_len: usize) {
     end_frame(out, start, payload_len);
 }
 
-/// Queues one frame for `w` through the coalescing buffer `buf`: `head`
-/// appends the frame up to `payload` (all of it, for a frame that has
-/// none), and `buf` is written out once it holds [`IO_BUF`]. A payload of
-/// [`IO_BUF`] or more is never copied into the buffer — the buffer, head
-/// last, is written, then the payload from where it lives — so `buf`
-/// stays under two buffers' length. On error `buf` holds garbage and the
-/// connection is to be given up.
-pub fn queue_frame<W: Write>(
-    w: &mut W,
-    buf: &mut Vec<u8>,
-    head: impl FnOnce(&mut Vec<u8>),
-    payload: &[u8],
-) -> std::io::Result<()> {
-    head(buf);
-    if payload.len() >= IO_BUF {
-        flush_queued(w, buf)?;
-        return w.write_all(payload);
-    }
-    buf.extend_from_slice(payload);
-    if buf.len() >= IO_BUF {
-        flush_queued(w, buf)?;
-    }
-    Ok(())
+/// Frames encoded for one connection and not yet written: the coalescing
+/// buffer of both ends of the wire. A payload under [`IO_BUF`] is copied
+/// in behind its head; one of [`IO_BUF`] or more is not copied at all: it
+/// waits in `large`, to be written from where it lives right behind the
+/// bytes it follows. A writer that calls [`Outbox::write_out`] whenever
+/// [`Outbox::due`] makes one write per [`IO_BUF`] of small frames, and
+/// `bytes` stays under two buffers' length.
+pub struct Outbox<P> {
+    /// The encoded frames, large payloads left out.
+    pub bytes: Vec<u8>,
+    /// `(offset, payload)`: the payload follows `bytes[..offset]`.
+    pub large: Vec<(usize, P)>,
 }
 
-/// Writes what [`queue_frame`] left in `buf`, with one `write_all`.
-pub fn flush_queued<W: Write>(w: &mut W, buf: &mut Vec<u8>) -> std::io::Result<()> {
-    if !buf.is_empty() {
-        w.write_all(buf)?;
-        buf.clear();
+impl<P> Default for Outbox<P> {
+    fn default() -> Self {
+        Outbox {
+            bytes: Vec::new(),
+            large: Vec::new(),
+        }
     }
-    Ok(())
+}
+
+impl<P: std::ops::Deref<Target = [u8]>> Outbox<P> {
+    /// Buffers one frame: `head` appends it up to `payload` (all of it,
+    /// for a frame that has none).
+    pub fn push(&mut self, head: impl FnOnce(&mut Vec<u8>), payload: P) {
+        head(&mut self.bytes);
+        if payload.len() >= IO_BUF {
+            self.large.push((self.bytes.len(), payload));
+        } else {
+            self.bytes.extend_from_slice(&payload);
+        }
+    }
+
+    /// To be written now rather than before the writer next blocks:
+    /// [`IO_BUF`] is buffered, or a large payload waits.
+    pub fn due(&self) -> bool {
+        self.bytes.len() >= IO_BUF || !self.large.is_empty()
+    }
+
+    /// Writes everything buffered: the bytes up to each large payload,
+    /// then the payload from where it lives. On error the outbox holds
+    /// garbage and the connection is to be given up.
+    pub fn write_out<W: Write>(&mut self, w: &mut W) -> std::io::Result<()> {
+        let mut at = 0;
+        for (end, payload) in self.large.drain(..) {
+            w.write_all(&self.bytes[at..end])?;
+            w.write_all(&payload)?;
+            at = end;
+        }
+        w.write_all(&self.bytes[at..])?;
+        self.bytes.clear();
+        Ok(())
+    }
 }
 
 const KIND_DISPATCH: u16 = 2;

@@ -4,9 +4,8 @@
 //! never a panic and never an allocation bigger than the input justifies.
 
 use fedci::proto::{
-    encode_dispatch_head, encode_result_head, encode_transfer_head, flush_queued, queue_frame,
-    Frame, FrameReader, ProtoError, TelemetryEvent, IO_BUF, MAX_FRAME, PROTO_VERSION,
-    TEL_MAX_EVENTS,
+    encode_dispatch_head, encode_result_head, encode_transfer_head, Frame, FrameReader, Outbox,
+    ProtoError, TelemetryEvent, IO_BUF, MAX_FRAME, PROTO_VERSION, TEL_MAX_EVENTS,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -496,42 +495,49 @@ proptest! {
         prop_assert_eq!(reader.read_frame().unwrap_err().to_string(), want);
     }
 
-    /// Frames queued through the coalescing buffer — a payload of `IO_BUF`
-    /// or more written behind its head, not copied into the buffer — put
-    /// on the stream exactly the bytes `encode_into` produces, and the
-    /// buffer stays under two buffers' length.
+    /// Frames pushed through the coalescing [`Outbox`] and written out
+    /// whenever it is due — a payload of `IO_BUF` or more written behind
+    /// its head, not copied into the buffer — put on the stream exactly
+    /// the bytes `encode_into` produces, and the buffer stays under two
+    /// buffers' length.
     #[test]
     fn queued_frames_are_byte_identical_to_encode_into(
         shapes in vec((0u8..3, 0usize..2 * IO_BUF + 100, arb_byte()), 1..8),
     ) {
-        let (mut wire, mut buf, mut want) = (Vec::new(), Vec::new(), Vec::new());
-        for &(kind, len, seed) in &shapes {
-            let frame = payload_frame(kind, len, seed);
+        let frames: Vec<Frame> = shapes
+            .iter()
+            .map(|&(kind, len, seed)| payload_frame(kind, len, seed))
+            .collect();
+        let (mut wire, mut out, mut want) = (Vec::new(), Outbox::default(), Vec::new());
+        for frame in &frames {
             frame.encode_into(&mut want);
-            match &frame {
+            match frame {
                 Frame::Dispatch { task, attempt, generation, function, deps, payload } => {
                     let n = payload.len();
                     let head = |b: &mut Vec<u8>| {
                         encode_dispatch_head(b, *task, *attempt, *generation, function, deps, n);
                     };
-                    queue_frame(&mut wire, &mut buf, head, payload).unwrap();
+                    out.push(head, &payload[..]);
                 }
                 Frame::Result { task, attempt, generation, ok, payload } => {
                     let n = payload.len();
                     let head = |b: &mut Vec<u8>| {
                         encode_result_head(b, *task, *attempt, *generation, *ok, n);
                     };
-                    queue_frame(&mut wire, &mut buf, head, payload).unwrap();
+                    out.push(head, &payload[..]);
                 }
                 Frame::Transfer { key, payload } => {
                     let head = |b: &mut Vec<u8>| encode_transfer_head(b, *key, payload.len());
-                    queue_frame(&mut wire, &mut buf, head, payload).unwrap();
+                    out.push(head, &payload[..]);
                 }
-                other => queue_frame(&mut wire, &mut buf, |b| other.encode_into(b), &[]).unwrap(),
+                other => out.push(|b| other.encode_into(b), &[][..]),
             }
-            prop_assert!(buf.len() < 2 * IO_BUF, "buffer grew to {}", buf.len());
+            prop_assert!(out.bytes.len() < 2 * IO_BUF, "buffer grew to {}", out.bytes.len());
+            if out.due() {
+                out.write_out(&mut wire).unwrap();
+            }
         }
-        flush_queued(&mut wire, &mut buf).unwrap();
+        out.write_out(&mut wire).unwrap();
         prop_assert_eq!(&wire, &want);
     }
 }
