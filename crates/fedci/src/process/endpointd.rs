@@ -5,6 +5,7 @@
 //! thread puts the outbox on the wire. The telemetry ring and counters
 //! live here too.
 
+use super::backoff::poll_before_parking;
 use super::daemon::{requeue, split_at_drain_ack, Connection, DaemonJob, Effect, Outgoing};
 use crate::fabric::{dep_blobs, run_on_input, FnRegistry, Payload, WireFn};
 use crate::fault::{AttemptFaults, Backend, FaultPlan};
@@ -95,15 +96,21 @@ impl JobQueue {
     }
 
     /// The next job, blocking while the queue is empty and open; `None`
-    /// once it is closed and empty.
+    /// once it is closed and empty. Polls a little before it parks, so
+    /// the next read's jobs find the worker awake.
     fn pop(&self) -> Option<DaemonJob> {
+        // `Some(answer)` once there is one: a job, or `None` for closed.
+        let answer = |(jobs, closed): &mut (VecDeque<DaemonJob>, bool)| match jobs.pop_front() {
+            Some(job) => Some(Some(job)),
+            None => closed.then_some(None),
+        };
+        if let Some(job) = poll_before_parking(|| answer(&mut self.state.lock())) {
+            return job;
+        }
         let mut state = self.state.lock();
         loop {
-            if let Some(job) = state.0.pop_front() {
-                return Some(job);
-            }
-            if state.1 {
-                return None;
+            if let Some(job) = answer(&mut state) {
+                return job;
             }
             self.ready.wait(&mut state);
         }
@@ -651,6 +658,38 @@ pub fn spawn_daemon_thread(cfg: DaemonConfig) -> std::io::Result<DaemonHandle> {
             .unwrap_or_else(|| std::io::Error::other("daemon exited before binding"))),
         Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
             Err(std::io::Error::other("daemon failed to bind"))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::JobQueue;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    #[test]
+    fn closing_the_job_queue_wakes_every_parked_worker() {
+        let queue = Arc::new(JobQueue::default());
+        let (tx, rx) = mpsc::channel();
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let (queue, tx) = (Arc::clone(&queue), tx.clone());
+                std::thread::spawn(move || tx.send(queue.pop().is_none()))
+            })
+            .collect();
+        // Far longer than the poll before parking, so the workers are
+        // parked on the condvar by now; one that is not yet sees the
+        // queue closed, and the test holds either way.
+        std::thread::sleep(Duration::from_millis(50));
+        queue.close();
+        for _ in 0..3 {
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(true));
+        }
+        for w in workers {
+            w.join()
+                .expect("a worker panicked")
+                .expect("the test holds rx");
         }
     }
 }

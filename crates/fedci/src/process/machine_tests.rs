@@ -316,9 +316,9 @@ fn a_kept_output_is_not_shipped_back_and_a_large_blob_is_not_copied() {
     assert_eq!(epoch, 2);
 }
 
-#[test]
-fn telemetry_from_a_stale_generation_or_an_old_sequence_is_refused() {
-    let batch = |generation, seq, t_us| Frame::Telemetry {
+/// A TELEMETRY batch of one RECV event stamped `t_us`.
+fn batch(generation: u64, seq: u64, t_us: u64) -> Frame {
+    Frame::Telemetry {
         generation,
         seq,
         events: vec![TelemetryEvent {
@@ -330,7 +330,11 @@ fn telemetry_from_a_stale_generation_or_an_old_sequence_is_refused() {
         }],
         counters: vec![],
         exec_buckets: vec![],
-    };
+    }
+}
+
+#[test]
+fn telemetry_from_a_stale_generation_or_an_old_sequence_is_refused() {
     let mut rig = Rig::new(7);
     let epoch = rig.connect(0, 1);
     // A batch from a dead generation must never merge: its clock is
@@ -353,6 +357,54 @@ fn telemetry_from_a_stale_generation_or_an_old_sequence_is_refused() {
         .flat_map(|b| b.events.iter().map(|e| e.t_us))
         .collect();
     assert_eq!(times, [10, 40]);
+}
+
+#[test]
+fn a_hello_starts_the_telemetry_sequence_and_the_clock_afresh() {
+    let mut rig = Rig::new(8);
+    let epoch = rig.connect(0, 0);
+    assert_eq!(rig.sup.out.hello, Some(0));
+    rig.sup
+        .on_frames(epoch, (1..=3).map(|seq| batch(0, seq, seq)), rig.at(1));
+    // A daemon restarted at the same address says the same generation;
+    // its sequence starts over, and its clock is not the last one's.
+    rig.sup.conn_lost("connection closed", rig.at(2));
+    rig.sup.out.hello = None;
+    let epoch = rig.connect(3, 0);
+    assert_eq!(rig.sup.out.hello, Some(0));
+    rig.sup
+        .on_frames(epoch, (1..=4).map(|seq| batch(0, seq, 10 + seq)), rig.at(4));
+    assert_eq!(rig.shared.get(Ctr::TelDropped), 0);
+    assert_eq!(rig.shared.get(Ctr::TelFrames), 7);
+    // Within one connection a repeated sequence is still refused.
+    rig.sup.on_frames(epoch, [batch(0, 4, 20)], rig.at(5));
+    assert_eq!(rig.shared.get(Ctr::TelDropped), 1);
+    // So is a batch from a generation the endpoint has moved past.
+    let epoch = rig.connect(6, 1);
+    rig.sup
+        .on_frames(epoch, [batch(0, 5, 30), batch(1, 1, 40)], rig.at(7));
+    assert_eq!(rig.shared.get(Ctr::TelDropped), 2);
+    let times: Vec<u64> = (rig.sup.out.telemetry.iter())
+        .flat_map(|b| b.events.iter().map(|e| e.t_us))
+        .collect();
+    assert_eq!(times, [1, 2, 3, 11, 12, 13, 14, 40]);
+}
+
+#[test]
+fn a_suspect_verdict_already_given_is_not_due_again() {
+    let timing = FabricTiming::fast();
+    let mut rig = Rig::new(9);
+    rig.connect(0, 0);
+    let suspect = rig.t0 + timing.suspect_after;
+    assert_eq!(rig.sup.next_deadline(), Some(rig.t0), "the first heartbeat");
+    rig.sup.tick(suspect);
+    assert_eq!(rig.shared.probe(), ProbeState::Suspect);
+    // The next wake is the next heartbeat or the Dead verdict, not the
+    // Suspect one again — that one lies in the past.
+    let next = rig.sup.next_deadline().unwrap();
+    assert!(next > suspect);
+    let beat = suspect + timing.heartbeat_interval;
+    assert_eq!(next, beat.min(rig.t0 + timing.down_after));
 }
 
 #[test]

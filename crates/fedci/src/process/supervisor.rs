@@ -37,6 +37,9 @@ pub(crate) struct Output {
     pub resolved: Vec<(Completion, FabricResult)>,
     /// DISPATCH-buffered to RESULT-handled latencies.
     pub roundtrips: Vec<Duration>,
+    /// The generation whose HELLO arrived: its clock evidence so far is
+    /// another process's, to be dropped before `clocks` is applied.
+    pub hello: Option<u64>,
     /// Heartbeat round trips, by the generation of the daemon answering.
     pub clocks: Vec<(u64, ClockSample)>,
     /// Accepted TELEMETRY batches.
@@ -124,8 +127,8 @@ pub(crate) struct Supervisor {
     gave_up: bool,
     outstanding: InFlight,
     blob_cache: HashMap<u64, Arc<Vec<u8>>>,
-    /// Highest TELEMETRY sequence accepted, per generation.
-    tel_seq: HashMap<u64, u64>,
+    /// Highest TELEMETRY sequence accepted since the last HELLO.
+    tel_seq: u64,
     pub out: Output,
 }
 
@@ -155,7 +158,7 @@ impl Supervisor {
             gave_up: false,
             outstanding: InFlight::default(),
             blob_cache: HashMap::new(),
-            tel_seq: HashMap::new(),
+            tel_seq: 0,
             out: Output::default(),
         }
     }
@@ -247,13 +250,17 @@ impl Supervisor {
 
     /// The earliest instant at which [`Supervisor::tick`] (heartbeat,
     /// liveness verdict) or a reconnect is due; `None` when nothing ever is
-    /// (disconnected for good).
+    /// (disconnected for good). A verdict already given is not due again:
+    /// once the probe reads Suspect, the next is the Dead one.
     pub fn next_deadline(&self) -> Option<Instant> {
         match &self.conn {
             Some(c) => {
-                let suspect = c.last_ack + self.timing.suspect_after;
                 let down = c.last_ack + self.timing.down_after;
-                Some(c.hb_next.min(suspect).min(down))
+                let next = c.hb_next.min(down);
+                if self.shared.probe() == ProbeState::Suspect {
+                    return Some(next);
+                }
+                Some(next.min(c.last_ack + self.timing.suspect_after))
             }
             None if self.gave_up => None,
             None => Some(self.next_connect),
@@ -363,6 +370,12 @@ impl Supervisor {
                 self.shared.workers.store(workers, Ordering::SeqCst);
                 self.shared.generation.store(generation, Ordering::SeqCst);
                 self.shared.set_probe(ProbeState::Alive);
+                // The daemon behind a HELLO may be another process than
+                // the last one to say this generation (a restart at the
+                // same address): its TELEMETRY sequence and its clock
+                // start afresh here.
+                self.tel_seq = 0;
+                self.out.hello = Some(generation);
             }
             Frame::HeartbeatAck {
                 busy,
@@ -417,14 +430,13 @@ impl Supervisor {
                 exec_buckets,
             } => {
                 // A batch from any generation but the connection's, or
-                // whose sequence does not advance past everything already
-                // accepted for it, is refused whole: merging it would put
+                // whose sequence does not advance past everything accepted
+                // since its HELLO, is refused whole: merging it would put
                 // events on the wrong clock or regress cumulative counters.
-                let last = self.tel_seq.get(&generation).copied().unwrap_or(0);
-                if generation != self.shared.generation() || seq <= last {
+                if generation != self.shared.generation() || seq <= self.tel_seq {
                     return self.shared.add(Ctr::TelDropped, 1);
                 }
-                self.tel_seq.insert(generation, seq);
+                self.tel_seq = seq;
                 self.shared.add(Ctr::TelFrames, 1);
                 self.shared.add(Ctr::TelEvents, events.len() as u64);
                 self.out.telemetry.push(TelBatch {

@@ -3,6 +3,7 @@
 //! hostile length headers, random garbage — come back as clean errors,
 //! never a panic and never an allocation bigger than the input justifies.
 
+use fedci::fabric::{Payload, INLINE_PAYLOAD};
 use fedci::proto::{
     encode_dispatch_head, encode_result_head, encode_transfer_head, Frame, FrameReader, Outbox,
     ProtoError, TelemetryEvent, IO_BUF, MAX_FRAME, PROTO_VERSION, TEL_MAX_EVENTS,
@@ -539,6 +540,29 @@ proptest! {
         }
         out.write_out(&mut wire).unwrap();
         prop_assert_eq!(&wire, &want);
+    }
+
+    /// A DISPATCH whose payload travels inline puts on the wire exactly
+    /// the bytes of the same DISPATCH with the payload owned; one byte
+    /// more does not fit inline.
+    #[test]
+    fn an_inline_dispatch_is_byte_identical_to_an_owned_one(
+        payload in vec(arb_byte(), 0..INLINE_PAYLOAD + 1),
+        task in 0u64..1 << 40,
+        deps in vec(0u64..1 << 40, 0..3),
+    ) {
+        let encode = |p: Payload| {
+            let (n, mut out, mut wire) = (p.len(), Outbox::default(), Vec::new());
+            out.push(|b| encode_dispatch_head(b, task, 2, 1, "fnv", &deps, n), p);
+            out.write_out(&mut wire).unwrap();
+            wire
+        };
+        let inline = Payload::inline(&payload).expect("fits inline");
+        prop_assert!(matches!(inline, Payload::Inline(..)));
+        prop_assert_eq!(encode(inline), encode(Payload::Owned(payload.clone())));
+        let mut longer = payload;
+        longer.resize(INLINE_PAYLOAD + 1, 0);
+        prop_assert!(Payload::inline(&longer).is_none());
     }
 }
 

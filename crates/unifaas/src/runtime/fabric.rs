@@ -114,16 +114,23 @@ impl TaskState {
     /// The final attempt takes the bytes. (An attempt the watchdog
     /// superseded before it got here may find them taken; its result is
     /// dropped whatever it is.) An earlier one leaves them for the next:
-    /// a small payload is copied, one of [`IO_BUF`] or more is shared
-    /// from its first such attempt on — large enough that the `Arc`'s
-    /// allocation is nothing next to the copy, which a dispatch made from
-    /// a completion would do on the endpoint's only I/O thread.
+    /// a payload of at most
+    /// [`INLINE_PAYLOAD`](fedci::fabric::INLINE_PAYLOAD) bytes is copied
+    /// in place, so the attempt allocates nothing here and frees nothing
+    /// on the fabric's thread; a larger one is copied; one of [`IO_BUF`]
+    /// or more is shared from its first such attempt on — large enough
+    /// that the `Arc`'s allocation is nothing next to the copy, which a
+    /// dispatch made from a completion would do on the endpoint's only
+    /// I/O thread.
     fn payload_for(&mut self, last_attempt: bool) -> Option<Payload> {
         let TaskState::Pending(p) = self else {
             return None;
         };
         if last_attempt {
             return Some(std::mem::take(p));
+        }
+        if let Some(inline) = Payload::inline(p) {
+            return Some(inline);
         }
         if let Payload::Owned(bytes) = p {
             if bytes.len() >= IO_BUF {
@@ -1043,16 +1050,22 @@ mod tests {
     fn only_a_large_payload_is_shared_between_attempts() {
         let fabric = ScriptedFabric::new(1);
         let policy = LiveRetryPolicy {
-            max_attempts: 2,
+            max_attempts: 3,
             ..LiveRetryPolicy::default()
         };
         let rt = scripted_runtime(&fabric, policy);
-        let large = rt.submit("echo", vec![7; IO_BUF], &[]);
-        rt.submit("echo", vec![7; IO_BUF - 1], &[]);
+        let small = rt.submit("echo", b"8 bytes!".to_vec(), &[]);
         fabric.fire(0, 1, Err("lost".into()));
-        fabric.fire(0, 2, ok(b"done"));
-        fabric.fire(1, 1, ok(b"done"));
+        fabric.fire(0, 2, Err("lost".into()));
+        fabric.fire(0, 3, ok(b"done"));
+        let large = rt.submit("echo", vec![7; IO_BUF], &[]);
+        fabric.fire(1, 1, Err("lost".into()));
+        fabric.fire(1, 2, Err("lost".into()));
+        fabric.fire(1, 3, ok(b"done"));
+        rt.submit("echo", vec![7; IO_BUF - 1], &[]);
+        fabric.fire(2, 1, ok(b"done"));
         rt.wait_all();
+        assert_eq!(small.wait().unwrap().as_ref(), b"done");
         assert_eq!(large.wait().unwrap().as_ref(), b"done");
         let calls = fabric.calls.lock();
         let payloads: Vec<&Payload> = calls
@@ -1062,15 +1075,29 @@ mod tests {
                 Call::Stage { .. } => unreachable!("no task has a dependency"),
             })
             .collect();
-        // First attempts of the large and the small task, then the large
-        // one's last, which takes what the first left shared.
+        // The small task: copied in place for each attempt that may be
+        // followed, its own bytes moved into the last.
         assert!(
             matches!(
-                payloads[..],
-                [Payload::Shared(a), Payload::Owned(_), Payload::Shared(b)] if Arc::ptr_eq(a, b)
+                payloads[..3],
+                [
+                    Payload::Inline(8, _),
+                    Payload::Inline(8, _),
+                    Payload::Owned(_)
+                ]
             ),
             "{payloads:?}"
         );
+        assert!(payloads[..3].iter().all(|p| &p[..] == b"8 bytes!"));
+        // The large task: one allocation, shared by all three attempts.
+        // The one in between: copied for its first attempt.
+        let [Payload::Shared(a), Payload::Shared(b), Payload::Shared(c), Payload::Owned(mid)] =
+            payloads[3..]
+        else {
+            panic!("{payloads:?}");
+        };
+        assert!(Arc::ptr_eq(a, b) && Arc::ptr_eq(b, c));
+        assert_eq!(mid.len(), IO_BUF - 1);
     }
 
     #[test]

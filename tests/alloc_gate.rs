@@ -1,16 +1,20 @@
 //! Allocation gates: building a DAG and running the simulator allocate
-//! per growth step, not per task or per event.
+//! per growth step, not per task or per event; submitting a small task
+//! to a fabric allocates its cell and its completion, nothing more.
 //!
 //! A counting global allocator wraps `System`. It counts only on the
 //! thread inside [`count_allocs`], so tests running in parallel on other
 //! threads add nothing to a gate's count. `realloc` counts as an
 //! allocation, as a `Vec` doubling is one.
 
+use fedci::fabric::{Completion, Fabric, JobSpec, Payload, ProbeState};
 use fedci::hardware::ClusterSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Arc, Mutex};
 use taskgraph::workloads::stress;
 use unifaas::config::{Config, EndpointConfig, SchedulingStrategy};
+use unifaas::runtime::fabric::{FabricRuntime, LiveRetryPolicy};
 use unifaas::SimRuntime;
 
 struct Counting;
@@ -102,4 +106,74 @@ fn steady_state_simulation_is_allocation_free() {
          the steady state allocates again",
         report.events_processed
     );
+}
+
+/// One endpoint that holds every attempt until the test answers it, in
+/// room reserved up front: its `submit` allocates nothing of its own.
+struct Holding {
+    labels: Vec<String>,
+    held: Mutex<Vec<(JobSpec, Completion)>>,
+}
+
+impl Fabric for Holding {
+    fn labels(&self) -> &[String] {
+        &self.labels
+    }
+
+    fn n_workers(&self, _: usize) -> usize {
+        1
+    }
+
+    fn busy_workers(&self, _: usize) -> usize {
+        0
+    }
+
+    fn probe(&self, _: usize) -> ProbeState {
+        ProbeState::Alive
+    }
+
+    fn stage(&self, _: usize, _: u64, _: &Arc<Vec<u8>>) {
+        unreachable!("no task here has a dependency")
+    }
+
+    fn submit(&self, _: usize, job: JobSpec, done: Completion) {
+        self.held.lock().unwrap().push((job, done));
+    }
+
+    fn shutdown(&self) {}
+}
+
+#[test]
+fn submitting_a_small_task_under_retry_allocates_its_cell_and_completion_only() {
+    let fabric = Arc::new(Holding {
+        labels: vec!["ep".to_string()],
+        held: Mutex::new(Vec::with_capacity(2)),
+    });
+    let policy = LiveRetryPolicy {
+        max_attempts: 5,
+        ..LiveRetryPolicy::default()
+    };
+    let rt = FabricRuntime::new(Arc::clone(&fabric) as Arc<dyn Fabric>).with_retry(policy);
+    // The first submit interns the function and sizes the task slab; the
+    // second fits in both.
+    rt.submit("fnv", vec![1; 8], &[]);
+    let payload = vec![2; 8];
+    let (second, allocs) = count_allocs(|| rt.submit("fnv", payload, &[]));
+    assert_eq!(
+        allocs, 2,
+        "an 8-byte task's first of five attempts made {allocs} allocations \
+         (the task cell and the completion are 2): the payload is copied \
+         to the heap per attempt again"
+    );
+    let held = std::mem::take(&mut *fabric.held.lock().unwrap());
+    assert!(
+        matches!(held[1].0.payload, Payload::Inline(8, _)),
+        "{:?}",
+        held[1].0.payload
+    );
+    for (job, done) in held {
+        done(Ok(job.payload.to_vec()));
+    }
+    rt.wait_all();
+    assert_eq!(second.wait().unwrap().as_ref(), &[2; 8]);
 }
