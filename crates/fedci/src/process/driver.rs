@@ -3,7 +3,6 @@
 //! ([`super::supervisor`]) over a channel of events, a reader thread per
 //! connection, the child daemon's spawn and kill, and the socket counters.
 
-use super::backoff::poll_before_parking;
 use super::supervisor::Supervisor;
 use super::{Ctr, EpShared, LISTENING_PREFIX, SHUT_DOWN};
 use crate::fabric::{Completion, Fabric, FabricTiming, JobSpec, ProbeState};
@@ -169,31 +168,19 @@ impl Driver {
             }
             self.settle();
             // Block only when idle, and flush first: no frame ever waits
-            // in the buffer for a later frame or a timer. Then poll a
-            // little before parking: the next submit of a burst finds the
-            // thread awake, and its sender makes no futex wake.
+            // in the buffer for a later frame or a timer.
             let mut next = match self.rx.try_recv() {
                 Ok(ev) => Some(ev),
                 Err(TryRecvError::Disconnected) => return self.shutdown(),
                 Err(TryRecvError::Empty) => {
                     self.flush(now);
                     self.settle();
-                    let polled = poll_before_parking(|| match self.rx.try_recv() {
-                        Ok(ev) => Some(Ok(ev)),
-                        Err(TryRecvError::Empty) => None,
-                        Err(TryRecvError::Disconnected) => {
-                            Some(Err(RecvTimeoutError::Disconnected))
-                        }
-                    });
-                    let got = polled.unwrap_or_else(|| {
-                        let now = Instant::now();
-                        let wait = self
-                            .sup
-                            .next_deadline()
-                            .map_or(IDLE_WAIT, |d| d.saturating_duration_since(now));
-                        self.rx.recv_timeout(wait.max(Duration::from_millis(1)))
-                    });
-                    match got {
+                    let now = Instant::now();
+                    let wait = self
+                        .sup
+                        .next_deadline()
+                        .map_or(IDLE_WAIT, |d| d.saturating_duration_since(now));
+                    match self.rx.recv_timeout(wait.max(Duration::from_millis(1))) {
                         Ok(ev) => Some(ev),
                         Err(RecvTimeoutError::Timeout) => None,
                         Err(RecvTimeoutError::Disconnected) => return self.shutdown(),
@@ -265,9 +252,6 @@ impl Driver {
             for d in out.roundtrips.drain(..) {
                 hist.observe(d.as_secs_f64());
             }
-        }
-        if let Some(generation) = out.hello.take() {
-            self.shared.telemetry.lock().clocks.remove(&generation);
         }
         for (generation, sample) in out.clocks.drain(..) {
             let rtt = sample.rtt_us() as f64 / 1e6;

@@ -5,7 +5,6 @@
 //! thread puts the outbox on the wire. The telemetry ring and counters
 //! live here too.
 
-use super::backoff::poll_before_parking;
 use super::daemon::{requeue, split_at_drain_ack, Connection, DaemonJob, Effect, Outgoing};
 use crate::fabric::{dep_blobs, run_on_input, FnRegistry, Payload, WireFn};
 use crate::fault::{AttemptFaults, Backend, FaultPlan};
@@ -96,21 +95,15 @@ impl JobQueue {
     }
 
     /// The next job, blocking while the queue is empty and open; `None`
-    /// once it is closed and empty. Polls a little before it parks, so
-    /// the next read's jobs find the worker awake.
+    /// once it is closed and empty.
     fn pop(&self) -> Option<DaemonJob> {
-        // `Some(answer)` once there is one: a job, or `None` for closed.
-        let answer = |(jobs, closed): &mut (VecDeque<DaemonJob>, bool)| match jobs.pop_front() {
-            Some(job) => Some(Some(job)),
-            None => closed.then_some(None),
-        };
-        if let Some(job) = poll_before_parking(|| answer(&mut self.state.lock())) {
-            return job;
-        }
         let mut state = self.state.lock();
         loop {
-            if let Some(job) = answer(&mut state) {
-                return job;
+            if let Some(job) = state.0.pop_front() {
+                return Some(job);
+            }
+            if state.1 {
+                return None;
             }
             self.ready.wait(&mut state);
         }
@@ -678,9 +671,8 @@ mod tests {
                 std::thread::spawn(move || tx.send(queue.pop().is_none()))
             })
             .collect();
-        // Far longer than the poll before parking, so the workers are
-        // parked on the condvar by now; one that is not yet sees the
-        // queue closed, and the test holds either way.
+        // The workers are parked on the condvar by now; one that is not
+        // yet sees the queue closed, and the test holds either way.
         std::thread::sleep(Duration::from_millis(50));
         queue.close();
         for _ in 0..3 {

@@ -29,7 +29,6 @@
 //! telemetry ring). [`ChaosProxy`] (`chaos`) sits between client and daemon
 //! to cut a connection mid-frame, sever it, or stall one direction.
 
-mod backoff;
 mod chaos;
 mod daemon;
 mod driver;

@@ -37,9 +37,6 @@ pub(crate) struct Output {
     pub resolved: Vec<(Completion, FabricResult)>,
     /// DISPATCH-buffered to RESULT-handled latencies.
     pub roundtrips: Vec<Duration>,
-    /// The generation whose HELLO arrived: its clock evidence so far is
-    /// another process's, to be dropped before `clocks` is applied.
-    pub hello: Option<u64>,
     /// Heartbeat round trips, by the generation of the daemon answering.
     pub clocks: Vec<(u64, ClockSample)>,
     /// Accepted TELEMETRY batches.
@@ -372,10 +369,8 @@ impl Supervisor {
                 self.shared.set_probe(ProbeState::Alive);
                 // The daemon behind a HELLO may be another process than
                 // the last one to say this generation (a restart at the
-                // same address): its TELEMETRY sequence and its clock
-                // start afresh here.
+                // same address): its TELEMETRY sequence starts afresh.
                 self.tel_seq = 0;
-                self.out.hello = Some(generation);
             }
             Frame::HeartbeatAck {
                 busy,

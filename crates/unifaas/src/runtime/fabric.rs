@@ -28,7 +28,9 @@
 //!   ([`ProbeState`]) is folded into the [`HealthMonitor`] by the
 //!   watchdog: a Dead probe forces Down, a recovered probe re-admits the
 //!   endpoint via Recovering, and attempt outcomes keep their usual
-//!   weight in between. Placement filters on both.
+//!   weight in between. Placement filters on both, and re-admits an
+//!   endpoint that a Dead probe put Down as soon as its probe reads
+//!   Alive, without waiting for the watchdog's next tick.
 //!
 //! Coordination state is one dense slab under one lock (task `id` is
 //! `slots[id]`; health included), never held across `Fabric::stage` /
@@ -307,6 +309,9 @@ struct Coord {
     functions: Vec<Arc<str>>,
     outstanding: usize,
     health: HealthMonitor,
+    /// Endpoints that a Dead probe put Down and that are still Down;
+    /// empty until a probe first reads Dead.
+    probe_down: Vec<bool>,
     stats: FabricRunStats,
 }
 
@@ -325,7 +330,22 @@ impl Coord {
     /// holding the most input bytes. When everything is down, falls back
     /// to endpoint 0 — the attempt fails fast or times out and the retry
     /// machinery keeps going until something recovers.
-    fn place(&self, fabric: &dyn Fabric, dep_ids: &[usize]) -> usize {
+    ///
+    /// An endpoint put Down by a Dead probe whose probe now reads Alive
+    /// (its daemon respawned) is re-admitted here first, so work placed
+    /// between two watchdog ticks can land on it.
+    fn place(&mut self, fabric: &dyn Fabric, dep_ids: &[usize]) -> usize {
+        if self.probe_down.contains(&true) {
+            for ep in 0..self.probe_down.len() {
+                let id = EndpointId(ep as u16);
+                if self.probe_down[ep] && fabric.probe(ep) == ProbeState::Alive {
+                    self.probe_down[ep] = false;
+                    if self.health.is_down(id) {
+                        self.health.mark_recovering(id);
+                    }
+                }
+            }
+        }
         let usable = |ep: &usize| {
             let healthy = self.health.is_schedulable(EndpointId(*ep as u16));
             healthy && fabric.probe(*ep) != ProbeState::Dead
@@ -426,6 +446,7 @@ impl FabricRuntime {
             functions: Vec::new(),
             outstanding: 0,
             health: HealthMonitor::new(fabric.n_endpoints()),
+            probe_down: Vec::new(),
             stats: FabricRunStats::default(),
         };
         let inner = Inner {
@@ -614,13 +635,19 @@ impl Inner {
         let probes: Vec<ProbeState> = (0..self.fabric.n_endpoints())
             .map(|ep| self.fabric.probe(ep))
             .collect();
-        let health = &mut self.coord.lock().health;
+        let n = probes.len();
+        let coord = &mut *self.coord.lock();
         for (ep, probe) in probes.into_iter().enumerate() {
             let id = EndpointId(ep as u16);
             if probe == ProbeState::Dead {
-                health.mark_down(id);
-            } else if probe == ProbeState::Alive && health.is_down(id) {
-                health.mark_recovering(id);
+                coord.health.mark_down(id);
+                coord.probe_down.resize(n, false);
+                coord.probe_down[ep] = true;
+            } else if probe == ProbeState::Alive && coord.health.is_down(id) {
+                coord.health.mark_recovering(id);
+                if let Some(down) = coord.probe_down.get_mut(ep) {
+                    *down = false;
+                }
             }
         }
     }
@@ -1128,6 +1155,39 @@ mod tests {
         rt.wait_all();
         assert_eq!(rt.endpoint_health(0), HealthState::Recovering);
         assert_eq!(rt.endpoint_health(1), HealthState::Healthy);
+    }
+
+    #[test]
+    fn a_respawned_endpoint_is_readmitted_at_placement() {
+        let fabric = ScriptedFabric::new(2);
+        let policy = LiveRetryPolicy {
+            max_attempts: 3,
+            task_timeout: Some(Duration::from_secs(5)),
+            backoff: Duration::ZERO,
+        };
+        let rt = scripted_runtime(&fabric, policy);
+        fabric.set_probe(0, ProbeState::Dead);
+        rt.wait_all();
+        assert_eq!(rt.endpoint_health(0), HealthState::Down);
+        // Its daemon is back: the next placement re-admits it, with no
+        // watchdog tick in between, and the tie goes to endpoint 0.
+        fabric.set_probe(0, ProbeState::Alive);
+        rt.submit("echo", vec![], &[]);
+        assert_eq!(rt.endpoint_health(0), HealthState::Recovering);
+        fabric.fire(0, 1, ok(b""));
+        // An endpoint put Down by failed attempts is not: liveness alone
+        // does not erase that evidence at placement.
+        fabric.set_probe(0, ProbeState::Dead);
+        rt.submit("echo", vec![], &[]);
+        for attempt in 1..=3 {
+            fabric.fire(1, attempt, Err("boom".to_string()));
+        }
+        assert_eq!(rt.endpoint_health(1), HealthState::Down);
+        fabric.set_probe(0, ProbeState::Alive);
+        rt.submit("echo", vec![], &[]);
+        assert_eq!(rt.endpoint_health(1), HealthState::Down);
+        assert_eq!(fabric.submit_eps(), [0, 1, 1, 1, 0]);
+        fabric.fire(2, 1, ok(b""));
     }
 
     #[test]

@@ -119,9 +119,8 @@ fi
 
 # The wire protocol's decisions live in two machines that take the time
 # as an argument and leave their output in buffers; sockets, threads,
-# child processes, channels, locks, clocks and the spin-then-yield wait
-# before parking are the std-net driver's. One file per part, none of
-# them 800 lines long.
+# child processes, channels, locks, clocks, spinning and yielding are
+# the std-net driver's. One file per part, none of them 800 lines long.
 echo "==> sans-IO wire machines; one process/ module of small files"
 machines="crates/fedci/src/process/supervisor.rs crates/fedci/src/process/daemon.rs"
 if grep -nE 'std::net|std::thread|std::process|Instant::now|sleep\(|Condvar|crossbeam|Mutex|mpsc|spin_loop|yield_now' \
