@@ -99,6 +99,13 @@ impl From<Vec<u8>> for Payload {
     }
 }
 
+impl From<&[u8]> for Payload {
+    /// `bytes` in place if they fit, else an owned copy.
+    fn from(bytes: &[u8]) -> Self {
+        Payload::inline(bytes).unwrap_or_else(|| Payload::Owned(bytes.to_vec()))
+    }
+}
+
 impl PartialEq for Payload {
     fn eq(&self, other: &Payload) -> bool {
         **self == **other
@@ -147,11 +154,14 @@ impl JobSpec {
     /// unless [`JobSpec::keep_output`] is set (or for a task id past the
     /// 32 bits a key has room for, which no runtime here produces).
     pub fn kept_key(&self) -> Option<u64> {
-        if !self.keep_output {
-            return None;
-        }
-        Some(blob_key(u32::try_from(self.task).ok()?, self.attempt))
+        output_key(self.task, self.attempt).filter(|_| self.keep_output)
     }
+}
+
+/// [`blob_key`] of a task id as the wire carries it: `None` for one past
+/// the 32 bits a key has room for, which no runtime here produces.
+pub(crate) fn output_key(task: u64, attempt: u32) -> Option<u64> {
+    Some(blob_key(u32::try_from(task).ok()?, attempt))
 }
 
 /// Coarse liveness as seen by the fabric's own signal (heartbeats, fault
@@ -417,18 +427,19 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The staged blobs `job` names, in `deps` order — the one step of running
-/// a job that needs the blob store, so a caller holds the store's lock for
-/// this and nothing after it.
+/// The staged blobs `deps` of task `task` names, in order — the one step of
+/// running a job that needs the blob store, so a caller holds the store's
+/// lock for this and nothing after it.
 pub fn dep_blobs(
     blobs: &HashMap<u64, Arc<Vec<u8>>>,
-    job: &JobSpec,
+    task: u64,
+    deps: &[u64],
 ) -> Result<Vec<Arc<Vec<u8>>>, String> {
     let blob = |d: &u64| {
         let found = blobs.get(d).map(Arc::clone);
-        found.ok_or_else(|| format!("missing input blob {d} for task {}", job.task))
+        found.ok_or_else(|| format!("missing input blob {d} for task {task}"))
     };
-    job.deps.iter().map(blob).collect()
+    deps.iter().map(blob).collect()
 }
 
 /// Runs `f` over a job's input: `deps` in order, then `payload`. Shared by
@@ -459,7 +470,10 @@ pub fn assemble_input(
     blobs: &HashMap<u64, Arc<Vec<u8>>>,
     job: &JobSpec,
 ) -> Result<Vec<u8>, String> {
-    Ok(concat(&dep_blobs(blobs, job)?, &job.payload))
+    Ok(concat(
+        &dep_blobs(blobs, job.task, &job.deps)?,
+        &job.payload,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -588,7 +602,7 @@ impl Fabric for ThreadedFabric {
                 (None, _) => Err(format!("unknown function `{}`", job.function)),
                 (Some(f), None) => f(&job.payload),
                 (Some(f), Some(blobs)) => {
-                    let deps = dep_blobs(&blobs.lock(), &job);
+                    let deps = dep_blobs(&blobs.lock(), job.task, &job.deps);
                     deps.and_then(|deps| run_on_input(&f, &deps, &job.payload))
                 }
             };

@@ -2,8 +2,8 @@
 //! client connection, and in what order its writer puts replies on the
 //! wire — with no socket, thread, lock or clock of its own.
 //!
-//! [`Connection::apply`] takes the frames one socket read brought in and
-//! applies them in order: a KEEP is remembered for the DISPATCH right
+//! [`Connection::apply`] takes the frames one socket read brought in, one
+//! at a time and in order: a KEEP is remembered for the DISPATCH right
 //! behind it, a DISPATCH becomes a job with its function resolved, and
 //! everything else becomes an [`Effect`] for the driver (store a blob,
 //! answer a heartbeat, set the telemetry level, stamp a RECV). The driver
@@ -11,10 +11,9 @@
 //! once.
 //! [`split_at_drain_ack`] and [`requeue`] are the writer's ordering rules.
 
-use crate::fabric::{JobSpec, Payload, WireFn};
-use crate::proto::Frame;
+use crate::fabric::{output_key, FnRegistry, Payload, WireFn};
+use crate::proto::{Dispatch, Frame, Incoming};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// One frame awaiting write at the daemon. A RESULT is not a
 /// [`Frame::Result`], whose payload is a `Vec` of its own: a kept output
@@ -30,11 +29,29 @@ pub(crate) enum Outgoing {
     },
 }
 
-/// One decoded DISPATCH on its way to a worker, its function already
-/// resolved (`None`: no such function).
+/// The daemon's functions, by name: fixed when it starts, so a job names
+/// its function by index and shares no reference count with the reader.
+pub(crate) type Functions = [(String, WireFn)];
+
+/// The [`Functions`] table of `registry`.
+pub(crate) fn functions(registry: &FnRegistry) -> Vec<(String, WireFn)> {
+    let names = registry.names().into_iter();
+    let fns = names.map(|name| registry.get(&name).map(|f| (name, f)));
+    fns.flatten().collect()
+}
+
+/// One decoded DISPATCH on its way to a worker.
+#[derive(Debug)]
 pub(crate) struct DaemonJob {
-    pub spec: JobSpec,
-    pub run: Option<WireFn>,
+    pub task: u64,
+    pub attempt: u32,
+    /// The function's index in [`Functions`], or the name no function is
+    /// registered under (the attempt fails at the worker).
+    pub function: Result<usize, Box<str>>,
+    pub deps: Vec<u64>,
+    pub payload: Payload,
+    /// The key to keep the output under: a KEEP named this attempt.
+    pub kept: Option<u64>,
 }
 
 /// What a read asks of the daemon besides its jobs, in frame order.
@@ -59,81 +76,61 @@ pub(crate) struct Connection {
     /// The attempt the last KEEP named: the DISPATCH behind it keeps its
     /// output. Any other DISPATCH forgets it.
     keep: Option<(u64, u32)>,
-    /// The functions this connection has named, each looked up once.
-    fns: Vec<(Arc<str>, WireFn)>,
 }
 
 impl Connection {
-    /// Applies one read's `frames` in order, appending DISPATCHes to
-    /// `jobs` and everything else the daemon must do to `effects`.
-    /// `lookup` resolves a function name. Returns `true` at a DRAIN: the
-    /// frames behind it are not applied, and the daemon is to answer with
-    /// DRAIN_ACK once the jobs are handed off.
+    /// Applies the next frame of a read: a DISPATCH is appended to `jobs`
+    /// with its function resolved in `fns`, anything else the daemon must
+    /// do to `effects`. Returns `true` at a DRAIN: the frames behind it
+    /// are not to be applied, and the daemon is to answer with DRAIN_ACK
+    /// once the jobs are handed off.
     pub fn apply(
         &mut self,
-        frames: impl IntoIterator<Item = Frame>,
-        lookup: &dyn Fn(&str) -> Option<WireFn>,
+        frame: Incoming<'_>,
+        fns: &Functions,
         jobs: &mut Vec<DaemonJob>,
         effects: &mut Vec<Effect>,
     ) -> bool {
-        for frame in frames {
-            match frame {
-                Frame::Keep { task, attempt } => self.keep = Some((task, attempt)),
-                Frame::Dispatch {
+        let frame = match frame {
+            Incoming::Dispatch(Dispatch {
+                task,
+                attempt,
+                function,
+                deps,
+                payload,
+                ..
+            }) => {
+                effects.push(Effect::Recv(jobs.len()));
+                let kept = self.keep.take() == Some((task, attempt));
+                jobs.push(DaemonJob {
                     task,
                     attempt,
-                    function,
+                    function: fns
+                        .iter()
+                        .position(|(name, _)| *name == function)
+                        .ok_or_else(|| function.into()),
                     deps,
                     payload,
-                    ..
-                } => {
-                    effects.push(Effect::Recv(jobs.len()));
-                    let (function, run) = self.resolve(lookup, &function);
-                    jobs.push(DaemonJob {
-                        spec: JobSpec {
-                            task,
-                            attempt,
-                            function,
-                            deps,
-                            payload: payload.into(),
-                            keep_output: self.keep.take() == Some((task, attempt)),
-                        },
-                        run,
-                    });
-                }
-                Frame::Transfer { key, payload } => effects.push(Effect::Store { key, payload }),
-                Frame::Heartbeat { seq, t_client_us } => {
-                    effects.push(Effect::Beat { seq, t_client_us });
-                }
-                Frame::TelemetrySub { level } => effects.push(Effect::Subscribe(level)),
-                Frame::Drain => return true,
-                // Client-bound frames arriving here are a protocol
-                // violation; tolerate them rather than crash the endpoint.
-                _ => {}
+                    kept: output_key(task, attempt).filter(|_| kept),
+                });
+                return false;
             }
+            Incoming::Other(frame) => frame,
+        };
+        match frame {
+            Frame::Keep { task, attempt } => self.keep = Some((task, attempt)),
+            Frame::Transfer { key, payload } => effects.push(Effect::Store { key, payload }),
+            Frame::Heartbeat { seq, t_client_us } => {
+                effects.push(Effect::Beat { seq, t_client_us });
+            }
+            Frame::TelemetrySub { level } => effects.push(Effect::Subscribe(level)),
+            Frame::Drain => return true,
+            // Client-bound frames arriving here are a protocol violation
+            // (and a DISPATCH never arrives as `Other`); tolerate them
+            // rather than crash the endpoint.
+            _ => {}
         }
         false
-    }
-
-    /// The function `name` resolves to, and the name as the job carries
-    /// it. Registered names are looked up once per connection and shared
-    /// from `fns` after that; only those are remembered, so `fns` never
-    /// outgrows the registry. An unknown name resolves to `None`, and its
-    /// attempt fails at the worker.
-    fn resolve(
-        &mut self,
-        lookup: &dyn Fn(&str) -> Option<WireFn>,
-        name: &str,
-    ) -> (Arc<str>, Option<WireFn>) {
-        if let Some((known, f)) = self.fns.iter().find(|(known, _)| **known == *name) {
-            return (Arc::clone(known), Some(Arc::clone(f)));
-        }
-        let name: Arc<str> = Arc::from(name);
-        let f = lookup(&name);
-        if let Some(f) = &f {
-            self.fns.push((Arc::clone(&name), Arc::clone(f)));
-        }
-        (name, f)
     }
 }
 

@@ -164,7 +164,7 @@ impl Driver {
                 self.try_connect();
             }
             if self.sup.tick(now) {
-                self.flush(now);
+                self.flush();
             }
             self.settle();
             // Block only when idle, and flush first: no frame ever waits
@@ -173,7 +173,7 @@ impl Driver {
                 Ok(ev) => Some(ev),
                 Err(TryRecvError::Disconnected) => return self.shutdown(),
                 Err(TryRecvError::Empty) => {
-                    self.flush(now);
+                    self.flush();
                     self.settle();
                     let now = Instant::now();
                     let wait = self
@@ -207,18 +207,19 @@ impl Driver {
         }
     }
 
+    /// Hands `ev` to the machine. Only the events the machine times read
+    /// the clock: a stage or a submit does not.
     fn handle(&mut self, ev: Ev) {
-        let now = Instant::now();
         match ev {
             Ev::Stage(key, bytes) => self.sup.stage(key, bytes),
-            Ev::Submit(job, done) => self.sup.submit(job, done, now),
-            Ev::Frames(epoch, frames) => self.sup.on_frames(epoch, frames, now),
-            Ev::ReaderClosed(epoch) => self.sup.reader_closed(epoch, now),
+            Ev::Submit(job, done) => self.sup.submit(job, done),
+            Ev::Frames(epoch, frames) => self.sup.on_frames(epoch, frames, Instant::now()),
+            Ev::ReaderClosed(epoch) => self.sup.reader_closed(epoch, Instant::now()),
             Ev::Kill => self.kill_child(),
             Ev::Shutdown => unreachable!("handled in run()"),
         }
         if self.sup.out.wire.due() {
-            self.flush(now);
+            self.flush();
         }
         self.settle();
     }
@@ -226,12 +227,12 @@ impl Driver {
     /// Writes everything the machine buffered. A failed write loses the
     /// connection, which fails every outstanding attempt — those whose
     /// DISPATCH was still in the buffer included.
-    fn flush(&mut self, now: Instant) {
+    fn flush(&mut self) {
         let Some((_, stream)) = &mut self.conn else {
             return;
         };
         if self.sup.out.wire.write_out(stream).is_err() {
-            self.sup.conn_lost("socket write failed", now);
+            self.sup.conn_lost("socket write failed", Instant::now());
         }
     }
 
@@ -246,12 +247,6 @@ impl Driver {
         let out = &mut self.sup.out;
         for (done, outcome) in out.resolved.drain(..) {
             done(outcome);
-        }
-        if !out.roundtrips.is_empty() {
-            let mut hist = self.shared.dispatch_hist.lock();
-            for d in out.roundtrips.drain(..) {
-                hist.observe(d.as_secs_f64());
-            }
         }
         for (generation, sample) in out.clocks.drain(..) {
             let rtt = sample.rtt_us() as f64 / 1e6;
@@ -283,11 +278,15 @@ impl Driver {
             shared: Arc::clone(&self.shared),
         });
         let shared = Arc::clone(&self.shared);
+        let mut last_len = 0;
         std::thread::Builder::new()
             .name(format!("{}-reader-{epoch}", self.spec.name))
             .spawn(move || loop {
-                let mut frames = Vec::new();
+                // Each read's `Vec` goes to the supervisor whole; the next
+                // is sized like the last, so it need not regrow from empty.
+                let mut frames = Vec::with_capacity(last_len);
                 let read = reader.read_batch(&mut frames);
+                last_len = frames.len();
                 shared.add(Ctr::FramesRecv, frames.len() as u64);
                 if !frames.is_empty() && tx.send(Ev::Frames(epoch, frames)).is_err() {
                     return;
@@ -345,7 +344,7 @@ impl Driver {
 
     fn shutdown(mut self) {
         if let Some(epoch) = self.sup.drain() {
-            self.flush(Instant::now());
+            self.flush();
             // Give the daemon a moment to ack so it exits cleanly;
             // results that race in still resolve normally.
             let deadline = Instant::now() + Duration::from_millis(500);

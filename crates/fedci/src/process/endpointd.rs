@@ -5,8 +5,10 @@
 //! thread puts the outbox on the wire. The telemetry ring and counters
 //! live here too.
 
-use super::daemon::{requeue, split_at_drain_ack, Connection, DaemonJob, Effect, Outgoing};
-use crate::fabric::{dep_blobs, run_on_input, FnRegistry, Payload, WireFn};
+use super::daemon::{
+    functions, requeue, split_at_drain_ack, Connection, DaemonJob, Effect, Outgoing,
+};
+use crate::fabric::{dep_blobs, run_on_input, FabricResult, FnRegistry, Payload, WireFn};
 use crate::fault::{AttemptFaults, Backend, FaultPlan};
 use crate::proto::{
     encode_result_head, Frame, FrameReader, Outbox, TelemetryEvent, IO_BUF, PROTO_VERSION,
@@ -19,7 +21,7 @@ use parking_lot::{Condvar, Mutex};
 use simkit::metrics::LogHistogram;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -70,23 +72,26 @@ impl DaemonConfig {
     }
 }
 
-/// The reader-to-workers hand-off: every job one socket read brought in
-/// enters under one lock acquisition, with one wake-up. Closed at DRAIN;
-/// the workers finish what is queued and exit.
+/// The reader-to-workers hand-off: the jobs one socket read brought in
+/// enter as one entry — the read's `Vec`, moved in whole — under one lock
+/// acquisition, with one wake-up. Closed at DRAIN; the workers finish
+/// what is queued and exit.
 #[derive(Default)]
-struct JobQueue {
-    state: Mutex<(VecDeque<DaemonJob>, bool)>,
+pub(super) struct JobQueue {
+    /// The reads not yet taken apart, oldest first, none of them empty;
+    /// and whether the queue is closed.
+    state: Mutex<(VecDeque<std::vec::IntoIter<DaemonJob>>, bool)>,
     ready: Condvar,
 }
 
 impl JobQueue {
-    /// Queues all of `jobs`, leaving it empty.
-    fn push_all(&self, jobs: &mut Vec<DaemonJob>) {
+    /// Queues one read's `jobs`.
+    pub(super) fn push_read(&self, jobs: Vec<DaemonJob>) {
         let n = jobs.len();
         if n == 0 {
             return;
         }
-        self.state.lock().0.extend(jobs.drain(..));
+        self.state.lock().0.push_back(jobs.into_iter());
         if n == 1 {
             self.ready.notify_one();
         } else {
@@ -95,12 +100,20 @@ impl JobQueue {
     }
 
     /// The next job, blocking while the queue is empty and open; `None`
-    /// once it is closed and empty.
-    fn pop(&self) -> Option<DaemonJob> {
+    /// once it is closed and empty. The worker that takes a read's last
+    /// job frees the read's buffer, after the lock is released.
+    pub(super) fn pop(&self) -> Option<DaemonJob> {
         let mut state = self.state.lock();
         loop {
-            if let Some(job) = state.0.pop_front() {
-                return Some(job);
+            // No read is queued empty, so the front one holds a job.
+            if let Some(read) = state.0.front_mut() {
+                let job = read.next();
+                if read.len() == 0 {
+                    let spent = state.0.pop_front();
+                    drop(state);
+                    drop(spent);
+                }
+                return job;
             }
             if state.1 {
                 return None;
@@ -109,7 +122,7 @@ impl JobQueue {
         }
     }
 
-    fn close(&self) {
+    pub(super) fn close(&self) {
         self.state.lock().1 = true;
         self.ready.notify_all();
     }
@@ -125,29 +138,39 @@ pub(super) struct DaemonShared {
     /// Current client connection (write half); `None` while between
     /// clients. The writer thread takes a handle to it per batch.
     pub(super) conn: Mutex<Option<Arc<TcpStream>>>,
-    busy: AtomicU32,
-    queued: AtomicU32,
+    /// DISPATCHes handed to the workers; the reader's alone to write.
+    dispatched: AtomicU64,
+    /// Each worker's counts.
+    workers: Box<[WorkerCounts]>,
     /// Jobs pulled, counted only under a `swallow` rule.
     jobs_seen: AtomicU64,
     pub(super) stop_writer: AtomicBool,
     /// Staged and kept blobs, by key.
     blobs: Mutex<HashMap<u64, Arc<Vec<u8>>>>,
+    /// The functions jobs name by index.
+    fns: Vec<(String, WireFn)>,
     jobs: JobQueue,
     faults: AttemptFaults,
     tel: DaemonTelemetry,
 }
 
 impl DaemonShared {
-    pub(super) fn new(generation: u64, faults: AttemptFaults) -> Self {
+    pub(super) fn new(
+        generation: u64,
+        registry: &FnRegistry,
+        workers: usize,
+        faults: AttemptFaults,
+    ) -> Self {
         DaemonShared {
             outbox: Mutex::default(),
             outbox_cv: Condvar::new(),
             conn: Mutex::default(),
-            busy: AtomicU32::new(0),
-            queued: AtomicU32::new(0),
+            dispatched: AtomicU64::new(0),
+            workers: (0..workers).map(|_| WorkerCounts::default()).collect(),
             jobs_seen: AtomicU64::new(0),
             stop_writer: AtomicBool::new(false),
             blobs: Mutex::default(),
+            fns: functions(registry),
             jobs: JobQueue::default(),
             faults,
             tel: DaemonTelemetry::new(generation),
@@ -162,15 +185,72 @@ impl DaemonShared {
         self.outbox.lock().push_back(out);
         self.outbox_cv.notify_all();
     }
+
+    /// One count summed over the workers.
+    fn sum(&self, count: fn(&WorkerCounts) -> &AtomicU64) -> u64 {
+        let workers = self.workers.iter();
+        workers.map(|w| count(w).load(Ordering::Acquire)).sum()
+    }
+
+    /// Jobs queued, and workers executing one (a chaos delay, before
+    /// the function starts, is neither), as the reader sees them. The
+    /// later count of each pair is read first: a worker counts a job
+    /// pulled before it counts it begun, and begun before it counts it
+    /// ended, so a count read after its successor is never the smaller.
+    fn queued_and_busy(&self) -> (u64, u64) {
+        let ended = self.sum(|w| &w.ok) + self.sum(|w| &w.err);
+        let begun = self.sum(|w| &w.begun);
+        let pulled = self.sum(|w| &w.pulled);
+        let dispatched = self.dispatched.load(Ordering::Relaxed);
+        (
+            dispatched.saturating_sub(pulled),
+            begun.saturating_sub(ended),
+        )
+    }
+
+    /// The `TEL_CTR_*` work counters, the ring's drops aside.
+    fn counters(&self) -> [(u16, u64); 5] {
+        [
+            (TEL_CTR_DISPATCHES, self.dispatched.load(Ordering::Relaxed)),
+            (TEL_CTR_RESULTS_OK, self.sum(|w| &w.ok)),
+            (TEL_CTR_RESULTS_ERR, self.sum(|w| &w.err)),
+            (TEL_CTR_CHAOS_SWALLOWED, self.sum(|w| &w.swallowed)),
+            (TEL_CTR_CHAOS_DELAYS, self.sum(|w| &w.delays)),
+        ]
+    }
+}
+
+/// One worker's counts. Only that worker writes them — a load and a
+/// store, no read-modify-write — and they sit on a cache line of their
+/// own; the reader and the writer sum them where they are read.
+#[derive(Default)]
+#[repr(align(128))]
+struct WorkerCounts {
+    /// Jobs taken off the queue.
+    pulled: AtomicU64,
+    /// Jobs whose function began to run.
+    begun: AtomicU64,
+    /// Jobs that produced an ok RESULT.
+    ok: AtomicU64,
+    /// Jobs that produced an error RESULT.
+    err: AtomicU64,
+    /// Jobs a `swallow` rule ate.
+    swallowed: AtomicU64,
+    /// Jobs a `delay` rule held back.
+    delays: AtomicU64,
+}
+
+/// Adds one to a count only the calling thread writes.
+fn bump(count: &AtomicU64) {
+    count.store(count.load(Ordering::Relaxed) + 1, Ordering::Release);
 }
 
 /// The daemon's observability plane: a compact bounded trace ring of
-/// [`TelemetryEvent`]s stamped in local monotonic micros, cumulative
-/// counters, and an execution-latency sketch. The ring and the sketch
-/// only fill while a client is subscribed (`level > 0`); the counters
-/// are a handful of always-on atomic increments per job. Nothing ships
-/// unsolicited — batches leave only in response to subscribed-heartbeat
-/// and DRAIN flushes.
+/// [`TelemetryEvent`]s stamped in local monotonic micros and an
+/// execution-latency sketch, which only fill while a client is subscribed
+/// (`level > 0`); the cumulative counters they ship with are the workers'
+/// ([`WorkerCounts`]). Nothing ships unsolicited — batches leave only in
+/// response to subscribed-heartbeat and DRAIN flushes.
 struct DaemonTelemetry {
     /// Local monotonic epoch — all `t_us` stamps are micros since this.
     start: Instant,
@@ -183,9 +263,6 @@ struct DaemonTelemetry {
     seq: AtomicU64,
     /// Buffered events, and how many were dropped oldest-first.
     ring: Mutex<(VecDeque<TelemetryEvent>, u64)>,
-    /// The `TEL_CTR_*` work counters, by code − 1 (the ring's drops are
-    /// counted in `ring`).
-    counts: [AtomicU64; TEL_CTR_CHAOS_DELAYS as usize],
     /// Execution latency (seconds) of completed attempts.
     exec_hist: Mutex<LogHistogram>,
 }
@@ -198,7 +275,6 @@ impl DaemonTelemetry {
             level: AtomicU8::new(0),
             seq: AtomicU64::new(0),
             ring: Mutex::new((VecDeque::new(), 0)),
-            counts: Default::default(),
             exec_hist: Mutex::new(LogHistogram::new()),
         }
     }
@@ -207,11 +283,6 @@ impl DaemonTelemetry {
     /// also stamped into HEARTBEAT_ACK for the client's offset estimator.
     fn now_us(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
-    }
-
-    /// Adds `n` to the counter `TEL_CTR_*` `code`.
-    fn count(&self, code: u16, n: u64) {
-        self.counts[usize::from(code) - 1].fetch_add(n, Ordering::Relaxed);
     }
 
     fn enabled(&self) -> bool {
@@ -240,11 +311,11 @@ impl DaemonTelemetry {
     }
 
     /// Drains the ring into TELEMETRY frames (possibly several, each at
-    /// most [`TEL_MAX_EVENTS`] events). Counters and the latency sketch
+    /// most [`TEL_MAX_EVENTS`] events). `counters` and the latency sketch
     /// ride on the final frame as cumulative state; an empty ring still
     /// yields one frame so counter updates reach the client between
     /// events. Returns nothing while unsubscribed.
-    fn flush_frames(&self) -> Vec<Frame> {
+    fn flush_frames(&self, counters: [(u16, u64); 5]) -> Vec<Frame> {
         if !self.enabled() {
             return Vec::new();
         }
@@ -268,14 +339,13 @@ impl DaemonTelemetry {
             })
             .collect();
         if let Some(Frame::Telemetry {
-            counters,
+            counters: shipped,
             exec_buckets,
             ..
         }) = frames.last_mut()
         {
-            *counters = (1..)
-                .zip(&self.counts)
-                .map(|(code, n)| (code, n.load(Ordering::Relaxed)))
+            *shipped = counters
+                .into_iter()
                 .chain([(TEL_CTR_RING_DROPPED, dropped)])
                 .collect();
             *exec_buckets = self.exec_hist.lock().bucket_counts();
@@ -297,20 +367,25 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
     let addr = listener.local_addr()?;
     on_ready(addr);
 
-    let registry = FnRegistry::builtins();
+    let n_workers = cfg.workers.max(1);
     let d = Arc::new(DaemonShared::new(
         cfg.generation,
+        &FnRegistry::builtins(),
+        n_workers,
         cfg.faults.attempt_faults(0),
     ));
-    let spawn = |name: String, body: fn(&DaemonShared)| {
+    let spawn = |name: String, body: Box<dyn FnOnce(&DaemonShared) + Send>| {
         let d = Arc::clone(&d);
         let thread = std::thread::Builder::new().name(name);
         thread.spawn(move || body(&d)).expect("spawn daemon thread")
     };
-    let workers: Vec<JoinHandle<()>> = (0..cfg.workers.max(1))
-        .map(|i| spawn(format!("{}-worker-{i}", cfg.name), daemon_worker))
+    let workers: Vec<JoinHandle<()>> = (0..n_workers)
+        .map(|i| {
+            let name = format!("{}-worker-{i}", cfg.name);
+            spawn(name, Box::new(move |d| daemon_worker(d, &d.workers[i])))
+        })
         .collect();
-    let writer = spawn(format!("{}-writer", cfg.name), daemon_writer);
+    let writer = spawn(format!("{}-writer", cfg.name), Box::new(daemon_writer));
 
     // Accept loop: one client at a time, until DRAIN.
     let mut draining = false;
@@ -337,8 +412,7 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
         *d.conn.lock() = Some(write_half);
         d.outbox_cv.notify_all();
 
-        let lookup = |name: &str| registry.get(name);
-        draining = serve_connection(stream, &d, &lookup);
+        draining = serve_connection(stream, &d);
         if !draining {
             // Connection lost; the write half stays queued-for-replay.
             *d.conn.lock() = None;
@@ -365,23 +439,23 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
 /// Reads frames from one client connection until it breaks or DRAINs.
 /// Returns `true` if the daemon should shut down (DRAIN received).
 ///
-/// Each socket read is applied whole by the daemon core; its effects run
-/// in frame order and its jobs then reach the workers together. Frames
-/// that decoded before a read error are applied before the connection is
-/// dropped.
-fn serve_connection(
-    stream: TcpStream,
-    d: &DaemonShared,
-    lookup: &dyn Fn(&str) -> Option<WireFn>,
-) -> bool {
+/// Each socket read is applied whole by the daemon core, frame by frame
+/// as the reader decodes it; its effects run in frame order and its jobs
+/// then reach the workers together. Frames that decoded before a read
+/// error are applied before the connection is dropped.
+fn serve_connection(stream: TcpStream, d: &DaemonShared) -> bool {
     let tel = &d.tel;
     let mut reader = FrameReader::new(stream);
     let mut conn = Connection::default();
-    let (mut frames, mut batch, mut effects) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut batch, mut effects) = (Vec::new(), Vec::new());
     loop {
-        let read = reader.read_batch(&mut frames);
-        let drain = conn.apply(frames.drain(..), lookup, &mut batch, &mut effects);
-        tel.count(TEL_CTR_DISPATCHES, batch.len() as u64);
+        let mut drain = false;
+        let read = reader.read_batch_with(|frame| {
+            drain = drain || conn.apply(frame, &d.fns, &mut batch, &mut effects);
+        });
+        let n = batch.len();
+        let dispatched = d.dispatched.load(Ordering::Relaxed);
+        d.dispatched.store(dispatched + n as u64, Ordering::Relaxed);
         for effect in effects.drain(..) {
             match effect {
                 Effect::Store { key, payload } => {
@@ -392,33 +466,41 @@ fn serve_connection(
                 Effect::Beat { seq, t_client_us } => {
                     d.push(Frame::HeartbeatAck {
                         seq,
-                        busy: d.busy.load(Ordering::SeqCst),
+                        busy: d.queued_and_busy().1 as u32,
                         t_client_us,
                         t_daemon_us: tel.now_us(),
                     });
                     // Telemetry rides the heartbeat cadence: anything the
                     // ring gathered since the last beat ships right behind
                     // the ack (nothing while unsubscribed).
-                    for f in tel.flush_frames() {
+                    for f in tel.flush_frames(d.counters()) {
                         d.push(f);
                     }
                 }
                 Effect::Subscribe(level) => tel.level.store(level, Ordering::Relaxed),
-                Effect::Recv(i) => {
-                    let depth = d.queued.load(Ordering::SeqCst) as usize + i + 1;
-                    let job = &batch[i].spec;
-                    tel.event(TEL_STAGE_RECV, job.task, job.attempt, depth as u64);
+                Effect::Recv(i) if tel.enabled() => {
+                    // Counted as dispatched, this read's jobs are not yet
+                    // queued: job `i` has `i` of them ahead of it.
+                    let ahead = d.queued_and_busy().0.saturating_sub(n as u64);
+                    let job = &batch[i];
+                    let depth = ahead + i as u64 + 1;
+                    tel.event(TEL_STAGE_RECV, job.task, job.attempt, depth);
                 }
+                Effect::Recv(_) => {}
             }
         }
-        // The read's jobs reach the workers together: one count update,
-        // one queue lock, one wake-up.
-        d.queued.fetch_add(batch.len() as u32, Ordering::SeqCst);
-        d.jobs.push_all(&mut batch);
+        // The read's jobs reach the workers together, in the read's own
+        // `Vec`: one queue lock, one wake-up. The next read's `Vec` is
+        // sized like this one.
+        if n > 0 {
+            d.jobs
+                .push_read(std::mem::replace(&mut batch, Vec::with_capacity(n)));
+        }
         if drain {
             // The writer puts the final telemetry flush ahead of this.
+            let (queued, busy) = d.queued_and_busy();
             d.push(Frame::DrainAck {
-                remaining: d.queued.load(Ordering::SeqCst) + d.busy.load(Ordering::SeqCst),
+                remaining: (queued + busy) as u32,
             });
             return true;
         }
@@ -429,33 +511,34 @@ fn serve_connection(
 }
 
 /// One daemon worker: pull a job, apply the plan's faults, execute, queue
-/// the RESULT.
-fn daemon_worker(d: &DaemonShared) {
+/// the RESULT. It counts into `me` alone, and reads the clock only while
+/// telemetry is subscribed.
+fn daemon_worker(d: &DaemonShared, me: &WorkerCounts) {
     let (tel, faults) = (&d.tel, d.faults);
-    while let Some(DaemonJob { spec: job, run }) = d.jobs.pop() {
-        d.queued.fetch_sub(1, Ordering::SeqCst);
+    while let Some(job) = d.jobs.pop() {
+        bump(&me.pulled);
         if faults.swallow_every > 0
             && (d.jobs_seen.fetch_add(1, Ordering::SeqCst) + 1).is_multiple_of(faults.swallow_every)
         {
             // Crashed mid-execution: no RESULT, ever. The explicit
             // instant lets the merged timeline show *where* the fault
             // landed instead of leaving an unexplained truncated attempt.
-            tel.count(TEL_CTR_CHAOS_SWALLOWED, 1);
+            bump(&me.swallowed);
             tel.event(TEL_STAGE_CHAOS_SWALLOW, job.task, job.attempt, 0);
             continue;
         }
         if faults.delay_ms > 0 {
-            tel.count(TEL_CTR_CHAOS_DELAYS, 1);
+            bump(&me.delays);
             let ms = faults.delay_ms;
             tel.event(TEL_STAGE_CHAOS_DELAY, job.task, job.attempt, ms);
             std::thread::sleep(Duration::from_millis(ms));
         }
-        d.busy.fetch_add(1, Ordering::SeqCst);
+        bump(&me.begun);
         tel.event(TEL_STAGE_EXEC_BEGIN, job.task, job.attempt, 0);
-        let exec_start = Instant::now();
-        let outcome = match &run {
-            None => Err(format!("unknown function `{}`", job.function)),
-            Some(f) => {
+        let exec_start = tel.enabled().then(Instant::now);
+        let outcome = match &job.function {
+            Err(name) => Err(format!("unknown function `{name}`")),
+            Ok(i) => {
                 // The store is locked for the look-up and no longer (and
                 // not at all for a job without inputs): the workers run
                 // side by side, and the reader's TRANSFER inserts do not
@@ -463,38 +546,18 @@ fn daemon_worker(d: &DaemonShared) {
                 let deps = if job.deps.is_empty() {
                     Ok(Vec::new())
                 } else {
-                    dep_blobs(&d.blobs.lock(), &job)
+                    dep_blobs(&d.blobs.lock(), job.task, &job.deps)
                 };
-                deps.and_then(|deps| run_on_input(f, &deps, &job.payload))
+                deps.and_then(|deps| run_on_input(&d.fns[*i].1, &deps, &job.payload))
             }
         };
         let ok = outcome.is_ok();
         tel.event(TEL_STAGE_EXEC_END, job.task, job.attempt, u64::from(ok));
-        if tel.enabled() {
-            tel.exec_hist
-                .lock()
-                .observe(exec_start.elapsed().as_secs_f64());
+        if let Some(start) = exec_start {
+            tel.exec_hist.lock().observe(start.elapsed().as_secs_f64());
         }
-        tel.count(
-            if ok {
-                TEL_CTR_RESULTS_OK
-            } else {
-                TEL_CTR_RESULTS_ERR
-            },
-            1,
-        );
-        d.busy.fetch_sub(1, Ordering::SeqCst);
-        let payload = match (outcome, job.kept_key()) {
-            // Kept before the RESULT can leave: a dependent dispatched on
-            // the strength of that RESULT finds the blob.
-            (Ok(bytes), Some(key)) => {
-                let bytes = Arc::new(bytes);
-                d.blobs.lock().insert(key, Arc::clone(&bytes));
-                Payload::Shared(bytes)
-            }
-            (Ok(bytes), None) => Payload::Owned(bytes),
-            (Err(msg), _) => Payload::Owned(msg.into_bytes()),
-        };
+        bump(if ok { &me.ok } else { &me.err });
+        let payload = result_payload(outcome, job.kept, &d.blobs);
         let result = Outgoing::Result {
             task: job.task,
             attempt: job.attempt,
@@ -505,6 +568,27 @@ fn daemon_worker(d: &DaemonShared) {
             d.push_out(result.clone());
         }
         d.push_out(result);
+    }
+}
+
+/// The payload of an attempt's RESULT. A kept output is stored before the
+/// RESULT can leave — a dependent dispatched on the strength of that
+/// RESULT finds the blob — and shares the store's `Arc`; an unkept one of
+/// at most [`INLINE_PAYLOAD`](crate::fabric::INLINE_PAYLOAD) bytes travels
+/// in place, so the writer frees nothing the worker allocated.
+pub(super) fn result_payload(
+    outcome: FabricResult,
+    kept: Option<u64>,
+    blobs: &Mutex<HashMap<u64, Arc<Vec<u8>>>>,
+) -> Payload {
+    match (outcome, kept) {
+        (Ok(bytes), Some(key)) => {
+            let bytes = Arc::new(bytes);
+            blobs.lock().insert(key, Arc::clone(&bytes));
+            Payload::Shared(bytes)
+        }
+        (Ok(bytes), None) => Payload::inline(&bytes).unwrap_or(Payload::Owned(bytes)),
+        (Err(msg), _) => Payload::Owned(msg.into_bytes()),
     }
 }
 
@@ -535,7 +619,8 @@ pub(super) fn daemon_writer(d: &DaemonShared) {
         let mut tail = split_at_drain_ack(&mut batch);
         let mut wrote = write_batch(&stream, &mut batch, &mut wbuf, tel);
         if wrote && !tail.is_empty() {
-            batch.extend(tel.flush_frames().into_iter().map(Outgoing::Frame));
+            let flushed = tel.flush_frames(d.counters());
+            batch.extend(flushed.into_iter().map(Outgoing::Frame));
             batch.append(&mut tail);
             wrote = write_batch(&stream, &mut batch, &mut wbuf, tel);
         }
@@ -651,37 +736,6 @@ pub fn spawn_daemon_thread(cfg: DaemonConfig) -> std::io::Result<DaemonHandle> {
             .unwrap_or_else(|| std::io::Error::other("daemon exited before binding"))),
         Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
             Err(std::io::Error::other("daemon failed to bind"))
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::JobQueue;
-    use std::sync::{mpsc, Arc};
-    use std::time::Duration;
-
-    #[test]
-    fn closing_the_job_queue_wakes_every_parked_worker() {
-        let queue = Arc::new(JobQueue::default());
-        let (tx, rx) = mpsc::channel();
-        let workers: Vec<_> = (0..3)
-            .map(|_| {
-                let (queue, tx) = (Arc::clone(&queue), tx.clone());
-                std::thread::spawn(move || tx.send(queue.pop().is_none()))
-            })
-            .collect();
-        // The workers are parked on the condvar by now; one that is not
-        // yet sees the queue closed, and the test holds either way.
-        std::thread::sleep(Duration::from_millis(50));
-        queue.close();
-        for _ in 0..3 {
-            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(true));
-        }
-        for w in workers {
-            w.join()
-                .expect("a worker panicked")
-                .expect("the test holds rx");
         }
     }
 }

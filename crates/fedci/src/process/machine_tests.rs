@@ -2,14 +2,17 @@
 //! no sleep. Time is an `Instant` the test sets by hand, and what a driver
 //! would write is decoded straight out of the machine's buffer.
 
-use super::daemon::{requeue, split_at_drain_ack, Connection, Effect, Outgoing};
+use super::daemon::{
+    functions, requeue, split_at_drain_ack, Connection, DaemonJob, Effect, Functions, Outgoing,
+};
 use super::supervisor::Supervisor;
 use super::{Ctr, EpShared};
-use crate::fabric::{Completion, FabricResult, FabricTiming, FnRegistry, JobSpec, ProbeState};
+use crate::fabric::{
+    blob_key, Completion, FabricResult, FabricTiming, FnRegistry, JobSpec, ProbeState,
+};
 use crate::proto::{Frame, FrameReader, TelemetryEvent, IO_BUF, PROTO_VERSION, TEL_STAGE_RECV};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -55,11 +58,10 @@ impl Rig {
         Box::new(move |r| fired.lock().unwrap().push((id, r)))
     }
 
-    /// Submits an `echo` of `task` attempt `attempt` at `ms`, as
-    /// completion `id`.
-    fn submit(&mut self, ms: u64, task: u64, attempt: u32, id: u64) {
+    /// Submits an `echo` of `task` attempt `attempt`, as completion `id`.
+    fn submit(&mut self, task: u64, attempt: u32, id: u64) {
         let done = self.done(id);
-        self.sup.submit(echo(task, attempt), done, self.at(ms));
+        self.sup.submit(echo(task, attempt), done);
     }
 
     /// Fires what the machine resolved, as the driver does, and returns
@@ -167,11 +169,11 @@ fn heartbeats_leave_on_schedule_and_stamp_the_client_clock() {
 fn a_lost_connection_fails_every_outstanding_attempt_once() {
     let mut rig = Rig::new(2);
     let epoch = rig.connect(0, 0);
-    rig.submit(1, 1, 1, 1);
-    rig.submit(1, 2, 1, 2);
+    rig.submit(1, 1, 1);
+    rig.submit(2, 1, 2);
     // Those two went out; the third DISPATCH is still in the buffer.
     assert_eq!(rig.sent().len(), 2);
-    rig.submit(2, 3, 1, 3);
+    rig.submit(3, 1, 3);
     rig.sup.conn_lost("socket write failed", rig.at(3));
     let mut fired = rig.fire();
     fired.sort_by_key(|(id, _)| *id);
@@ -202,11 +204,11 @@ fn a_lost_connection_fails_every_outstanding_attempt_once() {
 fn a_late_result_for_a_failed_over_attempt_is_dropped_and_counted_stale() {
     let mut rig = Rig::new(3);
     rig.connect(0, 0);
-    rig.submit(1, 7, 1, 1);
+    rig.submit(7, 1, 1);
     rig.sup.conn_lost("connection closed", rig.at(2));
     assert_eq!(rig.fire().len(), 1);
     let epoch = rig.connect(3, 1);
-    rig.submit(4, 7, 2, 2);
+    rig.submit(7, 2, 2);
     let replies = [
         result(7, 1, b"late"),
         result(7, 2, b"fresh"),
@@ -226,7 +228,7 @@ fn strided_and_colliding_ids_each_resolve_exactly_once() {
     let mut rig = Rig::new(4);
     let epoch = rig.connect(0, 0);
     for (id, &(task, attempt)) in keys.iter().enumerate() {
-        rig.submit(1, task, attempt, id as u64);
+        rig.submit(task, attempt, id as u64);
     }
     let replies = keys
         .iter()
@@ -247,18 +249,18 @@ fn strided_and_colliding_ids_each_resolve_exactly_once() {
 #[test]
 fn submits_without_a_connection_or_a_staged_dep_fail_at_once() {
     let mut rig = Rig::new(5);
-    rig.submit(0, 1, 1, 1);
+    rig.submit(1, 1, 1);
     let mut job = echo(2, 1);
     job.deps = vec![99];
     let done = rig.done(2);
-    rig.sup.submit(job, done, rig.at(0));
+    rig.sup.submit(job, done);
     let fired = rig.fire();
     assert!(fired[0].1.as_ref().unwrap_err().contains("not connected"));
     assert!(fired[1].1.as_ref().unwrap_err().contains("never staged"));
     // The same attempt twice in flight: the second is refused.
     rig.connect(1, 0);
-    rig.submit(2, 3, 1, 3);
-    rig.submit(2, 3, 1, 4);
+    rig.submit(3, 1, 3);
+    rig.submit(3, 1, 4);
     let fired = rig.fire();
     assert_eq!(fired.len(), 1);
     assert!(fired[0]
@@ -276,7 +278,7 @@ fn a_kept_output_is_not_shipped_back_and_a_large_blob_is_not_copied() {
     job.keep_output = true;
     let key = job.kept_key().unwrap();
     let done = rig.done(1);
-    rig.sup.submit(job, done, rig.at(1));
+    rig.sup.submit(job, done);
     let sent = rig.sent();
     assert!(matches!(
         sent[0],
@@ -310,7 +312,7 @@ fn a_kept_output_is_not_shipped_back_and_a_large_blob_is_not_copied() {
     let mut job = echo(6, 1);
     job.deps = vec![key, 9];
     let done = rig.done(2);
-    rig.sup.submit(job, done, rig.at(4));
+    rig.sup.submit(job, done);
     let kinds: Vec<u16> = rig.sent().iter().map(Frame::kind).collect();
     assert_eq!(kinds, [6, 6, 2], "TRANSFER, TRANSFER, DISPATCH");
     assert_eq!(epoch, 2);
@@ -446,14 +448,24 @@ fn backoff_is_seeded_jittered_doubling_and_capped() {
     assert_ne!(delays(1), delays(2));
 }
 
+/// Applies one read's `frames` in order, as the daemon's reader does: up to
+/// a DRAIN, whose answer it returns.
+fn apply_read(
+    conn: &mut Connection,
+    frames: Vec<Frame>,
+    fns: &Functions,
+    jobs: &mut Vec<DaemonJob>,
+    effects: &mut Vec<Effect>,
+) -> bool {
+    frames
+        .into_iter()
+        .any(|frame| conn.apply(frame.into(), fns, jobs, effects))
+}
+
 #[test]
 fn a_read_is_applied_in_order_and_stops_at_drain() {
-    let registry = FnRegistry::builtins();
-    let lookups = Cell::new(0);
-    let lookup = |name: &str| {
-        lookups.set(lookups.get() + 1);
-        registry.get(name)
-    };
+    let fns = functions(&FnRegistry::builtins());
+    let echo = Ok(fns.iter().position(|(name, _)| name == "echo").unwrap());
     let dispatch = |task, function: &str| Frame::Dispatch {
         task,
         attempt: 1,
@@ -491,16 +503,16 @@ fn a_read_is_applied_in_order_and_stops_at_drain() {
         dispatch(5, "echo"),
     ];
     let (mut conn, mut jobs, mut effects) = (Connection::default(), Vec::new(), Vec::new());
-    assert!(conn.apply(frames, &lookup, &mut jobs, &mut effects));
-    let got: Vec<(u64, bool, bool)> = jobs
+    assert!(apply_read(&mut conn, frames, &fns, &mut jobs, &mut effects));
+    let got: Vec<_> = jobs
         .iter()
-        .map(|j| (j.spec.task, j.spec.keep_output, j.run.is_some()))
+        .map(|j| (j.task, j.kept, j.function.clone()))
         .collect();
     let want = [
-        (1, true, true),
-        (2, false, true),
-        (3, false, false),
-        (9, false, true),
+        (1, Some(blob_key(1, 1)), echo.clone()),
+        (2, None, echo.clone()),
+        (3, None, Err("no-such-fn".into())),
+        (9, None, echo.clone()),
     ];
     assert_eq!(got, want);
     let stored = Effect::Store {
@@ -517,8 +529,6 @@ fn a_read_is_applied_in_order_and_stops_at_drain() {
         .chain([beat, Effect::Subscribe(2)])
         .collect();
     assert_eq!(effects, want);
-    // A registered name is looked up once per connection.
-    assert_eq!(lookups.get(), 2);
     // Each DISPATCH's RECV stamp takes its place in frame order, ahead of
     // the heartbeat that ships it.
     effects.clear();
@@ -526,9 +536,10 @@ fn a_read_is_applied_in_order_and_stops_at_drain() {
         seq: 5,
         t_client_us: 0,
     };
-    let again = [dispatch(6, "echo"), beat, dispatch(7, "no-such-fn")];
-    assert!(!conn.apply(again, &lookup, &mut jobs, &mut effects));
-    assert_eq!(lookups.get(), 3);
+    let again = vec![dispatch(6, "echo"), beat, dispatch(7, "no-such-fn")];
+    assert!(!apply_read(&mut conn, again, &fns, &mut jobs, &mut effects));
+    let resolved: Vec<_> = jobs[4..].iter().map(|j| j.function.clone()).collect();
+    assert_eq!(resolved, [echo, Err("no-such-fn".into())]);
     let beat = Effect::Beat {
         seq: 5,
         t_client_us: 0,
@@ -698,8 +709,7 @@ proptest! {
         steps in vec(arb_step(), 0..20)
     ) {
         let mut rig = Rig::new(11);
-        let registry = FnRegistry::builtins();
-        let lookup = |name: &str| registry.get(name);
+        let fns = functions(&FnRegistry::builtins());
         let (mut conn, mut jobs, mut effects) = (Connection::default(), Vec::new(), Vec::new());
         let (mut now_ms, mut submitted, mut fired) = (0, 0u64, Vec::new());
         for step in steps {
@@ -716,13 +726,13 @@ proptest! {
                     job.deps.extend(dep);
                     let done = rig.done(submitted);
                     submitted += 1;
-                    rig.sup.submit(job, done, now);
+                    rig.sup.submit(job, done);
                 }
                 Step::Stage(key) => rig.sup.stage(key, Arc::new(vec![key as u8; 3])),
                 Step::Frames { stale, frames } => {
                     let epoch = rig.sup.epoch().unwrap_or(0);
                     let epoch = if stale { epoch.wrapping_sub(1) } else { epoch };
-                    conn.apply(frames.clone(), &lookup, &mut jobs, &mut effects);
+                    apply_read(&mut conn, frames.clone(), &fns, &mut jobs, &mut effects);
                     rig.sup.on_frames(epoch, frames, now);
                 }
                 Step::Advance(ms) => {

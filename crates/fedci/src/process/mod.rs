@@ -111,8 +111,6 @@ struct EpShared {
     counters: [AtomicU64; N_CTRS],
     /// Heartbeat round-trip times, seconds.
     rtt_hist: Mutex<LogHistogram>,
-    /// DISPATCH-write to RESULT-arrival latency, seconds.
-    dispatch_hist: Mutex<LogHistogram>,
     /// Buffered daemon telemetry and clock evidence.
     telemetry: Mutex<TelemetryStore>,
 }
@@ -126,7 +124,6 @@ impl EpShared {
             generation: AtomicU64::new(0),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             rtt_hist: Mutex::new(LogHistogram::new()),
-            dispatch_hist: Mutex::new(LogHistogram::new()),
             telemetry: Mutex::new(TelemetryStore::default()),
         }
     }
@@ -291,7 +288,6 @@ pub struct ProcMetricIds {
     /// One per [`Ctr`], with the value sampled last.
     counters: Vec<(CounterId, u64)>,
     hb_rtt: HistogramId,
-    dispatch_rtt: HistogramId,
     clock_offset: GaugeId,
     clock_err: GaugeId,
 }
@@ -396,11 +392,6 @@ impl ProcessFabric {
                     "Heartbeat round-trip time.",
                     l,
                 ),
-                dispatch_rtt: reg.histogram(
-                    "fedci_wire_dispatch_roundtrip_seconds",
-                    "DISPATCH write to RESULT arrival.",
-                    l,
-                ),
                 clock_offset: reg.gauge(
                     "fedci_wire_clock_offset_seconds",
                     "Estimated daemon-minus-client clock offset (current generation).",
@@ -430,7 +421,6 @@ impl ProcessFabric {
                 *last = now;
             }
             reg.replace_histogram(id.hb_rtt, s.rtt_hist.lock().clone());
-            reg.replace_histogram(id.dispatch_rtt, s.dispatch_hist.lock().clone());
             // Clock gauges report the *current* generation's estimate.
             let store = s.telemetry.lock();
             if let Some(est) = store
@@ -445,6 +435,8 @@ impl ProcessFabric {
     }
 }
 
+#[cfg(test)]
+mod daemon_tests;
 #[cfg(test)]
 mod machine_tests;
 #[cfg(test)]

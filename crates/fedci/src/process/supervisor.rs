@@ -35,8 +35,6 @@ pub(crate) struct Output {
     pub wire: Outbox<Payload>,
     /// Completions to fire, in order, each with its attempt's outcome.
     pub resolved: Vec<(Completion, FabricResult)>,
-    /// DISPATCH-buffered to RESULT-handled latencies.
-    pub roundtrips: Vec<Duration>,
     /// Heartbeat round trips, by the generation of the daemon answering.
     pub clocks: Vec<(u64, ClockSample)>,
     /// Accepted TELEMETRY batches.
@@ -55,12 +53,10 @@ struct Conn {
     last_ack: Instant,
 }
 
-/// One in-flight attempt: its completion, the instant its DISPATCH entered
-/// the write buffer (for the dispatch-roundtrip histogram), and the key the
-/// daemon keeps its output under, if it was told to.
+/// One in-flight attempt: its completion, and the key the daemon keeps its
+/// output under, if it was told to.
 struct Pending {
     done: Completion,
-    sent_at: Instant,
     kept: Option<u64>,
 }
 
@@ -292,7 +288,7 @@ impl Supervisor {
     /// Dispatches one attempt, staging any dep this connection has not
     /// seen first (a restarted daemon lost its blob store; a reconnect
     /// cleared `staged`).
-    pub fn submit(&mut self, job: JobSpec, done: Completion, now: Instant) {
+    pub fn submit(&mut self, job: JobSpec, done: Completion) {
         for &d in &job.deps {
             if !self.blob_cache.contains_key(&d) {
                 let task = job.task;
@@ -314,11 +310,7 @@ impl Supervisor {
                 return self.out.resolved.push((done, Err(msg)));
             }
             Entry::Vacant(slot) => {
-                slot.insert(Pending {
-                    done,
-                    sent_at: now,
-                    kept,
-                });
+                slot.insert(Pending { done, kept });
             }
         }
         if kept.is_some() {
@@ -398,8 +390,6 @@ impl Supervisor {
                 ..
             } => match self.outstanding.remove(&(task, attempt)) {
                 Some(p) => {
-                    let sent = now.saturating_duration_since(p.sent_at);
-                    self.out.roundtrips.push(sent);
                     // Outstanding means dispatched on this connection, and
                     // its daemon stored the output before it sent this.
                     if let (true, Some(key), Some(c)) = (ok, p.kept, &mut self.conn) {

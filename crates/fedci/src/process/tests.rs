@@ -6,7 +6,7 @@ use super::daemon::Outgoing;
 use super::driver::Ev;
 use super::endpointd::{daemon_writer, DaemonShared};
 use super::*;
-use crate::fabric::{Fabric, FabricTiming, JobSpec, Payload, ProbeState};
+use crate::fabric::{Fabric, FabricTiming, FnRegistry, JobSpec, Payload, ProbeState};
 use crate::proto::{
     Frame, FrameReader, PROTO_VERSION, TEL_CTR_DISPATCHES, TEL_CTR_RESULTS_OK,
     TEL_STAGE_EXEC_BEGIN, TEL_STAGE_EXEC_END, TEL_STAGE_RECV, TEL_STAGE_SENT,
@@ -356,7 +356,7 @@ fn failed_batch_write_requeues_results_in_order_and_drops_acks() {
     };
     let ack = Outgoing::Frame(Frame::TransferAck { key: 1, stored: 1 });
     let drain_ack = Outgoing::Frame(Frame::DrainAck { remaining: 0 });
-    let shared = DaemonShared::new(0, Default::default());
+    let shared = DaemonShared::new(0, &FnRegistry::new(), 1, Default::default());
     *shared.outbox.lock() = [result(1), ack, result(2), drain_ack, result(3)].into();
     *shared.conn.lock() = Some(Arc::new(stream));
     std::thread::scope(|scope| {

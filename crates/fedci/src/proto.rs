@@ -36,6 +36,8 @@
 //! monotonic micros), cumulative counters, and execution-latency sketch
 //! buckets back to the supervisor.
 
+use crate::fabric::Payload;
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
 /// Protocol revision carried in HELLO; peers with a different revision
@@ -452,6 +454,67 @@ impl Frame {
     }
 }
 
+/// One frame as [`FrameReader::read_batch_with`] hands it out.
+#[derive(Debug, PartialEq)]
+pub enum Incoming<'a> {
+    /// A DISPATCH.
+    Dispatch(Dispatch<'a>),
+    /// Any other frame.
+    Other(Frame),
+}
+
+/// A decoded DISPATCH as the daemon takes it: [`Frame::Dispatch`]'s fields,
+/// with the function name borrowed from the read buffer and a payload of
+/// at most [`INLINE_PAYLOAD`] bytes stored in place, so that decoding one
+/// without deps allocates nothing.
+///
+/// [`INLINE_PAYLOAD`]: crate::fabric::INLINE_PAYLOAD
+#[derive(Debug, PartialEq)]
+pub struct Dispatch<'a> {
+    /// Task id (stable across attempts).
+    pub task: u64,
+    /// Attempt number.
+    pub attempt: u32,
+    /// Span context: the daemon generation the client dispatched to.
+    pub generation: u64,
+    /// Registered function name.
+    pub function: Cow<'a, str>,
+    /// Staged blob keys, concatenated in order as the input prefix.
+    pub deps: Vec<u64>,
+    /// Inline argument bytes, appended after the dep blobs.
+    pub payload: Payload,
+}
+
+impl From<Frame> for Incoming<'static> {
+    fn from(frame: Frame) -> Self {
+        match frame {
+            Frame::Dispatch {
+                task,
+                attempt,
+                generation,
+                function,
+                deps,
+                payload,
+            } => Incoming::Dispatch(Dispatch {
+                task,
+                attempt,
+                generation,
+                function: Cow::Owned(function),
+                deps,
+                payload: payload.into(),
+            }),
+            other => Incoming::Other(other),
+        }
+    }
+}
+
+/// What [`FrameReader`] found next: a frame whose body sits in its buffer
+/// at this range, or one too large for the buffer, already decoded.
+enum Next {
+    Body(std::ops::Range<usize>),
+    Large(Frame),
+}
+
 /// Size of the per-connection I/O buffers: [`FrameReader`]'s read buffer,
 /// and the threshold at which the process fabric's coalescing write
 /// buffers flush.
@@ -500,19 +563,38 @@ impl<R: Read> FrameReader<R> {
     /// when the buffer does not already hold it. EOF — at a frame
     /// boundary or inside a frame — is [`ProtoError::Truncated`].
     pub fn read_frame(&mut self) -> Result<Frame, ProtoError> {
+        match self.next_body()? {
+            Next::Body(body) => decode_exact(&self.buf[body]),
+            Next::Large(frame) => Ok(frame),
+        }
+    }
+
+    /// Blocks until the next frame is complete in the buffer and consumes
+    /// it; a frame larger than the buffer is read and decoded whole.
+    fn next_body(&mut self) -> Result<Next, ProtoError> {
         loop {
+            if let Some(body) = self.take_buffered() {
+                return Ok(Next::Body(body));
+            }
             if let Some(total) = self.front_len()? {
-                if self.end - self.pos >= total {
-                    let body = self.pos + 4..self.pos + total;
-                    self.pos += total;
-                    return decode_exact(&self.buf[body]);
-                }
                 if total > self.buf.len() {
-                    return self.read_large(total);
+                    return self.read_large(total).map(Next::Large);
                 }
             }
             self.fill()?;
         }
+    }
+
+    /// The body (kind tag + fields) of the frame at the front of the
+    /// buffer, consumed — if all of it is there and its header is valid.
+    fn take_buffered(&mut self) -> Option<std::ops::Range<usize>> {
+        let total = self.front_len().ok()??;
+        if self.end - self.pos < total {
+            return None;
+        }
+        let body = self.pos + 4..self.pos + total;
+        self.pos += total;
+        Some(body)
     }
 
     /// Reads more of the stream behind what is buffered, first moving the
@@ -541,8 +623,26 @@ impl<R: Read> FrameReader<R> {
     /// decoded before it are left in `out`.
     pub fn read_batch(&mut self, out: &mut Vec<Frame>) -> Result<(), ProtoError> {
         out.push(self.read_frame()?);
-        while matches!(self.front_len(), Ok(Some(total)) if self.end - self.pos >= total) {
-            out.push(self.read_frame()?);
+        while let Some(body) = self.take_buffered() {
+            out.push(decode_exact(&self.buf[body])?);
+        }
+        Ok(())
+    }
+
+    /// [`FrameReader::read_batch`] for the daemon: hands each frame of one
+    /// socket read to `each` in order, a DISPATCH as an
+    /// [`Incoming::Dispatch`] (see [`Dispatch`]). On error, the frames
+    /// decoded before it have been handed out.
+    pub fn read_batch_with(
+        &mut self,
+        mut each: impl FnMut(Incoming<'_>),
+    ) -> Result<(), ProtoError> {
+        match self.next_body()? {
+            Next::Body(body) => each(decode_incoming(&self.buf[body])?),
+            Next::Large(frame) => each(frame.into()),
+        }
+        while let Some(body) = self.take_buffered() {
+            each(decode_incoming(&self.buf[body])?);
         }
         Ok(())
     }
@@ -610,21 +710,50 @@ fn body_len(head: [u8; 4]) -> Result<usize, ProtoError> {
 fn decode_exact(body: &[u8]) -> Result<Frame, ProtoError> {
     let mut c = Cursor { buf: body, pos: 0 };
     let frame = decode_body(&mut c)?;
-    if c.pos != body.len() {
-        return Err(ProtoError::TrailingBytes(body.len() - c.pos));
-    }
+    c.finish()?;
     Ok(frame)
+}
+
+/// Decodes `body` as [`decode_exact`] does, except that a DISPATCH becomes
+/// an [`Incoming::Dispatch`] whose function name is borrowed from `body`.
+fn decode_incoming(body: &[u8]) -> Result<Incoming<'_>, ProtoError> {
+    let mut c = Cursor { buf: body, pos: 0 };
+    let kind = c.u16()?;
+    match Head::decode(kind, &mut c)? {
+        Some((
+            Head::Dispatch {
+                task,
+                attempt,
+                generation,
+                function,
+                deps,
+            },
+            n,
+        )) => {
+            let payload = Payload::from(c.take(n)?);
+            c.finish()?;
+            Ok(Incoming::Dispatch(Dispatch {
+                task,
+                attempt,
+                generation,
+                function: Cow::Borrowed(function),
+                deps,
+                payload,
+            }))
+        }
+        _ => decode_exact(body).map(Incoming::Other),
+    }
 }
 
 /// A DISPATCH, RESULT or TRANSFER up to its payload — the kinds that end
 /// in one, so a reader that has the head can put the payload straight
 /// into the `Vec` the frame will own.
-enum Head {
+enum Head<'a> {
     Dispatch {
         task: u64,
         attempt: u32,
         generation: u64,
-        function: String,
+        function: &'a str,
         deps: Vec<u64>,
     },
     Result {
@@ -638,17 +767,17 @@ enum Head {
     },
 }
 
-impl Head {
+impl<'a> Head<'a> {
     /// Decodes the head of a frame of `kind` and the payload length it
     /// claims (not yet checked against anything); `None` for a kind that
     /// does not end in a payload.
-    fn decode(kind: u16, c: &mut Cursor<'_>) -> Result<Option<(Head, usize)>, ProtoError> {
+    fn decode(kind: u16, c: &mut Cursor<'a>) -> Result<Option<(Head<'a>, usize)>, ProtoError> {
         let head = match kind {
             KIND_DISPATCH => {
                 let task = c.u64()?;
                 let attempt = c.u32()?;
                 let generation = c.u64()?;
-                let function = c.string()?;
+                let function = c.str()?;
                 let n = c.u16()? as usize;
                 let mut deps = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
@@ -686,7 +815,7 @@ impl Head {
                 task,
                 attempt,
                 generation,
-                function,
+                function: function.to_owned(),
                 deps,
                 payload,
             },
@@ -716,7 +845,7 @@ fn decode_body(c: &mut Cursor<'_>) -> Result<Frame, ProtoError> {
     Ok(match kind {
         1 => Frame::Hello {
             proto: c.u16()?,
-            name: c.string()?,
+            name: c.str()?.to_owned(),
             workers: c.u32()?,
             generation: c.u64()?,
         },
@@ -962,14 +1091,22 @@ struct Cursor<'a> {
     pos: usize,
 }
 
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], ProtoError> {
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
         if self.buf.len() - self.pos < n {
             return Err(ProtoError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// Everything was read: what is left is [`ProtoError::TrailingBytes`].
+    fn finish(&self) -> Result<(), ProtoError> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(ProtoError::TrailingBytes(n)),
+        }
     }
 
     fn u8(&mut self) -> Result<u8, ProtoError> {
@@ -1002,10 +1139,9 @@ impl Cursor<'_> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    fn string(&mut self) -> Result<String, ProtoError> {
+    fn str(&mut self) -> Result<&'a str, ProtoError> {
         let n = self.u16()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadUtf8)
+        std::str::from_utf8(self.take(n)?).map_err(|_| ProtoError::BadUtf8)
     }
 }
 

@@ -5,8 +5,8 @@
 
 use fedci::fabric::{Payload, INLINE_PAYLOAD};
 use fedci::proto::{
-    encode_dispatch_head, encode_result_head, encode_transfer_head, Frame, FrameReader, Outbox,
-    ProtoError, TelemetryEvent, IO_BUF, MAX_FRAME, PROTO_VERSION, TEL_MAX_EVENTS,
+    encode_dispatch_head, encode_result_head, encode_transfer_head, Frame, FrameReader, Incoming,
+    Outbox, ProtoError, TelemetryEvent, IO_BUF, MAX_FRAME, PROTO_VERSION, TEL_MAX_EVENTS,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -210,6 +210,39 @@ fn arb_chunks() -> BoxedStrategy<Vec<usize>> {
     vec(1usize..400, 1..8).boxed()
 }
 
+/// What the daemon's reader handed out, as the frame it spells, and
+/// whether its payload came out stored in place.
+fn to_frame(incoming: Incoming<'_>) -> (Frame, bool) {
+    match incoming {
+        Incoming::Dispatch(d) => {
+            let inline = matches!(d.payload, Payload::Inline(..));
+            let frame = Frame::Dispatch {
+                task: d.task,
+                attempt: d.attempt,
+                generation: d.generation,
+                function: d.function.into_owned(),
+                deps: d.deps,
+                payload: d.payload.to_vec(),
+            };
+            (frame, inline)
+        }
+        Incoming::Other(frame) => (frame, false),
+    }
+}
+
+/// Reads `reader` to its end the daemon's way, one batch per read; returns
+/// the frames with their in-place flags, and the error that ended it.
+fn read_incoming<R: std::io::Read>(
+    reader: &mut FrameReader<R>,
+) -> (Vec<(Frame, bool)>, ProtoError) {
+    let mut got = Vec::new();
+    loop {
+        if let Err(e) = reader.read_batch_with(|incoming| got.push(to_frame(incoming))) {
+            return (got, e);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -254,12 +287,13 @@ proptest! {
 
     /// Frames decoded through the buffered reader, with the stream split
     /// at arbitrary chunk boundaries, equal `read_from` frame by frame —
-    /// whether taken one at a time or a batch per read.
+    /// whether taken one at a time, a batch per read, or a batch per read
+    /// the daemon's way.
     #[test]
     fn buffered_reader_matches_read_from(
         frames in vec(arb_frame(), 1..12),
         chunks in arb_chunks(),
-        batched in 0u8..2,
+        batched in 0u8..3,
     ) {
         let mut stream = Vec::new();
         for f in &frames {
@@ -269,10 +303,14 @@ proptest! {
         let mut reader = FrameReader::new(Chunked::new(stream, chunks));
         let mut got = Vec::new();
         let end = loop {
-            let r = if batched == 1 {
-                reader.read_batch(&mut got)
-            } else {
-                reader.read_frame().map(|f| got.push(f))
+            let r = match batched {
+                0 => reader.read_frame().map(|f| got.push(f)),
+                1 => reader.read_batch(&mut got),
+                _ => {
+                    let (frames, end) = read_incoming(&mut reader);
+                    got.extend(frames.into_iter().map(|(f, _)| f));
+                    Err(end)
+                }
             };
             if let Err(e) = r {
                 break e;
@@ -286,8 +324,9 @@ proptest! {
     }
 
     /// A stream cut anywhere, or corrupted in one byte, comes back from
-    /// the buffered reader as the intact frames followed by an error —
-    /// never a panic, never a frame the bytes do not spell.
+    /// the buffered reader — either way of batching — as the intact frames
+    /// followed by an error: never a panic, never a frame the bytes do not
+    /// spell.
     #[test]
     fn buffered_reader_survives_truncation_and_corruption(
         frames in vec(arb_frame(), 1..6),
@@ -306,11 +345,15 @@ proptest! {
         let last = stream.len() - 1;
         stream[last] ^= xor as u8;
         let intact = ends.iter().filter(|&&e| e <= last).count();
-        let mut reader = FrameReader::new(Chunked::new(stream, chunks));
+        let mut reader = FrameReader::new(Chunked::new(stream.clone(), chunks.clone()));
         let mut got = Vec::new();
         while reader.read_batch(&mut got).is_ok() {}
         prop_assert!(got.len() >= intact);
         prop_assert_eq!(&got[..intact], &frames[..intact]);
+        // The daemon's reader hands out the same frames up to the damage.
+        let (incoming, _) = read_incoming(&mut FrameReader::new(Chunked::new(stream, chunks)));
+        let incoming: Vec<Frame> = incoming.into_iter().map(|(f, _)| f).collect();
+        prop_assert_eq!(incoming, got);
     }
 
     /// A hostile header through the buffered reader is refused before
@@ -468,11 +511,15 @@ proptest! {
             f.encode_into(&mut stream);
             want.push(Frame::decode(&stream[at..]).unwrap());
         }
-        let mut reader = FrameReader::new(Chunked::new(stream, chunks));
+        let mut reader = FrameReader::new(Chunked::new(stream.clone(), chunks.clone()));
         for w in &want {
             prop_assert_eq!(&reader.read_frame().unwrap(), w);
         }
         prop_assert!(matches!(reader.read_frame(), Err(ProtoError::Truncated)));
+        let (got, end) = read_incoming(&mut FrameReader::new(Chunked::new(stream, chunks)));
+        prop_assert!(matches!(end, ProtoError::Truncated));
+        let got: Vec<Frame> = got.into_iter().map(|(f, _)| f).collect();
+        prop_assert_eq!(got, want);
     }
 
     /// A payload-length field that disagrees with the frame length is the
@@ -494,6 +541,31 @@ proptest! {
         let want = Frame::decode(&bytes).unwrap_err().to_string();
         let mut reader = FrameReader::new(Chunked::new(bytes, chunks));
         prop_assert_eq!(reader.read_frame().unwrap_err().to_string(), want);
+    }
+
+    /// The same for a frame that fits the buffer, through both readers: a
+    /// payload-length field that disagrees with the frame length is the
+    /// slice decoder's error, whichever way the reader batches.
+    #[test]
+    fn inner_length_claim_of_a_buffered_frame_is_held_to_the_frame_length(
+        kind in 0u8..3,
+        len in 0usize..64,
+        off in 1u32..64,
+        over in 0u8..2,
+        chunks in arb_chunks(),
+    ) {
+        let frame = payload_frame(kind, len, 5);
+        let mut bytes = frame.encode();
+        let at = payload_len_at(&frame, &bytes);
+        let claim = if over == 1 { len as u32 + off } else { (len as u32).saturating_sub(off) };
+        prop_assume!(claim != len as u32);
+        bytes[at..at + 4].copy_from_slice(&claim.to_le_bytes());
+        let want = Frame::decode(&bytes).unwrap_err().to_string();
+        let mut reader = FrameReader::new(Chunked::new(bytes.clone(), chunks.clone()));
+        prop_assert_eq!(&reader.read_frame().unwrap_err().to_string(), &want);
+        let (got, end) = read_incoming(&mut FrameReader::new(Chunked::new(bytes, chunks)));
+        prop_assert!(got.is_empty());
+        prop_assert_eq!(end.to_string(), want);
     }
 
     /// Frames pushed through the coalescing [`Outbox`] and written out
@@ -563,6 +635,43 @@ proptest! {
         let mut longer = payload;
         longer.resize(INLINE_PAYLOAD + 1, 0);
         prop_assert!(Payload::inline(&longer).is_none());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// DISPATCH, RESULT and TRANSFER with payloads of 0 to 16 bytes — both
+    /// sides of the inline limit — round-trip through `Frame::decode`, the
+    /// buffered reader and the daemon's reader, fed in arbitrary chunkings;
+    /// the daemon's reader stores a DISPATCH payload in place exactly when
+    /// it fits.
+    #[test]
+    fn payloads_around_the_inline_limit_round_trip_on_every_decode_path(
+        shapes in vec((0u8..3, 0usize..INLINE_PAYLOAD + 2, arb_byte()), 1..8),
+        chunks in arb_chunks(),
+    ) {
+        let frames: Vec<Frame> = shapes
+            .iter()
+            .map(|&(kind, len, seed)| payload_frame(kind, len, seed))
+            .collect();
+        let mut stream = Vec::new();
+        for f in &frames {
+            let at = stream.len();
+            f.encode_into(&mut stream);
+            prop_assert_eq!(&Frame::decode(&stream[at..]).unwrap(), f);
+        }
+        let mut reader = FrameReader::new(Chunked::new(stream.clone(), chunks.clone()));
+        let mut got = Vec::new();
+        while reader.read_batch(&mut got).is_ok() {}
+        prop_assert_eq!(&got, &frames);
+        let (got, end) = read_incoming(&mut FrameReader::new(Chunked::new(stream, chunks)));
+        prop_assert!(matches!(end, ProtoError::Truncated));
+        prop_assert_eq!(got.len(), frames.len());
+        for ((frame, inline), (want, &(kind, len, _))) in got.iter().zip(frames.iter().zip(&shapes)) {
+            prop_assert_eq!(frame, want);
+            prop_assert_eq!(*inline, kind % 3 == 0 && len <= INLINE_PAYLOAD);
+        }
     }
 }
 

@@ -151,6 +151,16 @@ if grep -rnE 'Frame::Poll|PollAck|telemetry_ring|--telemetry-ring|poll_timeout' 
   exit 1
 fi
 
+# The supervisor kept a DISPATCH-to-RESULT histogram that nothing read,
+# stamping every submit and taking a lock per settled batch for it; it was
+# deleted. The benchmark's TimedFabric measures the same span from outside.
+echo "==> no dispatch round-trip histogram in the process fabric"
+if grep -rnE 'dispatch_hist|dispatch_roundtrip' crates/ src/ tests/ scripts/ \
+  --exclude=check.sh; then
+  echo "the process fabric keeps a dispatch round-trip histogram again (see above)" >&2
+  exit 1
+fi
+
 # DHA's delay queues index tasks densely and order heap entries by one
 # integer compare; the hashed index and the float comparator are gone.
 echo "==> no hashing or float comparator in the delay queues"
