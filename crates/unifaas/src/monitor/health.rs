@@ -128,6 +128,11 @@ impl HealthMonitor {
         self.states.iter().all(|s| *s != HealthState::Down)
     }
 
+    /// Number of endpoints monitored.
+    pub fn endpoints(&self) -> usize {
+        self.states.len()
+    }
+
     /// Total state transitions observed so far.
     pub fn transitions(&self) -> u64 {
         self.transitions

@@ -1,0 +1,349 @@
+//! The client coordinator: every decision in a live task's life, made by a
+//! machine with no thread, lock, channel, clock or fabric call. Its driver,
+//! [`FabricRuntime`](super::fabric::FabricRuntime), hands it each event,
+//! carries out its answer ([`Dispatch`], [`Step`], [`Coord::next_deadline`])
+//! and is the [`View`] it reads. The contract (§IV-G): execution
+//! at-least-once, resolution exactly-once (a superseded attempt's outcome
+//! fails the generation guard); fail-over once per loss, through the
+//! [`Coord::on_result`] an application error takes; probes feed health.
+
+use crate::monitor::HealthMonitor;
+use fedci::endpoint::EndpointId;
+use fedci::fabric::{blob_key, ProbeState};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Retry/timeout policy of the live runtime (the live analogue of
+/// [`RetryPolicy`](crate::config::RetryPolicy)).
+///
+/// The default — one attempt, no timeout — reproduces the pre-retry
+/// behavior exactly: failures propagate immediately and nothing watches
+/// the clock.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LiveRetryPolicy {
+    /// Attempts per task (≥ 1). An application error or timeout on the
+    /// last attempt is final.
+    pub max_attempts: u32,
+    /// Wall-clock budget per attempt; exceeded attempts are presumed
+    /// swallowed (crashed worker) and re-dispatched by the `wait_all`
+    /// watchdog. `None` disables the watchdog.
+    pub task_timeout: Option<Duration>,
+    /// Base backoff before retry attempt `k`, doubling per attempt. Zero
+    /// disables backoff.
+    pub backoff: Duration,
+}
+
+impl Default for LiveRetryPolicy {
+    fn default() -> Self {
+        LiveRetryPolicy {
+            max_attempts: 1,
+            task_timeout: None,
+            backoff: Duration::ZERO,
+        }
+    }
+}
+
+/// Result bytes of one task.
+pub type WireResult = Result<Arc<Vec<u8>>, String>;
+
+/// Aggregate robustness statistics for one run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FabricRunStats {
+    /// Attempts dispatched to the fabric (retries included).
+    pub dispatched: u64,
+    /// Tasks resolved (success or final failure).
+    pub completed: u64,
+    /// Attempts that failed and were re-dispatched.
+    pub retries: u64,
+    /// Attempts the watchdog timed out (a subset of `retries` unless the
+    /// budget was exhausted).
+    pub watchdog_timeouts: u64,
+}
+
+/// What the machine reads: liveness, free workers, the time (µs since epoch).
+pub(crate) trait View {
+    fn probe(&self, ep: usize) -> ProbeState;
+    fn free_workers(&self, ep: usize) -> i64;
+    fn now_us(&self) -> u64;
+}
+
+/// Where a task is in its life: `Waiting → InFlight ⇄ Retrying → Done`.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// Submitted; this many dependencies are still unresolved.
+    Waiting(u32),
+    /// Between attempts, waiting out a back-off: any outcome is stale.
+    Retrying,
+    /// Sent at `at_us` (0 without a watchdog); `attempt` is the generation guard.
+    InFlight { at_us: u64, attempt: u32, ep: u16 },
+    /// Resolved by `attempt`: where the output lives, its length (0 on failure).
+    Done { ep: u16, attempt: u32, bytes: u64 },
+}
+
+/// Everything the machine keeps per task; `slots[id]` is task `id`.
+struct Slot<T> {
+    /// The driver's cell: as a slice, the tasks whose outputs prefix the input.
+    cell: Arc<T>,
+    /// A success's output, staged to whichever endpoint runs a dependent.
+    output: Option<Arc<Vec<u8>>>,
+    /// Tasks waiting on this one.
+    dependents: Vec<u32>,
+    phase: Phase,
+    /// Index into `Coord::functions`.
+    function: u16,
+}
+
+// One cache line, so 100k queued tasks cost the slab 6.4 MB.
+const _: () = assert!(std::mem::size_of::<Slot<()>>() <= 64);
+
+/// One attempt for the driver to hand to the fabric, outside its lock.
+pub(crate) struct Dispatch<T> {
+    /// The task and the attempt.
+    pub task: (usize, u32),
+    pub ep: usize,
+    pub cell: Arc<T>,
+    pub function: Arc<str>,
+    /// A dependent already waits: keep the output where it is computed.
+    pub keep_output: bool,
+    /// No later attempt can need the payload.
+    pub last: bool,
+    /// The inputs, each keyed by its accepted attempt, or the upstream error.
+    pub stage: Result<Inputs, String>,
+}
+
+pub(crate) type Inputs = Vec<(u64, Arc<Vec<u8>>)>;
+
+/// What an accepted outcome asks of the driver.
+pub(crate) enum Step<T> {
+    /// Failed over: the next attempt now, or `None` if it waits out a back-off.
+    Retry(Option<Dispatch<T>>),
+    /// Resolve the future, then [`Coord::dispatch`] each ready dependent.
+    Resolved(WireResult, Vec<usize>),
+}
+
+pub(crate) struct Coord<T> {
+    slots: Vec<Slot<T>>,
+    /// Every slot below this index is `Done`: the watchdog scans from here.
+    first_live: usize,
+    /// Interned function names — a workflow calls a handful.
+    functions: Vec<Arc<str>>,
+    pub outstanding: usize,
+    pub health: HealthMonitor,
+    /// Endpoints a Dead probe put Down and nothing re-admitted; lazily sized.
+    probe_down: Vec<bool>,
+    /// Retries waiting out their back-off: `(due µs, task)` → attempt.
+    waiting: BTreeMap<(u64, usize), u32>,
+    pub retry: LiveRetryPolicy,
+    pub stats: FabricRunStats,
+}
+
+impl<T: AsRef<[usize]>> Coord<T> {
+    pub fn new(n_endpoints: usize) -> Self {
+        Coord {
+            slots: Vec::new(),
+            first_live: 0,
+            functions: Vec::new(),
+            outstanding: 0,
+            health: HealthMonitor::new(n_endpoints),
+            probe_down: Vec::new(),
+            waiting: BTreeMap::new(),
+            retry: LiveRetryPolicy::default(),
+            stats: FabricRunStats::default(),
+        }
+    }
+
+    pub fn cell(&self, id: usize) -> Option<&Arc<T>> {
+        self.slots.get(id).map(|s| &s.cell)
+    }
+
+    /// Registers a task whose dependencies are this machine's: its id, and if it is ready.
+    pub fn submit(&mut self, cell: Arc<T>, name: &str) -> (usize, bool) {
+        let id = self.slots.len();
+        let known = self.functions.iter().position(|f| &**f == name);
+        let function = known.unwrap_or_else(|| {
+            self.functions.push(Arc::from(name));
+            self.functions.len() - 1
+        });
+        let function = u16::try_from(function).expect("more than 65536 distinct function names");
+        let mut unresolved = 0;
+        for &d in (*cell).as_ref() {
+            let dep = &mut self.slots[d];
+            if !matches!(dep.phase, Phase::Done { .. }) {
+                dep.dependents.push(id as u32);
+                unresolved += 1;
+            }
+        }
+        self.slots.push(Slot {
+            cell,
+            output: None,
+            dependents: Vec::new(),
+            phase: Phase::Waiting(unresolved),
+            function,
+        });
+        self.outstanding += 1;
+        (id, unresolved == 0)
+    }
+
+    /// Places task `id` and marks `attempt` in flight.
+    pub fn dispatch(&mut self, id: usize, attempt: u32, view: &impl View) -> Dispatch<T> {
+        let ep = self.place(id, view) as u16;
+        // Only the watchdog reads the stamp: no clock read without one.
+        let at_us = self.retry.task_timeout.map_or(0, |_| view.now_us());
+        let slot = &mut self.slots[id];
+        slot.phase = Phase::InFlight { at_us, attempt, ep };
+        let keep_output = !slot.dependents.is_empty();
+        let (cell, function) = (Arc::clone(&slot.cell), usize::from(slot.function));
+        self.stats.dispatched += 1;
+        let deps = (*cell).as_ref();
+        let stage = deps.iter().map(|&d| match &self.slots[d] {
+            Slot {
+                output: Some(out),
+                phase: Phase::Done { attempt, .. },
+                ..
+            } => Ok((blob_key(d as u32, *attempt), Arc::clone(out))),
+            _ => Err(format!("upstream task {d} failed")),
+        });
+        // A task without inputs has none to collect (a measured cost per task).
+        let stage = (!deps.is_empty()).then(|| stage.collect());
+        Dispatch {
+            stage: stage.unwrap_or(Ok(Vec::new())),
+            function: Arc::clone(&self.functions[function]),
+            last: attempt >= self.retry.max_attempts,
+            ep: usize::from(ep),
+            task: (id, attempt),
+            cell,
+            keep_output,
+        }
+    }
+
+    /// Skips Dead probes and Down endpoints, then prefers a free worker,
+    /// then the most input bytes held; with nothing usable, endpoint 0 (the
+    /// attempt fails or times out, and retries go on until one recovers).
+    fn place(&mut self, id: usize, view: &impl View) -> usize {
+        // A respawned endpoint is re-admitted here, not at the next tick.
+        for ep in 0..self.probe_down.len() {
+            if self.probe_down[ep] && view.probe(ep) == ProbeState::Alive {
+                self.on_probe(ep, ProbeState::Alive);
+            }
+        }
+        let usable = |ep: &usize| {
+            let healthy = self.health.is_schedulable(EndpointId(*ep as u16));
+            healthy && view.probe(*ep) != ProbeState::Dead
+        };
+        let key = |ep: &usize| {
+            let deps = (*self.slots[id].cell).as_ref().iter();
+            let local_bytes = deps.map(|&d| match self.slots[d].phase {
+                Phase::Done { ep: at, bytes, .. } if usize::from(at) == *ep => bytes,
+                _ => 0,
+            });
+            let local_bytes: u64 = local_bytes.sum();
+            // Any free worker is as good as many; ties go to the first.
+            (view.free_workers(*ep).min(1), local_bytes, Reverse(*ep))
+        };
+        let eps = (0..self.health.endpoints()).filter(usable);
+        eps.max_by_key(key).unwrap_or(0)
+    }
+
+    /// Folds a probe reading into health, the one re-admission rule: Dead
+    /// is authoritative; Alive only re-admits a Down endpoint (Recovering),
+    /// so liveness does not erase the failures of a flaky, connected one.
+    pub fn on_probe(&mut self, ep: usize, state: ProbeState) {
+        let id = EndpointId(ep as u16);
+        if state == ProbeState::Dead {
+            self.health.mark_down(id);
+            self.probe_down.resize(self.health.endpoints(), false);
+            self.probe_down[ep] = true;
+        } else if state == ProbeState::Alive {
+            if let Some(down) = self.probe_down.get_mut(ep) {
+                *down = false;
+            }
+            if self.health.is_down(id) {
+                self.health.mark_recovering(id);
+            }
+        }
+    }
+
+    /// Takes an attempt's outcome (`ran`: it reached the endpoint): guard,
+    /// health, then a retry or the resolution. `None`: stale, the slot is
+    /// not in flight with this attempt (superseded, backing off, resolved).
+    pub fn on_result(
+        &mut self,
+        (id, attempt): (usize, u32),
+        result: WireResult,
+        ran: bool,
+        view: &impl View,
+    ) -> Option<Step<T>> {
+        let ep = match self.slots[id].phase {
+            Phase::InFlight { attempt: a, ep, .. } if a == attempt => ep,
+            _ => return None,
+        };
+        if ran {
+            self.health.record(EndpointId(ep), result.is_ok());
+        }
+        if result.is_err() && ran && attempt < self.retry.max_attempts {
+            self.stats.retries += 1;
+            // The back-off before attempt `k` doubles per attempt.
+            let backoff = self.retry.backoff * 2u32.saturating_pow((attempt - 1).min(16));
+            if backoff.is_zero() {
+                return Some(Step::Retry(Some(self.dispatch(id, attempt + 1, view))));
+            }
+            self.slots[id].phase = Phase::Retrying;
+            let due = view.now_us() + backoff.as_micros() as u64;
+            self.waiting.insert((due, id), attempt + 1);
+            return Some(Step::Retry(None));
+        }
+        let slot = &mut self.slots[id];
+        let bytes = result.as_ref().map_or(0, |b| b.len() as u64);
+        slot.phase = Phase::Done { ep, attempt, bytes };
+        slot.output = result.as_ref().ok().cloned();
+        let dependents = std::mem::take(&mut slot.dependents).into_iter();
+        self.stats.completed += 1;
+        self.outstanding -= 1;
+        let ready = dependents.map(|d| d as usize).filter(|&d| {
+            let Phase::Waiting(unresolved) = &mut self.slots[d].phase else {
+                unreachable!("a task with unresolved dependencies is Waiting");
+            };
+            *unresolved -= 1;
+            *unresolved == 0
+        });
+        Some(Step::Resolved(result, ready.collect()))
+    }
+
+    /// The next retry whose back-off is over, placed and in flight.
+    pub fn tick(&mut self, view: &impl View) -> Option<Dispatch<T>> {
+        let now = view.now_us();
+        let next = self.waiting.first_entry().filter(|e| e.key().0 <= now)?;
+        let ((_, id), attempt) = next.remove_entry();
+        Some(self.dispatch(id, attempt, view))
+    }
+
+    /// When the next waiting retry is due, in µs since the clock epoch.
+    pub fn next_deadline(&self) -> Option<u64> {
+        self.waiting.first_key_value().map(|(&(due, _), _)| due)
+    }
+
+    /// The watchdog's scan: the attempts in flight for `task_timeout` or more.
+    pub fn overdue(&mut self, view: &impl View) -> Vec<(usize, u32)> {
+        let done = |s: &Slot<T>| matches!(s.phase, Phase::Done { .. });
+        while self.slots.get(self.first_live).is_some_and(done) {
+            self.first_live += 1;
+        }
+        let never = Duration::from_micros(u64::MAX);
+        let limit = self.retry.task_timeout.unwrap_or(never).as_micros() as u64;
+        let now = view.now_us();
+        let live = self.slots.iter().enumerate().skip(self.first_live);
+        let overdue = live.filter_map(|(id, slot)| match slot.phase {
+            Phase::InFlight { at_us, attempt, .. } if now - at_us >= limit => Some((id, attempt)),
+            _ => None,
+        });
+        let overdue: Vec<_> = overdue.collect();
+        self.stats.watchdog_timeouts += overdue.len() as u64;
+        overdue
+    }
+}
+
+#[cfg(test)]
+#[path = "coord_tests.rs"]
+mod tests;

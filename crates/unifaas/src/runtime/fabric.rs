@@ -13,88 +13,27 @@
 //! dependencies' outputs (at the executing endpoint as keyed blobs: kept
 //! there when it produced them, staged there otherwise) followed by its
 //! payload. A blob key names the output of one *accepted attempt*
-//! ([`blob_key`]), never a task: DESIGN.md has the hazard that closes.
+//! ([`blob_key`](fedci::fabric::blob_key)), never a task: DESIGN.md has
+//! the hazard that closes.
 //!
-//! Robustness contract, mirrored from the simulated runtime (§IV-G):
-//!
-//! * **execution at-least-once, resolution exactly-once** — a RESULT for
-//!   a superseded attempt (the endpoint was declared dead and the task
-//!   failed over) no longer matches the slot's in-flight attempt and is
-//!   dropped;
-//! * **fail-over exactly once per loss** — a dead connection fails every
-//!   in-flight attempt through the same `complete` path an application
-//!   error takes, so the retry budget and backoff apply uniformly;
-//! * **probes feed health** — the fabric's heartbeat/liveness verdict
-//!   ([`ProbeState`]) is folded into the [`HealthMonitor`] by the
-//!   watchdog: a Dead probe forces Down, a recovered probe re-admits the
-//!   endpoint via Recovering, and attempt outcomes keep their usual
-//!   weight in between. Placement filters on both, and re-admits an
-//!   endpoint that a Dead probe put Down as soon as its probe reads
-//!   Alive, without waiting for the watchdog's next tick.
-//!
-//! Coordination state is one dense slab under one lock (task `id` is
-//! `slots[id]`; health included), never held across `Fabric::stage` /
-//! `Fabric::submit` — a fabric may fire the completion inline. DESIGN.md
-//! has the slot life-cycle.
+//! Every decision is the sans-IO coordinator's (`runtime/coord.rs`). This
+//! module drives it: the one lock around it, the fabric calls outside that
+//! lock, the futures and the client trace, and the two threads that wait.
 
+use super::coord::{Coord, Dispatch, Step, View};
+pub use super::coord::{FabricRunStats, LiveRetryPolicy, WireResult};
 use crate::error::UniFaasError;
-use crate::monitor::{HealthMonitor, HealthState};
+use crate::monitor::HealthState;
 use fedci::endpoint::EndpointId;
-use fedci::fabric::{blob_key, Fabric, FabricResult, JobSpec, Payload, ProbeState};
+use fedci::fabric::{Fabric, FabricResult, JobSpec, Payload, ProbeState};
 use fedci::proto::IO_BUF;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 use simkit::metrics::{MetricsRegistry, MetricsServer};
 use simkit::time::SimTime;
 use simkit::trace::{LabelId, TraceLevel, Tracer};
-use std::cmp::Reverse;
-use std::collections::BTreeMap;
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 use taskgraph::TaskId;
-
-/// Retry/timeout policy of the live runtime (the live analogue of
-/// [`RetryPolicy`](crate::config::RetryPolicy)).
-///
-/// The default — one attempt, no timeout — reproduces the pre-retry
-/// behavior exactly: failures propagate immediately and nothing watches
-/// the clock.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LiveRetryPolicy {
-    /// Attempts per task (≥ 1). An application error or timeout on the
-    /// last attempt is final.
-    pub max_attempts: u32,
-    /// Wall-clock budget per attempt; exceeded attempts are presumed
-    /// swallowed (crashed worker) and re-dispatched by the `wait_all`
-    /// watchdog. `None` disables the watchdog.
-    pub task_timeout: Option<Duration>,
-    /// Base backoff before retry attempt `k`, doubling per attempt. Zero
-    /// disables backoff.
-    pub backoff: Duration,
-}
-
-impl Default for LiveRetryPolicy {
-    fn default() -> Self {
-        LiveRetryPolicy {
-            max_attempts: 1,
-            task_timeout: None,
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
-impl LiveRetryPolicy {
-    /// Backoff before `attempt` (1-based; the first attempt never waits).
-    fn backoff_for(&self, attempt: u32) -> Option<Duration> {
-        if attempt <= 1 || self.backoff.is_zero() {
-            return None;
-        }
-        Some(self.backoff * 2u32.saturating_pow((attempt - 2).min(16)))
-    }
-}
-
-/// Result bytes of one task.
-pub type WireResult = Result<Arc<Vec<u8>>, String>;
 
 /// A task's shared cell — its one allocation: the dependency list and,
 /// under the mutex, first what a (re-)dispatch needs, then the result.
@@ -105,6 +44,12 @@ struct TaskCell {
     cond: Condvar,
 }
 
+impl AsRef<[usize]> for TaskCell {
+    fn as_ref(&self) -> &[usize] {
+        &self.dep_ids
+    }
+}
+
 enum TaskState {
     /// Unresolved: the inline argument bytes, released on resolution.
     Pending(Payload),
@@ -112,18 +57,12 @@ enum TaskState {
 }
 
 impl TaskState {
-    /// The payload for `attempt`, or `None` once the task is resolved.
-    /// The final attempt takes the bytes. (An attempt the watchdog
-    /// superseded before it got here may find them taken; its result is
-    /// dropped whatever it is.) An earlier one leaves them for the next:
-    /// a payload of at most
-    /// [`INLINE_PAYLOAD`](fedci::fabric::INLINE_PAYLOAD) bytes is copied
-    /// in place, so the attempt allocates nothing here and frees nothing
-    /// on the fabric's thread; a larger one is copied; one of [`IO_BUF`]
-    /// or more is shared from its first such attempt on — large enough
-    /// that the `Arc`'s allocation is nothing next to the copy, which a
-    /// dispatch made from a completion would do on the endpoint's only
-    /// I/O thread.
+    /// An attempt's payload (`None` once resolved). The last attempt takes
+    /// the bytes (one the watchdog superseded may find them gone: its result
+    /// is dropped anyway); an earlier one copies up to
+    /// [`fedci::fabric::INLINE_PAYLOAD`] in place (no allocation), a larger
+    /// one into a `Vec`, and shares one of [`IO_BUF`] or more, so a retry
+    /// dispatched from a completion never copies it.
     fn payload_for(&mut self, last_attempt: bool) -> Option<Payload> {
         let TaskState::Pending(p) = self else {
             return None;
@@ -177,9 +116,9 @@ impl WireFuture {
     }
 }
 
-/// Labels for the client-side trace, interned once at setup so the hot
-/// path emits only ids.
-struct ClientLabels {
+/// The client trace, in µs since the fabric's [`clock_epoch`](Fabric::clock_epoch),
+/// the zero daemon telemetry is aligned to: the two merge onto one timeline.
+struct ClientTrace {
     track: LabelId,
     submit: LabelId,
     attempt: LabelId,
@@ -188,244 +127,62 @@ struct ClientLabels {
     retry: LabelId,
     timeout: LabelId,
     resolve: LabelId,
-}
-
-/// Wall-clock tracer for the client half of a fabric run.
-///
-/// Timestamps are microseconds since the fabric's
-/// [`clock_epoch`](Fabric::clock_epoch) — the same zero the process
-/// backend's clock-alignment estimator maps daemon stamps onto, so a
-/// client trace and offset-corrected daemon telemetry merge onto one
-/// timeline without further adjustment.
-struct ClientTrace {
-    epoch: Instant,
-    labels: ClientLabels,
     tracer: Mutex<Tracer>,
 }
 
-/// Ring capacity of the client trace: comfortably holds every event of a
-/// million-task run at ~6 records per task once the ring wraps old noise.
-const CLIENT_TRACE_CAPACITY: usize = 1 << 21;
-
 impl ClientTrace {
-    fn new(level: TraceLevel, epoch: Instant) -> ClientTrace {
-        let mut tracer = Tracer::new(level, CLIENT_TRACE_CAPACITY);
-        let labels = ClientLabels {
-            track: tracer.intern("client"),
-            submit: tracer.intern("c.submit"),
-            attempt: tracer.intern("c.attempt"),
-            dispatch: tracer.intern("c.dispatch"),
-            result: tracer.intern("c.result"),
-            retry: tracer.intern("c.retry"),
-            timeout: tracer.intern("c.timeout"),
-            resolve: tracer.intern("c.resolve"),
-        };
+    fn new(level: TraceLevel) -> ClientTrace {
+        // Holds a million-task run at ~6 records per task.
+        let mut tracer = Tracer::new(level, 1 << 21);
+        let mut intern = |name| tracer.intern(name);
         ClientTrace {
-            epoch,
-            labels,
+            track: intern("client"),
+            submit: intern("c.submit"),
+            attempt: intern("c.attempt"),
+            dispatch: intern("c.dispatch"),
+            result: intern("c.result"),
+            retry: intern("c.retry"),
+            timeout: intern("c.timeout"),
+            resolve: intern("c.resolve"),
             tracer: Mutex::new(tracer),
         }
     }
-
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    fn instant(&self, name: LabelId, id: u64, arg: i64) {
-        let at = self.now();
-        self.tracer
-            .lock()
-            .instant(at, name, self.labels.track, id, arg);
-    }
-
-    fn begin(&self, name: LabelId, id: u64) {
-        let at = self.now();
-        self.tracer.lock().begin(at, name, self.labels.track, id);
-    }
-
-    fn end(&self, name: LabelId, id: u64) {
-        let at = self.now();
-        self.tracer.lock().end(at, name, self.labels.track, id);
-    }
 }
 
-/// Span correlation id for one attempt: spans are matched by `(name, id)`,
-/// so retries of the same task must not collide.
+/// An attempt's span id: spans match by `(name, id)`, so retries differ.
 fn attempt_span_id(task: usize, attempt: u32) -> u64 {
     ((task as u64) << 32) | u64::from(attempt)
-}
-
-/// Aggregate robustness statistics for one run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FabricRunStats {
-    /// Attempts dispatched to the fabric (retries included).
-    pub dispatched: u64,
-    /// Tasks resolved (success or final failure).
-    pub completed: u64,
-    /// Attempts that failed and were re-dispatched.
-    pub retries: u64,
-    /// Attempts the watchdog timed out (a subset of `retries` unless the
-    /// budget was exhausted).
-    pub watchdog_timeouts: u64,
-}
-
-/// Where a task is in its life: `Waiting → InFlight ⇄ Retrying → Done`.
-#[derive(Clone, Copy)]
-enum Phase {
-    /// Submitted; this many dependencies are still unresolved.
-    Waiting(u32),
-    /// An attempt failed and the next waits out its back-off: nothing is
-    /// in flight, so whatever completion arrives is stale.
-    Retrying,
-    /// Dispatched `at_us` µs after the fabric's clock epoch (0 without a
-    /// watchdog); `attempt` is the generation guard.
-    InFlight { at_us: u64, attempt: u32, ep: u16 },
-    /// Resolved by `attempt`: where the output lives and how long it is
-    /// (0 on failure).
-    Done { ep: u16, attempt: u32, bytes: u64 },
-}
-
-/// Everything the coordinator keeps per task; `slots[id]` is task `id`.
-struct Slot {
-    cell: Arc<TaskCell>,
-    /// Output of a successful task, staged on demand to whichever
-    /// endpoint runs a dependent.
-    output: Option<Arc<Vec<u8>>>,
-    /// Tasks waiting on this one.
-    dependents: Vec<u32>,
-    phase: Phase,
-    /// Index into [`Coord::functions`].
-    function: u16,
-}
-
-// One cache line, so 100k queued tasks cost the slab 6.4 MB.
-const _: () = assert!(std::mem::size_of::<Slot>() <= 64);
-
-struct Coord {
-    slots: Vec<Slot>,
-    /// Every slot below this index is `Done`: the watchdog scans from here.
-    first_live: usize,
-    /// Interned function names — a workflow calls a handful.
-    functions: Vec<Arc<str>>,
-    outstanding: usize,
-    health: HealthMonitor,
-    /// Endpoints that a Dead probe put Down and that are still Down;
-    /// empty until a probe first reads Dead.
-    probe_down: Vec<bool>,
-    stats: FabricRunStats,
-}
-
-impl Coord {
-    fn intern(&mut self, function: &str) -> u16 {
-        let known = self.functions.iter().position(|f| &**f == function);
-        let i = known.unwrap_or_else(|| {
-            self.functions.push(Arc::from(function));
-            self.functions.len() - 1
-        });
-        u16::try_from(i).expect("more than 65536 distinct function names")
-    }
-
-    /// Picks an endpoint: skip Dead probes and Down health states, then
-    /// maximize free workers, breaking ties toward the endpoint already
-    /// holding the most input bytes. When everything is down, falls back
-    /// to endpoint 0 — the attempt fails fast or times out and the retry
-    /// machinery keeps going until something recovers.
-    ///
-    /// An endpoint put Down by a Dead probe whose probe now reads Alive
-    /// (its daemon respawned) is re-admitted here first, so work placed
-    /// between two watchdog ticks can land on it.
-    fn place(&mut self, fabric: &dyn Fabric, dep_ids: &[usize]) -> usize {
-        if self.probe_down.contains(&true) {
-            for ep in 0..self.probe_down.len() {
-                let id = EndpointId(ep as u16);
-                if self.probe_down[ep] && fabric.probe(ep) == ProbeState::Alive {
-                    self.probe_down[ep] = false;
-                    if self.health.is_down(id) {
-                        self.health.mark_recovering(id);
-                    }
-                }
-            }
-        }
-        let usable = |ep: &usize| {
-            let healthy = self.health.is_schedulable(EndpointId(*ep as u16));
-            healthy && fabric.probe(*ep) != ProbeState::Dead
-        };
-        let key = |ep: &usize| {
-            let free = fabric.n_workers(*ep) as i64 - fabric.busy_workers(*ep) as i64;
-            let local_bytes = dep_ids.iter().map(|&d| match self.slots[d].phase {
-                Phase::Done { ep: at, bytes, .. } if usize::from(at) == *ep => bytes,
-                _ => 0,
-            });
-            let local_bytes: u64 = local_bytes.sum();
-            // Any free worker is as good as many; ties go to the first.
-            (free.min(1), local_bytes, Reverse(*ep))
-        };
-        let eps = (0..fabric.n_endpoints()).filter(usable);
-        eps.max_by_key(key).unwrap_or(0)
-    }
-
-    /// The in-flight attempts older than `timeout`, as `(task, attempt)`.
-    fn overdue(&mut self, rt: &Inner, timeout: Duration) -> Vec<(usize, u32)> {
-        let done = |s: &Slot| matches!(s.phase, Phase::Done { .. });
-        while self.slots.get(self.first_live).is_some_and(done) {
-            self.first_live += 1;
-        }
-        let (now_us, limit) = (rt.now_us(), timeout.as_micros() as u64);
-        let mut overdue = Vec::new();
-        for (id, slot) in self.slots.iter().enumerate().skip(self.first_live) {
-            match slot.phase {
-                Phase::InFlight { at_us, attempt, .. } if now_us - at_us >= limit => {
-                    overdue.push((id, attempt));
-                }
-                _ => {}
-            }
-        }
-        self.stats.watchdog_timeouts += overdue.len() as u64;
-        overdue
-    }
 }
 
 /// What the runtime handle and every completion closure share.
 struct Inner {
     fabric: Arc<dyn Fabric>,
-    coord: Mutex<Coord>,
+    coord: Mutex<Coord<TaskCell>>,
     done_cond: Condvar,
-    retry: LiveRetryPolicy,
     trace: Option<ClientTrace>,
-    /// The fabric's clock epoch: zero of [`Phase::InFlight`] stamps.
+    /// The fabric's clock epoch: the machine's zero.
     epoch: Instant,
     /// The back-off timer, started by the first retry that has to wait.
-    timer: OnceLock<mpsc::Sender<Backoff>>,
+    timer: OnceLock<mpsc::Sender<Arc<Inner>>>,
 }
 
-/// A retry waiting out its back-off: `(due, task, runtime, attempt)`. The
-/// entry, not the timer thread, holds the runtime: a waiting retry keeps
-/// it alive (futures held after the [`FabricRuntime`] is dropped still
-/// resolve), an idle timer holds nothing.
-type Backoff = (Instant, usize, Arc<Inner>, u32);
-
-/// The timer thread: keeps the waiting retries ordered by due time and
-/// dispatches each when it is due.
-fn run_timer(rx: mpsc::Receiver<Backoff>) {
-    // A task waits for one retry at a time: `(due, task)` is unique.
-    let mut waiting: BTreeMap<(Instant, usize), (Arc<Inner>, u32)> = BTreeMap::new();
-    loop {
-        let now = Instant::now();
-        while let Some(next) = waiting.first_entry().filter(|e| e.key().0 <= now) {
-            let ((_, id), (rt, attempt)) = next.remove_entry();
-            rt.dispatch(rt.coord.lock(), id, attempt);
+/// The back-off timer. A retry that starts waiting sends it the runtime,
+/// held while the machine has a deadline — a waiting retry keeps the
+/// runtime alive, so futures outliving [`FabricRuntime`] still resolve —
+/// and let go of after: an idle timer holds nothing.
+fn run_timer(rx: mpsc::Receiver<Arc<Inner>>) {
+    let mut held = None;
+    while let Some(rt) = held.take().or_else(|| rx.recv().ok()) {
+        let next = rt.coord.lock().tick(&*rt);
+        if let Some(next) = next {
+            rt.send(next);
+        } else {
+            let due = rt.coord.lock().next_deadline();
+            let Some(due) = due else { continue };
+            // A newer retry or the timeout (`rt` holds the sender) wakes it.
+            let _ = rx.recv_timeout(Duration::from_micros(due.saturating_sub(rt.now_us())));
         }
-        let received = match waiting.first_key_value() {
-            Some(((due, _), _)) => rx.recv_timeout(due.saturating_duration_since(Instant::now())),
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-        };
-        match received {
-            Ok((due, id, rt, attempt)) => waiting.insert((due, id), (rt, attempt)),
-            Err(RecvTimeoutError::Timeout) => continue,
-            // Every waiting retry holds the runtime and with it the
-            // sender: the channel disconnects only with nothing waiting.
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
+        held = Some(rt);
     }
 }
 
@@ -440,25 +197,14 @@ pub struct FabricRuntime {
 impl FabricRuntime {
     /// Wraps `fabric` with the default (no-retry) policy.
     pub fn new(fabric: Arc<dyn Fabric>) -> Self {
-        let coord = Coord {
-            slots: Vec::new(),
-            first_live: 0,
-            functions: Vec::new(),
-            outstanding: 0,
-            health: HealthMonitor::new(fabric.n_endpoints()),
-            probe_down: Vec::new(),
-            stats: FabricRunStats::default(),
-        };
-        let inner = Inner {
+        let inner = Arc::new(Inner {
+            coord: Mutex::new(Coord::new(fabric.n_endpoints())),
             epoch: fabric.clock_epoch(),
             fabric,
-            coord: Mutex::new(coord),
             done_cond: Condvar::new(),
-            retry: LiveRetryPolicy::default(),
             trace: None,
             timer: OnceLock::new(),
-        };
-        let inner = Arc::new(inner);
+        });
         FabricRuntime { inner }
     }
 
@@ -471,7 +217,7 @@ impl FabricRuntime {
     pub fn with_trace(mut self, level: TraceLevel) -> Self {
         if level != TraceLevel::Off {
             let inner = Arc::get_mut(&mut self.inner).expect(CONFIGURE_FIRST);
-            inner.trace = Some(ClientTrace::new(level, inner.epoch));
+            inner.trace = Some(ClientTrace::new(level));
         }
         self
     }
@@ -488,7 +234,8 @@ impl FabricRuntime {
     /// `task_timeout`; without them a lost attempt is a final failure.
     pub fn with_retry(mut self, policy: LiveRetryPolicy) -> Self {
         assert!(policy.max_attempts >= 1, "need at least one attempt");
-        Arc::get_mut(&mut self.inner).expect(CONFIGURE_FIRST).retry = policy;
+        let inner = Arc::get_mut(&mut self.inner).expect(CONFIGURE_FIRST);
+        inner.coord.lock().retry = policy;
         self
     }
 
@@ -543,39 +290,19 @@ impl FabricRuntime {
             state: Mutex::new(TaskState::Pending(payload.into())),
             cond: Condvar::new(),
         });
-        // One lock acquisition allocates the slot and, when nothing is
-        // left to wait for, places the task and marks it in flight.
+        // One lock acquisition registers the task and places a ready one.
         let mut coord = inner.coord.lock();
-        // Checked before anything is linked: a foreign future's id would
-        // alias an unrelated task of this runtime, or none at all.
+        // Before anything is linked: a foreign future's id would alias.
         for d in deps {
-            let slot = coord.slots.get(d.id);
-            let own = slot.is_some_and(|s| Arc::ptr_eq(&s.cell, &d.cell));
+            let own = coord.cell(d.id).is_some_and(|c| Arc::ptr_eq(c, &d.cell));
             assert!(own, "dependency {} belongs to another runtime", d.id);
         }
-        let id = coord.slots.len();
-        let function = coord.intern(function);
-        let mut unresolved = 0;
-        for d in deps {
-            let dep = &mut coord.slots[d.id];
-            if !matches!(dep.phase, Phase::Done { .. }) {
-                dep.dependents.push(id as u32);
-                unresolved += 1;
-            }
-        }
-        coord.slots.push(Slot {
-            cell: Arc::clone(&cell),
-            output: None,
-            dependents: Vec::new(),
-            phase: Phase::Waiting(unresolved),
-            function,
-        });
-        coord.outstanding += 1;
-        if let Some(tr) = &inner.trace {
-            tr.instant(tr.labels.submit, id as u64, deps.len() as i64);
-        }
-        if unresolved == 0 {
-            inner.dispatch(coord, id, 1);
+        let (id, ready) = coord.submit(Arc::clone(&cell), function);
+        let first = ready.then(|| coord.dispatch(id, 1, &**inner));
+        inner.record(|t, at, l| t.instant(at, l.submit, l.track, id as u64, deps.len() as i64));
+        drop(coord);
+        if let Some(first) = first {
+            inner.send(first);
         }
         WireFuture { id, cell }
     }
@@ -585,12 +312,13 @@ impl FabricRuntime {
     /// With a task timeout set this is also the straggler watchdog *and*
     /// the probe-to-health bridge: every tick it fails over attempts past
     /// their budget and folds each endpoint's [`ProbeState`] into the
-    /// [`HealthMonitor`] (Dead ⇒ Down, Alive again ⇒ Recovering), which
-    /// is how heartbeat-detected crashes steer placement.
+    /// [`HealthMonitor`](crate::monitor::HealthMonitor) (Dead ⇒ Down, Alive
+    /// again ⇒ Recovering), which is how heartbeat-detected crashes steer
+    /// placement.
     pub fn wait_all(&self) {
         let inner = &self.inner;
-        let Some(timeout) = inner.retry.task_timeout else {
-            let mut coord = inner.coord.lock();
+        let mut coord = inner.coord.lock();
+        let Some(timeout) = coord.retry.task_timeout else {
             while coord.outstanding > 0 {
                 inner.done_cond.wait(&mut coord);
             }
@@ -598,207 +326,133 @@ impl FabricRuntime {
         };
         let tick = (timeout / 4).max(Duration::from_millis(5));
         loop {
-            inner.feed_probes();
-            let overdue = {
-                let mut coord = inner.coord.lock();
-                if coord.outstanding == 0 {
-                    return;
-                }
-                inner.done_cond.wait_for(&mut coord, tick);
-                if coord.outstanding == 0 {
-                    return;
-                }
-                coord.overdue(inner, timeout)
-            };
-            for (id, attempt) in overdue {
-                if let Some(tr) = &inner.trace {
-                    tr.instant(tr.labels.timeout, id as u64, i64::from(attempt));
-                }
-                let msg = format!("attempt {attempt} timed out after {timeout:?}");
-                inner.complete(id, attempt, Err(msg), true);
+            for ep in 0..inner.fabric.n_endpoints() {
+                coord.on_probe(ep, inner.fabric.probe(ep));
             }
+            if coord.outstanding > 0 {
+                inner.done_cond.wait_for(&mut coord, tick);
+            }
+            if coord.outstanding == 0 {
+                return;
+            }
+            let overdue = coord.overdue(&**inner);
+            drop(coord);
+            for (id, a) in overdue {
+                inner.record(|t, at, l| t.instant(at, l.timeout, l.track, id as u64, a.into()));
+                let msg = format!("attempt {a} timed out after {timeout:?}");
+                inner.complete(id, a, Err(msg), true);
+            }
+            coord = inner.coord.lock();
         }
     }
 }
 
-impl Inner {
+impl View for Inner {
+    fn probe(&self, ep: usize) -> ProbeState {
+        self.fabric.probe(ep)
+    }
+
+    fn free_workers(&self, ep: usize) -> i64 {
+        self.fabric.n_workers(ep) as i64 - self.fabric.busy_workers(ep) as i64
+    }
+
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
+}
 
-    /// Folds fabric probes into the health monitor. A Dead probe is
-    /// authoritative (the connection is gone — no attempt outcome will
-    /// say it better); an Alive probe only *re-admits* a Down endpoint,
-    /// so accumulated attempt-failure evidence against a flaky-but-
-    /// connected endpoint is not erased by mere liveness.
-    fn feed_probes(&self) {
-        let probes: Vec<ProbeState> = (0..self.fabric.n_endpoints())
-            .map(|ep| self.fabric.probe(ep))
-            .collect();
-        let n = probes.len();
-        let coord = &mut *self.coord.lock();
-        for (ep, probe) in probes.into_iter().enumerate() {
-            let id = EndpointId(ep as u16);
-            if probe == ProbeState::Dead {
-                coord.health.mark_down(id);
-                coord.probe_down.resize(n, false);
-                coord.probe_down[ep] = true;
-            } else if probe == ProbeState::Alive && coord.health.is_down(id) {
-                coord.health.mark_recovering(id);
-                if let Some(down) = coord.probe_down.get_mut(ep) {
-                    *down = false;
-                }
-            }
+impl Inner {
+    /// Runs `record` on the client trace, if there is one, at the time now.
+    fn record(&self, record: impl FnOnce(&mut Tracer, SimTime, &ClientTrace)) {
+        if let Some(tr) = &self.trace {
+            let at = SimTime::from_micros(self.now_us());
+            record(&mut tr.tracer.lock(), at, tr);
         }
     }
 
-    /// Places ready task `id` and marks `attempt` in flight under `coord`
-    /// — the tail of the caller's lock acquisition — then releases the
-    /// lock and hands the attempt to the fabric.
-    fn dispatch(self: &Arc<Self>, mut coord: MutexGuard<'_, Coord>, id: usize, attempt: u32) {
-        let cell = Arc::clone(&coord.slots[id].cell);
-        let ep = coord.place(&*self.fabric, &cell.dep_ids);
-        // Only the watchdog reads the stamp: no clock read without one.
-        let at_us = self.retry.task_timeout.map_or(0, |_| self.now_us());
-        let ep16 = ep as u16;
-        coord.slots[id].phase = Phase::InFlight {
-            at_us,
-            attempt,
-            ep: ep16,
-        };
-        coord.stats.dispatched += 1;
-        let function = Arc::clone(&coord.functions[usize::from(coord.slots[id].function)]);
-        // A dependent already waits for this output: worth keeping where
-        // it is computed. One that registers later gets it staged.
-        let keep_output = !coord.slots[id].dependents.is_empty();
-        // The dep outputs to stage, each under the key of the attempt that
-        // resolved it — or the upstream error that dooms this task
-        // deterministically.
-        let stage = cell.dep_ids.iter().map(|&d| match &coord.slots[d] {
-            Slot {
-                output: Some(bytes),
-                phase: Phase::Done { attempt, .. },
-                ..
-            } => Ok((blob_key(d as u32, *attempt), Arc::clone(bytes))),
-            _ => Err(format!("upstream task {d} failed")),
+    /// Stages a placed attempt's inputs and submits it, outside the lock.
+    fn send(self: &Arc<Self>, d: Dispatch<TaskCell>) {
+        let ((id, attempt), ep) = (d.task, d.ep);
+        self.record(|t, at, l| {
+            t.begin(at, l.attempt, l.track, attempt_span_id(id, attempt));
+            t.instant(at, l.dispatch, l.track, id as u64, ep as i64);
         });
-        let stage: Result<Vec<_>, String> = stage.collect();
-        drop(coord);
-        if let Some(tr) = &self.trace {
-            tr.begin(tr.labels.attempt, attempt_span_id(id, attempt));
-            tr.instant(tr.labels.dispatch, id as u64, ep as i64);
-        }
-        let stage = match stage {
+        let stage = match d.stage {
             Ok(stage) => stage,
-            // Never touched the endpoint: not retryable, says nothing
-            // about endpoint health.
+            // Never left: neither retried nor held against the endpoint.
             Err(msg) => return self.complete(id, attempt, Err(msg), false),
         };
         for (key, bytes) in &stage {
             self.fabric.stage(ep, *key, bytes);
         }
-        let last_attempt = attempt >= self.retry.max_attempts;
-        let Some(payload) = cell.state.lock().payload_for(last_attempt) else {
+        let Some(payload) = d.cell.state.lock().payload_for(d.last) else {
             return;
         };
         let job = JobSpec {
             task: id as u64,
             attempt,
-            function,
+            function: d.function,
             deps: stage.iter().map(|&(key, _)| key).collect(),
             payload,
-            keep_output,
+            keep_output: d.keep_output,
         };
         let this = Arc::clone(self);
-        let done = move |result: FabricResult| {
-            this.complete(id, attempt, result.map(Arc::new), true);
-        };
+        let done = move |r: FabricResult| this.complete(id, attempt, r.map(Arc::new), true);
         self.fabric.submit(ep, job, Box::new(done));
     }
 
-    /// Queues `attempt` of task `id` on the timer, starting it on first use.
-    fn dispatch_after(self: &Arc<Self>, delay: Duration, id: usize, attempt: u32) {
-        let timer = self.timer.get_or_init(|| {
-            let (tx, rx) = mpsc::channel();
-            let thread = std::thread::Builder::new().name("unifaas-backoff".into());
-            thread
-                .spawn(move || run_timer(rx))
-                .expect("failed to spawn the back-off timer");
-            tx
-        });
-        let retry = (Instant::now() + delay, id, Arc::clone(self), attempt);
-        timer.send(retry).expect("the timer outlives its sender");
-    }
-
-    /// Reports the outcome of attempt `attempt` of task `id`: guard,
-    /// resolution, health and dependents under one lock acquisition.
-    /// Stale completions — the slot is not in flight with this attempt
-    /// because a fail-over superseded it — are dropped. `ran` is false
-    /// when the attempt never reached the endpoint.
+    /// Hands an attempt's outcome to the machine and carries out its answer:
+    /// a resolution under the lock, fabric calls after it.
     fn complete(self: &Arc<Self>, id: usize, attempt: u32, result: WireResult, ran: bool) {
         let ok = result.is_ok();
         let mut coord = self.coord.lock();
-        let ep = match coord.slots[id].phase {
-            Phase::InFlight { attempt: a, ep, .. } if a == attempt => ep,
-            _ => return,
-        };
-        // The attempt's span closes before its future can resolve: a
-        // caller woken by the future (or by `wait_all`) always finds
-        // the span complete in the trace it takes.
-        if let Some(tr) = &self.trace {
-            tr.end(tr.labels.attempt, attempt_span_id(id, attempt));
-            tr.instant(tr.labels.result, id as u64, i64::from(ok));
-        }
-        if ran {
-            coord.health.record(EndpointId(ep), ok);
-        }
-        if !ok && ran && attempt < self.retry.max_attempts {
-            coord.slots[id].phase = Phase::Retrying;
-            coord.stats.retries += 1;
-            drop(coord);
-            if let Some(tr) = &self.trace {
-                tr.instant(tr.labels.retry, id as u64, i64::from(attempt + 1));
-            }
-            match self.retry.backoff_for(attempt + 1) {
-                // The completion runs on a fabric thread (often the
-                // endpoint supervisor) — sleeping there would stall
-                // heartbeats, so the retry waits on the timer thread.
-                Some(delay) => self.dispatch_after(delay, id, attempt + 1),
-                None => self.dispatch(self.coord.lock(), id, attempt + 1),
-            }
+        let Some(step) = coord.on_result((id, attempt), result, ran, &**self) else {
             return;
-        }
-        let slot = &mut coord.slots[id];
-        let bytes = result.as_ref().map_or(0, |b| b.len() as u64);
-        slot.phase = Phase::Done { ep, attempt, bytes };
-        slot.output = result.as_ref().ok().cloned();
-        let dependents = std::mem::take(&mut slot.dependents);
-        // Like the span above, recorded before anyone can be woken.
-        if let Some(tr) = &self.trace {
-            tr.instant(tr.labels.resolve, id as u64, i64::from(!ok));
-        }
-        *slot.cell.state.lock() = TaskState::Resolved(result);
-        slot.cell.cond.notify_all();
-        coord.stats.completed += 1;
-        coord.outstanding -= 1;
-        if coord.outstanding == 0 {
-            self.done_cond.notify_all();
-        }
-        let mut ready = Vec::new();
-        for dep in dependents {
-            let dep = dep as usize;
-            let Phase::Waiting(unresolved) = &mut coord.slots[dep].phase else {
-                unreachable!("a task with unresolved dependencies is Waiting");
+        };
+        // Recorded before the future resolves, for whoever it wakes to find.
+        self.record(|t, at, l| {
+            t.end(at, l.attempt, l.track, attempt_span_id(id, attempt));
+            t.instant(at, l.result, l.track, id as u64, i64::from(ok));
+            let (label, arg) = match step {
+                Step::Retry(_) => (l.retry, attempt + 1),
+                Step::Resolved(..) => (l.resolve, u32::from(!ok)),
             };
-            *unresolved -= 1;
-            if *unresolved == 0 {
-                ready.push(dep);
+            t.instant(at, label, l.track, id as u64, i64::from(arg));
+        });
+        let ready = match step {
+            // Not on this (fabric) thread: a retry that waits does so on the timer.
+            Step::Retry(next) => {
+                drop(coord);
+                return next.map_or_else(|| self.wake_timer(), |next| self.send(next));
             }
-        }
+            Step::Resolved(result, ready) => {
+                let cell = coord.cell(id).expect("a resolved task exists");
+                *cell.state.lock() = TaskState::Resolved(result);
+                cell.cond.notify_all();
+                if coord.outstanding == 0 {
+                    self.done_cond.notify_all();
+                }
+                ready
+            }
+        };
         drop(coord);
         for dep in ready {
-            self.dispatch(self.coord.lock(), dep, 1);
+            let next = self.coord.lock().dispatch(dep, 1, &**self);
+            self.send(next);
         }
+    }
+
+    /// Hands the runtime to the back-off timer, starting it on first use.
+    fn wake_timer(self: &Arc<Self>) {
+        let timer = self.timer.get_or_init(|| {
+            let (tx, rx) = mpsc::channel();
+            let thread = std::thread::Builder::new().name("unifaas-backoff".into());
+            let spawned = thread.spawn(move || run_timer(rx));
+            spawned.expect("failed to spawn the back-off timer");
+            tx
+        });
+        let held = Arc::clone(self);
+        timer.send(held).expect("the timer outlives its sender");
     }
 }
 
@@ -820,13 +474,12 @@ mod tests {
     }
 
     /// A scripted in-memory fabric: records every `stage`/`submit`,
-    /// answers probes as told, and completes an attempt when the test
+    /// reads every endpoint Alive, and completes an attempt when the test
     /// fires it — in any order, so a test picks the interleaving. With
     /// `inline` set the completion fires inside `submit` instead (what
     /// `ProcessFabric::submit` does when a supervisor is gone).
     struct ScriptedFabric {
         labels: Vec<String>,
-        probes: Mutex<Vec<ProbeState>>,
         calls: Mutex<Vec<Call>>,
         held: Mutex<Vec<(u64, u32, Completion)>>,
         submitted: Condvar,
@@ -837,26 +490,11 @@ mod tests {
         fn new(n_endpoints: usize) -> Arc<ScriptedFabric> {
             Arc::new(ScriptedFabric {
                 labels: (0..n_endpoints).map(|ep| format!("ep{ep}")).collect(),
-                probes: Mutex::new(vec![ProbeState::Alive; n_endpoints]),
                 calls: Mutex::new(Vec::new()),
                 held: Mutex::new(Vec::new()),
                 submitted: Condvar::new(),
                 inline: AtomicBool::new(false),
             })
-        }
-
-        fn set_probe(&self, ep: usize, state: ProbeState) {
-            self.probes.lock()[ep] = state;
-        }
-
-        /// Endpoint of every `submit` so far, in call order.
-        fn submit_eps(&self) -> Vec<usize> {
-            let calls = self.calls.lock();
-            let eps = calls.iter().filter_map(|c| match c {
-                Call::Submit { ep, .. } => Some(*ep),
-                Call::Stage { .. } => None,
-            });
-            eps.collect()
         }
 
         /// Blocks until `attempt` of `task` was submitted.
@@ -892,8 +530,8 @@ mod tests {
             0
         }
 
-        fn probe(&self, ep: usize) -> ProbeState {
-            self.probes.lock()[ep]
+        fn probe(&self, _ep: usize) -> ProbeState {
+            ProbeState::Alive
         }
 
         fn stage(&self, ep: usize, key: u64, _bytes: &Arc<Vec<u8>>) {
@@ -920,157 +558,6 @@ mod tests {
 
     fn ok(bytes: &[u8]) -> FabricResult {
         Ok(bytes.to_vec())
-    }
-
-    #[test]
-    fn late_result_of_a_failed_over_attempt_is_dropped() {
-        let fabric = ScriptedFabric::new(1);
-        let policy = LiveRetryPolicy {
-            max_attempts: 3,
-            task_timeout: Some(Duration::from_millis(100)),
-            backoff: Duration::ZERO,
-        };
-        let rt = scripted_runtime(&fabric, policy);
-        let f = rt.submit("echo", b"x".to_vec(), &[]);
-        std::thread::scope(|s| {
-            s.spawn(|| rt.wait_all());
-            // Attempt 2 exists once the watchdog failed attempt 1 over;
-            // attempt 1's answer then comes in first.
-            fabric.await_submit(0, 2);
-            fabric.fire(0, 1, ok(b"first"));
-            assert!(!f.is_done(), "a superseded attempt resolved the future");
-            fabric.fire(0, 2, ok(b"second"));
-        });
-        assert_eq!(f.wait().unwrap().as_ref(), b"second");
-        let stats = rt.stats();
-        assert_eq!((stats.dispatched, stats.completed), (2, 1), "{stats:?}");
-        assert_eq!(
-            (stats.retries, stats.watchdog_timeouts),
-            (1, 1),
-            "{stats:?}"
-        );
-    }
-
-    #[test]
-    fn completion_during_backoff_is_dropped_and_the_retry_dispatches_once() {
-        let fabric = ScriptedFabric::new(1);
-        let policy = LiveRetryPolicy {
-            max_attempts: 3,
-            task_timeout: Some(Duration::from_millis(50)),
-            backoff: Duration::from_millis(200),
-        };
-        let rt = scripted_runtime(&fabric, policy);
-        let f = rt.submit("echo", b"x".to_vec(), &[]);
-        std::thread::scope(|s| {
-            s.spawn(|| rt.wait_all());
-            // The watchdog times attempt 1 out; until the back-off is over
-            // the slot is `Retrying` and nothing is in flight.
-            while rt.stats().retries == 0 {
-                std::thread::yield_now();
-            }
-            fabric.fire(0, 1, ok(b"late"));
-            assert!(!f.is_done(), "a completion resolved a slot in back-off");
-            fabric.fire(0, 2, ok(b"second"));
-        });
-        assert_eq!(f.wait().unwrap().as_ref(), b"second");
-        assert_eq!(fabric.submit_eps().len(), 2, "the retry dispatched once");
-        let stats = rt.stats();
-        assert_eq!((stats.dispatched, stats.completed), (2, 1), "{stats:?}");
-    }
-
-    #[test]
-    fn two_dep_task_is_staged_then_submitted_once_where_its_bytes_are() {
-        let fabric = ScriptedFabric::new(2);
-        let rt = scripted_runtime(&fabric, LiveRetryPolicy::default());
-        // Both endpoints free and nothing to be near: endpoint 0. A Dead
-        // probe then pushes `y` to endpoint 1.
-        let x = rt.submit("echo", vec![], &[]);
-        fabric.set_probe(0, ProbeState::Dead);
-        let y = rt.submit("echo", vec![], &[]);
-        fabric.set_probe(0, ProbeState::Alive);
-        let z = rt.submit("sum64", b"p".to_vec(), &[&x, &y]);
-        assert_eq!(fabric.submit_eps(), [0, 1]);
-        fabric.fire(0, 1, ok(&[1; 2]));
-        assert_eq!(fabric.calls.lock().len(), 2, "`z` still waits for `y`");
-        fabric.fire(1, 1, ok(&[2; 10]));
-        // Ready exactly once, on the endpoint holding 10 of the 12 input
-        // bytes, each input staged there before the submit under the key
-        // of the attempt that produced it.
-        let keys = [blob_key(0, 1), blob_key(1, 1)];
-        let job = JobSpec {
-            task: 2,
-            attempt: 1,
-            function: Arc::from("sum64"),
-            deps: keys.to_vec(),
-            payload: b"p".to_vec().into(),
-            keep_output: false,
-        };
-        assert_eq!(
-            fabric.calls.lock()[2..],
-            [
-                Call::Stage {
-                    ep: 1,
-                    key: keys[0]
-                },
-                Call::Stage {
-                    ep: 1,
-                    key: keys[1]
-                },
-                Call::Submit { ep: 1, job },
-            ]
-        );
-        fabric.fire(2, 1, ok(b"z"));
-        rt.wait_all();
-        assert_eq!(z.wait().unwrap().as_ref(), b"z");
-        let stats = rt.stats();
-        assert_eq!((stats.dispatched, stats.completed), (3, 3), "{stats:?}");
-    }
-
-    #[test]
-    fn a_dependent_is_given_the_accepted_attempts_key_not_the_superseded_ones() {
-        let fabric = ScriptedFabric::new(2);
-        let policy = LiveRetryPolicy {
-            max_attempts: 3,
-            task_timeout: Some(Duration::from_millis(100)),
-            backoff: Duration::ZERO,
-        };
-        let rt = scripted_runtime(&fabric, policy);
-        let x = rt.submit("echo", b"x".to_vec(), &[]);
-        let y = rt.submit("echo", vec![], &[&x]);
-        // Attempt 1 sits on endpoint 0; with that one reading Dead, the
-        // attempt the watchdog replaces it with goes to endpoint 1.
-        fabric.set_probe(0, ProbeState::Dead);
-        std::thread::scope(|s| {
-            s.spawn(|| rt.wait_all());
-            fabric.await_submit(0, 2);
-            fabric.set_probe(0, ProbeState::Alive);
-            fabric.fire(0, 2, ok(b"second"));
-            // Attempt 1 finishes late, where it ran, with other bytes: an
-            // endpoint told to keep it holds them under attempt 1's key.
-            fabric.fire(0, 1, ok(b"first"));
-            fabric.await_submit(1, 1);
-            fabric.fire(1, 1, ok(b"second"));
-        });
-        assert_eq!(y.wait().unwrap().as_ref(), b"second");
-        let calls = fabric.calls.lock();
-        let submits = calls.iter().filter_map(|c| match c {
-            Call::Submit { ep, job } => Some((*ep, job)),
-            Call::Stage { .. } => None,
-        });
-        let submits: Vec<(usize, &JobSpec)> = submits.collect();
-        assert_eq!(submits.iter().map(|s| s.0).collect::<Vec<_>>()[..2], [0, 1]);
-        // `y` registered between the two attempts of `x`: only the second
-        // was told a dependent waits for its output.
-        let kept: Vec<bool> = submits.iter().map(|s| s.1.keep_output).collect();
-        assert_eq!(kept, [false, true, false]);
-        // What `y` names, and what was staged for it, is attempt 2's output.
-        let accepted = blob_key(0, 2);
-        assert_eq!(submits[2].1.deps, [accepted]);
-        let staged = calls.iter().filter_map(|c| match c {
-            Call::Stage { key, .. } => Some(*key),
-            Call::Submit { .. } => None,
-        });
-        assert_eq!(staged.collect::<Vec<_>>(), [accepted]);
     }
 
     #[test]
@@ -1125,69 +612,6 @@ mod tests {
         };
         assert!(Arc::ptr_eq(a, b) && Arc::ptr_eq(b, c));
         assert_eq!(mid.len(), IO_BUF - 1);
-    }
-
-    #[test]
-    fn dead_probes_steer_placement_and_health() {
-        let fabric = ScriptedFabric::new(2);
-        let policy = LiveRetryPolicy {
-            task_timeout: Some(Duration::from_secs(5)),
-            ..LiveRetryPolicy::default()
-        };
-        let rt = scripted_runtime(&fabric, policy);
-        fabric.set_probe(0, ProbeState::Dead);
-        fabric.set_probe(1, ProbeState::Dead);
-        rt.submit("echo", vec![], &[]);
-        fabric.set_probe(1, ProbeState::Alive);
-        rt.submit("echo", vec![], &[]);
-        assert_eq!(
-            fabric.submit_eps(),
-            [0, 1],
-            "nothing schedulable falls back to endpoint 0; one Dead endpoint is avoided"
-        );
-        fabric.fire(0, 1, ok(b""));
-        fabric.fire(1, 1, ok(b""));
-        // Nothing outstanding: `wait_all` feeds the probes and returns.
-        rt.wait_all();
-        assert_eq!(rt.endpoint_health(0), HealthState::Down);
-        assert_eq!(rt.endpoint_health(1), HealthState::Healthy);
-        fabric.set_probe(0, ProbeState::Alive);
-        rt.wait_all();
-        assert_eq!(rt.endpoint_health(0), HealthState::Recovering);
-        assert_eq!(rt.endpoint_health(1), HealthState::Healthy);
-    }
-
-    #[test]
-    fn a_respawned_endpoint_is_readmitted_at_placement() {
-        let fabric = ScriptedFabric::new(2);
-        let policy = LiveRetryPolicy {
-            max_attempts: 3,
-            task_timeout: Some(Duration::from_secs(5)),
-            backoff: Duration::ZERO,
-        };
-        let rt = scripted_runtime(&fabric, policy);
-        fabric.set_probe(0, ProbeState::Dead);
-        rt.wait_all();
-        assert_eq!(rt.endpoint_health(0), HealthState::Down);
-        // Its daemon is back: the next placement re-admits it, with no
-        // watchdog tick in between, and the tie goes to endpoint 0.
-        fabric.set_probe(0, ProbeState::Alive);
-        rt.submit("echo", vec![], &[]);
-        assert_eq!(rt.endpoint_health(0), HealthState::Recovering);
-        fabric.fire(0, 1, ok(b""));
-        // An endpoint put Down by failed attempts is not: liveness alone
-        // does not erase that evidence at placement.
-        fabric.set_probe(0, ProbeState::Dead);
-        rt.submit("echo", vec![], &[]);
-        for attempt in 1..=3 {
-            fabric.fire(1, attempt, Err("boom".to_string()));
-        }
-        assert_eq!(rt.endpoint_health(1), HealthState::Down);
-        fabric.set_probe(0, ProbeState::Alive);
-        rt.submit("echo", vec![], &[]);
-        assert_eq!(rt.endpoint_health(1), HealthState::Down);
-        assert_eq!(fabric.submit_eps(), [0, 1, 1, 1, 0]);
-        fabric.fire(2, 1, ok(b""));
     }
 
     #[test]

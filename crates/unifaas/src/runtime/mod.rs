@@ -11,6 +11,7 @@
 //!   (`fedci::process`) alike, with exactly-once retry and health
 //!   machinery. [`typed`] is its typed-function veneer (Listing 1).
 
+mod coord;
 pub mod fabric;
 pub(crate) mod record;
 pub mod sim;

@@ -139,6 +139,22 @@ for f in crates/fedci/src/process/*.rs; do
   fi
 done
 
+# The client's decisions (the task life-cycle and attempt guard,
+# dependency counting, back-off, the watchdog's scan, health and
+# placement) live in one machine that reads liveness and the time through
+# a view and answers with what to do; the lock, the fabric calls, the
+# timer thread and the waits are its driver's (runtime/fabric.rs).
+echo "==> sans-IO client coordinator (runtime/coord.rs)"
+coord=crates/unifaas/src/runtime/coord.rs
+if grep -nE 'Instant|std::thread|sleep\(|Mutex|Condvar|mpsc|crossbeam|parking_lot' "$coord"; then
+  echo "the client coordinator blocks, locks or reads the clock itself again (see above)" >&2
+  exit 1
+fi
+if [ "$(wc -l < "$coord")" -ge 800 ]; then
+  echo "$coord has $(wc -l < "$coord") lines (the limit is 799)" >&2
+  exit 1
+fi
+
 # POLL/POLL_ACK (protocol revision 4), the daemon's telemetry-ring option
 # and the threaded pools' poll timeout were deleted; history files may
 # name them.
