@@ -70,9 +70,9 @@ fn bench_sched_hooks(c: &mut Criterion) {
     // The batched-hook dividend: pushing one 256-task same-timestamp ready
     // run through the Capacity scheduler as a single `on_tasks_ready` call
     // (one SchedCtx, one action drain — what the batched runtime pays) vs
-    // 256 separate hook invocations each with its own SchedCtx build and
-    // action drain (what the per-task runtime used to pay). The decisions
-    // and the resulting action list are identical.
+    // 256 one-task `on_tasks_ready` calls, each with its own SchedCtx build
+    // and action drain (what a scheduler that consumes one task per call
+    // costs). The decisions and the resulting action list are identical.
     let mut dag = Dag::new();
     let f = dag.register_function("f");
     let tasks: Vec<TaskId> = (0..256)
@@ -139,7 +139,7 @@ fn bench_sched_hooks(c: &mut Criterion) {
             for &t in &tasks {
                 buf.clear();
                 let mut c = ctx(std::mem::take(&mut buf));
-                sched.on_task_ready(&mut c, t);
+                sched.on_tasks_ready(&mut c, &[t]);
                 buf = c.take_actions();
                 out.append(&mut buf);
             }

@@ -40,6 +40,7 @@ pub const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("ablations", ablations),
     ("knowledge_ablation", knowledge_ablation),
     ("scaling_coordination", scaling_coordination),
+    ("claims", crate::claims::claims),
 ];
 
 const DHA: SchedulingStrategy = SchedulingStrategy::Dha { rescheduling: true };
@@ -195,7 +196,6 @@ fn fig7_elasticity(_: &mut Runs) {
     cfg.scaling = ScalingConfig {
         enabled: true,
         idle_timeout: SimDuration::from_secs(30),
-        interval: SimDuration::from_secs(1),
         policy: ScalingPolicyKind::Default,
     };
 
@@ -292,13 +292,13 @@ fn fig8_workloads(_: &mut Runs) {
     };
 
     println!("=== Fig. 8: evaluation workloads ===\n");
-    let d = Pool::DrugStatic.dag();
+    let d = Pool::DrugStatic.dag(0);
     print_summary("drug screening workflow", &d, (24_001, 220.0, 480.64));
-    let m = Pool::MontageStatic.dag();
+    let m = Pool::MontageStatic.dag(0);
     print_summary("montage workflow", &m, (11_340, 34.3, 673.49));
     println!(
         "dynamic-capacity drug variant: {} functions (paper: 12,001)",
-        Pool::DrugDynamic.dag().len()
+        Pool::DrugDynamic.dag(0).len()
     );
     println!(
         "\nnote: the paper's caption states both \"108 hours total\" and \"6.4 s\n\
@@ -325,7 +325,7 @@ fn table3_overhead(runs: &mut Runs) {
         "{:<12} {:>16} {:>14} {:>12}",
         "algorithm", "overhead/task (s)", "total (s)", "hook calls"
     );
-    for report in runs.get(Pool::DrugStatic, &all_strategies()) {
+    for report in runs.get(Pool::DrugStatic, 0, &all_strategies()) {
         println!(
             "{:<12} {:>16.2e} {:>14.2} {:>12}",
             report.scheduler,
@@ -348,47 +348,40 @@ fn table3_overhead(runs: &mut Runs) {
 /// Paper rows — drug: Capacity 3,240 s / 4.86 GB, Locality 3,882 / 53.46,
 /// DHA 2,898 / 44.94, Taiyi-only 3,763 / 0; montage: Capacity 1,027 /
 /// 2.57, Locality 1,055 / 13.35, DHA 909 / 18.27, Qiming-only 1,994 / 0.
-/// The reproducible claims: DHA wins makespan, Capacity moves the least
-/// data, Locality moves the most (drug), federating beats the baseline.
+/// The paper's claims (DHA wins makespan, Capacity moves the least data,
+/// Locality moves the most on drug, federating beats the baseline) are
+/// rows of `claims`, checked over 20 seeds.
 fn table4_static(runs: &mut Runs) {
-    let baseline = |pool: Pool, endpoint: EndpointConfig| {
-        let cfg = Config::builder()
-            .endpoint(endpoint)
-            .strategy(Capacity)
-            .build();
-        SimRuntime::new(cfg, pool.dag())
-            .run()
-            .expect("baseline failed")
-    };
     println!("=== Table IV: static resource capacity ===\n");
-    for (workflow, pool, label, endpoint) in [
+    for (workflow, pool, label, baseline) in [
         (
             "drug screening workflow (24,001 functions)",
             Pool::DrugStatic,
             "Baseline: Only Taiyi",
-            EndpointConfig::new("Taiyi", ClusterSpec::taiyi(), 2000),
+            Pool::DrugTaiyiOnly,
         ),
         (
             "montage workflow (11,340 functions)",
             Pool::MontageStatic,
             "Baseline: Only Qiming",
-            EndpointConfig::new("Qiming", ClusterSpec::qiming(), 240),
+            Pool::MontageQimingOnly,
         ),
     ] {
         if pool == Pool::MontageStatic {
             println!();
         }
         print_result_header(workflow);
-        for report in runs.get(pool, &all_strategies()) {
+        for report in runs.get(pool, 0, &all_strategies()) {
             print_result_row(&report.scheduler, report);
         }
-        print_result_row(label, &baseline(pool, endpoint));
+        print_result_row(label, runs.get(baseline, 0, &[Capacity])[0]);
     }
     println!(
         "\npaper: drug — Cap 3240/4.86, Loc 3882/53.46, DHA 2898/44.94, base 3763/0;\n\
          montage — Cap 1027/2.57, Loc 1055/13.35, DHA 909/18.27, base 1994/0.\n\
-         expected ordering: DHA < Capacity ~ Locality < baseline on makespan;\n\
-         Capacity minimal transfer; baselines transfer nothing."
+         over 20 seeds (see `claims`): drug DHA < Capacity < Locality, and DHA and Capacity\n\
+         beat the baseline; montage DHA < Capacity on 15 of 20 seeds, every strategy beats\n\
+         the baseline; Capacity moves the least data; baselines transfer nothing."
     );
 }
 
@@ -403,7 +396,7 @@ fn fig9_utilization(runs: &mut Runs) {
         ("montage", Pool::MontageStatic),
     ] {
         println!("-- {workflow}: aggregate worker utilization (%) over time --");
-        let reports = runs.get(pool, &all_strategies());
+        let reports = runs.get(pool, 0, &all_strategies());
         print_report_grid(&reports, 16, 1, |r, t| {
             if (t - SimTime::ZERO) <= r.makespan {
                 r.series.utilization_at(t) * 100.0
@@ -420,7 +413,11 @@ fn fig9_utilization(runs: &mut Runs) {
         }
         println!();
     }
-    println!("expected: DHA sustains the highest utilization; Capacity/Locality show a long tail.");
+    println!(
+        "over 20 seeds (see `claims`): DHA's mean utilization beats Locality's on both\n\
+         workflows, and Capacity's on drug (montage: 15 of 20 seeds); Capacity/Locality\n\
+         show a long tail."
+    );
 }
 
 /// Fig. 10 — number of tasks in the data-staging state over time,
@@ -432,7 +429,7 @@ fn fig9_utilization(runs: &mut Runs) {
 /// dependency completes and overlap with computation.
 fn fig10_staging(runs: &mut Runs) {
     println!("=== Fig. 10: tasks in data staging over time (drug screening) ===\n");
-    let reports = runs.get(Pool::DrugStatic, &[Capacity, Locality]);
+    let reports = runs.get(Pool::DrugStatic, 0, &[Capacity, Locality]);
     print_report_grid(&reports, 12, 0, |r, t| r.series.staging_tasks.value_at(t));
     for r in &reports {
         let mean = r
@@ -451,7 +448,7 @@ fn fig10_staging(runs: &mut Runs) {
 /// DHA is heterogeneity-aware and skews toward Taiyi, the faster cluster.
 fn fig11_distribution(runs: &mut Runs) {
     println!("=== Fig. 11: workload distribution (drug screening) ===\n");
-    let reports = runs.get(Pool::DrugStatic, &[Capacity, DHA]);
+    let reports = runs.get(Pool::DrugStatic, 0, &[Capacity, DHA]);
     let total = |r: &RunReport| r.tasks_per_endpoint.iter().map(|(_, c)| c).sum::<usize>();
     print!("{:<10}", "scheduler");
     for (label, _) in &reports[0].tasks_per_endpoint {
@@ -476,7 +473,8 @@ fn fig11_distribution(runs: &mut Runs) {
     }
     println!(
         "\nworker shares: Taiyi 80.5%, Qiming 15.5%, Dept 1.9%, Lab 2.1%.\n\
-         expected: Capacity tracks the worker shares; DHA gives Taiyi even more."
+         Capacity tracks the worker shares. The paper has DHA give Taiyi even more; here it\n\
+         does on 6 of 20 seeds (see `claims`)."
     );
 }
 
@@ -489,9 +487,10 @@ fn fig11_distribution(runs: &mut Runs) {
 /// Paper rows — drug: Capacity 3,610 s / 3.26 GB, Locality 2,130 / 43.61,
 /// DHA 1,666 / 33.01, DHA-no-resched 2,183 / 39.47; montage: Capacity
 /// 2,671 / 2.48, Locality 1,360 / 14.18, DHA 1,257 / 31.05, no-resched
-/// 1,868 / 29.62. Reproducible claims: DHA < Locality < Capacity on
-/// makespan; re-scheduling buys DHA ~25-30%; Capacity collapses because it
-/// cannot react to the capacity shift.
+/// 1,868 / 29.62. The paper's claims (DHA < Locality < Capacity on
+/// makespan, re-scheduling buys DHA ~25-30%) are rows of `claims`; DHA <
+/// Locality fails on montage. Capacity collapses because it cannot react
+/// to the capacity shift.
 fn table5_dynamic(runs: &mut Runs) {
     println!("=== Table V: dynamic resource capacity ===\n");
     for (workflow, pool) in [
@@ -505,14 +504,15 @@ fn table5_dynamic(runs: &mut Runs) {
             println!();
         }
         print_result_header(workflow);
-        for report in runs.get(pool, &[Capacity, Locality, DHA, DHA_NO_RESCHED]) {
+        for report in runs.get(pool, 0, &[Capacity, Locality, DHA, DHA_NO_RESCHED]) {
             print_result_row(&report.scheduler, report);
         }
     }
     println!(
         "\npaper: drug — Cap 3610/3.26, Loc 2130/43.61, DHA 1666/33.01, no-resched 2183/39.47;\n\
          montage — Cap 2671/2.48, Loc 1360/14.18, DHA 1257/31.05, no-resched 1868/29.62.\n\
-         expected ordering: DHA < Locality < Capacity; re-scheduling clearly helps DHA."
+         over 20 seeds (see `claims`): drug DHA < Locality < Capacity; montage Locality <\n\
+         Capacity, but DHA loses to Locality on every seed; re-scheduling helps DHA on both."
     );
 }
 
@@ -537,7 +537,7 @@ fn fig12_13_dynamic(runs: &mut Runs) {
         ),
     ] {
         println!("-- {title} ({events}) --");
-        for report in runs.get(pool, &[Capacity, DHA]) {
+        for report in runs.get(pool, 0, &[Capacity, DHA]) {
             println!(
                 "\n[{}] busy workers per endpoint (makespan {:.0} s):",
                 report.scheduler,
@@ -561,11 +561,12 @@ fn fig12_13_dynamic(runs: &mut Runs) {
 /// matter most.
 fn ablations(_: &mut Runs) {
     let dha = |rescheduling, delay_dispatch, steal_threshold_pct| {
-        Pool::DrugDynamic.run(SchedulingStrategy::DhaCustom {
+        let strategy = SchedulingStrategy::DhaCustom {
             rescheduling,
             delay_dispatch,
             steal_threshold_pct,
-        })
+        };
+        Pool::DrugDynamic.run(strategy, 0)
     };
     println!("=== Ablations: DHA mechanisms (drug screening, dynamic capacity) ===\n");
 
@@ -603,13 +604,13 @@ fn knowledge_ablation(runs: &mut Runs) {
         cfg.strategy = DHA;
         cfg.knowledge = KnowledgeMode::Learned;
         cfg.model_family = family;
-        SimRuntime::new(cfg, Pool::DrugStatic.dag())
+        SimRuntime::new(cfg, Pool::DrugStatic.dag(0))
     };
     println!("=== Knowledge ablation: DHA on drug screening (static capacity) ===\n");
     print_result_header("knowledge source");
 
     // Oracle: Table IV's assumption.
-    let oracle = runs.get(Pool::DrugStatic, &[DHA])[0];
+    let oracle = runs.get(Pool::DrugStatic, 0, &[DHA])[0];
     print_result_row("Oracle (Table IV)", oracle);
 
     // Learned, cold start: only probing transfers + online observation;
@@ -714,7 +715,6 @@ fn scaling_coordination(_: &mut Runs) {
         cfg.scaling = ScalingConfig {
             enabled: true,
             idle_timeout: SimDuration::from_secs(30),
-            interval: SimDuration::from_secs(1),
             policy,
         };
         // Three bursts of differently-sized tasks, injected over time.

@@ -3,6 +3,7 @@
 //! `all_experiments` binary over one [`Runs`] memo. The helpers here build
 //! the Table II / §VI endpoint pools and format output rows.
 
+pub mod claims;
 pub mod experiments;
 
 use fedci::hardware::ClusterSpec;
@@ -14,116 +15,131 @@ use unifaas::config::{Config, ConfigBuilder, EndpointConfig, SchedulingStrategy}
 use unifaas::metrics::RunReport;
 use unifaas::SimRuntime;
 
-/// The §VI-A static-capacity pool for the drug-screening workflow:
-/// 2000/384/48/52 workers on Taiyi/Qiming/Dept/Lab (EP1–EP4).
-pub fn drug_static_pool() -> ConfigBuilder {
-    Config::builder()
-        .endpoint(EndpointConfig::new("Taiyi", ClusterSpec::taiyi(), 2000))
-        .endpoint(EndpointConfig::new("Qiming", ClusterSpec::qiming(), 384))
-        .endpoint(EndpointConfig::new("Dept", ClusterSpec::dept_cluster(), 48))
-        .endpoint(EndpointConfig::new("Lab", ClusterSpec::lab_cluster(), 52))
-}
-
-/// The §VI-A static-capacity pool for the montage workflow:
-/// 120/240/48/52 workers.
-pub fn montage_static_pool() -> ConfigBuilder {
-    Config::builder()
-        .endpoint(EndpointConfig::new("Taiyi", ClusterSpec::taiyi(), 120))
-        .endpoint(EndpointConfig::new("Qiming", ClusterSpec::qiming(), 240))
-        .endpoint(EndpointConfig::new("Dept", ClusterSpec::dept_cluster(), 48))
-        .endpoint(EndpointConfig::new("Lab", ClusterSpec::lab_cluster(), 52))
-}
-
-/// The §VI-B dynamic-capacity pool for the drug workflow: 400/600/48/52
-/// initial workers; +600 on EP2 at t=120, −280 on EP1 at t=540 (Fig. 12).
-pub fn drug_dynamic_pool() -> ConfigBuilder {
-    Config::builder()
-        .endpoint(EndpointConfig::new("Taiyi", ClusterSpec::taiyi(), 400))
-        .endpoint(EndpointConfig::new("Qiming", ClusterSpec::qiming(), 600))
-        .endpoint(EndpointConfig::new("Dept", ClusterSpec::dept_cluster(), 48))
-        .endpoint(EndpointConfig::new("Lab", ClusterSpec::lab_cluster(), 52))
-        .capacity_event(120, 1, 600)
-        .capacity_event(540, 0, -280)
-}
-
-/// The §VI-B dynamic-capacity pool for the montage workflow: 40/240/48/52
-/// initial workers; +80 on EP1 at t=120, −168 on EP2 at t=300 (Fig. 13).
-pub fn montage_dynamic_pool() -> ConfigBuilder {
-    Config::builder()
-        .endpoint(EndpointConfig::new("Taiyi", ClusterSpec::taiyi(), 40))
-        .endpoint(EndpointConfig::new("Qiming", ClusterSpec::qiming(), 240))
-        .endpoint(EndpointConfig::new("Dept", ClusterSpec::dept_cluster(), 48))
-        .endpoint(EndpointConfig::new("Lab", ClusterSpec::lab_cluster(), 52))
-        .capacity_event(120, 0, 80)
-        .capacity_event(300, 1, -168)
-}
-
 /// One §VI case study: it fixes both the endpoint pool and the DAG.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pool {
-    /// [`drug_static_pool`] running the 24,001-task drug DAG (Table IV).
+    /// §VI-A static capacity, 2000/384/48/52 workers on
+    /// Taiyi/Qiming/Dept/Lab (EP1–EP4), running the 24,001-task drug DAG
+    /// (Table IV).
     DrugStatic,
-    /// [`montage_static_pool`] running the 11,340-task montage DAG.
+    /// §VI-A static capacity, 120/240/48/52 workers, running the
+    /// 11,340-task montage DAG (Table IV).
     MontageStatic,
-    /// [`drug_dynamic_pool`] running the 12,001-task drug DAG (Table V).
+    /// §VI-B dynamic capacity, 400/600/48/52 initial workers, +600 on EP2
+    /// at t=120 and −280 on EP1 at t=540 (Fig. 12), running the
+    /// 12,001-task drug DAG (Table V).
     DrugDynamic,
-    /// [`montage_dynamic_pool`] running the montage DAG.
+    /// §VI-B dynamic capacity, 40/240/48/52 initial workers, +80 on EP1 at
+    /// t=120 and −168 on EP2 at t=300 (Fig. 13), running the montage DAG.
     MontageDynamic,
+    /// Table IV's drug baseline: Taiyi's 2000 workers alone.
+    DrugTaiyiOnly,
+    /// Table IV's montage baseline: Qiming's 240 workers alone.
+    MontageQimingOnly,
 }
 
 impl Pool {
     /// The endpoint pool, capacity events included.
     pub fn config(self) -> ConfigBuilder {
+        // Workers on Taiyi/Qiming/Dept/Lab; a baseline leaves out the
+        // clusters it does not run on.
+        let workers = match self {
+            Pool::DrugStatic => [2000, 384, 48, 52],
+            Pool::MontageStatic => [120, 240, 48, 52],
+            Pool::DrugDynamic => [400, 600, 48, 52],
+            Pool::MontageDynamic => [40, 240, 48, 52],
+            Pool::DrugTaiyiOnly => [2000, 0, 0, 0],
+            Pool::MontageQimingOnly => [0, 240, 0, 0],
+        };
+        let clusters = [
+            ("Taiyi", ClusterSpec::taiyi()),
+            ("Qiming", ClusterSpec::qiming()),
+            ("Dept", ClusterSpec::dept_cluster()),
+            ("Lab", ClusterSpec::lab_cluster()),
+        ];
+        let b = (clusters.into_iter().zip(workers))
+            .filter(|(_, w)| *w > 0)
+            .fold(Config::builder(), |b, ((label, cluster), w)| {
+                b.endpoint(EndpointConfig::new(label, cluster, w))
+            });
         match self {
-            Pool::DrugStatic => drug_static_pool(),
-            Pool::MontageStatic => montage_static_pool(),
-            Pool::DrugDynamic => drug_dynamic_pool(),
-            Pool::MontageDynamic => montage_dynamic_pool(),
+            Pool::DrugDynamic => b.capacity_event(120, 1, 600).capacity_event(540, 0, -280),
+            Pool::MontageDynamic => b.capacity_event(120, 0, 80).capacity_event(300, 1, -168),
+            _ => b,
         }
     }
 
-    /// A fresh copy of the case study's DAG.
-    pub fn dag(self) -> Dag {
+    /// A fresh copy of the case study's DAG, its generator seed offset by
+    /// `seed` (0 is the paper-table DAG).
+    pub fn dag(self, seed: u64) -> Dag {
         match self {
-            Pool::DrugStatic => drug::generate(&drug::DrugParams::full()),
-            Pool::DrugDynamic => drug::generate(&drug::DrugParams::dynamic_study()),
-            Pool::MontageStatic | Pool::MontageDynamic => {
-                montage::generate(&montage::MontageParams::full())
+            Pool::DrugStatic | Pool::DrugTaiyiOnly => {
+                let mut p = drug::DrugParams::full();
+                p.seed += seed;
+                drug::generate(&p)
+            }
+            Pool::DrugDynamic => {
+                let mut p = drug::DrugParams::dynamic_study();
+                p.seed += seed;
+                drug::generate(&p)
+            }
+            Pool::MontageStatic | Pool::MontageDynamic | Pool::MontageQimingOnly => {
+                let mut p = montage::MontageParams::full();
+                p.seed += seed;
+                montage::generate(&p)
             }
         }
     }
 
-    /// Simulates the case study under `strategy`.
-    pub fn run(self, strategy: SchedulingStrategy) -> RunReport {
+    /// Simulates the case study under `strategy`, with `seed` added to
+    /// both the `Config` seed and the DAG generator's seed (0 reproduces
+    /// the paper tables).
+    pub fn run(self, strategy: SchedulingStrategy, seed: u64) -> RunReport {
         let mut cfg = self.config().build();
         cfg.strategy = strategy;
-        SimRuntime::new(cfg, self.dag()).run().expect("run failed")
+        cfg.seed += seed;
+        SimRuntime::new(cfg, self.dag(seed))
+            .run()
+            .expect("run failed")
     }
 }
 
 /// The case-study runs of one invocation, each simulated once: Table III/IV
 /// and Figs. 9–11 read the same static runs, Table V and Figs. 12–13 the
-/// same dynamic ones. Strategies are compared as given, not normalised.
+/// same dynamic ones, and `claims` every seed's. Strategies are compared
+/// as given, not normalised.
 #[derive(Default)]
 pub struct Runs {
-    memo: Vec<(Pool, SchedulingStrategy, RunReport)>,
+    memo: Vec<((Pool, SchedulingStrategy, u64), RunReport)>,
 }
 
 impl Runs {
-    /// The reports of `pool` under each of `strategies`, in order,
-    /// simulating only the pairs not seen before.
-    pub fn get(&mut self, pool: Pool, strategies: &[SchedulingStrategy]) -> Vec<&RunReport> {
+    /// The reports of `pool` at `seed` under each of `strategies`, in
+    /// order, simulating only the runs not seen before.
+    pub fn get(
+        &mut self,
+        pool: Pool,
+        seed: u64,
+        strategies: &[SchedulingStrategy],
+    ) -> Vec<&RunReport> {
         let at: Vec<usize> = strategies
             .iter()
             .map(|s| {
-                let known = self.memo.iter().position(|(p, q, _)| *p == pool && q == s);
+                let key = (pool, s.clone(), seed);
+                let known = self.memo.iter().position(|(k, _)| *k == key);
                 known.unwrap_or_else(|| {
-                    self.memo.push((pool, s.clone(), pool.run(s.clone())));
+                    self.memo.push((key, pool.run(s.clone(), seed)));
                     self.memo.len() - 1
                 })
             })
             .collect();
-        at.into_iter().map(|i| &self.memo[i].2).collect()
+        at.into_iter().map(|i| &self.memo[i].1).collect()
+    }
+
+    /// Drops the reports of `seed`, so a seed sweep holds one seed at a
+    /// time.
+    pub fn forget(&mut self, seed: u64) {
+        self.memo.retain(|((_, _, s), _)| *s != seed);
     }
 }
 
@@ -213,21 +229,23 @@ mod tests {
 
     #[test]
     fn pools_match_section_vi_worker_counts() {
-        let drug = drug_static_pool().build();
-        let workers: Vec<usize> = drug.endpoints.iter().map(|e| e.workers).collect();
-        assert_eq!(&workers[..4], &[2000, 384, 48, 52]);
-        let montage = montage_static_pool().build();
-        let workers: Vec<usize> = montage.endpoints.iter().map(|e| e.workers).collect();
-        assert_eq!(&workers[..4], &[120, 240, 48, 52]);
+        let workers = |pool: Pool| -> Vec<usize> {
+            let cfg = pool.config().build();
+            cfg.endpoints.iter().map(|e| e.workers).collect()
+        };
+        assert_eq!(workers(Pool::DrugStatic), [2000, 384, 48, 52, 0]);
+        assert_eq!(workers(Pool::MontageStatic), [120, 240, 48, 52, 0]);
+        assert_eq!(workers(Pool::DrugTaiyiOnly), [2000, 0]);
+        assert_eq!(workers(Pool::MontageQimingOnly), [240, 0]);
     }
 
     #[test]
     fn dynamic_pools_carry_capacity_events() {
-        let cfg = drug_dynamic_pool().build();
+        let cfg = Pool::DrugDynamic.config().build();
         assert_eq!(cfg.capacity_events.len(), 2);
         assert_eq!(cfg.capacity_events[0].delta, 600);
         assert_eq!(cfg.capacity_events[1].delta, -280);
-        let cfg = montage_dynamic_pool().build();
+        let cfg = Pool::MontageDynamic.config().build();
         assert_eq!(cfg.capacity_events[0].endpoint, 0);
         assert_eq!(cfg.capacity_events[1].delta, -168);
     }

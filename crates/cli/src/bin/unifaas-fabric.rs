@@ -2,18 +2,19 @@
 //! backend and report the result digest plus recovery statistics.
 //!
 //! ```text
-//! unifaas-fabric [--backend threaded|process] [--endpoints a:4,b:4]
+//! unifaas-fabric [--backend threaded|process]
 //!                [--tasks <n>] [--width <w>] [--seed <s>]
 //!                [--daemon <path-to-unifaas-endpointd>]
-//!                [--fault <rule>]... [--max-attempts <n>] [--task-timeout-ms <ms>]
+//!                [--fault <rule>]... [--task-timeout-ms <ms>]
 //!                [--fast-timing] [--report]
-//!                [--trace-out <path>] [--trace-level off|spans|full]
-//!                [--metrics-out <path>] [--metrics-addr <addr>]
+//!                [--trace-out <path>] [--metrics-out <path>]
 //! ```
 //!
-//! With `--backend process` each endpoint is a spawned
-//! `unifaas-endpointd` child speaking the length-prefixed TCP protocol.
-//! Each `--fault <rule>` (repeatable) adds one `fedci::fault` rule:
+//! The run has two endpoints, `a` and `b`, of four workers each, and a
+//! task gets five attempts. With `--backend process` each endpoint is a
+//! spawned `unifaas-endpointd` child speaking the length-prefixed TCP
+//! protocol. Each `--fault <rule>` (repeatable)
+//! adds one `fedci::fault` rule:
 //! `kill ep=<i> after=<k>` SIGKILLs endpoint `i`'s child once `k` tasks
 //! have completed, and the supervisor's heartbeat/reconnect/re-dispatch
 //! machinery is expected to carry the run to the same digest an unfaulted
@@ -32,14 +33,9 @@
 //!   the heartbeat NTP estimator, one track per daemon generation labelled
 //!   with its offset ± uncertainty. Implies tracing and (process backend)
 //!   the telemetry subscription. Open at <https://ui.perfetto.dev>.
-//! * `--trace-level` sets the client recording level (defaults to `spans`
-//!   when `--trace-out` is given).
 //! * `--metrics-out <path>` writes the fabric's final registry
 //!   (`fedci_pool_*`, or `fedci_proc_*` / `fedci_wire_*` on the process
 //!   backend) in Prometheus text format.
-//! * `--metrics-addr <addr>` serves the registry, plus the client's
-//!   `unifaas_outstanding_tasks`, at `GET http://<addr>/metrics` *during*
-//!   the run, re-sampled per scrape.
 //!
 //! The final line is machine-readable:
 //!
@@ -52,7 +48,7 @@ use fedci::fault::{Backend, FaultError, FaultPlan, FaultRule};
 use fedci::process::{EndpointMode, ProcessEndpointSpec, ProcessFabric, ProcessFabricConfig};
 use simkit::metrics::MetricsRegistry;
 use simkit::TraceLevel;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 use unifaas::runtime::fabric::{FabricRuntime, LiveRetryPolicy};
 use unifaas_cli::fabricrun::{
@@ -61,12 +57,10 @@ use unifaas_cli::fabricrun::{
 
 fn usage() -> ! {
     eprintln!(
-        "usage: unifaas-fabric [--backend threaded|process] [--endpoints a:4,b:4] \
-         [--tasks <n>] [--width <w>] [--seed <s>] [--daemon <path>] \
-         [--fault <rule>]... [--max-attempts <n>] \
+        "usage: unifaas-fabric [--backend threaded|process] \
+         [--tasks <n>] [--width <w>] [--seed <s>] [--daemon <path>] [--fault <rule>]... \
          [--task-timeout-ms <ms>] [--fast-timing] [--report] \
-         [--trace-out <path>] [--trace-level off|spans|full] \
-         [--metrics-out <path>] [--metrics-addr <addr>]"
+         [--trace-out <path>] [--metrics-out <path>]"
     );
     std::process::exit(2);
 }
@@ -90,48 +84,33 @@ fn parse<T: std::str::FromStr<Err: std::fmt::Display>>(flag: &str, v: &str) -> T
     })
 }
 
-/// `a:4,b:4` → `[("a", 4), ("b", 4)]`.
-fn parse_endpoints(s: &str) -> Vec<(String, usize)> {
-    s.split(',')
-        .map(|part| {
-            let Some((name, workers)) = part.split_once(':') else {
-                eprintln!("unifaas-fabric: bad endpoint `{part}` (want name:workers)");
-                usage();
-            };
-            (name.to_string(), parse("--endpoints", workers))
-        })
-        .collect()
-}
+/// The run's endpoints: name and worker count.
+const ENDPOINTS: [(&str, usize); 2] = [("a", 4), ("b", 4)];
+
+/// Execution attempts per task.
+const MAX_ATTEMPTS: u32 = 5;
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut backend = String::from("threaded");
-    let mut endpoints = vec![("a".to_string(), 4), ("b".to_string(), 4)];
     let mut tasks = 200usize;
     let mut width = 4usize;
     let mut seed = 42u64;
     let mut daemon: Option<String> = None;
     let mut plan = FaultPlan::default();
-    let mut max_attempts = 5u32;
     let mut task_timeout_ms = 0u64;
     let mut fast_timing = false;
     let mut report = false;
     let mut trace_out: Option<String> = None;
-    let mut trace_level: Option<TraceLevel> = None;
     let mut metrics_out: Option<String> = None;
-    let mut metrics_addr: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--backend" => backend = need("--backend", args.next()),
-            "--endpoints" => endpoints = parse_endpoints(&need("--endpoints", args.next())),
             "--tasks" => tasks = parse("--tasks", &need("--tasks", args.next())),
             "--width" => width = parse("--width", &need("--width", args.next())),
             "--seed" => seed = parse("--seed", &need("--seed", args.next())),
             "--daemon" => daemon = Some(need("--daemon", args.next())),
             "--fault" => plan.push(parse("--fault", &need("--fault", args.next()))),
-            "--max-attempts" => {
-                max_attempts = parse("--max-attempts", &need("--max-attempts", args.next()))
-            }
             "--task-timeout-ms" => {
                 task_timeout_ms =
                     parse("--task-timeout-ms", &need("--task-timeout-ms", args.next()))
@@ -139,15 +118,7 @@ fn main() {
             "--fast-timing" => fast_timing = true,
             "--report" => report = true,
             "--trace-out" => trace_out = Some(need("--trace-out", args.next())),
-            "--trace-level" => {
-                let v = need("--trace-level", args.next());
-                trace_level = Some(TraceLevel::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unifaas-fabric: bad value `{v}` for --trace-level");
-                    usage();
-                }));
-            }
             "--metrics-out" => metrics_out = Some(need("--metrics-out", args.next())),
-            "--metrics-addr" => metrics_addr = Some(need("--metrics-addr", args.next())),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unifaas-fabric: unknown flag `{other}`");
@@ -155,8 +126,8 @@ fn main() {
             }
         }
     }
-    if tasks == 0 || endpoints.is_empty() {
-        eprintln!("unifaas-fabric: need at least one task and one endpoint");
+    if tasks == 0 {
+        eprintln!("unifaas-fabric: need at least one task");
         usage();
     }
 
@@ -177,32 +148,31 @@ fn main() {
     plan.check_watchdog(timeout.is_some())
         .unwrap_or_else(|e| bad_plan(e));
     let policy = LiveRetryPolicy {
-        max_attempts,
+        max_attempts: MAX_ATTEMPTS,
         task_timeout: timeout,
         backoff: Duration::from_millis(if fast_timing { 5 } else { 50 }),
     };
-    // `--trace-out` implies span tracing; `--trace-level` alone records
-    // without writing. The telemetry subscription (process backend) rides
-    // on the same switch: no tracing, no TELEMETRY frames on the wire.
-    let level = trace_level.unwrap_or(if trace_out.is_some() {
+    // `--trace-out` implies span tracing. The telemetry subscription
+    // (process backend) rides on the same switch: no tracing, no TELEMETRY
+    // frames on the wire.
+    let tracing = trace_out.is_some();
+    let level = if tracing {
         TraceLevel::Spans
     } else {
         TraceLevel::Off
-    });
-    let tracing = level != TraceLevel::Off;
+    };
 
-    // Each backend registers its metrics and sets their per-scrape sampler.
+    // Each backend registers its metrics and sets their sampler.
     let mut reg = MetricsRegistry::new();
-    let sample: Arc<dyn Fn(&mut MetricsRegistry) + Send + Sync>;
+    let mut sample: Box<dyn FnMut(&mut MetricsRegistry)>;
     let (fabric, proc_fabric): (Arc<dyn Fabric>, Option<Arc<ProcessFabric>>) = match backend
         .as_str()
     {
         "threaded" => {
-            let eps: Vec<(&str, usize)> = endpoints.iter().map(|(n, w)| (n.as_str(), *w)).collect();
-            let tf = ThreadedFabric::new(&eps, &timing).with_faults(&plan);
+            let tf = ThreadedFabric::new(&ENDPOINTS, &timing).with_faults(&plan);
             let tf = Arc::new(tf.unwrap_or_else(|e| bad_plan(e)));
-            let (pools, ids) = (Arc::clone(&tf), Mutex::new(tf.register_metrics(&mut reg)));
-            sample = Arc::new(move |r| pools.sample_metrics(r, &mut ids.lock().expect("ids lock")));
+            let (pools, mut ids) = (Arc::clone(&tf), tf.register_metrics(&mut reg));
+            sample = Box::new(move |r| pools.sample_metrics(r, &mut ids));
             (tf, None)
         }
         "process" => {
@@ -212,19 +182,19 @@ fn main() {
                 eprintln!("unifaas-fabric: cannot locate unifaas-endpointd; pass --daemon <path>");
                 std::process::exit(2);
             };
-            plan.check(Backend::Process, endpoints.len())
+            plan.check(Backend::Process, ENDPOINTS.len())
                 .unwrap_or_else(|e| bad_plan(e));
             // Each daemon's rules ride its spawn command, so respawned
             // generations inject the same faults.
-            let specs: Vec<ProcessEndpointSpec> = (endpoints.iter().enumerate())
-                .map(|(ep, (name, workers))| {
+            let specs: Vec<ProcessEndpointSpec> = (ENDPOINTS.iter().enumerate())
+                .map(|(ep, &(name, workers))| {
                     let mut command = vec![daemon_path.clone()];
                     for rule in plan.for_endpoint(ep).rules() {
                         command.extend(["--fault".to_string(), rule.to_string()]);
                     }
                     ProcessEndpointSpec {
-                        name: name.clone(),
-                        workers: *workers,
+                        name: name.to_string(),
+                        workers,
                         mode: EndpointMode::Spawn { command },
                     }
                 })
@@ -236,8 +206,8 @@ fn main() {
                 telemetry: tracing,
             };
             let pf = Arc::new(ProcessFabric::new(specs, cfg));
-            let (procs, ids) = (Arc::clone(&pf), Mutex::new(pf.register_metrics(&mut reg)));
-            sample = Arc::new(move |r| procs.sample_metrics(r, &mut ids.lock().expect("ids lock")));
+            let (procs, mut ids) = (Arc::clone(&pf), pf.register_metrics(&mut reg));
+            sample = Box::new(move |r| procs.sample_metrics(r, &mut ids));
             (Arc::clone(&pf) as Arc<dyn Fabric>, Some(pf))
         }
         other => {
@@ -251,20 +221,6 @@ fn main() {
             .with_retry(policy)
             .with_trace(level),
     );
-
-    // The metrics registry is shared with the scrape server (when one is
-    // up); every scrape re-samples the fabric under the registry lock.
-    let reg = Arc::new(Mutex::new(reg));
-    let _server = metrics_addr.as_ref().map(|addr| {
-        let sample = Arc::clone(&sample);
-        let server = rt.serve_metrics(addr, Arc::clone(&reg), move |r| sample(r));
-        let server = server.unwrap_or_else(|e| {
-            eprintln!("unifaas-fabric: cannot serve metrics at {addr}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("serving metrics at http://{}/metrics", server.local_addr());
-        server
-    });
 
     let workload = FabricWorkload { tasks, width, seed };
     let started = std::time::Instant::now();
@@ -314,10 +270,10 @@ fn main() {
     if report {
         eprintln!(
             "backend={backend} endpoints={} tasks={tasks} width={width} wall={wall:?}",
-            endpoints.len()
+            ENDPOINTS.len()
         );
         if let Some(pf) = &proc_fabric {
-            for (i, (name, _)) in endpoints.iter().enumerate() {
+            for (i, (name, _)) in ENDPOINTS.iter().enumerate() {
                 let c = pf.counters(i);
                 eprintln!(
                     "endpoint {i} ({name}): generation={} connects={} respawns={} \
@@ -357,7 +313,7 @@ fn main() {
     if trace_out.is_some() || metrics_out.is_some() {
         let telemetry: Vec<fedci::process::EndpointTelemetry> = proc_fabric
             .as_ref()
-            .map(|pf| (0..endpoints.len()).map(|i| pf.telemetry(i)).collect())
+            .map(|pf| (0..ENDPOINTS.len()).map(|i| pf.telemetry(i)).collect())
             .unwrap_or_default();
         if let Some(path) = &trace_out {
             let merged = unifaas::obs::merge_process_timeline(client_tracer.as_ref(), &telemetry);
@@ -387,7 +343,6 @@ fn main() {
             eprintln!("wrote {path}");
         }
         if let Some(path) = &metrics_out {
-            let mut reg = reg.lock().expect("registry lock");
             sample(&mut reg);
             std::fs::write(path, reg.render_prometheus()).unwrap_or_else(|e| {
                 eprintln!("unifaas-fabric: cannot write {path}: {e}");

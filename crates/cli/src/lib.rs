@@ -9,11 +9,9 @@
 //! endpoint Taiyi  taiyi  200
 //! endpoint Qiming qiming 38 max=100 node=10
 //! strategy dha
-//! knowledge oracle
-//! transfer globus
 //! seed 42
 //! capacity-event 120 1 +60
-//! scaling on idle=30
+//! scaling on
 //! workload drug pipelines=600
 //! ```
 //!
@@ -22,14 +20,9 @@
 //!   one of `taiyi`, `qiming`, `dept`, `lab`, `workstation`, or
 //!   `uniform:<speed>`;
 //! * `strategy capacity|locality|dha|dha-no-resched`;
-//! * `knowledge oracle|learned`;
-//! * `transfer globus|rsync`;
-//! * `seed <u64>`, `noise <cv>`;
-//! * `fault <rule>` (repeatable) — one `fedci::fault` rule, e.g.
-//!   `fault task-fail p=0.02`, `fault down ep=0 from=300 to=900`,
-//!   `fault swallow ep=1 every=7` (needs an execution timeout);
+//! * `seed <u64>`;
 //! * `capacity-event <at_secs> <endpoint_index> <±delta>`;
-//! * `scaling on|off [idle=<secs>]`;
+//! * `scaling on|off`;
 //! * `workload drug pipelines=N | montage tiles=N | bag n=N [depth=D] secs=S |
 //!   ensemble rounds=R batch=B` — `bag` is `D` dependent layers of `N`
 //!   tasks of `S ≥ 0` seconds each (`D` defaults to one); a key the

@@ -3,17 +3,17 @@
 //! ```text
 //! unifaas-sim <spec-file> [--strategy capacity|locality|dha|dha-no-resched]
 //!                         [--series <dir>] [--quiet] [--report]
-//!                         [--trace-out <path>] [--trace-level off|spans|full]
-//!                         [--flame-out <path>] [--metrics-out <path>]
-//!                         [--metrics-addr <addr>] [--fault <rule>]...
+//!                         [--trace-out <path>] [--flame-out <path>]
+//!                         [--metrics-out <path>]
+//!                         [--fault <rule>]... [--journal-out <path>]
+//!                         [--progress] [--verify]
 //! ```
 //!
 //! `--strategy` overrides the spec (handy for comparing schedulers on one
 //! spec); `--series <dir>` writes the collected time series as CSV files
 //! for plotting; `--trace-out <path>` writes a Perfetto/Chrome trace (plus
 //! `.jsonl` and `.counters.txt` siblings) — open the JSON at
-//! <https://ui.perfetto.dev>. `--trace-level` defaults to `full` when
-//! `--trace-out` is given.
+//! <https://ui.perfetto.dev>.
 //!
 //! Observability flags:
 //!
@@ -25,18 +25,13 @@
 //!   Prometheus text format (one-shot dump; implies metrics collection).
 //! * `--flame-out <path>` writes the trace as folded stacks for
 //!   `flamegraph.pl`/inferno (implies span tracing).
-//! * `--metrics-addr <addr>` serves the final registry at
-//!   `GET http://<addr>/metrics` after the run until Ctrl-C, so a scraper
-//!   or `curl` can read a finished simulation (implies metrics
-//!   collection). Use `FabricRuntime::serve_metrics` for scraping a
-//!   run in progress.
 //!
 //! Each `--fault <rule>` (repeatable) adds one `fedci::fault` rule to the
-//! spec's plan, for quick chaos sweeps: `--fault 'task-fail p=0.02'`,
+//! run's plan, for quick chaos sweeps: `--fault 'task-fail p=0.02'`,
 //! `--fault 'transfer-fail p=0.02'`, `--fault 'down ep=0 from=300 to=900'`
 //! (a deterministic outage window, whole virtual seconds), `--fault
 //! 'delay ms=5'`. A `swallow` rule needs an execution timeout, which no
-//! flag or directive sets, so it is rejected here.
+//! flag sets, so it is rejected here.
 //!
 //! Run-journal flags and subcommands:
 //!
@@ -45,8 +40,7 @@
 //!   digests (see `simkit::journal`).
 //! * `--progress` streams periodic progress snapshots (events/s, queue
 //!   occupancy, ready/executing counts, wall-vs-virtual ratio) to stderr
-//!   with a stall detector; `--progress-addr <addr>` additionally serves
-//!   them live at `GET /metrics` while the run executes.
+//!   with a stall detector.
 //! * `--verify` checks the run as it goes (`Config::verify`): counter
 //!   reconciliation on every periodic tick, every event delivery checked
 //!   against a reference binary heap, and the scheduler decision stream
@@ -73,9 +67,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: unifaas-sim <spec-file> [--strategy capacity|locality|dha|dha-no-resched] \
          [--series <dir>] [--quiet] [--report] [--trace-out <path>] \
-         [--trace-level off|spans|full] [--flame-out <path>] [--metrics-out <path>] \
-         [--metrics-addr <addr>] [--fault <rule>]... [--journal-out <path>] [--progress] \
-         [--progress-addr <addr>] [--verify]\n\
+         [--flame-out <path>] [--metrics-out <path>] \
+         [--fault <rule>]... [--journal-out <path>] [--progress] [--verify]\n\
          \x20      unifaas-sim doctor <a.journal> <b.journal>\n\
          \x20      unifaas-sim journal-perturb <in.journal> <out.journal> <record-index>"
     );
@@ -145,15 +138,12 @@ fn main() {
     let mut series_dir: Option<String> = None;
     let mut quiet = false;
     let mut trace_out: Option<String> = None;
-    let mut trace_level: Option<TraceLevel> = None;
     let mut report_flag = false;
     let mut flame_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
-    let mut metrics_addr: Option<String> = None;
     let mut faults: Vec<fedci::FaultRule> = Vec::new();
     let mut journal_out: Option<String> = None;
     let mut progress = false;
-    let mut progress_addr: Option<String> = None;
     let mut verify = false;
 
     let mut it = args.iter();
@@ -172,14 +162,6 @@ fn main() {
             "--report" => report_flag = true,
             "--flame-out" => flame_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--metrics-out" => metrics_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--metrics-addr" => metrics_addr = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--trace-level" => {
-                trace_level = Some(
-                    it.next()
-                        .and_then(|s| TraceLevel::parse(s))
-                        .unwrap_or_else(|| usage()),
-                );
-            }
             "--strategy" => {
                 strategy_override = Some(match it.next().map(String::as_str) {
                     Some("capacity") => SchedulingStrategy::Capacity,
@@ -194,9 +176,6 @@ fn main() {
             "--series" => series_dir = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--journal-out" => journal_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--progress" => progress = true,
-            "--progress-addr" => {
-                progress_addr = Some(it.next().cloned().unwrap_or_else(|| usage()))
-            }
             "--verify" => verify = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => usage(),
@@ -232,17 +211,14 @@ fn main() {
             spec.config.endpoints.len()
         );
     }
-    // `--trace-out` implies full tracing; `--trace-level` alone records
-    // without writing (the trace is still summarized below). `--report`
-    // and `--flame-out` need span tracing too — sized so the ring holds
-    // every task's lifecycle spans, or critical-path extraction would see
-    // a truncated workflow.
+    // `--trace-out` implies full tracing. `--report` and `--flame-out`
+    // need span tracing — sized so the ring holds every task's lifecycle
+    // spans, or critical-path extraction would see a truncated workflow.
     let want_analytics = report_flag || flame_out.is_some();
-    let trace_cfg = match (trace_out.is_some(), trace_level) {
-        (_, Some(level)) => Some(TraceConfig::at_level(level)),
-        (true, None) => Some(TraceConfig::default()),
-        (false, None) if want_analytics => Some(TraceConfig::at_level(TraceLevel::Spans)),
-        (false, None) => None,
+    let trace_cfg = match (trace_out.is_some(), want_analytics) {
+        (true, _) => Some(TraceConfig::default()),
+        (false, true) => Some(TraceConfig::at_level(TraceLevel::Spans)),
+        (false, false) => None,
     };
     let trace_cfg = trace_cfg.map(|mut tc| {
         if want_analytics {
@@ -251,7 +227,7 @@ fn main() {
         }
         tc
     });
-    let want_metrics = report_flag || metrics_out.is_some() || metrics_addr.is_some();
+    let want_metrics = report_flag || metrics_out.is_some();
     let t0 = std::time::Instant::now();
     let mut runtime = SimRuntime::new(spec.config, dag).with_metrics(want_metrics);
     if let Some(tc) = trace_cfg {
@@ -260,10 +236,9 @@ fn main() {
     if let Some(path) = &journal_out {
         runtime = runtime.with_journal(path);
     }
-    if progress || progress_addr.is_some() {
+    if progress {
         runtime = runtime.with_flight(unifaas::flight::FlightConfig {
-            progress_stderr: progress,
-            serve_addr: progress_addr.clone(),
+            progress_stderr: true,
         });
     }
     let report = runtime.run().unwrap_or_else(|e| {
@@ -273,19 +248,15 @@ fn main() {
     let wall = t0.elapsed();
 
     if let Some(path) = &trace_out {
-        match &report.trace {
-            Some(trace) => {
-                let written = trace
-                    .write_files(std::path::Path::new(path))
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot write trace {path}: {e}");
-                        std::process::exit(1);
-                    });
-                for p in written {
-                    println!("wrote {}", p.display());
-                }
-            }
-            None => eprintln!("--trace-out given but tracing is off (--trace-level off)"),
+        let trace = report.trace.as_ref().expect("--trace-out traces the run");
+        let written = trace
+            .write_files(std::path::Path::new(path))
+            .unwrap_or_else(|e| {
+                eprintln!("cannot write trace {path}: {e}");
+                std::process::exit(1);
+            });
+        for p in written {
+            println!("wrote {}", p.display());
         }
     }
 
@@ -365,18 +336,12 @@ fn main() {
         }
     }
     if let Some(path) = &flame_out {
-        match report.trace.as_deref() {
-            Some(trace) => {
-                unifaas::obs::write_flamegraph(trace, std::path::Path::new(path)).unwrap_or_else(
-                    |e| {
-                        eprintln!("cannot write flamegraph {path}: {e}");
-                        std::process::exit(1);
-                    },
-                );
-                println!("wrote {path}");
-            }
-            None => eprintln!("--flame-out given but tracing is off (--trace-level off)"),
-        }
+        let trace = report.trace.as_deref().expect("--flame-out traces the run");
+        unifaas::obs::write_flamegraph(trace, std::path::Path::new(path)).unwrap_or_else(|e| {
+            eprintln!("cannot write flamegraph {path}: {e}");
+            std::process::exit(1);
+        });
+        println!("wrote {path}");
     }
     if let Some(path) = &metrics_out {
         let reg = report
@@ -402,29 +367,6 @@ fn main() {
             eprintln!("cannot write series {dir}: {e}");
             std::process::exit(1);
         });
-    }
-
-    if let Some(addr) = &metrics_addr {
-        let reg = report
-            .metrics
-            .map(|b| *b)
-            .expect("--metrics-addr implies metrics");
-        let server = simkit::MetricsServer::start(
-            addr,
-            std::sync::Arc::new(std::sync::Mutex::new(reg)),
-            None,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("cannot bind {addr}: {e}");
-            std::process::exit(1);
-        });
-        println!(
-            "serving final metrics at http://{}/metrics (Ctrl-C to exit)",
-            server.local_addr()
-        );
-        loop {
-            std::thread::park();
-        }
     }
 }
 

@@ -1,11 +1,9 @@
 //! The experiment-spec parser (line-oriented, no external dependencies).
 
 use fedci::hardware::ClusterSpec;
-use fedci::transfer::TransferMechanism;
-use simkit::SimDuration;
 use taskgraph::workloads::{drug, ensemble, montage, stress};
 use taskgraph::Dag;
-use unifaas::config::{Config, ConfigBuilder, KnowledgeMode, ScalingConfig, SchedulingStrategy};
+use unifaas::config::{Config, ConfigBuilder, ScalingConfig, SchedulingStrategy};
 use unifaas::prelude::EndpointConfig;
 
 /// A parse failure, with the offending line number.
@@ -178,49 +176,12 @@ pub fn parse_spec(text: &str) -> Result<RunSpec, SpecError> {
                 };
                 builder = builder.strategy(strategy);
             }
-            "knowledge" => {
-                let k = match tokens.get(1).copied() {
-                    Some("oracle") => KnowledgeMode::Oracle,
-                    Some("learned") => KnowledgeMode::Learned,
-                    other => {
-                        return Err(err(
-                            line_no,
-                            format!("unknown knowledge mode `{}`", other.unwrap_or("")),
-                        ))
-                    }
-                };
-                builder = builder.knowledge(k);
-            }
-            "transfer" => {
-                let t = match tokens.get(1).copied() {
-                    Some("globus") => TransferMechanism::Globus,
-                    Some("rsync") => TransferMechanism::Rsync,
-                    other => {
-                        return Err(err(
-                            line_no,
-                            format!("unknown transfer mechanism `{}`", other.unwrap_or("")),
-                        ))
-                    }
-                };
-                builder = builder.transfer(t);
-            }
             "seed" => {
                 let seed: u64 = tokens
                     .get(1)
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| err(line_no, "seed needs a u64"))?;
                 builder = builder.seed(seed);
-            }
-            "noise" => {
-                let cv: f64 = tokens
-                    .get(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(line_no, "noise needs a float cv"))?;
-                builder = builder.exec_noise_cv(cv);
-            }
-            "fault" => {
-                let rule = line["fault".len()..].parse();
-                builder = builder.fault(rule.map_err(|e| err(line_no, format!("{e}")))?);
             }
             "capacity-event" => {
                 let at: u64 = tokens
@@ -248,16 +209,9 @@ pub fn parse_spec(text: &str) -> Result<RunSpec, SpecError> {
                         ))
                     }
                 };
-                let idle = kv(&tokens, "idle")
-                    .map(|v| v.parse::<u64>())
-                    .transpose()
-                    .map_err(|_| err(line_no, "bad idle seconds"))?
-                    .unwrap_or(30);
                 scaling = Some(ScalingConfig {
                     enabled,
-                    idle_timeout: SimDuration::from_secs(idle),
-                    interval: SimDuration::from_secs(1),
-                    policy: unifaas::config::ScalingPolicyKind::Default,
+                    ..ScalingConfig::default()
                 });
             }
             "workload" => {
@@ -349,15 +303,9 @@ mod tests {
 endpoint Taiyi taiyi 200          # trailing comment
 endpoint Lab   lab   8 max=40 node=8
 strategy dha
-knowledge learned
-transfer rsync
 seed 7
-noise 0.05
-fault transfer-fail p=0.1
-fault task-fail p=0.05
-fault down ep=1 from=100 to=200
 capacity-event 120 0 -50
-scaling on idle=20
+scaling on
 workload drug pipelines=10
 ";
 
@@ -372,29 +320,10 @@ workload drug pipelines=10
             spec.config.strategy,
             SchedulingStrategy::Dha { rescheduling: true }
         );
-        assert_eq!(spec.config.knowledge, KnowledgeMode::Learned);
-        assert_eq!(spec.config.transfer, TransferMechanism::Rsync);
         assert_eq!(spec.config.seed, 7);
-        assert_eq!(spec.config.exec_noise_cv, 0.05);
-        let rules: Vec<String> = spec
-            .config
-            .faults
-            .rules()
-            .iter()
-            .map(|r| r.to_string())
-            .collect();
-        assert_eq!(
-            rules,
-            [
-                "transfer-fail p=0.1",
-                "task-fail p=0.05",
-                "down ep=1 from=100 to=200"
-            ]
-        );
         assert_eq!(spec.config.capacity_events.len(), 1);
         assert_eq!(spec.config.capacity_events[0].delta, -50);
         assert!(spec.config.scaling.enabled);
-        assert_eq!(spec.config.scaling.idle_timeout, SimDuration::from_secs(20));
         assert_eq!(spec.workload, WorkloadSpec::Drug { pipelines: 10 });
         assert_eq!(spec.workload.build().len(), 41);
     }
@@ -488,17 +417,6 @@ workload ensemble rounds=3 batch=5
         assert!(parse_spec("endpoint a qiming four\nworkload bag n=1 secs=1\n").is_err());
         assert!(parse_spec("endpoint a qiming 4 max=2\nworkload bag n=1 secs=1\n").is_err());
         assert!(parse_spec("endpoint a qiming 4\nworkload drug\n").is_err());
-        // Fault rules must parse, with the line number of the bad one.
-        for bad in [
-            "fault down ep=0 from=200 to=100",
-            "fault down ep=0 from=50",
-            "fault",
-        ] {
-            let e = parse_spec(&format!(
-                "endpoint a qiming 4\n{bad}\nworkload bag n=1 secs=1\n"
-            ));
-            assert_eq!(e.unwrap_err().line, 2, "`{bad}`");
-        }
     }
 
     #[test]
@@ -511,36 +429,5 @@ workload ensemble rounds=3 batch=5
             .run()
             .unwrap();
         assert_eq!(report.tasks_completed, 30);
-    }
-
-    #[test]
-    fn out_of_range_faults_fail_the_parse_and_noise_the_run() {
-        for directive in ["fault task-fail p=nan", "fault transfer-fail p=-1"] {
-            let text = format!("endpoint a qiming 8\n{directive}\nworkload bag n=4 secs=5\n");
-            assert!(parse_spec(&text).is_err(), "`{directive}`");
-        }
-        // The parser accepts any float noise; `Config::validate` is where
-        // the range is enforced, so the error surfaces from `run`.
-        for directive in ["noise nan", "noise -3"] {
-            let spec = parse_spec(&format!(
-                "endpoint a qiming 8\nendpoint b taiyi 8\n{directive}\nworkload bag n=4 secs=5\n"
-            ))
-            .unwrap();
-            let err = unifaas::SimRuntime::new(spec.config, spec.workload.build())
-                .run()
-                .unwrap_err();
-            assert!(
-                matches!(err, unifaas::UniFaasError::InvalidConfig(_)),
-                "`{directive}`: {err}"
-            );
-        }
-        // A rule the simulator cannot run is a typed error from `run`.
-        let spec =
-            parse_spec("endpoint a qiming 8\nfault kill ep=0 after=3\nworkload bag n=4 secs=5\n");
-        let spec = spec.unwrap();
-        let err = unifaas::SimRuntime::new(spec.config, spec.workload.build())
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, unifaas::UniFaasError::Fault(_)), "{err}");
     }
 }

@@ -42,7 +42,7 @@ impl ClockSample {
     }
 
     /// This sample's offset estimate: `t_daemon − midpoint(t0, t3)`.
-    pub fn offset_us(&self) -> i64 {
+    fn offset_us(&self) -> i64 {
         let midpoint = (self.t0_us / 2).wrapping_add(self.t3_us / 2) as i64;
         self.t_daemon_us as i64 - midpoint
     }
@@ -90,7 +90,7 @@ impl ClockSync {
     /// covers the last ~32 s; at the chaos-lab 25 ms cadence, ~1.6 s —
     /// short enough that drift within a window is negligible against the
     /// RTT bound, long enough to catch a quiet-network minimum.
-    pub const DEFAULT_WINDOW: usize = 64;
+    const DEFAULT_WINDOW: usize = 64;
 
     /// An estimator with the default window.
     pub fn new() -> Self {
@@ -98,7 +98,7 @@ impl ClockSync {
     }
 
     /// An estimator keeping the last `cap` samples (`cap >= 1`).
-    pub fn with_window(cap: usize) -> Self {
+    fn with_window(cap: usize) -> Self {
         assert!(cap >= 1, "window must hold at least one sample");
         ClockSync {
             window: VecDeque::with_capacity(cap),

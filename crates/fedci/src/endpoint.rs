@@ -58,9 +58,6 @@ pub struct EndpointSim {
     /// When the endpoint last became completely idle (no busy workers);
     /// `None` while any worker is busy. Drives idle-timeout scale-in.
     idle_since: Option<SimTime>,
-    /// Cumulative worker-seconds of execution (for utilization accounting).
-    busy_worker_seconds: f64,
-    last_busy_update: SimTime,
 }
 
 impl EndpointSim {
@@ -80,8 +77,6 @@ impl EndpointSim {
             busy_workers: 0,
             pending_workers: 0,
             idle_since: Some(SimTime::ZERO),
-            busy_worker_seconds: 0.0,
-            last_busy_update: SimTime::ZERO,
         }
     }
 
@@ -103,11 +98,6 @@ impl EndpointSim {
     /// Workers requested but still in the batch queue.
     pub fn pending_workers(&self) -> usize {
         self.pending_workers
-    }
-
-    /// Capacity as the paper defines it: the number of workers.
-    pub fn capacity(&self) -> usize {
-        self.active_workers
     }
 
     /// Time this endpoint needs to execute `compute_seconds` of reference
@@ -136,19 +126,17 @@ impl EndpointSim {
 
     /// Commissions `count` previously requested workers (the batch job
     /// started).
-    pub fn commission_workers(&mut self, count: usize, now: SimTime) {
+    pub fn commission_workers(&mut self, count: usize) {
         assert!(
             count <= self.pending_workers,
             "commissioning unrequested workers"
         );
-        self.accumulate_busy(now);
         self.pending_workers -= count;
         self.active_workers += count;
     }
 
     /// Kills up to `count` idle workers immediately. Returns how many died.
-    pub fn release_idle_workers(&mut self, count: usize, now: SimTime) -> usize {
-        self.accumulate_busy(now);
+    pub fn release_idle_workers(&mut self, count: usize) -> usize {
         let killable = self.idle_workers().min(count);
         self.active_workers -= killable;
         killable
@@ -159,7 +147,6 @@ impl EndpointSim {
     /// may preempt busy workers; preempted tasks must be re-dispatched by
     /// the caller. Returns the number of *busy* workers preempted.
     pub fn force_capacity_delta(&mut self, delta: i64, now: SimTime) -> usize {
-        self.accumulate_busy(now);
         if delta >= 0 {
             let add = (delta as usize).min(self.max_workers * 100); // sanity clamp
             self.active_workers += add;
@@ -188,11 +175,10 @@ impl EndpointSim {
 
     /// Marks one worker busy (a task started). Returns false if no idle
     /// worker is available.
-    pub fn occupy_worker(&mut self, now: SimTime) -> bool {
+    pub fn occupy_worker(&mut self) -> bool {
         if self.idle_workers() == 0 {
             return false;
         }
-        self.accumulate_busy(now);
         self.busy_workers += 1;
         self.idle_since = None;
         true
@@ -201,7 +187,6 @@ impl EndpointSim {
     /// Marks one worker idle again (a task finished).
     pub fn release_worker(&mut self, now: SimTime) {
         assert!(self.busy_workers > 0, "release without occupy");
-        self.accumulate_busy(now);
         self.busy_workers -= 1;
         if self.busy_workers == 0 {
             self.idle_since = Some(now);
@@ -211,25 +196,6 @@ impl EndpointSim {
     /// How long the endpoint has been completely idle, if it is.
     pub fn idle_duration(&self, now: SimTime) -> Option<SimDuration> {
         self.idle_since.map(|t| now.saturating_since(t))
-    }
-
-    /// Fraction of provisioned worker-time spent busy since t=0.
-    pub fn utilization(&mut self, now: SimTime) -> f64 {
-        self.accumulate_busy(now);
-        let wall = now.as_secs_f64();
-        if wall == 0.0 || self.active_workers == 0 {
-            return 0.0;
-        }
-        // Approximation: assumes active_workers was constant; good enough
-        // for instantaneous monitoring (the metrics crate integrates the
-        // exact series).
-        self.busy_worker_seconds / (wall * self.active_workers as f64)
-    }
-
-    fn accumulate_busy(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last_busy_update).as_secs_f64();
-        self.busy_worker_seconds += dt * self.busy_workers as f64;
-        self.last_busy_update = now;
     }
 }
 
@@ -250,8 +216,8 @@ mod tests {
         let mut e = ep(4, 10);
         assert_eq!(e.active_workers(), 4);
         assert_eq!(e.idle_workers(), 4);
-        assert!(e.occupy_worker(t(0)));
-        assert!(e.occupy_worker(t(0)));
+        assert!(e.occupy_worker());
+        assert!(e.occupy_worker());
         assert_eq!(e.busy_workers(), 2);
         assert_eq!(e.idle_workers(), 2);
         e.release_worker(t(5));
@@ -261,8 +227,8 @@ mod tests {
     #[test]
     fn occupy_fails_when_saturated() {
         let mut e = ep(1, 1);
-        assert!(e.occupy_worker(t(0)));
-        assert!(!e.occupy_worker(t(0)));
+        assert!(e.occupy_worker());
+        assert!(!e.occupy_worker());
     }
 
     #[test]
@@ -279,7 +245,7 @@ mod tests {
         // Only 2 more fit under the cap.
         assert_eq!(e.request_workers(5), 2);
         assert_eq!(e.pending_workers(), 6);
-        e.commission_workers(6, t(30));
+        e.commission_workers(6);
         assert_eq!(e.active_workers(), 10);
         assert_eq!(e.pending_workers(), 0);
     }
@@ -288,15 +254,15 @@ mod tests {
     #[should_panic(expected = "unrequested")]
     fn commission_more_than_requested_panics() {
         let mut e = ep(1, 10);
-        e.commission_workers(1, t(0));
+        e.commission_workers(1);
     }
 
     #[test]
     fn scale_in_only_kills_idle() {
         let mut e = ep(5, 10);
-        e.occupy_worker(t(0));
-        e.occupy_worker(t(0));
-        assert_eq!(e.release_idle_workers(100, t(1)), 3);
+        e.occupy_worker();
+        e.occupy_worker();
+        assert_eq!(e.release_idle_workers(100), 3);
         assert_eq!(e.active_workers(), 2);
         assert_eq!(e.busy_workers(), 2);
     }
@@ -305,7 +271,7 @@ mod tests {
     fn idle_tracking() {
         let mut e = ep(2, 2);
         assert_eq!(e.idle_duration(t(30)), Some(SimDuration::from_secs(30)));
-        e.occupy_worker(t(30));
+        e.occupy_worker();
         assert_eq!(e.idle_duration(t(40)), None);
         e.release_worker(t(50));
         assert_eq!(e.idle_duration(t(80)), Some(SimDuration::from_secs(30)));
@@ -332,30 +298,11 @@ mod tests {
         assert!(e.max_workers >= 10);
         // Shrink below busy count → preemption.
         for _ in 0..8 {
-            assert!(e.occupy_worker(t(11)));
+            assert!(e.occupy_worker());
         }
         let preempted = e.force_capacity_delta(-7, t(20));
         assert_eq!(e.active_workers(), 3);
         assert_eq!(preempted, 5); // 8 busy, only 3 slots remain
         assert_eq!(e.busy_workers(), 3);
-    }
-
-    #[test]
-    fn utilization_accumulates() {
-        let mut e = ep(2, 2);
-        e.occupy_worker(t(0));
-        e.occupy_worker(t(0));
-        e.release_worker(t(10));
-        e.release_worker(t(10));
-        // 20 busy worker-seconds over 2 workers * 20 s wall = 0.5.
-        let u = e.utilization(t(20));
-        assert!((u - 0.5).abs() < 1e-9, "u={u}");
-    }
-
-    #[test]
-    fn utilization_zero_cases() {
-        let mut e = ep(0, 5);
-        assert_eq!(e.utilization(t(0)), 0.0);
-        assert_eq!(e.utilization(t(10)), 0.0);
     }
 }

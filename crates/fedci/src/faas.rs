@@ -25,8 +25,6 @@ pub struct FaasServiceModel {
     /// states a hard 10 MB limit — anything larger must travel as a
     /// `RemoteFile` via the data manager.
     pub max_payload_bytes: u64,
-    /// Tasks submitted per batched request (client-side batching, §IV-H).
-    pub submit_batch_size: usize,
     /// Cadence of endpoint-status synchronization between the mock
     /// endpoints and the service (§IV-B's "synchronizes the mock objects
     /// with the funcX service periodically").
@@ -47,7 +45,6 @@ impl Default for FaasServiceModel {
             poll_interval: SimDuration::from_millis(500),
             result_latency: SimDuration::from_millis(100),
             max_payload_bytes: 10 * 1024 * 1024,
-            submit_batch_size: 64,
             status_sync_interval: SimDuration::from_secs(60),
             client_submit_overhead: SimDuration::from_millis(7),
         }
@@ -55,19 +52,6 @@ impl Default for FaasServiceModel {
 }
 
 impl FaasServiceModel {
-    /// An idealized service with negligible latency, for isolating
-    /// scheduler behaviour in unit tests.
-    pub fn instant() -> Self {
-        FaasServiceModel {
-            dispatch_latency: SimDuration::ZERO,
-            dispatch_jitter: 0.0,
-            poll_interval: SimDuration::from_millis(1),
-            result_latency: SimDuration::ZERO,
-            client_submit_overhead: SimDuration::ZERO,
-            ..Default::default()
-        }
-    }
-
     /// Samples a dispatch latency with jitter.
     pub fn sample_dispatch(&self, rng: &mut SimRng) -> SimDuration {
         jittered(self.dispatch_latency, self.dispatch_jitter, rng)
@@ -76,19 +60,6 @@ impl FaasServiceModel {
     /// Samples a result-return latency with the same jitter fraction.
     pub fn sample_result(&self, rng: &mut SimRng) -> SimDuration {
         jittered(self.result_latency, self.dispatch_jitter, rng)
-    }
-
-    /// Whether a payload of `bytes` may be passed inline through the
-    /// service (otherwise it must be a `RemoteFile`).
-    pub fn payload_allowed(&self, bytes: u64) -> bool {
-        bytes <= self.max_payload_bytes
-    }
-
-    /// Expected time from task completion on the endpoint until the client
-    /// observes the result: half a poll interval on average plus the result
-    /// latency.
-    pub fn expected_poll_delay(&self) -> SimDuration {
-        self.poll_interval / 2 + self.result_latency
     }
 }
 
@@ -105,13 +76,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn payload_limit_is_10mb() {
-        let m = FaasServiceModel::default();
-        assert!(m.payload_allowed(10 * 1024 * 1024));
-        assert!(!m.payload_allowed(10 * 1024 * 1024 + 1));
-    }
-
-    #[test]
     fn jitter_stays_in_band() {
         let m = FaasServiceModel::default();
         let mut rng = SimRng::seed_from_u64(3);
@@ -121,23 +85,5 @@ mod tests {
             let d = m.sample_dispatch(&mut rng);
             assert!(d >= lo && d <= hi, "d={d:?}");
         }
-    }
-
-    #[test]
-    fn instant_model_has_no_latency() {
-        let m = FaasServiceModel::instant();
-        let mut rng = SimRng::seed_from_u64(3);
-        assert_eq!(m.sample_dispatch(&mut rng), SimDuration::ZERO);
-        assert_eq!(m.sample_result(&mut rng), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn expected_poll_delay() {
-        let m = FaasServiceModel {
-            poll_interval: SimDuration::from_millis(500),
-            result_latency: SimDuration::from_millis(100),
-            ..Default::default()
-        };
-        assert_eq!(m.expected_poll_delay(), SimDuration::from_millis(350));
     }
 }

@@ -309,20 +309,6 @@ impl FabricTiming {
         }
         Ok(())
     }
-
-    /// Missed-beat count at which a connection turns Suspect.
-    pub fn suspect_misses(&self) -> u64 {
-        Self::misses(self.suspect_after, self.heartbeat_interval)
-    }
-
-    /// Missed-beat count at which a connection is declared dead.
-    pub fn down_misses(&self) -> u64 {
-        Self::misses(self.down_after, self.heartbeat_interval)
-    }
-
-    fn misses(threshold: Duration, interval: Duration) -> u64 {
-        (threshold.as_micros().div_ceil(interval.as_micros().max(1))).max(1) as u64
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -662,20 +648,6 @@ mod tests {
         ] {
             assert!(t.validate().is_err());
         }
-    }
-
-    #[test]
-    fn timing_miss_thresholds() {
-        let t = FabricTiming {
-            heartbeat_interval: Duration::from_millis(100),
-            suspect_after: Duration::from_millis(250),
-            down_after: Duration::from_millis(1000),
-            ..FabricTiming::default()
-        };
-        assert_eq!(t.validate(), Ok(()));
-        assert_eq!(t.suspect_misses(), 3);
-        assert_eq!(t.down_misses(), 10);
-        assert!(t.suspect_misses() < t.down_misses());
     }
 
     #[test]

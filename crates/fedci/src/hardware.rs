@@ -12,9 +12,6 @@
 pub struct ClusterSpec {
     /// Human-readable name.
     pub name: String,
-    /// CPU model string (informational; feeds the execution profiler's
-    /// feature vector via `cpu_ghz`).
-    pub cpu_model: String,
     /// Base clock of the CPU in GHz.
     pub cpu_ghz: f64,
     /// Physical cores per node.
@@ -33,17 +30,11 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// Total cores across the cluster.
-    pub fn total_cores(&self) -> u64 {
-        self.cores_per_node as u64 * self.nodes as u64
-    }
-
     /// **Taiyi** — 2.5 PF supercomputer (Table II): 2× Xeon Gold 6148
     /// @2.4 GHz, 192 GB, 815 nodes. Newest hardware, longest queue.
     pub fn taiyi() -> Self {
         ClusterSpec {
             name: "Taiyi".into(),
-            cpu_model: "2x Xeon Gold 6148".into(),
             cpu_ghz: 2.4,
             cores_per_node: 40,
             ram_gb: 192,
@@ -58,7 +49,6 @@ impl ClusterSpec {
     pub fn qiming() -> Self {
         ClusterSpec {
             name: "Qiming".into(),
-            cpu_model: "2x Xeon E5-2690".into(),
             cpu_ghz: 2.6,
             cores_per_node: 16,
             ram_gb: 64,
@@ -73,7 +63,6 @@ impl ClusterSpec {
     pub fn dept_cluster() -> Self {
         ClusterSpec {
             name: "Dept. cluster".into(),
-            cpu_model: "2x Xeon Platinum 8260".into(),
             cpu_ghz: 2.4,
             cores_per_node: 48,
             ram_gb: 770,
@@ -88,7 +77,6 @@ impl ClusterSpec {
     pub fn lab_cluster() -> Self {
         ClusterSpec {
             name: "Lab cluster".into(),
-            cpu_model: "2x Xeon Gold 5320".into(),
             cpu_ghz: 2.2,
             cores_per_node: 26,
             ram_gb: 128,
@@ -102,7 +90,6 @@ impl ClusterSpec {
     pub fn workstation() -> Self {
         ClusterSpec {
             name: "Workstation".into(),
-            cpu_model: "Core i5-9400".into(),
             cpu_ghz: 2.9,
             cores_per_node: 6,
             ram_gb: 16,
@@ -123,20 +110,20 @@ impl ClusterSpec {
     }
 }
 
-/// The paper's full testbed in Table II order.
-pub fn table2_testbed() -> Vec<ClusterSpec> {
-    vec![
-        ClusterSpec::taiyi(),
-        ClusterSpec::qiming(),
-        ClusterSpec::dept_cluster(),
-        ClusterSpec::lab_cluster(),
-        ClusterSpec::workstation(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper's full testbed in Table II order.
+    fn table2_testbed() -> Vec<ClusterSpec> {
+        vec![
+            ClusterSpec::taiyi(),
+            ClusterSpec::qiming(),
+            ClusterSpec::dept_cluster(),
+            ClusterSpec::lab_cluster(),
+            ClusterSpec::workstation(),
+        ]
+    }
 
     #[test]
     fn table2_matches_paper() {
@@ -168,8 +155,9 @@ mod tests {
 
     #[test]
     fn total_cores() {
-        assert_eq!(ClusterSpec::lab_cluster().total_cores(), 52);
-        assert_eq!(ClusterSpec::taiyi().total_cores(), 32_600);
+        let cores = |c: ClusterSpec| c.cores_per_node as u64 * c.nodes as u64;
+        assert_eq!(cores(ClusterSpec::lab_cluster()), 52);
+        assert_eq!(cores(ClusterSpec::taiyi()), 32_600);
     }
 
     #[test]

@@ -29,14 +29,6 @@ impl Link {
         }
     }
 
-    /// A fast campus/metro link.
-    pub fn campus() -> Self {
-        Link {
-            bandwidth_bps: 500.0 * 1024.0 * 1024.0,
-            latency: SimDuration::from_millis(2),
-        }
-    }
-
     /// A wide-area research link (the common case between sites). The
     /// bandwidth is calibrated to the paper's observed behaviour: tens of
     /// GB moved over thousands of seconds implies shared links sustaining
@@ -140,9 +132,9 @@ mod tests {
     fn uniform_default_and_override() {
         let mut net = NetworkTopology::uniform(3, Link::wan());
         assert_eq!(net.link(ep(0), ep(1)), Link::wan());
-        net.set_link(ep(0), ep(2), Link::campus());
-        assert_eq!(net.link(ep(0), ep(2)), Link::campus());
-        assert_eq!(net.link(ep(2), ep(0)), Link::campus(), "symmetric");
+        net.set_link(ep(0), ep(2), Link::lan());
+        assert_eq!(net.link(ep(0), ep(2)), Link::lan());
+        assert_eq!(net.link(ep(2), ep(0)), Link::lan(), "symmetric");
         assert_eq!(net.link(ep(1), ep(2)), Link::wan());
     }
 
@@ -173,8 +165,7 @@ mod tests {
 
     #[test]
     fn link_presets_ordering() {
-        assert!(Link::lan().bandwidth_bps > Link::campus().bandwidth_bps);
-        assert!(Link::campus().bandwidth_bps > Link::wan().bandwidth_bps);
+        assert!(Link::lan().bandwidth_bps > Link::wan().bandwidth_bps);
         assert!(Link::lan().latency < Link::wan().latency);
     }
 }

@@ -11,9 +11,7 @@
 //! m   = β S Xᵀ y              (mean)
 //! ```
 //!
-//! Predictions report both the posterior mean and the predictive variance
-//! `σ²(x) = 1/β + xᵀ S x` — the uncertainty lets a scheduler discount
-//! endpoints whose models are still poorly constrained (few observations).
+//! Predictions are the posterior mean.
 
 use crate::dataset::Dataset;
 use crate::matrix::{solve, Matrix};
@@ -24,44 +22,7 @@ use crate::{Regressor, Trainer};
 pub struct BayesianLinearModel {
     /// Posterior mean weights, `[intercept, w_1, ..., w_d]`.
     mean: Vec<f64>,
-    /// Posterior covariance `S` ((d+1) × (d+1), row-major).
-    cov: Vec<f64>,
-    /// Noise precision β.
-    beta: f64,
     d1: usize,
-}
-
-impl BayesianLinearModel {
-    /// Posterior-mean prediction for a raw feature vector.
-    pub fn predict_mean(&self, features: &[f64]) -> f64 {
-        debug_assert_eq!(features.len() + 1, self.d1);
-        let mut y = self.mean[0];
-        for (w, x) in self.mean[1..].iter().zip(features) {
-            y += w * x;
-        }
-        y
-    }
-
-    /// Predictive standard deviation at a feature vector: observation noise
-    /// plus parameter uncertainty.
-    pub fn predict_std(&self, features: &[f64]) -> f64 {
-        let phi = design_row(features);
-        // xᵀ S x
-        let mut quad = 0.0;
-        for i in 0..self.d1 {
-            let mut row = 0.0;
-            for j in 0..self.d1 {
-                row += self.cov[i * self.d1 + j] * phi[j];
-            }
-            quad += phi[i] * row;
-        }
-        (1.0 / self.beta + quad.max(0.0)).sqrt()
-    }
-
-    /// Posterior mean weights (index 0 is the intercept).
-    pub fn weights(&self) -> &[f64] {
-        &self.mean
-    }
 }
 
 fn design_row(features: &[f64]) -> Vec<f64> {
@@ -72,8 +33,14 @@ fn design_row(features: &[f64]) -> Vec<f64> {
 }
 
 impl Regressor for BayesianLinearModel {
+    /// Posterior-mean prediction for a raw feature vector.
     fn predict(&self, features: &[f64]) -> f64 {
-        self.predict_mean(features)
+        debug_assert_eq!(features.len() + 1, self.d1);
+        let mut y = self.mean[0];
+        for (w, x) in self.mean[1..].iter().zip(features) {
+            y += w * x;
+        }
+        y
     }
 
     fn n_features(&self) -> usize {
@@ -128,23 +95,7 @@ impl Trainer for BayesianLinearRegression {
 
         // Posterior mean solves A m = b.
         let mean = solve(&a, &b)?;
-
-        // Posterior covariance S = A⁻¹, column by column.
-        let mut cov = vec![0.0; d1 * d1];
-        for col in 0..d1 {
-            let mut e = vec![0.0; d1];
-            e[col] = 1.0;
-            let s_col = solve(&a, &e)?;
-            for (row, v) in s_col.iter().enumerate() {
-                cov[row * d1 + col] = *v;
-            }
-        }
-        Some(BayesianLinearModel {
-            mean,
-            cov,
-            beta: self.beta,
-            d1,
-        })
+        Some(BayesianLinearModel { mean, d1 })
     }
 }
 
@@ -166,8 +117,8 @@ mod tests {
         let m = BayesianLinearRegression::default()
             .fit(&line_data(30))
             .unwrap();
-        assert!((m.weights()[0] - 3.0).abs() < 0.05, "{:?}", m.weights());
-        assert!((m.weights()[1] - 2.0).abs() < 0.01);
+        assert!((m.mean[0] - 3.0).abs() < 0.05, "{:?}", m.mean);
+        assert!((m.mean[1] - 2.0).abs() < 0.01);
         assert!((m.predict(&[10.0]) - 23.0).abs() < 0.1);
         assert_eq!(m.n_features(), 1);
     }
@@ -187,27 +138,11 @@ mod tests {
         .fit(&line_data(5))
         .unwrap();
         assert!(
-            strong.weights()[1].abs() < weak.weights()[1].abs(),
+            strong.mean[1].abs() < weak.mean[1].abs(),
             "shrinkage: strong {:?} vs weak {:?}",
-            strong.weights(),
-            weak.weights()
+            strong.mean,
+            weak.mean
         );
-    }
-
-    #[test]
-    fn uncertainty_shrinks_with_data_and_grows_off_support() {
-        let few = BayesianLinearRegression::default()
-            .fit(&line_data(4))
-            .unwrap();
-        let many = BayesianLinearRegression::default()
-            .fit(&line_data(200))
-            .unwrap();
-        // More data → tighter posterior at the same point.
-        assert!(many.predict_std(&[2.0]) < few.predict_std(&[2.0]));
-        // Extrapolation is less certain than interpolation.
-        assert!(many.predict_std(&[10_000.0]) > many.predict_std(&[100.0]));
-        // Predictive std never drops below observation noise.
-        assert!(many.predict_std(&[100.0]) >= (1.0f64).sqrt() * 0.99);
     }
 
     #[test]

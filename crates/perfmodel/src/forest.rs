@@ -8,7 +8,7 @@
 
 use crate::dataset::Dataset;
 use crate::tree::{RegressionTree, TreeParams};
-use crate::{Regressor, Trainer};
+use crate::Regressor;
 use simkit::SimRng;
 
 /// Random-forest hyperparameters.
@@ -79,11 +79,6 @@ impl RandomForest {
             n_features: d,
         })
     }
-
-    /// Number of trees in the ensemble.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 impl Regressor for RandomForest {
@@ -94,21 +89,6 @@ impl Regressor for RandomForest {
 
     fn n_features(&self) -> usize {
         self.n_features
-    }
-}
-
-/// Trainer wrapper for the [`Trainer`] interface.
-#[derive(Clone, Debug, Default)]
-pub struct ForestTrainer {
-    /// Forest hyperparameters.
-    pub params: RandomForestParams,
-}
-
-impl Trainer for ForestTrainer {
-    type Model = RandomForest;
-
-    fn fit(&self, data: &Dataset) -> Option<RandomForest> {
-        RandomForest::fit(data, &self.params)
     }
 }
 
@@ -203,6 +183,6 @@ mod tests {
         let f = RandomForest::fit(&d, &RandomForestParams::default()).unwrap();
         assert_eq!(f.predict(&[5.0, 5.0]), 42.0);
         assert_eq!(f.n_features(), 2);
-        assert!(f.n_trees() > 0);
+        assert!(!f.trees.is_empty());
     }
 }

@@ -18,7 +18,7 @@
 //! profilers swap models, matching the paper's claim that "users can easily
 //! extend it to other appropriate performance models".
 
-pub mod bayes;
+mod bayes;
 pub mod dataset;
 pub mod forest;
 pub mod linreg;

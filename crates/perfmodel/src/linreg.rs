@@ -11,18 +11,6 @@ pub struct LinearModel {
     weights: Vec<f64>,
 }
 
-impl LinearModel {
-    /// Intercept term.
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
-    /// Feature weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-}
-
 impl Regressor for LinearModel {
     fn predict(&self, features: &[f64]) -> f64 {
         debug_assert_eq!(features.len(), self.weights.len());
@@ -91,9 +79,9 @@ mod tests {
             }
         }
         let model = LinearRegression::default().fit(&data).unwrap();
-        assert!((model.intercept() - 1.0).abs() < 1e-6);
-        assert!((model.weights()[0] - 2.0).abs() < 1e-6);
-        assert!((model.weights()[1] + 3.0).abs() < 1e-6);
+        assert!((model.intercept - 1.0).abs() < 1e-6);
+        assert!((model.weights[0] - 2.0).abs() < 1e-6);
+        assert!((model.weights[1] + 3.0).abs() < 1e-6);
         assert!((model.predict(&[10.0, 1.0]) - 18.0).abs() < 1e-5);
         assert_eq!(model.n_features(), 2);
     }

@@ -32,16 +32,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Element access.
     pub fn get(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.cols + c]
@@ -62,8 +52,8 @@ impl Matrix {
 /// elimination with partial pivoting. Returns `None` if `A` is singular to
 /// working precision.
 pub fn solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "solve requires a square matrix");
+    let n = a.rows;
+    assert_eq!(a.cols, n, "solve requires a square matrix");
     assert_eq!(b.len(), n, "rhs length mismatch");
 
     // Augmented working copy.
@@ -126,8 +116,8 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
 /// (e.g. `1e-9`) keeps the system well-conditioned when features are
 /// collinear — common when a workload has constant input sizes.
 pub fn least_squares(x: &Matrix, y: &[f64], ridge: f64) -> Option<Vec<f64>> {
-    let n = x.rows();
-    let d = x.cols();
+    let n = x.rows;
+    let d = x.cols;
     assert_eq!(y.len(), n, "target length mismatch");
     if n == 0 || d == 0 {
         return None;

@@ -7,7 +7,7 @@
 //! of candidate features per split (used by the forest for decorrelation).
 
 use crate::dataset::Dataset;
-use crate::{Regressor, Trainer};
+use crate::Regressor;
 use simkit::SimRng;
 
 /// Growth limits for a regression tree.
@@ -77,28 +77,6 @@ impl RegressionTree {
         let indices: Vec<usize> = (0..data.len()).collect();
         tree.grow(data, indices, 0, params, features_per_split, rng);
         Some(tree)
-    }
-
-    /// Number of nodes (leaves + splits).
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Depth of the tree (single leaf = 0).
-    pub fn depth(&self) -> usize {
-        fn depth_of(nodes: &[Node], i: usize) -> usize {
-            match &nodes[i] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => {
-                    1 + depth_of(nodes, *left).max(depth_of(nodes, *right))
-                }
-            }
-        }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            depth_of(&self.nodes, 0)
-        }
     }
 
     fn grow(
@@ -257,21 +235,6 @@ impl Regressor for RegressionTree {
     }
 }
 
-/// Trainer wrapper so trees satisfy the [`Trainer`] interface.
-#[derive(Clone, Debug, Default)]
-pub struct TreeTrainer {
-    /// Growth limits.
-    pub params: TreeParams,
-}
-
-impl Trainer for TreeTrainer {
-    type Model = RegressionTree;
-
-    fn fit(&self, data: &Dataset) -> Option<RegressionTree> {
-        RegressionTree::fit(data, &self.params)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,8 +266,25 @@ mod tests {
             d.push(&[i as f64, (i * 2) as f64], 7.0);
         }
         let t = RegressionTree::fit(&d, &TreeParams::default()).unwrap();
-        assert_eq!(t.n_nodes(), 1);
+        assert_eq!(t.nodes.len(), 1);
         assert_eq!(t.predict(&[3.0, 6.0]), 7.0);
+    }
+
+    /// Depth of `t` (single leaf = 0).
+    fn depth(t: &RegressionTree) -> usize {
+        fn depth_of(nodes: &[Node], i: usize) -> usize {
+            match &nodes[i] {
+                Node::Leaf { .. } => 0,
+                Node::Split { left, right, .. } => {
+                    1 + depth_of(nodes, *left).max(depth_of(nodes, *right))
+                }
+            }
+        }
+        if t.nodes.is_empty() {
+            0
+        } else {
+            depth_of(&t.nodes, 0)
+        }
     }
 
     #[test]
@@ -322,7 +302,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(t.depth() <= 3, "depth={}", t.depth());
+        assert!(depth(&t) <= 3, "depth={}", depth(&t));
     }
 
     #[test]
@@ -341,7 +321,7 @@ mod tests {
         )
         .unwrap();
         // Only one split (5/5) is possible.
-        assert!(t.n_nodes() <= 3, "nodes={}", t.n_nodes());
+        assert!(t.nodes.len() <= 3, "nodes={}", t.nodes.len());
     }
 
     #[test]
@@ -371,7 +351,7 @@ mod tests {
             d.push(&[1.0], i as f64);
         }
         let t = RegressionTree::fit(&d, &TreeParams::default()).unwrap();
-        assert_eq!(t.n_nodes(), 1);
+        assert_eq!(t.nodes.len(), 1);
         assert!((t.predict(&[1.0]) - 4.5).abs() < 1e-9);
     }
 

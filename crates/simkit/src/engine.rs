@@ -29,10 +29,9 @@ impl<E> JournalTap<E> {
 /// A generic discrete-event simulation engine.
 ///
 /// The engine owns the clock and the future-event list. The application
-/// defines an event enum `E` and drives the simulation with [`Engine::run`]
-/// (or [`Engine::run_until`] / [`Engine::step`] for finer control). The
-/// handler receives `(now, event, &mut Engine)` so it can schedule follow-up
-/// events.
+/// defines an event enum `E` and drives the simulation with [`Engine::run`].
+/// The handler receives `(now, event, &mut Engine)` so it can schedule
+/// follow-up events.
 pub struct Engine<E> {
     queue: EventQueue<E>,
     now: SimTime,
@@ -167,7 +166,7 @@ impl<E> Engine<E> {
 
     /// Delivers the next event, advancing the clock, and returns false when
     /// the queue is empty.
-    pub fn step<F: FnMut(SimTime, E, &mut Engine<E>)>(&mut self, handler: &mut F) -> bool {
+    fn step<F: FnMut(SimTime, E, &mut Engine<E>)>(&mut self, handler: &mut F) -> bool {
         // Take the event out first so the handler can mutably borrow the
         // engine while we hold the payload.
         match self.queue.pop() {
@@ -188,31 +187,6 @@ impl<E> Engine<E> {
     /// Runs until the event queue drains.
     pub fn run<F: FnMut(SimTime, E, &mut Engine<E>)>(&mut self, mut handler: F) {
         while self.step(&mut handler) {}
-    }
-
-    /// Runs until the event queue drains or the clock passes `deadline`
-    /// (events strictly after the deadline remain queued). Returns the
-    /// number of events delivered.
-    pub fn run_until<F: FnMut(SimTime, E, &mut Engine<E>)>(
-        &mut self,
-        deadline: SimTime,
-        mut handler: F,
-    ) -> u64 {
-        let before = self.processed;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            if !self.step(&mut handler) {
-                break;
-            }
-        }
-        // Advance the clock to the deadline even if the queue drained early,
-        // so repeated run_until calls observe monotonic time.
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.processed - before
     }
 }
 
@@ -254,25 +228,6 @@ mod tests {
         assert_eq!(count, 10);
         assert_eq!(eng.now(), SimTime::from_secs(9));
         assert_eq!(eng.processed(), 10);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let mut eng = Engine::new();
-        for s in 1..=10 {
-            eng.schedule(SimTime::from_secs(s), Ev::Tick(s as u32));
-        }
-        let n = eng.run_until(SimTime::from_secs(4), |_, _, _| {});
-        assert_eq!(n, 4);
-        assert_eq!(eng.pending(), 6);
-        assert_eq!(eng.now(), SimTime::from_secs(4));
-    }
-
-    #[test]
-    fn run_until_advances_clock_when_queue_drains() {
-        let mut eng: Engine<Ev> = Engine::new();
-        eng.run_until(SimTime::from_secs(100), |_, _, _| {});
-        assert_eq!(eng.now(), SimTime::from_secs(100));
     }
 
     #[test]

@@ -51,9 +51,9 @@ const CHUNK_MAGIC: u32 = 0x4b4e_4843;
 const TRAILER_MAGIC: u32 = 0x524c_5254;
 
 /// Encoded size of one record in bytes.
-pub const RECORD_BYTES: usize = 34;
+const RECORD_BYTES: usize = 34;
 /// Default number of records per chunk.
-pub const DEFAULT_CHUNK_RECORDS: u32 = 4096;
+const DEFAULT_CHUNK_RECORDS: u32 = 4096;
 
 /// Bit set on `kind` for application note records (scheduler decisions and
 /// similar annotations interleaved with delivered events). The journal
@@ -230,11 +230,6 @@ impl JournalWriter {
     /// Records written so far.
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// Current rolling digest over everything appended so far.
-    pub fn digest(&self) -> u64 {
-        self.digest
     }
 
     fn flush_chunk(&mut self) {
@@ -464,19 +459,6 @@ impl Journal {
         self.clean
     }
 
-    /// Decodes the records of chunk `i`.
-    pub fn chunk_records_vec(&self, i: usize) -> Vec<JournalRecord> {
-        let meta = &self.chunks[i];
-        let mut out = Vec::with_capacity(meta.records as usize);
-        for r in 0..meta.records as usize {
-            let start = meta.offset + r * RECORD_BYTES;
-            out.push(JournalRecord::decode(
-                &self.data[start..start + RECORD_BYTES],
-            ));
-        }
-        out
-    }
-
     /// Decodes record `index` (global, 0-based), or `None` past the end.
     pub fn record(&self, index: u64) -> Option<JournalRecord> {
         if index >= self.total_records {
@@ -556,7 +538,6 @@ mod tests {
         assert_eq!(j.record(0), Some(recs[0]));
         assert_eq!(j.record(9), Some(recs[9]));
         assert_eq!(j.record(10), None);
-        assert_eq!(j.chunk_records_vec(2), recs[8..10].to_vec());
         // Chunk digests form a strictly evolving prefix chain.
         assert_ne!(j.chunk(0).digest, j.chunk(1).digest);
         assert_eq!(j.chunk(2).digest, summary.digest);

@@ -32,7 +32,7 @@ use std::thread::JoinHandle;
 // ---------------------------------------------------------------------------
 
 /// Default relative-error bound for [`LogHistogram`] (2%).
-pub const DEFAULT_RELATIVE_ERROR: f64 = 0.02;
+const DEFAULT_RELATIVE_ERROR: f64 = 0.02;
 
 /// A mergeable log-bucketed histogram with bounded relative error.
 ///
@@ -76,7 +76,7 @@ impl LogHistogram {
 
     /// Creates a histogram whose quantile estimates are within `alpha`
     /// relative error. `alpha` must be in `(0, 1)`.
-    pub fn with_relative_error(alpha: f64) -> Self {
+    fn with_relative_error(alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
         let gamma = (1.0 + alpha) / (1.0 - alpha);
         LogHistogram {
@@ -203,7 +203,7 @@ impl LogHistogram {
     /// cumulative_count)` pairs in increasing bound order. The zero bucket
     /// is folded into the first (smallest) bound. Does not include `+Inf`;
     /// the caller appends it with [`LogHistogram::count`].
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
+    fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
         let mut out = Vec::with_capacity(self.buckets.len() + 1);
         let mut cum = self.zero;
         if self.zero > 0 && self.buckets.is_empty() {
@@ -424,16 +424,6 @@ impl MetricsRegistry {
         if let Some(h) = self.series[id.0 as usize].histo.as_mut() {
             h.observe(x);
         }
-    }
-
-    /// Current value of a counter (0 when disabled).
-    pub fn counter_value(&self, id: CounterId) -> f64 {
-        self.series[id.0 as usize].value
-    }
-
-    /// Current value of a gauge (0 when disabled).
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.series[id.0 as usize].value
     }
 
     /// The sketch behind a histogram handle, or `None` when disabled.
@@ -772,8 +762,8 @@ impl MetricsServer {
         self.addr
     }
 
-    /// Stops the background thread. Also invoked on drop.
-    pub fn stop(&mut self) {
+    /// Stops the background thread.
+    fn stop(&mut self) {
         if let Some(handle) = self.handle.take() {
             self.stop.store(true, Ordering::SeqCst);
             // Wake the accept loop with a throwaway connection.
@@ -990,8 +980,8 @@ mod tests {
         reg.inc(c, 5.0);
         reg.set(g, 3.0);
         reg.observe(h, 1.0);
-        assert_eq!(reg.counter_value(c), 0.0);
-        assert_eq!(reg.gauge_value(g), 0.0);
+        assert_eq!(reg.series[c.0 as usize].value, 0.0);
+        assert_eq!(reg.series[g.0 as usize].value, 0.0);
         assert!(reg.histogram_sketch(h).is_none());
         assert_eq!(reg.render_prometheus(), "");
         assert_eq!(reg.len(), 3);
@@ -1007,7 +997,7 @@ mod tests {
         assert_ne!(a, c);
         reg.inc(a, 1.0);
         reg.inc(b, 1.0);
-        assert_eq!(reg.counter_value(a), 2.0);
+        assert_eq!(reg.series[a.0 as usize].value, 2.0);
     }
 
     #[test]

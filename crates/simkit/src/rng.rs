@@ -66,7 +66,7 @@ impl SimRng {
     }
 
     /// Standard normal via Box–Muller (with caching of the second variate).
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
@@ -80,7 +80,7 @@ impl SimRng {
     }
 
     /// Normal with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
+    fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.standard_normal()
     }
 
@@ -108,42 +108,6 @@ impl SimRng {
         let sigma2 = (1.0 + cv * cv).ln();
         let mu = mean.ln() - sigma2 / 2.0;
         (mu + sigma2.sqrt() * self.standard_normal()).exp()
-    }
-
-    /// Exponential with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        debug_assert!(mean > 0.0);
-        let u = 1.0 - self.uniform01();
-        -mean * u.ln()
-    }
-
-    /// Pareto with scale `x_min` and shape `alpha` (> 0).
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        debug_assert!(x_min > 0.0 && alpha > 0.0);
-        let u = 1.0 - self.uniform01();
-        x_min / u.powf(1.0 / alpha)
-    }
-
-    /// Picks an index in `[0, weights.len())` with probability proportional
-    /// to the weights. Panics if all weights are non-positive.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
-        assert!(total > 0.0, "weighted_index requires a positive weight");
-        let mut x = self.uniform01() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if w <= 0.0 {
-                continue;
-            }
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        // Floating-point slop: return the last positive-weight index.
-        weights
-            .iter()
-            .rposition(|w| *w > 0.0)
-            .expect("checked above")
     }
 
     /// Fisher–Yates shuffle.
@@ -227,47 +191,12 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_close() {
-        let mut r = rng();
-        let n = 100_000;
-        let mean = (0..n).map(|_| r.exponential(4.0)).sum::<f64>() / n as f64;
-        assert!((mean - 4.0).abs() < 0.1, "mean={mean}");
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut r = rng();
-        for _ in 0..1_000 {
-            assert!(r.pareto(2.0, 1.5) >= 2.0);
-        }
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut r = rng();
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
         assert!(!r.chance(-1.0));
         assert!(r.chance(2.0));
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut r = rng();
-        let w = [0.0, 1.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[r.weighted_index(&w)] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        let ratio = counts[2] as f64 / counts[1] as f64;
-        assert!((ratio - 3.0).abs() < 0.25, "ratio={ratio}");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive weight")]
-    fn weighted_index_rejects_all_zero() {
-        rng().weighted_index(&[0.0, 0.0]);
     }
 
     #[test]

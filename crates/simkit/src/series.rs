@@ -136,12 +136,6 @@ impl SeriesSet {
         Self::default()
     }
 
-    /// Returns the series with the given label, creating it if needed.
-    pub fn series_mut(&mut self, label: &str) -> &mut TimeSeries {
-        let h = self.handle(label);
-        &mut self.entries[h.0].1
-    }
-
     /// Interns `label` and returns a stable O(1) handle to its series,
     /// creating the series if needed. Resolve once, record many times.
     pub fn handle(&mut self, label: &str) -> SeriesHandle {
@@ -150,11 +144,6 @@ impl SeriesSet {
         }
         self.entries.push((label.to_string(), TimeSeries::new()));
         SeriesHandle(self.entries.len() - 1)
-    }
-
-    /// The series behind a handle (O(1), no label lookup).
-    pub fn at(&self, h: SeriesHandle) -> &TimeSeries {
-        &self.entries[h.0].1
     }
 
     /// Mutable access to the series behind a handle (O(1)).
@@ -348,9 +337,10 @@ mod tests {
     #[test]
     fn series_set_roundtrip() {
         let mut set = SeriesSet::new();
-        set.series_mut("ep1").record(t(0), 1.0);
-        set.series_mut("ep2").record(t(0), 2.0);
-        set.series_mut("ep1").record(t(1), 3.0);
+        let (h1, h2) = (set.handle("ep1"), set.handle("ep2"));
+        set.at_mut(h1).record(t(0), 1.0);
+        set.at_mut(h2).record(t(0), 2.0);
+        set.at_mut(h1).record(t(1), 3.0);
         assert_eq!(set.len(), 2);
         assert_eq!(set.get("ep1").unwrap().value_at(t(1)), 3.0);
         assert!(set.get("nope").is_none());
@@ -370,18 +360,5 @@ mod tests {
         let c = set.handle("ep3");
         assert_ne!(c, a);
         assert_eq!(set.handle("ep1"), a);
-    }
-
-    #[test]
-    fn recording_through_handle_matches_label_path() {
-        let mut set = SeriesSet::new();
-        let h = set.handle("ep1");
-        set.at_mut(h).record(t(0), 1.0);
-        set.series_mut("ep1").record(t(1), 2.0);
-        set.at_mut(h).record(t(2), 3.0);
-        // Both paths hit the same series.
-        assert_eq!(set.get("ep1").unwrap().points().len(), 3);
-        assert_eq!(set.at(h).value_at(t(2)), 3.0);
-        assert_eq!(set.len(), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Online statistics used throughout the monitors and profilers.
 
-/// Welford's online algorithm for mean and variance, plus min/max tracking.
+/// Running mean (Welford's update), plus min/max tracking.
 ///
 /// Numerically stable for long streams of task-duration observations fed in
 /// by the task monitor.
@@ -8,7 +8,6 @@
 pub struct OnlineStats {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -19,7 +18,6 @@ impl OnlineStats {
         OnlineStats {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -34,8 +32,6 @@ impl OnlineStats {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
-        let delta2 = x - self.mean;
-        self.m2 += delta * delta2;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -54,20 +50,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (`None` if empty).
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -83,7 +65,7 @@ impl OnlineStats {
         self.mean() * self.n as f64
     }
 
-    /// Merges another accumulator into this one (parallel Welford).
+    /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.n == 0 {
             return;
@@ -97,7 +79,6 @@ impl OnlineStats {
         let delta = other.mean - self.mean;
         let total = n1 + n2;
         self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.n += other.n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -117,7 +98,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
         assert!((s.sum() - 40.0).abs() < 1e-9);
@@ -127,7 +107,6 @@ mod tests {
     fn empty_stats_are_safe() {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
     }
@@ -149,7 +128,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
     }
 
     #[test]
@@ -168,7 +146,7 @@ mod tests {
     #[test]
     fn merge_single_sample() {
         // Folding a one-sample accumulator is the smallest non-trivial
-        // parallel-Welford case; variance must stay exact.
+        // merge case; the mean must stay exact.
         let mut a = OnlineStats::new();
         a.push(3.0);
         let mut b = OnlineStats::new();
@@ -176,7 +154,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert!((a.mean() - 5.0).abs() < 1e-12);
-        assert!((a.variance() - 4.0).abs() < 1e-12);
         assert_eq!(a.min(), Some(3.0));
         assert_eq!(a.max(), Some(7.0));
     }
@@ -201,7 +178,6 @@ mod tests {
         a.push(4.0);
         assert_eq!(a.count(), 2);
         assert!((a.mean() - 3.0).abs() < 1e-12);
-        assert!(!a.variance().is_nan());
         // Merging an accumulator that only ever saw NaN is a no-op.
         let mut nan_only = OnlineStats::new();
         nan_only.push(f64::NAN);

@@ -9,7 +9,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Number of microseconds per second.
-pub const MICROS_PER_SEC: u64 = 1_000_000;
+const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// An absolute instant on the simulation clock, in microseconds since the
 /// start of the simulation.
@@ -61,11 +61,6 @@ impl SimTime {
     /// the future.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked subtraction; `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
     }
 }
 
@@ -282,8 +277,6 @@ mod tests {
         let b = SimTime::from_secs(8);
         assert_eq!(b.saturating_since(a), SimDuration::from_secs(3));
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(a.checked_since(b), None);
-        assert_eq!(b.checked_since(a), Some(SimDuration::from_secs(3)));
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::time::SimTime;
 use std::collections::HashMap;
 use std::io::{self, Write};
 
-/// How much the tracer records. Parsed from `--trace-level`.
+/// How much the tracer records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceLevel {
     /// Record nothing; every emit is a no-op (the default).
@@ -59,20 +59,6 @@ pub enum TraceLevel {
     /// Record everything, including per-sim-event instants and scheduler
     /// decision records.
     Full,
-}
-
-impl TraceLevel {
-    /// Parses a level name as accepted by `--trace-level`.
-    ///
-    /// Accepts `off`, `spans` and `full` (case-insensitive).
-    pub fn parse(s: &str) -> Option<TraceLevel> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" => Some(TraceLevel::Off),
-            "spans" => Some(TraceLevel::Spans),
-            "full" => Some(TraceLevel::Full),
-            _ => None,
-        }
-    }
 }
 
 /// An interned label: an index into the tracer's string table.
@@ -190,11 +176,6 @@ impl Tracer {
         self.level == TraceLevel::Full
     }
 
-    /// The active level.
-    pub fn level(&self) -> TraceLevel {
-        self.level
-    }
-
     /// Interns `label`, returning a stable id. Repeated calls with the
     /// same string return the same id. Works on disabled tracers too so
     /// setup code does not need to special-case them.
@@ -275,17 +256,6 @@ impl Tracer {
         }
         self.counter_values[name.0 as usize] = value;
         self.push(at, TraceEvent::Counter { name, value });
-    }
-
-    /// Adds `delta` to the named counter and records a timeline sample.
-    /// No-op when disabled.
-    #[inline]
-    pub fn counter_add(&mut self, at: SimTime, name: LabelId, delta: f64) {
-        if !self.enabled() {
-            return;
-        }
-        let value = self.counter_values[name.0 as usize] + delta;
-        self.counter(at, name, value);
     }
 
     /// Number of records currently held in the ring.
@@ -620,21 +590,13 @@ mod tests {
     fn counters_accumulate_and_snapshot() {
         let mut tr = Tracer::new(TraceLevel::Spans, 16);
         let c = tr.intern("tasks.done");
-        tr.counter_add(t(1), c, 1.0);
-        tr.counter_add(t(2), c, 1.0);
+        tr.counter(t(1), c, 1.0);
+        tr.counter(t(2), c, 2.0);
         tr.counter(t(3), c, 10.0);
         let snap = tr.counters_snapshot();
         assert!(snap.contains("tasks.done 10"), "snapshot: {snap}");
         assert!(snap.contains("trace.records 3"));
         assert!(snap.contains("trace.dropped 0"));
-    }
-
-    #[test]
-    fn level_parsing() {
-        assert_eq!(TraceLevel::parse("off"), Some(TraceLevel::Off));
-        assert_eq!(TraceLevel::parse("SPANS"), Some(TraceLevel::Spans));
-        assert_eq!(TraceLevel::parse("Full"), Some(TraceLevel::Full));
-        assert_eq!(TraceLevel::parse("bogus"), None);
     }
 
     #[test]

@@ -127,19 +127,6 @@ pub fn extend_priorities<C: CostEstimator>(dag: &Dag, costs: &C, prio: &mut Vec<
     }
 }
 
-/// Task ids sorted by descending priority (stable: ties keep creation
-/// order, which is topological, preserving the predecessor-first property).
-pub fn priority_order<C: CostEstimator>(dag: &Dag, costs: &C) -> Vec<TaskId> {
-    let prio = priorities(dag, costs);
-    let mut ids: Vec<TaskId> = dag.task_ids().collect();
-    ids.sort_by(|a, b| {
-        prio[b.index()]
-            .partial_cmp(&prio[a.index()])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    ids
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,28 +289,6 @@ mod tests {
             dag.add_task(spec(1.0), &deps);
             extend_priorities(&dag, &costs, &mut prio);
             assert_eq!(prio, priorities(&dag, &costs), "diverged at task {i}");
-        }
-    }
-
-    #[test]
-    fn priority_order_is_dependency_safe() {
-        let mut dag = Dag::new();
-        let mut prev = dag.add_task(spec(1.0), &[]);
-        for _ in 0..20 {
-            prev = dag.add_task(spec(1.0), &[prev]);
-        }
-        // Add a second, heavier chain to create priority interleavings.
-        let mut p2 = dag.add_task(spec(5.0), &[]);
-        for _ in 0..5 {
-            p2 = dag.add_task(spec(5.0), &[p2]);
-        }
-        let order = priority_order(&dag, &exec_costs(&dag));
-        let mut seen = vec![false; dag.len()];
-        for t in order {
-            for p in dag.preds(t) {
-                assert!(seen[p.index()], "{p} must be ordered before {t}");
-            }
-            seen[t.index()] = true;
         }
     }
 }

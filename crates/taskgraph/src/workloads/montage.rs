@@ -58,7 +58,7 @@ impl MontageParams {
     }
 
     /// Total number of tasks this parameterization creates.
-    pub fn n_tasks(&self) -> usize {
+    fn n_tasks(&self) -> usize {
         2 * self.n_tiles + self.n_overlaps + 6
     }
 }

@@ -59,12 +59,6 @@ pub fn layered_bag(width: usize, depth: usize, seconds: f64) -> Dag {
     dag
 }
 
-/// The "stress-1m" scalability workload: one million 1 s tasks as four
-/// 250,000-wide layers of [`layered_bag`].
-pub fn million() -> Dag {
-    layered_bag(250_000, 4, 1.0)
-}
-
 /// The Fig. 5 "hello world" workload: a single ~1 s task reading a 1 MB
 /// input file from the home endpoint.
 pub fn hello_world() -> Dag {

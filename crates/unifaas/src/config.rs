@@ -18,9 +18,6 @@ use simkit::{SimDuration, SimTime};
 pub struct EndpointConfig {
     /// Human-readable label.
     pub label: String,
-    /// Pseudo-UUID identifying the deployed endpoint (informational; the
-    /// sim substrate derives identity from position).
-    pub uuid: String,
     /// The cluster this endpoint runs on.
     pub cluster: ClusterSpec,
     /// Workers provisioned at start.
@@ -37,7 +34,6 @@ impl EndpointConfig {
     pub fn new(label: &str, cluster: ClusterSpec, workers: usize) -> Self {
         EndpointConfig {
             label: label.to_string(),
-            uuid: derive_uuid(label),
             cluster,
             workers,
             max_workers: workers,
@@ -54,24 +50,6 @@ impl EndpointConfig {
         self.workers_per_node = per_node;
         self
     }
-}
-
-/// Deterministically derives a printable UUID-shaped string from a label,
-/// standing in for the UUID funcX assigns at deployment.
-fn derive_uuid(label: &str) -> String {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in label.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    format!(
-        "{:08x}-{:04x}-{:04x}-{:04x}-{:012x}",
-        (h >> 32) as u32,
-        (h >> 16) as u16,
-        h as u16,
-        (h >> 48) as u16,
-        h & 0xffff_ffff_ffff
-    )
 }
 
 /// Which scheduling algorithm maps tasks to endpoints (Table I).
@@ -205,8 +183,6 @@ pub struct ScalingConfig {
     pub enabled: bool,
     /// Endpoint-side idle interval after which idle workers are released.
     pub idle_timeout: SimDuration,
-    /// Cadence of the multi-endpoint scaling loop.
-    pub interval: SimDuration,
     /// Which policy plans the scaling commands.
     pub policy: ScalingPolicyKind,
 }
@@ -216,7 +192,6 @@ impl Default for ScalingConfig {
         ScalingConfig {
             enabled: false,
             idle_timeout: SimDuration::from_secs(30),
-            interval: SimDuration::from_secs(1),
             policy: ScalingPolicyKind::Default,
         }
     }
@@ -225,12 +200,10 @@ impl Default for ScalingConfig {
 /// Full deployment configuration.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// The federated resource pool.
+    /// The federated resource pool. The last entry is the *home*
+    /// endpoint, where the client runs and workflow-initial data lives:
+    /// the zero-worker workstation [`ConfigBuilder::build`] appends.
     pub endpoints: Vec<EndpointConfig>,
-    /// Index (into `endpoints`) of the *home* endpoint: where the client
-    /// runs and where workflow-initial data lives. Defaults to an implicit
-    /// zero-worker "workstation" appended to the pool.
-    pub home: Option<usize>,
     /// Scheduling algorithm.
     pub strategy: SchedulingStrategy,
     /// Data transfer mechanism (Globus or rsync).
@@ -257,8 +230,6 @@ pub struct Config {
     pub exec_noise_cv: f64,
     /// Scheduled capacity changes (dynamic-resource experiments).
     pub capacity_events: Vec<CapacityEvent>,
-    /// DHA re-scheduling cadence.
-    pub reschedule_interval: SimDuration,
     /// Faults to inject (`task-fail`, `transfer-fail`, `down`, `swallow`,
     /// `delay`; see [`fedci::fault`]). Empty by default.
     pub faults: FaultPlan,
@@ -299,14 +270,6 @@ impl Config {
                 max: MAX_ENDPOINTS,
             });
         }
-        if let Some(h) = self.home {
-            if h >= self.endpoints.len() {
-                return Err(UniFaasError::InvalidConfig(format!(
-                    "home index {h} out of range ({} endpoints)",
-                    self.endpoints.len()
-                )));
-            }
-        }
         if self
             .endpoints
             .iter()
@@ -343,34 +306,12 @@ impl Config {
                 "retry backoff factor must be >= 1".into(),
             ));
         }
-        // A periodic tick re-arms at `now + interval` while the run can
-        // progress, so a zero interval on an armed tick stops virtual time.
-        let rescheduling = matches!(
-            self.strategy,
-            SchedulingStrategy::Dha { rescheduling: true }
-                | SchedulingStrategy::DhaCustom {
-                    rescheduling: true,
-                    ..
-                }
-        );
-        for (name, armed, interval) in [
-            (
-                "re-scheduling interval",
-                rescheduling,
-                self.reschedule_interval,
-            ),
-            (
-                "scaling interval",
-                self.scaling.enabled,
-                self.scaling.interval,
-            ),
-            ("status sync interval", true, self.faas.status_sync_interval),
-        ] {
-            if armed && interval == SimDuration::ZERO {
-                return Err(UniFaasError::InvalidConfig(format!(
-                    "{name} must be positive"
-                )));
-            }
+        // The status sync re-arms at `now + interval` while the run can
+        // progress, so a zero interval stops virtual time.
+        if self.faas.status_sync_interval == SimDuration::ZERO {
+            return Err(UniFaasError::InvalidConfig(
+                "status sync interval must be positive".into(),
+            ));
         }
         if let SchedulingStrategy::Pinned(map) = &self.strategy {
             for (_, label) in map {
@@ -396,7 +337,6 @@ impl Default for ConfigBuilder {
         ConfigBuilder {
             config: Config {
                 endpoints: Vec::new(),
-                home: None,
                 strategy: SchedulingStrategy::Locality,
                 transfer: TransferMechanism::Globus,
                 max_transfer_retries: 3,
@@ -408,7 +348,6 @@ impl Default for ConfigBuilder {
                 probe_transfers: true,
                 exec_noise_cv: 0.02,
                 capacity_events: Vec::new(),
-                reschedule_interval: SimDuration::from_secs(10),
                 faults: FaultPlan::default(),
                 retry: RetryPolicy::default(),
                 health: crate::monitor::HealthPolicy::default(),
@@ -426,13 +365,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Marks the most recently added endpoint as the home endpoint.
-    pub fn home_is_last(mut self) -> Self {
-        assert!(!self.config.endpoints.is_empty());
-        self.config.home = Some(self.config.endpoints.len() - 1);
-        self
-    }
-
     /// Sets the scheduling strategy.
     pub fn strategy(mut self, s: SchedulingStrategy) -> Self {
         self.config.strategy = s;
@@ -442,12 +374,6 @@ impl ConfigBuilder {
     /// Sets the transfer mechanism.
     pub fn transfer(mut self, t: TransferMechanism) -> Self {
         self.config.transfer = t;
-        self
-    }
-
-    /// Sets the FaaS service model.
-    pub fn faas(mut self, f: FaasServiceModel) -> Self {
-        self.config.faas = f;
         self
     }
 
@@ -516,27 +442,16 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets the re-scheduling cadence.
-    pub fn reschedule_interval(mut self, d: SimDuration) -> Self {
-        self.config.reschedule_interval = d;
-        self
-    }
-
-    /// Finishes building. If no home endpoint was designated, appends a
-    /// zero-worker workstation as the home (the submitting host of Table
-    /// II).
+    /// Finishes building: appends a zero-worker workstation as the home
+    /// endpoint (the submitting host of Table II).
     pub fn build(mut self) -> Config {
-        if self.config.home.is_none() {
-            self.config.endpoints.push(EndpointConfig {
-                label: "home".into(),
-                uuid: derive_uuid("home"),
-                cluster: ClusterSpec::workstation(),
-                workers: 0,
-                max_workers: 0,
-                workers_per_node: 1,
-            });
-            self.config.home = Some(self.config.endpoints.len() - 1);
-        }
+        self.config.endpoints.push(EndpointConfig {
+            label: "home".into(),
+            cluster: ClusterSpec::workstation(),
+            workers: 0,
+            max_workers: 0,
+            workers_per_node: 1,
+        });
         self.config
     }
 }
@@ -557,21 +472,9 @@ mod tests {
     fn builder_appends_home_workstation() {
         let c = two_ep_config();
         assert_eq!(c.endpoints.len(), 3);
-        assert_eq!(c.home, Some(2));
         assert_eq!(c.endpoints[2].workers, 0);
         assert_eq!(c.endpoints[2].cluster.name, "Workstation");
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn explicit_home_is_respected() {
-        let c = Config::builder()
-            .endpoint(EndpointConfig::new("a", ClusterSpec::qiming(), 4))
-            .endpoint(EndpointConfig::new("ws", ClusterSpec::workstation(), 0))
-            .home_is_last()
-            .build();
-        assert_eq!(c.endpoints.len(), 2);
-        assert_eq!(c.home, Some(1));
     }
 
     #[test]
@@ -608,7 +511,6 @@ mod tests {
     fn validation_catches_all_zero_workers() {
         let c = Config::builder()
             .endpoint(EndpointConfig::new("ws", ClusterSpec::workstation(), 0))
-            .home_is_last()
             .build();
         assert!(c.validate().is_err());
     }
@@ -677,55 +579,13 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_a_zero_interval_on_an_armed_tick() {
-        let zero = SimDuration::ZERO;
-        for strategy in [
-            SchedulingStrategy::Dha { rescheduling: true },
-            SchedulingStrategy::DhaCustom {
-                rescheduling: true,
-                delay_dispatch: true,
-                steal_threshold_pct: 90,
-            },
-        ] {
-            let c = Config {
-                strategy,
-                reschedule_interval: zero,
-                ..two_ep_config()
-            };
-            assert!(matches!(c.validate(), Err(UniFaasError::InvalidConfig(_))));
-        }
-        let scaling = Config {
-            scaling: ScalingConfig {
-                enabled: true,
-                interval: zero,
-                ..ScalingConfig::default()
-            },
-            ..two_ep_config()
-        };
-        assert!(matches!(
-            scaling.validate(),
-            Err(UniFaasError::InvalidConfig(_))
-        ));
+    fn validation_rejects_a_zero_status_sync_interval() {
         let mut sync = two_ep_config();
-        sync.faas.status_sync_interval = zero;
+        sync.faas.status_sync_interval = SimDuration::ZERO;
         assert!(matches!(
             sync.validate(),
             Err(UniFaasError::InvalidConfig(_))
         ));
-        // A tick that is never armed may keep a zero interval.
-        let unarmed = Config {
-            strategy: SchedulingStrategy::Dha {
-                rescheduling: false,
-            },
-            reschedule_interval: zero,
-            scaling: ScalingConfig {
-                enabled: false,
-                interval: zero,
-                ..ScalingConfig::default()
-            },
-            ..two_ep_config()
-        };
-        assert!(unarmed.validate().is_ok());
     }
 
     #[test]
@@ -763,16 +623,6 @@ mod tests {
         assert_eq!(p.base_delay_seconds(3), 10.0, "capped");
         // Default policy retries immediately regardless of failures.
         assert_eq!(RetryPolicy::default().base_delay_seconds(5), 0.0);
-    }
-
-    #[test]
-    fn uuids_are_stable_and_distinct() {
-        let a1 = EndpointConfig::new("a", ClusterSpec::qiming(), 1);
-        let a2 = EndpointConfig::new("a", ClusterSpec::qiming(), 1);
-        let b = EndpointConfig::new("b", ClusterSpec::qiming(), 1);
-        assert_eq!(a1.uuid, a2.uuid);
-        assert_ne!(a1.uuid, b.uuid);
-        assert_eq!(a1.uuid.len(), "xxxxxxxx-xxxx-xxxx-xxxx-xxxxxxxxxxxx".len());
     }
 
     #[test]

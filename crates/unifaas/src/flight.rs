@@ -1,5 +1,5 @@
-//! In-run progress recorder: periodic progress lines and live gauges, with
-//! a stall detector.
+//! In-run progress recorder: periodic progress lines, with a stall
+//! detector.
 //!
 //! A million-task simulation is a black box while it executes: the process
 //! prints nothing until the event queue drains. The progress recorder
@@ -7,9 +7,7 @@
 //!
 //! * a **progress snapshot** — events/s, queue occupancy, ready/executing
 //!   counts, wall-vs-virtual time ratio — every [`SNAPSHOT_EVERY`]
-//!   deliveries, printed to stderr (`--progress`) and/or published as
-//!   `unifaas_flight_*` gauges through a [`MetricsServer`] for live scrape
-//!   (`--progress-addr`);
+//!   deliveries, printed to stderr (`--progress`);
 //! * a **stall detector** that flags when [`STALL_HORIZON`] of virtual
 //!   time passes with work outstanding and no task completing — the
 //!   signature of a livelocked scheduler (periodic ticks firing forever
@@ -18,28 +16,23 @@
 //! The recorder is one consumer of the simulator's record stream; it
 //! observes only, so enabling it cannot perturb the determinism digest.
 
-use simkit::metrics::{GaugeId, MetricsRegistry, MetricsServer};
 use simkit::{SimDuration, SimTime};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Deliveries between progress snapshots.
-pub const SNAPSHOT_EVERY: u64 = 1 << 16;
+const SNAPSHOT_EVERY: u64 = 1 << 16;
 
 /// Virtual time without a completion, while work remains, after which the
 /// run is flagged as stalled.
-pub const STALL_HORIZON: SimDuration = SimDuration::from_secs(600);
+const STALL_HORIZON: SimDuration = SimDuration::from_secs(600);
 
-/// What the progress recorder publishes: the `--progress` and
-/// `--progress-addr` flags of `unifaas-sim`.
-#[derive(Debug, Clone, Default)]
+/// What the progress recorder publishes: the `--progress` flag of
+/// `unifaas-sim`.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FlightConfig {
     /// Print a progress line to stderr at every snapshot, and a line when
     /// the stall detector fires.
     pub progress_stderr: bool,
-    /// When set, serve the progress gauges at this address (`GET
-    /// /metrics`, Prometheus text format) for the duration of the run.
-    pub serve_addr: Option<String>,
 }
 
 /// Per-event counters the runtime feeds the recorder; all already
@@ -56,19 +49,6 @@ pub(crate) struct FlightSample {
     pub queue_pending: usize,
 }
 
-/// Gauge handles into the live-scrape registry.
-struct FlightGauges {
-    events: GaugeId,
-    events_per_sec: GaugeId,
-    virtual_s: GaugeId,
-    completed: GaugeId,
-    ready: GaugeId,
-    executing: GaugeId,
-    queue_pending: GaugeId,
-    wall_per_virtual: GaugeId,
-    stalls: GaugeId,
-}
-
 /// The progress recorder; see the module docs.
 pub(crate) struct FlightRecorder {
     progress_stderr: bool,
@@ -80,60 +60,12 @@ pub(crate) struct FlightRecorder {
     last_completion_vt: SimTime,
     stalled: bool,
     stalls: u64,
-    /// Live scrape surface, present iff `serve_addr` was configured. The
-    /// server is held for its Drop (stops the scrape thread with the run).
-    live: Option<(Arc<Mutex<MetricsRegistry>>, FlightGauges, MetricsServer)>,
 }
 
 impl FlightRecorder {
-    /// Creates a recorder (binding the live scrape server if configured).
-    pub fn new(cfg: FlightConfig) -> std::io::Result<FlightRecorder> {
-        let live = match &cfg.serve_addr {
-            Some(addr) => {
-                let mut reg = MetricsRegistry::new();
-                let mut gauge = |name: &str, help: &str| reg.gauge(name, help, &[]);
-                let gauges = FlightGauges {
-                    events: gauge(
-                        "unifaas_flight_events",
-                        "Events delivered so far in the running simulation.",
-                    ),
-                    events_per_sec: gauge(
-                        "unifaas_flight_events_per_sec",
-                        "Delivery rate since the previous snapshot.",
-                    ),
-                    virtual_s: gauge(
-                        "unifaas_flight_virtual_seconds",
-                        "Current virtual time of the running simulation.",
-                    ),
-                    completed: gauge("unifaas_flight_tasks_completed", "Tasks completed so far."),
-                    ready: gauge(
-                        "unifaas_flight_tasks_ready",
-                        "Tasks waiting for placement or dispatch.",
-                    ),
-                    executing: gauge(
-                        "unifaas_flight_tasks_executing",
-                        "Tasks staging, dispatched, running or awaiting results.",
-                    ),
-                    queue_pending: gauge(
-                        "unifaas_flight_queue_pending",
-                        "Pending events in the engine queue.",
-                    ),
-                    wall_per_virtual: gauge(
-                        "unifaas_flight_wall_per_virtual",
-                        "Wall seconds spent per virtual second.",
-                    ),
-                    stalls: gauge(
-                        "unifaas_flight_stalls",
-                        "Stall episodes detected (virtual time advancing, no completions).",
-                    ),
-                };
-                let shared = Arc::new(Mutex::new(reg));
-                let server = MetricsServer::start(addr, Arc::clone(&shared), None)?;
-                Some((shared, gauges, server))
-            }
-            None => None,
-        };
-        Ok(FlightRecorder {
+    /// Creates a recorder.
+    pub fn new(cfg: FlightConfig) -> FlightRecorder {
+        FlightRecorder {
             progress_stderr: cfg.progress_stderr,
             start: Instant::now(),
             events: 0,
@@ -143,8 +75,7 @@ impl FlightRecorder {
             last_completion_vt: SimTime::ZERO,
             stalled: false,
             stalls: 0,
-            live,
-        })
+        }
     }
 
     /// Stall episodes detected so far.
@@ -179,11 +110,12 @@ impl FlightRecorder {
                 );
             }
         }
-        if self.events.is_multiple_of(SNAPSHOT_EVERY) {
+        if self.progress_stderr && self.events.is_multiple_of(SNAPSHOT_EVERY) {
             self.snapshot(now, sample);
         }
     }
 
+    /// Prints a progress line.
     fn snapshot(&mut self, now: SimTime, sample: FlightSample) {
         let wall_s = self.start.elapsed().as_secs_f64();
         let delta_wall = (wall_s - self.last_snapshot_wall).max(1e-9);
@@ -196,33 +128,19 @@ impl FlightRecorder {
         };
         self.last_snapshot_wall = wall_s;
         self.last_snapshot_events = self.events;
-        if self.progress_stderr {
-            eprintln!(
-                "[flight] vt={:.1}s events={} ({:.0}/s) completed={} ready={} executing={} \
-                 queue={} wall/virtual={:.4}{}",
-                virtual_s,
-                self.events,
-                events_per_sec,
-                sample.completed,
-                sample.ready,
-                sample.executing,
-                sample.queue_pending,
-                wall_per_virtual,
-                if self.stalled { " STALLED" } else { "" }
-            );
-        }
-        if let Some((shared, g, _)) = &self.live {
-            let mut reg = shared.lock().expect("flight registry poisoned");
-            reg.set(g.events, self.events as f64);
-            reg.set(g.events_per_sec, events_per_sec);
-            reg.set(g.virtual_s, virtual_s);
-            reg.set(g.completed, sample.completed as f64);
-            reg.set(g.ready, sample.ready as f64);
-            reg.set(g.executing, sample.executing as f64);
-            reg.set(g.queue_pending, sample.queue_pending as f64);
-            reg.set(g.wall_per_virtual, wall_per_virtual);
-            reg.set(g.stalls, self.stalls as f64);
-        }
+        eprintln!(
+            "[flight] vt={:.1}s events={} ({:.0}/s) completed={} ready={} executing={} \
+             queue={} wall/virtual={:.4}{}",
+            virtual_s,
+            self.events,
+            events_per_sec,
+            sample.completed,
+            sample.ready,
+            sample.executing,
+            sample.queue_pending,
+            wall_per_virtual,
+            if self.stalled { " STALLED" } else { "" }
+        );
     }
 }
 
@@ -241,7 +159,7 @@ mod tests {
 
     #[test]
     fn stall_detector_flags_and_clears() {
-        let mut fr = FlightRecorder::new(FlightConfig::default()).unwrap();
+        let mut fr = FlightRecorder::new(FlightConfig::default());
         // Completions up to t=5, then virtual time advances with none.
         fr.on_event(SimTime::from_secs(5), sample(1, 2, 1));
         fr.on_event(SimTime::from_secs(600), sample(1, 2, 1));
@@ -258,34 +176,8 @@ mod tests {
 
     #[test]
     fn no_stall_when_no_work_remains() {
-        let mut fr = FlightRecorder::new(FlightConfig::default()).unwrap();
+        let mut fr = FlightRecorder::new(FlightConfig::default());
         fr.on_event(SimTime::from_secs(10_000), sample(5, 0, 0));
         assert_eq!(fr.stalls, 0, "drained run is not a stall");
-    }
-
-    #[test]
-    fn live_scrape_serves_flight_gauges() {
-        use std::io::{Read as _, Write as _};
-        let mut fr = FlightRecorder::new(FlightConfig {
-            serve_addr: Some("127.0.0.1:0".into()),
-            ..FlightConfig::default()
-        })
-        .unwrap();
-        for _ in 0..SNAPSHOT_EVERY {
-            fr.on_event(SimTime::from_secs(2), sample(1, 2, 3));
-        }
-        let addr = fr.live.as_ref().expect("server bound").2.local_addr();
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
-            .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        let events = format!("unifaas_flight_events {SNAPSHOT_EVERY}");
-        assert!(response.contains(&events), "{response}");
-        assert!(
-            response.contains("unifaas_flight_tasks_executing 3"),
-            "{response}"
-        );
     }
 }

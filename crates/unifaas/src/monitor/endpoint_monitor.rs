@@ -68,18 +68,6 @@ impl MockEndpoint {
             (self.outstanding_work_seconds - predicted_seconds.max(0.0)).max(0.0);
     }
 
-    /// Estimated seconds until a worker frees up for a *new* task: zero if
-    /// idle workers exist, otherwise outstanding work spread over workers.
-    pub fn est_availability_seconds(&self) -> f64 {
-        if self.idle_workers() > 0 {
-            0.0
-        } else if self.active_workers == 0 {
-            f64::INFINITY
-        } else {
-            self.outstanding_work_seconds / self.active_workers as f64
-        }
-    }
-
     /// Re-synchronizes with ground truth (periodic sync with the service).
     pub fn sync(
         &mut self,
@@ -123,25 +111,6 @@ impl EndpointMonitor {
     pub fn mocks(&self) -> &[MockEndpoint] {
         &self.mocks
     }
-
-    /// Ids of endpoints believed to have idle workers.
-    pub fn endpoints_with_idle(&self) -> Vec<EndpointId> {
-        self.mocks
-            .iter()
-            .filter(|m| m.idle_workers() > 0)
-            .map(|m| m.id)
-            .collect()
-    }
-
-    /// Total believed capacity (sum of active workers).
-    pub fn total_capacity(&self) -> usize {
-        self.mocks.iter().map(|m| m.active_workers).sum()
-    }
-
-    /// Total outstanding mock tasks.
-    pub fn total_outstanding(&self) -> usize {
-        self.mocks.iter().map(|m| m.outstanding_tasks).sum()
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +134,6 @@ mod tests {
         assert_eq!(m.mock(EndpointId(0)).outstanding_work_seconds, 20.0);
         m.mock_mut(EndpointId(0)).pop_task(10.0);
         assert_eq!(m.mock(EndpointId(0)).idle_workers(), 3);
-        assert_eq!(m.total_outstanding(), 1);
     }
 
     #[test]
@@ -175,20 +143,6 @@ mod tests {
             m.mock_mut(EndpointId(1)).push_task(1.0);
         }
         assert_eq!(m.mock(EndpointId(1)).idle_workers(), 0);
-    }
-
-    #[test]
-    fn availability_estimate() {
-        let mut m = monitor();
-        assert_eq!(m.mock(EndpointId(0)).est_availability_seconds(), 0.0);
-        // Saturate: 4 workers, 8 tasks of 10 s → 80 s work / 4 workers = 20.
-        for _ in 0..8 {
-            m.mock_mut(EndpointId(0)).push_task(10.0);
-        }
-        assert!((m.mock(EndpointId(0)).est_availability_seconds() - 20.0).abs() < 1e-9);
-        // Zero-worker endpoint is never available.
-        let zero = MockEndpoint::new(EndpointId(0), "z", 0, 1.0);
-        assert!(zero.est_availability_seconds().is_infinite());
     }
 
     #[test]
@@ -202,16 +156,6 @@ mod tests {
         assert_eq!(mock.outstanding_tasks, 1);
         assert_eq!(mock.pending_workers, 3);
         assert_eq!(mock.idle_workers(), 1);
-    }
-
-    #[test]
-    fn endpoints_with_idle_filtering() {
-        let mut m = monitor();
-        for _ in 0..4 {
-            m.mock_mut(EndpointId(0)).push_task(1.0);
-        }
-        assert_eq!(m.endpoints_with_idle(), vec![EndpointId(1)]);
-        assert_eq!(m.total_capacity(), 6);
     }
 
     #[test]

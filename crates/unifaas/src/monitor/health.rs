@@ -17,8 +17,7 @@
 //! fed by whichever liveness signal the runtime has: deterministic outage
 //! windows in the simulator ([`HealthMonitor::mark_down`] /
 //! [`HealthMonitor::mark_recovering`]), or real probe results in the live
-//! runtime ([`HealthMonitor::record_failure`] /
-//! [`HealthMonitor::record_success`]).
+//! runtime ([`HealthMonitor::record`]).
 //!
 //! Schedulers consult [`HealthMonitor::is_schedulable`]: only `Down`
 //! excludes an endpoint from candidate sets. `Suspect` endpoints still
@@ -85,8 +84,6 @@ pub struct HealthMonitor {
     states: Vec<HealthState>,
     consecutive_failures: Vec<u32>,
     consecutive_successes: Vec<u32>,
-    /// Total state transitions observed (all endpoints).
-    transitions: u64,
 }
 
 impl HealthMonitor {
@@ -104,7 +101,6 @@ impl HealthMonitor {
             states: vec![HealthState::Healthy; n],
             consecutive_failures: vec![0; n],
             consecutive_successes: vec![0; n],
-            transitions: 0,
         }
     }
 
@@ -123,19 +119,9 @@ impl HealthMonitor {
         !self.is_down(ep)
     }
 
-    /// True if no endpoint is Down.
-    pub fn all_schedulable(&self) -> bool {
-        self.states.iter().all(|s| *s != HealthState::Down)
-    }
-
     /// Number of endpoints monitored.
     pub fn endpoints(&self) -> usize {
         self.states.len()
-    }
-
-    /// Total state transitions observed so far.
-    pub fn transitions(&self) -> u64 {
-        self.transitions
     }
 
     fn set(&mut self, ep: EndpointId, next: HealthState) -> Option<HealthState> {
@@ -144,7 +130,6 @@ impl HealthMonitor {
             return None;
         }
         *cur = next;
-        self.transitions += 1;
         Some(next)
     }
 
@@ -179,7 +164,7 @@ impl HealthMonitor {
 
     /// Records a failed interaction (crashed task, missed probe).
     /// Returns the new state if this caused a transition.
-    pub fn record_failure(&mut self, ep: EndpointId) -> Option<HealthState> {
+    fn record_failure(&mut self, ep: EndpointId) -> Option<HealthState> {
         let i = ep.index();
         self.consecutive_successes[i] = 0;
         self.consecutive_failures[i] = self.consecutive_failures[i].saturating_add(1);
@@ -196,9 +181,7 @@ impl HealthMonitor {
         }
     }
 
-    /// Records the outcome of one interaction: [`record_success`]
-    /// (HealthMonitor::record_success) or [`record_failure`]
-    /// (HealthMonitor::record_failure).
+    /// Records the outcome of one interaction, a success or a failure.
     pub fn record(&mut self, ep: EndpointId, success: bool) -> Option<HealthState> {
         if success {
             self.record_success(ep)
@@ -240,8 +223,6 @@ mod tests {
             assert_eq!(m.state(ep(i)), HealthState::Healthy);
             assert!(m.is_schedulable(ep(i)));
         }
-        assert!(m.all_schedulable());
-        assert_eq!(m.transitions(), 0);
     }
 
     #[test]
@@ -252,10 +233,8 @@ mod tests {
         assert_eq!(m.record_failure(ep(0)), None);
         assert_eq!(m.record_failure(ep(0)), Some(HealthState::Down));
         assert!(!m.is_schedulable(ep(0)));
-        assert!(!m.all_schedulable());
         // Further failures while Down are absorbed.
         assert_eq!(m.record_failure(ep(0)), None);
-        assert_eq!(m.transitions(), 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The *observe* stage: task and endpoint monitors (§IV-B).
 
-pub mod endpoint_monitor;
+mod endpoint_monitor;
 pub mod health;
 pub mod task_monitor;
 

@@ -298,7 +298,7 @@ impl TaskMonitor {
 
     /// Task success rate of an endpoint (`None` if never attempted). Drives
     /// §IV-G's "reassigns it to the endpoint with the highest success rate".
-    pub fn success_rate(&self, endpoint: EndpointId) -> Option<f64> {
+    fn success_rate(&self, endpoint: EndpointId) -> Option<f64> {
         self.success_counts
             .get(endpoint.index())
             .filter(|(_, attempts)| *attempts > 0)

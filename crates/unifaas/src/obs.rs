@@ -28,7 +28,7 @@ use crate::trace::RunTrace;
 
 /// Task lifecycle stages, in pipeline order. Matches the span names the
 /// sim runtime emits.
-pub const LIFECYCLE_STAGES: [&str; 7] = [
+const LIFECYCLE_STAGES: [&str; 7] = [
     "ready",
     "staging",
     "staged",
@@ -41,7 +41,7 @@ pub const LIFECYCLE_STAGES: [&str; 7] = [
 /// Per-stage share of the critical path.
 #[derive(Clone, Copy, Debug)]
 pub struct StageAttribution {
-    /// Stage name (one of [`LIFECYCLE_STAGES`]).
+    /// Stage name, one of the task lifecycle stages in pipeline order.
     pub stage: &'static str,
     /// Seconds spent in this stage along the critical path.
     pub seconds: f64,
@@ -63,7 +63,7 @@ pub struct CriticalPath {
 
 impl CriticalPath {
     /// Sum of the per-stage attributions (excluding `unattributed`).
-    pub fn attributed_s(&self) -> f64 {
+    fn attributed_s(&self) -> f64 {
         self.stages.iter().map(|s| s.seconds).sum()
     }
 
@@ -259,7 +259,7 @@ pub fn critical_path(trace: &RunTrace) -> Option<CriticalPath> {
 /// flamegraph renderers. Frames are `track;stage`; spans on the critical
 /// path are additionally emitted under a `critical` root so the path is
 /// visible as its own subtree.
-pub fn flamegraph_folded(trace: &RunTrace) -> String {
+fn flamegraph_folded(trace: &RunTrace) -> String {
     let (lifecycle, other) = extract_spans(trace);
     let on_path: std::collections::HashSet<u64> = critical_path(trace)
         .map(|cp| cp.tasks.into_iter().collect())
@@ -299,7 +299,8 @@ pub fn flamegraph_folded(trace: &RunTrace) -> String {
     out
 }
 
-/// Writes [`flamegraph_folded`] output to `path`.
+/// Writes the run as folded stacks (one line per stack, for
+/// `flamegraph.pl`/inferno) to `path`.
 pub fn write_flamegraph(trace: &RunTrace, path: &Path) -> std::io::Result<()> {
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
     f.write_all(flamegraph_folded(trace).as_bytes())
@@ -320,7 +321,7 @@ pub const NOTE_DECISION_STAGE: u16 = NOTE_KIND_FLAG | 1;
 pub const NOTE_DECISION_DISPATCH: u16 = NOTE_KIND_FLAG | 2;
 
 /// Human name for a journal record kind (delivery or note).
-pub fn kind_name(kind: u16) -> &'static str {
+fn kind_name(kind: u16) -> &'static str {
     match kind {
         NOTE_DECISION_STAGE => "Decision:Stage",
         NOTE_DECISION_DISPATCH => "Decision:Dispatch",
@@ -332,7 +333,7 @@ pub fn kind_name(kind: u16) -> &'static str {
 /// The task id a journal record is about, when its kind carries one in
 /// field `a` (staging checks, arrivals, completions, retries, timeouts,
 /// and scheduler decision notes).
-pub fn task_of(rec: &JournalRecord) -> Option<u64> {
+fn task_of(rec: &JournalRecord) -> Option<u64> {
     let task = match rec.kind {
         NOTE_DECISION_STAGE | NOTE_DECISION_DISPATCH => true,
         k => DELIVERY_KINDS.get(k as usize).is_some_and(|d| d.task),
@@ -342,7 +343,7 @@ pub fn task_of(rec: &JournalRecord) -> Option<u64> {
 
 /// One side of a divergence: the record (if that journal still has one at
 /// the divergent index) paired with its global record index.
-pub type IndexedRecord = (u64, JournalRecord);
+type IndexedRecord = (u64, JournalRecord);
 
 /// Full context around the first divergent record of two journals.
 #[derive(Clone, Debug)]

@@ -22,12 +22,12 @@ use taskgraph::{Dag, TaskId};
 
 /// Default drift threshold: flag observations whose absolute relative
 /// error exceeds 25%.
-pub const DEFAULT_DRIFT_THRESHOLD: f64 = 0.25;
+const DEFAULT_DRIFT_THRESHOLD: f64 = 0.25;
 
 /// Error accumulator for one model key (a function, an endpoint, or an
 /// endpoint pair).
 #[derive(Clone, Debug)]
-pub struct ErrorStats {
+struct ErrorStats {
     abs: LogHistogram,
     signed: OnlineStats,
 }
@@ -45,7 +45,7 @@ impl ErrorStats {
     /// Records one predicted-vs-actual pair and returns the absolute
     /// relative error. The denominator is the actual value, floored at a
     /// nanosecond so instantaneous actuals don't produce infinities.
-    pub fn record(&mut self, predicted: f64, actual: f64) -> f64 {
+    fn record(&mut self, predicted: f64, actual: f64) -> f64 {
         let denom = actual.abs().max(1e-9);
         let rel = (predicted - actual) / denom;
         self.abs.observe(rel.abs());
@@ -54,29 +54,29 @@ impl ErrorStats {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.abs.count()
     }
 
     /// Mean absolute percentage error, as a fraction (0.10 = 10%).
-    pub fn mape(&self) -> f64 {
+    fn mape(&self) -> f64 {
         self.abs.mean().unwrap_or(0.0)
     }
 
     /// Mean signed relative error; positive means the predictor
     /// over-estimates.
-    pub fn bias(&self) -> f64 {
+    fn bias(&self) -> f64 {
         self.signed.mean()
     }
 
     /// 95th percentile of the absolute relative error (within the
     /// sketch's 2% relative-error bound).
-    pub fn p95_abs_err(&self) -> f64 {
+    fn p95_abs_err(&self) -> f64 {
         self.abs.quantile(0.95).unwrap_or(0.0)
     }
 
     /// The underlying error sketch, for export.
-    pub fn sketch(&self) -> &LogHistogram {
+    fn sketch(&self) -> &LogHistogram {
         &self.abs
     }
 }
@@ -117,14 +117,15 @@ impl Default for AccuracyMonitor {
 }
 
 impl AccuracyMonitor {
-    /// Creates a monitor with [`DEFAULT_DRIFT_THRESHOLD`].
+    /// Creates a monitor flagging observations whose absolute relative
+    /// error exceeds 25%.
     pub fn new() -> Self {
         Self::with_threshold(DEFAULT_DRIFT_THRESHOLD)
     }
 
     /// Creates a monitor flagging observations whose absolute relative
     /// error exceeds `threshold`.
-    pub fn with_threshold(threshold: f64) -> Self {
+    fn with_threshold(threshold: f64) -> Self {
         AccuracyMonitor {
             threshold,
             exec_by_fn: BTreeMap::new(),
@@ -132,16 +133,6 @@ impl AccuracyMonitor {
             xfer_by_pair: BTreeMap::new(),
             drift_events: 0,
         }
-    }
-
-    /// The configured drift threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Observations flagged as drift so far.
-    pub fn drift_events(&self) -> u64 {
-        self.drift_events
     }
 
     /// Records an execution-time observation for `function` on endpoint
@@ -189,21 +180,6 @@ impl AccuracyMonitor {
             self.drift_events += 1;
         }
         drifted
-    }
-
-    /// Per-function execution error stats.
-    pub fn exec_stats(&self, function: &str) -> Option<&ErrorStats> {
-        self.exec_by_fn.get(function)
-    }
-
-    /// Total observations recorded (exec by function + transfers).
-    pub fn observations(&self) -> u64 {
-        self.exec_by_fn.values().map(ErrorStats::count).sum::<u64>()
-            + self
-                .xfer_by_pair
-                .values()
-                .map(ErrorStats::count)
-                .sum::<u64>()
     }
 
     /// Builds the per-model calibration table: one row per function
@@ -317,18 +293,17 @@ mod tests {
     fn known_bias_shows_in_mape_and_sign() {
         let mut m = AccuracyMonitor::new();
         // Predictor consistently 2x the actual: MAPE 100%, bias +1.
-        for i in 1..=50 {
-            let actual = i as f64;
-            m.record_exec("map", "ep0", 2.0 * actual, actual);
-        }
-        let s = m.exec_stats("map").unwrap();
+        let drifted = (1..=50)
+            .filter(|&i| m.record_exec("map", "ep0", 2.0 * i as f64, i as f64))
+            .count();
+        let s = m.exec_by_fn.get("map").unwrap();
         assert_eq!(s.count(), 50);
         assert!((s.mape() - 1.0).abs() < 0.03, "mape={}", s.mape());
         assert!((s.bias() - 1.0).abs() < 1e-9, "bias={}", s.bias());
         assert!((s.p95_abs_err() - 1.0).abs() < 0.03);
         // Every observation is 100% off — each drifts exactly once at the
         // 25% threshold (per observation, not per index it lands in).
-        assert_eq!(m.drift_events(), 50);
+        assert_eq!(drifted, 50);
     }
 
     #[test]
@@ -337,7 +312,7 @@ mod tests {
         assert!(!m.record_exec("f", "ep", 1.1, 1.0));
         assert!(m.record_exec("f", "ep", 3.0, 1.0));
         assert!(m.record_transfer(EndpointId(0), EndpointId(1), 10.0, 1.0));
-        assert_eq!(m.drift_events(), 2);
+        assert_eq!(m.drift_events, 2);
     }
 
     #[test]
@@ -348,7 +323,7 @@ mod tests {
             let noise = if i % 2 == 0 { 1.1 } else { 0.9 };
             m.record_exec("f", "ep", actual * noise, actual);
         }
-        let s = m.exec_stats("f").unwrap();
+        let s = m.exec_by_fn.get("f").unwrap();
         assert!(s.bias().abs() < 0.01, "bias={}", s.bias());
         assert!((s.mape() - 0.1).abs() < 0.01, "mape={}", s.mape());
     }
@@ -377,7 +352,7 @@ mod tests {
     fn zero_actual_does_not_poison() {
         let mut m = AccuracyMonitor::new();
         m.record_exec("f", "ep", 0.0, 0.0);
-        let s = m.exec_stats("f").unwrap();
+        let s = m.exec_by_fn.get("f").unwrap();
         assert_eq!(s.count(), 1);
         assert!(!s.mape().is_nan());
         assert!(!s.bias().is_nan());

@@ -200,16 +200,6 @@ impl ExecutionProfiler {
             .filter(|m| m.output_stats.count() > 0)
             .map(|m| m.output_stats.mean().max(0.0) as u64)
     }
-
-    /// Number of functions with a trained model.
-    pub fn trained_functions(&self) -> usize {
-        self.models.values().filter(|m| m.fitted.is_some()).count()
-    }
-
-    /// The model family in use.
-    pub fn family(&self) -> ModelFamily {
-        self.family
-    }
 }
 
 impl Default for ExecutionProfiler {
@@ -262,7 +252,7 @@ mod tests {
         db.push(record("dock", 16, 10.0));
         db.push(record("dock", 16, 20.0));
         p.retrain(&db);
-        assert_eq!(p.trained_functions(), 0);
+        assert_eq!(p.models.values().filter(|m| m.fitted.is_some()).count(), 0);
         assert_eq!(p.predict("dock", 100, &features(16, 2.5, 64), 42.0), 15.0);
         assert_eq!(p.predict_output_bytes("dock"), Some(500));
     }
@@ -277,7 +267,7 @@ mod tests {
             db.push(record("dock", 40, 5.0));
         }
         p.retrain(&db);
-        assert_eq!(p.trained_functions(), 1);
+        assert_eq!(p.models.values().filter(|m| m.fitted.is_some()).count(), 1);
         let slow = p.predict("dock", 1_000_000, &features(16, 2.5, 64), 0.0);
         let fast = p.predict("dock", 1_000_000, &features(40, 2.5, 64), 0.0);
         assert!((slow - 10.0).abs() < 1.5, "slow={slow}");

@@ -15,7 +15,7 @@ pub mod accuracy;
 pub mod execution;
 pub mod transfer;
 
-pub use accuracy::{AccuracyMonitor, CalibrationRow, ErrorStats, ScaledPredictor};
+pub use accuracy::{AccuracyMonitor, CalibrationRow, ScaledPredictor};
 pub use execution::{ExecutionProfiler, ModelFamily};
 pub use transfer::TransferProfiler;
 

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 /// Prefix of pseudo-records carrying transfer observations in the history
 /// database. Format: `__transfer__/<src>/<dst>`.
-pub const TRANSFER_RECORD_PREFIX: &str = "__transfer__";
+const TRANSFER_RECORD_PREFIX: &str = "__transfer__";
 
 /// Builds the pseudo-function name for a transfer observation record.
 pub fn transfer_record_name(src: EndpointId, dst: EndpointId) -> String {
@@ -122,11 +122,6 @@ impl TransferProfiler {
         }
         self.probe_startup_seconds + bytes as f64 / self.probe_bandwidth_bps
     }
-
-    /// Number of pairs with a trained model.
-    pub fn trained_pairs(&self) -> usize {
-        self.pairs.values().filter(|p| p.model.is_some()).count()
-    }
 }
 
 impl Default for TransferProfiler {
@@ -186,7 +181,7 @@ mod tests {
             db.push(xfer_record(0, 1, bytes, 1.0 + bytes as f64 / bw));
         }
         p.retrain(&db);
-        assert_eq!(p.trained_pairs(), 1);
+        assert_eq!(p.pairs.values().filter(|p| p.model.is_some()).count(), 1);
         let pred = p.predict(150 * 1024 * 1024, EndpointId(0), EndpointId(1));
         let want = 1.0 + 3.0;
         assert!((pred - want).abs() / want < 0.05, "pred={pred} want={want}");
@@ -211,7 +206,7 @@ mod tests {
             success: true,
         });
         p.retrain(&db);
-        assert_eq!(p.trained_pairs(), 0);
+        assert_eq!(p.pairs.values().filter(|p| p.model.is_some()).count(), 0);
         assert!(p.pairs.is_empty());
     }
 

@@ -23,8 +23,6 @@
 use super::coord::{Coord, Dispatch, Step, View};
 pub use super::coord::{FabricRunStats, LiveRetryPolicy, WireResult};
 use crate::error::UniFaasError;
-use crate::monitor::HealthState;
-use fedci::endpoint::EndpointId;
 use fedci::fabric::{Fabric, FabricResult, JobSpec, Payload, ProbeState};
 use fedci::proto::IO_BUF;
 use parking_lot::{Condvar, Mutex};
@@ -237,11 +235,6 @@ impl FabricRuntime {
         let inner = Arc::get_mut(&mut self.inner).expect(CONFIGURE_FIRST);
         inner.coord.lock().retry = policy;
         self
-    }
-
-    /// Current health state of endpoint `i`.
-    pub fn endpoint_health(&self, i: usize) -> HealthState {
-        self.inner.coord.lock().health.state(EndpointId(i as u16))
     }
 
     /// The underlying fabric.
@@ -459,6 +452,8 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::HealthState;
+    use fedci::endpoint::EndpointId;
     use fedci::fabric::{Completion, FabricResult, FabricTiming, ThreadedFabric};
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
@@ -731,8 +726,14 @@ mod tests {
         for (i, f) in futs.iter().enumerate() {
             assert_eq!(f.wait().unwrap().as_ref(), &[i as u8]);
         }
-        assert_eq!(rt.endpoint_health(1), HealthState::Down);
-        assert_ne!(rt.endpoint_health(0), HealthState::Down);
+        assert_eq!(
+            rt.inner.coord.lock().health.state(EndpointId(1)),
+            HealthState::Down
+        );
+        assert_ne!(
+            rt.inner.coord.lock().health.state(EndpointId(0)),
+            HealthState::Down
+        );
     }
 
     #[test]
@@ -819,7 +820,10 @@ mod tests {
             assert!(rt.submit("fail", b"kaput".to_vec(), &[]).wait().is_err());
         }
         rt.wait_all();
-        assert_eq!(rt.endpoint_health(0), HealthState::Down);
+        assert_eq!(
+            rt.inner.coord.lock().health.state(EndpointId(0)),
+            HealthState::Down
+        );
     }
 
     #[cfg(target_os = "linux")]

@@ -27,7 +27,7 @@ use crate::monitor::HealthState;
 use crate::profile::accuracy::AccuracyMonitor;
 use crate::profile::Predictor;
 use crate::runtime::TaskState;
-use crate::trace::{DecisionRecord, RunTrace, TraceConfig, TransferRecord};
+use crate::trace::{DecisionRecord, RunTrace, TraceConfig, TransferRecord, MAX_RECORDS};
 use fedci::endpoint::{EndpointId, EndpointSim};
 use simkit::journal::EventCode;
 use simkit::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
@@ -112,8 +112,6 @@ struct Trace {
     open: Vec<Option<(LabelId, LabelId)>>,
     decisions: Vec<DecisionRecord>,
     transfers: Vec<TransferRecord>,
-    max_decisions: usize,
-    max_transfers: usize,
     dropped_decisions: u64,
     dropped_transfers: u64,
 }
@@ -149,8 +147,6 @@ impl Trace {
             open: vec![None; n_tasks],
             decisions: Vec::new(),
             transfers: Vec::new(),
-            max_decisions: cfg.max_decisions,
-            max_transfers: cfg.max_transfers,
             dropped_decisions: 0,
             dropped_transfers: 0,
         }
@@ -344,12 +340,7 @@ pub(super) struct Recorder {
 impl Recorder {
     /// Builds the enabled consumers; `verify` (`Config::verify`) turns on
     /// the decision digest.
-    pub fn new(
-        rc: RecordConfig,
-        verify: bool,
-        labels: Vec<String>,
-        n_tasks: usize,
-    ) -> std::io::Result<Recorder> {
+    pub fn new(rc: RecordConfig, verify: bool, labels: Vec<String>, n_tasks: usize) -> Recorder {
         let mut series = RunSeries::default();
         let busy_h = labels
             .iter()
@@ -363,11 +354,8 @@ impl Recorder {
             .trace
             .filter(|tc| tc.level != TraceLevel::Off)
             .map(|tc| Box::new(Trace::new(&tc, &labels, n_tasks)));
-        let flight = match rc.flight {
-            Some(fc) => Some(Box::new(FlightRecorder::new(fc)?)),
-            None => None,
-        };
-        Ok(Recorder {
+        let flight = rc.flight.map(|fc| Box::new(FlightRecorder::new(fc)));
+        Recorder {
             deliveries: flight.is_some() || trace.as_ref().is_some_and(|t| t.tracer.full()),
             meter: rc.metrics.then(|| Box::new(Meter::new(&labels))),
             pending_h: vec![None; labels.len()],
@@ -380,7 +368,7 @@ impl Recorder {
             decision_digest: verify.then_some(0xcbf2_9ce4_8422_2325),
             journal_notes: rc.journal_out.is_some(),
             flight,
-        })
+        }
     }
 
     /// The run starts: every endpoint's initial worker counts, and no task
@@ -424,7 +412,7 @@ impl Recorder {
             return;
         };
         for d in records.drain(..) {
-            if tr.decisions.len() < tr.max_decisions {
+            if tr.decisions.len() < MAX_RECORDS {
                 tr.decisions.push(d);
             } else {
                 tr.dropped_decisions += 1;
@@ -514,7 +502,7 @@ impl Recorder {
             let track = tr.tracks[info.dst.index()];
             tr.tracer.begin(now, tr.transfer, track, id.0 as u64);
             if tr.tracer.full() {
-                if tr.transfers.len() < tr.max_transfers {
+                if tr.transfers.len() < MAX_RECORDS {
                     tr.transfers.push(TransferRecord {
                         at: now,
                         xfer: id.0 as u64,

@@ -51,6 +51,12 @@ use taskgraph::{Dag, FunctionId, TaskId};
 /// retrain.
 const RETRAIN_EVERY: usize = 64;
 
+/// DHA's re-scheduling cadence (§IV-D).
+const RESCHEDULE_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
+/// Cadence of the multi-endpoint scaling loop (§IV-H).
+const SCALE_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
 /// Upper bound on the spare action/decision buffers kept for recycling.
 /// Nesting depth of `sched` re-entry is small; anything beyond this is a
 /// leak guard, not a tuning knob.
@@ -234,10 +240,9 @@ impl SimRuntime {
     }
 
     /// Enables the in-run progress recorder: periodic progress snapshots
-    /// streamed to stderr and/or served live over HTTP, and a stall
-    /// detector whose count lands in [`RunReport::flight_stalls`]. The
-    /// recorder only observes runtime counters, so schedules and digests
-    /// are unchanged.
+    /// streamed to stderr, and a stall detector whose count lands in
+    /// [`RunReport::flight_stalls`]. The recorder only observes runtime
+    /// counters, so schedules and digests are unchanged.
     pub fn with_flight(mut self, cfg: FlightConfig) -> Self {
         self.record.flight = Some(cfg);
         self
@@ -440,7 +445,7 @@ impl Rt {
     fn build(r: SimRuntime) -> Result<Self, UniFaasError> {
         let cfg = r.cfg;
         let n = cfg.endpoints.len();
-        let home = EndpointId(cfg.home.expect("validated") as u16);
+        let home = EndpointId((n - 1) as u16);
 
         let endpoints: Vec<EndpointSim> = cfg
             .endpoints
@@ -551,8 +556,7 @@ impl Rt {
         };
         let faas = cfg.faas.clone();
         let labels = cfg.endpoints.iter().map(|e| e.label.clone()).collect();
-        let rec = Recorder::new(r.record, cfg.verify, labels, n_tasks)
-            .map_err(|e| UniFaasError::InvalidConfig(format!("flight recorder: {e}")))?;
+        let rec = Recorder::new(r.record, cfg.verify, labels, n_tasks);
         Ok(Rt {
             cfg,
             dag: r.dag,
@@ -990,7 +994,7 @@ impl Rt {
             // completion: only the watchdog below ever hears of it.
             let swallowed = self.faults.swallows(ep);
             if !swallowed {
-                let ok = self.endpoints[ep.index()].occupy_worker(now);
+                let ok = self.endpoints[ep.index()].occupy_worker();
                 debug_assert!(ok);
                 started_any = true;
             }
@@ -1140,7 +1144,14 @@ impl Rt {
         }
         self.set_state(t, TaskState::Ready, now);
         self.tasks.t_ready[t.index()] = now;
-        let actions = self.sched(now, |s, ctx| s.on_task_ready(ctx, t));
+        self.sched_ready(t, now, eng);
+    }
+
+    /// Hands one ready task to the scheduler as a one-task ready run.
+    fn sched_ready(&mut self, t: TaskId, now: SimTime, eng: &mut Engine<Ev>) {
+        let actions = self.sched(now, |s, ctx| {
+            s.on_tasks_ready(ctx, &[t]);
+        });
         self.process_actions(actions, now, eng);
     }
 
@@ -1149,10 +1160,10 @@ impl Rt {
     /// scheduler is driven through `on_tasks_ready` under the
     /// consume-a-prefix contract — each call consumes ≥ 1 task, the
     /// emitted actions are applied, and the hook re-enters with the
-    /// unconsumed suffix. For schedulers on the default (per-task) hook
-    /// this is call-for-call identical to a `mark_ready` loop; batching-
-    /// aware schedulers coalesce hook overhead across a same-timestamp
-    /// run without changing any decision.
+    /// unconsumed suffix. A scheduler that consumes one task per call is
+    /// call-for-call identical to a `mark_ready` loop; the others coalesce
+    /// hook overhead across a same-timestamp run without changing any
+    /// decision.
     fn mark_ready_batch(&mut self, now: SimTime, eng: &mut Engine<Ev>) {
         if self.fatal.is_some() || self.ready_scratch.is_empty() {
             self.ready_scratch.clear();
@@ -1227,8 +1238,7 @@ impl Rt {
             // Every compute endpoint is Down. Hand the task back to the
             // scheduler, which parks it until capacity returns (re-driven
             // by `on_capacity_change` at `OutageEnd`).
-            let actions = self.sched(now, |s, ctx| s.on_task_ready(ctx, t));
-            self.process_actions(actions, now, eng);
+            self.sched_ready(t, now, eng);
             return;
         };
         let delay = self.cfg.retry.base_delay_seconds(attempts);
@@ -1407,11 +1417,11 @@ impl Rt {
         }
         if self.cfg.scaling.enabled && !self.scale_armed {
             self.scale_armed = true;
-            eng.schedule_after(self.cfg.scaling.interval, Ev::ScaleTick);
+            eng.schedule_after(SCALE_INTERVAL, Ev::ScaleTick);
         }
         if self.scheduler.wants_ticks() && !self.resched_armed {
             self.resched_armed = true;
-            eng.schedule_after(self.cfg.reschedule_interval, Ev::RescheduleTick);
+            eng.schedule_after(RESCHEDULE_INTERVAL, Ev::RescheduleTick);
         }
     }
 
@@ -1467,7 +1477,7 @@ impl Rt {
                     }
                 }
                 ScaleCommand::In { ep, workers } => {
-                    self.endpoints[ep.index()].release_idle_workers(workers, now);
+                    self.endpoints[ep.index()].release_idle_workers(workers);
                     self.rec.workers(ep, now, &self.endpoints);
                     let e = &self.endpoints[ep.index()];
                     let (a, p) = (e.active_workers(), e.pending_workers());
@@ -1614,10 +1624,7 @@ impl Rt {
         }
         match self.live_retry_ep(ep) {
             Some(ep) => self.do_stage(t, ep, true, now, eng),
-            None => {
-                let actions = self.sched(now, |s, ctx| s.on_task_ready(ctx, t));
-                self.process_actions(actions, now, eng);
-            }
+            None => self.sched_ready(t, now, eng),
         }
     }
 
@@ -1881,7 +1888,7 @@ impl Rt {
                 let keep_going = total_active > 0 || (!self.finished() && self.can_progress());
                 if keep_going && self.fatal.is_none() {
                     self.scale_armed = true;
-                    eng.schedule(now + self.cfg.scaling.interval, Ev::ScaleTick);
+                    eng.schedule(now + SCALE_INTERVAL, Ev::ScaleTick);
                 }
             }
             Ev::RescheduleTick => {
@@ -1890,12 +1897,12 @@ impl Rt {
                 self.process_actions(actions, now, eng);
                 if !self.finished() && self.can_progress() {
                     self.resched_armed = true;
-                    eng.schedule(now + self.cfg.reschedule_interval, Ev::RescheduleTick);
+                    eng.schedule(now + RESCHEDULE_INTERVAL, Ev::RescheduleTick);
                 }
             }
             Ev::CapacityChange(i) => self.capacity_change(i, now, eng),
             Ev::Commission(ep, n) => {
-                self.endpoints[ep.index()].commission_workers(n, now);
+                self.endpoints[ep.index()].commission_workers(n);
                 self.rec.workers(ep, now, &self.endpoints);
                 let e = &self.endpoints[ep.index()];
                 let (a, p) = (e.active_workers(), e.pending_workers());

@@ -30,6 +30,23 @@ impl CapacityScheduler {
     pub fn target(&self, task: TaskId) -> Option<EndpointId> {
         self.targets.get(task.index()).copied().flatten()
     }
+
+    /// Stages `task` on its partition target.
+    fn place(&mut self, ctx: &mut SchedCtx, task: TaskId) {
+        let mut ep = self.targets[task.index()].expect("task partitioned at submission");
+        // Capacity never revisits its offline partition (Table I), with one
+        // exception: a target the health monitor reports Down would eat the
+        // task, so divert to the first live endpoint (keeping the diversion
+        // sticky so staging and dispatch agree). With no health monitor or
+        // no outage this path never fires and the partition is untouched.
+        if ctx.is_down(ep) {
+            if let Some(live) = ctx.compute_eps.iter().copied().find(|e| !ctx.is_down(*e)) {
+                ep = live;
+                self.targets[task.index()] = Some(live);
+            }
+        }
+        ctx.stage(task, ep);
+    }
 }
 
 impl Scheduler for CapacityScheduler {
@@ -61,22 +78,6 @@ impl Scheduler for CapacityScheduler {
         }
     }
 
-    fn on_task_ready(&mut self, ctx: &mut SchedCtx, task: TaskId) {
-        let mut ep = self.targets[task.index()].expect("task partitioned at submission");
-        // Capacity never revisits its offline partition (Table I), with one
-        // exception: a target the health monitor reports Down would eat the
-        // task, so divert to the first live endpoint (keeping the diversion
-        // sticky so staging and dispatch agree). With no health monitor or
-        // no outage this path never fires and the partition is untouched.
-        if ctx.is_down(ep) {
-            if let Some(live) = ctx.compute_eps.iter().copied().find(|e| !ctx.is_down(*e)) {
-                ep = live;
-                self.targets[task.index()] = Some(live);
-            }
-        }
-        ctx.stage(task, ep);
-    }
-
     fn has_idle_work(&self, _ep: EndpointId) -> bool {
         // Capacity dispatches straight from staging completion and never
         // reacts to idle workers (tasks queue on the endpoint instead).
@@ -88,7 +89,7 @@ impl Scheduler for CapacityScheduler {
         // health — neither is touched by applying `Stage` actions — so a
         // whole same-timestamp ready run can be consumed in one call.
         for &task in tasks {
-            self.on_task_ready(ctx, task);
+            self.place(ctx, task);
         }
         tasks.len()
     }
@@ -195,7 +196,7 @@ mod tests {
         let t0 = TaskId(0);
         let target = sched.target(t0).unwrap();
 
-        sched.on_task_ready(&mut c, t0);
+        sched.on_tasks_ready(&mut c, &[t0]);
         assert_eq!(
             c.take_actions(),
             vec![SchedAction::Stage {
@@ -212,6 +213,25 @@ mod tests {
                 ep: target
             }]
         );
+    }
+
+    #[test]
+    fn a_ready_run_stages_the_same_whole_or_one_task_per_call() {
+        let fx = fixture(&[3, 2]);
+        let tasks: Vec<TaskId> = fx.dag.task_ids().collect();
+        let (mut whole, mut single) = (CapacityScheduler::new(), CapacityScheduler::new());
+        let mut c = ctx(&fx);
+        whole.on_tasks_added(&mut c, &tasks);
+        single.on_tasks_added(&mut c, &tasks);
+        // The root's children read no file: one call consumes them all.
+        let run = &tasks[1..];
+        assert_eq!(whole.on_tasks_ready(&mut c, run), run.len());
+        let batched = c.take_actions();
+        for &t in run {
+            assert_eq!(single.on_tasks_ready(&mut c, &[t]), 1);
+        }
+        assert_eq!(c.take_actions(), batched);
+        assert_eq!(batched.len(), run.len());
     }
 
     #[test]

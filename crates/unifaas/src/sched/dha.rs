@@ -417,19 +417,9 @@ impl DhaScheduler {
         }
     }
 
-    /// The Eq. 2 priority of a task (for tests/metrics).
-    pub fn priority(&self, task: TaskId) -> f64 {
-        self.priorities[task.index()]
-    }
-
     /// Current target endpoint of a task.
     pub fn target(&self, task: TaskId) -> Option<EndpointId> {
         self.target.get(task.index()).copied().flatten()
-    }
-
-    /// Number of tasks in delay queues.
-    pub fn delayed(&self) -> usize {
-        self.staged.len()
     }
 
     /// Drops caches whose validity key (the predictor epoch) moved on.
@@ -996,7 +986,7 @@ impl DhaScheduler {
         }
         let parked = std::mem::take(&mut self.parked);
         for task in parked {
-            self.on_task_ready(ctx, task);
+            self.place(ctx, task);
         }
     }
 
@@ -1016,35 +1006,10 @@ impl DhaScheduler {
                 b > 0 && b > ctx.inline_limit
             })
     }
-}
 
-impl Scheduler for DhaScheduler {
-    fn name(&self) -> &'static str {
-        match (self.opts.rescheduling, self.opts.delay_dispatch) {
-            (true, true) => "DHA",
-            (false, true) => "DHA-no-resched",
-            (true, false) => "DHA-no-delay",
-            (false, false) => "DHA-no-delay-no-resched",
-        }
-    }
-
-    fn on_tasks_added(&mut self, ctx: &mut SchedCtx, _tasks: &[TaskId]) {
-        // Priorities are about to change (extension can rewrite ancestor
-        // ranks as well): the persistent pool's sort keys go stale.
-        self.prio_gen += 1;
-        let epoch = ctx.predictor.epoch();
-        if self.rank_epoch == Some(epoch) {
-            // Same knowledge as the existing ranks: extend incrementally
-            // over the new suffix and the affected ancestor frontier.
-            extend_priorities(ctx.dag, &rank_costs(ctx), &mut self.priorities);
-            self.target.resize(ctx.dag.len(), None);
-        } else {
-            self.recompute_priorities(ctx);
-            self.rank_epoch = Some(epoch);
-        }
-    }
-
-    fn on_task_ready(&mut self, ctx: &mut SchedCtx, task: TaskId) {
+    /// Places one ready task: picks the endpoint with the earliest
+    /// predicted finish time and stages the task there.
+    fn place(&mut self, ctx: &mut SchedCtx, task: TaskId) {
         self.refresh_caches(ctx);
         let (exec_hit, inputs_hit) = self.ensure_task_caches(ctx, task);
         // Endpoint selection + immediate staging (overlap with compute).
@@ -1126,6 +1091,33 @@ impl Scheduler for DhaScheduler {
         self.pool_enter(task);
         ctx.stage(task, ep);
     }
+}
+
+impl Scheduler for DhaScheduler {
+    fn name(&self) -> &'static str {
+        match (self.opts.rescheduling, self.opts.delay_dispatch) {
+            (true, true) => "DHA",
+            (false, true) => "DHA-no-resched",
+            (true, false) => "DHA-no-delay",
+            (false, false) => "DHA-no-delay-no-resched",
+        }
+    }
+
+    fn on_tasks_added(&mut self, ctx: &mut SchedCtx, _tasks: &[TaskId]) {
+        // Priorities are about to change (extension can rewrite ancestor
+        // ranks as well): the persistent pool's sort keys go stale.
+        self.prio_gen += 1;
+        let epoch = ctx.predictor.epoch();
+        if self.rank_epoch == Some(epoch) {
+            // Same knowledge as the existing ranks: extend incrementally
+            // over the new suffix and the affected ancestor frontier.
+            extend_priorities(ctx.dag, &rank_costs(ctx), &mut self.priorities);
+            self.target.resize(ctx.dag.len(), None);
+        } else {
+            self.recompute_priorities(ctx);
+            self.rank_epoch = Some(epoch);
+        }
+    }
 
     fn on_tasks_ready(&mut self, ctx: &mut SchedCtx, tasks: &[TaskId]) -> usize {
         // Consume-a-prefix batching. The only placement input that applying
@@ -1145,7 +1137,7 @@ impl Scheduler for DhaScheduler {
             if backlog_dirty && has_inputs {
                 break;
             }
-            self.on_task_ready(ctx, task);
+            self.place(ctx, task);
             n += 1;
             backlog_dirty |= has_inputs;
         }
@@ -1158,9 +1150,9 @@ impl Scheduler for DhaScheduler {
     }
 
     fn on_workers_idle(&mut self, ctx: &mut SchedCtx, idle: &[(EndpointId, usize)]) {
-        // Per idle slot the per-item hook pops one delayed task; it reads
-        // only the scheduler's own staged queue, so the whole run batches
-        // into one call with identical dispatch order.
+        // Each idle slot pops one delayed task; that reads only the
+        // scheduler's own staged queue, so the whole run batches into one
+        // call with the same dispatch order as one call per slot.
         for &(ep, count) in idle {
             for _ in 0..count {
                 let Some(task) = self.staged.pop(ep) else {
@@ -1198,15 +1190,6 @@ impl Scheduler for DhaScheduler {
         }
     }
 
-    fn on_worker_idle(&mut self, ctx: &mut SchedCtx, ep: EndpointId) {
-        if let Some(task) = self.staged.pop(ep) {
-            self.uncommit(task);
-            self.drop_task_caches(task);
-            self.pool_leave(task);
-            ctx.dispatch(task, ep);
-        }
-    }
-
     fn on_task_removed(&mut self, task: TaskId) {
         self.uncommit(task);
         self.staging.remove(task);
@@ -1224,10 +1207,9 @@ impl Scheduler for DhaScheduler {
     }
 
     fn on_tick(&mut self, ctx: &mut SchedCtx) {
-        self.readmit_parked(ctx);
-        if self.opts.rescheduling {
-            self.reschedule(ctx);
-        }
+        // A tick does what a capacity change does: re-drive parked tasks,
+        // then re-schedule.
+        self.on_capacity_change(ctx);
     }
 
     fn wants_ticks(&self) -> bool {
@@ -1324,10 +1306,46 @@ mod tests {
     }
 
     #[test]
+    fn a_ready_run_stages_the_same_whole_or_one_task_per_call() {
+        let mut fx = fixture();
+        // Independent tasks with no file inputs: nothing a Stage changes is
+        // read by the next decision, so one call consumes the whole run.
+        let g = fx.dag.register_function("g");
+        let run: Vec<TaskId> = (0..6)
+            .map(|i| fx.dag.add_task(TaskSpec::compute(g, 10.0 + i as f64), &[]))
+            .collect();
+        let (mut whole, mut single) = (submitted(&fx), submitted(&fx));
+        let mut c = ctx(&fx);
+        assert_eq!(whole.on_tasks_ready(&mut c, &run), run.len());
+        let batched = c.take_actions();
+        for &t in &run {
+            assert_eq!(single.on_tasks_ready(&mut c, &[t]), 1);
+        }
+        assert_eq!(c.take_actions(), batched);
+        assert_eq!(batched.len(), run.len());
+    }
+
+    #[test]
+    fn two_file_input_tasks_in_a_row_are_cut_after_the_first() {
+        let mut fx = fixture();
+        // Task 1 and a sibling both read task 0's 1000-byte output, which
+        // the zero inline limit makes a file: the first one's Stage grows
+        // the transfer backlog the second one would read.
+        let g = fx.dag.register_function("g");
+        let sibling = fx.dag.add_task(TaskSpec::compute(g, 5.0), &[TaskId(0)]);
+        fx.store.register(output_id(TaskId(0)), 1000, EndpointId(0));
+        let mut sched = submitted(&fx);
+        let mut c = ctx(&fx);
+        assert_eq!(sched.on_tasks_ready(&mut c, &[TaskId(1), sibling]), 1);
+        assert_eq!(c.take_actions().len(), 1);
+        assert_eq!(sched.on_tasks_ready(&mut c, &[sibling]), 1);
+    }
+
+    #[test]
     fn priorities_decrease_along_chain() {
         let fx = fixture();
         let sched = submitted(&fx);
-        assert!(sched.priority(TaskId(0)) > sched.priority(TaskId(1)));
+        assert!(sched.priorities[0] > sched.priorities[1]);
     }
 
     #[test]
@@ -1335,7 +1353,7 @@ mod tests {
         let fx = fixture();
         let mut sched = submitted(&fx);
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, TaskId(0));
+        sched.on_tasks_ready(&mut c, &[TaskId(0)]);
         // ep1 (speed 2.0) halves execution time; data is nowhere so staging
         // costs are equal.
         assert_eq!(
@@ -1357,7 +1375,7 @@ mod tests {
         }
         let mut sched = submitted(&fx);
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, TaskId(0));
+        sched.on_tasks_ready(&mut c, &[TaskId(0)]);
         // avail(ep1) = 2000/4 = 500 s; ep0 executes in 100 s immediately.
         assert_eq!(
             c.take_actions(),
@@ -1374,7 +1392,7 @@ mod tests {
         let mut sched = submitted(&fx);
         {
             let mut c = ctx(&fx);
-            sched.on_task_ready(&mut c, TaskId(0));
+            sched.on_tasks_ready(&mut c, &[TaskId(0)]);
             c.take_actions();
         }
         // Saturate the chosen endpoint before staging completes.
@@ -1385,13 +1403,13 @@ mod tests {
             let mut c = ctx(&fx);
             sched.on_staging_complete(&mut c, TaskId(0));
             assert!(c.take_actions().is_empty(), "must delay, not dispatch");
-            assert_eq!(sched.delayed(), 1);
+            assert_eq!(sched.staged.len(), 1);
         }
         // A worker frees up → the delayed task dispatches.
         fx.monitor.mock_mut(EndpointId(1)).pop_task(100.0);
         {
             let mut c = ctx(&fx);
-            sched.on_worker_idle(&mut c, EndpointId(1));
+            sched.on_workers_idle(&mut c, &[(EndpointId(1), 1)]);
             assert_eq!(
                 c.take_actions(),
                 vec![SchedAction::Dispatch {
@@ -1399,7 +1417,7 @@ mod tests {
                     ep: EndpointId(1)
                 }]
             );
-            assert_eq!(sched.delayed(), 0);
+            assert_eq!(sched.staged.len(), 0);
         }
     }
 
@@ -1418,18 +1436,18 @@ mod tests {
             }
         }
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, small);
-        sched.on_task_ready(&mut c, big);
+        sched.on_tasks_ready(&mut c, &[small]);
+        sched.on_tasks_ready(&mut c, &[big]);
         c.take_actions();
         sched.on_staging_complete(&mut c, small);
         sched.on_staging_complete(&mut c, big);
-        assert_eq!(sched.delayed(), 2);
+        assert_eq!(sched.staged.len(), 2);
         // Free one worker on each: the higher-priority (bigger) task must
         // dispatch first from whichever queue holds both... they may be on
         // different endpoints; check the shared case by forcing same target.
         let ep = sched.target(big).unwrap();
         if sched.target(small) == Some(ep) {
-            sched.on_worker_idle(&mut c, ep);
+            sched.on_workers_idle(&mut c, &[(ep, 1)]);
             let acts = c.take_actions();
             assert_eq!(acts, vec![SchedAction::Dispatch { task: big, ep }]);
         }
@@ -1448,10 +1466,10 @@ mod tests {
         }
         {
             let mut c = ctx(&fx);
-            sched.on_task_ready(&mut c, TaskId(0));
+            sched.on_tasks_ready(&mut c, &[TaskId(0)]);
             c.take_actions();
             sched.on_staging_complete(&mut c, TaskId(0));
-            assert_eq!(sched.delayed(), 1);
+            assert_eq!(sched.staged.len(), 1);
         }
         let old_target = sched.target(TaskId(0)).unwrap();
         // Capacity change: the *other* endpoint empties entirely.
@@ -1475,7 +1493,7 @@ mod tests {
                 }]
             );
             assert_eq!(sched.target(TaskId(0)), Some(other));
-            assert_eq!(sched.delayed(), 0, "stolen task left the delay queue");
+            assert_eq!(sched.staged.len(), 0, "stolen task left the delay queue");
         }
     }
 
@@ -1499,13 +1517,13 @@ mod tests {
             }
         }
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, TaskId(0));
+        sched.on_tasks_ready(&mut c, &[TaskId(0)]);
         c.take_actions();
         sched.on_staging_complete(&mut c, TaskId(0));
         let actions = c.take_actions();
         assert_eq!(actions.len(), 1, "must dispatch despite saturation");
         assert!(matches!(actions[0], SchedAction::Dispatch { .. }));
-        assert_eq!(sched.delayed(), 0);
+        assert_eq!(sched.staged.len(), 0);
     }
 
     #[test]
@@ -1524,7 +1542,7 @@ mod tests {
             }
         }
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, TaskId(0));
+        sched.on_tasks_ready(&mut c, &[TaskId(0)]);
         c.take_actions();
         sched.on_staging_complete(&mut c, TaskId(0));
         sched.on_capacity_change(&mut c);
@@ -1544,7 +1562,7 @@ mod tests {
             .register(output_id(TaskId(0)), 100 << 30, EndpointId(0));
         let mut sched = submitted(&fx);
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, TaskId(1));
+        sched.on_tasks_ready(&mut c, &[TaskId(1)]);
         assert_eq!(
             c.take_actions(),
             vec![SchedAction::Stage {
@@ -1564,7 +1582,7 @@ mod tests {
         // the fast endpoint wins; this warms the replica cache.
         {
             let mut c = ctx(&fx);
-            sched.on_task_ready(&mut c, TaskId(1));
+            sched.on_tasks_ready(&mut c, &[TaskId(1)]);
             assert_eq!(
                 c.take_actions(),
                 vec![SchedAction::Stage {
@@ -1578,7 +1596,7 @@ mod tests {
         fx.store.add_replica(output_id(TaskId(0)), EndpointId(0));
         sched.on_task_removed(TaskId(1));
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, TaskId(1));
+        sched.on_tasks_ready(&mut c, &[TaskId(1)]);
         assert_eq!(
             c.take_actions(),
             vec![SchedAction::Stage {
@@ -1608,13 +1626,13 @@ mod tests {
             {
                 let mut c = ctx(&fx);
                 for &t in &ids {
-                    sched.on_task_ready(&mut c, t);
+                    sched.on_tasks_ready(&mut c, &[t]);
                 }
                 c.take_actions();
                 for &t in &ids {
                     sched.on_staging_complete(&mut c, t);
                 }
-                assert_eq!(sched.delayed(), ids.len());
+                assert_eq!(sched.staged.len(), ids.len());
             }
             // Both endpoints free up completely → mass re-evaluation.
             for ep in [EndpointId(0), EndpointId(1)] {
@@ -1659,14 +1677,14 @@ mod tests {
         let full = submitted(&fx);
         for t in fx.dag.task_ids() {
             assert!(
-                (incremental.priority(t) - full.priority(t)).abs() < 1e-9,
+                (incremental.priorities[t.index()] - full.priorities[t.index()]).abs() < 1e-9,
                 "incremental rank of {t} diverged: {} vs {}",
-                incremental.priority(t),
-                full.priority(t)
+                incremental.priorities[t.index()],
+                full.priorities[t.index()]
             );
         }
         // The growth raised ancestors' ranks: task 1 gained the new chain.
-        assert!(incremental.priority(TaskId(1)) > incremental.priority(c1));
+        assert!(incremental.priorities[1] > incremental.priorities[c1.index()]);
     }
 
     /// A replica mutation, a predictor retrain or a best-source query, for

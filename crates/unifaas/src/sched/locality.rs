@@ -69,7 +69,7 @@ impl LocalityScheduler {
                     )
                 });
             let Some(ep) = best else {
-                break; // no idle workers anywhere; wait for on_worker_idle
+                break; // no idle workers anywhere; wait for on_workers_idle
             };
             self.ready.pop_front();
             self.assigned.insert(task, ep);
@@ -84,17 +84,11 @@ impl Scheduler for LocalityScheduler {
         "Locality"
     }
 
-    fn on_task_ready(&mut self, ctx: &mut SchedCtx, task: TaskId) {
-        let inputs = ctx.task_inputs(task);
-        self.ready.push_back((task, inputs));
-        self.try_assign(ctx);
-    }
-
     fn on_tasks_ready(&mut self, ctx: &mut SchedCtx, tasks: &[TaskId]) -> usize {
         // `try_assign` reads the mock idle count minus our own synchronous
         // `reserved` bookkeeping; applying its `Stage` actions between tasks
         // changes neither. Enqueue the whole run, then drain once — the
-        // assignments (and their order) match the per-task hook exactly.
+        // assignments (and their order) match one call per task exactly.
         for &task in tasks {
             let inputs = ctx.task_inputs(task);
             self.ready.push_back((task, inputs));
@@ -105,8 +99,7 @@ impl Scheduler for LocalityScheduler {
 
     fn on_workers_idle(&mut self, ctx: &mut SchedCtx, _idle: &[(EndpointId, usize)]) {
         // One drain covers every newly idle slot: `try_assign` already loops
-        // until it runs out of ready tasks or available workers, so the
-        // per-slot default would only add no-op re-entries.
+        // until it runs out of ready tasks or available workers.
         self.try_assign(ctx);
     }
 
@@ -124,10 +117,6 @@ impl Scheduler for LocalityScheduler {
             *r = r.saturating_sub(1);
         }
         ctx.dispatch(task, ep);
-    }
-
-    fn on_worker_idle(&mut self, ctx: &mut SchedCtx, _ep: EndpointId) {
-        self.try_assign(ctx);
     }
 
     fn on_capacity_change(&mut self, ctx: &mut SchedCtx) {
@@ -222,7 +211,7 @@ mod tests {
         fx.store.register(output_id(TaskId(0)), 1000, EndpointId(1));
         let mut sched = LocalityScheduler::new();
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, TaskId(1));
+        sched.on_tasks_ready(&mut c, &[TaskId(1)]);
         assert_eq!(
             c.take_actions(),
             vec![SchedAction::Stage {
@@ -233,19 +222,39 @@ mod tests {
     }
 
     #[test]
+    fn a_ready_run_stages_the_same_whole_or_one_task_per_call() {
+        let mut fx = fixture(&[2, 2]);
+        // Five independent tasks, no file inputs, one more than the workers.
+        let g = fx.dag.register_function("g");
+        let run: Vec<TaskId> = (0..5)
+            .map(|_| fx.dag.add_task(TaskSpec::compute(g, 1.0), &[]))
+            .collect();
+        let (mut whole, mut single) = (LocalityScheduler::new(), LocalityScheduler::new());
+        let mut c = ctx(&fx);
+        assert_eq!(whole.on_tasks_ready(&mut c, &run), run.len());
+        let batched = c.take_actions();
+        for &t in &run {
+            assert_eq!(single.on_tasks_ready(&mut c, &[t]), 1);
+        }
+        assert_eq!(c.take_actions(), batched);
+        assert_eq!(batched.len(), 4);
+        assert_eq!((whole.backlog(), single.backlog()), (1, 1));
+    }
+
+    #[test]
     fn waits_when_no_idle_workers() {
         let mut fx = fixture(&[1]);
         fx.monitor.mock_mut(EndpointId(0)).push_task(1.0);
         fx.store.register(output_id(TaskId(0)), 1000, EndpointId(0));
         let mut sched = LocalityScheduler::new();
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, TaskId(1));
+        sched.on_tasks_ready(&mut c, &[TaskId(1)]);
         assert!(c.take_actions().is_empty());
         assert_eq!(sched.backlog(), 1);
         // Worker frees up → assignment happens.
         fx.monitor.mock_mut(EndpointId(0)).pop_task(1.0);
         let mut c = ctx(&fx);
-        sched.on_worker_idle(&mut c, EndpointId(0));
+        sched.on_workers_idle(&mut c, &[(EndpointId(0), 1)]);
         assert_eq!(c.take_actions().len(), 1);
         assert_eq!(sched.backlog(), 0);
     }
@@ -259,8 +268,8 @@ mod tests {
         let extra = fx.dag.add_task(TaskSpec::compute(f, 1.0), &[]);
         let mut sched = LocalityScheduler::new();
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, TaskId(1));
-        sched.on_task_ready(&mut c, extra);
+        sched.on_tasks_ready(&mut c, &[TaskId(1)]);
+        sched.on_tasks_ready(&mut c, &[extra]);
         // Only one Stage action: the single worker is reserved.
         assert_eq!(c.take_actions().len(), 1);
         assert_eq!(sched.backlog(), 1);
@@ -287,7 +296,7 @@ mod tests {
         let t = fx.dag.add_task(TaskSpec::compute(f, 1.0), &[]);
         let mut sched = LocalityScheduler::new();
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, t);
+        sched.on_tasks_ready(&mut c, &[t]);
         assert_eq!(
             c.take_actions(),
             vec![SchedAction::Stage {

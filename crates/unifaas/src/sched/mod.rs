@@ -251,12 +251,9 @@ pub trait Scheduler {
     /// growth).
     fn on_tasks_added(&mut self, _ctx: &mut SchedCtx, _tasks: &[TaskId]) {}
 
-    /// All of `task`'s dependencies have completed.
-    fn on_task_ready(&mut self, ctx: &mut SchedCtx, task: TaskId);
-
-    /// Batched form of [`Scheduler::on_task_ready`]: `tasks` became ready
-    /// at the same instant (the engine delivers same-timestamp event runs
-    /// back-to-back and the runtime coalesces them).
+    /// `tasks` became ready at the same instant (the engine delivers
+    /// same-timestamp event runs back-to-back and the runtime coalesces
+    /// them; a single ready task arrives as a one-task slice).
     ///
     /// **Consume-a-prefix contract.** The scheduler must place at least
     /// one task and return how many it consumed; the runtime then applies
@@ -267,46 +264,24 @@ pub trait Scheduler {
     /// independent consume the whole slice in one call — amortizing the
     /// per-hook context setup, wall-clock sampling, and action-drain
     /// overhead across the run.
-    ///
-    /// The default consumes exactly one task via `on_task_ready`, which
-    /// reproduces the unbatched semantics (actions applied between every
-    /// pair of tasks) for schedulers that don't override this.
-    fn on_tasks_ready(&mut self, ctx: &mut SchedCtx, tasks: &[TaskId]) -> usize {
-        self.on_task_ready(ctx, tasks[0]);
-        1
-    }
+    fn on_tasks_ready(&mut self, ctx: &mut SchedCtx, tasks: &[TaskId]) -> usize;
 
     /// `task`'s inputs are all present at its target endpoint.
     fn on_staging_complete(&mut self, ctx: &mut SchedCtx, task: TaskId);
 
-    /// A worker on `ep` became idle (and no endpoint-queued task consumed
-    /// it).
-    fn on_worker_idle(&mut self, _ctx: &mut SchedCtx, _ep: EndpointId) {}
-
-    /// Batched form of [`Scheduler::on_worker_idle`]: `idle` lists
-    /// endpoints with their current idle-worker counts. Called once per
-    /// drive instead of once per idle slot; a scheduler holding tasks
-    /// ready to dispatch should emit up to `count` dispatches per
-    /// endpoint in one pass. Queued actions are applied after the hook
-    /// returns; the runtime re-invokes while dispatches keep landing.
-    ///
-    /// The default loops `on_worker_idle` once per idle slot, matching
-    /// the unbatched behaviour for schedulers that don't override it
-    /// (hook decisions cannot observe their own queued actions, so
-    /// per-slot interleaving is indistinguishable from this loop).
-    fn on_workers_idle(&mut self, ctx: &mut SchedCtx, idle: &[(EndpointId, usize)]) {
-        for &(ep, count) in idle {
-            for _ in 0..count {
-                self.on_worker_idle(ctx, ep);
-            }
-        }
-    }
+    /// Workers became idle (and no endpoint-queued task consumed them):
+    /// `idle` lists endpoints with their current idle-worker counts. Called
+    /// once per drive, not once per idle slot; a scheduler holding tasks
+    /// ready to dispatch should emit up to `count` dispatches per endpoint
+    /// in one pass. Queued actions are applied after the hook returns; the
+    /// runtime re-invokes while dispatches keep landing.
+    fn on_workers_idle(&mut self, _ctx: &mut SchedCtx, _idle: &[(EndpointId, usize)]) {}
 
     /// Cheap pre-check for the idle-worker hook: could the scheduler do
     /// anything with an idle worker on `ep` right now? While this returns
-    /// `false` the runtime may skip the `on_worker_idle`/`on_workers_idle`
-    /// round-trip entirely — on large runs that is one saved hook call per
-    /// freed worker slot. Implementations must be conservative (return
+    /// `false` the runtime may skip the `on_workers_idle` round-trip
+    /// entirely — on large runs that is one saved hook call per freed
+    /// worker slot. Implementations must be conservative (return
     /// `true` unless certainly idle-indifferent) and side-effect free; the
     /// default keeps every existing scheduler on the always-invoked path.
     fn has_idle_work(&self, _ep: EndpointId) -> bool {

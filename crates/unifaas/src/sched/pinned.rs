@@ -62,9 +62,14 @@ impl Scheduler for PinnedScheduler {
         "Pinned"
     }
 
-    fn on_task_ready(&mut self, ctx: &mut SchedCtx, task: TaskId) {
-        let ep = self.endpoint_for(ctx, task);
-        ctx.stage(task, ep);
+    fn on_tasks_ready(&mut self, ctx: &mut SchedCtx, tasks: &[TaskId]) -> usize {
+        // A pin reads only the function name: applying a `Stage` between
+        // tasks changes nothing the next decision reads.
+        for &task in tasks {
+            let ep = self.endpoint_for(ctx, task);
+            ctx.stage(task, ep);
+        }
+        tasks.len()
     }
 
     fn on_staging_complete(&mut self, ctx: &mut SchedCtx, task: TaskId) {
@@ -156,9 +161,9 @@ mod tests {
             ("task2".into(), "EP2".into()),
         ]);
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, TaskId(0));
-        sched.on_task_ready(&mut c, TaskId(1));
-        sched.on_task_ready(&mut c, TaskId(2));
+        sched.on_tasks_ready(&mut c, &[TaskId(0)]);
+        sched.on_tasks_ready(&mut c, &[TaskId(1)]);
+        sched.on_tasks_ready(&mut c, &[TaskId(2)]);
         assert_eq!(
             c.take_actions(),
             vec![
@@ -191,7 +196,7 @@ mod tests {
         let fx = fixture();
         let mut sched = PinnedScheduler::new(vec![("task1".into(), "EP1".into())]);
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, TaskId(1)); // task2 is unpinned
+        sched.on_tasks_ready(&mut c, &[TaskId(1)]); // task2 is unpinned
         assert_eq!(
             c.take_actions(),
             vec![SchedAction::Stage {
@@ -207,6 +212,6 @@ mod tests {
         let fx = fixture();
         let mut sched = PinnedScheduler::new(vec![("task1".into(), "EP9".into())]);
         let mut c = ctx(&fx);
-        sched.on_task_ready(&mut c, TaskId(0));
+        sched.on_tasks_ready(&mut c, &[TaskId(0)]);
     }
 }

@@ -31,19 +31,18 @@ pub struct TraceConfig {
     pub level: TraceLevel,
     /// Event-ring capacity in records (oldest overwritten when full).
     pub ring_capacity: usize,
-    /// Maximum retained scheduler decision records (oldest dropped).
-    pub max_decisions: usize,
-    /// Maximum retained transfer records (oldest dropped).
-    pub max_transfers: usize,
 }
+
+/// Scheduler decision and transfer records a traced run keeps of each kind;
+/// later ones are counted in [`RunTrace::dropped_decisions`] and
+/// [`RunTrace::dropped_transfers`].
+pub(crate) const MAX_RECORDS: usize = 1 << 18;
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             level: TraceLevel::Full,
             ring_capacity: simkit::trace::DEFAULT_RING_CAPACITY,
-            max_decisions: 1 << 18,
-            max_transfers: 1 << 18,
         }
     }
 }
@@ -150,9 +149,9 @@ pub struct RunTrace {
     pub decisions: Vec<DecisionRecord>,
     /// Transfer records, oldest first (bounded; see `dropped_transfers`).
     pub transfers: Vec<TransferRecord>,
-    /// Decision records discarded because `max_decisions` was reached.
+    /// Decision records discarded because [`MAX_RECORDS`] were kept.
     pub dropped_decisions: u64,
-    /// Transfer records discarded because `max_transfers` was reached.
+    /// Transfer records discarded because [`MAX_RECORDS`] were kept.
     pub dropped_transfers: u64,
 }
 
@@ -222,7 +221,7 @@ impl RunTrace {
     }
 
     /// Plain-text counter totals plus structured-record tallies.
-    pub fn counters_snapshot(&self) -> String {
+    fn counters_snapshot(&self) -> String {
         let mut s = self.tracer.counters_snapshot();
         s.push_str(&format!("trace.decisions {}\n", self.decisions.len()));
         s.push_str(&format!(

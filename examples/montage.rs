@@ -28,7 +28,6 @@ fn main() {
     cfg.scaling = ScalingConfig {
         enabled: true,
         idle_timeout: SimDuration::from_secs(30),
-        interval: SimDuration::from_secs(1),
         policy: unifaas::config::ScalingPolicyKind::Default,
     };
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo-wide hygiene gate: formatting, lints-as-errors, full test suite.
+# Repo-wide hygiene gate: formatting, guards against deleted mechanisms,
+# the public-surface census, lints-as-errors, full test suite.
 # Run from anywhere; operates on the workspace root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -241,6 +242,24 @@ if grep -rnE 'FedciTraceLabels|FlightReport|RecentEvent' \
   --exclude=check.sh --exclude-dir=benchmark --exclude-dir=target \
   --exclude-dir=.git .; then
   echo "a deleted recorder type is referenced again (see above)" >&2
+  exit 1
+fi
+
+# Every `pub` item of a library crate is named outside its file, or is on
+# scripts/pub_readers.txt with the reader that keeps it public.
+echo "==> public-surface census (scripts/pub_census.py against scripts/pub_readers.txt)"
+python3 scripts/pub_census.py
+
+# Options nothing set to a non-default value became constants, the unread
+# items went, the flags that served what --metrics-out and --progress
+# already print went, and the scheduler has one hook per event
+# (`on_tasks_ready`, `on_workers_idle`). History files may name them.
+echo "==> no deleted option, flag or per-item scheduler hook left"
+if grep -rnE 'submit_batch_size|reschedule_interval|max_decisions|max_transfers|home_is_last|derive_uuid|serve_addr|on_worker_idle\b|on_task_ready\b|--progress-addr|--metrics-addr|--trace-level|--max-attempts' \
+  --include='*.rs' --include='*.sh' --include='*.yml' \
+  --exclude=check.sh --exclude-dir=benchmark --exclude-dir=target \
+  --exclude-dir=.git .; then
+  echo "a deleted option, flag or scheduler hook is referenced again (see above)" >&2
   exit 1
 fi
 

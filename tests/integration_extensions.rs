@@ -81,7 +81,6 @@ fn coordinated_scaling_provisions_less_for_same_work() {
         cfg.scaling = ScalingConfig {
             enabled: true,
             idle_timeout: SimDuration::from_secs(20),
-            interval: SimDuration::from_secs(1),
             policy,
         };
         let report = SimRuntime::new(cfg, bag(50, 30.0, 0)).run().unwrap();
