@@ -73,6 +73,7 @@ fn fig5_latency(_: &mut Runs) {
             .build();
         let report = SimRuntime::new(cfg, stress::hello_world())
             .prestage_inputs(false)
+            .with_metrics(true)
             .run()
             .expect("run failed");
         let (sched, staging, submission, queue, exec, poll) = report.latency.means();

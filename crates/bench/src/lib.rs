@@ -93,12 +93,14 @@ impl Pool {
 
     /// Simulates the case study under `strategy`, with `seed` added to
     /// both the `Config` seed and the DAG generator's seed (0 reproduces
-    /// the paper tables).
+    /// the paper tables). Metered, so Table III can read the scheduler's
+    /// hook time from the same runs as the other tables.
     pub fn run(self, strategy: SchedulingStrategy, seed: u64) -> RunReport {
         let mut cfg = self.config().build();
         cfg.strategy = strategy;
         cfg.seed += seed;
         SimRuntime::new(cfg, self.dag(seed))
+            .with_metrics(true)
             .run()
             .expect("run failed")
     }

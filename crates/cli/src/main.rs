@@ -21,6 +21,8 @@
 //!   stage the makespan was actually spent in, along the longest
 //!   dependency chain) and the predictor calibration table. Implies
 //!   metrics collection, and span tracing sized to hold every task.
+//!   A metered run (`--report` or `--metrics-out`) also times the
+//!   scheduler's hooks and prints their wall time per task.
 //! * `--metrics-out <path>` writes the final counters/gauges/histograms in
 //!   Prometheus text format (one-shot dump; implies metrics collection).
 //! * `--flame-out <path>` writes the trace as folded stacks for
@@ -275,10 +277,13 @@ fn main() {
         "mean utilization   {:.1}%",
         report.mean_utilization() * 100.0
     );
-    println!(
-        "scheduler overhead {:.2e} s/task (wall)",
-        report.scheduler_overhead_per_task()
-    );
+    // Only a metered run times the scheduler's hooks.
+    if want_metrics {
+        println!(
+            "scheduler overhead {:.2e} s/task (wall)",
+            report.scheduler_overhead_per_task()
+        );
+    }
     println!("tasks per endpoint:");
     for (label, count) in &report.tasks_per_endpoint {
         if *count > 0 {

@@ -12,7 +12,8 @@ pub struct LatencyBreakdown {
     /// Tasks aggregated.
     pub count: u64,
     /// Client-side scheduling decision time (measured wall clock of
-    /// scheduler hooks, attributed evenly), seconds.
+    /// scheduler hooks, attributed evenly), seconds. Zero unless the run
+    /// was metered, like [`RunReport::scheduler_wall`].
     pub scheduling_s: f64,
     /// Ready → staging complete (data transfer), seconds.
     pub staging_s: f64,
@@ -93,7 +94,10 @@ pub struct RunReport {
     pub transfer_bytes: u64,
     /// Tasks executed per endpoint label (Fig. 11's workload distribution).
     pub tasks_per_endpoint: Vec<(String, usize)>,
-    /// Total wall-clock time spent inside scheduler hooks.
+    /// Total wall-clock time spent inside scheduler hooks. Only a metered
+    /// run (`SimRuntime::with_metrics(true)`) times them, so an unmetered
+    /// run reports zero: Table III, Fig. 5's scheduling row and
+    /// `unifaas-sim --report` read it from metered runs.
     pub scheduler_wall: std::time::Duration,
     /// Number of scheduler hook invocations.
     pub scheduler_calls: u64,
@@ -140,7 +144,7 @@ impl RunReport {
     }
 
     /// Scheduler overhead per completed task, seconds of wall clock —
-    /// Table III's metric.
+    /// Table III's metric (zero for an unmetered run).
     pub fn scheduler_overhead_per_task(&self) -> f64 {
         if self.tasks_completed == 0 {
             0.0

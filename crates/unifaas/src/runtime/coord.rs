@@ -26,8 +26,9 @@ pub struct LiveRetryPolicy {
     /// Attempts per task (≥ 1). An application error or timeout on the
     /// last attempt is final.
     pub max_attempts: u32,
-    /// Wall-clock budget per attempt; exceeded attempts are presumed
-    /// swallowed (crashed worker) and re-dispatched by the `wait_all`
+    /// Wall-clock budget per attempt, counted from the first `wait_all`
+    /// watchdog scan that sees it in flight; exceeded attempts are
+    /// presumed swallowed (crashed worker) and re-dispatched by that
     /// watchdog. `None` disables the watchdog.
     pub task_timeout: Option<Duration>,
     /// Base backoff before retry attempt `k`, doubling per attempt. Zero
@@ -76,11 +77,15 @@ enum Phase {
     Waiting(u32),
     /// Between attempts, waiting out a back-off: any outcome is stale.
     Retrying,
-    /// Sent at `at_us` (0 without a watchdog); `attempt` is the generation guard.
-    InFlight { at_us: u64, attempt: u32, ep: u16 },
+    /// Sent; first seen in flight by the watchdog's scan at `seen_us`
+    /// ([`UNSEEN`] until then); `attempt` is the generation guard.
+    InFlight { seen_us: u64, attempt: u32, ep: u16 },
     /// Resolved by `attempt`: where the output lives, its length (0 on failure).
     Done { ep: u16, attempt: u32, bytes: u64 },
 }
+
+/// `Phase::InFlight::seen_us` of an attempt no scan has seen yet.
+const UNSEEN: u64 = u64::MAX;
 
 /// Everything the machine keeps per task; `slots[id]` is task `id`.
 struct Slot<T> {
@@ -189,10 +194,13 @@ impl<T: AsRef<[usize]>> Coord<T> {
     /// Places task `id` and marks `attempt` in flight.
     pub fn dispatch(&mut self, id: usize, attempt: u32, view: &impl View) -> Dispatch<T> {
         let ep = self.place(id, view) as u16;
-        // Only the watchdog reads the stamp: no clock read without one.
-        let at_us = self.retry.task_timeout.map_or(0, |_| view.now_us());
+        // No clock read: the watchdog's scan stamps the attempt (`overdue`).
         let slot = &mut self.slots[id];
-        slot.phase = Phase::InFlight { at_us, attempt, ep };
+        slot.phase = Phase::InFlight {
+            seen_us: UNSEEN,
+            attempt,
+            ep,
+        };
         let keep_output = !slot.dependents.is_empty();
         let (cell, function) = (Arc::clone(&slot.cell), usize::from(slot.function));
         self.stats.dispatched += 1;
@@ -324,7 +332,10 @@ impl<T: AsRef<[usize]>> Coord<T> {
         self.waiting.first_key_value().map(|(&(due, _), _)| due)
     }
 
-    /// The watchdog's scan: the attempts in flight for `task_timeout` or more.
+    /// The watchdog's scan: the attempts a scan at least `task_timeout`
+    /// ago saw in flight. It stamps those no scan has seen yet, so a
+    /// dispatch reads no clock, and an attempt fails over at an age in
+    /// `[T, T + 2 ticks)` when the scans are a tick apart.
     pub fn overdue(&mut self, view: &impl View) -> Vec<(usize, u32)> {
         let done = |s: &Slot<T>| matches!(s.phase, Phase::Done { .. });
         while self.slots.get(self.first_live).is_some_and(done) {
@@ -333,10 +344,19 @@ impl<T: AsRef<[usize]>> Coord<T> {
         let never = Duration::from_micros(u64::MAX);
         let limit = self.retry.task_timeout.unwrap_or(never).as_micros() as u64;
         let now = view.now_us();
-        let live = self.slots.iter().enumerate().skip(self.first_live);
-        let overdue = live.filter_map(|(id, slot)| match slot.phase {
-            Phase::InFlight { at_us, attempt, .. } if now - at_us >= limit => Some((id, attempt)),
-            _ => None,
+        let live = self.slots.iter_mut().enumerate().skip(self.first_live);
+        let overdue = live.filter_map(|(id, slot)| {
+            let Phase::InFlight {
+                seen_us, attempt, ..
+            } = &mut slot.phase
+            else {
+                return None;
+            };
+            if *seen_us == UNSEEN {
+                *seen_us = now;
+                return None;
+            }
+            (now - *seen_us >= limit).then_some((id, *attempt))
         });
         let overdue: Vec<_> = overdue.collect();
         self.stats.watchdog_timeouts += overdue.len() as u64;

@@ -105,6 +105,7 @@ fn late_result_of_a_failed_over_attempt_is_dropped() {
     let mut coord = machine(1, policy(3, Some(100), 0));
     let first = submit(&mut coord, &[], board.at_ms(1)).1.unwrap();
     assert_eq!(first.task, (0, 1));
+    assert!(coord.overdue(&board).is_empty(), "a scan stamps it at 1 ms");
     assert!(
         coord.overdue(board.at_ms(100)).is_empty(),
         "99 ms in flight"
@@ -137,6 +138,7 @@ fn completion_during_backoff_is_dropped_and_the_retry_dispatches_once() {
     let mut board = Board::new(1);
     let mut coord = machine(1, policy(3, Some(50), 200));
     submit(&mut coord, &[], board.at_ms(0)).1.unwrap();
+    assert!(coord.overdue(&board).is_empty(), "a scan stamps it at 0 ms");
     assert_eq!(coord.overdue(board.at_ms(50)), [(0, 1)]);
     let timeout = Err("attempt 1 timed out".to_string());
     assert!(retried(coord.on_result((0, 1), timeout, true, &board)).is_none());
@@ -222,6 +224,7 @@ fn a_dependent_is_given_the_accepted_attempts_key_not_the_superseded_ones() {
     let first = submit(&mut coord, &[], &board).1.unwrap();
     assert_eq!((first.ep, first.keep_output), (0, false));
     assert!(submit(&mut coord, &[0], &board).1.is_none());
+    assert!(coord.overdue(&board).is_empty(), "a scan stamps it at 0 ms");
     // Attempt 1 sits on endpoint 0; with that one reading Dead, the attempt
     // the watchdog replaces it with goes to endpoint 1 — told, now, that a
     // dependent waits for its output.
@@ -311,20 +314,29 @@ fn a_respawned_endpoint_is_readmitted_at_placement() {
 }
 
 #[test]
-fn the_clock_is_read_once_per_dispatch_and_only_under_a_watchdog() {
-    let board = Board::new(1);
-    let mut coord = machine(1, policy(2, None, 0));
-    submit(&mut coord, &[], &board).1.unwrap();
-    retried(coord.on_result((0, 1), Err("boom".into()), true, &board)).unwrap();
-    assert!(resolved(coord.on_result((0, 2), ok(b""), true, &board))
-        .0
-        .is_ok());
-    assert_eq!(board.clock_reads.get(), 0, "no timeout, no back-off");
-    let mut coord = machine(1, policy(1, Some(1_000), 0));
-    for _ in 0..3 {
+fn a_dispatch_reads_no_clock_and_the_budget_starts_at_the_first_scan() {
+    let mut board = Board::new(1);
+    for timeout in [None, Some(1_000)] {
+        let mut coord = machine(1, policy(2, timeout, 0));
         submit(&mut coord, &[], &board).1.unwrap();
+        retried(coord.on_result((0, 1), Err("boom".into()), true, &board)).unwrap();
+        assert!(resolved(coord.on_result((0, 2), ok(b""), true, &board))
+            .0
+            .is_ok());
+        for _ in 0..3 {
+            submit(&mut coord, &[], &board).1.unwrap();
+        }
     }
-    assert_eq!(board.clock_reads.get(), 3, "one stamp per dispatch");
+    assert_eq!(board.clock_reads.get(), 0, "dispatches read no clock");
+    // Dispatched at 3 ms, first seen in flight by the scan at 7 ms: the
+    // 100 ms budget runs from 7 ms.
+    let mut coord = machine(1, policy(1, Some(100), 0));
+    submit(&mut coord, &[], board.at_ms(3)).1.unwrap();
+    assert!(coord.overdue(board.at_ms(7)).is_empty());
+    board.now_us = 107_000 - 1;
+    assert!(coord.overdue(&board).is_empty(), "1 µs short of the budget");
+    board.now_us = 107_000;
+    assert_eq!(coord.overdue(&board), [(0, 1)]);
 }
 
 /// One step of a random session.
@@ -370,8 +382,8 @@ struct Task {
     /// Dependents registered while this task was unresolved.
     dependents: usize,
     dispatches: u32,
-    /// The attempt in flight and when it left.
-    live: Option<(u32, u64)>,
+    /// The attempt in flight and when a watchdog scan first saw it.
+    live: Option<(u32, Option<u64>)>,
     /// When the retry waiting out its back-off is due.
     due: Option<u64>,
     /// The accepted attempt and its outcome.
@@ -467,7 +479,7 @@ impl Rig {
         );
         let task = &mut self.tasks[id];
         task.dispatches += 1;
-        task.live = Some((attempt, self.board.now_us));
+        task.live = Some((attempt, None));
         self.sent.push((id, attempt));
         match d.stage {
             Err(msg) => self.deliver(id, attempt, Err(msg), false),
@@ -569,16 +581,21 @@ impl Rig {
         }
     }
 
-    /// Time passes: the watchdog's scan, then the timer's.
+    /// Time passes: the watchdog's scan, then the timer's. The scan
+    /// stamps each attempt it sees in flight for the first time, and
+    /// fails over those a scan saw `task_timeout` or more ago.
     fn advance(&mut self, ms: u64) -> Checked {
         self.board.now_us += ms * 1_000;
         let now = self.board.now_us;
         let limit = self.coord.retry.task_timeout.map(|t| t.as_micros() as u64);
         let overdue = self.coord.overdue(&self.board);
         let mut expected = Vec::new();
-        for (id, task) in self.tasks.iter().enumerate() {
-            match (task.live, limit) {
-                (Some((a, at)), Some(limit)) if now - at >= limit => expected.push((id, a)),
+        for (id, task) in self.tasks.iter_mut().enumerate() {
+            match (&mut task.live, limit) {
+                (Some((_, seen @ None)), _) => *seen = Some(now),
+                (Some((a, Some(seen))), Some(limit)) if now - *seen >= limit => {
+                    expected.push((id, *a))
+                }
                 _ => {}
             }
         }

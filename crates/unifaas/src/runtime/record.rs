@@ -12,7 +12,8 @@
 //!   lifecycle spans on per-endpoint tracks, transfer spans, substrate
 //!   instants and counters, decision and transfer records;
 //! * the **meter** ([`SimRuntime::with_metrics`](super::sim::SimRuntime::with_metrics)):
-//!   the Prometheus registry and the predictor-accuracy monitor;
+//!   the Prometheus registry, the predictor-accuracy monitor and the
+//!   scheduler's hook wall time (the run's only clock reads);
 //! * the **decision digest** (`Config::verify`) and the run journal's
 //!   decision notes ([`SimRuntime::with_journal`](super::sim::SimRuntime::with_journal));
 //! * the **progress** consumer ([`SimRuntime::with_flight`](super::sim::SimRuntime::with_flight)).
@@ -27,6 +28,7 @@ use crate::monitor::HealthState;
 use crate::profile::accuracy::AccuracyMonitor;
 use crate::profile::Predictor;
 use crate::runtime::TaskState;
+use crate::sched::{Scheduler, TimedScheduler};
 use crate::trace::{DecisionRecord, RunTrace, TraceConfig, TransferRecord, MAX_RECORDS};
 use fedci::endpoint::{EndpointId, EndpointSim};
 use simkit::journal::EventCode;
@@ -34,8 +36,11 @@ use simkit::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 use simkit::series::SeriesHandle;
 use simkit::trace::{LabelId, TraceLevel, Tracer};
 use simkit::{Engine, EngineStats, SimTime};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::rc::Rc;
+use std::time::Duration;
 use taskgraph::{Dag, TaskId};
 
 /// One kind of simulator event delivery: the run journal's `kind` field
@@ -232,6 +237,9 @@ struct Meter {
     /// Predicted duration per in-flight transfer, keyed by `XferId.0`;
     /// consumed when the transfer completes.
     xfer_pred: HashMap<usize, f64>,
+    /// Wall time inside the scheduler's hooks, timed by the
+    /// [`TimedScheduler`] that [`Recorder::metered_scheduler`] installs.
+    hooks: Rc<Cell<Duration>>,
 }
 
 impl Meter {
@@ -302,6 +310,7 @@ impl Meter {
             transfer_bytes,
             accuracy: AccuracyMonitor::new(),
             xfer_pred: HashMap::new(),
+            hooks: Rc::default(),
         }
     }
 }
@@ -369,6 +378,18 @@ impl Recorder {
             journal_notes: rc.journal_out.is_some(),
             flight,
         }
+    }
+
+    /// A metered run's scheduler, behind the meter's [`TimedScheduler`]
+    /// (its hook time is [`RunReport::scheduler_wall`]); any other run's,
+    /// as it is.
+    pub fn metered_scheduler(&mut self, scheduler: Box<dyn Scheduler>) -> Box<dyn Scheduler> {
+        let Some(m) = self.meter.as_deref_mut() else {
+            return scheduler;
+        };
+        let (timed, hooks) = TimedScheduler::new(scheduler);
+        m.hooks = hooks;
+        Box::new(timed)
     }
 
     /// The run starts: every endpoint's initial worker counts, and no task
@@ -721,17 +742,19 @@ impl Recorder {
     /// Seals every consumer into `report`, which holds the runtime's own
     /// totals; `end` is the makespan's end and `stats` the engine's.
     pub fn finish(self, report: RunReport, end: SimTime, stats: EngineStats) -> RunReport {
-        let (metrics, calibration) = match self.meter {
+        let (metrics, calibration, scheduler_wall) = match self.meter {
             Some(mut m) => {
                 m.accuracy.export(&mut m.reg);
-                (Some(Box::new(m.reg)), m.accuracy.calibration_table())
+                let table = m.accuracy.calibration_table();
+                (Some(Box::new(m.reg)), table, m.hooks.get())
             }
-            None => (None, Vec::new()),
+            None => (None, Vec::new(), Duration::ZERO),
         };
         let events = report.events_processed;
         RunReport {
+            scheduler_wall,
             latency: LatencyBreakdown {
-                scheduling_s: report.scheduler_wall.as_secs_f64(),
+                scheduling_s: scheduler_wall.as_secs_f64(),
                 ..self.latency
             },
             series: self.series,

@@ -252,9 +252,10 @@ impl SimRuntime {
     /// [`MetricsRegistry`](simkit::MetricsRegistry) (returned as
     /// [`RunReport::metrics`], ready for Prometheus text dump) plus a live
     /// predictor-accuracy monitor whose calibration table lands in
-    /// [`RunReport::calibration`]. Unmetered runs register nothing and
-    /// pay a single branch per emission site; the determinism digest is
-    /// the same either way.
+    /// [`RunReport::calibration`], and the scheduler's hooks timed
+    /// ([`RunReport::scheduler_wall`], Table III's overhead). Unmetered
+    /// runs register nothing, read no clock and pay a single branch per
+    /// emission site; the determinism digest is the same either way.
     pub fn with_metrics(mut self, yes: bool) -> Self {
         self.record.metrics = yes;
         self
@@ -432,7 +433,8 @@ struct Rt {
     makespan_end: SimTime,
     tasks_per_ep: Vec<usize>,
     records_at_last_retrain: usize,
-    sched_wall: std::time::Duration,
+    /// Scheduler hook calls (Table III's count); their wall time is the
+    /// meter's, see [`Recorder::metered_scheduler`].
     sched_calls: u64,
     mock_sync_armed: bool,
     scale_armed: bool,
@@ -556,7 +558,8 @@ impl Rt {
         };
         let faas = cfg.faas.clone();
         let labels = cfg.endpoints.iter().map(|e| e.label.clone()).collect();
-        let rec = Recorder::new(r.record, cfg.verify, labels, n_tasks);
+        let mut rec = Recorder::new(r.record, cfg.verify, labels, n_tasks);
+        let scheduler = rec.metered_scheduler(scheduler);
         Ok(Rt {
             cfg,
             dag: r.dag,
@@ -606,7 +609,6 @@ impl Rt {
             makespan_end: SimTime::ZERO,
             tasks_per_ep: vec![0; n],
             records_at_last_retrain: 0,
-            sched_wall: std::time::Duration::ZERO,
             sched_calls: 0,
             mock_sync_armed: false,
             scale_armed: false,
@@ -652,7 +654,6 @@ impl Rt {
         now: SimTime,
         f: F,
     ) -> Vec<SchedAction> {
-        let t0 = std::time::Instant::now();
         let mut ctx = SchedCtx::new(
             now,
             &self.dag,
@@ -671,7 +672,6 @@ impl Rt {
         .with_decision_buf(self.decision_bufs.pop().unwrap_or_default());
         f(self.scheduler.as_mut(), &mut ctx);
         let actions = ctx.take_actions();
-        self.sched_wall += t0.elapsed();
         self.sched_calls += 1;
         let mut decisions = ctx.take_decisions();
         self.rec.decision_records(&mut decisions);
@@ -1959,7 +1959,6 @@ impl Rt {
             failed_attempts: self.failed_attempts,
             transfer_bytes: self.dm.bytes_moved(),
             tasks_per_endpoint,
-            scheduler_wall: self.sched_wall,
             scheduler_calls: self.sched_calls,
             events_processed: events,
             journal,
@@ -2106,6 +2105,27 @@ mod tests {
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.transfer_bytes, b.transfer_bytes);
         assert_eq!(a.events_processed, b.events_processed);
+    }
+
+    /// The meter times the scheduler's hooks and nothing else changes: the
+    /// same decisions, hook calls and digests, and no wall time without it.
+    #[test]
+    fn metering_times_the_scheduler_without_changing_a_decision() {
+        let run = |metered: bool| {
+            let mut cfg = two_ep_config(SchedulingStrategy::Dha { rescheduling: true });
+            cfg.verify = true;
+            SimRuntime::new(cfg, bag_dag(40, 60.0))
+                .with_metrics(metered)
+                .run()
+                .unwrap()
+        };
+        let (plain, metered) = (run(false), run(true));
+        assert_eq!(plain.determinism_digest(), metered.determinism_digest());
+        assert!(plain.decision_digest.is_some());
+        assert_eq!(plain.decision_digest, metered.decision_digest);
+        assert_eq!(plain.scheduler_calls, metered.scheduler_calls);
+        assert_eq!(plain.scheduler_wall, std::time::Duration::ZERO);
+        assert!(metered.scheduler_wall > std::time::Duration::ZERO);
     }
 
     #[test]

@@ -107,7 +107,7 @@ mod tests {
     use super::*;
     use crate::monitor::{EndpointMonitor, MockEndpoint};
     use crate::profile::{EndpointFeatures, OracleProfiler};
-    use crate::sched::SchedAction;
+    use crate::sched::{timed, SchedAction};
     use fedci::network::{Link, NetworkTopology};
     use fedci::storage::DataStore;
     use fedci::transfer::TransferMechanism;
@@ -219,19 +219,26 @@ mod tests {
     fn a_ready_run_stages_the_same_whole_or_one_task_per_call() {
         let fx = fixture(&[3, 2]);
         let tasks: Vec<TaskId> = fx.dag.task_ids().collect();
-        let (mut whole, mut single) = (CapacityScheduler::new(), CapacityScheduler::new());
-        let mut c = ctx(&fx);
-        whole.on_tasks_added(&mut c, &tasks);
-        single.on_tasks_added(&mut c, &tasks);
-        // The root's children read no file: one call consumes them all.
-        let run = &tasks[1..];
-        assert_eq!(whole.on_tasks_ready(&mut c, run), run.len());
-        let batched = c.take_actions();
-        for &t in run {
-            assert_eq!(single.on_tasks_ready(&mut c, &[t]), 1);
-        }
-        assert_eq!(c.take_actions(), batched);
-        assert_eq!(batched.len(), run.len());
+        let check = |whole: &mut dyn Scheduler, single: &mut dyn Scheduler| {
+            let mut c = ctx(&fx);
+            whole.on_tasks_added(&mut c, &tasks);
+            single.on_tasks_added(&mut c, &tasks);
+            // The root's children read no file: one call consumes them all.
+            let run = &tasks[1..];
+            assert_eq!(whole.on_tasks_ready(&mut c, run), run.len());
+            let batched = c.take_actions();
+            for &t in run {
+                assert_eq!(single.on_tasks_ready(&mut c, &[t]), 1);
+            }
+            assert_eq!(c.take_actions(), batched);
+            assert_eq!(batched.len(), run.len());
+        };
+        check(&mut CapacityScheduler::new(), &mut CapacityScheduler::new());
+        // Behind the meter's decorator, which must change nothing.
+        check(
+            &mut timed(CapacityScheduler::new()),
+            &mut timed(CapacityScheduler::new()),
+        );
     }
 
     #[test]

@@ -1223,7 +1223,7 @@ mod tests {
     use crate::monitor::{EndpointMonitor, MockEndpoint, TaskMonitor, TaskRecord};
     use crate::profile::transfer::transfer_record_name;
     use crate::profile::{EndpointFeatures, LearnedProfiler, OracleProfiler, Predictor};
-    use crate::sched::{output_id, SchedAction};
+    use crate::sched::{output_id, timed, SchedAction};
     use fedci::network::{Link, NetworkTopology};
     use fedci::storage::DataStore;
     use fedci::transfer::TransferMechanism;
@@ -1314,15 +1314,19 @@ mod tests {
         let run: Vec<TaskId> = (0..6)
             .map(|i| fx.dag.add_task(TaskSpec::compute(g, 10.0 + i as f64), &[]))
             .collect();
-        let (mut whole, mut single) = (submitted(&fx), submitted(&fx));
-        let mut c = ctx(&fx);
-        assert_eq!(whole.on_tasks_ready(&mut c, &run), run.len());
-        let batched = c.take_actions();
-        for &t in &run {
-            assert_eq!(single.on_tasks_ready(&mut c, &[t]), 1);
-        }
-        assert_eq!(c.take_actions(), batched);
-        assert_eq!(batched.len(), run.len());
+        let check = |whole: &mut dyn Scheduler, single: &mut dyn Scheduler| {
+            let mut c = ctx(&fx);
+            assert_eq!(whole.on_tasks_ready(&mut c, &run), run.len());
+            let batched = c.take_actions();
+            for &t in &run {
+                assert_eq!(single.on_tasks_ready(&mut c, &[t]), 1);
+            }
+            assert_eq!(c.take_actions(), batched);
+            assert_eq!(batched.len(), run.len());
+        };
+        check(&mut submitted(&fx), &mut submitted(&fx));
+        // Behind the meter's decorator, which must change nothing.
+        check(&mut timed(submitted(&fx)), &mut timed(submitted(&fx)));
     }
 
     #[test]
@@ -1334,11 +1338,15 @@ mod tests {
         let g = fx.dag.register_function("g");
         let sibling = fx.dag.add_task(TaskSpec::compute(g, 5.0), &[TaskId(0)]);
         fx.store.register(output_id(TaskId(0)), 1000, EndpointId(0));
-        let mut sched = submitted(&fx);
-        let mut c = ctx(&fx);
-        assert_eq!(sched.on_tasks_ready(&mut c, &[TaskId(1), sibling]), 1);
-        assert_eq!(c.take_actions().len(), 1);
-        assert_eq!(sched.on_tasks_ready(&mut c, &[sibling]), 1);
+        let check = |sched: &mut dyn Scheduler| {
+            let mut c = ctx(&fx);
+            assert_eq!(sched.on_tasks_ready(&mut c, &[TaskId(1), sibling]), 1);
+            assert_eq!(c.take_actions().len(), 1);
+            assert_eq!(sched.on_tasks_ready(&mut c, &[sibling]), 1);
+        };
+        check(&mut submitted(&fx));
+        // Behind the meter's decorator, which must change nothing.
+        check(&mut timed(submitted(&fx)));
     }
 
     #[test]

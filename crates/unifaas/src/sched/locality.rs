@@ -141,7 +141,7 @@ mod tests {
     use super::*;
     use crate::monitor::{EndpointMonitor, MockEndpoint};
     use crate::profile::{EndpointFeatures, OracleProfiler};
-    use crate::sched::{output_id, SchedAction};
+    use crate::sched::{output_id, timed, SchedAction};
     use fedci::network::{Link, NetworkTopology};
     use fedci::storage::DataStore;
     use fedci::transfer::TransferMechanism;
@@ -229,16 +229,24 @@ mod tests {
         let run: Vec<TaskId> = (0..5)
             .map(|_| fx.dag.add_task(TaskSpec::compute(g, 1.0), &[]))
             .collect();
+        let check = |whole: &mut dyn Scheduler, single: &mut dyn Scheduler| {
+            let mut c = ctx(&fx);
+            assert_eq!(whole.on_tasks_ready(&mut c, &run), run.len());
+            let batched = c.take_actions();
+            for &t in &run {
+                assert_eq!(single.on_tasks_ready(&mut c, &[t]), 1);
+            }
+            assert_eq!(c.take_actions(), batched);
+            assert_eq!(batched.len(), 4);
+        };
         let (mut whole, mut single) = (LocalityScheduler::new(), LocalityScheduler::new());
-        let mut c = ctx(&fx);
-        assert_eq!(whole.on_tasks_ready(&mut c, &run), run.len());
-        let batched = c.take_actions();
-        for &t in &run {
-            assert_eq!(single.on_tasks_ready(&mut c, &[t]), 1);
-        }
-        assert_eq!(c.take_actions(), batched);
-        assert_eq!(batched.len(), 4);
+        check(&mut whole, &mut single);
         assert_eq!((whole.backlog(), single.backlog()), (1, 1));
+        // Behind the meter's decorator, which must change nothing.
+        check(
+            &mut timed(LocalityScheduler::new()),
+            &mut timed(LocalityScheduler::new()),
+        );
     }
 
     #[test]

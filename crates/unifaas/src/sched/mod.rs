@@ -21,11 +21,13 @@ pub mod dha;
 pub mod locality;
 pub mod pinned;
 pub mod queue;
+mod timed;
 
 pub use capacity::CapacityScheduler;
 pub use dha::{DhaOptions, DhaScheduler};
 pub use locality::LocalityScheduler;
 pub use pinned::PinnedScheduler;
+pub use timed::TimedScheduler;
 
 use crate::data::TransferLoad;
 use crate::monitor::{EndpointMonitor, HealthMonitor};
@@ -262,8 +264,7 @@ pub trait Scheduler {
     /// must take effect before the next task can be evaluated (e.g. DHA's
     /// transfer-backlog feedback), while schedulers whose decisions are
     /// independent consume the whole slice in one call — amortizing the
-    /// per-hook context setup, wall-clock sampling, and action-drain
-    /// overhead across the run.
+    /// per-hook context setup and action drain across the run.
     fn on_tasks_ready(&mut self, ctx: &mut SchedCtx, tasks: &[TaskId]) -> usize;
 
     /// `task`'s inputs are all present at its target endpoint.
@@ -304,6 +305,13 @@ pub trait Scheduler {
     fn wants_ticks(&self) -> bool {
         false
     }
+}
+
+/// `scheduler` behind the meter's [`TimedScheduler`], for the tests that
+/// check the decorator decides alike.
+#[cfg(test)]
+pub(crate) fn timed(scheduler: impl Scheduler + 'static) -> TimedScheduler {
+    TimedScheduler::new(Box::new(scheduler)).0
 }
 
 #[cfg(test)]

@@ -156,6 +156,15 @@ if [ "$(wc -l < "$coord")" -ge 800 ]; then
   exit 1
 fi
 
+# The simulator reads no wall clock per task: a metered run times the
+# scheduler's hooks through the meter's `TimedScheduler` (sched/timed.rs),
+# and nothing else in the runtime glue needs the time.
+echo "==> no wall clock in the simulator's runtime (runtime/sim.rs)"
+if grep -nE 'Instant|elapsed\(|SystemTime' crates/unifaas/src/runtime/sim.rs; then
+  echo "runtime/sim.rs reads the wall clock again (see above)" >&2
+  exit 1
+fi
+
 # POLL/POLL_ACK (protocol revision 4), the daemon's telemetry-ring option
 # and the threaded pools' poll timeout were deleted; history files may
 # name them.

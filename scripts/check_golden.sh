@@ -32,7 +32,8 @@
 # before `cmp`; nothing else is masked:
 #   1. Fig. 5's "scheduling (wall, incl. prediction)" row.
 #   2. Table III's overhead/task and total columns (hook calls stay checked).
-#   3. unifaas-sim's "scheduler overhead ... s/task (wall)" line.
+#   3. unifaas-sim's "scheduler overhead ... s/task (wall)" line, which only a
+#      metered run (--report, --metrics-out: the observability goldens) prints.
 #   4. unifaas-sim's "(N simulated events in X s wall)" line.
 #
 # A change that moves a paper number updates the golden in the same diff
