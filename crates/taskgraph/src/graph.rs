@@ -14,6 +14,7 @@
 //! spills to its own `Vec` only past that.
 
 use crate::task::{FunctionId, TaskId, TaskSpec};
+use std::sync::Arc;
 
 /// Successors a task stores without a heap allocation. Three keeps
 /// [`Succs`] at the size of a bare `Vec` header (24 bytes).
@@ -63,7 +64,7 @@ pub struct Dag {
     /// task's end (0 for the first task).
     pred_end: Vec<u32>,
     succs: Vec<Succs>,
-    function_names: Vec<String>,
+    function_names: Vec<Arc<str>>,
 }
 
 impl Dag {
@@ -87,19 +88,24 @@ impl Dag {
     /// Registers a function name, returning its id. Re-registering the same
     /// name returns the existing id.
     pub fn register_function(&mut self, name: &str) -> FunctionId {
-        if let Some(pos) = self.function_names.iter().position(|n| n == name) {
+        if let Some(pos) = self.function_names.iter().position(|n| &**n == name) {
             return FunctionId(pos as u16);
         }
         assert!(
             self.function_names.len() < u16::MAX as usize,
             "too many distinct functions"
         );
-        self.function_names.push(name.to_string());
+        self.function_names.push(Arc::from(name));
         FunctionId((self.function_names.len() - 1) as u16)
     }
 
     /// Name of a registered function.
     pub fn function_name(&self, f: FunctionId) -> &str {
+        &self.function_names[f.0 as usize]
+    }
+
+    /// Name of a registered function, shared: a clone copies a pointer.
+    pub fn function_arc(&self, f: FunctionId) -> &Arc<str> {
         &self.function_names[f.0 as usize]
     }
 
@@ -313,6 +319,7 @@ mod tests {
         assert_eq!(f1, f3);
         assert_ne!(f1, f2);
         assert_eq!(dag.function_name(f2), "score");
+        assert_eq!(&**dag.function_arc(f1), "dock");
         assert_eq!(dag.n_functions(), 2);
     }
 

@@ -6,6 +6,9 @@
 //! at-least-once, resolution exactly-once (a superseded attempt's outcome
 //! fails the generation guard); fail-over once per loss, through the
 //! [`Coord::on_result`] an application error takes; probes feed health.
+//! Edges, successors, function names and output sizes live in a [`Dag`],
+//! each edge once; the argument order (`f(x, x)` reads `x` twice) lives on
+//! the driver's cell, `T: AsRef<[usize]>`, as the `Dag` refuses repeats.
 
 use crate::monitor::HealthMonitor;
 use fedci::endpoint::EndpointId;
@@ -14,6 +17,7 @@ use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
+use taskgraph::{Dag, TaskId, TaskSpec};
 
 /// Retry/timeout policy of the live runtime (the live analogue of
 /// [`RetryPolicy`](crate::config::RetryPolicy)).
@@ -80,28 +84,27 @@ enum Phase {
     /// Sent; first seen in flight by the watchdog's scan at `seen_us`
     /// ([`UNSEEN`] until then); `attempt` is the generation guard.
     InFlight { seen_us: u64, attempt: u32, ep: u16 },
-    /// Resolved by `attempt`: where the output lives, its length (0 on failure).
-    Done { ep: u16, attempt: u32, bytes: u64 },
+    /// Resolved by `attempt`, and where the output lives (its length is the
+    /// `Dag` spec's `output_bytes`, 0 on failure).
+    Done { ep: u16, attempt: u32 },
 }
 
 /// `Phase::InFlight::seen_us` of an attempt no scan has seen yet.
 const UNSEEN: u64 = u64::MAX;
 
-/// Everything the machine keeps per task; `slots[id]` is task `id`.
+/// What the machine keeps per task beside its `Dag` entry; `slots[id]` is task `id`.
 struct Slot<T> {
-    /// The driver's cell: as a slice, the tasks whose outputs prefix the input.
+    /// The driver's cell: as a slice, the tasks whose outputs prefix the
+    /// input, in argument order.
     cell: Arc<T>,
     /// A success's output, staged to whichever endpoint runs a dependent.
     output: Option<Arc<Vec<u8>>>,
-    /// Tasks waiting on this one.
-    dependents: Vec<u32>,
     phase: Phase,
-    /// Index into `Coord::functions`.
-    function: u16,
 }
 
-// One cache line, so 100k queued tasks cost the slab 6.4 MB.
-const _: () = assert!(std::mem::size_of::<Slot<()>>() <= 64);
+// Half a cache line, so 100k queued tasks cost the slab 3.2 MB (and their
+// `Dag` entries 6 MB: spec, predecessor end, inline successors).
+const _: () = assert!(std::mem::size_of::<Slot<()>>() <= 32);
 
 /// One attempt for the driver to hand to the fabric, outside its lock.
 pub(crate) struct Dispatch<T> {
@@ -118,7 +121,9 @@ pub(crate) struct Dispatch<T> {
     pub stage: Result<Inputs, String>,
 }
 
-pub(crate) type Inputs = Vec<(u64, Arc<Vec<u8>>)>;
+/// Every argument's key in order, repeats included (the input's layout),
+/// with the output at its first occurrence only: each is staged once.
+pub(crate) type Inputs = Vec<(u64, Option<Arc<Vec<u8>>>)>;
 
 /// What an accepted outcome asks of the driver.
 pub(crate) enum Step<T> {
@@ -129,11 +134,12 @@ pub(crate) enum Step<T> {
 }
 
 pub(crate) struct Coord<T> {
+    dag: Dag,
     slots: Vec<Slot<T>>,
+    /// `submit`'s scratch: a cell's distinct dependencies.
+    distinct: Vec<TaskId>,
     /// Every slot below this index is `Done`: the watchdog scans from here.
     first_live: usize,
-    /// Interned function names — a workflow calls a handful.
-    functions: Vec<Arc<str>>,
     pub outstanding: usize,
     pub health: HealthMonitor,
     /// Endpoints a Dead probe put Down and nothing re-admitted; lazily sized.
@@ -147,9 +153,10 @@ pub(crate) struct Coord<T> {
 impl<T: AsRef<[usize]>> Coord<T> {
     pub fn new(n_endpoints: usize) -> Self {
         Coord {
+            dag: Dag::new(),
             slots: Vec::new(),
+            distinct: Vec::new(),
             first_live: 0,
-            functions: Vec::new(),
             outstanding: 0,
             health: HealthMonitor::new(n_endpoints),
             probe_down: Vec::new(),
@@ -165,30 +172,27 @@ impl<T: AsRef<[usize]>> Coord<T> {
 
     /// Registers a task whose dependencies are this machine's: its id, and if it is ready.
     pub fn submit(&mut self, cell: Arc<T>, name: &str) -> (usize, bool) {
-        let id = self.slots.len();
-        let known = self.functions.iter().position(|f| &**f == name);
-        let function = known.unwrap_or_else(|| {
-            self.functions.push(Arc::from(name));
-            self.functions.len() - 1
-        });
-        let function = u16::try_from(function).expect("more than 65536 distinct function names");
-        let mut unresolved = 0;
+        let function = self.dag.register_function(name);
+        // Each edge once, in first-occurrence order; the cell keeps repeats.
+        self.distinct.clear();
         for &d in (*cell).as_ref() {
-            let dep = &mut self.slots[d];
-            if !matches!(dep.phase, Phase::Done { .. }) {
-                dep.dependents.push(id as u32);
-                unresolved += 1;
+            let d = TaskId(d as u32);
+            if !self.distinct.contains(&d) {
+                self.distinct.push(d);
             }
         }
+        let done = |d: &TaskId| matches!(self.slots[d.index()].phase, Phase::Done { .. });
+        let unresolved = self.distinct.iter().filter(|&d| !done(d)).count() as u32;
+        let id = self
+            .dag
+            .add_task(TaskSpec::compute(function, 0.0), &self.distinct);
         self.slots.push(Slot {
             cell,
             output: None,
-            dependents: Vec::new(),
             phase: Phase::Waiting(unresolved),
-            function,
         });
         self.outstanding += 1;
-        (id, unresolved == 0)
+        (id.index(), unresolved == 0)
     }
 
     /// Places task `id` and marks `attempt` in flight.
@@ -201,23 +205,28 @@ impl<T: AsRef<[usize]>> Coord<T> {
             attempt,
             ep,
         };
-        let keep_output = !slot.dependents.is_empty();
-        let (cell, function) = (Arc::clone(&slot.cell), usize::from(slot.function));
+        let cell = Arc::clone(&slot.cell);
+        let task = TaskId(id as u32);
+        let keep_output = !self.dag.succs(task).is_empty();
         self.stats.dispatched += 1;
         let deps = (*cell).as_ref();
-        let stage = deps.iter().map(|&d| match &self.slots[d] {
+        let stage = deps.iter().enumerate().map(|(i, &d)| match &self.slots[d] {
             Slot {
                 output: Some(out),
                 phase: Phase::Done { attempt, .. },
                 ..
-            } => Ok((blob_key(d as u32, *attempt), Arc::clone(out))),
+            } => {
+                let first = !deps[..i].contains(&d);
+                Ok((blob_key(d as u32, *attempt), first.then(|| Arc::clone(out))))
+            }
             _ => Err(format!("upstream task {d} failed")),
         });
         // A task without inputs has none to collect (a measured cost per task).
         let stage = (!deps.is_empty()).then(|| stage.collect());
+        let function = self.dag.spec(task).function;
         Dispatch {
             stage: stage.unwrap_or(Ok(Vec::new())),
-            function: Arc::clone(&self.functions[function]),
+            function: Arc::clone(self.dag.function_arc(function)),
             last: attempt >= self.retry.max_attempts,
             ep: usize::from(ep),
             task: (id, attempt),
@@ -241,9 +250,11 @@ impl<T: AsRef<[usize]>> Coord<T> {
             healthy && view.probe(*ep) != ProbeState::Dead
         };
         let key = |ep: &usize| {
-            let deps = (*self.slots[id].cell).as_ref().iter();
-            let local_bytes = deps.map(|&d| match self.slots[d].phase {
-                Phase::Done { ep: at, bytes, .. } if usize::from(at) == *ep => bytes,
+            let preds = self.dag.preds(TaskId(id as u32)).iter();
+            let local_bytes = preds.map(|&p| match self.slots[p.index()].phase {
+                Phase::Done { ep: at, .. } if usize::from(at) == *ep => {
+                    self.dag.spec(p).output_bytes
+                }
                 _ => 0,
             });
             let local_bytes: u64 = local_bytes.sum();
@@ -303,14 +314,16 @@ impl<T: AsRef<[usize]>> Coord<T> {
             return Some(Step::Retry(None));
         }
         let slot = &mut self.slots[id];
-        let bytes = result.as_ref().map_or(0, |b| b.len() as u64);
-        slot.phase = Phase::Done { ep, attempt, bytes };
+        slot.phase = Phase::Done { ep, attempt };
         slot.output = result.as_ref().ok().cloned();
-        let dependents = std::mem::take(&mut slot.dependents).into_iter();
+        let task = TaskId(id as u32);
+        let bytes = result.as_ref().map_or(0, |b| b.len() as u64);
+        self.dag.spec_mut(task).output_bytes = bytes;
         self.stats.completed += 1;
         self.outstanding -= 1;
-        let ready = dependents.map(|d| d as usize).filter(|&d| {
-            let Phase::Waiting(unresolved) = &mut self.slots[d].phase else {
+        let slots = &mut self.slots;
+        let ready = self.dag.succs(task).iter().map(|d| d.index()).filter(|&d| {
+            let Phase::Waiting(unresolved) = &mut slots[d].phase else {
                 unreachable!("a task with unresolved dependencies is Waiting");
             };
             *unresolved -= 1;

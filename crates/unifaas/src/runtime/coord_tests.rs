@@ -193,27 +193,32 @@ fn two_dep_task_is_staged_then_submitted_once_where_its_bytes_are() {
         (d.task, d.ep, &*d.function, d.last),
         ((2, 1), 1, "sum64", true)
     );
-    let staged: Vec<(u64, &[u8])> = d
-        .stage
-        .as_ref()
-        .unwrap()
-        .iter()
-        .map(|(k, b)| (*k, &b[..]))
-        .collect();
-    assert_eq!(
-        staged,
-        [
-            (blob_key(0, 1), &[1; 2][..]),
-            (blob_key(1, 1), &[2; 10][..])
-        ]
+    let staged = |d: &Dispatch<Deps>| -> Vec<(u64, Option<Vec<u8>>)> {
+        let stage = d.stage.as_ref().unwrap().iter();
+        stage
+            .map(|(k, b)| (*k, b.as_ref().map(|b| b.to_vec())))
+            .collect()
+    };
+    let (x, y) = (
+        (blob_key(0, 1), Some(vec![1; 2])),
+        (blob_key(1, 1), Some(vec![2; 10])),
     );
+    assert_eq!(staged(&d), [x.clone(), y.clone()]);
     assert!(resolved(coord.on_result((2, 1), ok(b"z"), true, &board))
+        .0
+        .is_ok());
+    // `f(x, y, x)`: each blob staged once, the input laid out by argument.
+    let (_, w) = submit(&mut coord, &[0, 1, 0], &board);
+    let w = w.expect("both inputs are in");
+    assert_eq!(staged(&w), [x.clone(), y, (x.0, None)]);
+    assert_eq!(coord.dag.preds(TaskId(3)), [TaskId(0), TaskId(1)]);
+    assert!(resolved(coord.on_result((3, 1), ok(b"w"), true, &board))
         .0
         .is_ok());
     let stats = coord.stats;
     assert_eq!(
         (stats.dispatched, stats.completed, coord.outstanding),
-        (3, 3, 0)
+        (4, 4, 0)
     );
 }
 
@@ -247,7 +252,7 @@ fn a_dependent_is_given_the_accepted_attempts_key_not_the_superseded_ones() {
     assert_eq!(y.ep, 1, "where attempt 2's output lives");
     let stage = y.stage.unwrap();
     assert_eq!((stage.len(), stage[0].0), (1, blob_key(0, 2)));
-    assert_eq!(&stage[0].1[..], b"second");
+    assert_eq!(&stage[0].1.as_ref().unwrap()[..], b"second");
 }
 
 #[test]
@@ -379,8 +384,8 @@ struct Task {
     deps: Vec<usize>,
     /// Unresolved dependencies, counted with multiplicity.
     unresolved: usize,
-    /// Dependents registered while this task was unresolved.
-    dependents: usize,
+    /// Every task that names this one, once each, in submission order.
+    succs: Vec<usize>,
     dispatches: u32,
     /// The attempt in flight and when a watchdog scan first saw it.
     live: Option<(u32, Option<u64>)>,
@@ -430,19 +435,22 @@ impl Rig {
             max
         );
         prop_assert_eq!(d.last, attempt == max);
-        prop_assert_eq!(d.keep_output, task.dependents > 0);
-        // The inputs are the accepted attempts' outputs, under their keys.
+        // Still unresolved, so every dependent so far waits for it.
+        prop_assert_eq!(d.keep_output, !task.succs.is_empty());
+        // The inputs are the accepted attempts' outputs, under their keys,
+        // each staged at its first argument only.
         let mut inputs = Vec::new();
-        for &dep in &task.deps {
+        for (i, &dep) in task.deps.iter().enumerate() {
             let Some((accepted, result)) = &self.tasks[dep].resolved else {
                 return Err(TestCaseError::fail(format!(
                     "{id} left before {dep} resolved"
                 )));
             };
+            let first = !task.deps[..i].contains(&dep);
             inputs.push(
                 result
                     .clone()
-                    .map(|bytes| (blob_key(dep as u32, *accepted), bytes)),
+                    .map(|bytes| (blob_key(dep as u32, *accepted), first.then_some(bytes))),
             );
         }
         let expected: Result<Inputs, String> = inputs.into_iter().collect();
@@ -560,10 +568,11 @@ impl Rig {
             .iter()
             .filter(|&&d| self.tasks[d].resolved.is_none())
             .count();
-        for &d in &deps {
-            if self.tasks[d].resolved.is_none() {
-                self.tasks[d].dependents += 1;
-            }
+        let mut distinct = deps.clone();
+        let mut seen = std::collections::HashSet::new();
+        distinct.retain(|&d| seen.insert(d));
+        for &d in &distinct {
+            self.tasks[d].succs.push(n);
         }
         self.tasks.push(Task {
             deps: deps.clone(),
@@ -572,6 +581,27 @@ impl Rig {
         });
         let (id, ready) = self.coord.submit(Arc::new(deps), "echo");
         prop_assert_eq!((id, ready), (n, unresolved == 0));
+        // The machine's graph: each edge once, from both ends.
+        let dag = &self.coord.dag;
+        let preds: Vec<usize> = dag
+            .preds(TaskId(id as u32))
+            .iter()
+            .map(|p| p.index())
+            .collect();
+        prop_assert_eq!(&preds, &distinct, "the Dag's predecessors of {}", id);
+        for &d in &distinct {
+            let succs: Vec<usize> = dag
+                .succs(TaskId(d as u32))
+                .iter()
+                .map(|s| s.index())
+                .collect();
+            prop_assert_eq!(
+                &succs,
+                &self.tasks[d].succs,
+                "the Dag's successors of {}",
+                d
+            );
+        }
         match ready {
             true => {
                 let first = self.coord.dispatch(id, 1, &self.board);

@@ -19,6 +19,11 @@
 //! Every decision is the sans-IO coordinator's (`runtime/coord.rs`). This
 //! module drives it: the one lock around it, the fabric calls outside that
 //! lock, the futures and the client trace, and the two threads that wait.
+//! The coordinator keeps the task graph in a `taskgraph::Dag` (edges,
+//! successors, function names, output sizes); a task's argument order,
+//! repeats included, stays on its `TaskCell`, because the input is laid
+//! out by it and the `Dag` holds each edge once. Work enters one task per
+//! [`FabricRuntime::submit`]; a batch entry waits for its first caller.
 
 use super::coord::{Coord, Dispatch, Step, View};
 pub use super::coord::{FabricRunStats, LiveRetryPolicy, WireResult};
@@ -36,7 +41,7 @@ use taskgraph::TaskId;
 /// A task's shared cell — its one allocation: the dependency list and,
 /// under the mutex, first what a (re-)dispatch needs, then the result.
 struct TaskCell {
-    /// Tasks whose outputs prefix the input, in order.
+    /// Tasks whose outputs prefix the input, in argument order, repeats included.
     dep_ids: Box<[usize]>,
     state: Mutex<TaskState>,
     cond: Condvar,
@@ -376,7 +381,9 @@ impl Inner {
             Err(msg) => return self.complete(id, attempt, Err(msg), false),
         };
         for (key, bytes) in &stage {
-            self.fabric.stage(ep, *key, bytes);
+            if let Some(bytes) = bytes {
+                self.fabric.stage(ep, *key, bytes);
+            }
         }
         let Some(payload) = d.cell.state.lock().payload_for(d.last) else {
             return;
@@ -653,6 +660,9 @@ mod tests {
         // input = out(x) ++ out(y) ++ payload
         let z = rt.submit("echo", b"EF".to_vec(), &[&x, &y]);
         assert_eq!(z.wait().unwrap().as_ref(), b"ABCDEF");
+        // A repeated future is read once per argument.
+        let w = rt.submit("echo", b"EF".to_vec(), &[&x, &y, &x]);
+        assert_eq!(w.wait().unwrap().as_ref(), b"ABCDABEF");
         rt.wait_all();
     }
 

@@ -206,9 +206,15 @@ fi
 # A DAG task costs no heap allocation for its adjacency (one flat
 # predecessor array, successors inline until they spill), and the task
 # monitor keeps dense per-endpoint counts, not per-function statistics.
-echo "==> no per-task adjacency Vecs in the DAG, no hashing in the task monitor"
+echo "==> no per-task adjacency Vecs in the DAG, no second graph in the coordinator, no hashing in the task monitor"
 if grep -n 'Vec<Vec<TaskId>>' crates/taskgraph/src/graph.rs; then
   echo "taskgraph/src/graph.rs keeps a Vec per task for adjacency again" >&2
+  exit 1
+fi
+# The live coordinator keeps its edges, successors and function names in
+# that same `Dag`, not in a graph of its own.
+if grep -nE 'dependents|functions: Vec<Arc<str>>' crates/unifaas/src/runtime/coord.rs; then
+  echo "runtime/coord.rs keeps its own successor list or function-name table again" >&2
   exit 1
 fi
 if grep -nE 'HashMap|mean_duration' crates/unifaas/src/monitor/task_monitor.rs; then
