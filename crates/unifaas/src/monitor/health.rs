@@ -137,7 +137,11 @@ impl HealthMonitor {
     /// Returns the new state if this caused a transition.
     pub fn record_success(&mut self, ep: EndpointId) -> Option<HealthState> {
         let i = ep.index();
-        self.consecutive_failures[i] = 0;
+        // Written only on a change: placement reads the health on every
+        // dispatch, and a store would dirty a line it shares for nothing.
+        if self.consecutive_failures[i] != 0 {
+            self.consecutive_failures[i] = 0;
+        }
         match self.states[i] {
             HealthState::Healthy => None,
             HealthState::Suspect => self.set(ep, HealthState::Healthy),

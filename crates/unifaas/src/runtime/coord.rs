@@ -6,9 +6,11 @@
 //! at-least-once, resolution exactly-once (a superseded attempt's outcome
 //! fails the generation guard); fail-over once per loss, through the
 //! [`Coord::on_result`] an application error takes; probes feed health.
-//! Edges, successors, function names and output sizes live in a [`Dag`],
-//! each edge once; the argument order (`f(x, x)` reads `x` twice) lives on
-//! the driver's cell, `T: AsRef<[usize]>`, as the `Dag` refuses repeats.
+//! Edges, successors and function names live in a [`Dag`], each edge once;
+//! the argument order (`f(x, x)` reads `x` twice) lives on the driver's
+//! cell, `T: AsRef<[usize]>`, as the `Dag` refuses repeats. A completion
+//! writes only its task's [`Slot`]: an output's length is read off the
+//! output it keeps, not stored in the `Dag`.
 
 use crate::monitor::HealthMonitor;
 use fedci::endpoint::EndpointId;
@@ -85,7 +87,7 @@ enum Phase {
     /// ([`UNSEEN`] until then); `attempt` is the generation guard.
     InFlight { seen_us: u64, attempt: u32, ep: u16 },
     /// Resolved by `attempt`, and where the output lives (its length is the
-    /// `Dag` spec's `output_bytes`, 0 on failure).
+    /// slot's `output` length, 0 on failure).
     Done { ep: u16, attempt: u32 },
 }
 
@@ -106,12 +108,12 @@ struct Slot<T> {
 // `Dag` entries 6 MB: spec, predecessor end, inline successors).
 const _: () = assert!(std::mem::size_of::<Slot<()>>() <= 32);
 
-/// One attempt for the driver to hand to the fabric, outside its lock.
-pub(crate) struct Dispatch<T> {
+/// One attempt for the driver to hand to the fabric, outside its lock,
+/// with the task's cell: the one `submit`'s caller holds, or [`Coord::cell`].
+pub(crate) struct Dispatch {
     /// The task and the attempt.
     pub task: (usize, u32),
     pub ep: usize,
-    pub cell: Arc<T>,
     pub function: Arc<str>,
     /// A dependent already waits: keep the output where it is computed.
     pub keep_output: bool,
@@ -126,9 +128,9 @@ pub(crate) struct Dispatch<T> {
 pub(crate) type Inputs = Vec<(u64, Option<Arc<Vec<u8>>>)>;
 
 /// What an accepted outcome asks of the driver.
-pub(crate) enum Step<T> {
+pub(crate) enum Step {
     /// Failed over: the next attempt now, or `None` if it waits out a back-off.
-    Retry(Option<Dispatch<T>>),
+    Retry(Option<Dispatch>),
     /// Resolve the future, then [`Coord::dispatch`] each ready dependent.
     Resolved(WireResult, Vec<usize>),
 }
@@ -196,20 +198,18 @@ impl<T: AsRef<[usize]>> Coord<T> {
     }
 
     /// Places task `id` and marks `attempt` in flight.
-    pub fn dispatch(&mut self, id: usize, attempt: u32, view: &impl View) -> Dispatch<T> {
+    pub fn dispatch(&mut self, id: usize, attempt: u32, view: &impl View) -> Dispatch {
         let ep = self.place(id, view) as u16;
         // No clock read: the watchdog's scan stamps the attempt (`overdue`).
-        let slot = &mut self.slots[id];
-        slot.phase = Phase::InFlight {
+        self.slots[id].phase = Phase::InFlight {
             seen_us: UNSEEN,
             attempt,
             ep,
         };
-        let cell = Arc::clone(&slot.cell);
         let task = TaskId(id as u32);
         let keep_output = !self.dag.succs(task).is_empty();
         self.stats.dispatched += 1;
-        let deps = (*cell).as_ref();
+        let deps = (*self.slots[id].cell).as_ref();
         let stage = deps.iter().enumerate().map(|(i, &d)| match &self.slots[d] {
             Slot {
                 output: Some(out),
@@ -230,7 +230,6 @@ impl<T: AsRef<[usize]>> Coord<T> {
             last: attempt >= self.retry.max_attempts,
             ep: usize::from(ep),
             task: (id, attempt),
-            cell,
             keep_output,
         }
     }
@@ -251,10 +250,12 @@ impl<T: AsRef<[usize]>> Coord<T> {
         };
         let key = |ep: &usize| {
             let preds = self.dag.preds(TaskId(id as u32)).iter();
-            let local_bytes = preds.map(|&p| match self.slots[p.index()].phase {
-                Phase::Done { ep: at, .. } if usize::from(at) == *ep => {
-                    self.dag.spec(p).output_bytes
-                }
+            let local_bytes = preds.map(|&p| match &self.slots[p.index()] {
+                Slot {
+                    output: Some(out),
+                    phase: Phase::Done { ep: at, .. },
+                    ..
+                } if usize::from(*at) == *ep => out.len() as u64,
                 _ => 0,
             });
             let local_bytes: u64 = local_bytes.sum();
@@ -293,7 +294,7 @@ impl<T: AsRef<[usize]>> Coord<T> {
         result: WireResult,
         ran: bool,
         view: &impl View,
-    ) -> Option<Step<T>> {
+    ) -> Option<Step> {
         let ep = match self.slots[id].phase {
             Phase::InFlight { attempt: a, ep, .. } if a == attempt => ep,
             _ => return None,
@@ -316,11 +317,9 @@ impl<T: AsRef<[usize]>> Coord<T> {
         let slot = &mut self.slots[id];
         slot.phase = Phase::Done { ep, attempt };
         slot.output = result.as_ref().ok().cloned();
-        let task = TaskId(id as u32);
-        let bytes = result.as_ref().map_or(0, |b| b.len() as u64);
-        self.dag.spec_mut(task).output_bytes = bytes;
         self.stats.completed += 1;
         self.outstanding -= 1;
+        let task = TaskId(id as u32);
         let slots = &mut self.slots;
         let ready = self.dag.succs(task).iter().map(|d| d.index()).filter(|&d| {
             let Phase::Waiting(unresolved) = &mut slots[d].phase else {
@@ -333,7 +332,7 @@ impl<T: AsRef<[usize]>> Coord<T> {
     }
 
     /// The next retry whose back-off is over, placed and in flight.
-    pub fn tick(&mut self, view: &impl View) -> Option<Dispatch<T>> {
+    pub fn tick(&mut self, view: &impl View) -> Option<Dispatch> {
         let now = view.now_us();
         let next = self.waiting.first_entry().filter(|e| e.key().0 <= now)?;
         let ((_, id), attempt) = next.remove_entry();

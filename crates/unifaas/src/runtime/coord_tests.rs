@@ -66,11 +66,7 @@ fn policy(max_attempts: u32, timeout_ms: Option<u64>, backoff_ms: u64) -> LiveRe
 }
 
 /// Submits an `echo` of `deps`, placing it when it is ready, as the driver does.
-fn submit(
-    coord: &mut Coord<Deps>,
-    deps: &[usize],
-    board: &Board,
-) -> (usize, Option<Dispatch<Deps>>) {
+fn submit(coord: &mut Coord<Deps>, deps: &[usize], board: &Board) -> (usize, Option<Dispatch>) {
     let (id, ready) = coord.submit(Arc::new(deps.to_vec()), "echo");
     (id, ready.then(|| coord.dispatch(id, 1, board)))
 }
@@ -79,7 +75,7 @@ fn ok(bytes: &[u8]) -> WireResult {
     Ok(Arc::new(bytes.to_vec()))
 }
 
-fn retried(step: Option<Step<Deps>>) -> Option<Dispatch<Deps>> {
+fn retried(step: Option<Step>) -> Option<Dispatch> {
     match step {
         Some(Step::Retry(next)) => next,
         Some(Step::Resolved(..)) => panic!("resolved, not retried"),
@@ -87,7 +83,7 @@ fn retried(step: Option<Step<Deps>>) -> Option<Dispatch<Deps>> {
     }
 }
 
-fn resolved(step: Option<Step<Deps>>) -> (WireResult, Vec<usize>) {
+fn resolved(step: Option<Step>) -> (WireResult, Vec<usize>) {
     match step {
         Some(Step::Resolved(result, ready)) => (result, ready),
         Some(Step::Retry(_)) => panic!("retried, not resolved"),
@@ -193,7 +189,7 @@ fn two_dep_task_is_staged_then_submitted_once_where_its_bytes_are() {
         (d.task, d.ep, &*d.function, d.last),
         ((2, 1), 1, "sum64", true)
     );
-    let staged = |d: &Dispatch<Deps>| -> Vec<(u64, Option<Vec<u8>>)> {
+    let staged = |d: &Dispatch| -> Vec<(u64, Option<Vec<u8>>)> {
         let stage = d.stage.as_ref().unwrap().iter();
         stage
             .map(|(k, b)| (*k, b.as_ref().map(|b| b.to_vec())))
@@ -220,6 +216,27 @@ fn two_dep_task_is_staged_then_submitted_once_where_its_bytes_are() {
         (stats.dispatched, stats.completed, coord.outstanding),
         (4, 4, 0)
     );
+}
+
+#[test]
+fn a_dependent_submitted_after_its_inputs_resolved_goes_where_the_bytes_are() {
+    let mut board = Board::new(2);
+    let mut coord = machine(2, LiveRetryPolicy::default());
+    // `x` runs on endpoint 0 and `y`, with 0 reading Dead, on endpoint 1.
+    let x = submit(&mut coord, &[], &board).1.unwrap();
+    board.probes[0] = ProbeState::Dead;
+    let y = submit(&mut coord, &[], &board).1.unwrap();
+    board.probes[0] = ProbeState::Alive;
+    assert_eq!((x.ep, y.ep), (0, 1));
+    // Both resolve with nothing waiting on them.
+    let (_, ready) = resolved(coord.on_result((0, 1), ok(&[1; 2]), true, &board));
+    assert!(ready.is_empty());
+    let (_, ready) = resolved(coord.on_result((1, 1), ok(&[2; 10]), true, &board));
+    assert!(ready.is_empty());
+    // Ready at submit: placed by the outputs' lengths, 10 of 12 bytes on 1.
+    let (z, d) = submit(&mut coord, &[0, 1], &board);
+    let d = d.expect("both inputs are in");
+    assert_eq!((d.task, d.ep), ((z, 1), 1));
 }
 
 #[test]
@@ -416,7 +433,7 @@ impl Rig {
 
     /// Checks a dispatch against the account, then sends it: an upstream
     /// failure comes straight back, as the driver reports it.
-    fn carry(&mut self, d: Dispatch<Deps>) -> Checked {
+    fn carry(&mut self, d: Dispatch) -> Checked {
         let ((id, attempt), max) = (d.task, self.coord.retry.max_attempts);
         let task = &self.tasks[id];
         prop_assert!(

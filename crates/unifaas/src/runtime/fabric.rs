@@ -20,7 +20,7 @@
 //! module drives it: the one lock around it, the fabric calls outside that
 //! lock, the futures and the client trace, and the two threads that wait.
 //! The coordinator keeps the task graph in a `taskgraph::Dag` (edges,
-//! successors, function names, output sizes); a task's argument order,
+//! successors, function names); a task's argument order,
 //! repeats included, stays on its `TaskCell`, because the input is laid
 //! out by it and the `Dag` holds each edge once. Work enters one task per
 //! [`FabricRuntime::submit`]; a batch entry waits for its first caller.
@@ -62,19 +62,16 @@ enum TaskState {
 impl TaskState {
     /// An attempt's payload (`None` once resolved). The last attempt takes
     /// the bytes (one the watchdog superseded may find them gone: its result
-    /// is dropped anyway); an earlier one copies up to
-    /// [`fedci::fabric::INLINE_PAYLOAD`] in place (no allocation), a larger
-    /// one into a `Vec`, and shares one of [`IO_BUF`] or more, so a retry
-    /// dispatched from a completion never copies it.
+    /// is dropped anyway); an earlier one copies an inline payload in place
+    /// (no allocation), a larger one into a `Vec`, and shares one of
+    /// [`IO_BUF`] or more, so a retry dispatched from a completion never
+    /// copies it.
     fn payload_for(&mut self, last_attempt: bool) -> Option<Payload> {
         let TaskState::Pending(p) = self else {
             return None;
         };
         if last_attempt {
             return Some(std::mem::take(p));
-        }
-        if let Some(inline) = Payload::inline(p) {
-            return Some(inline);
         }
         if let Payload::Owned(bytes) = p {
             if bytes.len() >= IO_BUF {
@@ -169,6 +166,13 @@ struct Inner {
     timer: OnceLock<mpsc::Sender<Arc<Inner>>>,
 }
 
+/// An attempt the machine placed, with its task's cell, for [`Inner::send`]
+/// to carry out after the lock.
+fn with_cell(coord: &Coord<TaskCell>, d: Dispatch) -> (Dispatch, Arc<TaskCell>) {
+    let cell = coord.cell(d.task.0).expect("a placed task exists");
+    (d, Arc::clone(cell))
+}
+
 /// The back-off timer. A retry that starts waiting sends it the runtime,
 /// held while the machine has a deadline — a waiting retry keeps the
 /// runtime alive, so futures outliving [`FabricRuntime`] still resolve —
@@ -176,9 +180,11 @@ struct Inner {
 fn run_timer(rx: mpsc::Receiver<Arc<Inner>>) {
     let mut held = None;
     while let Some(rt) = held.take().or_else(|| rx.recv().ok()) {
-        let next = rt.coord.lock().tick(&*rt);
-        if let Some(next) = next {
-            rt.send(next);
+        let mut coord = rt.coord.lock();
+        let next = coord.tick(&*rt).map(|d| with_cell(&coord, d));
+        drop(coord);
+        if let Some((next, cell)) = next {
+            rt.send(next, &cell);
         } else {
             let due = rt.coord.lock().next_deadline();
             let Some(due) = due else { continue };
@@ -283,9 +289,13 @@ impl FabricRuntime {
     /// immediately with a future.
     pub fn submit(&self, function: &str, payload: Vec<u8>, deps: &[&WireFuture]) -> WireFuture {
         let inner = &self.inner;
+        // At most `INLINE_PAYLOAD` bytes travel in place: every attempt
+        // copies them without an allocation, and the caller's `Vec` is
+        // freed on this thread, not by whichever thread drops the job.
+        let payload = Payload::inline(&payload).unwrap_or(Payload::Owned(payload));
         let cell = Arc::new(TaskCell {
             dep_ids: deps.iter().map(|d| d.id).collect(),
-            state: Mutex::new(TaskState::Pending(payload.into())),
+            state: Mutex::new(TaskState::Pending(payload)),
             cond: Condvar::new(),
         });
         // One lock acquisition registers the task and places a ready one.
@@ -300,7 +310,7 @@ impl FabricRuntime {
         inner.record(|t, at, l| t.instant(at, l.submit, l.track, id as u64, deps.len() as i64));
         drop(coord);
         if let Some(first) = first {
-            inner.send(first);
+            inner.send(first, &cell);
         }
         WireFuture { id, cell }
     }
@@ -369,7 +379,7 @@ impl Inner {
     }
 
     /// Stages a placed attempt's inputs and submits it, outside the lock.
-    fn send(self: &Arc<Self>, d: Dispatch<TaskCell>) {
+    fn send(self: &Arc<Self>, d: Dispatch, cell: &TaskCell) {
         let ((id, attempt), ep) = (d.task, d.ep);
         self.record(|t, at, l| {
             t.begin(at, l.attempt, l.track, attempt_span_id(id, attempt));
@@ -385,7 +395,7 @@ impl Inner {
                 self.fabric.stage(ep, *key, bytes);
             }
         }
-        let Some(payload) = d.cell.state.lock().payload_for(d.last) else {
+        let Some(payload) = cell.state.lock().payload_for(d.last) else {
             return;
         };
         let job = JobSpec {
@@ -422,8 +432,9 @@ impl Inner {
         let ready = match step {
             // Not on this (fabric) thread: a retry that waits does so on the timer.
             Step::Retry(next) => {
+                let next = next.map(|d| with_cell(&coord, d));
                 drop(coord);
-                return next.map_or_else(|| self.wake_timer(), |next| self.send(next));
+                return next.map_or_else(|| self.wake_timer(), |(d, cell)| self.send(d, &cell));
             }
             Step::Resolved(result, ready) => {
                 let cell = coord.cell(id).expect("a resolved task exists");
@@ -437,8 +448,11 @@ impl Inner {
         };
         drop(coord);
         for dep in ready {
-            let next = self.coord.lock().dispatch(dep, 1, &**self);
-            self.send(next);
+            let mut coord = self.coord.lock();
+            let next = coord.dispatch(dep, 1, &**self);
+            let (next, cell) = with_cell(&coord, next);
+            drop(coord);
+            self.send(next, &cell);
         }
     }
 
@@ -591,15 +605,15 @@ mod tests {
                 Call::Stage { .. } => unreachable!("no task has a dependency"),
             })
             .collect();
-        // The small task: copied in place for each attempt that may be
-        // followed, its own bytes moved into the last.
+        // The small task: stored in place at submit, so every attempt,
+        // the last one too, carries an in-place copy.
         assert!(
             matches!(
                 payloads[..3],
                 [
                     Payload::Inline(8, _),
                     Payload::Inline(8, _),
-                    Payload::Owned(_)
+                    Payload::Inline(8, _)
                 ]
             ),
             "{payloads:?}"

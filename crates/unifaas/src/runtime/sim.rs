@@ -45,7 +45,7 @@ use simkit::{Engine, EngineStats, SimDuration, SimRng, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
-use taskgraph::{Dag, FunctionId, TaskId};
+use taskgraph::{Dag, TaskId};
 
 /// How many new monitor records accumulate before the learned profilers
 /// retrain.
@@ -424,9 +424,6 @@ struct Rt {
     /// Reusable buffer of tasks that turned Ready within one event, fed to
     /// the batched `on_tasks_ready` hook.
     ready_scratch: Vec<TaskId>,
-    /// Interned function names (indexed by `FunctionId`) so each history
-    /// record of a learned run clones an `Arc<str>` instead of allocating.
-    fn_names: Vec<Arc<str>>,
     completed: usize,
     failed_attempts: usize,
     fatal: Option<UniFaasError>,
@@ -602,7 +599,6 @@ impl Rt {
             action_bufs: Vec::new(),
             decision_bufs: Vec::new(),
             ready_scratch: Vec::new(),
-            fn_names: Vec::new(),
             completed: 0,
             failed_attempts: 0,
             fatal: None,
@@ -1313,7 +1309,8 @@ impl Rt {
     ) {
         let spec = self.dag.spec(t);
         let (func, output_bytes) = (spec.function, spec.output_bytes);
-        let function = self.function_arc(func);
+        // The `Dag` interns names: a history record clones a pointer.
+        let function = Arc::clone(self.dag.function_arc(func));
         let f = &self.features[ep.index()];
         self.task_monitor.record(TaskRecord {
             function,
@@ -1342,19 +1339,6 @@ impl Rt {
             ram_gb: 0,
             success: true,
         });
-    }
-
-    /// Interned name of function `f`. The cache extends lazily because
-    /// dynamic DAG growth can register new functions mid-run.
-    fn function_arc(&mut self, f: FunctionId) -> Arc<str> {
-        let i = f.0 as usize;
-        if i >= self.fn_names.len() {
-            for j in self.fn_names.len()..self.dag.n_functions() {
-                self.fn_names
-                    .push(Arc::from(self.dag.function_name(FunctionId(j as u16))));
-            }
-        }
-        self.fn_names[i].clone()
     }
 
     fn maybe_retrain(&mut self) {

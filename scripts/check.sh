@@ -217,6 +217,13 @@ if grep -nE 'dependents|functions: Vec<Arc<str>>' crates/unifaas/src/runtime/coo
   echo "runtime/coord.rs keeps its own successor list or function-name table again" >&2
   exit 1
 fi
+# A completion writes only its task's slot (an output's length is read off
+# the output the slot keeps), not the `Dag` spec the submitting thread
+# writes beside it.
+if grep -n 'spec_mut' crates/unifaas/src/runtime/coord.rs; then
+  echo "runtime/coord.rs writes the Dag's task specs again" >&2
+  exit 1
+fi
 if grep -nE 'HashMap|mean_duration' crates/unifaas/src/monitor/task_monitor.rs; then
   echo "monitor/task_monitor.rs hashes or aggregates durations again" >&2
   exit 1

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Symbolises and summarises the sample files written by sprof.so.
 
-    report.py DIR [--exe SUBSTR] [--within PATTERN [--min-share F]]
+    report.py DIR [--exe SUBSTR] [--within PATTERN [--min-share F]] [--under PATTERN]
 
 Reads every DIR/sprof.<pid>.txt (one per profiled process), keeps the
 processes whose executable path contains SUBSTR, and prints the top 25 of
@@ -25,6 +25,13 @@ exact, so --within also matches files.
 name or source file contains PATTERN (`SimRuntime::run`,
 `sched/queue.rs`); with --min-share F the script exits 1 when that share
 is below F.
+
+--under PATTERN prints one more flat table: the leaf functions of only
+the samples with a frame matching PATTERN (as --within matches), so what
+a caller spends its time in shows apart from the rest of the process
+(`--under 'Sender<T>::send'` for a channel's sends, whose inlined
+`notify_one` wake shows as `syscall`; `--under FabricRuntime::submit`
+for the submitting thread).
 """
 
 import argparse
@@ -183,6 +190,7 @@ def main():
     ap.add_argument("--exe", default="", help="keep processes whose executable contains this")
     ap.add_argument("--within", help="report the share of samples under this function or file")
     ap.add_argument("--min-share", type=float, help="with --within: fail below this share")
+    ap.add_argument("--under", help="also print the leaf table of the samples under this")
     args = ap.parse_args()
 
     procs = [Proc(f) for f in sorted(glob.glob(os.path.join(args.dir, "sprof.*.txt")))]
@@ -198,18 +206,31 @@ def main():
     frames = symbolise(procs)
     flat = collections.Counter()
     incl = collections.Counter()
+    under = collections.Counter()
     within = 0
+
+    def matches(pattern, stack):
+        return any(pattern in n or pattern in f for n, f in stack)
+
     for p in procs:
         for s in p.samples:
-            flat[frames[(p.pid, s[0], True)][0][0]] += 1
+            leaf = frames[(p.pid, s[0], True)][0][0]
+            flat[leaf] += 1
             stack = set()
             for k, pc in enumerate(s):
                 stack.update(frames[(p.pid, pc, k == 0)])
             incl.update({name for name, _ in stack})
-            if args.within and any(args.within in n or args.within in f for n, f in stack):
+            if args.within and matches(args.within, stack):
                 within += 1
+            if args.under and matches(args.under, stack):
+                under[leaf] += 1
     table("flat: leaf function", flat, total)
     table("inclusive: function anywhere on the recorded stack", incl, total)
+    if args.under:
+        n = sum(under.values())
+        print("\nunder %r: %d of %d samples (%.1f%%)" % (args.under, n, total, 100.0 * n / total))
+        if n:
+            table("flat: leaf function, samples under %r" % args.under, under, n)
     if args.within:
         share = within / total
         print("\nwithin %r: %.1f%% of %d samples" % (args.within, 100 * share, total))

@@ -177,3 +177,33 @@ fn submitting_a_small_task_under_retry_allocates_its_cell_and_completion_only() 
     rt.wait_all();
     assert_eq!(second.wait().unwrap().as_ref(), &[2; 8]);
 }
+
+#[test]
+fn submitting_a_small_task_without_retry_travels_inline() {
+    let fabric = Arc::new(Holding {
+        labels: vec!["ep".to_string()],
+        held: Mutex::new(Vec::with_capacity(2)),
+    });
+    // The default policy: one attempt, the only one the payload serves.
+    let rt = FabricRuntime::new(Arc::clone(&fabric) as Arc<dyn Fabric>);
+    rt.submit("fnv", vec![1; 8], &[]);
+    let payload = vec![2; 8];
+    let (second, allocs) = count_allocs(|| rt.submit("fnv", payload, &[]));
+    assert_eq!(
+        allocs, 2,
+        "a one-attempt 8-byte task made {allocs} allocations (the task cell \
+         and the completion are 2)"
+    );
+    let held = std::mem::take(&mut *fabric.held.lock().unwrap());
+    assert!(
+        matches!(held[1].0.payload, Payload::Inline(8, _)),
+        "an 8-byte payload travels as {:?}, not in place: the caller's Vec \
+         goes with the job and is freed by whichever thread drops it",
+        held[1].0.payload
+    );
+    for (job, done) in held {
+        done(Ok(job.payload.to_vec()));
+    }
+    rt.wait_all();
+    assert_eq!(second.wait().unwrap().as_ref(), &[2; 8]);
+}
