@@ -6,7 +6,7 @@
 //!                         [--trace-out <path>] [--flame-out <path>]
 //!                         [--metrics-out <path>]
 //!                         [--fault <rule>]... [--journal-out <path>]
-//!                         [--progress] [--verify]
+//!                         [--verify]
 //! ```
 //!
 //! `--strategy` overrides the spec (handy for comparing schedulers on one
@@ -40,9 +40,6 @@
 //! * `--journal-out <path>` writes a run journal: one binary record per
 //!   delivered event plus scheduler decision notes, with rolling chunk
 //!   digests (see `simkit::journal`).
-//! * `--progress` streams periodic progress snapshots (events/s, queue
-//!   occupancy, ready/executing counts, wall-vs-virtual ratio) to stderr
-//!   with a stall detector.
 //! * `--verify` checks the run as it goes (`Config::verify`): counter
 //!   reconciliation on every periodic tick, every event delivery checked
 //!   against a reference binary heap, and the scheduler decision stream
@@ -70,7 +67,7 @@ fn usage() -> ! {
         "usage: unifaas-sim <spec-file> [--strategy capacity|locality|dha|dha-no-resched] \
          [--series <dir>] [--quiet] [--report] [--trace-out <path>] \
          [--flame-out <path>] [--metrics-out <path>] \
-         [--fault <rule>]... [--journal-out <path>] [--progress] [--verify]\n\
+         [--fault <rule>]... [--journal-out <path>] [--verify]\n\
          \x20      unifaas-sim doctor <a.journal> <b.journal>\n\
          \x20      unifaas-sim journal-perturb <in.journal> <out.journal> <record-index>"
     );
@@ -145,7 +142,6 @@ fn main() {
     let mut metrics_out: Option<String> = None;
     let mut faults: Vec<fedci::FaultRule> = Vec::new();
     let mut journal_out: Option<String> = None;
-    let mut progress = false;
     let mut verify = false;
 
     let mut it = args.iter();
@@ -177,7 +173,6 @@ fn main() {
             }
             "--series" => series_dir = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--journal-out" => journal_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--progress" => progress = true,
             "--verify" => verify = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => usage(),
@@ -237,11 +232,6 @@ fn main() {
     }
     if let Some(path) = &journal_out {
         runtime = runtime.with_journal(path);
-    }
-    if progress {
-        runtime = runtime.with_flight(unifaas::flight::FlightConfig {
-            progress_stderr: true,
-        });
     }
     let report = runtime.run().unwrap_or_else(|e| {
         eprintln!("workflow failed: {e}");
@@ -307,9 +297,6 @@ fn main() {
             "journal            {path}: {} records in {} chunks, digest {:#018x}",
             j.records, j.chunks, j.digest
         );
-    }
-    if let Some(stalls) = report.flight_stalls.filter(|&n| n > 0) {
-        eprintln!("warning: stall detector fired {stalls} time(s); see the last --progress lines");
     }
     if report_flag {
         match report

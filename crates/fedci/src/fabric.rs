@@ -541,7 +541,7 @@ impl ThreadedFabric {
     }
 
     /// Samples every pool into `reg`; counters advance by delta, so
-    /// repeated scrapes stay monotone.
+    /// repeated samples stay monotone.
     pub fn sample_metrics(&self, reg: &mut MetricsRegistry, ids: &mut [PoolMetricIds]) {
         for (pool, id) in self.pools.iter().zip(ids) {
             pool.sample_metrics(reg, id);

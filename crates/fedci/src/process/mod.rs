@@ -408,7 +408,7 @@ impl ProcessFabric {
     }
 
     /// Samples every endpoint's state into `reg`; counters advance by
-    /// delta so repeated scrapes stay monotone.
+    /// delta so repeated samples stay monotone.
     pub fn sample_metrics(&self, reg: &mut MetricsRegistry, ids: &mut [ProcMetricIds]) {
         for (s, id) in self.shared.iter().zip(ids) {
             reg.set(id.workers, f64::from(s.workers.load(Ordering::SeqCst)));

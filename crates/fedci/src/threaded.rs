@@ -203,8 +203,8 @@ impl ThreadedEndpoint {
     }
 
     /// Registers this pool's gauge/counter families in `reg`, labelled by
-    /// endpoint name. Pair with [`ThreadedEndpoint::sample_metrics`] from a
-    /// scrape refresh hook.
+    /// endpoint name. Pair with [`ThreadedEndpoint::sample_metrics`] before
+    /// the registry is rendered.
     pub fn register_metrics(&self, reg: &mut MetricsRegistry) -> PoolMetricIds {
         let l = &[("endpoint", self.name.as_str())];
         PoolMetricIds {
@@ -236,7 +236,7 @@ impl ThreadedEndpoint {
 
     /// Snapshots the pool's atomics into `reg`. Counters advance by the
     /// delta since the previous sample (`ids` remembers the high-water
-    /// marks), so repeated scrapes stay monotone.
+    /// marks), so repeated samples stay monotone.
     pub fn sample_metrics(&self, reg: &mut MetricsRegistry, ids: &mut PoolMetricIds) {
         reg.set(ids.workers, self.n_workers as f64);
         reg.set(ids.busy, self.busy_workers() as f64);

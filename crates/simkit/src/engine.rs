@@ -112,11 +112,6 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics

@@ -49,7 +49,7 @@ pub mod trace;
 pub use engine::{Engine, EngineStats};
 pub use event::{EventId, EventQueue};
 pub use journal::{Journal, JournalRecord, JournalSummary, JournalWriter};
-pub use metrics::{LogHistogram, MetricsRegistry, MetricsServer};
+pub use metrics::{LogHistogram, MetricsRegistry};
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use stats::OnlineStats;

@@ -8,24 +8,19 @@
 //! emission path (`inc`/`set`/`observe`) early-returns on a single resident
 //! bool.
 //!
-//! Three more pieces live here because they share the registry's data model
+//! Two more pieces live here because they share the registry's data model
 //! and keep the crate dependency-free:
 //!
 //! * [`LogHistogram`] — a mergeable log-bucketed quantile sketch
 //!   (DDSketch-style) with a configurable relative-error bound (default 2%),
 //! * [`MetricsRegistry::render_prometheus`] — a Prometheus text-format
-//!   (version 0.0.4) serializer, plus [`parse_prometheus`], a small parser
-//!   used by round-trip tests and scrape smoke tests,
-//! * [`MetricsServer`] — a minimal `std::net::TcpListener` scrape server
-//!   (`GET /metrics`) for live/threaded runtimes.
+//!   (version 0.0.4) serializer (what `--metrics-out` writes), plus
+//!   [`parse_prometheus`], a small parser that the committed benchmark
+//!   (`benchmark/`) uses to read its counters back, and the round-trip
+//!   tests use to check the serializer.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 // ---------------------------------------------------------------------------
 // LogHistogram
@@ -582,7 +577,7 @@ fn render_value(v: f64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Prometheus text-format parser (for round-trip tests and smoke tests)
+// Prometheus text-format parser (for the benchmark and round-trip tests)
 // ---------------------------------------------------------------------------
 
 /// One sample parsed from Prometheus text exposition.
@@ -601,7 +596,7 @@ pub struct PromSample {
 ///
 /// This is intentionally small: it handles the subset this crate emits
 /// (comments, label escaping, `+Inf`/`-Inf`/`NaN` values) and is used by
-/// the exposition round-trip tests and scrape-server smoke tests.
+/// the benchmark's counter read-back and the exposition round-trip tests.
 pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
     let mut out = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -694,182 +689,6 @@ fn parse_labels(s: &str) -> Result<Vec<(String, String)>, String> {
         labels.push((key, val));
     }
     Ok(labels)
-}
-
-// ---------------------------------------------------------------------------
-// Scrape server
-// ---------------------------------------------------------------------------
-
-/// Callback sampled before each scrape renders, letting the owner refresh
-/// gauges from live state (e.g. worker-pool atomics).
-pub type RefreshFn = Box<dyn Fn(&mut MetricsRegistry) + Send>;
-
-/// A minimal HTTP scrape server exposing a shared [`MetricsRegistry`] at
-/// `GET /metrics` in Prometheus text format.
-///
-/// Built on `std::net::TcpListener` only — no new dependencies. One
-/// request is served at a time on a background thread; that is plenty for
-/// a scrape interval measured in seconds. Dropping the server stops the
-/// thread.
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for MetricsServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsServer")
-            .field("addr", &self.addr)
-            .finish()
-    }
-}
-
-impl MetricsServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:9100"`, or port 0 for an ephemeral
-    /// port) and serves `registry` until the returned server is dropped.
-    /// `refresh`, when given, runs under the registry lock before each
-    /// scrape renders.
-    pub fn start(
-        addr: &str,
-        registry: Arc<Mutex<MetricsRegistry>>,
-        refresh: Option<RefreshFn>,
-    ) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("metrics-scrape".into())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop2.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = conn else { continue };
-                    let _ = serve_one(&mut stream, &registry, refresh.as_deref());
-                }
-            })?;
-        Ok(MetricsServer {
-            addr: local,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// The bound address (useful after binding port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the background thread.
-    fn stop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.stop.store(true, Ordering::SeqCst);
-            // Wake the accept loop with a throwaway connection.
-            let _ = TcpStream::connect(self.addr);
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Per-connection wall-clock budget for one scrape (request head *and*
-/// response). The server handles one request at a time, so without a hard
-/// deadline a stalled client — dribbling one byte per read timeout, or
-/// never draining its receive buffer — wedges every later scraper.
-const SCRAPE_DEADLINE: std::time::Duration = std::time::Duration::from_secs(2);
-
-/// Remaining time before `deadline`, as a timeout for the next socket op;
-/// errors with `TimedOut` once the budget is spent. (A `None` socket
-/// timeout would mean "block forever", so zero must become an error, not
-/// be passed through.)
-fn remaining(deadline: std::time::Instant) -> std::io::Result<std::time::Duration> {
-    let left = deadline.saturating_duration_since(std::time::Instant::now());
-    if left.is_zero() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::TimedOut,
-            "scrape client exceeded its time budget",
-        ));
-    }
-    Ok(left)
-}
-
-/// `write_all` with an overall deadline: per-write timeouts alone reset on
-/// every partial success, so a client draining one byte at a time could
-/// hold the thread indefinitely.
-fn write_all_deadline(
-    stream: &mut TcpStream,
-    mut buf: &[u8],
-    deadline: std::time::Instant,
-) -> std::io::Result<()> {
-    while !buf.is_empty() {
-        stream.set_write_timeout(Some(remaining(deadline)?))?;
-        match stream.write(buf) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "scrape client stopped accepting bytes",
-                ))
-            }
-            Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-fn serve_one(
-    stream: &mut TcpStream,
-    registry: &Arc<Mutex<MetricsRegistry>>,
-    refresh: Option<&(dyn Fn(&mut MetricsRegistry) + Send)>,
-) -> std::io::Result<()> {
-    let deadline = std::time::Instant::now() + SCRAPE_DEADLINE;
-    // Read until the end of the request head; we only care about the
-    // request line.
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    loop {
-        stream.set_read_timeout(Some(remaining(deadline)?))?;
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        buf.extend_from_slice(&chunk[..n]);
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() > 16 * 1024 {
-            break;
-        }
-    }
-    let head = String::from_utf8_lossy(&buf);
-    let request_line = head.lines().next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, body) = if method != "GET" {
-        ("405 Method Not Allowed", "method not allowed\n".to_string())
-    } else if path == "/metrics" || path == "/" {
-        let body = {
-            let mut reg = registry.lock().expect("metrics registry poisoned");
-            if let Some(f) = refresh {
-                f(&mut reg);
-            }
-            reg.render_prometheus()
-        };
-        ("200 OK", body)
-    } else {
-        ("404 Not Found", "not found\n".to_string())
-    };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    write_all_deadline(stream, response.as_bytes(), deadline)
 }
 
 #[cfg(test)]
@@ -1070,41 +889,5 @@ mod tests {
         assert!(parse_prometheus("x{unterminated=\"v} 1").is_err());
         assert!(parse_prometheus("x{a=\"b\"} notanumber").is_err());
         assert!(parse_prometheus("# just a comment\n").unwrap().is_empty());
-    }
-
-    #[test]
-    fn scrape_server_serves_metrics() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("pings_total", "Pings.", &[]);
-        reg.inc(c, 7.0);
-        let shared = Arc::new(Mutex::new(reg));
-        let refresh_count = Arc::new(AtomicBool::new(false));
-        let rc = Arc::clone(&refresh_count);
-        let server = MetricsServer::start(
-            "127.0.0.1:0",
-            Arc::clone(&shared),
-            Some(Box::new(move |_reg| {
-                rc.store(true, Ordering::SeqCst);
-            })),
-        )
-        .expect("binds ephemeral port");
-        let addr = server.local_addr();
-
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n")
-            .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
-        assert!(response.contains("pings_total 7"), "{response}");
-        assert!(refresh_count.load(Ordering::SeqCst), "refresh ran");
-
-        // Unknown path 404s.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"GET /nope HTTP/1.1\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 404"), "{response}");
     }
 }

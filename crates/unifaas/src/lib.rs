@@ -75,7 +75,6 @@
 pub mod config;
 pub mod data;
 pub mod error;
-pub mod flight;
 pub mod metrics;
 pub mod monitor;
 pub mod obs;

@@ -131,10 +131,6 @@ pub struct RunReport {
     /// runs of the same config stay bit-identical; the journal digest is
     /// its own, stronger witness.
     pub journal: Option<JournalSummary>,
-    /// Stall episodes the progress recorder detected (`None` unless built
-    /// with [`SimRuntime::with_flight`](crate::SimRuntime::with_flight)).
-    /// Excluded from the determinism digest, like the journal summary.
-    pub flight_stalls: Option<u64>,
 }
 
 impl RunReport {
@@ -261,7 +257,6 @@ mod tests {
             metrics: None,
             decision_digest: None,
             journal: None,
-            flight_stalls: None,
         };
         assert_eq!(report.transfer_gb(), 2.0);
         assert!((report.scheduler_overhead_per_task() - 0.0005).abs() < 1e-9);
@@ -277,15 +272,14 @@ mod tests {
         other.failed_attempts = 1;
         assert_ne!(other.determinism_digest(), d);
 
-        // The journal summary and stall count are observation artifacts:
-        // attaching them must not move the digest.
+        // The journal summary is an observation artifact: attaching it
+        // must not move the digest.
         let mut journaled = report.clone();
         journaled.journal = Some(JournalSummary {
             records: 100,
             chunks: 1,
             digest: 0xdead_beef,
         });
-        journaled.flight_stalls = Some(3);
         assert_eq!(journaled.determinism_digest(), d, "observers must not leak");
 
         // The decision digest, when enabled, is folded in.

@@ -31,7 +31,6 @@ use crate::error::UniFaasError;
 use fedci::fabric::{Fabric, FabricResult, JobSpec, Payload, ProbeState};
 use fedci::proto::IO_BUF;
 use parking_lot::{Condvar, Mutex};
-use simkit::metrics::{MetricsRegistry, MetricsServer};
 use simkit::time::SimTime;
 use simkit::trace::{LabelId, TraceLevel, Tracer};
 use std::sync::{mpsc, Arc, OnceLock};
@@ -256,32 +255,6 @@ impl FabricRuntime {
     /// Run statistics so far.
     pub fn stats(&self) -> FabricRunStats {
         self.inner.coord.lock().stats
-    }
-
-    /// Starts a Prometheus scrape server at `addr` (port 0 picks an
-    /// ephemeral port, see [`MetricsServer::local_addr`]) over `registry`,
-    /// to which it adds the `unifaas_outstanding_tasks` gauge. Every
-    /// scrape first runs `sample` — the fabric's own `sample_metrics`,
-    /// over the ids its `register_metrics` put into `registry` — so
-    /// `GET /metrics` reads live state. The server stops when the handle
-    /// is dropped; the runtime keeps running either way.
-    pub fn serve_metrics(
-        &self,
-        addr: &str,
-        registry: Arc<std::sync::Mutex<MetricsRegistry>>,
-        sample: impl Fn(&mut MetricsRegistry) + Send + 'static,
-    ) -> std::io::Result<MetricsServer> {
-        let outstanding = registry.lock().expect("registry lock").gauge(
-            "unifaas_outstanding_tasks",
-            "Submitted tasks whose futures have not resolved.",
-            &[],
-        );
-        let inner = Arc::clone(&self.inner);
-        let refresh = move |reg: &mut MetricsRegistry| {
-            sample(reg);
-            reg.set(outstanding, inner.coord.lock().outstanding as f64);
-        };
-        MetricsServer::start(addr, registry, Some(Box::new(refresh)))
     }
 
     /// Submits one task: run `function` over the concatenation of the

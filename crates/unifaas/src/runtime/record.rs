@@ -15,14 +15,12 @@
 //!   the Prometheus registry, the predictor-accuracy monitor and the
 //!   scheduler's hook wall time (the run's only clock reads);
 //! * the **decision digest** (`Config::verify`) and the run journal's
-//!   decision notes ([`SimRuntime::with_journal`](super::sim::SimRuntime::with_journal));
-//! * the **progress** consumer ([`SimRuntime::with_flight`](super::sim::SimRuntime::with_flight)).
+//!   decision notes ([`SimRuntime::with_journal`](super::sim::SimRuntime::with_journal)).
 //!
 //! Each optional consumer sits behind one `Option`, so a fact costs an
 //! untraced, unmetered run one branch per consumer it could feed.
 
 use crate::data::{XferId, XferInfo};
-use crate::flight::{FlightConfig, FlightRecorder, FlightSample};
 use crate::metrics::{LatencyBreakdown, RunReport, RunSeries};
 use crate::monitor::HealthState;
 use crate::profile::accuracy::AccuracyMonitor;
@@ -321,7 +319,6 @@ impl Meter {
 pub(super) struct RecordConfig {
     pub trace: Option<TraceConfig>,
     pub metrics: bool,
-    pub flight: Option<FlightConfig>,
     /// The run journal's path: decisions become journal notes.
     pub journal_out: Option<PathBuf>,
 }
@@ -341,8 +338,7 @@ pub(super) struct Recorder {
     /// Running FNV over the scheduler decision stream.
     decision_digest: Option<u64>,
     journal_notes: bool,
-    flight: Option<Box<FlightRecorder>>,
-    /// True when some consumer reads every delivery.
+    /// True when the trace records every delivery (Full level).
     deliveries: bool,
 }
 
@@ -363,9 +359,8 @@ impl Recorder {
             .trace
             .filter(|tc| tc.level != TraceLevel::Off)
             .map(|tc| Box::new(Trace::new(&tc, &labels, n_tasks)));
-        let flight = rc.flight.map(|fc| Box::new(FlightRecorder::new(fc)));
         Recorder {
-            deliveries: flight.is_some() || trace.as_ref().is_some_and(|t| t.tracer.full()),
+            deliveries: trace.as_ref().is_some_and(|t| t.tracer.full()),
             meter: rc.metrics.then(|| Box::new(Meter::new(&labels))),
             pending_h: vec![None; labels.len()],
             labels,
@@ -376,7 +371,6 @@ impl Recorder {
             trace,
             decision_digest: verify.then_some(0xcbf2_9ce4_8422_2325),
             journal_notes: rc.journal_out.is_some(),
-            flight,
         }
     }
 
@@ -401,18 +395,15 @@ impl Recorder {
         self.staging(SimTime::ZERO, 0);
     }
 
-    /// True when some consumer reads every delivery: only then does the
-    /// runtime encode one for [`Recorder::delivery`].
+    /// True when the trace records every delivery (Full level): only then
+    /// does the runtime encode one for [`Recorder::delivery`].
     #[inline]
     pub fn wants_deliveries(&self) -> bool {
         self.deliveries
     }
 
     /// One delivered event, encoded as the run journal encodes it.
-    pub fn delivery(&mut self, now: SimTime, code: EventCode, sample: FlightSample) {
-        if let Some(fl) = self.flight.as_deref_mut() {
-            fl.on_event(now, sample);
-        }
+    pub fn delivery(&mut self, now: SimTime, code: EventCode) {
         if let Some(tr) = self.trace.as_deref_mut() {
             if tr.tracer.full() {
                 let name = tr.deliveries[code.kind as usize];
@@ -762,7 +753,6 @@ impl Recorder {
             calibration,
             metrics,
             decision_digest: self.decision_digest,
-            flight_stalls: self.flight.map(|f| f.stalls()),
             ..report
         }
     }

@@ -19,7 +19,6 @@ use crate::config::{Config, KnowledgeMode, SchedulingStrategy};
 use crate::data::StartedXfer;
 use crate::data::{DataManager, XferId};
 use crate::error::UniFaasError;
-use crate::flight::{FlightConfig, FlightSample};
 use crate::metrics::RunReport;
 use crate::monitor::HistoryDb;
 use crate::monitor::{EndpointMonitor, HealthMonitor, MockEndpoint, TaskMonitor, TaskRecord};
@@ -236,15 +235,6 @@ impl SimRuntime {
     /// reports and digests to unjournaled ones.
     pub fn with_journal<P: Into<PathBuf>>(mut self, path: P) -> Self {
         self.record.journal_out = Some(path.into());
-        self
-    }
-
-    /// Enables the in-run progress recorder: periodic progress snapshots
-    /// streamed to stderr, and a stall detector whose count lands in
-    /// [`RunReport::flight_stalls`]. The recorder only observes runtime
-    /// counters, so schedules and digests are unchanged.
-    pub fn with_flight(mut self, cfg: FlightConfig) -> Self {
-        self.record.flight = Some(cfg);
         self
     }
 
@@ -1793,13 +1783,7 @@ impl Rt {
 
     fn handle(&mut self, now: SimTime, ev: Ev, eng: &mut Engine<Ev>) {
         if self.rec.wants_deliveries() {
-            let sample = FlightSample {
-                completed: self.completed as u64,
-                ready: self.waiting_task_count,
-                executing: self.active_task_count,
-                queue_pending: eng.pending(),
-            };
-            self.rec.delivery(now, ev_code(&ev), sample);
+            self.rec.delivery(now, ev_code(&ev));
         }
         match ev {
             Ev::StagingCheck(t) => self.check_staged(t, now, eng),

@@ -267,21 +267,32 @@ if grep -rnE 'FedciTraceLabels|FlightReport|RecentEvent' \
   exit 1
 fi
 
+# simkit is the deterministic kernel both runtimes build on: it opens no
+# socket, starts no thread, takes no lock and reads no clock. The wall
+# clock and the threads belong to the runtimes that drive it.
+echo "==> simkit opens no socket, starts no thread, takes no lock, reads no clock"
+if grep -rnE 'std::(net|thread|sync|time)' crates/simkit/src; then
+  echo "crates/simkit/src does I/O, spawns, locks or reads the clock again (see above)" >&2
+  exit 1
+fi
+
 # Every `pub` item of a library crate is named outside its file, or is on
 # scripts/pub_readers.txt with the reader that keeps it public.
 echo "==> public-surface census (scripts/pub_census.py against scripts/pub_readers.txt)"
 python3 scripts/pub_census.py
 
 # Options nothing set to a non-default value became constants, the unread
-# items went, the flags that served what --metrics-out and --progress
-# already print went, and the scheduler has one hook per event
-# (`on_tasks_ready`, `on_workers_idle`). History files may name them.
-echo "==> no deleted option, flag or per-item scheduler hook left"
-if grep -rnE 'submit_batch_size|reschedule_interval|max_decisions|max_transfers|home_is_last|derive_uuid|serve_addr|on_worker_idle\b|on_task_ready\b|--progress-addr|--metrics-addr|--trace-level|--max-attempts' \
+# items went, the flags that served what --metrics-out already writes
+# went, the live scrape server and the progress recorder (its stall
+# detector, its flag and the example that scraped a running runtime) went,
+# and the scheduler has one hook per event (`on_tasks_ready`,
+# `on_workers_idle`). History files may name them.
+echo "==> no deleted option, flag, live observability surface or per-item scheduler hook left"
+if grep -rnE 'submit_batch_size|reschedule_interval|max_decisions|max_transfers|home_is_last|derive_uuid|serve_addr|on_worker_idle\b|on_task_ready\b|--progress|--metrics-addr|--trace-level|--max-attempts|MetricsServer|serve_metrics|FlightRecorder|FlightConfig|with_flight|flight_stalls|progress_stderr|live_metrics' \
   --include='*.rs' --include='*.sh' --include='*.yml' \
   --exclude=check.sh --exclude-dir=benchmark --exclude-dir=target \
   --exclude-dir=.git .; then
-  echo "a deleted option, flag or scheduler hook is referenced again (see above)" >&2
+  echo "a deleted option, flag, observability surface or scheduler hook is referenced again (see above)" >&2
   exit 1
 fi
 

@@ -1,14 +1,13 @@
-//! End-to-end tests for the run journal, divergence doctor, flight
-//! recorder and decision-digest folding: journals must be bit-identical
-//! with and without `verify`, observation must never perturb the simulated
-//! timeline, and an injected single-event perturbation must be localized
-//! to the exact record.
+//! End-to-end tests for the run journal, divergence doctor and
+//! decision-digest folding: journals must be bit-identical with and
+//! without `verify`, journaling must never perturb the simulated timeline,
+//! and an injected single-event perturbation must be localized to the
+//! exact record.
 
 use fedci::hardware::ClusterSpec;
 use simkit::journal::Journal;
 use taskgraph::{Dag, TaskId, TaskSpec};
 use unifaas::config::{Config, EndpointConfig, SchedulingStrategy};
-use unifaas::flight::FlightConfig;
 use unifaas::obs::{doctor, perturb_journal, render_doctor, DoctorReport};
 use unifaas::{SimRuntime, UniFaasError};
 
@@ -176,22 +175,4 @@ fn decision_digest_is_deterministic_and_config_gated() {
         "enabled runs fold the decision stream into the digest"
     );
     assert_eq!(on1.determinism_digest(), on2.determinism_digest());
-}
-
-/// The progress recorder observes a real run without perturbing it and
-/// reports its stall count (none, on a healthy run).
-#[test]
-fn flight_recorder_observes_without_perturbing() {
-    let strategy = SchedulingStrategy::Dha { rescheduling: true };
-    let plain = SimRuntime::new(site_config(strategy.clone()), diamond_dag(20))
-        .run()
-        .unwrap();
-    assert_eq!(plain.flight_stalls, None, "no recorder, no stall count");
-    let flown = SimRuntime::new(site_config(strategy), diamond_dag(20))
-        .with_flight(FlightConfig::default())
-        .run()
-        .unwrap();
-    assert_eq!(plain.determinism_digest(), flown.determinism_digest());
-    assert_eq!(plain.events_processed, flown.events_processed);
-    assert_eq!(flown.flight_stalls, Some(0), "healthy run");
 }

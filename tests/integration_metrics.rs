@@ -1,6 +1,5 @@
 //! End-to-end tests for the metrics observatory: registry exposition,
-//! predictor calibration, fault-path attempt accounting and the live
-//! scrape server.
+//! predictor calibration and fault-path attempt accounting.
 
 use fedci::hardware::ClusterSpec;
 use fedci::network::{Link, NetworkTopology};
@@ -201,115 +200,4 @@ fn retry_latency_stages_cover_only_the_final_attempt() {
          double-counted a stage across attempts",
         report.makespan.as_secs_f64()
     );
-}
-
-/// Satellite: scrape-server smoke test. Bind an ephemeral port, GET
-/// /metrics, expect 200 with a non-empty, parseable body.
-#[test]
-fn live_runtime_scrape_smoke() {
-    use fedci::fabric::{FabricTiming, ThreadedFabric};
-    use simkit::metrics::MetricsRegistry;
-    use std::io::{Read, Write};
-    use std::sync::{Arc, Mutex};
-    use unifaas::runtime::fabric::FabricRuntime;
-
-    let fabric = Arc::new(ThreadedFabric::new(
-        &[("a", 2), ("b", 1)],
-        &FabricTiming::default(),
-    ));
-    let rt = FabricRuntime::new(Arc::clone(&fabric) as _);
-    let futs: Vec<_> = (0..4).map(|_| rt.submit("echo", vec![], &[])).collect();
-    rt.wait_all();
-    for f in futs {
-        f.wait().unwrap();
-    }
-
-    let mut reg = MetricsRegistry::new();
-    let ids = Mutex::new(fabric.register_metrics(&mut reg));
-    let sample = move |reg: &mut MetricsRegistry| {
-        fabric.sample_metrics(reg, &mut ids.lock().unwrap());
-    };
-    let server = rt
-        .serve_metrics("127.0.0.1:0", Arc::new(Mutex::new(reg)), sample)
-        .expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
-    write!(
-        conn,
-        "GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut response = String::new();
-    conn.read_to_string(&mut response).expect("read response");
-
-    assert!(response.starts_with("HTTP/1.1 200"), "got: {response}");
-    let body = response
-        .split("\r\n\r\n")
-        .nth(1)
-        .expect("response has a body");
-    assert!(!body.trim().is_empty(), "scrape body must be non-empty");
-    let samples = parse_prometheus(body).expect("body parses as Prometheus text");
-    let completed: f64 = samples
-        .iter()
-        .filter(|s| s.name == "fedci_pool_jobs_completed_total")
-        .map(|s| s.value)
-        .sum();
-    assert_eq!(completed, 4.0, "scrape reflects the pool counters");
-    assert!(samples
-        .iter()
-        .any(|s| s.name == "unifaas_outstanding_tasks" && s.value == 0.0));
-}
-
-/// Satellite regression: a stalled scrape client must not wedge the
-/// single-threaded scrape server. The first client dribbles a partial
-/// request head and then goes silent; the per-connection deadline must
-/// disconnect it so a well-behaved scraper behind it still gets served
-/// promptly.
-#[test]
-fn stalled_scrape_client_cannot_wedge_the_server() {
-    use simkit::metrics::{MetricsRegistry, MetricsServer};
-    use std::io::{Read, Write};
-    use std::sync::{Arc, Mutex};
-    use std::time::{Duration, Instant};
-
-    let mut reg = MetricsRegistry::new();
-    let g = reg.gauge("stall_test_gauge", "marker", &[]);
-    reg.set(g, 42.0);
-    let server =
-        MetricsServer::start("127.0.0.1:0", Arc::new(Mutex::new(reg)), None).expect("bind");
-    let addr = server.local_addr();
-
-    // The villain: opens a connection, sends two bytes of request head,
-    // then stalls forever (held open for the whole test).
-    let mut villain = std::net::TcpStream::connect(addr).expect("connect");
-    villain.write_all(b"GE").expect("partial head");
-
-    // Give the server a beat to accept the villain first, so the honest
-    // client genuinely queues behind the stall.
-    std::thread::sleep(Duration::from_millis(100));
-
-    let start = Instant::now();
-    let mut honest = std::net::TcpStream::connect(addr).expect("connect");
-    honest
-        .write_all(
-            format!("GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-                .as_bytes(),
-        )
-        .expect("send request");
-    let mut response = String::new();
-    honest.read_to_string(&mut response).expect("read response");
-    let waited = start.elapsed();
-
-    assert!(response.starts_with("HTTP/1.1 200"), "got: {response}");
-    assert!(
-        response.contains("stall_test_gauge"),
-        "body missing the marker gauge: {response}"
-    );
-    // The villain's budget is 2s; anything wildly past that means the
-    // deadline did not fire and we only got lucky.
-    assert!(
-        waited < Duration::from_secs(10),
-        "honest scraper waited {waited:?} behind the stalled client"
-    );
-    drop(villain);
 }
